@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ExecutionError, RuleError, ValidationError
-from .learning import CiMatrix, compute_ci
+from .learning import MIN_NORMAL_SAMPLES, CiEntry, CiMatrix, compute_ci, normal_ci
 from .profiles import KPI_NAMES
 
 # Event types written to the event log.
@@ -75,10 +75,15 @@ class Knowledge:
 
 @dataclass
 class SystemState:
-    """Monitor snapshot: live window of the active model plus load figures."""
+    """Monitor snapshot: live window of the active model plus load figures.
+
+    The controller passes its rolling window of the active model itself, not
+    a copy, so monitoring stays O(1) in the window size; the state is read
+    within the event that made it, before the window changes.
+    """
 
     m_prime: str
-    window: tuple
+    window: tuple | _KpiWindow
     window_means: dict[str, float]
     v: float
     i_w: int
@@ -182,8 +187,12 @@ def discriminating_kpis(matrix: CiMatrix, count: int = 2) -> tuple[str, ...]:
     Cluster means come from the anchor's own entries; normalization uses the
     anchor profile's global per-KPI standard deviation. A KPI with zero global
     spread cannot discriminate and scores 0. Ties resolve in canonical KPI
-    order.
+    order. The ranking is computed once per matrix.
     """
+    return matrix.derived(_rank_kpis)[:count]
+
+
+def _rank_kpis(matrix: CiMatrix) -> tuple[str, ...]:
     if not matrix.anchor_kpi_std:
         raise RuleError(
             f"rule matrix of {matrix.anchor_model_id!r} lacks anchor KPI stats; "
@@ -201,7 +210,25 @@ def discriminating_kpis(matrix: CiMatrix, count: int = 2) -> tuple[str, ...]:
         var = sum((m - grand) ** 2 for m in means) / len(means)
         scores.append((var, idx, kpi))
     scores.sort(key=lambda t: (-t[0], t[1]))
-    return tuple(kpi for _, _, kpi in scores[:count])
+    return tuple(kpi for _, _, kpi in scores)
+
+
+def _cluster_anchors(matrix: CiMatrix) -> tuple[tuple[int, tuple], ...]:
+    """Per cluster, ascending: its (kpi, offline mean, anchor sd) triples.
+
+    Only discriminating KPIs with a global spread take part in matching.
+    """
+    kpis = discriminating_kpis(matrix)
+    anchors = []
+    for cluster in matrix.cluster_ids():
+        anchor = []
+        for kpi in kpis:
+            sd = matrix.anchor_kpi_std.get(kpi, 0.0)
+            if sd <= 0.0:
+                continue
+            anchor.append((kpi, matrix.entry(cluster, matrix.anchor_model_id, kpi).mean, sd))
+        anchors.append((cluster, tuple(anchor)))
+    return tuple(anchors)
 
 
 def find_closest_cluster(state: SystemState, matrix: CiMatrix) -> int:
@@ -211,21 +238,17 @@ def find_closest_cluster(state: SystemState, matrix: CiMatrix) -> int:
     (values divided by the anchor's global per-KPI standard deviation); ties
     go to the lower cluster index.
     """
-    clusters = matrix.cluster_ids()
-    if len(clusters) == 1:
-        return clusters[0]
+    if len(matrix.entries) == 1:
+        return next(iter(matrix.entries))
     if not state.window_means:
         raise ValidationError("find_closest_cluster: empty monitoring window")
-    kpis = discriminating_kpis(matrix)
-    best_cluster, best_dist = clusters[0], math.inf
-    for cluster in clusters:
+    means = state.window_means
+    anchors = matrix.derived(_cluster_anchors)
+    best_cluster, best_dist = anchors[0][0], math.inf
+    for cluster, anchor in anchors:
         dist = 0.0
-        for kpi in kpis:
-            sd = matrix.anchor_kpi_std.get(kpi, 0.0)
-            if sd <= 0.0:
-                continue
-            offline = matrix.entry(cluster, matrix.anchor_model_id, kpi).mean
-            delta = (state.window_means[kpi] - offline) / sd
+        for kpi, offline, sd in anchor:
+            delta = (means[kpi] - offline) / sd
             dist += delta * delta
         if dist < best_dist:
             best_cluster, best_dist = cluster, dist
@@ -234,13 +257,62 @@ def find_closest_cluster(state: SystemState, matrix: CiMatrix) -> int:
 
 def feasible_rate_range(matrix: CiMatrix, m_prime: str, cluster: int) -> tuple[float, float]:
     """Feasible request-rate range: reciprocals of the tau CI bounds."""
-    entry = matrix.entry(cluster, m_prime, "tau_model")
+    rate_range = matrix.derived(_rate_ranges).get((cluster, m_prime))
+    # None: the entry is missing or corrupt, and reading it again raises.
+    return rate_range if rate_range is not None else _tau_range(matrix, cluster, m_prime)
+
+
+def _tau_range(matrix: CiMatrix, cluster: int, model_id: str) -> tuple[float, float]:
+    entry = matrix.entry(cluster, model_id, "tau_model")
+    _check_tau_low(entry, model_id, cluster)
+    return 1.0 / entry.high, 1.0 / entry.low
+
+
+def _rule_row(matrix: CiMatrix, cluster: int, model_id: str) -> tuple[float, float, float]:
+    """(low_c, high_tau, capacity) of one model from the rule matrix."""
+    tau_ci = matrix.entry(cluster, model_id, "tau_model")
+    c_ci = matrix.entry(cluster, model_id, "c")
+    _check_tau_low(tau_ci, model_id, cluster)
+    return c_ci.low, tau_ci.high, 1.0 / tau_ci.low
+
+
+def _check_tau_low(entry: CiEntry, model_id: str, cluster: int) -> None:
     if entry.low <= 0.0:
         raise RuleError(
-            f"tau CI lower bound must be > 0 for model {m_prime!r} "
+            f"tau CI lower bound must be > 0 for model {model_id!r} "
             f"cluster {cluster} (got {entry.low})"
         )
-    return 1.0 / entry.high, 1.0 / entry.low
+
+
+def _or_none(fact, matrix: CiMatrix, cluster: int, model_id: str):
+    """fact(...), or None when the rule entries are missing or corrupt.
+
+    A None is never used: the caller reads the entries again, which raises
+    the RuleError at the point of use, as if nothing had been frozen.
+    """
+    try:
+        return fact(matrix, cluster, model_id)
+    except RuleError:
+        return None
+
+
+def _rate_ranges(matrix: CiMatrix) -> dict[tuple[int, str], tuple[float, float] | None]:
+    return {
+        (cluster, model_id): _or_none(_tau_range, matrix, cluster, model_id)
+        for cluster, models in matrix.entries.items()
+        for model_id in models
+    }
+
+
+def _candidate_rows(matrix: CiMatrix) -> dict[int, tuple[tuple[str, tuple | None], ...]]:
+    """Per cluster, in model-id order: (model, (low_c, high_tau, capacity))."""
+    return {
+        cluster: tuple(
+            (model_id, _or_none(_rule_row, matrix, cluster, model_id))
+            for model_id in sorted(models)
+        )
+        for cluster, models in matrix.entries.items()
+    }
 
 
 def compute_adjusted_rate(v: float, i_w: int) -> float:
@@ -300,35 +372,30 @@ def plan(
     ties broken by incumbent first, then smaller high(tau), then model id.
     """
     matrix = knowledge.rules_for(planner_input.m_prime)
-    cluster_entries = matrix.entries.get(planner_input.cluster)
-    if cluster_entries is None:
-        raise RuleError(
-            f"rule matrix of {planner_input.m_prime!r} has no cluster "
-            f"{planner_input.cluster}"
-        )
     m_prime = planner_input.m_prime
+    cluster = planner_input.cluster
     v_adj = planner_input.v_adj
+    rows = matrix.derived(_candidate_rows).get(cluster)
+    if rows is None:
+        raise RuleError(f"rule matrix of {m_prime!r} has no cluster {cluster}")
+    if not isinstance(live_window, _KpiWindow):
+        live_window = _KpiWindow.of(live_window)
     candidates: list[tuple[str, float, float]] = []  # (model, low_c, high_tau)
-    for model_id in sorted(cluster_entries):
+    for model_id, row in rows:
         if model_id in blacklist:
             continue
         if model_id == m_prime and live_window:
-            tau_ci = compute_ci([rec.tau_model for rec in live_window], level)
-            c_ci = compute_ci([rec.c for rec in live_window], level)
+            tau_ci = live_window.ci("tau_model", level)
+            c_ci = live_window.ci("c", level)
             # A live CI can dip to a non-positive lower bound under extreme
             # variance; that reads as an unbounded nominal capacity.
             capacity = math.inf if tau_ci.low <= 0.0 else 1.0 / tau_ci.low
-        else:
-            tau_ci = matrix.entry(planner_input.cluster, model_id, "tau_model")
-            c_ci = matrix.entry(planner_input.cluster, model_id, "c")
-            if tau_ci.low <= 0.0:
-                raise RuleError(
-                    f"tau CI lower bound must be > 0 for model {model_id!r} "
-                    f"cluster {planner_input.cluster} (got {tau_ci.low})"
-                )
-            capacity = 1.0 / tau_ci.low
+            row = (c_ci.low, tau_ci.high, capacity)
+        elif row is None:
+            row = _rule_row(matrix, cluster, model_id)  # raises the RuleError
+        low_c, high_tau, capacity = row
         if v_adj <= capacity:
-            candidates.append((model_id, c_ci.low, tau_ci.high))
+            candidates.append((model_id, low_c, high_tau))
     if not candidates:
         return AdaptationPlan(target=None, reason="no suitable model; persisting")
     best = min(
@@ -413,24 +480,122 @@ class DegradedModelTracker:
         self._listed.clear()
 
 
-class _KpiWindow:
-    """Rolling window of one model's completions with running KPI sums."""
+# KPIs whose live CI the planner reads, kept as exact integer moments.
+CI_KPIS = ("tau_model", "c")
 
-    __slots__ = ("records", "_sums", "_maxlen")
+# Bits of the integer square root before the final rounding to a float.
+_SQRT_BITS = 2 * 53 + 3
+
+
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """sqrt(num / den), correctly rounded, for integers num >= 0, den > 0.
+
+    The integer root carries _SQRT_BITS bits and is rounded to odd, so the
+    one rounding to a float is correct; statistics.stdev does the same.
+    """
+    q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        return float(_isqrt_to_odd(num, den << 2 * q) << q)
+    return _isqrt_to_odd(num << -2 * q, den) / (1 << -q)
+
+
+def _isqrt_to_odd(num: int, den: int) -> int:
+    root = math.isqrt(num // den)
+    return root | (root * root * den != num)
+
+
+class _ExactMoments:
+    """Exact sums of x and x*x over a multiset of finite floats.
+
+    Every finite float is num / 2**k for integers num and k <= 1074, so the
+    sums are exact integers in units of 2**-shift, where shift is the
+    largest k seen so far; a larger k rescales the sums first.
+    """
+
+    __slots__ = ("shift", "total", "total_sq")
+
+    def __init__(self):
+        self.shift = 0
+        self.total = 0
+        self.total_sq = 0
+
+    def _units(self, x: float) -> int:
+        num, den = x.as_integer_ratio()
+        k = den.bit_length() - 1
+        if k > self.shift:
+            grow = k - self.shift
+            self.total <<= grow
+            self.total_sq <<= 2 * grow
+            self.shift = k
+        return num << (self.shift - k)
+
+    def add(self, x: float) -> None:
+        u = self._units(x)
+        self.total += u
+        self.total_sq += u * u
+
+    def remove(self, x: float) -> None:
+        u = self._units(x)
+        self.total -= u
+        self.total_sq -= u * u
+
+    def mean(self, n: int) -> float:
+        """statistics.fmean: the correctly rounded sum, divided by n."""
+        return self.total / (1 << self.shift) / n
+
+    def stdev(self, n: int) -> float:
+        """statistics.stdev: the correctly rounded root of the exact variance."""
+        return _sqrt_of_ratio(
+            n * self.total_sq - self.total * self.total, n * (n - 1) << 2 * self.shift
+        )
+
+
+class _KpiWindow:
+    """Rolling window of one model's completions with running KPI sums.
+
+    means() reads float running sums, whose rounding cluster matching has
+    always used. ci() reads exact ones: for each CI KPI the window keeps the
+    sums of x and x*x as integers (see _ExactMoments), so the sample mean
+    and variance are exact rationals and ci() equals compute_ci over the
+    same records, bit for bit, at O(1) per read. Windows of fewer than
+    MIN_NORMAL_SAMPLES records keep compute_ci's (min, max) envelope.
+    """
+
+    __slots__ = ("records", "_sums", "_moments", "_maxlen")
 
     def __init__(self, maxlen: int):
         self.records: deque = deque()
         self._sums = {kpi: 0.0 for kpi in WINDOW_KPIS}
+        self._moments = {kpi: _ExactMoments() for kpi in CI_KPIS}
         self._maxlen = maxlen
+
+    @classmethod
+    def of(cls, records) -> _KpiWindow:
+        """A window holding exactly the given records."""
+        records = tuple(records)
+        window = cls(max(len(records), 1))
+        for rec in records:
+            window.add(rec)
+        return window
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __iter__(self):
+        return iter(self.records)
 
     def add(self, rec) -> None:
         if len(self.records) == self._maxlen:
             old = self.records.popleft()
             for kpi in WINDOW_KPIS:
                 self._sums[kpi] -= getattr(old, kpi)
+            for kpi, moments in self._moments.items():
+                moments.remove(getattr(old, kpi))
         self.records.append(rec)
         for kpi in WINDOW_KPIS:
             self._sums[kpi] += getattr(rec, kpi)
+        for kpi, moments in self._moments.items():
+            moments.add(getattr(rec, kpi))
 
     def means(self) -> dict[str, float]:
         n = len(self.records)
@@ -438,13 +603,27 @@ class _KpiWindow:
             return {}
         return {kpi: total / n for kpi, total in self._sums.items()}
 
+    def ci(self, kpi: str, level: float = 0.90) -> CiEntry:
+        """compute_ci of one CI KPI over the window's records."""
+        n = len(self.records)
+        if n < MIN_NORMAL_SAMPLES:
+            return compute_ci([getattr(rec, kpi) for rec in self.records], level)
+        moments = self._moments[kpi]
+        return normal_ci(moments.mean(n), moments.stdev(n), n, level)
+
 
 class AdamlsController:
     """The adaptive policy: full MAPE-K loop bound to a Knowledge base.
 
-    Driven by the simulator at every completion and periodic tick. Keeps
-    per-model rolling windows so monitoring is O(1) per event; the pure
-    monitor_snapshot function is the reference behaviour it must match.
+    Driven by the simulator at every completion and periodic tick; each
+    event costs O(1) in the window size and in the number of rule matrices.
+    Per-model rolling windows keep running sums, so monitoring needs no pass
+    over the window (the pure monitor_snapshot function is the reference
+    behaviour it must match), and the live tau and c CIs come from exact
+    integer moments (see _KpiWindow). What depends only on a rule matrix is
+    frozen on first use, once per matrix: the discriminating KPI pair, each
+    cluster's anchor (mean, sd) on it, each cluster's feasible rate ranges,
+    and each cluster's planner rows (model, low_c, high_tau, capacity).
     """
 
     name = "adamls"
@@ -477,8 +656,8 @@ class AdamlsController:
         window = self._windows.get(active)
         state = SystemState(
             m_prime=active,
-            window=tuple(window.records) if window else (),
-            window_means=window.means() if window else {},
+            window=window if window is not None else (),
+            window_means=window.means() if window is not None else {},
             v=observed_rate(system.arrival_times, system.now),
             i_w=system.queue_depth,
             sim_time=system.now,

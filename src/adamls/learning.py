@@ -14,6 +14,7 @@ import hashlib
 import math
 import statistics
 from dataclasses import dataclass, field, replace
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -25,6 +26,11 @@ from .profiles import KPI_NAMES, ModelProfile
 _Z_BY_LEVEL = {0.90: 1.6449}
 
 _MAX_LLOYD_ITERATIONS = 100
+
+# Below this many samples a CI is the (min, max) envelope, not a normal CI.
+MIN_NORMAL_SAMPLES = 5
+
+_T = TypeVar("_T")
 
 CI_CSV_HEADER = ("anchor_model", "cluster", "model", "kpi", "low", "high", "n", "mean")
 
@@ -72,11 +78,22 @@ class CiMatrix:
 
     anchor_kpi_std carries the anchor profile's global per-KPI standard
     deviation; the online analyzer needs it to z-normalize cluster matching.
+    A matrix is never mutated once built, so facts derived from it can be
+    computed once and kept (see derived).
     """
 
     anchor_model_id: str
     entries: dict[int, dict[str, dict[str, CiEntry]]]
     anchor_kpi_std: dict[str, float] = field(default_factory=dict)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def derived(self, build: Callable[["CiMatrix"], _T]) -> _T:
+        """build(self), computed on first use and kept for this matrix."""
+        try:
+            return self._derived[build]
+        except KeyError:
+            value = self._derived[build] = build(self)
+            return value
 
     def cluster_ids(self) -> list[int]:
         return sorted(self.entries)
@@ -326,7 +343,7 @@ def compute_ci(samples, level: float = 0.90, method: str = "normal") -> CiEntry:
     mean = statistics.fmean(data)
     if n == 1:
         return CiEntry(data[0], data[0], 1, data[0])
-    if n < 5:
+    if n < MIN_NORMAL_SAMPLES:
         return CiEntry(min(data), max(data), n, mean)
     if method == "percentile":
         lo_q, hi_q = (1.0 - level) / 2.0, (1.0 + level) / 2.0
@@ -336,7 +353,11 @@ def compute_ci(samples, level: float = 0.90, method: str = "normal") -> CiEntry:
         return CiEntry(min(float(low), mean), max(float(high), mean), n, mean)
     if method != "normal":
         raise ValidationError(f"compute_ci: unknown method {method!r}")
-    sd = statistics.stdev(data)
+    return normal_ci(mean, statistics.stdev(data), n, level)
+
+
+def normal_ci(mean: float, sd: float, n: int, level: float = 0.90) -> CiEntry:
+    """Normal-approximation CI mean +/- z * sd / sqrt(n) from summary stats."""
     half = _z_quantile(level) * sd / math.sqrt(n)
     return CiEntry(mean - half, mean + half, n, mean)
 

@@ -10,6 +10,7 @@ adaptation rules and the simulator samples them as service behaviour.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,13 @@ class KpiRecord:
     b: int
 
     def __post_init__(self) -> None:
+        for name in ("tau_model", "tau_system"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"{name} must be finite for image {self.image_id!r} "
+                    f"model {self.model_id!r}, got {value}"
+                )
         if not 0.0 <= self.c <= 1.0:
             raise ValidationError(f"c must be in [0, 1], got {self.c}")
         if self.tau_model <= 0.0:

@@ -78,7 +78,12 @@ class WorkloadSpec:
         )
         if not self.segments:
             raise ValidationError("workload needs at least one segment")
-        for duration, rate in self.segments:
+        for index, (duration, rate) in enumerate(self.segments):
+            if not (math.isfinite(duration) and math.isfinite(rate)):
+                raise ValidationError(
+                    f"segment {index} (duration {duration}, rate {rate}): "
+                    "duration and rate must be finite"
+                )
             if duration <= 0.0:
                 raise ValidationError(f"segment duration must be > 0, got {duration}")
             if rate < 0.0:

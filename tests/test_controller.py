@@ -1,11 +1,13 @@
 import math
 import random
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from adamls.controller import (
+    CI_KPIS,
     AdamlsController,
     AdaptationPlan,
     Analyzer,
@@ -23,9 +25,10 @@ from adamls.controller import (
     naive_policy,
     observed_rate,
     plan,
+    _KpiWindow,
 )
 from adamls.errors import ExecutionError, RuleError, ValidationError
-from adamls.learning import CiEntry, CiMatrix
+from adamls.learning import CiEntry, CiMatrix, compute_ci
 from adamls.simulator import CompletionRecord
 
 from .oracles import brute_force_plan
@@ -142,6 +145,45 @@ class TestMonitor:
             assert list(state.window) == list(reference.window)
             assert state.window_means == pytest.approx(reference.window_means)
             assert (state.v, state.i_w) == (reference.v, reference.i_w)
+            for kpi in CI_KPIS:
+                if reference.window:
+                    expected = compute_ci([getattr(rec, kpi) for rec in reference.window])
+                    assert state.window.ci(kpi, controller.ci_level) == expected
+
+
+class KpiRow(NamedTuple):
+    c: float
+    tau_model: float
+    tau_system: float = 0.0
+    s_cpu: float = 0.0
+    b: int = 0
+    r: float = 0.0
+
+
+@given(
+    maxlen=st.integers(min_value=1, max_value=9),
+    values=st.lists(
+        st.tuples(
+            st.floats(min_value=1e-6, max_value=1e3), st.floats(min_value=1e-6, max_value=1e3)
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    level=st.sampled_from([0.90, 0.95]),
+)
+@example(maxlen=6, values=[(1e-6, 1e3), (1e3, 1e-6), (0.3, 512.25), (2.5e-5, 7.0)] * 3, level=0.90)
+@example(maxlen=5, values=[(5e-324, 1e300), (1.0, 3.0), (2.5e-7, 1e-300), (7.0, 0.5)] * 2, level=0.90)
+def test_kpi_window_ci_equals_compute_ci(maxlen, values, level):
+    """The O(1) live CI is compute_ci over the window's records, exactly."""
+    window = _KpiWindow(maxlen)
+    rows = [KpiRow(c=c, tau_model=tau) for c, tau in values]
+    for end, row in enumerate(rows, start=1):
+        window.add(row)
+        kept = rows[max(0, end - maxlen) : end]
+        assert list(window) == kept
+        for kpi in CI_KPIS:
+            expected = compute_ci([getattr(rec, kpi) for rec in kept], level)
+            assert window.ci(kpi, level) == expected
 
 
 class TestClusterMatching:
@@ -345,6 +387,21 @@ class TestPlan:
         window = tuple(completion(i, model="B", c=0.85, tau=0.025) for i in range(30))
         result = plan(PlannerInput(30.0, "B", 0), knowledge, live_window=window)
         assert not result.is_switch
+
+    def test_corrupt_row_raises_only_when_read(self):
+        clusters = {
+            0: {
+                "A": {"tau": (0.02, 0.03), "c": (0.5, 0.6)},
+                "B": {"tau": (0.0, 0.12), "c": (0.8, 0.9)},
+            }
+        }
+        knowledge = Knowledge(adaptation_rule_repository={"A": matrix_of("A", clusters)})
+        blacklisted = plan(
+            PlannerInput(8.0, "A", 0), knowledge, live_window=(), blacklist=frozenset({"B"})
+        )
+        assert not blacklisted.is_switch
+        with pytest.raises(RuleError, match="model 'B' cluster 0"):
+            plan(PlannerInput(8.0, "A", 0), knowledge, live_window=())
 
     def test_missing_cluster_is_rule_corruption(self):
         knowledge = plan_fixture()

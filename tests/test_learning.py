@@ -300,6 +300,22 @@ class TestCiMatrix:
                         expected = compute_ci([row.kpis[model_id].kpi(kpi) for row in rows])
                         assert entry == expected
 
+    def test_derived_facts_are_built_once_per_matrix(self, tiny_profiles):
+        matrix = run_learning_engine(tiny_profiles, k_max=4, seed=5)["fast"].ci_matrix
+        calls = []
+
+        def cluster_count(m):
+            calls.append(m)
+            return len(m.entries)
+
+        assert matrix.derived(cluster_count) == matrix.derived(cluster_count)
+        assert calls == [matrix]
+        # A replaced matrix is a new matrix: it derives its own facts.
+        replaced = attach_anchor_stats(matrix, tiny_profiles[0])
+        replaced.derived(cluster_count)
+        assert calls == [matrix, replaced]
+        assert replaced == matrix
+
 
 class TestLearningEngine:
     def test_five_model_family_pipeline(self):

@@ -164,6 +164,15 @@ def test_record_invariants_enforced():
             KpiRecord(**bad)
 
 
+@pytest.mark.parametrize("field", ["tau_model", "tau_system"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_record_rejects_non_finite_times(field, value):
+    # NaN compares false both ways, so the range checks alone let it through.
+    ok = dict(image_id="i7", model_id="m", c=0.5, tau_model=0.04, tau_system=0.05, s_cpu=20.0, b=3)
+    with pytest.raises(ValidationError, match=rf"{field} must be finite for image 'i7' model 'm'"):
+        KpiRecord(**{**ok, field: value})
+
+
 def test_profile_invariants_enforced():
     rec = KpiRecord("i1", "m", 0.5, 0.04, 0.05, 20.0, 3)
     with pytest.raises(ValidationError):

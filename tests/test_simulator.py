@@ -97,6 +97,15 @@ class TestWorkload:
         with pytest.raises(ValidationError):
             WorkloadSpec(segments=((1.0, 1.0),), max_requests=10, arrival_process="uniform")
 
+    @pytest.mark.parametrize(
+        "segment", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)]
+    )
+    def test_non_finite_segment_rejected(self, segment):
+        # Only the spec is built: generating arrivals from such a segment
+        # would never return.
+        with pytest.raises(ValidationError, match=r"segment 1 \(.*\): duration and rate must be finite"):
+            WorkloadSpec(segments=((1.0, 1.0), segment), max_requests=10)
+
 
 class TestSampling:
     def test_single_record_profile_is_forced(self):
