@@ -86,7 +86,6 @@ class ProfilesConfig:
 @dataclass(frozen=True)
 class LearningConfig:
     k_max: int = 6
-    restarts: int = 10
     ci_level: float = 0.90
     ci_method: str = "normal"
 
@@ -160,8 +159,6 @@ def learn_rules(config: ExperimentConfig, profiles) -> dict[str, LearnedModelRul
     return run_learning_engine(
         profiles,
         k_max=config.learning.k_max,
-        seed=derive_seed(config.master_seed, "learning"),
-        restarts=config.learning.restarts,
         level=config.learning.ci_level,
         method=config.learning.ci_method,
     )

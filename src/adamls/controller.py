@@ -43,25 +43,12 @@ class LogEvent(NamedTuple):
     detail: str
 
 
-class MetricsSample(NamedTuple):
-    sim_time: float
-    v: float
-    i_w: int
-    active_model: str
-    note: str
-
-
 @dataclass
 class Knowledge:
-    """Shared knowledge base: completion log, adaptation rules, metrics."""
+    """Shared knowledge base: adaptation rules and the controller's event log."""
 
-    log_repository: list = field(default_factory=list)
     adaptation_rule_repository: dict[str, CiMatrix] = field(default_factory=dict)
-    system_metrics_repository: list[MetricsSample] = field(default_factory=list)
     event_log: list[LogEvent] = field(default_factory=list)
-
-    def log_completion(self, record) -> None:
-        self.log_repository.append(record)
 
     def log_event(self, sim_time: float, event: str, detail: str) -> None:
         self.event_log.append(LogEvent(sim_time, event, detail))
@@ -136,49 +123,6 @@ def observed_rate(arrival_times, now: float, horizon: float = RATE_HORIZON) -> f
     hi = bisect_right(arrival_times, now)
     lo = bisect_right(arrival_times, now - horizon, 0, hi)
     return float(hi - lo)
-
-
-def monitor_snapshot(
-    sim_time: float,
-    completions,
-    arrival_times,
-    queue_depth: int,
-    active_model: str,
-    knowledge: Knowledge | None = None,
-    window_size: int = DEFAULT_WINDOW_SIZE,
-) -> SystemState:
-    """Snapshot the system: window of the active model's last completions.
-
-    completions must be ordered by finish time and arrival_times ascending.
-    An empty window yields empty means, which suppresses analysis.
-    """
-    window: list = []
-    for rec in reversed(completions):
-        if rec.model_id == active_model:
-            window.append(rec)
-            if len(window) == window_size:
-                break
-    window.reverse()
-    state = SystemState(
-        m_prime=active_model,
-        window=tuple(window),
-        window_means=_window_means(window),
-        v=observed_rate(arrival_times, sim_time),
-        i_w=queue_depth,
-        sim_time=sim_time,
-    )
-    if knowledge is not None:
-        knowledge.system_metrics_repository.append(
-            MetricsSample(sim_time, state.v, state.i_w, active_model, "")
-        )
-    return state
-
-
-def _window_means(window) -> dict[str, float]:
-    if not window:
-        return {}
-    n = len(window)
-    return {kpi: sum(getattr(rec, kpi) for rec in window) / n for kpi in WINDOW_KPIS}
 
 
 def discriminating_kpis(matrix: CiMatrix, count: int = 2) -> tuple[str, ...]:
@@ -618,12 +562,13 @@ class AdamlsController:
     Driven by the simulator at every completion and periodic tick; each
     event costs O(1) in the window size and in the number of rule matrices.
     Per-model rolling windows keep running sums, so monitoring needs no pass
-    over the window (the pure monitor_snapshot function is the reference
-    behaviour it must match), and the live tau and c CIs come from exact
-    integer moments (see _KpiWindow). What depends only on a rule matrix is
-    frozen on first use, once per matrix: the discriminating KPI pair, each
-    cluster's anchor (mean, sd) on it, each cluster's feasible rate ranges,
-    and each cluster's planner rows (model, low_c, high_tau, capacity).
+    over the window (the test suite's reference monitor, which rescans the
+    completion log, is the behaviour it must match), and the live tau and c
+    CIs come from exact integer moments (see _KpiWindow). What depends only
+    on a rule matrix is frozen on first use, once per matrix: the
+    discriminating KPI pair, each cluster's anchor (mean, sd) on it, each
+    cluster's feasible rate ranges, and each cluster's planner rows (model,
+    low_c, high_tau, capacity).
     """
 
     name = "adamls"
@@ -661,9 +606,6 @@ class AdamlsController:
             v=observed_rate(system.arrival_times, system.now),
             i_w=system.queue_depth,
             sim_time=system.now,
-        )
-        self.knowledge.system_metrics_repository.append(
-            MetricsSample(system.now, state.v, state.i_w, active, "")
         )
         self.knowledge.log_event(
             system.now, EVENT_MONITOR, f"m'={active} v={state.v:g} i_w={state.i_w}"

@@ -10,7 +10,6 @@ every model. The resulting CI matrices are the controller's adaptation rules.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import statistics
 from dataclasses import dataclass, field, replace
@@ -19,13 +18,11 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .errors import JoinError, RuleError, ValidationError
-from .profiles import KPI_NAMES, ModelProfile
+from .profiles import KPI_NAMES, KpiRecord, ModelProfile
 
 # Two-sided z quantile pinned for the default level; other levels fall back
 # to the exact normal quantile.
 _Z_BY_LEVEL = {0.90: 1.6449}
-
-_MAX_LLOYD_ITERATIONS = 100
 
 # Below this many samples a CI is the (min, max) envelope, not a normal CI.
 MIN_NORMAL_SAMPLES = 5
@@ -60,7 +57,7 @@ class PerfRow:
 
     image_id: str
     label: int
-    kpis: dict[str, "KpiRecordLike"]
+    kpis: dict[str, KpiRecord]
 
 
 @dataclass(frozen=True)
@@ -122,171 +119,109 @@ class LearnedModelRules:
     wcss_series: tuple[float, ...]
 
 
-# The protocol build_performance_matrix actually needs: anything with a
-# .kpi(name) accessor, which KpiRecord provides.
-KpiRecordLike = object
+def kmeans_1d(values, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal 1-D k-means: labels and ascending centroids of k clusters.
+
+    The partition is the exact minimum of the within-cluster sum of squares
+    (see _optimal_1d); every copy of a value gets the same label, and labels
+    are numbered in ascending centroid order. Each centroid is the mean of
+    its members.
+    """
+    if k < 1:
+        raise ValidationError(f"kmeans_1d: k must be >= 1, got {k}")
+    x, partitions = _optimal_1d(values, k)
+    if k > len(partitions):
+        raise ValidationError(
+            f"kmeans_1d: k={k} exceeds the {len(partitions)} distinct value(s)"
+        )
+    labels = partitions[k - 1]
+    return labels, _member_means(x, labels, k)
 
 
-def kmeans_1d(
-    values, k: int, seed: int = 0, restarts: int = 10
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster 1-D values into k groups by Lloyd's algorithm.
+def wcss_series(values, k_max: int) -> list[float]:
+    """Optimal WCSS for k = 1..k_max, from one pass of the exact DP.
 
-    Runs `restarts` k-means++ initializations from a seeded RNG and keeps the
-    lowest-WCSS solution. Because optimal 1-D clusters are contiguous in
-    sorted order, each restart's Lloyd fixed point gets a deterministic
-    boundary-refinement pass (coordinate descent over the sorted-order cut
-    positions) followed by a final Lloyd polish; plain restarted Lloyd's
-    occasionally parks in an outlier basin that refinement escapes. Centroids
-    come back ascending with labels renumbered to match. Assignment ties go
-    to the lowest centroid index; a cluster emptied during iteration is
-    reseeded with the point farthest from its current centroid.
+    For k beyond the distinct-value count the optimum is exactly 0 (one
+    centroid per distinct value).
+    """
+    x, partitions = _optimal_1d(values, k_max)
+    series = []
+    for k, labels in enumerate(partitions, start=1):
+        centroids = _member_means(x, labels, k)
+        series.append(float(((x - centroids[labels]) ** 2).sum()))
+    return series + [0.0] * (k_max - len(partitions))
+
+
+def _member_means(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    return np.array([x[labels == j].mean() for j in range(k)])
+
+
+def _optimal_1d(values, k_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Exact 1-D k-means partitions for k = 1..min(k_max, distinct values).
+
+    Returns the values as an array and, per k, each value's cluster label.
+    Optimal 1-D clusters are contiguous in sorted order, so the DP runs over
+    cut points of the sorted distinct values, each weighted by its count
+    (Wang & Song 2011, Ckmeans.1d.dp). Segment costs come in O(1) from
+    prefix sums of w, w*u and w*u^2 of the mean-centred values. The optimal
+    cut is monotone in the segment end, so each k is one divide-and-conquer
+    layer, with every midpoint of a recursion level evaluated at once: time
+    O(k n log n), memory O(k n). Ties go to the smallest cut.
     """
     x = np.asarray(list(values), dtype=float)
     if x.size == 0:
-        raise ValidationError("kmeans_1d: empty input")
-    if k < 1:
-        raise ValidationError(f"kmeans_1d: k must be >= 1, got {k}")
-    if restarts < 1:
-        raise ValidationError(f"kmeans_1d: restarts must be >= 1, got {restarts}")
-    distinct = np.unique(x).size
-    if k > distinct:
-        raise ValidationError(
-            f"kmeans_1d: k={k} exceeds the {distinct} distinct value(s)"
-        )
-    order_idx = np.argsort(x, kind="stable")
-    x_sorted = x[order_idx]
-    prefix = np.concatenate(([0.0], np.cumsum(x_sorted)))
-    prefix_sq = np.concatenate(([0.0], np.cumsum(x_sorted**2)))
-    rng = np.random.default_rng(seed)
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for _ in range(restarts):
-        centers = _kmeans_pp_init(x, k, rng)
-        labels, centers, wcss = _lloyd(x, centers)
-        if k > 1:
-            cuts = _cuts_from_labels(x_sorted, centers)
-            cuts = _refine_cuts(x_sorted, prefix, prefix_sq, cuts)
-            refined_centers = _segment_means(prefix, cuts, x.size)
-            labels2, centers2, wcss2 = _lloyd(x, refined_centers)
-            if wcss2 < wcss:
-                labels, centers, wcss = labels2, centers2, wcss2
-        if best is None or wcss < best[0]:
-            best = (wcss, labels, centers)
-    _, labels, centers = best
-    order = np.argsort(centers, kind="stable")
-    remap = np.empty(k, dtype=int)
-    remap[order] = np.arange(k)
-    return remap[labels], centers[order]
+        raise ValidationError("1-D k-means: empty input")
+    if not np.isfinite(x).all():
+        raise ValidationError("1-D k-means: non-finite input")
+    u, inverse, w = np.unique(x, return_inverse=True, return_counts=True)
+    m = u.size
+    u = u - np.dot(w, u) / x.size
+    s0, s1, s2 = (np.concatenate(([0.0], np.cumsum(t))) for t in (w, w * u, w * u * u))
 
+    def cost(i, j):
+        seg = s1[j] - s1[i]
+        return np.maximum(s2[j] - s2[i] - seg * seg / (s0[j] - s0[i]), 0.0)
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.size
-    centers = np.empty(k, dtype=float)
-    centers[0] = x[rng.integers(n)]
-    d2 = (x - centers[0]) ** 2
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            # All mass sits on chosen centers; take the lowest-index point
-            # with a value not yet used as a center.
-            used = set(centers[:j])
-            idx = next(i for i in range(n) if x[i] not in used)
-        else:
-            idx = rng.choice(n, p=d2 / total)
-        centers[j] = x[idx]
-        d2 = np.minimum(d2, (x - centers[j]) ** 2)
-    return centers
-
-
-def _cuts_from_labels(x_sorted: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Cut positions of the contiguous partition induced by the centers."""
-    sorted_centers = np.sort(centers)
-    assignment = np.abs(x_sorted[:, None] - sorted_centers[None, :]).argmin(axis=1)
-    counts = np.bincount(assignment, minlength=centers.size)
-    cuts = np.cumsum(counts)[:-1]
-    # Coordinate descent needs every segment non-empty; nudge empty ones.
-    n = x_sorted.size
-    for i in range(cuts.size):
-        lo = 0 if i == 0 else cuts[i - 1]
-        cuts[i] = min(max(cuts[i], lo + 1), n - (cuts.size - i))
-    return cuts
-
-
-def _segment_cost(prefix: np.ndarray, prefix_sq: np.ndarray, lo, hi):
-    """Within-segment sum of squares of x_sorted[lo:hi], vectorized in lo/hi."""
-    total = prefix[hi] - prefix[lo]
-    count = hi - lo
-    return (prefix_sq[hi] - prefix_sq[lo]) - total * total / count
-
-
-def _refine_cuts(
-    x_sorted: np.ndarray, prefix: np.ndarray, prefix_sq: np.ndarray, cuts: np.ndarray
-) -> np.ndarray:
-    """Coordinate descent over cut positions until no single cut can improve."""
-    n = x_sorted.size
-    cuts = cuts.copy()
-    for _ in range(_MAX_LLOYD_ITERATIONS):
-        changed = False
-        for b in range(cuts.size):
-            lo = 0 if b == 0 else cuts[b - 1]
-            hi = n if b == cuts.size - 1 else cuts[b + 1]
-            candidates = np.arange(lo + 1, hi)
-            costs = _segment_cost(prefix, prefix_sq, lo, candidates) + _segment_cost(
-                prefix, prefix_sq, candidates, hi
+    best = np.full(m + 1, np.inf)
+    best[1:] = cost(0, np.arange(1, m + 1))
+    cuts = []  # cuts[k - 2][j]: start of the last of k segments over u[:j]
+    for k in range(2, min(k_max, m) + 1):
+        layer, cut = np.full(m + 1, np.inf), np.zeros(m + 1, dtype=np.intp)
+        # Pending ranges of segment ends [lo, hi] whose optimal cut lies in
+        # [c_lo, c_hi]; one pass of the loop is one level of the recursion.
+        lo, hi = np.array([k]), np.array([m])
+        c_lo, c_hi = np.array([k - 1]), np.array([m - 1])
+        while lo.size:
+            mid = (lo + hi) // 2
+            count = np.minimum(c_hi, mid - 1) - c_lo + 1
+            first = np.cumsum(count) - count
+            owner = np.repeat(np.arange(mid.size), count)
+            i = np.arange(count.sum()) - first[owner] + c_lo[owner]
+            total = best[i] + cost(i, mid[owner])
+            minimum = np.minimum.reduceat(total, first)
+            hits = np.flatnonzero(total == minimum[owner])
+            arg = i[hits[np.unique(owner[hits], return_index=True)[1]]]
+            layer[mid], cut[mid] = minimum, arg
+            left, right = lo < mid, mid < hi
+            lo, hi, c_lo, c_hi = (
+                np.concatenate((lo[left], mid[right] + 1)),
+                np.concatenate((mid[left] - 1, hi[right])),
+                np.concatenate((c_lo[left], arg[right])),
+                np.concatenate((arg[left], c_hi[right])),
             )
-            best = candidates[costs.argmin()]
-            if best != cuts[b]:
-                cuts[b] = best
-                changed = True
-        if not changed:
-            break
-    return cuts
-
-
-def _segment_means(prefix: np.ndarray, cuts: np.ndarray, n: int) -> np.ndarray:
-    bounds = np.concatenate(([0], cuts, [n]))
-    sums = prefix[bounds[1:]] - prefix[bounds[:-1]]
-    return sums / (bounds[1:] - bounds[:-1])
-
-
-def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    k = centers.size
-    labels = np.zeros(x.size, dtype=int)
-    for _ in range(_MAX_LLOYD_ITERATIONS):
-        dists = np.abs(x[:, None] - centers[None, :])
-        labels = dists.argmin(axis=1)
-        new_centers = centers.copy()
-        for j in range(k):
-            members = x[labels == j]
-            if members.size:
-                new_centers[j] = members.mean()
-            else:
-                own = np.abs(x - centers[labels])
-                new_centers[j] = x[own.argmax()]
-        if np.array_equal(new_centers, centers):
-            break
-        centers = new_centers
-    wcss = float(((x - centers[labels]) ** 2).sum())
-    return labels, centers, wcss
-
-
-def wcss_series(values, k_max: int, seed: int = 0, restarts: int = 10) -> list[float]:
-    """Best-of-restarts WCSS for k = 1..k_max.
-
-    For k beyond the distinct-value count the optimum is exactly 0 (one
-    centroid per distinct value), so no clustering run is needed there.
-    """
-    x = list(values)
-    distinct = np.unique(np.asarray(x, dtype=float)).size
-    series = []
-    for k in range(1, k_max + 1):
-        if k > distinct:
-            series.append(0.0)
-        else:
-            labels, centers = kmeans_1d(x, k, seed=seed, restarts=restarts)
-            arr = np.asarray(x, dtype=float)
-            series.append(float(((arr - centers[labels]) ** 2).sum()))
-    return series
+        best = layer
+        cuts.append(cut)
+    partitions = []
+    for k in range(1, min(k_max, m) + 1):
+        distinct_labels = np.empty(m, dtype=np.intp)
+        end = m
+        for label in range(k - 1, 0, -1):
+            start = cuts[label - 1][end]
+            distinct_labels[start:end] = label
+            end = start
+        distinct_labels[:end] = 0
+        partitions.append(distinct_labels[inverse])
+    return x, partitions
 
 
 def elbow_from_wcss(series) -> int:
@@ -316,7 +251,7 @@ def elbow_from_wcss(series) -> int:
     return best_k
 
 
-def select_k_elbow(values, k_max: int, seed: int = 0, restarts: int = 10) -> int:
+def select_k_elbow(values, k_max: int) -> int:
     """Choose the cluster count for 1-D values by the elbow rule."""
     x = list(values)
     if k_max < 2:
@@ -325,7 +260,7 @@ def select_k_elbow(values, k_max: int, seed: int = 0, restarts: int = 10) -> int
         raise ValidationError(
             f"select_k_elbow: need at least k_max={k_max} values, got {len(x)}"
         )
-    return elbow_from_wcss(wcss_series(x, k_max, seed=seed, restarts=restarts))
+    return elbow_from_wcss(wcss_series(x, k_max))
 
 
 def compute_ci(samples, level: float = 0.90, method: str = "normal") -> CiEntry:
@@ -454,16 +389,14 @@ def attach_anchor_stats(matrix: CiMatrix, profile: ModelProfile) -> CiMatrix:
 def run_learning_engine(
     profiles,
     k_max: int = 6,
-    seed: int = 0,
-    restarts: int = 10,
     level: float = 0.90,
     method: str = "normal",
 ) -> dict[str, LearnedModelRules]:
     """Run the full pipeline for every model as anchor.
 
     Per anchor: elbow-select k on its tau_system column, cluster, join the
-    performance matrix, and compute the CI matrix. Anchor sub-seeds are
-    derived from the model id, so the output is independent of profile order.
+    performance matrix, and compute the CI matrix. Every step is
+    deterministic, so the output is independent of profile order.
     """
     profiles = list(profiles)
     if not profiles:
@@ -471,19 +404,18 @@ def run_learning_engine(
     rules: dict[str, LearnedModelRules] = {}
     for profile in profiles:
         anchor = profile.model_id
-        anchor_seed = _mix_seed(seed, anchor)
         values = profile.kpi_values("tau_system")
         distinct = np.unique(np.asarray(values)).size
         k_cap = min(k_max, len(values))
         if k_cap >= 2:
-            series = tuple(wcss_series(values, k_cap, seed=anchor_seed, restarts=restarts))
+            series = tuple(wcss_series(values, k_cap))
             k = elbow_from_wcss(series)
         else:
-            k, series = 1, tuple(wcss_series(values, 1, seed=anchor_seed, restarts=restarts))
+            k, series = 1, tuple(wcss_series(values, 1))
         # The elbow can nominate more clusters than there are distinct values
         # (degenerate data); clustering itself needs k <= distinct.
         k_eff = min(k, distinct)
-        labels, centroids = kmeans_1d(values, k_eff, seed=anchor_seed, restarts=restarts)
+        labels, centroids = kmeans_1d(values, k_eff)
         clustered = ClusteredProfile(
             anchor_model_id=anchor,
             labels={rec.image_id: int(lab) for rec, lab in zip(profile.records, labels)},
@@ -495,11 +427,6 @@ def run_learning_engine(
             clustered=clustered, ci_matrix=ci_matrix, k=k, wcss_series=series
         )
     return rules
-
-
-def _mix_seed(seed: int, token: str) -> int:
-    digest = hashlib.blake2s(f"{seed}:{token}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 def write_ci_matrix(matrix: CiMatrix, path) -> None:
@@ -527,8 +454,12 @@ def write_ci_matrix(matrix: CiMatrix, path) -> None:
 
 
 def read_ci_matrix(path) -> CiMatrix:
-    """Load a CI matrix CSV written by write_ci_matrix.
+    """Load a CI matrix CSV written by write_ci_matrix, validating every row.
 
+    A row must have finite low/high/mean, low <= high and n >= 1, and no
+    (cluster, model, kpi) may repeat; every cluster must then hold every KPI
+    of every model in the file. low <= mean <= high is not required: the
+    (min, max) envelope of equal values can put their fmean one ulp outside.
     The anchor's global KPI stats are not part of the export; attach them via
     attach_anchor_stats before online cluster matching.
     """
@@ -555,7 +486,29 @@ def read_ci_matrix(path) -> CiMatrix:
                 anchor = row["anchor_model"]
             elif row["anchor_model"] != anchor:
                 raise RuleError(f"{path}: row {row_no}: mixed anchor models")
-            entries.setdefault(cluster, {}).setdefault(row["model"], {})[row["kpi"]] = entry
+            if not all(map(math.isfinite, (entry.low, entry.high, entry.mean))):
+                raise RuleError(f"{path}: row {row_no}: non-finite low, high or mean")
+            if entry.low > entry.high:
+                raise RuleError(f"{path}: row {row_no}: low {entry.low!r} > high {entry.high!r}")
+            if entry.n < 1:
+                raise RuleError(f"{path}: row {row_no}: n must be >= 1, got {entry.n}")
+            per_kpi = entries.setdefault(cluster, {}).setdefault(row["model"], {})
+            if row["kpi"] in per_kpi:
+                raise RuleError(
+                    f"{path}: row {row_no}: duplicate entry (cluster={cluster}, "
+                    f"model={row['model']!r}, kpi={row['kpi']!r})"
+                )
+            per_kpi[row["kpi"]] = entry
     if anchor is None:
         raise RuleError(f"{path}: no data rows")
+    models = sorted({model for per_model in entries.values() for model in per_model})
+    for cluster in sorted(entries):
+        for model in models:
+            for kpi in KPI_NAMES:
+                if kpi not in entries[cluster].get(model, {}):
+                    raise RuleError(
+                        f"{path}: missing entry (cluster={cluster}, model={model!r}, "
+                        f"kpi={kpi!r})"
+                    )
     return CiMatrix(anchor_model_id=anchor, entries=entries)
+

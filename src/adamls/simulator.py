@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import controller as ctrl
 from .errors import ConfigError, ValidationError
-from .profiles import ModelProfile
+from .profiles import KpiRecord, ModelProfile
 
 RESULTS_CSV_HEADER = (
     "request_id",
@@ -193,7 +193,7 @@ def generate_workload(spec: WorkloadSpec) -> list[float]:
     return arrivals[: spec.max_requests]
 
 
-def sample_kpis(model_id: str, profiles, rng: random.Random) -> "KpiRecordLike":
+def sample_kpis(model_id: str, profiles, rng: random.Random) -> KpiRecord:
     """Uniform-with-replacement draw of one KPI record from a model profile."""
     if isinstance(profiles, Mapping):
         profile = profiles.get(model_id)
@@ -203,9 +203,6 @@ def sample_kpis(model_id: str, profiles, rng: random.Random) -> "KpiRecordLike":
         raise ConfigError(f"no profile for model {model_id!r}")
     records = profile.records
     return records[rng.randrange(len(records))]
-
-
-KpiRecordLike = object
 
 
 class _Engine:
@@ -274,7 +271,6 @@ class _Engine:
 
     def _on_completion(self, rec: CompletionRecord) -> None:
         self.completions.append(rec)
-        self.knowledge.log_completion(rec)
         self._policy.note_completion(rec)
         self._in_flight -= 1
         self._free_workers += 1
@@ -385,29 +381,6 @@ def write_results_csv(records, path) -> None:
             )
 
 
-def read_results_csv(path) -> list[CompletionRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            records.append(
-                CompletionRecord(
-                    request_id=int(row["request_id"]),
-                    arrival_t=float(row["arrival_t"]),
-                    start_t=float(row["start_t"]),
-                    finish_t=float(row["finish_t"]),
-                    model_id=row["model"],
-                    c=float(row["c"]),
-                    tau_model=float(row["tau_model"]),
-                    tau_system=float(row["tau_system"]),
-                    s_cpu=float(row["s_cpu"]),
-                    b=int(row["b"]),
-                    r=float(row["r"]),
-                )
-            )
-    return records
-
-
 def write_event_log_csv(events, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -415,11 +388,3 @@ def write_event_log_csv(events, path) -> None:
         for ev in events:
             writer.writerow([repr(ev.sim_time), ev.event, ev.detail])
 
-
-def read_event_log_csv(path) -> list[ctrl.LogEvent]:
-    events = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            events.append(ctrl.LogEvent(float(row["sim_time"]), row["event"], row["detail"]))
-    return events

@@ -8,6 +8,8 @@ import math
 import statistics
 from itertools import combinations
 
+from adamls.controller import DEFAULT_WINDOW_SIZE, WINDOW_KPIS, SystemState
+
 
 def optimal_1d_wcss(values, k):
     """Globally optimal k-means WCSS by brute force over contiguous partitions.
@@ -72,3 +74,30 @@ def brute_force_plan(cluster_entries, m_prime, v_adj, live=None, blacklist=froze
     )
     winner = ranked[0][0]
     return None if winner == m_prime else winner
+
+
+def monitor_snapshot(
+    sim_time, completions, arrival_times, queue_depth, active_model,
+    window_size=DEFAULT_WINDOW_SIZE,
+):
+    """Reference monitor: rescan the completion log for the active model's window.
+
+    completions must be ordered by finish time. The window is the active
+    model's last window_size completions, v counts the arrivals in the
+    trailing second (sim_time - 1, sim_time], and an empty window yields
+    empty means.
+    """
+    window = [rec for rec in completions if rec.model_id == active_model][-window_size:]
+    means = {}
+    if window:
+        means = {
+            kpi: sum(getattr(rec, kpi) for rec in window) / len(window) for kpi in WINDOW_KPIS
+        }
+    return SystemState(
+        m_prime=active_model,
+        window=tuple(window),
+        window_means=means,
+        v=float(sum(sim_time - 1.0 < t <= sim_time for t in arrival_times)),
+        i_w=queue_depth,
+        sim_time=sim_time,
+    )

@@ -48,6 +48,9 @@ class TestConfig:
         path.write_text("workload:\n  max_request: 5\n")
         with pytest.raises(ConfigError, match="max_request"):
             cfgmod.load_experiment_config(path)
+        # Clustering is exact: there is no restart count to set.
+        with pytest.raises(ConfigError, match="restarts"):
+            cfgmod.experiment_config_from_dict({"learning": {"restarts": 10}})
 
     def test_seed_fanout_is_stable_and_distinct(self):
         seeds = {label: cfgmod.derive_seed(1, label) for label in ("profiles", "workload", "service")}

