@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ExecutionError, RuleError, ValidationError
-from .learning import MIN_NORMAL_SAMPLES, CiEntry, CiMatrix, compute_ci, normal_ci
+from .learning import (
+    MIN_NORMAL_SAMPLES,
+    CiEntry,
+    CiMatrix,
+    _ExactMoments,
+    compute_ci,
+    normal_ci,
+)
 from .profiles import KPI_NAMES
 
 # Event types written to the event log.
@@ -426,72 +433,6 @@ class DegradedModelTracker:
 
 # KPIs whose live CI the planner reads, kept as exact integer moments.
 CI_KPIS = ("tau_model", "c")
-
-# Bits of the integer square root before the final rounding to a float.
-_SQRT_BITS = 2 * 53 + 3
-
-
-def _sqrt_of_ratio(num: int, den: int) -> float:
-    """sqrt(num / den), correctly rounded, for integers num >= 0, den > 0.
-
-    The integer root carries _SQRT_BITS bits and is rounded to odd, so the
-    one rounding to a float is correct; statistics.stdev does the same.
-    """
-    q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
-    if q >= 0:
-        return float(_isqrt_to_odd(num, den << 2 * q) << q)
-    return _isqrt_to_odd(num << -2 * q, den) / (1 << -q)
-
-
-def _isqrt_to_odd(num: int, den: int) -> int:
-    root = math.isqrt(num // den)
-    return root | (root * root * den != num)
-
-
-class _ExactMoments:
-    """Exact sums of x and x*x over a multiset of finite floats.
-
-    Every finite float is num / 2**k for integers num and k <= 1074, so the
-    sums are exact integers in units of 2**-shift, where shift is the
-    largest k seen so far; a larger k rescales the sums first.
-    """
-
-    __slots__ = ("shift", "total", "total_sq")
-
-    def __init__(self):
-        self.shift = 0
-        self.total = 0
-        self.total_sq = 0
-
-    def _units(self, x: float) -> int:
-        num, den = x.as_integer_ratio()
-        k = den.bit_length() - 1
-        if k > self.shift:
-            grow = k - self.shift
-            self.total <<= grow
-            self.total_sq <<= 2 * grow
-            self.shift = k
-        return num << (self.shift - k)
-
-    def add(self, x: float) -> None:
-        u = self._units(x)
-        self.total += u
-        self.total_sq += u * u
-
-    def remove(self, x: float) -> None:
-        u = self._units(x)
-        self.total -= u
-        self.total_sq -= u * u
-
-    def mean(self, n: int) -> float:
-        """statistics.fmean: the correctly rounded sum, divided by n."""
-        return self.total / (1 << self.shift) / n
-
-    def stdev(self, n: int) -> float:
-        """statistics.stdev: the correctly rounded root of the exact variance."""
-        return _sqrt_of_ratio(
-            n * self.total_sq - self.total * self.total, n * (n - 1) << 2 * self.shift
-        )
 
 
 class _KpiWindow:

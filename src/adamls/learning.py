@@ -18,7 +18,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .errors import JoinError, RuleError, ValidationError
-from .profiles import KPI_NAMES, KpiRecord, ModelProfile
+from .profiles import KPI_NAMES, ModelProfile
 
 # Two-sided z quantile pinned for the default level; other levels fall back
 # to the exact normal quantile.
@@ -51,22 +51,17 @@ class ClusteredProfile:
     centroids: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class PerfRow:
-    """One image's KPIs under every model, tagged with the anchor's cluster."""
-
-    image_id: str
-    label: int
-    kpis: dict[str, KpiRecord]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerfMatrix:
-    """Per-image join of all model KPIs, rows sorted by image id."""
+    """Every model's KPIs per image, joined once: values[model, kpi, image].
 
-    anchor_model_id: str
+    The axes follow model_ids (sorted), KPI_NAMES and image_ids (sorted), so
+    the matrix does not depend on profile or record order.
+    """
+
     model_ids: tuple[str, ...]
-    rows: tuple[PerfRow, ...]
+    image_ids: tuple[str, ...]
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -288,7 +283,7 @@ def compute_ci(samples, level: float = 0.90, method: str = "normal") -> CiEntry:
         return CiEntry(min(float(low), mean), max(float(high), mean), n, mean)
     if method != "normal":
         raise ValidationError(f"compute_ci: unknown method {method!r}")
-    return normal_ci(mean, statistics.stdev(data), n, level)
+    return normal_ci(mean, _column_moments(data).stdev(n), n, level)
 
 
 def normal_ci(mean: float, sd: float, n: int, level: float = 0.90) -> CiEntry:
@@ -306,71 +301,175 @@ def _z_quantile(level: float) -> float:
     return z
 
 
-def build_performance_matrix(
-    anchor: str, profiles, clustered: ClusteredProfile
-) -> PerfMatrix:
-    """Join every model's KPI record per image, tagged with the anchor label.
+def build_performance_matrix(profiles) -> PerfMatrix:
+    """Join every model's KPI records per image into one float array.
 
-    All profiles must cover the identical image set and the clustering must
-    label each of those images; rows come back sorted by image id so the
-    result is independent of profile row order.
+    All profiles must cover the identical image set; the first model id in
+    sorted order is the reference an image is reported missing from.
     """
     indexed = {p.model_id: {rec.image_id: rec for rec in p.records} for p in profiles}
-    if anchor not in indexed:
-        raise JoinError(f"anchor model {anchor!r} not among the profiles")
-    common = indexed[anchor].keys()
-    for model_id, records in indexed.items():
-        for image_id in common - records.keys():
-            raise JoinError(f"image {image_id!r} missing from profile {model_id!r}")
-        for image_id in records.keys() - common:
-            raise JoinError(f"image {image_id!r} missing from profile {anchor!r}")
-    unlabeled = common - clustered.labels.keys()
-    if unlabeled:
-        raise JoinError(f"image {sorted(unlabeled)[0]!r} has no cluster label")
+    if not indexed:
+        raise JoinError("no profiles to join")
     model_ids = tuple(sorted(indexed))
-    rows = tuple(
-        PerfRow(
-            image_id=image_id,
-            label=clustered.labels[image_id],
-            kpis={model_id: indexed[model_id][image_id] for model_id in model_ids},
-        )
-        for image_id in sorted(common)
-    )
-    return PerfMatrix(anchor_model_id=anchor, model_ids=model_ids, rows=rows)
+    reference = model_ids[0]
+    common = indexed[reference].keys()
+    for model_id in model_ids[1:]:
+        records = indexed[model_id]
+        missing = common - records.keys()
+        if missing:
+            raise JoinError(f"image {min(missing)!r} missing from profile {model_id!r}")
+        extra = records.keys() - common
+        if extra:
+            raise JoinError(f"image {min(extra)!r} missing from profile {reference!r}")
+    image_ids = tuple(sorted(common))
+    values = np.empty((len(model_ids), len(KPI_NAMES), len(image_ids)))
+    for m, model_id in enumerate(model_ids):
+        ordered = [indexed[model_id][image_id] for image_id in image_ids]
+        for q, kpi in enumerate(KPI_NAMES):
+            values[m, q] = [getattr(rec, kpi) for rec in ordered]
+    return PerfMatrix(model_ids=model_ids, image_ids=image_ids, values=values)
 
 
 def build_ci_matrix(
-    anchor: str, perf: PerfMatrix, level: float = 0.90, method: str = "normal"
+    perf: PerfMatrix, clustered: ClusteredProfile, level: float = 0.90, method: str = "normal"
 ) -> CiMatrix:
     """Compute per-cluster CIs of every KPI of every model.
 
-    Entry (l, q, kpi) is computed over exactly the rows labeled l by the
-    anchor's clustering; its n is therefore the anchor-cluster population.
+    Entry (l, q, kpi) is compute_ci over exactly the images the anchor's
+    clustering labels l; its n is therefore the anchor-cluster population.
+    The images are grouped by label once, and each (model, KPI) column's
+    cluster sums come from one pass over its exact integer form.
     """
-    by_cluster: dict[int, list[PerfRow]] = {}
-    for row in perf.rows:
-        by_cluster.setdefault(row.label, []).append(row)
-    entries: dict[int, dict[str, dict[str, CiEntry]]] = {}
-    for cluster in sorted(by_cluster):
-        rows = by_cluster[cluster]
-        per_model: dict[str, dict[str, CiEntry]] = {}
-        for model_id in perf.model_ids:
-            per_model[model_id] = {
-                kpi: compute_ci([row.kpis[model_id].kpi(kpi) for row in rows], level, method)
-                for kpi in KPI_NAMES
-            }
-        entries[cluster] = per_model
+    anchor = clustered.anchor_model_id
+    if anchor not in perf.model_ids:
+        raise JoinError(f"anchor model {anchor!r} not among the profiles")
+    try:
+        labels = np.array([clustered.labels[image_id] for image_id in perf.image_ids])
+    except KeyError as exc:
+        raise JoinError(f"image {exc.args[0]!r} has no cluster label") from None
+    order = np.argsort(labels, kind="stable")
+    clusters, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
+    entries = {int(cluster): {model_id: {} for model_id in perf.model_ids} for cluster in clusters}
+    for m, model_id in enumerate(perf.model_ids):
+        for q, kpi in enumerate(KPI_NAMES):
+            cis = _cluster_cis(perf.values[m, q, order], starts, counts, level, method)
+            for cluster, entry in zip(entries, cis):
+                entries[cluster][model_id][kpi] = entry
     anchor_kpi_std = _global_kpi_std(
-        {kpi: [row.kpis[anchor].kpi(kpi) for row in perf.rows] for kpi in KPI_NAMES}
+        dict(zip(KPI_NAMES, perf.values[perf.model_ids.index(anchor)]))
     )
     return CiMatrix(anchor_model_id=anchor, entries=entries, anchor_kpi_std=anchor_kpi_std)
 
 
-def _global_kpi_std(columns: dict[str, list[float]]) -> dict[str, float]:
+def _cluster_cis(column: np.ndarray, starts, counts, level: float, method: str) -> list[CiEntry]:
+    """compute_ci of each run column[start:start + count], runs back to back."""
+    runs = list(zip(starts.tolist(), counts.tolist()))
+    if method != "normal":
+        return [compute_ci(column[s : s + n].tolist(), level, method) for s, n in runs]
+    units, shift = _exact_units(column)
+    totals = np.add.reduceat(units, starts)
+    totals_sq = np.add.reduceat(units * units, starts)
+    cis = []
+    for (s, n), total, total_sq in zip(runs, totals, totals_sq):
+        if n < MIN_NORMAL_SAMPLES:
+            cis.append(compute_ci(column[s : s + n].tolist(), level))
+        else:
+            moments = _ExactMoments(shift, total, total_sq)
+            cis.append(normal_ci(moments.mean(n), moments.stdev(n), n, level))
+    return cis
+
+
+def _global_kpi_std(columns) -> dict[str, float]:
     return {
-        kpi: (statistics.stdev(vals) if len(vals) > 1 else 0.0)
+        kpi: (_column_moments(vals).stdev(len(vals)) if len(vals) > 1 else 0.0)
         for kpi, vals in columns.items()
     }
+
+
+# Bits of the integer square root before the final rounding to a float.
+_SQRT_BITS = 2 * 53 + 3
+
+
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """sqrt(num / den), correctly rounded, for integers num >= 0, den > 0.
+
+    The integer root carries _SQRT_BITS bits and is rounded to odd, so the
+    one rounding to a float is correct, as in the statistics module's stdev.
+    """
+    q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        return float(_isqrt_to_odd(num, den << 2 * q) << q)
+    return _isqrt_to_odd(num << -2 * q, den) / (1 << -q)
+
+
+def _isqrt_to_odd(num: int, den: int) -> int:
+    root = math.isqrt(num // den)
+    return root | (root * root * den != num)
+
+
+class _ExactMoments:
+    """Exact sums of x and x*x over a multiset of finite floats.
+
+    Every finite float is num / 2**k for integers num and k <= 1074, so the
+    sums are exact integers in units of 2**-shift. add and remove keep shift
+    at the largest k seen so far; a larger k rescales the sums first.
+    """
+
+    __slots__ = ("shift", "total", "total_sq")
+
+    def __init__(self, shift: int = 0, total: int = 0, total_sq: int = 0):
+        self.shift = shift
+        self.total = total
+        self.total_sq = total_sq
+
+    def _units(self, x: float) -> int:
+        num, den = x.as_integer_ratio()
+        k = den.bit_length() - 1
+        if k > self.shift:
+            grow = k - self.shift
+            self.total <<= grow
+            self.total_sq <<= 2 * grow
+            self.shift = k
+        return num << (self.shift - k)
+
+    def add(self, x: float) -> None:
+        u = self._units(x)
+        self.total += u
+        self.total_sq += u * u
+
+    def remove(self, x: float) -> None:
+        u = self._units(x)
+        self.total -= u
+        self.total_sq -= u * u
+
+    def mean(self, n: int) -> float:
+        """The correctly rounded sum divided by n, as statistics.fmean gives."""
+        return self.total / (1 << self.shift) / n
+
+    def stdev(self, n: int) -> float:
+        """The correctly rounded root of the exact sample variance (n - 1)."""
+        return _sqrt_of_ratio(
+            n * self.total_sq - self.total * self.total, n * (n - 1) << 2 * self.shift
+        )
+
+
+def _exact_units(column: np.ndarray) -> tuple[np.ndarray, int]:
+    """A float column as exact Python ints in units of 2**-shift, and shift.
+
+    np.frexp splits each value into a 53-bit integer mantissa and a power of
+    two; shift is the largest negative power, so every scaled value is an
+    integer and no bit is lost.
+    """
+    mantissa, exponent = np.frexp(column)
+    exponent = exponent - 53
+    shift = max(0, -int(exponent.min()))
+    units = (mantissa * 2.0**53).astype(np.int64).astype(object) << (exponent + shift)
+    return units, shift
+
+
+def _column_moments(column) -> _ExactMoments:
+    units, shift = _exact_units(np.asarray(column, dtype=float))
+    return _ExactMoments(shift, units.sum(), (units * units).sum())
 
 
 def anchor_stats_from_profile(profile: ModelProfile) -> dict[str, float]:
@@ -394,13 +493,15 @@ def run_learning_engine(
 ) -> dict[str, LearnedModelRules]:
     """Run the full pipeline for every model as anchor.
 
-    Per anchor: elbow-select k on its tau_system column, cluster, join the
-    performance matrix, and compute the CI matrix. Every step is
-    deterministic, so the output is independent of profile order.
+    The profiles are joined into one performance matrix first. Per anchor:
+    elbow-select k on its tau_system column, cluster, and compute the CI
+    matrix from the join. Every step is deterministic, so the output is
+    independent of profile order.
     """
     profiles = list(profiles)
     if not profiles:
         raise ValidationError("run_learning_engine: no profiles")
+    perf = build_performance_matrix(profiles)
     rules: dict[str, LearnedModelRules] = {}
     for profile in profiles:
         anchor = profile.model_id
@@ -421,8 +522,7 @@ def run_learning_engine(
             labels={rec.image_id: int(lab) for rec, lab in zip(profile.records, labels)},
             centroids=tuple(float(c) for c in centroids),
         )
-        perf = build_performance_matrix(anchor, profiles, clustered)
-        ci_matrix = build_ci_matrix(anchor, perf, level=level, method=method)
+        ci_matrix = build_ci_matrix(perf, clustered, level=level, method=method)
         rules[anchor] = LearnedModelRules(
             clustered=clustered, ci_matrix=ci_matrix, k=k, wcss_series=series
         )

@@ -164,13 +164,15 @@ class SimConfig:
 
 
 def generate_workload(spec: WorkloadSpec) -> list[float]:
-    """Strictly increasing arrival times for the whole workload.
+    """Strictly increasing arrival times, at most max_requests of them.
 
     Deterministic mode spaces arrivals evenly within each segment; Poisson
-    mode draws exponential inter-arrival gaps at the segment rate. The total
-    is truncated at max_requests.
+    mode draws exponential inter-arrival gaps at the segment rate.
+    Generation stops once max_requests arrivals exist; the generator draws
+    in order, so they are the first max_requests of the whole workload.
     """
     rng = random.Random(spec.seed)
+    cap = spec.max_requests
     arrivals: list[float] = []
     t0 = 0.0
     for duration, rate in spec.segments:
@@ -178,11 +180,11 @@ def generate_workload(spec: WorkloadSpec) -> list[float]:
         if rate > 0.0:
             if spec.arrival_process == "deterministic":
                 gap = 1.0 / rate
-                count = int(math.floor(duration * rate + 1e-9))
+                count = min(int(math.floor(duration * rate + 1e-9)), cap - len(arrivals))
                 arrivals.extend(t0 + gap * (i + 1) for i in range(count))
             else:
                 t = t0
-                while True:
+                while len(arrivals) < cap:
                     t += rng.expovariate(rate)
                     if t > end:
                         break
@@ -190,15 +192,14 @@ def generate_workload(spec: WorkloadSpec) -> list[float]:
         t0 = end
     if not arrivals:
         raise ValidationError("workload produces no arrivals")
-    return arrivals[: spec.max_requests]
+    return arrivals
 
 
-def sample_kpis(model_id: str, profiles, rng: random.Random) -> KpiRecord:
+def sample_kpis(
+    model_id: str, profiles: Mapping[str, ModelProfile], rng: random.Random
+) -> KpiRecord:
     """Uniform-with-replacement draw of one KPI record from a model profile."""
-    if isinstance(profiles, Mapping):
-        profile = profiles.get(model_id)
-    else:
-        profile = next((p for p in profiles if p.model_id == model_id), None)
+    profile = profiles.get(model_id)
     if profile is None:
         raise ConfigError(f"no profile for model {model_id!r}")
     records = profile.records

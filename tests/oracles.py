@@ -9,6 +9,7 @@ import statistics
 from itertools import combinations
 
 from adamls.controller import DEFAULT_WINDOW_SIZE, WINDOW_KPIS, SystemState
+from adamls.learning import MIN_NORMAL_SAMPLES, CiEntry, normal_ci
 
 
 def optimal_1d_wcss(values, k):
@@ -43,6 +44,22 @@ def normal_mean_ci(samples, z=1.6449):
     sd = statistics.stdev(samples)
     half = z * sd / math.sqrt(n)
     return mean - half, mean + half
+
+
+def reference_ci(samples, level=0.90):
+    """compute_ci (normal method) through statistics.fmean and statistics.stdev.
+
+    Both are exact until their one final rounding, so the implementation's
+    integer-moment path must match this bit for bit.
+    """
+    data = [float(v) for v in samples]
+    n = len(data)
+    mean = statistics.fmean(data)
+    if n == 1:
+        return CiEntry(data[0], data[0], 1, data[0])
+    if n < MIN_NORMAL_SAMPLES:
+        return CiEntry(min(data), max(data), n, mean)
+    return normal_ci(mean, statistics.stdev(data), n, level)
 
 
 def brute_force_plan(cluster_entries, m_prime, v_adj, live=None, blacklist=frozenset()):

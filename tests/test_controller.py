@@ -27,10 +27,10 @@ from adamls.controller import (
     _KpiWindow,
 )
 from adamls.errors import ExecutionError, RuleError, ValidationError
-from adamls.learning import CiEntry, CiMatrix, compute_ci
+from adamls.learning import CiEntry, CiMatrix
 from adamls.simulator import CompletionRecord
 
-from .oracles import brute_force_plan, monitor_snapshot
+from .oracles import brute_force_plan, monitor_snapshot, reference_ci
 
 
 def completion(i, model="m", c=0.6, tau=0.05, finish=None, arrival=None, r=None):
@@ -139,7 +139,7 @@ class TestMonitor:
             assert (state.v, state.i_w) == (reference.v, reference.i_w)
             for kpi in CI_KPIS:
                 if reference.window:
-                    expected = compute_ci([getattr(rec, kpi) for rec in reference.window])
+                    expected = reference_ci([getattr(rec, kpi) for rec in reference.window])
                     assert state.window.ci(kpi, controller.ci_level) == expected
 
 
@@ -166,7 +166,7 @@ class KpiRow(NamedTuple):
 @example(maxlen=6, values=[(1e-6, 1e3), (1e3, 1e-6), (0.3, 512.25), (2.5e-5, 7.0)] * 3, level=0.90)
 @example(maxlen=5, values=[(5e-324, 1e300), (1.0, 3.0), (2.5e-7, 1e-300), (7.0, 0.5)] * 2, level=0.90)
 def test_kpi_window_ci_equals_compute_ci(maxlen, values, level):
-    """The O(1) live CI is compute_ci over the window's records, exactly."""
+    """The O(1) live CI is the reference CI over the window's records, exactly."""
     window = _KpiWindow(maxlen)
     rows = [KpiRow(c=c, tau_model=tau) for c, tau in values]
     for end, row in enumerate(rows, start=1):
@@ -174,7 +174,7 @@ def test_kpi_window_ci_equals_compute_ci(maxlen, values, level):
         kept = rows[max(0, end - maxlen) : end]
         assert list(window) == kept
         for kpi in CI_KPIS:
-            expected = compute_ci([getattr(rec, kpi) for rec in kept], level)
+            expected = reference_ci([getattr(rec, kpi) for rec in kept], level)
             assert window.ci(kpi, level) == expected
 
 

@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 
 from adamls import cli
+from adamls import config as cfgmod
 
 GOLDEN_SHA256 = {
     "compare/adamls/events.csv": "39913099dc89a2c199716f838e8bee65ff64a83d8f10eac48442cc84bb71d0e3",
@@ -38,3 +39,26 @@ def test_learn_and_compare_outputs_match_golden_digests(tiny_config, tmp_path, c
         for path in sorted(tmp_path.rglob("*.csv"))
     }
     assert digests == GOLDEN_SHA256
+
+
+# learn on the default five-model family (1000 images, seed 1): the rule and
+# clustering-report CSVs at realistic scale.
+DEFAULT_RULES_SHA256 = {
+    "rules/clustering_report.csv": "f3b0409775c78e83c99229fd467c6ceb4b301a4d6a4c4c144117464b20a6a54a",
+    "rules/large.csv": "4212fb4780c555a5c4aa79617a4f52ea8469f424c619ad4742eb51cc80c5c4dd",
+    "rules/medium.csv": "8d3b36f25158b31add65d99a070ac1231967a1a2f0e56bd393a445793278c386",
+    "rules/nano.csv": "08548e518f0bafaaa811fd1695f148f8ec07c59e8be95d30cea4fd792e99c9c7",
+    "rules/small.csv": "786e010fb2311ba74088a27b9c07eacca410408dc5a01919456e19720aeeafa9",
+    "rules/xlarge.csv": "545b276708a6156928e4266e4e046d191c70271177eae084086834c6abd2980c",
+}
+
+
+def test_learn_on_default_config_matches_golden_digests(tmp_path, capsys):
+    config = dataclasses.replace(cfgmod.ExperimentConfig(), output_dir=str(tmp_path))
+    assert cli.run_learn(config) == 0
+    capsys.readouterr()
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((tmp_path / "rules").glob("*.csv"))
+    }
+    assert digests == DEFAULT_RULES_SHA256

@@ -5,14 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from adamls import learning
 from adamls.errors import JoinError, RuleError, ValidationError
 from adamls.learning import (
     CI_CSV_HEADER,
     CiMatrix,
     ClusteredProfile,
+    PerfMatrix,
     attach_anchor_stats,
     build_ci_matrix,
     build_performance_matrix,
@@ -27,7 +29,7 @@ from adamls.learning import (
 )
 from adamls.profiles import KPI_NAMES, KpiRecord, ModelProfile
 
-from .oracles import normal_mean_ci, optimal_1d_wcss
+from .oracles import normal_mean_ci, optimal_1d_wcss, reference_ci
 
 
 def _wcss(values, labels, centroids):
@@ -215,6 +217,41 @@ class TestComputeCi:
         assert ratio == pytest.approx(2.0, rel=0.1)
 
 
+# Finite floats across the whole range: mixed signs and exponents, values
+# near 1e300, subnormals, and a few fixed values that lists repeat.
+_ANY_FINITE = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),
+    st.sampled_from([5e-324, -5e-324, 1e300, -1e300, 0.0, 0.1, 3.0]),
+)
+
+
+@given(values=st.lists(_ANY_FINITE, min_size=1, max_size=40), level=st.sampled_from([0.90, 0.95]))
+@example(values=[0.1] * 7, level=0.90)
+@example(values=[5e-324, 1e300, -1e300, 2.5e-310, 7.0] * 3, level=0.90)
+def test_compute_ci_equals_reference_bit_for_bit(values, level):
+    assert compute_ci(values, level) == reference_ci(values, level)
+
+
+@given(
+    column=st.lists(st.tuples(_ANY_FINITE, st.integers(0, 2)), min_size=1, max_size=40),
+)
+@example(column=[(0.1, 0), (0.1, 1)] * 6 + [(5e-324, 2), (1e300, 2)] * 3)
+def test_grouped_ci_equals_reference_bit_for_bit(column):
+    """Each cluster's entry from the grouped integer sums is its reference CI."""
+    values, labels = zip(*column)
+    image_ids = tuple(f"i{j:02d}" for j in range(len(values)))
+    perf = PerfMatrix(("m",), image_ids, np.array([[values] * len(KPI_NAMES)]))
+    clustered = ClusteredProfile("m", dict(zip(image_ids, labels)), ())
+    matrix = build_ci_matrix(perf, clustered)
+    assert sorted(matrix.entries) == sorted(set(labels))
+    for cluster in matrix.entries:
+        members = [x for x, label in column if label == cluster]
+        for kpi in KPI_NAMES:
+            assert matrix.entry(cluster, "m", kpi) == reference_ci(members)
+    assert matrix.anchor_kpi_std["c"] == (statistics.stdev(values) if len(values) > 1 else 0.0)
+
+
 def _mini_profiles():
     def rec(img, model, c, tau):
         return KpiRecord(img, model, c, tau, tau + 0.005, 50.0, 3)
@@ -249,32 +286,43 @@ def _mini_clustering():
 
 
 class TestPerformanceMatrix:
-    def test_shape_and_labels(self):
+    def test_shape_and_values(self):
         a, b = _mini_profiles()
-        perf = build_performance_matrix("a", [a, b], _mini_clustering())
+        perf = build_performance_matrix([a, b])
         assert perf.model_ids == ("a", "b")
-        assert [row.image_id for row in perf.rows] == ["i1", "i2", "i3", "i4"]
-        assert [row.label for row in perf.rows] == [0, 0, 1, 1]
-        assert all(set(row.kpis) == {"a", "b"} for row in perf.rows)
+        assert perf.image_ids == ("i1", "i2", "i3", "i4")
+        assert perf.values.shape == (2, len(KPI_NAMES), 4)
+        for m, profile in enumerate((a, b)):
+            for q, kpi in enumerate(KPI_NAMES):
+                assert perf.values[m, q].tolist() == profile.kpi_values(kpi)
 
     def test_row_order_independent_of_profile_order(self):
         a, b = _mini_profiles()
         shuffled_a = ModelProfile("a", tuple(reversed(a.records)))
-        direct = build_performance_matrix("a", [a, b], _mini_clustering())
-        shuffled = build_performance_matrix("a", [b, shuffled_a], _mini_clustering())
-        assert direct == shuffled
+        direct = build_performance_matrix([a, b])
+        shuffled = build_performance_matrix([b, shuffled_a])
+        assert (direct.model_ids, direct.image_ids) == (shuffled.model_ids, shuffled.image_ids)
+        assert np.array_equal(direct.values, shuffled.values)
 
     def test_missing_image_names_the_image(self):
         a, b = _mini_profiles()
         short_b = ModelProfile("b", b.records[:3])
         with pytest.raises(JoinError, match="i4.*missing from profile 'b'"):
-            build_performance_matrix("a", [a, short_b], _mini_clustering())
+            build_performance_matrix([a, short_b])
+        with pytest.raises(JoinError, match="i4.*missing from profile 'a'"):
+            build_performance_matrix([ModelProfile("a", a.records[:3]), b])
 
     def test_unlabeled_image_rejected(self):
         a, b = _mini_profiles()
         clustered = ClusteredProfile("a", {"i1": 0, "i2": 0, "i3": 1}, (0.05, 0.2))
         with pytest.raises(JoinError, match="i4"):
-            build_performance_matrix("a", [a, b], clustered)
+            build_ci_matrix(build_performance_matrix([a, b]), clustered)
+
+    def test_anchor_outside_the_join_rejected(self):
+        a, b = _mini_profiles()
+        clustered = ClusteredProfile("z", _mini_clustering().labels, (0.05, 0.215))
+        with pytest.raises(JoinError, match="anchor model 'z' not among the profiles"):
+            build_ci_matrix(build_performance_matrix([a, b]), clustered)
 
 
 class TestCiMatrix:
@@ -282,8 +330,7 @@ class TestCiMatrix:
         # Two images per cluster: the n < 5 fallback makes every entry the
         # (min, max) envelope, directly checkable by hand.
         a, b = _mini_profiles()
-        perf = build_performance_matrix("a", [a, b], _mini_clustering())
-        matrix = build_ci_matrix("a", perf)
+        matrix = build_ci_matrix(build_performance_matrix([a, b]), _mini_clustering())
         e = matrix.entry(0, "a", "c")
         assert (e.low, e.high, e.n, e.mean) == (0.20, 0.40, 2, pytest.approx(0.30))
         e = matrix.entry(1, "a", "tau_model")
@@ -300,8 +347,7 @@ class TestCiMatrix:
             {rec.image_id: 0 for rec in anchor.records},
             (statistics.fmean(anchor.kpi_values("tau_system")),),
         )
-        perf = build_performance_matrix(anchor.model_id, tiny_profiles, clustered)
-        matrix = build_ci_matrix(anchor.model_id, perf)
+        matrix = build_ci_matrix(build_performance_matrix(tiny_profiles), clustered)
         for profile in tiny_profiles:
             for kpi in KPI_NAMES:
                 expected = compute_ci(profile.kpi_values(kpi))
@@ -313,21 +359,38 @@ class TestCiMatrix:
             rec.image_id: (0 if i < 30 else 1) for i, rec in enumerate(anchor.records)
         }
         clustered = ClusteredProfile(anchor.model_id, labels, (0.04, 0.06))
-        perf = build_performance_matrix(anchor.model_id, tiny_profiles, clustered)
-        matrix = build_ci_matrix(anchor.model_id, perf)
+        matrix = build_ci_matrix(build_performance_matrix(tiny_profiles), clustered)
         assert matrix.entry(0, "slow", "c").n == 30
         assert matrix.entry(1, "slow", "c").n == 90
 
     def test_entries_recomputable_from_labeled_rows(self, tiny_profiles):
         rules = run_learning_engine(tiny_profiles, k_max=4)
         for anchor, learned in rules.items():
-            perf = build_performance_matrix(anchor, tiny_profiles, learned.clustered)
+            labels = learned.clustered.labels
             for cluster, per_model in learned.ci_matrix.entries.items():
-                rows = [row for row in perf.rows if row.label == cluster]
-                for model_id, per_kpi in per_model.items():
-                    for kpi, entry in per_kpi.items():
-                        expected = compute_ci([row.kpis[model_id].kpi(kpi) for row in rows])
-                        assert entry == expected
+                for profile in tiny_profiles:
+                    rows = [rec for rec in profile.records if labels[rec.image_id] == cluster]
+                    for kpi, entry in per_model[profile.model_id].items():
+                        assert entry == reference_ci([rec.kpi(kpi) for rec in rows])
+
+    def test_anchor_kpi_std_is_the_sample_stdev(self, tiny_profiles):
+        rules = run_learning_engine(tiny_profiles, k_max=4)
+        for profile in tiny_profiles:
+            std = rules[profile.model_id].ci_matrix.anchor_kpi_std
+            assert std == {kpi: statistics.stdev(profile.kpi_values(kpi)) for kpi in KPI_NAMES}
+
+    def test_percentile_method_groups_by_cluster(self, tiny_profiles):
+        anchor = tiny_profiles[0]
+        labels = {rec.image_id: i % 3 for i, rec in enumerate(anchor.records)}
+        clustered = ClusteredProfile(anchor.model_id, labels, (0.04, 0.05, 0.06))
+        perf = build_performance_matrix(tiny_profiles)
+        matrix = build_ci_matrix(perf, clustered, method="percentile")
+        for cluster in range(3):
+            for profile in tiny_profiles:
+                rows = [rec for rec in profile.records if labels[rec.image_id] == cluster]
+                for kpi in KPI_NAMES:
+                    expected = compute_ci([rec.kpi(kpi) for rec in rows], method="percentile")
+                    assert matrix.entry(cluster, profile.model_id, kpi) == expected
 
     def test_derived_facts_are_built_once_per_matrix(self, tiny_profiles):
         matrix = run_learning_engine(tiny_profiles, k_max=4)["fast"].ci_matrix
@@ -374,6 +437,18 @@ class TestLearningEngine:
         forward = run_learning_engine(tiny_profiles, k_max=4)
         backward = run_learning_engine(list(reversed(tiny_profiles)), k_max=4)
         assert forward == backward
+
+    def test_profiles_are_joined_once(self, tiny_profiles, monkeypatch):
+        joins = []
+
+        def counting_join(profiles):
+            joins.append(profiles)
+            return build_performance_matrix(profiles)
+
+        monkeypatch.setattr(learning, "build_performance_matrix", counting_join)
+        rules = run_learning_engine(tiny_profiles, k_max=4)
+        assert len(rules) == len(tiny_profiles) == 2
+        assert len(joins) == 1
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):

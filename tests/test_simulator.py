@@ -71,6 +71,17 @@ class TestWorkload:
         spec = WorkloadSpec(segments=((100.0, 10.0),), max_requests=50, seed=1)
         assert len(generate_workload(spec)) == 50
 
+    @pytest.mark.parametrize("process", ["poisson", "deterministic"])
+    @pytest.mark.parametrize("max_requests", [1, 7, 30, 31, 40, 51, 10_000])
+    def test_cap_returns_the_first_arrivals_of_the_whole_workload(self, process, max_requests):
+        # Deterministically 30 + 0 + 15 + 6 = 51 arrivals: caps fall inside a
+        # segment, on a segment end, on the total and above it.
+        segments = ((10.0, 3.0), (5.0, 0.0), (3.0, 5.0), (4.0, 1.5))
+        spec = WorkloadSpec(
+            segments=segments, max_requests=max_requests, seed=11, arrival_process=process
+        )
+        assert generate_workload(spec) == _all_arrivals_then_truncate(spec)
+
     def test_all_zero_rates_rejected(self):
         spec = WorkloadSpec(segments=((5.0, 0.0),), max_requests=10)
         with pytest.raises(ValidationError, match="no arrivals"):
@@ -107,19 +118,39 @@ class TestWorkload:
             WorkloadSpec(segments=((1.0, 1.0), segment), max_requests=10)
 
 
+def _all_arrivals_then_truncate(spec):
+    """Reference generator: every segment in full, then the first max_requests."""
+    rng = random.Random(spec.seed)
+    arrivals, t0 = [], 0.0
+    for duration, rate in spec.segments:
+        end = t0 + duration
+        if rate > 0.0 and spec.arrival_process == "deterministic":
+            gap = 1.0 / rate
+            count = int(math.floor(duration * rate + 1e-9))
+            arrivals.extend(t0 + gap * (i + 1) for i in range(count))
+        elif rate > 0.0:
+            t = t0 + rng.expovariate(rate)
+            while t <= end:
+                arrivals.append(t)
+                t += rng.expovariate(rate)
+        t0 = end
+    return arrivals[: spec.max_requests]
+
+
 class TestSampling:
     def test_single_record_profile_is_forced(self):
         profile = constant_profile("m", 0.1)
         single = ModelProfile("m", profile.records[:1])
         rng = random.Random(0)
         for _ in range(10):
-            assert sample_kpis("m", [single], rng) == single.records[0]
+            assert sample_kpis("m", {"m": single}, rng) == single.records[0]
 
     def test_seeded_reproducibility(self, tiny_profiles):
-        draws_a = [sample_kpis("fast", tiny_profiles, random.Random(9)) for _ in range(1)]
+        profiles = {p.model_id: p for p in tiny_profiles}
+        draws_a = [sample_kpis("fast", profiles, random.Random(9)) for _ in range(1)]
         rng1, rng2 = random.Random(9), random.Random(9)
-        seq1 = [sample_kpis("fast", tiny_profiles, rng1) for _ in range(50)]
-        seq2 = [sample_kpis("fast", tiny_profiles, rng2) for _ in range(50)]
+        seq1 = [sample_kpis("fast", profiles, rng1) for _ in range(50)]
+        seq2 = [sample_kpis("fast", profiles, rng2) for _ in range(50)]
         assert seq1 == seq2
 
     def test_two_record_frequency(self):
@@ -132,7 +163,7 @@ class TestSampling:
 
     def test_unknown_model_rejected(self, tiny_profiles):
         with pytest.raises(ConfigError):
-            sample_kpis("ghost", tiny_profiles, random.Random(0))
+            sample_kpis("ghost", {p.model_id: p for p in tiny_profiles}, random.Random(0))
 
 
 class TestRunSimulation:
