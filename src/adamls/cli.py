@@ -16,13 +16,16 @@ import argparse
 import csv
 import dataclasses
 import sys
+from itertools import count, repeat
 from pathlib import Path
+
+import numpy as np
 
 from . import config as cfgmod
 from .controller import Knowledge
 from .errors import AdamlsError
 from .learning import attach_anchor_stats, read_ci_matrix, write_ci_matrix
-from .metrics import RunSummary, summarize, utility_per_request
+from .metrics import RunSummary, running_total, summarize
 from .profiles import write_profiles
 from .simulator import run_simulation, write_event_log_csv, write_results_csv
 
@@ -178,7 +181,7 @@ def run_compare(config: cfgmod.ExperimentConfig) -> int:
     matrices = _load_rule_matrices(config, profiles)
     labels = cfgmod.compare_policy_labels(config, profiles)
     summaries: list[RunSummary] = []
-    per_request_rows = []
+    series = []  # per run: label, finish times, utilities, running totals
     for label in labels:
         completions, events, summary = _run_policy(config, label, profiles, matrices)
         policy_dir = out_dir / "compare" / _policy_dir_name(label)
@@ -186,13 +189,9 @@ def run_compare(config: cfgmod.ExperimentConfig) -> int:
         write_results_csv(completions, policy_dir / "results.csv")
         write_event_log_csv(events, policy_dir / "events.csv")
         summaries.append(summary)
-        cumulative = 0.0
-        for seq, rec in enumerate(completions):
-            utility = utility_per_request(rec.c, rec.r, config.utility)
-            cumulative += utility
-            per_request_rows.append(
-                [label, seq, repr(rec.finish_t), repr(utility), repr(cumulative)]
-            )
+        utilities = summary.terms.utilities(config.utility.w_e, config.utility.w_d)
+        finish_t = np.array([rec.finish_t for rec in completions])
+        series.append((label, finish_t, utilities, running_total(utilities)))
     with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_CSV_HEADER)
@@ -202,9 +201,9 @@ def run_compare(config: cfgmod.ExperimentConfig) -> int:
                     s.policy,
                     s.request_count,
                     s.switch_count,
-                    repr(s.avg_c),
-                    repr(s.avg_r),
-                    repr(s.avg_s_cpu),
+                    s.avg_c,
+                    s.avg_r,
+                    s.avg_s_cpu,
                     s.r_penalties,
                     s.c_penalties,
                 ]
@@ -214,11 +213,12 @@ def run_compare(config: cfgmod.ExperimentConfig) -> int:
         writer.writerow(("w_e", "w_d", "policy", "total_utility"))
         for s in summaries:
             for w_e, w_d, total in s.utilities:
-                writer.writerow([repr(w_e), repr(w_d), s.policy, repr(total)])
+                writer.writerow([w_e, w_d, s.policy, total])
     with open(out_dir / "utility_timeseries.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("policy", "seq", "finish_t", "utility", "cumulative_utility"))
-        writer.writerows(per_request_rows)
+        for label, *columns in series:
+            writer.writerows(zip(repeat(label), count(), *(col.tolist() for col in columns)))
     _print_summaries(summaries)
     print(f"comparison written to {out_dir}")
     return 0

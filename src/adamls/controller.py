@@ -6,7 +6,8 @@ cluster's tau CI, and, when the adjusted rate leaves that range persistently,
 plans a switch to the most accurate model whose rate capacity covers the
 load. Baseline policies (fixed-threshold naive switching and static models)
 live behind the same drive-on-event interface so the simulator treats every
-policy uniformly.
+policy uniformly; a policy's needs_ticks says whether the simulator should
+also drive it at periodic ticks.
 """
 
 from __future__ import annotations
@@ -513,6 +514,7 @@ class AdamlsController:
     """
 
     name = "adamls"
+    needs_ticks = True
 
     def __init__(
         self,
@@ -595,6 +597,8 @@ class NaiveSwitcher:
     """
 
     name = "naive"
+    # The tick times decide when a check falls due.
+    needs_ticks = True
 
     def __init__(
         self,
@@ -624,7 +628,9 @@ class NaiveSwitcher:
 
 
 class StaticPolicy:
-    """Baseline that never switches."""
+    """Baseline that never switches, so it needs no ticks."""
+
+    needs_ticks = False
 
     def __init__(self, model_id: str):
         self.model_id = model_id

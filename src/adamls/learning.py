@@ -13,7 +13,7 @@ import csv
 import math
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -114,17 +114,26 @@ class LearnedModelRules:
     wcss_series: tuple[float, ...]
 
 
+class _Partitions(NamedTuple):
+    """One pass of the exact DP: the values as an array and, per k, each
+    value's cluster label (partitions[k - 1])."""
+
+    x: np.ndarray
+    partitions: list[np.ndarray]
+
+
 def kmeans_1d(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Optimal 1-D k-means: labels and ascending centroids of k clusters.
 
     The partition is the exact minimum of the within-cluster sum of squares
     (see _optimal_1d); every copy of a value gets the same label, and labels
     are numbered in ascending centroid order. Each centroid is the mean of
-    its members.
+    its members. values may also be an earlier _optimal_1d pass over the
+    values with at least k layers, which is then not run again.
     """
     if k < 1:
         raise ValidationError(f"kmeans_1d: k must be >= 1, got {k}")
-    x, partitions = _optimal_1d(values, k)
+    x, partitions = _dp_pass(values, k)
     if k > len(partitions):
         raise ValidationError(
             f"kmeans_1d: k={k} exceeds the {len(partitions)} distinct value(s)"
@@ -137,9 +146,10 @@ def wcss_series(values, k_max: int) -> list[float]:
     """Optimal WCSS for k = 1..k_max, from one pass of the exact DP.
 
     For k beyond the distinct-value count the optimum is exactly 0 (one
-    centroid per distinct value).
+    centroid per distinct value). values may also be an earlier _optimal_1d
+    pass over the values with k_max layers, which is then not run again.
     """
-    x, partitions = _optimal_1d(values, k_max)
+    x, partitions = _dp_pass(values, k_max)
     series = []
     for k, labels in enumerate(partitions, start=1):
         centroids = _member_means(x, labels, k)
@@ -151,7 +161,11 @@ def _member_means(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return np.array([x[labels == j].mean() for j in range(k)])
 
 
-def _optimal_1d(values, k_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def _dp_pass(values, k_max: int) -> _Partitions:
+    return values if isinstance(values, _Partitions) else _optimal_1d(values, k_max)
+
+
+def _optimal_1d(values, k_max: int) -> _Partitions:
     """Exact 1-D k-means partitions for k = 1..min(k_max, distinct values).
 
     Returns the values as an array and, per k, each value's cluster label.
@@ -216,7 +230,7 @@ def _optimal_1d(values, k_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
             end = start
         distinct_labels[:end] = 0
         partitions.append(distinct_labels[inverse])
-    return x, partitions
+    return _Partitions(x, partitions)
 
 
 def elbow_from_wcss(series) -> int:
@@ -494,8 +508,11 @@ def run_learning_engine(
     """Run the full pipeline for every model as anchor.
 
     The profiles are joined into one performance matrix first. Per anchor:
-    elbow-select k on its tau_system column, cluster, and compute the CI
-    matrix from the join. Every step is deterministic, so the output is
+    one pass of the exact DP over its tau_system column serves both the WCSS
+    series and the clustering: elbow-select k, take that k's partition, and
+    compute the CI matrix from the join. Layer k of the DP does not depend
+    on how many layers run, so the partition is the one kmeans_1d finds for
+    k alone. Every step is deterministic, so the output is
     independent of profile order.
     """
     profiles = list(profiles)
@@ -506,17 +523,13 @@ def run_learning_engine(
     for profile in profiles:
         anchor = profile.model_id
         values = profile.kpi_values("tau_system")
-        distinct = np.unique(np.asarray(values)).size
-        k_cap = min(k_max, len(values))
-        if k_cap >= 2:
-            series = tuple(wcss_series(values, k_cap))
-            k = elbow_from_wcss(series)
-        else:
-            k, series = 1, tuple(wcss_series(values, 1))
+        k_cap = max(min(k_max, len(values)), 1)
+        dp = _optimal_1d(values, k_cap)
+        series = tuple(wcss_series(dp, k_cap))
+        k = elbow_from_wcss(series) if k_cap >= 2 else 1
         # The elbow can nominate more clusters than there are distinct values
-        # (degenerate data); clustering itself needs k <= distinct.
-        k_eff = min(k, distinct)
-        labels, centroids = kmeans_1d(values, k_eff)
+        # (degenerate data); the DP has a layer only for k <= distinct.
+        labels, centroids = kmeans_1d(dp, min(k, len(dp.partitions)))
         clustered = ClusteredProfile(
             anchor_model_id=anchor,
             labels={rec.image_id: int(lab) for rec, lab in zip(profile.records, labels)},

@@ -5,11 +5,20 @@ term rewards c inside [C_min, C_max] with c itself, and the response term
 rewards r inside [R_min, R_max] with r itself. Outside the bounds each term
 contributes a penalty scaled by p_ev (confidence) or p_dv (response time).
 Boundary values belong to the in-range branch.
+
+utility_per_request is the scalar definition. Run totals and per-request
+series go through UtilityTerms, which holds a run's two terms as arrays and
+rounds every utility and every running sum exactly as the scalar definition
+and a sequential `total += u` loop from 0.0 round them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -60,6 +69,8 @@ class RunSummary:
     r_penalties: int
     c_penalties: int
     utilities: tuple[tuple[float, float, float], ...]  # (w_e, w_d, total)
+    # The run's per-request utility terms, for per-request series.
+    terms: UtilityTerms = field(compare=False, repr=False)
 
 
 def utility_confidence_term(c: float, params: UtilityParams) -> float:
@@ -86,27 +97,80 @@ def utility_per_request(c: float, r: float, params: UtilityParams) -> float:
     )
 
 
+class UtilityTerms(NamedTuple):
+    """One run's per-request confidence and response terms, as float arrays.
+
+    Element i equals utility_confidence_term(c[i]) resp.
+    utility_response_term(r[i]) bit for bit: each branch is the same float
+    expression, chosen with numpy.where.
+    """
+
+    confidence: np.ndarray
+    response: np.ndarray
+
+    @classmethod
+    def of(cls, c, r, params: UtilityParams) -> UtilityTerms:
+        c = np.asarray(c, dtype=float)
+        r = np.asarray(r, dtype=float)
+        c_penalty = np.where(
+            c > params.c_max, (c - params.c_max) * params.p_ev, (params.c_min - c) * params.p_ev
+        )
+        if not params.raw_violation_signs:
+            c_penalty = -c_penalty
+        r_penalty = np.where(
+            r > params.r_max, (params.r_max - r) * params.p_dv, (r - params.r_min) * params.p_dv
+        )
+        return cls(
+            np.where(_inside(c, params.c_min, params.c_max), c, c_penalty),
+            np.where(_inside(r, params.r_min, params.r_max), r, r_penalty),
+        )
+
+    def utilities(self, w_e: float, w_d: float) -> np.ndarray:
+        """Per-request utilities at weights (w_e, w_d), as utility_per_request."""
+        return w_e * self.confidence + w_d * self.response
+
+
+def running_total(utilities: np.ndarray) -> np.ndarray:
+    """Partial sums of `total = 0.0; total += u`, bit for bit.
+
+    np.cumsum adds in sequence (np.add.accumulate), unlike np.sum, which adds
+    pairwise. Adding 0.0 turns the -0.0 of a leading run of -0.0 utilities
+    into the +0.0 the loop's starting value leaves; every other sum is
+    unchanged by it.
+    """
+    return np.cumsum(utilities) + 0.0
+
+
+def _inside(x: np.ndarray, low: float, high: float) -> np.ndarray:
+    return (low <= x) & (x <= high)
+
+
+def _columns(records, *names: str) -> tuple[list, ...]:
+    records = list(records)  # one pass over an iterator
+    return tuple(list(map(attrgetter(name), records)) for name in names)
+
+
 def total_utility(records, params: UtilityParams) -> float:
     """Sum of per-request utilities, each completion counted once."""
-    total = 0.0
-    count = 0
-    for rec in records:
-        total += utility_per_request(rec.c, rec.r, params)
-        count += 1
-    if count == 0:
+    c, r = _columns(records, "c", "r")
+    if not c:
         raise ValidationError("total_utility: no records")
-    return total
+    utilities = UtilityTerms.of(c, r, params).utilities(params.w_e, params.w_d)
+    return float(running_total(utilities)[-1])
 
 
 def count_penalties(records, params: UtilityParams) -> tuple[int, int]:
     """Counts of completions with r resp. c outside their closed QoS ranges."""
-    n_r = n_c = 0
-    for rec in records:
-        if not params.r_min <= rec.r <= params.r_max:
-            n_r += 1
-        if not params.c_min <= rec.c <= params.c_max:
-            n_c += 1
-    return n_r, n_c
+    c, r = _columns(records, "c", "r")
+    return _penalties(np.asarray(c, dtype=float), np.asarray(r, dtype=float), params)
+
+
+def _penalties(c: np.ndarray, r: np.ndarray, params: UtilityParams) -> tuple[int, int]:
+    n = c.size
+    return (
+        n - int(np.count_nonzero(_inside(r, params.r_min, params.r_max))),
+        n - int(np.count_nonzero(_inside(c, params.c_min, params.c_max))),
+    )
 
 
 def summarize(
@@ -116,25 +180,32 @@ def summarize(
     params: UtilityParams = UtilityParams(),
     policy: str = "",
 ) -> RunSummary:
-    """Aggregate one run: KPI averages, penalty and switch counts, utilities."""
-    records = list(records)
-    if not records:
+    """Aggregate one run: KPI averages, penalty and switch counts, utilities.
+
+    The utility terms are built once; each weight pair's total is the last
+    running sum of its utilities. The averages keep Python's float sum.
+    """
+    c, r, s_cpu = _columns(records, "c", "r", "s_cpu")
+    if not c:
         raise ValidationError("summarize: no records")
-    n = len(records)
+    n = len(c)
     switch_count = sum(1 for ev in event_log if ev.event == "SWITCH")
-    n_r, n_c = count_penalties(records, params)
+    c_arr, r_arr = np.array(c, dtype=float), np.array(r, dtype=float)
+    terms = UtilityTerms.of(c_arr, r_arr, params)
+    n_r, n_c = _penalties(c_arr, r_arr, params)
     utilities = tuple(
-        (w_e, w_d, total_utility(records, replace(params, w_e=w_e, w_d=w_d)))
+        (w_e, w_d, float(running_total(terms.utilities(w_e, w_d))[-1]))
         for w_e, w_d in weight_grid
     )
     return RunSummary(
         policy=policy,
         request_count=n,
         switch_count=switch_count,
-        avg_c=sum(r.c for r in records) / n,
-        avg_r=sum(r.r for r in records) / n,
-        avg_s_cpu=sum(r.s_cpu for r in records) / n,
+        avg_c=sum(c) / n,
+        avg_r=sum(r) / n,
+        avg_s_cpu=sum(s_cpu) / n,
         r_penalties=n_r,
         c_penalties=n_c,
         utilities=utilities,
+        terms=terms,
     )

@@ -3,8 +3,9 @@
 Requests arrive per a segmented bursty workload, wait in an unbounded FIFO
 queue, and are served by interchangeable workers. Service duration and KPIs
 of each request are one record sampled uniformly (with replacement) from the
-active model's profile. The switching policy runs at every completion and at
-a periodic tick; a model switch pauses service intake for the switch latency.
+active model's profile. The switching policy runs at every completion and,
+if it asks for them (needs_ticks), at a periodic tick; a model switch pauses
+service intake for the switch latency.
 Everything is driven by seeded RNGs, so runs are exactly reproducible.
 """
 
@@ -247,7 +248,10 @@ class _Engine:
         self._pending_arrivals = len(arrivals)
         for req_id, t in enumerate(arrivals):
             self._push(t, _EV_ARRIVAL, (req_id, t))
-        self._push(self.config.tick_interval, _EV_TICK, None)
+        # Each tick schedules the next; a policy that ignores ticks gets none.
+        # Events of equal (time, class) still pop in push order.
+        if self._policy.needs_ticks:
+            self._push(self.config.tick_interval, _EV_TICK, None)
         while self._heap:
             self.now, klass, _, payload = heapq.heappop(self._heap)
             if klass == _EV_COMPLETION:
@@ -361,31 +365,16 @@ def run_simulation(
 
 
 def write_results_csv(records, path) -> None:
+    # A CompletionRecord's fields are in header order, and csv.writer writes
+    # each float as its repr.
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_CSV_HEADER)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.request_id,
-                    repr(rec.arrival_t),
-                    repr(rec.start_t),
-                    repr(rec.finish_t),
-                    rec.model_id,
-                    repr(rec.c),
-                    repr(rec.tau_model),
-                    repr(rec.tau_system),
-                    repr(rec.s_cpu),
-                    rec.b,
-                    repr(rec.r),
-                ]
-            )
+        writer.writerows(records)
 
 
 def write_event_log_csv(events, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("sim_time", "event", "detail"))
-        for ev in events:
-            writer.writerow([repr(ev.sim_time), ev.event, ev.detail])
-
+        writer.writerows(events)

@@ -4,12 +4,14 @@ These deliberately re-derive expected results by brute force or textbook
 formulas, sharing no code path with the implementations they check.
 """
 
+import csv
 import math
 import statistics
 from itertools import combinations
 
 from adamls.controller import DEFAULT_WINDOW_SIZE, WINDOW_KPIS, SystemState
 from adamls.learning import MIN_NORMAL_SAMPLES, CiEntry, normal_ci
+from adamls.metrics import utility_per_request
 
 
 def optimal_1d_wcss(values, k):
@@ -118,3 +120,28 @@ def monitor_snapshot(
         i_w=queue_depth,
         sim_time=sim_time,
     )
+
+
+def repr_per_field_csv(path, header, rows):
+    """Write rows the long way: every float field through an explicit repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+def scalar_utility_series(records, params):
+    """Per-request utilities and their running totals by a sequential loop.
+
+    utility_per_request is the scalar definition of a utility, and the loop
+    adds from 0.0 in record order: the rounding every array path must match.
+    """
+    utilities, totals = [], []
+    total = 0.0
+    for rec in records:
+        utility = utility_per_request(rec.c, rec.r, params)
+        total += utility
+        utilities.append(utility)
+        totals.append(total)
+    return utilities, totals

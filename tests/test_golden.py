@@ -1,4 +1,8 @@
-"""Golden digests: learn + compare on the tiny config must reproduce every CSV.
+"""Golden digests: learn + compare must reproduce every CSV.
+
+The tiny config pins every output; the default config (at full scale) and
+the tiny config with three workers pin the compare outputs, and the default
+config also pins the rules.
 
 A change that alters any output byte fails here. If a change is meant to
 alter outputs, update the digests in the same change and explain the diff.
@@ -29,16 +33,82 @@ GOLDEN_SHA256 = {
 }
 
 
-def test_learn_and_compare_outputs_match_golden_digests(tiny_config, tmp_path, capsys):
-    config = dataclasses.replace(tiny_config, output_dir=str(tmp_path))
+def csv_digests(root, pattern="**/*.csv"):
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.glob(pattern))
+    }
+
+
+def compare_digests(tmp_path):
+    return {
+        name: digest
+        for name, digest in csv_digests(tmp_path).items()
+        if name != "profiles.csv" and not name.startswith("rules/")
+    }
+
+
+def learn_and_compare(config, tmp_path, capsys):
+    config = dataclasses.replace(config, output_dir=str(tmp_path))
     assert cli.run_learn(config) == 0
     assert cli.run_compare(config) == 0
     capsys.readouterr()
-    digests = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.rglob("*.csv"))
-    }
-    assert digests == GOLDEN_SHA256
+
+
+def test_learn_and_compare_outputs_match_golden_digests(tiny_config, tmp_path, capsys):
+    learn_and_compare(tiny_config, tmp_path, capsys)
+    assert csv_digests(tmp_path) == GOLDEN_SHA256
+
+
+# compare on the default config (bursty workload, seed 1): every compare CSV
+# of the paper's experiment at full scale.
+DEFAULT_COMPARE_SHA256 = {
+    "compare/adamls/events.csv": "dce7e672af51484d02826bc0eb7afd0f46a1ba4ab2d1b8b84695832d5a12025d",
+    "compare/adamls/results.csv": "2774f4c067af57c2f9b939059014ce9a21ec86ecce4d2e9011245ab8ad3be5f4",
+    "compare/naive/events.csv": "3dbe7921d8730eae93b10d857dc5edcafbf8d186c91ab0cf0d913f69c7e7fc61",
+    "compare/naive/results.csv": "ac8825d3a1464d3dfe968d172937f11d277bf0040e6fc62c01b29df99ee139d3",
+    "compare/static_large/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
+    "compare/static_large/results.csv": "0a8f0431ef924a494a72931124abfebdd874b7536a0b0a14936dc84960b5a100",
+    "compare/static_medium/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
+    "compare/static_medium/results.csv": "1175080feb1c26ff7b3380742da697c7c792e83ec07bae213743130e6b08cefb",
+    "compare/static_nano/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
+    "compare/static_nano/results.csv": "7a4f6cfd757eb315217bce2f7d550d0207d82cd2bdaf36c17f3b2ccce0f8a56f",
+    "compare/static_small/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
+    "compare/static_small/results.csv": "74f7467bba71ca832191ddec9a62b67ab1cfa0bb549dfc9fd5b7f09411421512",
+    "compare/static_xlarge/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
+    "compare/static_xlarge/results.csv": "6221072d28b04bfc2e1d7f2fc4bef504790a9f51b701c62fe800565865f187a5",
+    "summary.csv": "91339ca8eefd94cff3ad24df0be0113ef9ba430971618c167bdd1eba092e0797",
+    "utility_sweep.csv": "0acd81d0384117a719f8b3ab3fe379b4a5d261cb848c95ebfdfe7cf0f2f8c0f8",
+    "utility_timeseries.csv": "90b32a8a544c920e6247e68cf3d74d688dd1f2a537160eb767a739f14d107a05",
+}
+
+
+def test_compare_on_default_config_matches_golden_digests(tmp_path, capsys):
+    learn_and_compare(cfgmod.ExperimentConfig(), tmp_path, capsys)
+    assert compare_digests(tmp_path) == DEFAULT_COMPARE_SHA256
+
+
+# compare on the tiny config with three workers, where completions overtake
+# one another and equal event times are more frequent.
+TINY_3_WORKERS_COMPARE_SHA256 = {
+    "compare/adamls/events.csv": "cda53920c1f1b066cf22fd5c537daf212bcbc204799d0f96ba54e3637adf2b4b",
+    "compare/adamls/results.csv": "eb3b6d0cc8493246d571467897a5029474b5f47699d3cec73fdd4c43728b0c30",
+    "compare/naive/events.csv": "76f2f868ea7fe3c37b8f3bf8578041f249756bd3f938058db2ec4273fb09eb4f",
+    "compare/naive/results.csv": "765f716652fabce59f23b8849ebb7f13d1fb6904ab17a068f8f82c549041106b",
+    "compare/static_fast/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
+    "compare/static_fast/results.csv": "bbda1a221916042820c0aa6c52a49f6d045ca9881a9d83fa940da87fa9196495",
+    "compare/static_slow/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
+    "compare/static_slow/results.csv": "81b7ba95e4b85501326003c757b9a1e23c900411785845836bf06aa75f56a12c",
+    "summary.csv": "7bb2570e334ec772478f59031f85c4840114aa7efb25273edbe42a50c2e137c4",
+    "utility_sweep.csv": "91578e2be6599bc7bebe4f30cad033f3f0f6f410910c6d887d40e3086b52d05b",
+    "utility_timeseries.csv": "bbb2eaa97a98e3771735e99c543a8bcf00307ea43cea26cdcc45f36c533c4620",
+}
+
+
+def test_compare_with_three_workers_matches_golden_digests(tiny_config, tmp_path, capsys):
+    simulation = dataclasses.replace(tiny_config.simulation, worker_count=3)
+    learn_and_compare(dataclasses.replace(tiny_config, simulation=simulation), tmp_path, capsys)
+    assert compare_digests(tmp_path) == TINY_3_WORKERS_COMPARE_SHA256
 
 
 # learn on the default five-model family (1000 images, seed 1): the rule and
@@ -57,8 +127,4 @@ def test_learn_on_default_config_matches_golden_digests(tmp_path, capsys):
     config = dataclasses.replace(cfgmod.ExperimentConfig(), output_dir=str(tmp_path))
     assert cli.run_learn(config) == 0
     capsys.readouterr()
-    digests = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted((tmp_path / "rules").glob("*.csv"))
-    }
-    assert digests == DEFAULT_RULES_SHA256
+    assert csv_digests(tmp_path, "rules/*.csv") == DEFAULT_RULES_SHA256

@@ -450,6 +450,27 @@ class TestLearningEngine:
         assert len(rules) == len(tiny_profiles) == 2
         assert len(joins) == 1
 
+    def test_one_clustering_pass_per_anchor(self, tiny_profiles, monkeypatch):
+        passes = []
+        optimal_1d = learning._optimal_1d
+
+        def counting_pass(values, k_max):
+            passes.append(k_max)
+            return optimal_1d(values, k_max)
+
+        monkeypatch.setattr(learning, "_optimal_1d", counting_pass)
+        rules = run_learning_engine(tiny_profiles, k_max=4)
+        assert passes == [4, 4]
+        for profile in tiny_profiles:
+            learned = rules[profile.model_id]
+            values = profile.kpi_values("tau_system")
+            labels, centroids = kmeans_1d(values, learned.k)
+            assert learned.wcss_series == tuple(wcss_series(values, 4))
+            assert learned.clustered.centroids == tuple(centroids.tolist())
+            assert [learned.clustered.labels[rec.image_id] for rec in profile.records] == (
+                labels.tolist()
+            )
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):
             run_learning_engine([], k_max=3)

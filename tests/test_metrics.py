@@ -3,7 +3,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from adamls.controller import LogEvent
@@ -12,12 +12,15 @@ from adamls.metrics import (
     DEFAULT_WEIGHT_GRID,
     UtilityParams,
     count_penalties,
+    running_total,
     summarize,
     total_utility,
     utility_confidence_term,
     utility_per_request,
     utility_response_term,
 )
+
+from .oracles import scalar_utility_series
 
 PARAMS = UtilityParams()  # the experiment defaults: bounds (0.5, 1) and (0.1, 1) s
 
@@ -143,6 +146,14 @@ class TestSummarize:
         summary = summarize([fake_record(0.7, 0.5)], [], weight_grid=((0.5, 0.5),))
         assert summary.utilities == ((0.5, 0.5, pytest.approx(0.6)),)
 
+    def test_records_may_be_an_iterator(self):
+        records = [fake_record(0.7, 0.5, s_cpu=40.0), fake_record(0.4, 1.5, s_cpu=60.0)]
+        summary = summarize(iter(records), [])
+        assert summary == summarize(records, [])
+        assert summary.avg_s_cpu == 50.0
+        assert total_utility(iter(records), PARAMS) == total_utility(records, PARAMS)
+        assert count_penalties(iter(records), PARAMS) == (1, 1)
+
     def test_default_grid_has_five_pairs(self):
         summary = summarize([fake_record(0.7, 0.5, s_cpu=42.0)], [])
         assert len(summary.utilities) == 5
@@ -189,6 +200,87 @@ class TestProperties:
     def test_zero_penalty_multipliers_neutralize_violations(self, c, r):
         params = replace(PARAMS, p_ev=0.0, p_dv=0.0)
         assert utility_per_request(c, r, params) == 0.0
+
+
+def bits(values):
+    """Exact identity of each float, telling -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def utility_runs(draw):
+    """Random params and records, with values on every bound and far outside."""
+    c_min, c_max = sorted((draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))))
+    r_min, r_max = sorted((draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 5.0))))
+    penalty = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 10.0)
+    params = UtilityParams(
+        w_e=draw(st.floats(0.0, 1.0)),
+        w_d=draw(st.floats(0.0, 1.0)),
+        c_min=c_min,
+        c_max=c_max,
+        r_min=r_min,
+        r_max=r_max,
+        p_ev=draw(penalty),
+        p_dv=draw(penalty),
+        raw_violation_signs=draw(st.booleans()),
+    )
+    c = st.sampled_from((c_min, c_max)) | st.floats(-1.0, 2.0)
+    r = st.sampled_from((r_min, r_max)) | st.floats(0.0, 10.0) | st.floats(1e3, 1e300)
+    pairs = draw(st.lists(st.tuples(c, r), min_size=1, max_size=40))
+    return params, [fake_record(cv, rv) for cv, rv in pairs]
+
+
+GRID = DEFAULT_WEIGHT_GRID + ((0.3, 0.9),)
+BITWISE_EXAMPLES = (
+    # Every record on a bound of its range.
+    (PARAMS, [fake_record(0.5, 0.1), fake_record(1.0, 1.0), fake_record(0.5, 1.0)]),
+    # Raw confidence-violation signs.
+    (replace(PARAMS, raw_violation_signs=True), [fake_record(0.2, 0.5), fake_record(1.5, 0.5)]),
+    # No penalties: every utility is -0.0, the loop's totals stay +0.0.
+    (replace(PARAMS, p_ev=0.0, p_dv=0.0), [fake_record(0.2, 3.0), fake_record(0.1, 0.01)]),
+    # A single record, its r far outside the range.
+    (PARAMS, [fake_record(0.7, 1e12)]),
+)
+
+
+class TestArrayPathIsBitExact:
+    """summarize and the per-request series against a scalar loop, bit for bit."""
+
+    @given(run=utility_runs())
+    @example(run=BITWISE_EXAMPLES[0])
+    @example(run=BITWISE_EXAMPLES[1])
+    @example(run=BITWISE_EXAMPLES[2])
+    @example(run=BITWISE_EXAMPLES[3])
+    def test_grid_totals(self, run):
+        params, records = run
+        summary = summarize(records, [], weight_grid=GRID, params=params)
+        expected = [
+            scalar_utility_series(records, replace(params, w_e=w_e, w_d=w_d))[1][-1]
+            for w_e, w_d in GRID
+        ]
+        assert bits(total for _, _, total in summary.utilities) == bits(expected)
+        assert all(type(total) is float for _, _, total in summary.utilities)
+        assert bits([total_utility(records, params)]) == bits(
+            scalar_utility_series(records, params)[1][-1:]
+        )
+
+    @given(run=utility_runs())
+    @example(run=BITWISE_EXAMPLES[0])
+    @example(run=BITWISE_EXAMPLES[1])
+    @example(run=BITWISE_EXAMPLES[2])
+    @example(run=BITWISE_EXAMPLES[3])
+    def test_series_and_running_totals(self, run):
+        params, records = run
+        utilities = summarize(records, [], params=params).terms.utilities(params.w_e, params.w_d)
+        expected_utilities, expected_totals = scalar_utility_series(records, params)
+        assert bits(utilities.tolist()) == bits(expected_utilities)
+        assert bits(running_total(utilities).tolist()) == bits(expected_totals)
+
+    def test_zero_penalties_keep_the_sign_of_each_utility(self):
+        params, records = BITWISE_EXAMPLES[2]
+        utilities = summarize(records, [], params=params).terms.utilities(params.w_e, params.w_d)
+        assert bits(utilities.tolist()) == bits([-0.0, -0.0])
+        assert bits(running_total(utilities).tolist()) == bits([0.0, 0.0])
 
 
 def test_invalid_params_rejected():

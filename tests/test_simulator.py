@@ -6,18 +6,24 @@ import statistics
 import pytest
 
 from adamls import config as cfgmod
-from adamls.controller import Knowledge, NaivePolicyConfig
+from adamls import simulator
+from adamls.controller import Knowledge, LogEvent, NaivePolicyConfig
 from adamls.errors import ConfigError, ValidationError
 from adamls.profiles import ModelKpiSpec, ModelProfile, ProfileFamilySpec, generate_profiles
 from adamls.simulator import (
+    RESULTS_CSV_HEADER,
+    CompletionRecord,
     PolicySpec,
     SimConfig,
     WorkloadSpec,
     generate_workload,
     run_simulation,
     sample_kpis,
+    write_event_log_csv,
     write_results_csv,
 )
+
+from .oracles import repr_per_field_csv
 
 
 def constant_profile(model_id, tau_system, c=0.6, overhead=0.005):
@@ -385,3 +391,79 @@ class TestRunSimulation:
             PolicySpec(kind="static")
         with pytest.raises(ConfigError):
             PolicySpec(kind="warp")
+
+
+class TickingNoop:
+    """A policy that does nothing but asks for every tick."""
+
+    needs_ticks = True
+
+    def __init__(self):
+        self.calls = 0
+
+    def note_completion(self, rec) -> None:
+        pass
+
+    def on_event(self, system) -> None:
+        self.calls += 1
+
+
+class TestTicks:
+    def bursty_static(self, tiny_profiles, worker_count):
+        workload = WorkloadSpec(
+            segments=((5.0, 3.0), (3.0, 40.0), (6.0, 2.0)), max_requests=300, seed=9
+        )
+        profile = next(p for p in tiny_profiles if p.model_id == "slow")
+        return static_config(profile, workload, worker_count=worker_count, service_seed=4)
+
+    def test_static_run_pushes_no_tick(self, tiny_profiles, monkeypatch):
+        pushed = []
+        push = simulator._Engine._push
+
+        def recording_push(self, time, klass, payload):
+            pushed.append(klass)
+            push(self, time, klass, payload)
+
+        monkeypatch.setattr(simulator._Engine, "_push", recording_push)
+        completions, _ = run_simulation(self.bursty_static(tiny_profiles, 1))
+        assert completions
+        assert simulator._EV_TICK not in pushed
+        assert pushed.count(simulator._EV_ARRIVAL) == len(completions)
+
+    @pytest.mark.parametrize("worker_count", [1, 3])
+    def test_static_completions_match_a_ticking_noop_run(
+        self, tiny_profiles, monkeypatch, worker_count
+    ):
+        config = self.bursty_static(tiny_profiles, worker_count)
+        static_completions, _ = run_simulation(config)
+        noop = TickingNoop()
+        monkeypatch.setattr(simulator, "_build_policy", lambda config, knowledge: noop)
+        ticking_completions, events = run_simulation(config)
+        assert noop.calls > len(ticking_completions)  # the ticks did run
+        assert ticking_completions == static_completions
+        assert events == []
+
+
+class TestCsvWriters:
+    """Each writer's bytes against a repr-per-field oracle."""
+
+    RECORDS = [
+        CompletionRecord(0, 5e-324, 0.1, 1e16, "nano", -0.0, 0.015, 0.02, 33.25, 3, 1e16),
+        CompletionRecord(1, 0.30000000000000004, 2.5, 2.75, "x,l", 1.0, 1e-07, 0.25, 0.0, 0, -0.0),
+        CompletionRecord(12, 1.0, 1.0, 1.5, 'q"m', 0.5, 123456789.125, 0.5, 100.0, 17, 0.5),
+    ]
+    EVENTS = [
+        LogEvent(5e-324, "SWITCH", "nano->small effective 0.105000"),
+        LogEvent(-0.0, "PLAN", 'current model, "already" best'),
+        LogEvent(1e16, "NOOP", ""),
+    ]
+
+    def test_results_csv_matches_oracle(self, tmp_path):
+        write_results_csv(self.RECORDS, tmp_path / "fast.csv")
+        repr_per_field_csv(tmp_path / "oracle.csv", RESULTS_CSV_HEADER, self.RECORDS)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_event_log_csv_matches_oracle(self, tmp_path):
+        write_event_log_csv(self.EVENTS, tmp_path / "fast.csv")
+        repr_per_field_csv(tmp_path / "oracle.csv", ("sim_time", "event", "detail"), self.EVENTS)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
