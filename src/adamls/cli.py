@@ -192,6 +192,8 @@ def run_compare(config: cfgmod.ExperimentConfig) -> int:
         utilities = summary.terms.utilities(config.utility.w_e, config.utility.w_d)
         finish_t = np.array([rec.finish_t for rec in completions])
         series.append((label, finish_t, utilities, running_total(utilities)))
+        # Free this run's records before the next run makes its own.
+        del completions, events
     with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_CSV_HEADER)

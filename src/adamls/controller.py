@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -74,11 +74,12 @@ class SystemState:
 
     The controller passes its rolling window of the active model itself, not
     a copy, so monitoring stays O(1) in the window size; the state is read
-    within the event that made it, before the window changes.
+    within the event that made it, before the window changes. A model with
+    no completions yet has an empty window.
     """
 
     m_prime: str
-    window: tuple | _KpiWindow
+    window: _KpiWindow
     window_means: dict[str, float]
     v: float
     i_w: int
@@ -311,7 +312,7 @@ class Analyzer:
 def plan(
     planner_input: PlannerInput,
     knowledge: Knowledge,
-    live_window,
+    live_window: _KpiWindow,
     blacklist: frozenset[str] = frozenset(),
     level: float = 0.90,
 ) -> AdaptationPlan:
@@ -330,8 +331,6 @@ def plan(
     rows = matrix.derived(_candidate_rows).get(cluster)
     if rows is None:
         raise RuleError(f"rule matrix of {m_prime!r} has no cluster {cluster}")
-    if not isinstance(live_window, _KpiWindow):
-        live_window = _KpiWindow.of(live_window)
     candidates: list[tuple[str, float, float]] = []  # (model, low_c, high_tau)
     for model_id, row in rows:
         if model_id in blacklist:
@@ -531,21 +530,21 @@ class AdamlsController:
         self.ci_level = ci_level
         self.analyzer = Analyzer(t_wait=t_wait)
         self.degraded = degraded_tracker or DegradedModelTracker(enabled=False)
-        self._windows: dict[str, _KpiWindow] = {}
+        # One rolling window per model, empty until its first completion.
+        self._windows: defaultdict[str, _KpiWindow] = defaultdict(
+            lambda: _KpiWindow(window_size)
+        )
 
     def note_completion(self, rec) -> None:
-        window = self._windows.get(rec.model_id)
-        if window is None:
-            window = self._windows[rec.model_id] = _KpiWindow(self.window_size)
-        window.add(rec)
+        self._windows[rec.model_id].add(rec)
 
     def monitor(self, system) -> SystemState:
         active = system.active_model
-        window = self._windows.get(active)
+        window = self._windows[active]
         state = SystemState(
             m_prime=active,
-            window=window if window is not None else (),
-            window_means=window.means() if window is not None else {},
+            window=window,
+            window_means=window.means(),
             v=observed_rate(system.arrival_times, system.now),
             i_w=system.queue_depth,
             sim_time=system.now,

@@ -1,10 +1,11 @@
 """Offline learning engine: clustered KPI profiles and CI adaptation rules.
 
-For each anchor model the pipeline is: pick a cluster count by the elbow rule
-on the within-cluster sum of squares, run 1-D k-means on the anchor's
-per-image system time, join every model's KPIs per image into a performance
-matrix, and compute per-cluster 90% confidence intervals of every KPI of
-every model. The resulting CI matrices are the controller's adaptation rules.
+The profiles' KPI columns are first joined per image into one performance
+matrix, once per learn. Then, for each anchor model: pick a cluster count by
+the elbow rule on the within-cluster sum of squares, run exact 1-D k-means on
+the anchor's per-image system time, and compute per-cluster 90% confidence
+intervals of every KPI of every model from the matrix. The resulting CI
+matrices are the controller's adaptation rules.
 """
 
 from __future__ import annotations
@@ -56,12 +57,21 @@ class PerfMatrix:
     """Every model's KPIs per image, joined once: values[model, kpi, image].
 
     The axes follow model_ids (sorted), KPI_NAMES and image_ids (sorted), so
-    the matrix does not depend on profile or record order.
+    the matrix does not depend on profile or record order. Each column's
+    exact form (see _ExactColumn) is built once and serves every anchor.
     """
 
     model_ids: tuple[str, ...]
     image_ids: tuple[str, ...]
     values: np.ndarray
+    _exact: dict = field(default_factory=dict, init=False, repr=False)
+
+    def exact(self, m: int, q: int) -> _ExactColumn:
+        """Column values[m, q] in exact form, built on first use and kept."""
+        column = self._exact.get((m, q))
+        if column is None:
+            column = self._exact[m, q] = _exact_column(self.values[m, q])
+        return column
 
 
 @dataclass(frozen=True)
@@ -297,7 +307,7 @@ def compute_ci(samples, level: float = 0.90, method: str = "normal") -> CiEntry:
         return CiEntry(min(float(low), mean), max(float(high), mean), n, mean)
     if method != "normal":
         raise ValidationError(f"compute_ci: unknown method {method!r}")
-    return normal_ci(mean, _column_moments(data).stdev(n), n, level)
+    return normal_ci(mean, _exact_column(data).moments().stdev(n), n, level)
 
 
 def normal_ci(mean: float, sd: float, n: int, level: float = 0.90) -> CiEntry:
@@ -316,32 +326,37 @@ def _z_quantile(level: float) -> float:
 
 
 def build_performance_matrix(profiles) -> PerfMatrix:
-    """Join every model's KPI records per image into one float array.
+    """Stack every model's KPI columns, rows ordered by image id.
 
     All profiles must cover the identical image set; the first model id in
     sorted order is the reference an image is reported missing from.
     """
-    indexed = {p.model_id: {rec.image_id: rec for rec in p.records} for p in profiles}
-    if not indexed:
+    by_model = {p.model_id: p for p in profiles}
+    if not by_model:
         raise JoinError("no profiles to join")
-    model_ids = tuple(sorted(indexed))
+    model_ids = tuple(sorted(by_model))
     reference = model_ids[0]
-    common = indexed[reference].keys()
+    common = by_model[reference].image_ids()
     for model_id in model_ids[1:]:
-        records = indexed[model_id]
-        missing = common - records.keys()
+        images = by_model[model_id].image_ids()
+        missing = common - images
         if missing:
             raise JoinError(f"image {min(missing)!r} missing from profile {model_id!r}")
-        extra = records.keys() - common
+        extra = images - common
         if extra:
             raise JoinError(f"image {min(extra)!r} missing from profile {reference!r}")
     image_ids = tuple(sorted(common))
-    values = np.empty((len(model_ids), len(KPI_NAMES), len(image_ids)))
-    for m, model_id in enumerate(model_ids):
-        ordered = [indexed[model_id][image_id] for image_id in image_ids]
-        for q, kpi in enumerate(KPI_NAMES):
-            values[m, q] = [getattr(rec, kpi) for rec in ordered]
+    values = np.stack([_columns_by_image(by_model[m], image_ids) for m in model_ids])
     return PerfMatrix(model_ids=model_ids, image_ids=image_ids, values=values)
+
+
+def _columns_by_image(profile: ModelProfile, image_ids: tuple[str, ...]) -> np.ndarray:
+    """The profile's KPI columns, kpi by row, reordered to follow image_ids."""
+    columns = np.stack([profile.column(kpi) for kpi in KPI_NAMES])
+    if profile.image_id == image_ids:
+        return columns
+    position = {image_id: i for i, image_id in enumerate(profile.image_id)}
+    return columns[:, [position[image_id] for image_id in image_ids]]
 
 
 def build_ci_matrix(
@@ -352,7 +367,8 @@ def build_ci_matrix(
     Entry (l, q, kpi) is compute_ci over exactly the images the anchor's
     clustering labels l; its n is therefore the anchor-cluster population.
     The images are grouped by label once, and each (model, KPI) column's
-    cluster sums come from one pass over its exact integer form.
+    cluster sums come from one pass over its exact integer form, which the
+    matrix keeps for every anchor (PerfMatrix.exact).
     """
     anchor = clustered.anchor_model_id
     if anchor not in perf.model_ids:
@@ -363,41 +379,38 @@ def build_ci_matrix(
         raise JoinError(f"image {exc.args[0]!r} has no cluster label") from None
     order = np.argsort(labels, kind="stable")
     clusters, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
+    runs = list(zip(starts.tolist(), counts.tolist()))
     entries = {int(cluster): {model_id: {} for model_id in perf.model_ids} for cluster in clusters}
     for m, model_id in enumerate(perf.model_ids):
         for q, kpi in enumerate(KPI_NAMES):
-            cis = _cluster_cis(perf.values[m, q, order], starts, counts, level, method)
+            column = perf.values[m, q, order]
+            if method == "normal":
+                cis = _cluster_cis(column, perf.exact(m, q), order, starts, runs, level)
+            else:
+                cis = [compute_ci(column[s : s + n].tolist(), level, method) for s, n in runs]
             for cluster, entry in zip(entries, cis):
                 entries[cluster][model_id][kpi] = entry
-    anchor_kpi_std = _global_kpi_std(
-        dict(zip(KPI_NAMES, perf.values[perf.model_ids.index(anchor)]))
-    )
+    n = len(perf.image_ids)
+    a = perf.model_ids.index(anchor)
+    anchor_kpi_std = {kpi: _global_std(perf.exact(a, q), n) for q, kpi in enumerate(KPI_NAMES)}
     return CiMatrix(anchor_model_id=anchor, entries=entries, anchor_kpi_std=anchor_kpi_std)
 
 
-def _cluster_cis(column: np.ndarray, starts, counts, level: float, method: str) -> list[CiEntry]:
-    """compute_ci of each run column[start:start + count], runs back to back."""
-    runs = list(zip(starts.tolist(), counts.tolist()))
-    if method != "normal":
-        return [compute_ci(column[s : s + n].tolist(), level, method) for s, n in runs]
-    units, shift = _exact_units(column)
-    totals = np.add.reduceat(units, starts)
-    totals_sq = np.add.reduceat(units * units, starts)
+def _cluster_cis(column, exact: _ExactColumn, order, starts, runs, level: float) -> list[CiEntry]:
+    """Normal compute_ci of each run (start, count) of column, the values
+    of exact taken in order; the runs lie back to back from start 0."""
     cis = []
-    for (s, n), total, total_sq in zip(runs, totals, totals_sq):
+    for (s, n), moments in zip(runs, exact.run_moments(order, starts)):
         if n < MIN_NORMAL_SAMPLES:
             cis.append(compute_ci(column[s : s + n].tolist(), level))
         else:
-            moments = _ExactMoments(shift, total, total_sq)
             cis.append(normal_ci(moments.mean(n), moments.stdev(n), n, level))
     return cis
 
 
-def _global_kpi_std(columns) -> dict[str, float]:
-    return {
-        kpi: (_column_moments(vals).stdev(len(vals)) if len(vals) > 1 else 0.0)
-        for kpi, vals in columns.items()
-    }
+def _global_std(exact: _ExactColumn, n: int) -> float:
+    """Sample standard deviation of a whole column of n values (0 if n is 1)."""
+    return exact.moments().stdev(n) if n > 1 else 0.0
 
 
 # Bits of the integer square root before the final rounding to a float.
@@ -467,28 +480,74 @@ class _ExactMoments:
         )
 
 
-def _exact_units(column: np.ndarray) -> tuple[np.ndarray, int]:
-    """A float column as exact Python ints in units of 2**-shift, and shift.
+class _ExactColumn(NamedTuple):
+    """A float column as exact integers u, each split into int64 digits.
 
-    np.frexp splits each value into a 53-bit integer mantissa and a power of
-    two; shift is the largest negative power, so every scaled value is an
-    integer and no bit is lost.
+    u = sum(digits[k] << bits * k) over k, in units of 2**-shift; every
+    digit is below 2**bits in magnitude and carries the sign of u. bits is
+    chosen so that a sum of n digits, or of n products of two digits,
+    cannot overflow an int64, so moments come from plain int64 sums.
     """
-    mantissa, exponent = np.frexp(column)
+
+    digits: np.ndarray  # [k, row]
+    shift: int
+    bits: int
+
+    def run_moments(self, order, starts) -> list[_ExactMoments]:
+        """Exact moments of each run of the rows taken in order; the runs
+        begin at starts and each ends where the next begins."""
+        digits = self.digits[:, order]
+        sums = np.add.reduceat(digits, starts, axis=1).tolist()
+        # products[j][i]: sums of digits[j] * digits[j + i] per run.
+        products = [
+            np.add.reduceat(digits[j] * digits[j:], starts, axis=1).tolist()
+            for j in range(len(digits))
+        ]
+        moments = []
+        for run in range(len(starts)):
+            total = sum(row[run] << self.bits * k for k, row in enumerate(sums))
+            total_sq = sum(
+                (row[run] << self.bits * (2 * j + i)) * (2 if i else 1)
+                for j, rows in enumerate(products)
+                for i, row in enumerate(rows)
+            )
+            moments.append(_ExactMoments(self.shift, total, total_sq))
+        return moments
+
+    def moments(self) -> _ExactMoments:
+        """The exact moments of the whole column."""
+        return self.run_moments(slice(None), [0])[0]
+
+
+def _exact_column(column) -> _ExactColumn:
+    """Split a float column into exact int64 digits (see _ExactColumn).
+
+    np.frexp turns each value into m * 2**e with an integer |m| < 2**53;
+    shift is the largest -e, so u = m << (e + shift) is an integer, and no
+    bit is lost. Digit k of |u| is read off m with shifts and a mask.
+    """
+    x = np.asarray(column, dtype=float)
+    mantissa, exponent = np.frexp(x)
+    m = (mantissa * 2.0**53).astype(np.int64)
     exponent = exponent - 53
     shift = max(0, -int(exponent.min()))
-    units = (mantissa * 2.0**53).astype(np.int64).astype(object) << (exponent + shift)
-    return units, shift
-
-
-def _column_moments(column) -> _ExactMoments:
-    units, shift = _exact_units(np.asarray(column, dtype=float))
-    return _ExactMoments(shift, units.sum(), (units * units).sum())
+    position = exponent + shift  # of m's lowest bit in u
+    bits = (62 - x.size.bit_length()) // 2
+    count = -(-(53 + int(position.max())) // bits)
+    magnitude, sign, mask = np.abs(m), np.sign(m), (1 << bits) - 1
+    digits = np.empty((count, x.size), dtype=np.int64)
+    for k in range(count):
+        # Digit k holds bits [bits * k, bits * (k + 1)) of |u|.
+        offset = position - bits * k
+        up, down = np.clip(offset, 0, bits), np.clip(-offset, 0, 63)
+        digits[k] = sign * (((magnitude >> down) & (mask >> up)) << up)
+    return _ExactColumn(digits, shift, bits)
 
 
 def anchor_stats_from_profile(profile: ModelProfile) -> dict[str, float]:
     """Global per-KPI standard deviation of a profile (for loaded matrices)."""
-    return _global_kpi_std({kpi: profile.kpi_values(kpi) for kpi in KPI_NAMES})
+    n = len(profile.image_id)
+    return {kpi: _global_std(_exact_column(profile.column(kpi)), n) for kpi in KPI_NAMES}
 
 
 def attach_anchor_stats(matrix: CiMatrix, profile: ModelProfile) -> CiMatrix:
@@ -532,7 +591,7 @@ def run_learning_engine(
         labels, centroids = kmeans_1d(dp, min(k, len(dp.partitions)))
         clustered = ClusteredProfile(
             anchor_model_id=anchor,
-            labels={rec.image_id: int(lab) for rec, lab in zip(profile.records, labels)},
+            labels=dict(zip(profile.image_id, labels.tolist())),
             centroids=tuple(float(c) for c in centroids),
         )
         ci_matrix = build_ci_matrix(perf, clustered, level=level, method=method)

@@ -3,15 +3,21 @@
 A profile is the per-image KPI dataset of one model, obtained by running the
 model over an evaluation image set. Here profiles are either synthesized from
 a configurable family (truncated-normal draws around per-model means) or
-loaded from CSV. Downstream, the learning engine clusters them into
-adaptation rules and the simulator samples them as service behaviour.
+loaded from CSV. A profile keeps each KPI as one array over its images;
+KpiRecord, one image's KPIs, is built only where a CSV row is read and when
+a profile's records are read. Downstream, the learning engine clusters the
+profiles into adaptation rules and the simulator samples their rows as
+service behaviour.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -71,33 +77,134 @@ class KpiRecord:
         return float(getattr(self, name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelProfile:
-    """All KPI records of one model over an image set."""
+    """All KPIs of one model over an image set, stored as columns.
+
+    Row i of every KPI column belongs to image image_id[i]. The columns are
+    read-only float arrays; b holds whole counts (see record). Every row
+    meets KpiRecord's invariants, checked on whole columns at once: the
+    first bad row raises exactly what building its KpiRecord raises.
+    """
 
     model_id: str
-    records: tuple[KpiRecord, ...]
+    image_id: tuple[str, ...]
+    c: np.ndarray
+    tau_model: np.ndarray
+    tau_system: np.ndarray
+    s_cpu: np.ndarray
+    b: np.ndarray
     label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        if not self.records:
+        object.__setattr__(self, "image_id", tuple(self.image_id))
+        n = len(self.image_id)
+        if not n:
             raise ValidationError(f"profile {self.model_id!r} has no records")
-        for rec in self.records:
-            if rec.model_id != self.model_id:
+        for name in KPI_NAMES:
+            column = np.array(getattr(self, name), dtype=float)
+            if column.shape != (n,):
                 raise ValidationError(
-                    f"record for image {rec.image_id!r} carries model "
-                    f"{rec.model_id!r}, expected {self.model_id!r}"
+                    f"profile {self.model_id!r}: column {name} has shape "
+                    f"{column.shape}, expected ({n},)"
                 )
-        ids = [rec.image_id for rec in self.records]
-        if len(set(ids)) != len(ids):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        bad = _invalid_rows(self)
+        if bad.any():
+            self.record(int(bad.argmax()))  # raises KpiRecord's error
+        if len(set(self.image_id)) != n:
             raise ValidationError(f"profile {self.model_id!r} has duplicate image ids")
 
+    @classmethod
+    def of_records(cls, model_id: str, records, label: str = "") -> ModelProfile:
+        """The profile holding the given KpiRecords, in order."""
+        records = tuple(records)
+        for rec in records:
+            if rec.model_id != model_id:
+                raise ValidationError(
+                    f"record for image {rec.image_id!r} carries model "
+                    f"{rec.model_id!r}, expected {model_id!r}"
+                )
+        columns = {
+            name: [getattr(rec, name) for rec in records]
+            for name in ("image_id",) + KPI_NAMES
+        }
+        return cls(model_id=model_id, label=label, **columns)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ModelProfile):
+            return NotImplemented
+        return (self.model_id, self.label, self.image_id) == (
+            other.model_id,
+            other.label,
+            other.image_id,
+        ) and all(np.array_equal(self.column(k), other.column(k)) for k in KPI_NAMES)
+
+    def column(self, name: str) -> np.ndarray:
+        """One KPI column by its canonical name."""
+        return getattr(self, name)
+
     def image_ids(self) -> frozenset[str]:
-        return frozenset(rec.image_id for rec in self.records)
+        return frozenset(self.image_id)
 
     def kpi_values(self, name: str) -> list[float]:
-        return [rec.kpi(name) for rec in self.records]
+        return self.column(name).tolist()
+
+    def record(self, i: int) -> KpiRecord:
+        """Row i as a KpiRecord; b becomes the Python int of its float."""
+        c, tau_model, tau_system, s_cpu, b = self.kpi_table[i].tolist()
+        return KpiRecord(self.image_id[i], self.model_id, c, tau_model, tau_system, s_cpu, int(b))
+
+    @property
+    def records(self) -> ProfileRecords:
+        """The rows as KpiRecords, each built when it is read."""
+        return ProfileRecords(self)
+
+    @functools.cached_property
+    def kpi_table(self) -> np.ndarray:
+        """The KPI columns side by side: row i holds image_id[i]'s KPIs in
+        KPI_NAMES order, so one row is one read. Built on first use."""
+        table = np.column_stack([self.column(kpi) for kpi in KPI_NAMES])
+        table.flags.writeable = False
+        return table
+
+
+class ProfileRecords(Sequence):
+    """Read-only sequence view of a profile's rows as KpiRecords."""
+
+    __slots__ = ("_profile",)
+
+    def __init__(self, profile: ModelProfile):
+        self._profile = profile
+
+    def __len__(self) -> int:
+        return len(self._profile.image_id)
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return tuple(map(self._profile.record, rows))
+        return self._profile.record(rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
+def _invalid_rows(p: ModelProfile) -> np.ndarray:
+    """Rows whose KpiRecord would raise, b included (int() of inf or nan)."""
+    return (
+        ~np.isfinite(p.tau_model)
+        | ~np.isfinite(p.tau_system)
+        | ~((0.0 <= p.c) & (p.c <= 1.0))
+        | (p.tau_model <= 0.0)
+        | (p.tau_system < p.tau_model)
+        | ~((0.0 <= p.s_cpu) & (p.s_cpu <= 100.0))
+        | ~np.isfinite(p.b)
+        | (p.b < 0.0)
+    )
 
 
 @dataclass(frozen=True)
@@ -121,6 +228,13 @@ class ModelKpiSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # Annotations are strings here (from __future__ import annotations).
+            if f.type == "float" and not _is_finite(value):
+                raise ValidationError(
+                    f"{f.name} must be finite for model {self.model_id!r}, got {value}"
+                )
         for attr in ("tau_system_std", "c_std", "s_cpu_std", "b_std"):
             if getattr(self, attr) < 0.0:
                 raise ValidationError(f"{attr} must be >= 0 for model {self.model_id!r}")
@@ -136,6 +250,13 @@ class ModelKpiSpec:
             raise ValidationError(f"s_cpu_mean must be in [0, 100] for model {self.model_id!r}")
         if self.b_mean < 0.0:
             raise ValidationError(f"b_mean must be >= 0 for model {self.model_id!r}")
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -162,9 +283,11 @@ def generate_profiles(spec: ProfileFamilySpec) -> list[ModelProfile]:
 
     All profiles cover the same image ids. Draws are clamped rather than
     rejected (c to [0, 1], times to > 0, s_cpu to [0, 100], b to >= 0), so the
-    output is a pure function of the spec including its seed.
+    output is a pure function of the spec including its seed. Each profile's
+    columns are the draws themselves; b is each draw rounded to a whole
+    number, kept as a float so that no integer cast can wrap.
     """
-    image_ids = [f"img-{i:05d}" for i in range(spec.image_count)]
+    image_id = tuple(f"img-{i:05d}" for i in range(spec.image_count))
     children = np.random.SeedSequence(spec.seed).spawn(len(spec.models))
     profiles = []
     for model_spec, child in zip(spec.models, children):
@@ -175,42 +298,33 @@ def generate_profiles(spec: ProfileFamilySpec) -> list[ModelProfile]:
         c = np.clip(rng.normal(model_spec.c_mean, model_spec.c_std, n), 0.0, 1.0)
         s_cpu = np.clip(rng.normal(model_spec.s_cpu_mean, model_spec.s_cpu_std, n), 0.0, 100.0)
         b = np.maximum(np.rint(rng.normal(model_spec.b_mean, model_spec.b_std, n)), 0.0)
-        records = tuple(
-            KpiRecord(
-                image_id=image_ids[i],
-                model_id=model_spec.model_id,
-                c=float(c[i]),
-                tau_model=float(tau_system[i] - model_spec.overhead),
-                tau_system=float(tau_system[i]),
-                s_cpu=float(s_cpu[i]),
-                b=int(b[i]),
-            )
-            for i in range(n)
-        )
         profiles.append(
-            ModelProfile(model_id=model_spec.model_id, records=records, label=model_spec.label)
+            ModelProfile(
+                model_id=model_spec.model_id,
+                image_id=image_id,
+                c=c,
+                tau_model=tau_system - model_spec.overhead,
+                tau_system=tau_system,
+                s_cpu=s_cpu,
+                b=b,
+                label=model_spec.label,
+            )
         )
     return profiles
 
 
 def write_profiles(profiles: list[ModelProfile], path) -> None:
-    """Write profiles to CSV (full float precision, so loading round-trips)."""
+    """Write profiles to CSV (full float precision, so loading round-trips).
+
+    csv.writer writes each float as its repr.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PROFILE_CSV_HEADER)
         for profile in profiles:
-            for rec in profile.records:
-                writer.writerow(
-                    [
-                        rec.image_id,
-                        rec.model_id,
-                        repr(rec.c),
-                        repr(rec.tau_model),
-                        repr(rec.tau_system),
-                        repr(rec.s_cpu),
-                        rec.b,
-                    ]
-                )
+            columns = [profile.column(kpi).tolist() for kpi in KPI_NAMES]
+            columns[-1] = map(int, columns[-1])  # b
+            writer.writerows(zip(profile.image_id, repeat(profile.model_id), *columns))
 
 
 def load_profiles(path) -> list[ModelProfile]:
@@ -243,10 +357,7 @@ def load_profiles(path) -> list[ModelProfile]:
             by_model.setdefault(rec.model_id, []).append(rec)
     if not by_model:
         raise ProfileLoadError(f"{path}: no data rows")
-    return [
-        ModelProfile(model_id=model_id, records=tuple(records))
-        for model_id, records in by_model.items()
-    ]
+    return [ModelProfile.of_records(model_id, records) for model_id, records in by_model.items()]
 
 
 def _parse_count(text: str) -> int:

@@ -9,9 +9,12 @@ import math
 import statistics
 from itertools import combinations
 
-from adamls.controller import DEFAULT_WINDOW_SIZE, WINDOW_KPIS, SystemState
+import numpy as np
+
+from adamls.controller import DEFAULT_WINDOW_SIZE, WINDOW_KPIS, SystemState, _KpiWindow
 from adamls.learning import MIN_NORMAL_SAMPLES, CiEntry, normal_ci
 from adamls.metrics import utility_per_request
+from adamls.profiles import KpiRecord
 
 
 def optimal_1d_wcss(values, k):
@@ -114,7 +117,7 @@ def monitor_snapshot(
         }
     return SystemState(
         m_prime=active_model,
-        window=tuple(window),
+        window=_KpiWindow.of(window),
         window_means=means,
         v=float(sum(sim_time - 1.0 < t <= sim_time for t in arrival_times)),
         i_w=queue_depth,
@@ -145,3 +148,36 @@ def scalar_utility_series(records, params):
         utilities.append(utility)
         totals.append(total)
     return utilities, totals
+
+
+def records_one_by_one(spec):
+    """Each model's KpiRecords, drawn as generate_profiles draws them.
+
+    Every record is built and checked on its own, in image order and model
+    by model, so the first bad draw raises what its KpiRecord raises (or
+    what int() of its b raises).
+    """
+    image_ids = [f"img-{i:05d}" for i in range(spec.image_count)]
+    children = np.random.SeedSequence(spec.seed).spawn(len(spec.models))
+    out = {}
+    for model_spec, child in zip(spec.models, children):
+        rng = np.random.default_rng(child)
+        n = spec.image_count
+        tau_system = rng.normal(model_spec.tau_system_mean, model_spec.tau_system_std, n)
+        tau_system = np.maximum(tau_system, model_spec.overhead + 1e-6)
+        c = np.clip(rng.normal(model_spec.c_mean, model_spec.c_std, n), 0.0, 1.0)
+        s_cpu = np.clip(rng.normal(model_spec.s_cpu_mean, model_spec.s_cpu_std, n), 0.0, 100.0)
+        b = np.maximum(np.rint(rng.normal(model_spec.b_mean, model_spec.b_std, n)), 0.0)
+        out[model_spec.model_id] = tuple(
+            KpiRecord(
+                image_id=image_ids[i],
+                model_id=model_spec.model_id,
+                c=float(c[i]),
+                tau_model=float(tau_system[i] - model_spec.overhead),
+                tau_system=float(tau_system[i]),
+                s_cpu=float(s_cpu[i]),
+                b=int(b[i]),
+            )
+            for i in range(n)
+        )
+    return out

@@ -17,6 +17,7 @@ from adamls.controller import (
     Knowledge,
     PlannerInput,
     SystemState,
+    _KpiWindow,
     execute,
     feasible_rate_range,
     plan,
@@ -108,12 +109,12 @@ def test_criterion_4_planner_matches_enumeration_oracle():
             cluster_id = rng.randrange(len(clusters))
             v_adj = round(rng.uniform(0.5, 60.0), 1)
             use_live = case % 2 == 1
-            live_window = ()
+            live_window = _KpiWindow.of(())
             live = None
             if use_live:
                 taus = [round(rng.uniform(0.03, 0.5), 3) for _ in range(12)]
                 cs = [round(rng.uniform(0.3, 0.95), 3) for _ in range(12)]
-                live_window = tuple(
+                live_window = _KpiWindow.of(
                     completion(i, model=m_prime, c=c, tau=tau + 0.005)
                     for i, (c, tau) in enumerate(zip(cs, taus))
                 )
@@ -237,7 +238,7 @@ def test_criterion_7_analyzer_debounce():
         knowledge = Knowledge(adaptation_rule_repository={"m": matrix})
 
         def state(v):
-            window = tuple(completion(i, model="m", tau=0.1) for i in range(8))
+            window = _KpiWindow.of(completion(i, model="m", tau=0.1) for i in range(8))
             means = {
                 "c": 0.6, "tau_model": 0.095, "tau_system": 0.1,
                 "s_cpu": 50.0, "b": 3.0, "r": 0.1,

@@ -99,6 +99,23 @@ class TestLearnCommand:
         assert cli.main(["learn", "--config", str(path)]) == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, text", [("b_mean", ".inf"), ("b_std", ".nan"), ("overhead", ".nan")]
+    )
+    def test_non_finite_model_spec_fails_naming_the_field(self, tmp_path, field, text, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            f"output_dir: {tmp_path / 'out'}\n"
+            "profiles:\n"
+            "  models:\n"
+            "    - {model_id: m, tau_system_mean: 0.1, tau_system_std: 0.01, c_mean: 0.6,\n"
+            f"       c_std: 0.05, s_cpu_mean: 50.0, b_mean: 4.0, {field}: {text}}}\n"
+        )
+        assert cli.main(["learn", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{field} must be finite for model 'm'" in err
+        assert "Traceback" not in err
+
 
 class TestSimulateCommand:
     def test_static_row_count(self, tmp_path, tiny_config):

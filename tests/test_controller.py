@@ -90,9 +90,10 @@ class TestMonitor:
     def test_window_keeps_last_fifty_of_active_model(self):
         completions = [completion(i, model="m") for i in range(60)]
         state = monitor_snapshot(100.0, completions, [], 0, "m")
-        assert len(state.window) == 50
-        assert state.window[0].request_id == 10
-        assert state.window[-1].request_id == 59
+        window = list(state.window)
+        assert len(window) == 50
+        assert window[0].request_id == 10
+        assert window[-1].request_id == 59
 
     def test_window_filters_by_model(self):
         completions = [completion(i, model=("m" if i % 2 else "other")) for i in range(20)]
@@ -101,7 +102,7 @@ class TestMonitor:
 
     def test_empty_window_suppresses_means(self):
         state = monitor_snapshot(1.0, [], [], 3, "m")
-        assert state.window == ()
+        assert list(state.window) == []
         assert state.window_means == {}
         assert state.i_w == 3
 
@@ -190,7 +191,7 @@ class TestClusterMatching:
         )
 
     def state_with_means(self, means):
-        return SystemState("a", (), means, v=1.0, i_w=0, sim_time=0.0)
+        return SystemState("a", _KpiWindow.of(()), means, v=1.0, i_w=0, sim_time=0.0)
 
     def test_single_cluster_is_forced(self):
         matrix = matrix_of("a", {0: {"a": {"tau": (0.1, 0.2)}}})
@@ -281,7 +282,7 @@ def analyzer_fixture():
 
 
 def state_at(v, i_w=0):
-    window = tuple(completion(i, model="m", tau=0.1) for i in range(5))
+    window = _KpiWindow.of(completion(i, model="m", tau=0.1) for i in range(5))
     means = {"c": 0.6, "tau_model": 0.095, "tau_system": 0.1, "s_cpu": 50.0, "b": 3.0, "r": 0.1}
     return SystemState("m", window, means, v=v, i_w=i_w, sim_time=0.0)
 
@@ -320,7 +321,7 @@ class TestAnalyzer:
 
     def test_empty_window_suppresses_analysis(self):
         analyzer, knowledge = analyzer_fixture()
-        state = SystemState("m", (), {}, v=50.0, i_w=0, sim_time=0.0)
+        state = SystemState("m", _KpiWindow.of(()), {}, v=50.0, i_w=0, sim_time=0.0)
         assert analyzer.analyze(state, knowledge, 1.0) is None
 
     def test_below_range_is_also_a_violation(self):
@@ -346,29 +347,32 @@ def plan_fixture():
 class TestPlan:
     def test_only_fast_model_compatible_at_high_rate(self):
         knowledge = plan_fixture()
-        result = plan(PlannerInput(30.0, "B", 0), knowledge, live_window=())
+        result = plan(PlannerInput(30.0, "B", 0), knowledge, live_window=_KpiWindow.of(()))
         assert result.target == "A"
 
     def test_most_accurate_wins_when_both_compatible(self):
         knowledge = plan_fixture()
-        result = plan(PlannerInput(8.0, "A", 0), knowledge, live_window=())
+        result = plan(PlannerInput(8.0, "A", 0), knowledge, live_window=_KpiWindow.of(()))
         assert result.target == "B"
 
     def test_incumbent_best_is_noop(self):
         knowledge = plan_fixture()
-        result = plan(PlannerInput(8.0, "B", 0), knowledge, live_window=())
+        result = plan(PlannerInput(8.0, "B", 0), knowledge, live_window=_KpiWindow.of(()))
         assert not result.is_switch
 
     def test_empty_candidate_set_persists(self):
         knowledge = plan_fixture()
-        result = plan(PlannerInput(500.0, "A", 0), knowledge, live_window=())
+        result = plan(PlannerInput(500.0, "A", 0), knowledge, live_window=_KpiWindow.of(()))
         assert not result.is_switch
         assert "no suitable" in result.reason
 
     def test_blacklist_removes_candidates(self):
         knowledge = plan_fixture()
         result = plan(
-            PlannerInput(8.0, "A", 0), knowledge, live_window=(), blacklist=frozenset({"B"})
+            PlannerInput(8.0, "A", 0),
+            knowledge,
+            live_window=_KpiWindow.of(()),
+            blacklist=frozenset({"B"}),
         )
         assert not result.is_switch  # A stays: B was the only better candidate
 
@@ -376,7 +380,7 @@ class TestPlan:
         knowledge = plan_fixture()
         # Live window of B shows tau ~0.02: its live capacity is ~50, so B
         # stays compatible at v_adj=30 and wins on confidence.
-        window = tuple(completion(i, model="B", c=0.85, tau=0.025) for i in range(30))
+        window = _KpiWindow.of(completion(i, model="B", c=0.85, tau=0.025) for i in range(30))
         result = plan(PlannerInput(30.0, "B", 0), knowledge, live_window=window)
         assert not result.is_switch
 
@@ -389,16 +393,19 @@ class TestPlan:
         }
         knowledge = Knowledge(adaptation_rule_repository={"A": matrix_of("A", clusters)})
         blacklisted = plan(
-            PlannerInput(8.0, "A", 0), knowledge, live_window=(), blacklist=frozenset({"B"})
+            PlannerInput(8.0, "A", 0),
+            knowledge,
+            live_window=_KpiWindow.of(()),
+            blacklist=frozenset({"B"}),
         )
         assert not blacklisted.is_switch
         with pytest.raises(RuleError, match="model 'B' cluster 0"):
-            plan(PlannerInput(8.0, "A", 0), knowledge, live_window=())
+            plan(PlannerInput(8.0, "A", 0), knowledge, live_window=_KpiWindow.of(()))
 
     def test_missing_cluster_is_rule_corruption(self):
         knowledge = plan_fixture()
         with pytest.raises(RuleError):
-            plan(PlannerInput(8.0, "A", 5), knowledge, live_window=())
+            plan(PlannerInput(8.0, "A", 5), knowledge, live_window=_KpiWindow.of(()))
 
     def test_matches_brute_force_oracle_on_random_fixtures(self):
         rng = random.Random(99)
@@ -418,7 +425,9 @@ class TestPlan:
             knowledge = Knowledge(adaptation_rule_repository={m_prime: matrix})
             cluster = rng.randrange(len(clusters))
             v_adj = round(rng.uniform(0.5, 60.0), 1)
-            result = plan(PlannerInput(v_adj, m_prime, cluster), knowledge, live_window=())
+            result = plan(
+                PlannerInput(v_adj, m_prime, cluster), knowledge, live_window=_KpiWindow.of(())
+            )
             oracle_entries = {
                 m: {
                     "tau": (e["tau_model"].low, e["tau_model"].high),
@@ -466,12 +475,12 @@ class TestPlan:
             base_plan = plan(
                 PlannerInput(v_adj, "A", 0),
                 Knowledge(adaptation_rule_repository={"A": base_matrix}),
-                live_window=(),
+                live_window=_KpiWindow.of(()),
             )
             scaled_plan = plan(
                 PlannerInput(v_adj / alpha, "A", 0),
                 Knowledge(adaptation_rule_repository={"A": scaled_matrix}),
-                live_window=(),
+                live_window=_KpiWindow.of(()),
             )
             assert base_plan.target == scaled_plan.target
 

@@ -128,3 +128,28 @@ def test_learn_on_default_config_matches_golden_digests(tmp_path, capsys):
     assert cli.run_learn(config) == 0
     capsys.readouterr()
     assert csv_digests(tmp_path, "rules/*.csv") == DEFAULT_RULES_SHA256
+
+
+# profiles.csv of the default config: every generated KPI of the five-model
+# family (1000 images, seed 1), written with full float precision.
+DEFAULT_PROFILES_SHA256 = "a38bad59f5e0c6279078432b266281297fbc5c02699b0ea2ccc33290ff7f9c68"
+
+
+def test_profiles_on_default_config_match_golden_digest(tmp_path, capsys):
+    config = dataclasses.replace(cfgmod.ExperimentConfig(), output_dir=str(tmp_path))
+    assert cli.run_learn(config) == 0
+    capsys.readouterr()
+    assert csv_digests(tmp_path, "profiles.csv") == {"profiles.csv": DEFAULT_PROFILES_SHA256}
+
+
+def test_learn_from_written_profiles_matches_generated_rules(tmp_path, capsys):
+    """Loading profiles.csv back gives the rules of the generated profiles."""
+    generated = dataclasses.replace(cfgmod.ExperimentConfig(), output_dir=str(tmp_path / "gen"))
+    assert cli.run_learn(generated) == 0
+    profiles = cfgmod.ProfilesConfig(source="csv", csv_path=str(tmp_path / "gen" / "profiles.csv"))
+    loaded = dataclasses.replace(generated, output_dir=str(tmp_path / "csv"), profiles=profiles)
+    assert cli.run_learn(loaded) == 0
+    capsys.readouterr()
+    rules = csv_digests(tmp_path / "gen", "rules/*.csv")
+    assert rules == DEFAULT_RULES_SHA256
+    assert csv_digests(tmp_path / "csv", "rules/*.csv") == rules

@@ -1,5 +1,6 @@
 import csv
 import random
+from fractions import Fraction
 import statistics
 import tracemalloc
 
@@ -252,11 +253,34 @@ def test_grouped_ci_equals_reference_bit_for_bit(column):
     assert matrix.anchor_kpi_std["c"] == (statistics.stdev(values) if len(values) > 1 else 0.0)
 
 
+@given(
+    column=st.lists(st.tuples(_ANY_FINITE, st.integers(0, 2)), min_size=1, max_size=40),
+)
+@example(column=[(1.0 + 2.0**-52, 0), (2.0**-30 + 2.0**-82, 1), (3.0, 1)] * 2)
+@example(column=[(5e-324, 0), (-1e300, 0), (2.5e-310, 1), (7.0, 2)])
+def test_exact_column_sums_are_exact(column):
+    """The int64 digits of a column add up to the exact sums of x and x*x."""
+    values, labels = zip(*column)
+    exact = learning._exact_column(values)
+    order = np.argsort(labels, kind="stable")
+    _, starts = np.unique(np.array(labels)[order], return_index=True)
+    bounds = starts.tolist() + [len(values)]
+    runs = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    unit = Fraction(1, 2**exact.shift)
+    for run, moments in zip(runs, exact.run_moments(order, starts)):
+        members = [Fraction(values[i]) for i in run]
+        assert moments.shift == exact.shift
+        assert moments.total * unit == sum(members)
+        assert moments.total_sq * unit * unit == sum(x * x for x in members)
+    whole = exact.moments()
+    assert whole.total * unit == sum(map(Fraction, values))
+
+
 def _mini_profiles():
     def rec(img, model, c, tau):
         return KpiRecord(img, model, c, tau, tau + 0.005, 50.0, 3)
 
-    a = ModelProfile(
+    a = ModelProfile.of_records(
         "a",
         (
             rec("i1", "a", 0.20, 0.040),
@@ -265,7 +289,7 @@ def _mini_profiles():
             rec("i4", "a", 0.80, 0.220),
         ),
     )
-    b = ModelProfile(
+    b = ModelProfile.of_records(
         "b",
         (
             rec("i1", "b", 0.50, 0.400),
@@ -298,7 +322,7 @@ class TestPerformanceMatrix:
 
     def test_row_order_independent_of_profile_order(self):
         a, b = _mini_profiles()
-        shuffled_a = ModelProfile("a", tuple(reversed(a.records)))
+        shuffled_a = ModelProfile.of_records("a", tuple(reversed(a.records)))
         direct = build_performance_matrix([a, b])
         shuffled = build_performance_matrix([b, shuffled_a])
         assert (direct.model_ids, direct.image_ids) == (shuffled.model_ids, shuffled.image_ids)
@@ -306,11 +330,11 @@ class TestPerformanceMatrix:
 
     def test_missing_image_names_the_image(self):
         a, b = _mini_profiles()
-        short_b = ModelProfile("b", b.records[:3])
+        short_b = ModelProfile.of_records("b", b.records[:3])
         with pytest.raises(JoinError, match="i4.*missing from profile 'b'"):
             build_performance_matrix([a, short_b])
         with pytest.raises(JoinError, match="i4.*missing from profile 'a'"):
-            build_performance_matrix([ModelProfile("a", a.records[:3]), b])
+            build_performance_matrix([ModelProfile.of_records("a", a.records[:3]), b])
 
     def test_unlabeled_image_rejected(self):
         a, b = _mini_profiles()
@@ -426,7 +450,7 @@ class TestLearningEngine:
         records = tuple(
             KpiRecord(f"i{j}", "m", 0.5 + 0.01 * j, 0.095, 0.1, 50.0, 3) for j in range(20)
         )
-        rules = run_learning_engine([ModelProfile("m", records)], k_max=4)
+        rules = run_learning_engine([ModelProfile.of_records("m", records)], k_max=4)
         learned = rules["m"]
         assert learned.k == 2  # elbow tie-break on a flat WCSS series
         assert len(learned.ci_matrix.entries) == 1  # realized clusters capped

@@ -146,10 +146,10 @@ def _all_arrivals_then_truncate(spec):
 class TestSampling:
     def test_single_record_profile_is_forced(self):
         profile = constant_profile("m", 0.1)
-        single = ModelProfile("m", profile.records[:1])
+        single = ModelProfile.of_records("m", profile.records[:1])
         rng = random.Random(0)
         for _ in range(10):
-            assert sample_kpis("m", {"m": single}, rng) == single.records[0]
+            assert sample_kpis("m", {"m": single}, rng) == 0
 
     def test_seeded_reproducibility(self, tiny_profiles):
         profiles = {p.model_id: p for p in tiny_profiles}
@@ -161,10 +161,10 @@ class TestSampling:
 
     def test_two_record_frequency(self):
         profile = constant_profile("m", 0.1)
-        two = ModelProfile("m", profile.records[:2])
+        two = ModelProfile.of_records("m", profile.records[:2])
         rng = random.Random(31)
         draws = [sample_kpis("m", {"m": two}, rng) for _ in range(10_000)]
-        share = sum(1 for d in draws if d.image_id == two.records[0].image_id) / 10_000
+        share = sum(1 for d in draws if d == 0) / 10_000
         assert abs(share - 0.5) <= 0.02
 
     def test_unknown_model_rejected(self, tiny_profiles):
