@@ -16,13 +16,14 @@ import argparse
 import csv
 import dataclasses
 import sys
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
 from .controller import Knowledge
+from .csvtext import write_rows
 from .errors import AdamlsError
 from .learning import attach_anchor_stats, read_ci_matrix, write_ci_matrix
 from .metrics import RunSummary, running_total, summarize
@@ -105,16 +106,17 @@ def run_learn(config: cfgmod.ExperimentConfig) -> int:
     rules_dir.mkdir(parents=True, exist_ok=True)
     profiles = cfgmod.resolve_profiles(config)
     rules = cfgmod.learn_rules(config, profiles)
-    write_profiles(profiles, out_dir / "profiles.csv")
+    if config.profiles.source == "generate":
+        write_profiles(profiles, out_dir / "profiles.csv")
     for model_id in sorted(rules):
         write_ci_matrix(rules[model_id].ci_matrix, rules_dir / f"{model_id}.csv")
+    report_rows = (
+        (model_id, rules[model_id].k, k, wcss)
+        for model_id in sorted(rules)
+        for k, wcss in enumerate(rules[model_id].wcss_series, start=1)
+    )
     with open(rules_dir / "clustering_report.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("model", "k_selected", "k", "wcss"))
-        for model_id in sorted(rules):
-            learned = rules[model_id]
-            for k, wcss in enumerate(learned.wcss_series, start=1):
-                writer.writerow([model_id, learned.k, k, repr(wcss)])
+        write_rows(fh, ("model", "k_selected", "k", "wcss"), report_rows)
     for model_id in sorted(rules):
         learned = rules[model_id]
         clusters = len(learned.ci_matrix.entries)
@@ -194,33 +196,22 @@ def run_compare(config: cfgmod.ExperimentConfig) -> int:
         series.append((label, finish_t, utilities, running_total(utilities)))
         # Free this run's records before the next run makes its own.
         del completions, events
+    summary_rows = (
+        (s.policy, s.request_count, s.switch_count, s.avg_c, s.avg_r, s.avg_s_cpu,
+         s.r_penalties, s.c_penalties)
+        for s in summaries
+    )
     with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_CSV_HEADER)
-        for s in summaries:
-            writer.writerow(
-                [
-                    s.policy,
-                    s.request_count,
-                    s.switch_count,
-                    s.avg_c,
-                    s.avg_r,
-                    s.avg_s_cpu,
-                    s.r_penalties,
-                    s.c_penalties,
-                ]
-            )
+        write_rows(fh, SUMMARY_CSV_HEADER, summary_rows)
+    sweep_rows = ((w_e, w_d, s.policy, total) for s in summaries for w_e, w_d, total in s.utilities)
     with open(out_dir / "utility_sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("w_e", "w_d", "policy", "total_utility"))
-        for s in summaries:
-            for w_e, w_d, total in s.utilities:
-                writer.writerow([w_e, w_d, s.policy, total])
+        write_rows(fh, ("w_e", "w_d", "policy", "total_utility"), sweep_rows)
+    series_rows = chain.from_iterable(
+        zip(repeat(label), count(), *(col.tolist() for col in columns))
+        for label, *columns in series
+    )
     with open(out_dir / "utility_timeseries.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("policy", "seq", "finish_t", "utility", "cumulative_utility"))
-        for label, *columns in series:
-            writer.writerows(zip(repeat(label), count(), *(col.tolist() for col in columns)))
+        write_rows(fh, ("policy", "seq", "finish_t", "utility", "cumulative_utility"), series_rows)
     _print_summaries(summaries)
     print(f"comparison written to {out_dir}")
     return 0

@@ -232,6 +232,8 @@ def experiment_config_from_dict(raw: dict, source: str = "<dict>") -> Experiment
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{source}: unknown key(s) {sorted(unknown)}")
+    if "master_seed" in raw:
+        _check_int(raw["master_seed"], source, "master_seed")
     try:
         profiles = _merge_section(
             ProfilesConfig, raw.get("profiles"), defaults.profiles, source, "profiles",
@@ -261,7 +263,7 @@ def experiment_config_from_dict(raw: dict, source: str = "<dict>") -> Experiment
             else defaults.weight_grid
         )
         return ExperimentConfig(
-            master_seed=int(raw.get("master_seed", defaults.master_seed)),
+            master_seed=raw.get("master_seed", defaults.master_seed),
             output_dir=str(raw.get("output_dir", defaults.output_dir)),
             profiles=profiles,
             learning=learning,
@@ -289,9 +291,18 @@ def _merge_section(cls, raw, default, source: str, name: str, converters=None):
         raise ConfigError(f"{source}: unknown key(s) {sorted(unknown)} in section {name!r}")
     kwargs = {}
     converters = converters or {}
+    int_fields = {f.name for f in dataclasses.fields(cls) if f.type in (int, "int")}
     for key, value in raw.items():
+        if key in int_fields:
+            _check_int(value, source, f"{name}.{key}")
         kwargs[key] = converters[key](value) if key in converters else value
     return dataclasses.replace(default, **kwargs)
+
+
+def _check_int(value, source: str, key: str) -> None:
+    # bool is an int subclass, and YAML reads true/false as bools.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{source}: {key} must be an integer, got {value!r}")
 
 
 def _parse_model_family(raw) -> tuple[ModelKpiSpec, ...]:
@@ -337,7 +348,3 @@ def experiment_config_to_dict(config: ExperimentConfig) -> dict:
         "weight_grid": [list(pair) for pair in config.weight_grid],
     }
 
-
-def save_experiment_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(experiment_config_to_dict(config), fh, sort_keys=False)

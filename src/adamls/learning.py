@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
+from .csvtext import write_rows
 from .errors import JoinError, RuleError, ValidationError
 from .profiles import KPI_NAMES, ModelProfile
 
@@ -603,26 +604,20 @@ def run_learning_engine(
 
 def write_ci_matrix(matrix: CiMatrix, path) -> None:
     """Export a CI matrix as CSV rows anchor_model,cluster,model,kpi,low,high,n,mean."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CI_CSV_HEADER)
+
+    def rows():
         for cluster in matrix.cluster_ids():
             for model_id in sorted(matrix.entries[cluster]):
                 per_kpi = matrix.entries[cluster][model_id]
                 for kpi in KPI_NAMES:
                     entry = per_kpi[kpi]
-                    writer.writerow(
-                        [
-                            matrix.anchor_model_id,
-                            cluster,
-                            model_id,
-                            kpi,
-                            repr(entry.low),
-                            repr(entry.high),
-                            entry.n,
-                            repr(entry.mean),
-                        ]
+                    yield (
+                        matrix.anchor_model_id, cluster, model_id, kpi,
+                        entry.low, entry.high, entry.n, entry.mean,
                     )
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_rows(fh, CI_CSV_HEADER, rows())
 
 
 def read_ci_matrix(path) -> CiMatrix:

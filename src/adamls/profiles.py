@@ -17,10 +17,11 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
+from .csvtext import write_rows
 from .errors import ProfileLoadError, ValidationError
 
 # KPI columns that exist per record, in canonical order.
@@ -314,17 +315,15 @@ def generate_profiles(spec: ProfileFamilySpec) -> list[ModelProfile]:
 
 
 def write_profiles(profiles: list[ModelProfile], path) -> None:
-    """Write profiles to CSV (full float precision, so loading round-trips).
+    """Write profiles to CSV with each float as its repr, so loading round-trips."""
 
-    csv.writer writes each float as its repr.
-    """
+    def rows(profile: ModelProfile):
+        columns = [profile.column(kpi).tolist() for kpi in KPI_NAMES]
+        columns[-1] = map(int, columns[-1])  # b
+        return zip(profile.image_id, repeat(profile.model_id), *columns)
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_CSV_HEADER)
-        for profile in profiles:
-            columns = [profile.column(kpi).tolist() for kpi in KPI_NAMES]
-            columns[-1] = map(int, columns[-1])  # b
-            writer.writerows(zip(profile.image_id, repeat(profile.model_id), *columns))
+        write_rows(fh, PROFILE_CSV_HEADER, chain.from_iterable(map(rows, profiles)))
 
 
 def load_profiles(path) -> list[ModelProfile]:

@@ -11,7 +11,6 @@ Everything is driven by seeded RNGs, so runs are exactly reproducible.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 import random
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import controller as ctrl
+from .csvtext import write_rows
 from .errors import ConfigError, ValidationError
 from .profiles import ModelProfile
 
@@ -368,16 +368,11 @@ def run_simulation(
 
 
 def write_results_csv(records, path) -> None:
-    # A CompletionRecord's fields are in header order, and csv.writer writes
-    # each float as its repr.
+    # A CompletionRecord's fields are in header order.
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_CSV_HEADER)
-        writer.writerows(records)
+        write_rows(fh, RESULTS_CSV_HEADER, records)
 
 
 def write_event_log_csv(events, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("sim_time", "event", "detail"))
-        writer.writerows(events)
+        write_rows(fh, ("sim_time", "event", "detail"), events)

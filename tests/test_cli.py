@@ -14,7 +14,8 @@ from adamls.errors import ConfigError
 def write_config(tmp_path, config, **overrides):
     config = dataclasses.replace(config, **overrides)
     path = tmp_path / "experiment.yaml"
-    cfgmod.save_experiment_config(config, path)
+    text = yaml.safe_dump(cfgmod.experiment_config_to_dict(config), sort_keys=False)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -115,6 +116,31 @@ class TestLearnCommand:
         err = capsys.readouterr().err
         assert f"{field} must be finite for model 'm'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, yaml_text, key",
+        [
+            ("learn", "profiles: {image_count: 2.5}", "profiles.image_count"),
+            ("learn", "profiles: {image_count: .inf}", "profiles.image_count"),
+            ("learn", "profiles: {image_count: true}", "profiles.image_count"),
+            ("learn", "learning: {k_max: 2.5}", "learning.k_max"),
+            ("compare", "workload: {max_requests: 2.5}", "workload.max_requests"),
+            ("compare", "simulation: {worker_count: 1.5}", "simulation.worker_count"),
+            ("compare", "simulation: {window_size: 2.5}", "simulation.window_size"),
+            ("compare", "simulation: {blacklist_consecutive: 2.5}", "simulation.blacklist_consecutive"),
+            ("learn", "master_seed: 2.5", "master_seed"),
+        ],
+    )
+    def test_non_integer_int_field_fails_naming_the_key(
+        self, tmp_path, command, yaml_text, key, capsys
+    ):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"output_dir: {tmp_path / 'out'}\n{yaml_text}\n")
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: {key} must be an integer" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulateCommand:

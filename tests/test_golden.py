@@ -153,3 +153,38 @@ def test_learn_from_written_profiles_matches_generated_rules(tmp_path, capsys):
     rules = csv_digests(tmp_path / "gen", "rules/*.csv")
     assert rules == DEFAULT_RULES_SHA256
     assert csv_digests(tmp_path / "csv", "rules/*.csv") == rules
+
+
+# simulate with the adamls policy on the tiny config: the other caller of the
+# results and event-log writers. Its files equal compare's adamls files, since
+# both runs draw from the same seeds.
+SIMULATE_SHA256 = {
+    "events_adamls.csv": "39913099dc89a2c199716f838e8bee65ff64a83d8f10eac48442cc84bb71d0e3",
+    "results_adamls.csv": "dc8f8750dd87b3dce3cfb76dd5c5c85dcdfd8c296af0a0dea89f7399946d029b",
+}
+
+
+def test_simulate_outputs_match_golden_digests(tiny_config, tmp_path, capsys):
+    config = dataclasses.replace(tiny_config, output_dir=str(tmp_path))
+    assert cli.run_learn(config) == 0
+    assert cli.run_simulate(config) == 0
+    capsys.readouterr()
+    assert csv_digests(tmp_path, "*_adamls.csv") == SIMULATE_SHA256
+
+
+def test_learn_from_csv_leaves_its_input_as_it_is(tiny_config, tmp_path, capsys):
+    """A csv-source learn reads profiles.csv and never writes it back."""
+    config = dataclasses.replace(tiny_config, output_dir=str(tmp_path))
+    assert cli.run_learn(config) == 0
+    rules = csv_digests(tmp_path, "rules/*.csv")
+    path = tmp_path / "profiles.csv"
+    # b as "3.0" instead of "3": the same profiles, but not the bytes that
+    # write_profiles would write.
+    lines = path.read_text(encoding="utf-8").split("\r\n")
+    path.write_bytes("\r\n".join(lines[:1] + [f"{line}.0" for line in lines[1:-1]] + [""]).encode())
+    text = path.read_bytes()
+    profiles = dataclasses.replace(config.profiles, source="csv", csv_path=str(path))
+    assert cli.run_learn(dataclasses.replace(config, profiles=profiles)) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == text
+    assert csv_digests(tmp_path, "rules/*.csv") == rules
