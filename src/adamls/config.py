@@ -87,7 +87,6 @@ class ProfilesConfig:
 class LearningConfig:
     k_max: int = 6
     ci_level: float = 0.90
-    ci_method: str = "normal"
 
 
 @dataclass(frozen=True)
@@ -157,10 +156,7 @@ def resolve_profiles(config: ExperimentConfig) -> list[ModelProfile]:
 
 def learn_rules(config: ExperimentConfig, profiles) -> dict[str, LearnedModelRules]:
     return run_learning_engine(
-        profiles,
-        k_max=config.learning.k_max,
-        level=config.learning.ci_level,
-        method=config.learning.ci_method,
+        profiles, k_max=config.learning.k_max, level=config.learning.ci_level
     )
 
 
@@ -285,16 +281,17 @@ def _merge_section(cls, raw, default, source: str, name: str, converters=None):
         return default
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: section {name!r} must be a mapping")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - fields
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(types)
     if unknown:
         raise ConfigError(f"{source}: unknown key(s) {sorted(unknown)} in section {name!r}")
     kwargs = {}
     converters = converters or {}
-    int_fields = {f.name for f in dataclasses.fields(cls) if f.type in (int, "int")}
     for key, value in raw.items():
-        if key in int_fields:
+        if types[key] in (int, "int"):
             _check_int(value, source, f"{name}.{key}")
+        elif types[key] in (float, "float"):
+            _check_float(value, source, f"{name}.{key}")
         kwargs[key] = converters[key](value) if key in converters else value
     return dataclasses.replace(default, **kwargs)
 
@@ -303,6 +300,17 @@ def _check_int(value, source: str, key: str) -> None:
     # bool is an int subclass, and YAML reads true/false as bools.
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{source}: {key} must be an integer, got {value!r}")
+
+
+def _check_float(value, source: str, key: str) -> None:
+    # An int is valid if it converts to a finite float; a bool is not,
+    # though bool is an int subclass.
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ConfigError(f"{source}: {key} must be a finite number, got {value!r}")
 
 
 def _parse_model_family(raw) -> tuple[ModelKpiSpec, ...]:
@@ -322,29 +330,3 @@ def _parse_segments(raw) -> tuple[tuple[float, float], ...]:
 
 def _parse_thresholds(raw) -> NaivePolicyConfig:
     return NaivePolicyConfig(thresholds=tuple((float(b), str(m)) for b, m in raw))
-
-
-def experiment_config_to_dict(config: ExperimentConfig) -> dict:
-    """Plain-data mirror of a config, suitable for yaml.safe_dump."""
-    return {
-        "master_seed": config.master_seed,
-        "output_dir": config.output_dir,
-        "profiles": {
-            "source": config.profiles.source,
-            "csv_path": config.profiles.csv_path,
-            "image_count": config.profiles.image_count,
-            "models": [dataclasses.asdict(m) for m in config.profiles.models],
-        },
-        "learning": dataclasses.asdict(config.learning),
-        "workload": {
-            "segments": [list(seg) for seg in config.workload.segments],
-            "max_requests": config.workload.max_requests,
-            "arrival_process": config.workload.arrival_process,
-        },
-        "simulation": dataclasses.asdict(config.simulation),
-        "policy": config.policy,
-        "naive_thresholds": [[b, m] for b, m in config.naive_thresholds.thresholds],
-        "utility": dataclasses.asdict(config.utility),
-        "weight_grid": [list(pair) for pair in config.weight_grid],
-    }
-

@@ -210,62 +210,35 @@ def find_closest_cluster(state: SystemState, matrix: CiMatrix) -> int:
 
 def feasible_rate_range(matrix: CiMatrix, m_prime: str, cluster: int) -> tuple[float, float]:
     """Feasible request-rate range: reciprocals of the tau CI bounds."""
-    rate_range = matrix.derived(_rate_ranges).get((cluster, m_prime))
-    # None: the entry is missing or corrupt, and reading it again raises.
-    return rate_range if rate_range is not None else _tau_range(matrix, cluster, m_prime)
-
-
-def _tau_range(matrix: CiMatrix, cluster: int, model_id: str) -> tuple[float, float]:
-    entry = matrix.entry(cluster, model_id, "tau_model")
-    _check_tau_low(entry, model_id, cluster)
-    return 1.0 / entry.high, 1.0 / entry.low
-
-
-def _rule_row(matrix: CiMatrix, cluster: int, model_id: str) -> tuple[float, float, float]:
-    """(low_c, high_tau, capacity) of one model from the rule matrix."""
-    tau_ci = matrix.entry(cluster, model_id, "tau_model")
-    c_ci = matrix.entry(cluster, model_id, "c")
-    _check_tau_low(tau_ci, model_id, cluster)
-    return c_ci.low, tau_ci.high, 1.0 / tau_ci.low
-
-
-def _check_tau_low(entry: CiEntry, model_id: str, cluster: int) -> None:
-    if entry.low <= 0.0:
-        raise RuleError(
-            f"tau CI lower bound must be > 0 for model {model_id!r} "
-            f"cluster {cluster} (got {entry.low})"
-        )
-
-
-def _or_none(fact, matrix: CiMatrix, cluster: int, model_id: str):
-    """fact(...), or None when the rule entries are missing or corrupt.
-
-    A None is never used: the caller reads the entries again, which raises
-    the RuleError at the point of use, as if nothing had been frozen.
-    """
     try:
-        return fact(matrix, cluster, model_id)
-    except RuleError:
-        return None
+        _, high_tau, capacity = matrix.derived(_rule_rows)[cluster][m_prime]
+    except KeyError:
+        raise RuleError(
+            f"rule matrix of {matrix.anchor_model_id!r} has no rule for model "
+            f"{m_prime!r} in cluster {cluster}"
+        ) from None
+    return 1.0 / high_tau, capacity
 
 
-def _rate_ranges(matrix: CiMatrix) -> dict[tuple[int, str], tuple[float, float] | None]:
-    return {
-        (cluster, model_id): _or_none(_tau_range, matrix, cluster, model_id)
-        for cluster, models in matrix.entries.items()
-        for model_id in models
-    }
+def _rule_rows(matrix: CiMatrix) -> dict[int, dict[str, tuple[float, float, float]]]:
+    """Per cluster, in model-id order: model -> (low_c, high_tau, capacity).
 
-
-def _candidate_rows(matrix: CiMatrix) -> dict[int, tuple[tuple[str, tuple | None], ...]]:
-    """Per cluster, in model-id order: (model, (low_c, high_tau, capacity))."""
-    return {
-        cluster: tuple(
-            (model_id, _or_none(_rule_row, matrix, cluster, model_id))
-            for model_id in sorted(models)
-        )
-        for cluster, models in matrix.entries.items()
-    }
+    capacity is 1 / low(tau), so the planner needs every tau CI lower bound
+    to be > 0; that precondition is the planner's, not the CI's, and is
+    checked here.
+    """
+    rows = {}
+    for cluster, models in matrix.entries.items():
+        rows[cluster] = {}
+        for model_id in sorted(models):
+            tau_ci, c_ci = models[model_id]["tau_model"], models[model_id]["c"]
+            if tau_ci.low <= 0.0:
+                raise RuleError(
+                    f"rule matrix of {matrix.anchor_model_id!r}: tau CI lower bound must "
+                    f"be > 0 for model {model_id!r} cluster {cluster} (got {tau_ci.low})"
+                )
+            rows[cluster][model_id] = (c_ci.low, tau_ci.high, 1.0 / tau_ci.low)
+    return rows
 
 
 def compute_adjusted_rate(v: float, i_w: int) -> float:
@@ -328,11 +301,11 @@ def plan(
     m_prime = planner_input.m_prime
     cluster = planner_input.cluster
     v_adj = planner_input.v_adj
-    rows = matrix.derived(_candidate_rows).get(cluster)
+    rows = matrix.derived(_rule_rows).get(cluster)
     if rows is None:
         raise RuleError(f"rule matrix of {m_prime!r} has no cluster {cluster}")
     candidates: list[tuple[str, float, float]] = []  # (model, low_c, high_tau)
-    for model_id, row in rows:
+    for model_id, row in rows.items():
         if model_id in blacklist:
             continue
         if model_id == m_prime and live_window:
@@ -342,8 +315,6 @@ def plan(
             # variance; that reads as an unbounded nominal capacity.
             capacity = math.inf if tau_ci.low <= 0.0 else 1.0 / tau_ci.low
             row = (c_ci.low, tau_ci.high, capacity)
-        elif row is None:
-            row = _rule_row(matrix, cluster, model_id)  # raises the RuleError
         low_c, high_tau, capacity = row
         if v_adj <= capacity:
             candidates.append((model_id, low_c, high_tau))
@@ -506,10 +477,12 @@ class AdamlsController:
     over the window (the test suite's reference monitor, which rescans the
     completion log, is the behaviour it must match), and the live tau and c
     CIs come from exact integer moments (see _KpiWindow). What depends only
-    on a rule matrix is frozen on first use, once per matrix: the
-    discriminating KPI pair, each cluster's anchor (mean, sd) on it, each
-    cluster's feasible rate ranges, and each cluster's planner rows (model,
-    low_c, high_tau, capacity).
+    on a rule matrix is built once per matrix, when the controller is
+    created: the discriminating KPI pair, each cluster's anchor (mean, sd)
+    on it, and each cluster's rule rows (model -> low_c, high_tau,
+    capacity), from which the feasible rate range is read too. So a rule
+    the planner cannot use (a tau CI lower bound <= 0) or a matrix without
+    anchor KPI stats raises its RuleError before the first event.
     """
 
     name = "adamls"
@@ -530,6 +503,9 @@ class AdamlsController:
         self.ci_level = ci_level
         self.analyzer = Analyzer(t_wait=t_wait)
         self.degraded = degraded_tracker or DegradedModelTracker(enabled=False)
+        for matrix in knowledge.adaptation_rule_repository.values():
+            matrix.derived(_rule_rows)
+            matrix.derived(_cluster_anchors)
         # One rolling window per model, empty until its first completion.
         self._windows: defaultdict[str, _KpiWindow] = defaultdict(
             lambda: _KpiWindow(window_size)

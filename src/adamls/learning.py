@@ -81,14 +81,44 @@ class CiMatrix:
 
     anchor_kpi_std carries the anchor profile's global per-KPI standard
     deviation; the online analyzer needs it to z-normalize cluster matching.
-    A matrix is never mutated once built, so facts derived from it can be
-    computed once and kept (see derived).
+    A matrix is checked once, when it is built, whether it was learned or
+    loaded: it has at least one cluster; every cluster holds the same models,
+    the anchor included, each with every KPI; and every entry has finite
+    low, high and mean, low <= high and n >= 1. low <= mean <= high is not
+    required: the (min, max) envelope of equal values can put their fmean
+    one ulp outside. A matrix is never mutated once built, so facts derived
+    from it can be computed once and kept (see derived).
     """
 
     anchor_model_id: str
     entries: dict[int, dict[str, dict[str, CiEntry]]]
     anchor_kpi_std: dict[str, float] = field(default_factory=dict)
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        anchor = self.anchor_model_id
+        if not self.entries:
+            raise RuleError(f"rule matrix of {anchor!r} has no clusters")
+        models = sorted({anchor}.union(*self.entries.values()))
+        for cluster in sorted(self.entries):
+            for model_id in models:
+                per_kpi = self.entries[cluster].get(model_id, {})
+                for kpi in KPI_NAMES:
+                    entry = per_kpi.get(kpi)
+                    if entry is None:
+                        problem = "is missing"
+                    elif not all(map(math.isfinite, (entry.low, entry.high, entry.mean))):
+                        problem = "has a non-finite low, high or mean"
+                    elif entry.low > entry.high:
+                        problem = f"has low {entry.low!r} > high {entry.high!r}"
+                    elif entry.n < 1:
+                        problem = f"has n {entry.n}; n must be >= 1"
+                    else:
+                        continue
+                    raise RuleError(
+                        f"rule matrix of {anchor!r}: entry (cluster={cluster}, "
+                        f"model={model_id!r}, kpi={kpi!r}) {problem}"
+                    )
 
     def derived(self, build: Callable[["CiMatrix"], _T]) -> _T:
         """build(self), computed on first use and kept for this matrix."""
@@ -283,13 +313,13 @@ def select_k_elbow(values, k_max: int) -> int:
     return elbow_from_wcss(wcss_series(x, k_max))
 
 
-def compute_ci(samples, level: float = 0.90, method: str = "normal") -> CiEntry:
+def compute_ci(samples, level: float = 0.90) -> CiEntry:
     """Confidence interval of the sample mean.
 
-    The default is the normal approximation mean +/- z * sd / sqrt(n) with the
-    sample standard deviation (n-1 denominator). Fewer than 5 samples fall
-    back to the (min, max) envelope; a single sample yields a zero-width
-    interval. method="percentile" uses empirical quantiles instead.
+    The normal approximation mean +/- z * sd / sqrt(n) with the sample
+    standard deviation (n-1 denominator), correctly rounded from exact
+    integer moments. Fewer than 5 samples fall back to the (min, max)
+    envelope; a single sample yields a zero-width interval.
     """
     data = [float(v) for v in samples]
     n = len(data)
@@ -300,14 +330,6 @@ def compute_ci(samples, level: float = 0.90, method: str = "normal") -> CiEntry:
         return CiEntry(data[0], data[0], 1, data[0])
     if n < MIN_NORMAL_SAMPLES:
         return CiEntry(min(data), max(data), n, mean)
-    if method == "percentile":
-        lo_q, hi_q = (1.0 - level) / 2.0, (1.0 + level) / 2.0
-        low, high = np.quantile(np.asarray(data), [lo_q, hi_q])
-        # Heavy skew can push the mean outside the quantile envelope; widen
-        # so every entry keeps low <= mean <= high.
-        return CiEntry(min(float(low), mean), max(float(high), mean), n, mean)
-    if method != "normal":
-        raise ValidationError(f"compute_ci: unknown method {method!r}")
     return normal_ci(mean, _exact_column(data).moments().stdev(n), n, level)
 
 
@@ -361,7 +383,7 @@ def _columns_by_image(profile: ModelProfile, image_ids: tuple[str, ...]) -> np.n
 
 
 def build_ci_matrix(
-    perf: PerfMatrix, clustered: ClusteredProfile, level: float = 0.90, method: str = "normal"
+    perf: PerfMatrix, clustered: ClusteredProfile, level: float = 0.90
 ) -> CiMatrix:
     """Compute per-cluster CIs of every KPI of every model.
 
@@ -385,10 +407,7 @@ def build_ci_matrix(
     for m, model_id in enumerate(perf.model_ids):
         for q, kpi in enumerate(KPI_NAMES):
             column = perf.values[m, q, order]
-            if method == "normal":
-                cis = _cluster_cis(column, perf.exact(m, q), order, starts, runs, level)
-            else:
-                cis = [compute_ci(column[s : s + n].tolist(), level, method) for s, n in runs]
+            cis = _cluster_cis(column, perf.exact(m, q), order, starts, runs, level)
             for cluster, entry in zip(entries, cis):
                 entries[cluster][model_id][kpi] = entry
     n = len(perf.image_ids)
@@ -560,10 +579,7 @@ def attach_anchor_stats(matrix: CiMatrix, profile: ModelProfile) -> CiMatrix:
 
 
 def run_learning_engine(
-    profiles,
-    k_max: int = 6,
-    level: float = 0.90,
-    method: str = "normal",
+    profiles, k_max: int = 6, level: float = 0.90
 ) -> dict[str, LearnedModelRules]:
     """Run the full pipeline for every model as anchor.
 
@@ -595,7 +611,7 @@ def run_learning_engine(
             labels=dict(zip(profile.image_id, labels.tolist())),
             centroids=tuple(float(c) for c in centroids),
         )
-        ci_matrix = build_ci_matrix(perf, clustered, level=level, method=method)
+        ci_matrix = build_ci_matrix(perf, clustered, level=level)
         rules[anchor] = LearnedModelRules(
             clustered=clustered, ci_matrix=ci_matrix, k=k, wcss_series=series
         )
@@ -621,14 +637,14 @@ def write_ci_matrix(matrix: CiMatrix, path) -> None:
 
 
 def read_ci_matrix(path) -> CiMatrix:
-    """Load a CI matrix CSV written by write_ci_matrix, validating every row.
+    """Load a CI matrix CSV written by write_ci_matrix.
 
-    A row must have finite low/high/mean, low <= high and n >= 1, and no
-    (cluster, model, kpi) may repeat; every cluster must then hold every KPI
-    of every model in the file. low <= mean <= high is not required: the
-    (min, max) envelope of equal values can put their fmean one ulp outside.
-    The anchor's global KPI stats are not part of the export; attach them via
-    attach_anchor_stats before online cluster matching.
+    The file must have every column of CI_CSV_HEADER and at least one data
+    row, one anchor model throughout, and no repeated (cluster, model, kpi);
+    these errors name the row. The values and completeness are checked once,
+    by CiMatrix itself, and its error is given the path. The anchor's global
+    KPI stats are not part of the export; attach them via attach_anchor_stats
+    before online cluster matching.
     """
     entries: dict[int, dict[str, dict[str, CiEntry]]] = {}
     anchor = None
@@ -653,12 +669,6 @@ def read_ci_matrix(path) -> CiMatrix:
                 anchor = row["anchor_model"]
             elif row["anchor_model"] != anchor:
                 raise RuleError(f"{path}: row {row_no}: mixed anchor models")
-            if not all(map(math.isfinite, (entry.low, entry.high, entry.mean))):
-                raise RuleError(f"{path}: row {row_no}: non-finite low, high or mean")
-            if entry.low > entry.high:
-                raise RuleError(f"{path}: row {row_no}: low {entry.low!r} > high {entry.high!r}")
-            if entry.n < 1:
-                raise RuleError(f"{path}: row {row_no}: n must be >= 1, got {entry.n}")
             per_kpi = entries.setdefault(cluster, {}).setdefault(row["model"], {})
             if row["kpi"] in per_kpi:
                 raise RuleError(
@@ -668,14 +678,7 @@ def read_ci_matrix(path) -> CiMatrix:
             per_kpi[row["kpi"]] = entry
     if anchor is None:
         raise RuleError(f"{path}: no data rows")
-    models = sorted({model for per_model in entries.values() for model in per_model})
-    for cluster in sorted(entries):
-        for model in models:
-            for kpi in KPI_NAMES:
-                if kpi not in entries[cluster].get(model, {}):
-                    raise RuleError(
-                        f"{path}: missing entry (cluster={cluster}, model={model!r}, "
-                        f"kpi={kpi!r})"
-                    )
-    return CiMatrix(anchor_model_id=anchor, entries=entries)
-
+    try:
+        return CiMatrix(anchor_model_id=anchor, entries=entries)
+    except RuleError as exc:
+        raise RuleError(f"{path}: {exc}") from None

@@ -272,6 +272,9 @@ class ProfileFamilySpec:
         object.__setattr__(self, "models", tuple(self.models))
         if not self.models:
             raise ValidationError("profile family needs at least one model")
+        # bool is an int subclass, but not a count.
+        if isinstance(self.image_count, bool) or not isinstance(self.image_count, int):
+            raise ValidationError(f"image_count must be an integer, got {self.image_count!r}")
         if self.image_count < 1:
             raise ValidationError(f"image_count must be >= 1, got {self.image_count}")
         ids = [m.model_id for m in self.models]

@@ -329,17 +329,18 @@ def _build_policy(config: SimConfig, knowledge: ctrl.Knowledge):
         return ctrl.StaticPolicy(config.policy.static_model)
     if config.policy.kind == "naive":
         return ctrl.NaiveSwitcher(knowledge, config.policy.naive, config.switch_latency)
-    for model_id in sorted(p.model_id for p in config.profiles):
+    model_ids = sorted(p.model_id for p in config.profiles)
+    for model_id in model_ids:
         matrix = knowledge.adaptation_rule_repository.get(model_id)
         if matrix is None:
             raise ConfigError(
                 f"adamls policy requires adaptation rules for model {model_id!r}; "
                 "run the learning engine first"
             )
-        if not matrix.anchor_kpi_std:
+        if matrix.model_ids() != model_ids:
             raise ConfigError(
-                f"adaptation rules for model {model_id!r} lack anchor KPI stats; "
-                "attach them from the profile"
+                f"rules of anchor model {matrix.anchor_model_id!r} cover models "
+                f"{matrix.model_ids()}, but the profiled models are {model_ids}"
             )
     tracker = ctrl.DegradedModelTracker(
         margin=config.blacklist_margin,

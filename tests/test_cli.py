@@ -1,20 +1,47 @@
 import csv
 import dataclasses
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
-from adamls import cli
+from adamls import cli, simulator
 from adamls import config as cfgmod
 from adamls.errors import ConfigError
+from adamls.learning import CI_CSV_HEADER
+
+
+def experiment_config_to_dict(config: cfgmod.ExperimentConfig) -> dict:
+    """Plain-data mirror of a config, suitable for yaml.safe_dump."""
+    return {
+        "master_seed": config.master_seed,
+        "output_dir": config.output_dir,
+        "profiles": {
+            "source": config.profiles.source,
+            "csv_path": config.profiles.csv_path,
+            "image_count": config.profiles.image_count,
+            "models": [dataclasses.asdict(m) for m in config.profiles.models],
+        },
+        "learning": dataclasses.asdict(config.learning),
+        "workload": {
+            "segments": [list(seg) for seg in config.workload.segments],
+            "max_requests": config.workload.max_requests,
+            "arrival_process": config.workload.arrival_process,
+        },
+        "simulation": dataclasses.asdict(config.simulation),
+        "policy": config.policy,
+        "naive_thresholds": [[b, m] for b, m in config.naive_thresholds.thresholds],
+        "utility": dataclasses.asdict(config.utility),
+        "weight_grid": [list(pair) for pair in config.weight_grid],
+    }
 
 
 def write_config(tmp_path, config, **overrides):
     config = dataclasses.replace(config, **overrides)
     path = tmp_path / "experiment.yaml"
-    text = yaml.safe_dump(cfgmod.experiment_config_to_dict(config), sort_keys=False)
+    text = yaml.safe_dump(experiment_config_to_dict(config), sort_keys=False)
     path.write_text(text, encoding="utf-8")
     return path
 
@@ -52,6 +79,9 @@ class TestConfig:
         # Clustering is exact: there is no restart count to set.
         with pytest.raises(ConfigError, match="restarts"):
             cfgmod.experiment_config_from_dict({"learning": {"restarts": 10}})
+        # Every CI is a normal CI: there is no method to choose.
+        with pytest.raises(ConfigError, match="ci_method"):
+            cfgmod.experiment_config_from_dict({"learning": {"ci_method": "normal"}})
 
     def test_seed_fanout_is_stable_and_distinct(self):
         seeds = {label: cfgmod.derive_seed(1, label) for label in ("profiles", "workload", "service")}
@@ -141,6 +171,33 @@ class TestLearnCommand:
         assert f"{path}: {key} must be an integer" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize(
+        "command, yaml_text, key",
+        [
+            ("learn", "learning: {ci_level: high}", "learning.ci_level"),
+            ("compare", "simulation: {t_wait: abc}", "simulation.t_wait"),
+            ("compare", "simulation: {switch_latency: .nan}", "simulation.switch_latency"),
+            ("compare", "simulation: {tick_interval: .inf}", "simulation.tick_interval"),
+            ("compare", "simulation: {blacklist_margin: true}", "simulation.blacklist_margin"),
+            ("compare", "simulation: {network_delay: null}", "simulation.network_delay"),
+        ],
+    )
+    def test_non_number_float_field_fails_naming_the_key(
+        self, tmp_path, command, yaml_text, key, capsys
+    ):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"output_dir: {tmp_path / 'out'}\n{yaml_text}\n")
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: {key} must be a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_float_field_accepted(self):
+        config = cfgmod.experiment_config_from_dict({"simulation": {"t_wait": 1}})
+        assert config.simulation.t_wait == 1
 
 
 class TestSimulateCommand:
@@ -241,6 +298,96 @@ class TestCompareCommand:
         a = (out / "summary.csv").read_text()
         b = (out2 / "summary.csv").read_text()
         assert a != b
+
+
+def _set_first(model, kpi, **values):
+    """Edit: set fields of the first row of (model, kpi), in cluster 0."""
+
+    def edit(rows):
+        row = next(r for r in rows if (r["model"], r["kpi"]) == (model, kpi))
+        row.update(values)
+        return rows
+
+    return edit
+
+
+def _rename_model(old, new):
+    return lambda rows: [{**r, "model": new if r["model"] == old else r["model"]} for r in rows]
+
+
+class TestBadRuleFiles:
+    """A bad rule file fails compare before any policy runs."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                _set_first("slow", "tau_model", low="0"),
+                r"rule matrix of 'fast': tau CI lower bound must be > 0 "
+                r"for model 'slow' cluster 0 \(got 0\.0\)",
+            ),
+            (
+                _set_first("slow", "tau_model", low="-0.5"),
+                r"rule matrix of 'fast': tau CI lower bound must be > 0 "
+                r"for model 'slow' cluster 0 \(got -0\.5\)",
+            ),
+            (
+                _set_first("slow", "c", high="inf"),
+                r"fast\.csv: rule matrix of 'fast': entry \(cluster=0, model='slow', "
+                r"kpi='c'\) has a non-finite low, high or mean",
+            ),
+            (
+                _set_first("fast", "s_cpu", low="99", high="1"),
+                r"fast\.csv: .*\(cluster=0, model='fast', kpi='s_cpu'\) has low 99\.0 > high 1\.0",
+            ),
+            (
+                _set_first("fast", "b", n="0"),
+                r"fast\.csv: .*\(cluster=0, model='fast', kpi='b'\) has n 0; n must be >= 1",
+            ),
+            (
+                lambda rows: [r for r in rows if (r["model"], r["kpi"]) != ("slow", "s_cpu")],
+                r"fast\.csv: .*entry \(cluster=0, model='slow', kpi='s_cpu'\) is missing",
+            ),
+            (
+                _rename_model("slow", "quick"),
+                r"rules of anchor model 'fast' cover models \['fast', 'quick'\], "
+                r"but the profiled models are \['fast', 'slow'\]",
+            ),
+            (
+                lambda rows: [r for r in rows if r["model"] != "slow"],
+                r"rules of anchor model 'fast' cover models \['fast'\], "
+                r"but the profiled models are \['fast', 'slow'\]",
+            ),
+        ],
+        ids=[
+            "tau-low-zero", "tau-low-negative", "non-finite", "low-above-high", "n-zero",
+            "missing-entry", "renamed-model", "dropped-model",
+        ],
+    )
+    def test_compare_rejects_before_any_run(
+        self, tmp_path, tiny_config, monkeypatch, capsys, edit, message
+    ):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, tiny_config, output_dir=str(out))
+        assert cli.main(["learn", "--config", str(path)]) == 0
+        rules_path = out / "rules" / "fast.csv"
+        rows = edit(read_rows(rules_path))
+        with open(rules_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CI_CSV_HEADER)
+            writer.writeheader()
+            writer.writerows(rows)
+
+        def no_run(engine):
+            pytest.fail("a bad rule file reached the event loop")
+
+        monkeypatch.setattr(simulator._Engine, "run", no_run)
+        capsys.readouterr()
+        assert cli.main(["compare", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(message, err), err
+        assert "Traceback" not in err
+        assert not (out / "compare").exists()
+        assert not (out / "summary.csv").exists()
 
 
 class TestReportCommand:

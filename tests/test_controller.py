@@ -219,7 +219,10 @@ class TestClusterMatching:
         assert find_closest_cluster(self.state_with_means(means), matrix) == 1
 
     def test_missing_anchor_stats_rejected(self):
-        matrix = CiMatrix("a", {0: {"a": {}}}, anchor_kpi_std={})
+        entries = matrix_of("a", {0: {"a": {"tau": (0.1, 0.2)}}}).entries
+        matrix = CiMatrix("a", entries, anchor_kpi_std={})
+        with pytest.raises(RuleError, match="anchor KPI stats"):
+            AdamlsController(Knowledge(adaptation_rule_repository={"a": matrix}))
         with pytest.raises(RuleError, match="anchor KPI stats"):
             discriminating_kpis(matrix)
 
@@ -384,7 +387,7 @@ class TestPlan:
         result = plan(PlannerInput(30.0, "B", 0), knowledge, live_window=window)
         assert not result.is_switch
 
-    def test_corrupt_row_raises_only_when_read(self):
+    def test_corrupt_row_raises_when_controller_is_built(self):
         clusters = {
             0: {
                 "A": {"tau": (0.02, 0.03), "c": (0.5, 0.6)},
@@ -392,15 +395,17 @@ class TestPlan:
             }
         }
         knowledge = Knowledge(adaptation_rule_repository={"A": matrix_of("A", clusters)})
-        blacklisted = plan(
-            PlannerInput(8.0, "A", 0),
-            knowledge,
-            live_window=_KpiWindow.of(()),
-            blacklist=frozenset({"B"}),
-        )
-        assert not blacklisted.is_switch
         with pytest.raises(RuleError, match="model 'B' cluster 0"):
-            plan(PlannerInput(8.0, "A", 0), knowledge, live_window=_KpiWindow.of(()))
+            AdamlsController(knowledge)
+        # The rule rows are built for the whole matrix, so a blacklisted
+        # model's bad row fails too.
+        with pytest.raises(RuleError, match="model 'B' cluster 0"):
+            plan(
+                PlannerInput(8.0, "A", 0),
+                knowledge,
+                live_window=_KpiWindow.of(()),
+                blacklist=frozenset({"B"}),
+            )
 
     def test_missing_cluster_is_rule_corruption(self):
         knowledge = plan_fixture()

@@ -13,6 +13,7 @@ from adamls import learning
 from adamls.errors import JoinError, RuleError, ValidationError
 from adamls.learning import (
     CI_CSV_HEADER,
+    CiEntry,
     CiMatrix,
     ClusteredProfile,
     PerfMatrix,
@@ -190,22 +191,6 @@ class TestComputeCi:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             compute_ci([])
-
-    def test_percentile_method(self):
-        data = list(range(101))
-        entry = compute_ci(data, level=0.90, method="percentile")
-        assert entry.low == pytest.approx(5.0)
-        assert entry.high == pytest.approx(95.0)
-        assert entry.mean == pytest.approx(50.0)
-
-    def test_percentile_envelope_contains_mean_under_skew(self):
-        data = [0.0] * 99 + [1e6]
-        entry = compute_ci(data, level=0.90, method="percentile")
-        assert entry.low <= entry.mean <= entry.high
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValidationError):
-            compute_ci([1.0] * 10, method="bootstrap")
 
     def test_width_scales_inverse_sqrt_n(self):
         rng = random.Random(8)
@@ -403,19 +388,6 @@ class TestCiMatrix:
             std = rules[profile.model_id].ci_matrix.anchor_kpi_std
             assert std == {kpi: statistics.stdev(profile.kpi_values(kpi)) for kpi in KPI_NAMES}
 
-    def test_percentile_method_groups_by_cluster(self, tiny_profiles):
-        anchor = tiny_profiles[0]
-        labels = {rec.image_id: i % 3 for i, rec in enumerate(anchor.records)}
-        clustered = ClusteredProfile(anchor.model_id, labels, (0.04, 0.05, 0.06))
-        perf = build_performance_matrix(tiny_profiles)
-        matrix = build_ci_matrix(perf, clustered, method="percentile")
-        for cluster in range(3):
-            for profile in tiny_profiles:
-                rows = [rec for rec in profile.records if labels[rec.image_id] == cluster]
-                for kpi in KPI_NAMES:
-                    expected = compute_ci([rec.kpi(kpi) for rec in rows], method="percentile")
-                    assert matrix.entry(cluster, profile.model_id, kpi) == expected
-
     def test_derived_facts_are_built_once_per_matrix(self, tiny_profiles):
         matrix = run_learning_engine(tiny_profiles, k_max=4)["fast"].ci_matrix
         calls = []
@@ -520,6 +492,24 @@ class TestCiMatrixCsv:
         with pytest.raises(RuleError):
             attach_anchor_stats(rules["fast"].ci_matrix, slow)
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({}, "rule matrix of 'a' has no clusters"),
+            ({0: ["b"]}, r"entry \(cluster=0, model='a', kpi='c'\) is missing"),
+            (
+                {0: ["a", "b"], 1: ["a"]},
+                r"entry \(cluster=1, model='b', kpi='c'\) is missing",
+            ),
+        ],
+        ids=["no-clusters", "no-anchor", "ragged-clusters"],
+    )
+    def test_matrix_is_checked_when_built(self, entries, message):
+        full = {kpi: CiEntry(0.1, 0.2, 5, 0.15) for kpi in KPI_NAMES}
+        entries = {cluster: dict.fromkeys(models, full) for cluster, models in entries.items()}
+        with pytest.raises(RuleError, match=message):
+            CiMatrix("a", entries)
+
     def test_equal_values_envelope_roundtrips(self, tmp_path):
         # fmean of three 0.1s is one ulp above the (min, max) envelope.
         entry = compute_ci([0.1] * 3)
@@ -533,19 +523,29 @@ class TestCiMatrixCsv:
     def test_read_rejects_non_finite_value(self, tmp_path, column):
         rows = _rule_rows()
         rows[3][column] = "nan"
-        with pytest.raises(RuleError, match=r"bad\.csv: row 4: non-finite"):
+        with pytest.raises(
+            RuleError,
+            match=r"bad\.csv: .*\(cluster=0, model='a', kpi='s_cpu'\) has a non-finite",
+        ):
             read_ci_matrix(_write_rule_rows(tmp_path, rows))
 
     def test_read_rejects_inverted_interval(self, tmp_path):
         rows = _rule_rows()
         rows[2].update(low="0.9", high="0.1")
-        with pytest.raises(RuleError, match=r"bad\.csv: row 3: low 0\.9 > high 0\.1"):
+        with pytest.raises(
+            RuleError,
+            match=r"bad\.csv: .*\(cluster=0, model='a', kpi='tau_system'\) "
+            r"has low 0\.9 > high 0\.1",
+        ):
             read_ci_matrix(_write_rule_rows(tmp_path, rows))
 
     def test_read_rejects_empty_population(self, tmp_path):
         rows = _rule_rows()
         rows[5]["n"] = "0"
-        with pytest.raises(RuleError, match=r"bad\.csv: row 6: n must be >= 1"):
+        with pytest.raises(
+            RuleError,
+            match=r"bad\.csv: .*\(cluster=0, model='b', kpi='c'\) has n 0; n must be >= 1",
+        ):
             read_ci_matrix(_write_rule_rows(tmp_path, rows))
 
     def test_read_rejects_duplicate_entry(self, tmp_path):
@@ -559,7 +559,7 @@ class TestCiMatrixCsv:
     def test_read_rejects_cluster_missing_a_model(self, tmp_path):
         rows = [row for row in _rule_rows() if (row["cluster"], row["model"]) != ("1", "b")]
         with pytest.raises(
-            RuleError, match=r"bad\.csv: missing entry \(cluster=1, model='b', kpi='c'\)"
+            RuleError, match=r"bad\.csv: .*entry \(cluster=1, model='b', kpi='c'\) is missing"
         ):
             read_ci_matrix(_write_rule_rows(tmp_path, rows))
 
@@ -568,7 +568,7 @@ class TestCiMatrixCsv:
             row for row in _rule_rows() if (row["cluster"], row["model"], row["kpi"]) != ("0", "a", "b")
         ]
         with pytest.raises(
-            RuleError, match=r"bad\.csv: missing entry \(cluster=0, model='a', kpi='b'\)"
+            RuleError, match=r"bad\.csv: .*entry \(cluster=0, model='a', kpi='b'\) is missing"
         ):
             read_ci_matrix(_write_rule_rows(tmp_path, rows))
 

@@ -157,6 +157,13 @@ def test_invalid_family_specs_rejected():
         ProfileFamilySpec(models=(model, model), image_count=5, seed=1)
 
 
+@pytest.mark.parametrize("image_count", [2.5, float("inf"), True, "10"])
+def test_non_integer_image_count_rejected(image_count):
+    model = ModelKpiSpec("m", 0.1, 0.01, 0.6, 0.05, 50.0, 5.0)
+    with pytest.raises(ValidationError, match="image_count must be an integer"):
+        ProfileFamilySpec(models=(model,), image_count=image_count, seed=1)
+
+
 def test_record_invariants_enforced():
     ok = dict(image_id="i", model_id="m", c=0.5, tau_model=0.04, tau_system=0.05, s_cpu=20.0, b=3)
     KpiRecord(**ok)
