@@ -4,7 +4,8 @@ Subcommands:
   learn     build adaptation rules (per-model CI matrix CSVs) from profiles
   simulate  run one policy on the configured workload, write result CSVs
   compare   run adamls, naive, and every static model on the same arrivals
-  report    rank policies per weight pair from a comparison directory
+  report    rank policies per weight pair from a comparison directory;
+            --timeseries re-derives utility_timeseries.csv from its results
 
 All outputs are plain CSV; rerunning any command with the same configuration
 reproduces them byte for byte.
@@ -19,14 +20,12 @@ import sys
 from itertools import chain, count, repeat
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
 from .controller import Knowledge
 from .csvtext import write_rows
 from .errors import AdamlsError
 from .learning import attach_anchor_stats, read_ci_matrix, write_ci_matrix
-from .metrics import RunSummary, running_total, summarize
+from .metrics import RunSummary, UtilityParams, UtilityTerms, running_total, summarize
 from .profiles import write_profiles
 from .simulator import run_simulation, write_event_log_csv, write_results_csv
 
@@ -43,10 +42,12 @@ SUMMARY_CSV_HEADER = (
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = _load_config(args)
+        if args.command == "report":
+            return run_report(config, timeseries=args.timeseries)
+        return args.run(config)
     except (AdamlsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -58,11 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="QoS-aware model-switching experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, doc in (
-        ("learn", cmd_learn, "learn adaptation rules from model profiles"),
-        ("simulate", cmd_simulate, "simulate one policy on the workload"),
-        ("compare", cmd_compare, "run all policies on the identical workload"),
-        ("report", cmd_report, "rank policies from comparison CSVs"),
+    for name, run, doc in (
+        ("learn", run_learn, "learn adaptation rules from model profiles"),
+        ("simulate", run_simulate, "simulate one policy on the workload"),
+        ("compare", run_compare, "run all policies on the identical workload"),
+        ("report", run_report, "rank policies; --timeseries derives utility_timeseries.csv"),
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", type=Path, default=None, help="experiment YAML file")
@@ -74,7 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="policy for simulate: adamls, naive, or static:<model>",
         )
-        p.set_defaults(func=func)
+        if name == "report":
+            p.add_argument(
+                "--timeseries", action="store_true", help="also derive utility_timeseries.csv"
+            )
+        p.set_defaults(run=run)
     return parser
 
 
@@ -94,10 +99,6 @@ def _load_config(args) -> cfgmod.ExperimentConfig:
 
 def _policy_dir_name(label: str) -> str:
     return label.replace(":", "_")
-
-
-def cmd_learn(args) -> int:
-    return run_learn(_load_config(args))
 
 
 def run_learn(config: cfgmod.ExperimentConfig) -> int:
@@ -153,10 +154,6 @@ def _run_policy(config: cfgmod.ExperimentConfig, label: str, profiles, matrices)
     return completions, events, summary
 
 
-def cmd_simulate(args) -> int:
-    return run_simulate(_load_config(args))
-
-
 def run_simulate(config: cfgmod.ExperimentConfig) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -173,17 +170,12 @@ def run_simulate(config: cfgmod.ExperimentConfig) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    return run_compare(_load_config(args))
-
-
 def run_compare(config: cfgmod.ExperimentConfig) -> int:
     out_dir = Path(config.output_dir)
     profiles = cfgmod.resolve_profiles(config)
     matrices = _load_rule_matrices(config, profiles)
     labels = cfgmod.compare_policy_labels(config, profiles)
     summaries: list[RunSummary] = []
-    series = []  # per run: label, finish times, utilities, running totals
     for label in labels:
         completions, events, summary = _run_policy(config, label, profiles, matrices)
         policy_dir = out_dir / "compare" / _policy_dir_name(label)
@@ -191,9 +183,6 @@ def run_compare(config: cfgmod.ExperimentConfig) -> int:
         write_results_csv(completions, policy_dir / "results.csv")
         write_event_log_csv(events, policy_dir / "events.csv")
         summaries.append(summary)
-        utilities = summary.terms.utilities(config.utility.w_e, config.utility.w_d)
-        finish_t = np.array([rec.finish_t for rec in completions])
-        series.append((label, finish_t, utilities, running_total(utilities)))
         # Free this run's records before the next run makes its own.
         del completions, events
     summary_rows = (
@@ -206,23 +195,13 @@ def run_compare(config: cfgmod.ExperimentConfig) -> int:
     sweep_rows = ((w_e, w_d, s.policy, total) for s in summaries for w_e, w_d, total in s.utilities)
     with open(out_dir / "utility_sweep.csv", "w", encoding="utf-8", newline="") as fh:
         write_rows(fh, ("w_e", "w_d", "policy", "total_utility"), sweep_rows)
-    series_rows = chain.from_iterable(
-        zip(repeat(label), count(), *(col.tolist() for col in columns))
-        for label, *columns in series
-    )
-    with open(out_dir / "utility_timeseries.csv", "w", encoding="utf-8", newline="") as fh:
-        write_rows(fh, ("policy", "seq", "finish_t", "utility", "cumulative_utility"), series_rows)
     _print_summaries(summaries)
     print(f"comparison written to {out_dir}")
     return 0
 
 
-def cmd_report(args) -> int:
-    out_dir = Path(args.out) if args.out is not None else Path(_load_config(args).output_dir)
-    return run_report(out_dir)
-
-
-def run_report(out_dir: Path) -> int:
+def run_report(config: cfgmod.ExperimentConfig, timeseries: bool = False) -> int:
+    out_dir = Path(config.output_dir)
     summary_path = out_dir / "summary.csv"
     sweep_path = out_dir / "utility_sweep.csv"
     for path in (summary_path, sweep_path):
@@ -238,6 +217,13 @@ def run_report(out_dir: Path) -> int:
     for row in sweep_rows:
         key = (float(row["w_e"]), float(row["w_d"]))
         by_weights.setdefault(key, []).append((row["policy"], float(row["total_utility"])))
+    if timeseries:
+        weights = (config.utility.w_e, config.utility.w_d)
+        swept = dict(by_weights.get(weights, ()))
+        rows = _utility_series(out_dir, summary_rows, swept, config.utility)
+        with open(out_dir / "utility_timeseries.csv", "w", encoding="utf-8", newline="") as fh:
+            write_rows(fh, ("policy", "seq", "finish_t", "utility", "cumulative_utility"), rows)
+        print(f"utility timeseries written to {out_dir / 'utility_timeseries.csv'}")
     for (w_e, w_d), entries in by_weights.items():
         entries.sort(key=lambda t: (-t[1], t[0]))
         print(f"weights (w_e={w_e:g}, w_d={w_d:g}):")
@@ -254,6 +240,38 @@ def run_report(out_dir: Path) -> int:
             f"{row['c_penalties']:>12} {float(row['avg_c']):>8.3f} {float(row['avg_r']):>8.3f}"
         )
     return 0
+
+
+def _utility_series(out_dir: Path, summary_rows, swept: dict, params: UtilityParams):
+    """Each policy's series rows from its results.csv (a float's repr round-trips),
+    checked against its summary.csv request count and its swept total, if any."""
+    series = []
+    for row in summary_rows:
+        label = row["policy"]
+        path = out_dir / "compare" / _policy_dir_name(label) / "results.csv"
+        if not path.exists():
+            raise AdamlsError(f"missing {path}; run the compare command first")
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *results = [*csv.reader(fh)] or [[]]
+        if not results or str(len(results)) != row["requests"]:
+            raise AdamlsError(
+                f"{path} has {len(results)} rows; summary.csv has "
+                f"{row['requests']} requests for policy {label!r}"
+            )
+        try:
+            columns = dict(zip(header, zip(*results)))
+            finish_t, c, r = (list(map(float, columns[key])) for key in ("finish_t", "c", "r"))
+        except (KeyError, ValueError) as exc:
+            raise AdamlsError(f"{path}: bad finish_t, c or r ({exc!r})") from None
+        utilities = UtilityTerms.of(c, r, params).utilities(params.w_e, params.w_d)
+        totals = running_total(utilities).tolist()
+        if label in swept and swept[label] != totals[-1]:
+            raise AdamlsError(
+                f"{path}: policy {label!r} sums to {totals[-1]!r}, but utility_sweep.csv "
+                f"has {swept[label]!r}; report --timeseries needs compare's --config"
+            )
+        series.append(zip(repeat(label), count(), finish_t, utilities.tolist(), totals))
+    return chain.from_iterable(series)
 
 
 def _print_summaries(summaries: list[RunSummary]) -> None:

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import yaml
 
@@ -253,11 +254,7 @@ def experiment_config_from_dict(raw: dict, source: str = "<dict>") -> Experiment
             _parse_thresholds(naive) if naive is not None else defaults.naive_thresholds
         )
         grid = raw.get("weight_grid")
-        weight_grid = (
-            tuple((float(w_e), float(w_d)) for w_e, w_d in grid)
-            if grid is not None
-            else defaults.weight_grid
-        )
+        weight_grid = defaults.weight_grid if grid is None else _parse_weight_grid(grid, source)
         return ExperimentConfig(
             master_seed=raw.get("master_seed", defaults.master_seed),
             output_dir=str(raw.get("output_dir", defaults.output_dir)),
@@ -311,6 +308,16 @@ def _check_float(value, source: str, key: str) -> None:
         finite = False
     if not finite:
         raise ConfigError(f"{source}: {key} must be a finite number, got {value!r}")
+
+
+def _parse_weight_grid(raw, source: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(raw, (list, tuple)) or any(
+        not isinstance(pair, (list, tuple)) or len(pair) != 2 for pair in raw
+    ):
+        raise ConfigError(f"{source}: weight_grid must be a list of [w_e, w_d] pairs, got {raw!r}")
+    for value in chain.from_iterable(raw):
+        _check_float(value, source, "weight_grid")
+    return tuple((float(w_e), float(w_d)) for w_e, w_d in raw)
 
 
 def _parse_model_family(raw) -> tuple[ModelKpiSpec, ...]:

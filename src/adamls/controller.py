@@ -36,9 +36,6 @@ EVENT_PLAN = "PLAN"
 EVENT_SWITCH = "SWITCH"
 EVENT_NOOP = "NOOP"
 
-# KPIs tracked in the monitoring window: the profile KPIs plus response time.
-WINDOW_KPIS = KPI_NAMES + ("r",)
-
 DEFAULT_WINDOW_SIZE = 50
 DEFAULT_T_WAIT = 0.25
 DEFAULT_SWITCH_LATENCY = 0.005
@@ -409,19 +406,20 @@ CI_KPIS = ("tau_model", "c")
 class _KpiWindow:
     """Rolling window of one model's completions with running KPI sums.
 
-    means() reads float running sums, whose rounding cluster matching has
-    always used. ci() reads exact ones: for each CI KPI the window keeps the
-    sums of x and x*x as integers (see _ExactMoments), so the sample mean
-    and variance are exact rationals and ci() equals compute_ci over the
-    same records, bit for bit, at O(1) per read. Windows of fewer than
-    MIN_NORMAL_SAMPLES records keep compute_ci's (min, max) envelope.
+    means() reads float running sums of the profile KPIs (KPI_NAMES), whose
+    rounding cluster matching has always used. ci() reads exact ones: for
+    each CI KPI the window keeps the sums of x and x*x as integers (see
+    _ExactMoments), so the sample mean and variance are exact rationals and
+    ci() equals compute_ci over the same records, bit for bit, at O(1) per
+    read. Windows of fewer than MIN_NORMAL_SAMPLES records keep compute_ci's
+    (min, max) envelope.
     """
 
     __slots__ = ("records", "_sums", "_moments", "_maxlen")
 
     def __init__(self, maxlen: int):
         self.records: deque = deque()
-        self._sums = {kpi: 0.0 for kpi in WINDOW_KPIS}
+        self._sums = {kpi: 0.0 for kpi in KPI_NAMES}
         self._moments = {kpi: _ExactMoments() for kpi in CI_KPIS}
         self._maxlen = maxlen
 
@@ -443,12 +441,12 @@ class _KpiWindow:
     def add(self, rec) -> None:
         if len(self.records) == self._maxlen:
             old = self.records.popleft()
-            for kpi in WINDOW_KPIS:
+            for kpi in KPI_NAMES:
                 self._sums[kpi] -= getattr(old, kpi)
             for kpi, moments in self._moments.items():
                 moments.remove(getattr(old, kpi))
         self.records.append(rec)
-        for kpi in WINDOW_KPIS:
+        for kpi in KPI_NAMES:
             self._sums[kpi] += getattr(rec, kpi)
         for kpi, moments in self._moments.items():
             moments.add(getattr(rec, kpi))

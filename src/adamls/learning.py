@@ -83,10 +83,10 @@ class CiMatrix:
     deviation; the online analyzer needs it to z-normalize cluster matching.
     A matrix is checked once, when it is built, whether it was learned or
     loaded: it has at least one cluster; every cluster holds the same models,
-    the anchor included, each with every KPI; and every entry has finite
-    low, high and mean, low <= high and n >= 1. low <= mean <= high is not
-    required: the (min, max) envelope of equal values can put their fmean
-    one ulp outside. A matrix is never mutated once built, so facts derived
+    the anchor included, each with every KPI and no other name; and every
+    entry has finite low, high and mean, low <= high and n >= 1.
+    low <= mean <= high is not required: the (min, max) envelope of equal
+    values can put their fmean one ulp outside. A matrix is never mutated once built, so facts derived
     from it can be computed once and kept (see derived).
     """
 
@@ -103,9 +103,11 @@ class CiMatrix:
         for cluster in sorted(self.entries):
             for model_id in models:
                 per_kpi = self.entries[cluster].get(model_id, {})
-                for kpi in KPI_NAMES:
+                for kpi in (*KPI_NAMES, *sorted(per_kpi.keys() - set(KPI_NAMES))):
                     entry = per_kpi.get(kpi)
-                    if entry is None:
+                    if kpi not in KPI_NAMES:
+                        problem = f"names no KPI; the KPIs are {', '.join(KPI_NAMES)}"
+                    elif entry is None:
                         problem = "is missing"
                     elif not all(map(math.isfinite, (entry.low, entry.high, entry.mean))):
                         problem = "has a non-finite low, high or mean"
@@ -299,18 +301,6 @@ def elbow_from_wcss(series) -> int:
         if dist > best_dist:
             best_k, best_dist = k, dist
     return best_k
-
-
-def select_k_elbow(values, k_max: int) -> int:
-    """Choose the cluster count for 1-D values by the elbow rule."""
-    x = list(values)
-    if k_max < 2:
-        raise ValidationError(f"select_k_elbow: k_max must be >= 2, got {k_max}")
-    if len(x) < k_max:
-        raise ValidationError(
-            f"select_k_elbow: need at least k_max={k_max} values, got {len(x)}"
-        )
-    return elbow_from_wcss(wcss_series(x, k_max))
 
 
 def compute_ci(samples, level: float = 0.90) -> CiEntry:

@@ -14,7 +14,7 @@ and a sequential `total += u` loop from 0.0 round them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -69,8 +69,6 @@ class RunSummary:
     r_penalties: int
     c_penalties: int
     utilities: tuple[tuple[float, float, float], ...]  # (w_e, w_d, total)
-    # The run's per-request utility terms, for per-request series.
-    terms: UtilityTerms = field(compare=False, repr=False)
 
 
 def utility_confidence_term(c: float, params: UtilityParams) -> float:
@@ -159,20 +157,6 @@ def total_utility(records, params: UtilityParams) -> float:
     return float(running_total(utilities)[-1])
 
 
-def count_penalties(records, params: UtilityParams) -> tuple[int, int]:
-    """Counts of completions with r resp. c outside their closed QoS ranges."""
-    c, r = _columns(records, "c", "r")
-    return _penalties(np.asarray(c, dtype=float), np.asarray(r, dtype=float), params)
-
-
-def _penalties(c: np.ndarray, r: np.ndarray, params: UtilityParams) -> tuple[int, int]:
-    n = c.size
-    return (
-        n - int(np.count_nonzero(_inside(r, params.r_min, params.r_max))),
-        n - int(np.count_nonzero(_inside(c, params.c_min, params.c_max))),
-    )
-
-
 def summarize(
     records,
     event_log,
@@ -192,7 +176,9 @@ def summarize(
     switch_count = sum(1 for ev in event_log if ev.event == "SWITCH")
     c_arr, r_arr = np.array(c, dtype=float), np.array(r, dtype=float)
     terms = UtilityTerms.of(c_arr, r_arr, params)
-    n_r, n_c = _penalties(c_arr, r_arr, params)
+    # Penalties count the completions with r resp. c outside its closed range.
+    n_r = n - int(np.count_nonzero(_inside(r_arr, params.r_min, params.r_max)))
+    n_c = n - int(np.count_nonzero(_inside(c_arr, params.c_min, params.c_max)))
     utilities = tuple(
         (w_e, w_d, float(running_total(terms.utilities(w_e, w_d))[-1]))
         for w_e, w_d in weight_grid
@@ -207,5 +193,4 @@ def summarize(
         r_penalties=n_r,
         c_penalties=n_c,
         utilities=utilities,
-        terms=terms,
     )

@@ -23,7 +23,7 @@ def tiny_profiles():
     return generate_profiles(ProfileFamilySpec(models=TINY_MODELS, image_count=120, seed=7))
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def tiny_config():
     """Small end-to-end experiment: 2 models, ~160 requests, ramped burst."""
     return cfgmod.ExperimentConfig(

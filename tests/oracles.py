@@ -11,10 +11,10 @@ from itertools import combinations
 
 import numpy as np
 
-from adamls.controller import DEFAULT_WINDOW_SIZE, WINDOW_KPIS, SystemState, _KpiWindow
+from adamls.controller import DEFAULT_WINDOW_SIZE, SystemState, _KpiWindow
 from adamls.learning import MIN_NORMAL_SAMPLES, CiEntry, normal_ci
 from adamls.metrics import utility_per_request
-from adamls.profiles import KpiRecord
+from adamls.profiles import KPI_NAMES, KpiRecord
 
 
 def optimal_1d_wcss(values, k):
@@ -113,7 +113,7 @@ def monitor_snapshot(
     means = {}
     if window:
         means = {
-            kpi: sum(getattr(rec, kpi) for rec in window) / len(window) for kpi in WINDOW_KPIS
+            kpi: sum(getattr(rec, kpi) for rec in window) / len(window) for kpi in KPI_NAMES
         }
     return SystemState(
         m_prime=active_model,

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,25 @@ class TestLearnCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "yaml_text, message",
+        [
+            ("weight_grid: [[.nan, true]]", "weight_grid must be a finite number, got nan"),
+            ("weight_grid: [[1e400, 0]]", "weight_grid must be a finite number, got '1e400'"),
+            ("weight_grid: [[1.0e+400, 0]]", "weight_grid must be a finite number, got inf"),
+            ("weight_grid: [[0.5, 0.5, 0.5]]", "weight_grid must be a list of [w_e, w_d] pairs"),
+            ("weight_grid: [0.5, 0.5]", "weight_grid must be a list of [w_e, w_d] pairs"),
+        ],
+    )
+    def test_bad_weight_grid_fails_naming_the_key(self, tmp_path, yaml_text, message, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"output_dir: {tmp_path / 'out'}\n{yaml_text}\n")
+        assert cli.main(["compare", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_integer_float_field_accepted(self):
         config = cfgmod.experiment_config_from_dict({"simulation": {"t_wait": 1}})
         assert config.simulation.t_wait == 1
@@ -240,15 +260,32 @@ class TestSimulateCommand:
         assert (out / "results_static_slow.csv").exists()
 
 
-class TestCompareCommand:
-    @pytest.fixture
-    def compared(self, tmp_path, tiny_config):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, tiny_config, output_dir=str(out))
-        assert cli.main(["learn", "--config", str(path)]) == 0
-        assert cli.main(["compare", "--config", str(path)]) == 0
-        return out, path
+@pytest.fixture(scope="module")
+def compared_once(tmp_path_factory, tiny_config):
+    """learn + compare on the tiny config, run once for the module."""
+    root = tmp_path_factory.mktemp("compared")
+    path = write_config(root, tiny_config, output_dir=str(root / "out"))
+    assert cli.main(["learn", "--config", str(path)]) == 0
+    assert cli.main(["compare", "--config", str(path)]) == 0
+    return root / "out"
 
+
+@pytest.fixture
+def compared(tmp_path, tiny_config, compared_once):
+    """A test's own copy of the compared output directory, and its config."""
+    out = tmp_path / "out"
+    shutil.copytree(compared_once, out)
+    return out, write_config(tmp_path, tiny_config, output_dir=str(out))
+
+
+def files_under(root):
+    return {path.relative_to(root).as_posix() for path in root.rglob("*") if path.is_file()}
+
+
+POLICY_DIRS = ("adamls", "naive", "static_fast", "static_slow")
+
+
+class TestCompareCommand:
     def test_summary_covers_all_policies(self, compared):
         out, _ = compared
         rows = read_rows(out / "summary.csv")
@@ -278,11 +315,12 @@ class TestCompareCommand:
             "static:slow",
         }
 
-    def test_timeseries_written(self, compared):
+    def test_writes_only_what_it_cannot_rederive(self, compared):
+        """No derivable artifact: report --timeseries rebuilds the utility series."""
         out, _ = compared
-        rows = read_rows(out / "utility_timeseries.csv")
-        assert len(rows) == 4 * 160
-        assert {"policy", "seq", "finish_t", "utility", "cumulative_utility"} <= set(rows[0])
+        learned = {"profiles.csv", *(f"rules/{f}.csv" for f in ("clustering_report", "fast", "slow"))}
+        runs = {f"compare/{d}/{f}" for d in POLICY_DIRS for f in ("results.csv", "events.csv")}
+        assert files_under(out) == learned | runs | {"summary.csv", "utility_sweep.csv"}
 
     def test_rerun_is_byte_identical(self, compared):
         out, path = compared
@@ -391,11 +429,8 @@ class TestBadRuleFiles:
 
 
 class TestReportCommand:
-    def test_report_ranks_policies(self, tmp_path, tiny_config, capsys):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, tiny_config, output_dir=str(out))
-        cli.main(["learn", "--config", str(path)])
-        cli.main(["compare", "--config", str(path)])
+    def test_report_ranks_policies(self, compared, capsys):
+        out, _ = compared
         capsys.readouterr()
         assert cli.main(["report", "--out", str(out)]) == 0
         text = capsys.readouterr().out
@@ -405,3 +440,59 @@ class TestReportCommand:
     def test_missing_dir_fails(self, tmp_path, capsys):
         assert cli.main(["report", "--out", str(tmp_path / "nothing")]) == 1
         assert "compare" in capsys.readouterr().err
+
+    def test_report_writes_nothing(self, compared):
+        out, _ = compared
+        before = files_under(out)
+        assert cli.main(["report", "--out", str(out)]) == 0
+        assert files_under(out) == before
+
+    def test_timeseries_written(self, compared, capsys):
+        out, path = compared
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(path), "--timeseries"]) == 0
+        assert "utility timeseries written" in capsys.readouterr().out
+        rows = read_rows(out / "utility_timeseries.csv")
+        assert len(rows) == 4 * 160
+        assert list(rows[0]) == ["policy", "seq", "finish_t", "utility", "cumulative_utility"]
+        # The last cumulative utility is the sweep total at the config's weights.
+        sweep = {r["policy"]: r["total_utility"] for r in read_rows(out / "utility_sweep.csv")
+                 if (r["w_e"], r["w_d"]) == ("0.5", "0.5")}
+        last = {r["policy"]: r["cumulative_utility"] for r in rows}
+        assert last == sweep
+
+    @pytest.mark.parametrize("utility", [{"c_min": 0.6}, {"raw_violation_signs": True}])
+    def test_timeseries_with_other_utility_params_fails(
+        self, compared, tiny_config, utility, capsys
+    ):
+        out, path = compared
+        params = dataclasses.replace(tiny_config.utility, **utility)
+        other = write_config(path.parent, tiny_config, output_dir=str(out), utility=params)
+        before = files_under(out)
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(other), "--timeseries"]) == 1
+        err = capsys.readouterr().err
+        assert str(out / "compare" / "adamls" / "results.csv") in err
+        assert "'adamls'" in err and "utility_sweep.csv" in err
+        assert "Traceback" not in err
+        assert files_under(out) == before
+
+    def test_timeseries_with_missing_results_fails(self, compared, capsys):
+        out, path = compared
+        results = out / "compare" / "static_slow" / "results.csv"
+        results.unlink()
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(path), "--timeseries"]) == 1
+        assert f"missing {results}" in capsys.readouterr().err
+        assert not (out / "utility_timeseries.csv").exists()
+
+    def test_timeseries_with_truncated_results_fails(self, compared, capsys):
+        out, path = compared
+        results = out / "compare" / "naive" / "results.csv"
+        lines = results.read_bytes().split(b"\r\n")
+        results.write_bytes(b"\r\n".join(lines[:-2] + [b""]))
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(path), "--timeseries"]) == 1
+        err = capsys.readouterr().err
+        assert f"{results} has 159 rows" in err and "'naive'" in err
+        assert not (out / "utility_timeseries.csv").exists()

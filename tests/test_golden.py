@@ -1,8 +1,9 @@
-"""Golden digests: learn + compare must reproduce every CSV.
+"""Golden digests: learn + compare + report --timeseries must reproduce every CSV.
 
 The tiny config pins every output; the default config (at full scale) and
-the tiny config with three workers pin the compare outputs, and the default
-config also pins the rules.
+the tiny config with three workers pin the compare outputs and the
+utility_timeseries.csv that report --timeseries derives from them, and the
+default config also pins the rules.
 
 A change that alters any output byte fails here. If a change is meant to
 alter outputs, update the digests in the same change and explain the diff.
@@ -49,9 +50,11 @@ def compare_digests(tmp_path):
 
 
 def learn_and_compare(config, tmp_path, capsys):
+    """learn, compare, then report --timeseries, which writes utility_timeseries.csv."""
     config = dataclasses.replace(config, output_dir=str(tmp_path))
     assert cli.run_learn(config) == 0
     assert cli.run_compare(config) == 0
+    assert cli.run_report(config, timeseries=True) == 0
     capsys.readouterr()
 
 

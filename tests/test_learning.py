@@ -25,7 +25,6 @@ from adamls.learning import (
     kmeans_1d,
     read_ci_matrix,
     run_learning_engine,
-    select_k_elbow,
     wcss_series,
     write_ci_matrix,
 )
@@ -154,16 +153,14 @@ class TestElbow:
         values = [rng.gauss(0.05, 0.003) for _ in range(30)] + [
             rng.gauss(0.5, 0.01) for _ in range(30)
         ]
-        assert select_k_elbow(values, 6) == 2
+        assert elbow_from_wcss(wcss_series(values, 6)) == 2
 
-    def test_select_k_validation(self):
+    def test_elbow_needs_two_points(self):
         with pytest.raises(ValidationError):
-            select_k_elbow([1.0, 2.0, 3.0], 1)
-        with pytest.raises(ValidationError):
-            select_k_elbow([1.0, 2.0], 3)
+            elbow_from_wcss([1.0])
 
     def test_identical_values_pick_k2_by_tie_break(self):
-        assert select_k_elbow([0.3] * 10, 4) == 2
+        assert elbow_from_wcss(wcss_series([0.3] * 10, 4)) == 2
 
 
 class TestComputeCi:
@@ -571,6 +568,18 @@ class TestCiMatrixCsv:
             RuleError, match=r"bad\.csv: .*entry \(cluster=0, model='a', kpi='b'\) is missing"
         ):
             read_ci_matrix(_write_rule_rows(tmp_path, rows))
+
+    def test_read_rejects_unknown_kpi(self, tmp_path):
+        path = tmp_path / "m.csv"
+        entries = {0: {"m": dict.fromkeys(KPI_NAMES, CiEntry(0.1, 0.2, 5, 0.15))}}
+        write_ci_matrix(CiMatrix("m", entries), path)
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write("m,0,m,foo,1,2,3,1.5\r\n")
+        with pytest.raises(
+            RuleError,
+            match=r"m\.csv: rule matrix of 'm': entry \(cluster=0, model='m', kpi='foo'\) names no",
+        ):
+            read_ci_matrix(path)
 
     def test_read_rejects_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"

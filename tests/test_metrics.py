@@ -11,7 +11,7 @@ from adamls.errors import ValidationError
 from adamls.metrics import (
     DEFAULT_WEIGHT_GRID,
     UtilityParams,
-    count_penalties,
+    UtilityTerms,
     running_total,
     summarize,
     total_utility,
@@ -27,6 +27,12 @@ PARAMS = UtilityParams()  # the experiment defaults: bounds (0.5, 1) and (0.1, 1
 
 def fake_record(c, r, s_cpu=50.0):
     return SimpleNamespace(c=c, r=r, s_cpu=s_cpu)
+
+
+def series_utilities(records, params):
+    """Per-request utilities at the params' weights, as report --timeseries builds them."""
+    terms = UtilityTerms.of([rec.c for rec in records], [rec.r for rec in records], params)
+    return terms.utilities(params.w_e, params.w_d)
 
 
 class TestConfidenceTerm:
@@ -109,6 +115,11 @@ class TestTotalUtility:
                 t = rec.r
             expected += 0.5 * e + 0.5 * t
         assert total_utility(records, PARAMS) == pytest.approx(expected, abs=1e-9)
+
+
+def count_penalties(records, params):
+    summary = summarize(records, [], params=params)
+    return summary.r_penalties, summary.c_penalties
 
 
 class TestPenalties:
@@ -271,14 +282,14 @@ class TestArrayPathIsBitExact:
     @example(run=BITWISE_EXAMPLES[3])
     def test_series_and_running_totals(self, run):
         params, records = run
-        utilities = summarize(records, [], params=params).terms.utilities(params.w_e, params.w_d)
+        utilities = series_utilities(records, params)
         expected_utilities, expected_totals = scalar_utility_series(records, params)
         assert bits(utilities.tolist()) == bits(expected_utilities)
         assert bits(running_total(utilities).tolist()) == bits(expected_totals)
 
     def test_zero_penalties_keep_the_sign_of_each_utility(self):
         params, records = BITWISE_EXAMPLES[2]
-        utilities = summarize(records, [], params=params).terms.utilities(params.w_e, params.w_d)
+        utilities = series_utilities(records, params)
         assert bits(utilities.tolist()) == bits([-0.0, -0.0])
         assert bits(running_total(utilities).tolist()) == bits([0.0, 0.0])
 
