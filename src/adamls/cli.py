@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import sys
+from functools import partial
 from itertools import chain, count, repeat
 from pathlib import Path
 
@@ -30,24 +31,14 @@ from .profiles import write_profiles
 from .simulator import run_simulation, write_event_log_csv, write_results_csv
 
 SUMMARY_CSV_HEADER = (
-    "policy",
-    "requests",
-    "switches",
-    "avg_c",
-    "avg_r",
-    "avg_s_cpu",
-    "r_penalties",
-    "c_penalties",
+    "policy", "requests", "switches", "avg_c", "avg_r", "avg_s_cpu", "r_penalties", "c_penalties"
 )
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _load_config(args)
-        if args.command == "report":
-            return run_report(config, timeseries=args.timeseries)
-        return args.run(config)
+        return args.run(_load_config(args))
     except (AdamlsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -55,8 +46,7 @@ def main(argv=None) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="adamls",
-        description="QoS-aware model-switching experiments",
+        prog="adamls", description="QoS-aware model-switching experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, run, doc in (
@@ -67,34 +57,29 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", type=Path, default=None, help="experiment YAML file")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
+        p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument(
-            "--policy",
-            type=str,
-            default=None,
-            help="policy for simulate: adamls, naive, or static:<model>",
+            "--policy", default=None, help="policy for simulate: adamls, naive, or static:<model>"
         )
-        if name == "report":
-            p.add_argument(
-                "--timeseries", action="store_true", help="also derive utility_timeseries.csv"
-            )
         p.set_defaults(run=run)
+        if name == "report":
+            # The flag swaps report's run for one that also derives the series.
+            p.add_argument(
+                "--timeseries", dest="run", action="store_const",
+                const=partial(run_report, timeseries=True),
+                help="also derive utility_timeseries.csv from compare's results.csv files; "
+                "--config must be compare's (a w_e, w_d that differs goes undetected)",
+            )
     return parser
 
 
 def _load_config(args) -> cfgmod.ExperimentConfig:
+    config = cfgmod.ExperimentConfig()
     if args.config is not None:
         config = cfgmod.load_experiment_config(args.config)
-    else:
-        config = cfgmod.ExperimentConfig()
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
-    if args.out is not None:
-        config = dataclasses.replace(config, output_dir=str(args.out))
-    if args.policy is not None:
-        config = dataclasses.replace(config, policy=args.policy)
-    return config
+    overrides = {"master_seed": args.seed, "output_dir": args.out, "policy": args.policy}
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _policy_dir_name(label: str) -> str:
@@ -176,6 +161,8 @@ def run_compare(config: cfgmod.ExperimentConfig) -> int:
     matrices = _load_rule_matrices(config, profiles)
     labels = cfgmod.compare_policy_labels(config, profiles)
     summaries: list[RunSummary] = []
+    # report --timeseries derives this file from the results rewritten below.
+    (out_dir / "utility_timeseries.csv").unlink(missing_ok=True)
     for label in labels:
         completions, events, summary = _run_policy(config, label, profiles, matrices)
         policy_dir = out_dir / "compare" / _policy_dir_name(label)
@@ -202,25 +189,16 @@ def run_compare(config: cfgmod.ExperimentConfig) -> int:
 
 def run_report(config: cfgmod.ExperimentConfig, timeseries: bool = False) -> int:
     out_dir = Path(config.output_dir)
-    summary_path = out_dir / "summary.csv"
-    sweep_path = out_dir / "utility_sweep.csv"
-    for path in (summary_path, sweep_path):
-        if not path.exists():
-            raise AdamlsError(f"missing {path}; run the compare command first")
-    with open(summary_path, encoding="utf-8", newline="") as fh:
-        summary_rows = list(csv.DictReader(fh))
+    summary_rows = _read_rows(out_dir / "summary.csv")
+    sweep_rows = _read_rows(out_dir / "utility_sweep.csv")
     if not summary_rows:
-        raise AdamlsError(f"{summary_path} has no rows")
-    with open(sweep_path, encoding="utf-8", newline="") as fh:
-        sweep_rows = list(csv.DictReader(fh))
+        raise AdamlsError(f"{out_dir / 'summary.csv'} has no rows")
     by_weights: dict[tuple[float, float], list[tuple[str, float]]] = {}
     for row in sweep_rows:
         key = (float(row["w_e"]), float(row["w_d"]))
         by_weights.setdefault(key, []).append((row["policy"], float(row["total_utility"])))
     if timeseries:
-        weights = (config.utility.w_e, config.utility.w_d)
-        swept = dict(by_weights.get(weights, ()))
-        rows = _utility_series(out_dir, summary_rows, swept, config.utility)
+        rows = _utility_series(out_dir, summary_rows, by_weights, config.utility)
         with open(out_dir / "utility_timeseries.csv", "w", encoding="utf-8", newline="") as fh:
             write_rows(fh, ("policy", "seq", "finish_t", "utility", "cumulative_utility"), rows)
         print(f"utility timeseries written to {out_dir / 'utility_timeseries.csv'}")
@@ -242,34 +220,46 @@ def run_report(config: cfgmod.ExperimentConfig, timeseries: bool = False) -> int
     return 0
 
 
-def _utility_series(out_dir: Path, summary_rows, swept: dict, params: UtilityParams):
-    """Each policy's series rows from its results.csv (a float's repr round-trips),
-    checked against its summary.csv request count and its swept total, if any."""
+def _read_rows(path: Path) -> list[dict]:
+    """The rows of one of compare's CSVs."""
+    if not path.exists():
+        raise AdamlsError(f"missing {path}; run the compare command first")
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _utility_series(out_dir: Path, summary_rows, by_weights: dict, params: UtilityParams):
+    """Each policy's series rows from its results.csv (a float's repr round-trips).
+
+    Its row count must be its summary.csv requests, and its totals at every
+    swept pair its utility_sweep.csv ones: the terms do not depend on the
+    weights, so other c, r or penalty params fail; other w_e, w_d alone do not.
+    """
     series = []
     for row in summary_rows:
         label = row["policy"]
         path = out_dir / "compare" / _policy_dir_name(label) / "results.csv"
-        if not path.exists():
-            raise AdamlsError(f"missing {path}; run the compare command first")
-        with open(path, encoding="utf-8", newline="") as fh:
-            header, *results = [*csv.reader(fh)] or [[]]
+        results = _read_rows(path)
         if not results or str(len(results)) != row["requests"]:
             raise AdamlsError(
                 f"{path} has {len(results)} rows; summary.csv has "
                 f"{row['requests']} requests for policy {label!r}"
             )
         try:
-            columns = dict(zip(header, zip(*results)))
-            finish_t, c, r = (list(map(float, columns[key])) for key in ("finish_t", "c", "r"))
-        except (KeyError, ValueError) as exc:
+            finish_t, c, r = ([float(rec[k]) for rec in results] for k in ("finish_t", "c", "r"))
+        except (KeyError, TypeError, ValueError) as exc:
             raise AdamlsError(f"{path}: bad finish_t, c or r ({exc!r})") from None
-        utilities = UtilityTerms.of(c, r, params).utilities(params.w_e, params.w_d)
+        terms = UtilityTerms.of(c, r, params)
+        for (w_e, w_d), entries in by_weights.items():
+            swept = dict(entries).get(label)
+            total = float(running_total(terms.utilities(w_e, w_d))[-1])
+            if swept is not None and swept != total:
+                raise AdamlsError(
+                    f"{path}: policy {label!r} sums to {total!r} at (w_e={w_e:g}, w_d={w_d:g}), "
+                    f"but utility_sweep.csv has {swept!r}; --config must be compare's"
+                )
+        utilities = terms.utilities(params.w_e, params.w_d)
         totals = running_total(utilities).tolist()
-        if label in swept and swept[label] != totals[-1]:
-            raise AdamlsError(
-                f"{path}: policy {label!r} sums to {totals[-1]!r}, but utility_sweep.csv "
-                f"has {swept[label]!r}; report --timeseries needs compare's --config"
-            )
         series.append(zip(repeat(label), count(), finish_t, utilities.tolist(), totals))
     return chain.from_iterable(series)
 

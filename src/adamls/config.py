@@ -214,18 +214,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 def experiment_config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     defaults = ExperimentConfig()
-    known = {
-        "master_seed",
-        "output_dir",
-        "profiles",
-        "learning",
-        "workload",
-        "simulation",
-        "policy",
-        "naive_thresholds",
-        "utility",
-        "weight_grid",
-    }
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{source}: unknown key(s) {sorted(unknown)}")

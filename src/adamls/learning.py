@@ -83,11 +83,11 @@ class CiMatrix:
     deviation; the online analyzer needs it to z-normalize cluster matching.
     A matrix is checked once, when it is built, whether it was learned or
     loaded: it has at least one cluster; every cluster holds the same models,
-    the anchor included, each with every KPI and no other name; and every
-    entry has finite low, high and mean, low <= high and n >= 1.
-    low <= mean <= high is not required: the (min, max) envelope of equal
-    values can put their fmean one ulp outside. A matrix is never mutated once built, so facts derived
-    from it can be computed once and kept (see derived).
+    the anchor included, each with every KPI and no other; and every entry
+    has finite low, high and mean, low <= high and n >= 1. low <= mean <=
+    high is not required: the (min, max) envelope of equal values can put
+    their fmean one ulp outside. A matrix is never mutated once built, so
+    facts derived from it can be computed once and kept (see derived).
     """
 
     anchor_model_id: str
@@ -301,6 +301,18 @@ def elbow_from_wcss(series) -> int:
         if dist > best_dist:
             best_k, best_dist = k, dist
     return best_k
+
+
+def select_k_elbow(values, k_max: int) -> int:
+    """Choose the cluster count for 1-D values by the elbow rule."""
+    x = list(values)
+    if k_max < 2:
+        raise ValidationError(f"select_k_elbow: k_max must be >= 2, got {k_max}")
+    if len(x) < k_max:
+        raise ValidationError(
+            f"select_k_elbow: need at least k_max={k_max} values, got {len(x)}"
+        )
+    return elbow_from_wcss(wcss_series(x, k_max))
 
 
 def compute_ci(samples, level: float = 0.90) -> CiEntry:

@@ -90,9 +90,8 @@ def utility_response_term(r: float, params: UtilityParams) -> float:
 
 
 def utility_per_request(c: float, r: float, params: UtilityParams) -> float:
-    return params.w_e * utility_confidence_term(c, params) + params.w_d * utility_response_term(
-        r, params
-    )
+    c_term, r_term = utility_confidence_term(c, params), utility_response_term(r, params)
+    return params.w_e * c_term + params.w_d * r_term
 
 
 class UtilityTerms(NamedTuple):
@@ -157,6 +156,20 @@ def total_utility(records, params: UtilityParams) -> float:
     return float(running_total(utilities)[-1])
 
 
+def count_penalties(records, params: UtilityParams) -> tuple[int, int]:
+    """Counts of completions with r resp. c outside their closed QoS ranges."""
+    c, r = _columns(records, "c", "r")
+    return _penalties(np.asarray(c, dtype=float), np.asarray(r, dtype=float), params)
+
+
+def _penalties(c: np.ndarray, r: np.ndarray, params: UtilityParams) -> tuple[int, int]:
+    n = c.size
+    return (
+        n - int(np.count_nonzero(_inside(r, params.r_min, params.r_max))),
+        n - int(np.count_nonzero(_inside(c, params.c_min, params.c_max))),
+    )
+
+
 def summarize(
     records,
     event_log,
@@ -176,9 +189,7 @@ def summarize(
     switch_count = sum(1 for ev in event_log if ev.event == "SWITCH")
     c_arr, r_arr = np.array(c, dtype=float), np.array(r, dtype=float)
     terms = UtilityTerms.of(c_arr, r_arr, params)
-    # Penalties count the completions with r resp. c outside its closed range.
-    n_r = n - int(np.count_nonzero(_inside(r_arr, params.r_min, params.r_max)))
-    n_c = n - int(np.count_nonzero(_inside(c_arr, params.c_min, params.c_max)))
+    n_r, n_c = _penalties(c_arr, r_arr, params)
     utilities = tuple(
         (w_e, w_d, float(running_total(terms.utilities(w_e, w_d))[-1]))
         for w_e, w_d in weight_grid

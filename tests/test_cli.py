@@ -316,8 +316,12 @@ class TestCompareCommand:
         }
 
     def test_writes_only_what_it_cannot_rederive(self, compared):
-        """No derivable artifact: report --timeseries rebuilds the utility series."""
-        out, _ = compared
+        """No derivable artifact: report --timeseries rebuilds the utility series,
+        and a rerun of compare removes the one an earlier report derived."""
+        out, path = compared
+        assert cli.main(["report", "--config", str(path), "--timeseries"]) == 0
+        assert (out / "utility_timeseries.csv").exists()
+        assert cli.main(["compare", "--config", str(path)]) == 0
         learned = {"profiles.csv", *(f"rules/{f}.csv" for f in ("clustering_report", "fast", "slow"))}
         runs = {f"compare/{d}/{f}" for d in POLICY_DIRS for f in ("results.csv", "events.csv")}
         assert files_under(out) == learned | runs | {"summary.csv", "utility_sweep.csv"}
@@ -461,7 +465,28 @@ class TestReportCommand:
         last = {r["policy"]: r["cumulative_utility"] for r in rows}
         assert last == sweep
 
-    @pytest.mark.parametrize("utility", [{"c_min": 0.6}, {"raw_violation_signs": True}])
+    def test_timeseries_follows_the_config_weights(self, compared, tiny_config):
+        """Other weights alone cannot be told from compare's: the series uses them."""
+        out, path = compared
+        params = dataclasses.replace(tiny_config.utility, w_e=0.25, w_d=0.75)
+        other = write_config(path.parent, tiny_config, output_dir=str(out), utility=params)
+        assert cli.main(["report", "--config", str(other), "--timeseries"]) == 0
+        sweep = {r["policy"]: r["total_utility"] for r in read_rows(out / "utility_sweep.csv")
+                 if (r["w_e"], r["w_d"]) == ("0.25", "0.75")}
+        last = {r["policy"]: r["cumulative_utility"]
+                for r in read_rows(out / "utility_timeseries.csv")}
+        assert last == sweep
+
+    @pytest.mark.parametrize(
+        "utility",
+        [
+            {"c_min": 0.6},
+            {"raw_violation_signs": True},
+            # Other weights too, swept by compare or not: every swept total is checked.
+            {"w_e": 0.75, "w_d": 0.25, "p_ev": 2.0},
+            {"w_e": 0.3, "w_d": 0.7, "c_min": 0.6},
+        ],
+    )
     def test_timeseries_with_other_utility_params_fails(
         self, compared, tiny_config, utility, capsys
     ):

@@ -25,6 +25,7 @@ from adamls.learning import (
     kmeans_1d,
     read_ci_matrix,
     run_learning_engine,
+    select_k_elbow,
     wcss_series,
     write_ci_matrix,
 )
@@ -153,14 +154,16 @@ class TestElbow:
         values = [rng.gauss(0.05, 0.003) for _ in range(30)] + [
             rng.gauss(0.5, 0.01) for _ in range(30)
         ]
-        assert elbow_from_wcss(wcss_series(values, 6)) == 2
+        assert select_k_elbow(values, 6) == 2
 
-    def test_elbow_needs_two_points(self):
+    def test_select_k_validation(self):
         with pytest.raises(ValidationError):
-            elbow_from_wcss([1.0])
+            select_k_elbow([1.0, 2.0, 3.0], 1)
+        with pytest.raises(ValidationError):
+            select_k_elbow([1.0, 2.0], 3)
 
     def test_identical_values_pick_k2_by_tie_break(self):
-        assert elbow_from_wcss(wcss_series([0.3] * 10, 4)) == 2
+        assert select_k_elbow([0.3] * 10, 4) == 2
 
 
 class TestComputeCi:

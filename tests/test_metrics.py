@@ -12,6 +12,7 @@ from adamls.metrics import (
     DEFAULT_WEIGHT_GRID,
     UtilityParams,
     UtilityTerms,
+    count_penalties,
     running_total,
     summarize,
     total_utility,
@@ -115,11 +116,6 @@ class TestTotalUtility:
                 t = rec.r
             expected += 0.5 * e + 0.5 * t
         assert total_utility(records, PARAMS) == pytest.approx(expected, abs=1e-9)
-
-
-def count_penalties(records, params):
-    summary = summarize(records, [], params=params)
-    return summary.r_penalties, summary.c_penalties
 
 
 class TestPenalties:
