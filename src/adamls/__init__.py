@@ -11,7 +11,7 @@ from .controller import (
 from .learning import CiEntry, CiMatrix, run_learning_engine
 from .metrics import UtilityParams, total_utility, utility_per_request
 from .profiles import KpiRecord, ModelKpiSpec, ModelProfile, ProfileFamilySpec, generate_profiles
-from .simulator import CompletionRecord, SimConfig, WorkloadSpec, run_simulation
+from .simulator import CompletionRecord, SimConfig, SimulationConfig, WorkloadSpec, run_simulation
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,7 @@ __all__ = [
     "PlannerInput",
     "ProfileFamilySpec",
     "SimConfig",
+    "SimulationConfig",
     "SystemState",
     "UtilityParams",
     "WorkloadSpec",

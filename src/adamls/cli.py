@@ -189,14 +189,14 @@ def run_compare(config: cfgmod.ExperimentConfig) -> int:
 
 def run_report(config: cfgmod.ExperimentConfig, timeseries: bool = False) -> int:
     out_dir = Path(config.output_dir)
-    summary_rows = _read_rows(out_dir / "summary.csv")
-    sweep_rows = _read_rows(out_dir / "utility_sweep.csv")
+    summary_rows = _read_rows(out_dir / "summary.csv", ("avg_c", "avg_r"))
+    sweep_rows = _read_rows(out_dir / "utility_sweep.csv", ("w_e", "w_d", "total_utility"))
     if not summary_rows:
         raise AdamlsError(f"{out_dir / 'summary.csv'} has no rows")
     by_weights: dict[tuple[float, float], list[tuple[str, float]]] = {}
     for row in sweep_rows:
-        key = (float(row["w_e"]), float(row["w_d"]))
-        by_weights.setdefault(key, []).append((row["policy"], float(row["total_utility"])))
+        key = (row["w_e"], row["w_d"])
+        by_weights.setdefault(key, []).append((row["policy"], row["total_utility"]))
     if timeseries:
         rows = _utility_series(out_dir, summary_rows, by_weights, config.utility)
         with open(out_dir / "utility_timeseries.csv", "w", encoding="utf-8", newline="") as fh:
@@ -215,17 +215,29 @@ def run_report(config: cfgmod.ExperimentConfig, timeseries: bool = False) -> int
     for row in summary_rows:
         print(
             f"{row['policy']:<16} {row['switches']:>8} {row['r_penalties']:>12} "
-            f"{row['c_penalties']:>12} {float(row['avg_c']):>8.3f} {float(row['avg_r']):>8.3f}"
+            f"{row['c_penalties']:>12} {row['avg_c']:>8.3f} {row['avg_r']:>8.3f}"
         )
     return 0
 
 
-def _read_rows(path: Path) -> list[dict]:
-    """The rows of one of compare's CSVs."""
+def _read_rows(path: Path, numbers: tuple[str, ...]) -> list[dict]:
+    """The rows of one of compare's CSVs, with the numbers columns as floats."""
     if not path.exists():
         raise AdamlsError(f"missing {path}; run the compare command first")
     with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
+    for line, row in enumerate(rows, start=2):  # the header is line 1
+        # DictReader keys extra fields by None and gives missing ones None.
+        if None in row or None in row.values():
+            raise AdamlsError(f"{path}, line {line}: the row's field count is not the header's")
+        for column in numbers:
+            try:
+                row[column] = float(row[column])
+            except (KeyError, TypeError, ValueError):
+                raise AdamlsError(
+                    f"{path}, line {line}: {column} must be a number, got {row.get(column)!r}"
+                ) from None
+    return rows
 
 
 def _utility_series(out_dir: Path, summary_rows, by_weights: dict, params: UtilityParams):
@@ -236,19 +248,17 @@ def _utility_series(out_dir: Path, summary_rows, by_weights: dict, params: Utili
     weights, so other c, r or penalty params fail; other w_e, w_d alone do not.
     """
     series = []
+    columns = ("finish_t", "c", "r")
     for row in summary_rows:
         label = row["policy"]
         path = out_dir / "compare" / _policy_dir_name(label) / "results.csv"
-        results = _read_rows(path)
+        results = _read_rows(path, columns)
         if not results or str(len(results)) != row["requests"]:
             raise AdamlsError(
                 f"{path} has {len(results)} rows; summary.csv has "
                 f"{row['requests']} requests for policy {label!r}"
             )
-        try:
-            finish_t, c, r = ([float(rec[k]) for rec in results] for k in ("finish_t", "c", "r"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise AdamlsError(f"{path}: bad finish_t, c or r ({exc!r})") from None
+        finish_t, c, r = ([rec[k] for rec in results] for k in columns)
         terms = UtilityTerms.of(c, r, params)
         for (w_e, w_d), entries in by_weights.items():
             swept = dict(entries).get(label)

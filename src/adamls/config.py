@@ -28,7 +28,7 @@ from .profiles import (
     generate_profiles,
     load_profiles,
 )
-from .simulator import PolicySpec, SimConfig, WorkloadSpec
+from .simulator import PolicySpec, SimConfig, SimulationConfig, WorkloadSpec
 
 # Five-model synthetic family: system times span 45 ms to 766 ms and
 # confidence means 0.50 to 0.75, rising monotonically with model size.
@@ -89,26 +89,18 @@ class LearningConfig:
     k_max: int = 6
     ci_level: float = 0.90
 
+    def __post_init__(self) -> None:
+        if self.k_max < 1:
+            raise ConfigError(f"learning.k_max must be >= 1, got {self.k_max}")
+        if not 0.0 < self.ci_level < 1.0:
+            raise ConfigError(f"learning.ci_level must be in (0, 1), got {self.ci_level}")
+
 
 @dataclass(frozen=True)
 class WorkloadConfig:
     segments: tuple[tuple[float, float], ...] = DEFAULT_SEGMENTS
     max_requests: int = 5000
     arrival_process: str = "poisson"
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    worker_count: int = 1
-    switch_latency: float = 0.005
-    window_size: int = 50
-    t_wait: float = 0.25
-    tick_interval: float = 0.1
-    network_delay: float = 0.0
-    initial_model: str = "xlarge"
-    blacklist_enabled: bool = False
-    blacklist_margin: float = 0.05
-    blacklist_consecutive: int = 3
 
 
 @dataclass(frozen=True)
@@ -173,23 +165,13 @@ def build_workload_spec(config: ExperimentConfig) -> WorkloadSpec:
 def build_sim_config(
     config: ExperimentConfig, policy: PolicySpec, profiles
 ) -> SimConfig:
-    sim = config.simulation
     return SimConfig(
         workload=build_workload_spec(config),
         profiles=tuple(profiles),
         policy=policy,
-        initial_model=sim.initial_model,
-        worker_count=sim.worker_count,
-        switch_latency=sim.switch_latency,
-        window_size=sim.window_size,
-        t_wait=sim.t_wait,
-        tick_interval=sim.tick_interval,
+        simulation=config.simulation,
         service_seed=derive_seed(config.master_seed, "service"),
-        network_delay=sim.network_delay,
         ci_level=config.learning.ci_level,
-        blacklist_enabled=sim.blacklist_enabled,
-        blacklist_margin=sim.blacklist_margin,
-        blacklist_consecutive=sim.blacklist_consecutive,
     )
 
 
@@ -218,32 +200,28 @@ def experiment_config_from_dict(raw: dict, source: str = "<dict>") -> Experiment
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{source}: unknown key(s) {sorted(unknown)}")
-    if "master_seed" in raw:
-        _check_int(raw["master_seed"], source, "master_seed")
     try:
+        if "master_seed" in raw:
+            _check_int(raw["master_seed"], "master_seed")
         profiles = _merge_section(
-            ProfilesConfig, raw.get("profiles"), defaults.profiles, source, "profiles",
+            ProfilesConfig, raw.get("profiles"), defaults.profiles, "profiles",
             converters={"models": _parse_model_family},
         )
-        learning = _merge_section(
-            LearningConfig, raw.get("learning"), defaults.learning, source, "learning"
-        )
+        learning = _merge_section(LearningConfig, raw.get("learning"), defaults.learning, "learning")
         workload = _merge_section(
-            WorkloadConfig, raw.get("workload"), defaults.workload, source, "workload",
+            WorkloadConfig, raw.get("workload"), defaults.workload, "workload",
             converters={"segments": _parse_segments},
         )
         simulation = _merge_section(
-            SimulationConfig, raw.get("simulation"), defaults.simulation, source, "simulation"
+            SimulationConfig, raw.get("simulation"), defaults.simulation, "simulation"
         )
-        utility = _merge_section(
-            UtilityParams, raw.get("utility"), defaults.utility, source, "utility"
-        )
+        utility = _merge_section(UtilityParams, raw.get("utility"), defaults.utility, "utility")
         naive = raw.get("naive_thresholds")
         naive_thresholds = (
             _parse_thresholds(naive) if naive is not None else defaults.naive_thresholds
         )
         grid = raw.get("weight_grid")
-        weight_grid = defaults.weight_grid if grid is None else _parse_weight_grid(grid, source)
+        weight_grid = defaults.weight_grid if grid is None else _parse_weight_grid(grid)
         return ExperimentConfig(
             master_seed=raw.get("master_seed", defaults.master_seed),
             output_dir=str(raw.get("output_dir", defaults.output_dir)),
@@ -257,38 +235,36 @@ def experiment_config_from_dict(raw: dict, source: str = "<dict>") -> Experiment
             weight_grid=weight_grid,
         )
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"{source}: {exc}") from exc
 
 
-def _merge_section(cls, raw, default, source: str, name: str, converters=None):
+def _merge_section(cls, raw, default, name: str, converters=None):
     if raw is None:
         return default
     if not isinstance(raw, dict):
-        raise ConfigError(f"{source}: section {name!r} must be a mapping")
+        raise ConfigError(f"section {name!r} must be a mapping")
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     unknown = set(raw) - set(types)
     if unknown:
-        raise ConfigError(f"{source}: unknown key(s) {sorted(unknown)} in section {name!r}")
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in section {name!r}")
     kwargs = {}
     converters = converters or {}
     for key, value in raw.items():
         if types[key] in (int, "int"):
-            _check_int(value, source, f"{name}.{key}")
+            _check_int(value, f"{name}.{key}")
         elif types[key] in (float, "float"):
-            _check_float(value, source, f"{name}.{key}")
+            _check_float(value, f"{name}.{key}")
         kwargs[key] = converters[key](value) if key in converters else value
     return dataclasses.replace(default, **kwargs)
 
 
-def _check_int(value, source: str, key: str) -> None:
+def _check_int(value, key: str) -> None:
     # bool is an int subclass, and YAML reads true/false as bools.
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{source}: {key} must be an integer, got {value!r}")
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
-def _check_float(value, source: str, key: str) -> None:
+def _check_float(value, key: str) -> None:
     # An int is valid if it converts to a finite float; a bool is not,
     # though bool is an int subclass.
     try:
@@ -296,16 +272,18 @@ def _check_float(value, source: str, key: str) -> None:
     except (TypeError, OverflowError):
         finite = False
     if not finite:
-        raise ConfigError(f"{source}: {key} must be a finite number, got {value!r}")
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
-def _parse_weight_grid(raw, source: str) -> tuple[tuple[float, float], ...]:
+def _parse_weight_grid(raw) -> tuple[tuple[float, float], ...]:
     if not isinstance(raw, (list, tuple)) or any(
         not isinstance(pair, (list, tuple)) or len(pair) != 2 for pair in raw
     ):
-        raise ConfigError(f"{source}: weight_grid must be a list of [w_e, w_d] pairs, got {raw!r}")
+        raise ConfigError(f"weight_grid must be a list of [w_e, w_d] pairs, got {raw!r}")
     for value in chain.from_iterable(raw):
-        _check_float(value, source, "weight_grid")
+        _check_float(value, "weight_grid")
+        if value < 0:
+            raise ConfigError(f"weight_grid weights must be >= 0, got {value!r}")
     return tuple((float(w_e), float(w_d)) for w_e, w_d in raw)
 
 

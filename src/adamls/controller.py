@@ -256,7 +256,6 @@ class Analyzer:
 
     def __init__(self, t_wait: float = DEFAULT_T_WAIT):
         self.t_wait = t_wait
-        self.last_cluster: int | None = None
         self._armed_at: float | None = None
 
     def analyze(self, state: SystemState, knowledge: Knowledge, now: float) -> PlannerInput | None:
@@ -264,7 +263,6 @@ class Analyzer:
             return None
         matrix = knowledge.rules_for(state.m_prime)
         cluster = find_closest_cluster(state, matrix)
-        self.last_cluster = cluster
         v_min, v_max = feasible_rate_range(matrix, state.m_prime, cluster)
         v_adj = compute_adjusted_rate(state.v, state.i_w)
         if v_min <= v_adj <= v_max:
@@ -283,12 +281,12 @@ def plan(
     planner_input: PlannerInput,
     knowledge: Knowledge,
     live_window: _KpiWindow,
-    blacklist: frozenset[str] = frozenset(),
     level: float = 0.90,
 ) -> AdaptationPlan:
     """Pick the most accurate model whose rate capacity covers v_adj.
 
-    A model q is compatible when v_adj <= 1 / low(tau of q); the current
+    Every model with a rule row in the matched cluster is a candidate. A
+    model q is compatible when v_adj <= 1 / low(tau of q); the current
     model's tau and c CIs come from its live window (falling back to the rule
     matrix when the window is empty), every other model's from the current
     model's CI matrix. Among compatible models the winner maximizes low(c),
@@ -303,8 +301,6 @@ def plan(
         raise RuleError(f"rule matrix of {m_prime!r} has no cluster {cluster}")
     candidates: list[tuple[str, float, float]] = []  # (model, low_c, high_tau)
     for model_id, row in rows.items():
-        if model_id in blacklist:
-            continue
         if model_id == m_prime and live_window:
             tau_ci = live_window.ci("tau_model", level)
             c_ci = live_window.ci("c", level)
@@ -362,41 +358,6 @@ def naive_policy(v: float, config: NaivePolicyConfig) -> str:
         if v <= bound:
             return model_id
     return config.thresholds[-1][1]
-
-
-class DegradedModelTracker:
-    """Optional blacklist of models whose live confidence degraded.
-
-    A model is listed after `consecutive` analyses in a row where its live
-    window-mean c sits below its rule-matrix low(c) minus `margin`. The list
-    clears on the next learning batch (reset()). Disabled by default.
-    """
-
-    def __init__(self, margin: float = 0.05, consecutive: int = 3, enabled: bool = False):
-        self.margin = margin
-        self.consecutive = consecutive
-        self.enabled = enabled
-        self._streaks: dict[str, int] = {}
-        self._listed: set[str] = set()
-
-    def observe(self, model_id: str, window_mean_c: float, rule_low_c: float) -> None:
-        if not self.enabled:
-            return
-        if window_mean_c < rule_low_c - self.margin:
-            streak = self._streaks.get(model_id, 0) + 1
-            self._streaks[model_id] = streak
-            if streak >= self.consecutive:
-                self._listed.add(model_id)
-        else:
-            self._streaks[model_id] = 0
-
-    @property
-    def blacklist(self) -> frozenset[str]:
-        return frozenset(self._listed) if self.enabled else frozenset()
-
-    def reset(self) -> None:
-        self._streaks.clear()
-        self._listed.clear()
 
 
 # KPIs whose live CI the planner reads, kept as exact integer moments.
@@ -481,6 +442,9 @@ class AdamlsController:
     capacity), from which the feasible rate range is read too. So a rule
     the planner cannot use (a tau CI lower bound <= 0) or a matrix without
     anchor KPI stats raises its RuleError before the first event.
+
+    window_size, t_wait and switch_latency are the experiment's `simulation`
+    settings; ci_level is the level the rules were learned at.
     """
 
     name = "adamls"
@@ -493,14 +457,12 @@ class AdamlsController:
         t_wait: float = DEFAULT_T_WAIT,
         switch_latency: float = DEFAULT_SWITCH_LATENCY,
         ci_level: float = 0.90,
-        degraded_tracker: DegradedModelTracker | None = None,
     ):
         self.knowledge = knowledge
         self.window_size = window_size
         self.switch_latency = switch_latency
         self.ci_level = ci_level
         self.analyzer = Analyzer(t_wait=t_wait)
-        self.degraded = degraded_tracker or DegradedModelTracker(enabled=False)
         for matrix in knowledge.adaptation_rule_repository.values():
             matrix.derived(_rule_rows)
             matrix.derived(_cluster_anchors)
@@ -531,13 +493,6 @@ class AdamlsController:
     def on_event(self, system) -> None:
         state = self.monitor(system)
         planner_input = self.analyzer.analyze(state, self.knowledge, system.now)
-        if self.degraded.enabled and state.window_means and self.analyzer.last_cluster is not None:
-            matrix = self.knowledge.rules_for(state.m_prime)
-            self.degraded.observe(
-                state.m_prime,
-                state.window_means["c"],
-                matrix.entry(self.analyzer.last_cluster, state.m_prime, "c").low,
-            )
         if planner_input is None:
             return
         self.knowledge.log_event(
@@ -546,13 +501,7 @@ class AdamlsController:
             f"v_adj={planner_input.v_adj:g} cluster={planner_input.cluster} "
             f"m'={planner_input.m_prime}",
         )
-        adaptation = plan(
-            planner_input,
-            self.knowledge,
-            state.window,
-            blacklist=self.degraded.blacklist,
-            level=self.ci_level,
-        )
+        adaptation = plan(planner_input, self.knowledge, state.window, level=self.ci_level)
         self.knowledge.log_event(
             system.now,
             EVENT_PLAN,

@@ -120,40 +120,54 @@ class PolicySpec:
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Everything one simulation run depends on, seeds included."""
+class SimulationConfig:
+    """The experiment's `simulation` section, range-checked when it is loaded.
 
-    workload: WorkloadSpec
-    profiles: tuple[ModelProfile, ...]
-    policy: PolicySpec
-    initial_model: str
+    Whether initial_model has a profile is checked by SimConfig.
+    """
+
     worker_count: int = 1
     switch_latency: float = ctrl.DEFAULT_SWITCH_LATENCY
     window_size: int = ctrl.DEFAULT_WINDOW_SIZE
     t_wait: float = ctrl.DEFAULT_T_WAIT
     tick_interval: float = 0.1
-    service_seed: int = 0
     network_delay: float = 0.0
+    initial_model: str = "xlarge"
+
+    def __post_init__(self) -> None:
+        if self.worker_count < 1:
+            raise ConfigError(f"simulation.worker_count must be >= 1, got {self.worker_count}")
+        if self.tick_interval <= 0.0:
+            raise ConfigError(f"simulation.tick_interval must be > 0, got {self.tick_interval}")
+        for key in ("switch_latency", "t_wait", "network_delay"):
+            if getattr(self, key) < 0.0:
+                raise ConfigError(f"simulation.{key} must be >= 0, got {getattr(self, key)}")
+        if self.window_size < 1:
+            raise ConfigError(f"simulation.window_size must be >= 1, got {self.window_size}")
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Everything one simulation run depends on, seeds included.
+
+    ci_level is the level the rules were learned at; the live CIs use it too.
+    """
+
+    workload: WorkloadSpec
+    profiles: tuple[ModelProfile, ...]
+    policy: PolicySpec
+    simulation: SimulationConfig
+    service_seed: int = 0
     ci_level: float = 0.90
-    blacklist_enabled: bool = False
-    blacklist_margin: float = 0.05
-    blacklist_consecutive: int = 3
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "profiles", tuple(self.profiles))
         if not self.profiles:
             raise ConfigError("simulation needs at least one model profile")
-        if self.worker_count < 1:
-            raise ConfigError("worker_count must be >= 1")
-        if self.tick_interval <= 0.0:
-            raise ConfigError("tick_interval must be > 0")
-        if self.switch_latency < 0.0 or self.t_wait < 0.0 or self.network_delay < 0.0:
-            raise ConfigError("latencies and delays must be >= 0")
-        if self.window_size < 1:
-            raise ConfigError("window_size must be >= 1")
         model_ids = {p.model_id for p in self.profiles}
-        if self.initial_model not in model_ids:
-            raise ConfigError(f"initial_model {self.initial_model!r} has no profile")
+        initial_model = self.simulation.initial_model
+        if initial_model not in model_ids:
+            raise ConfigError(f"initial_model {initial_model!r} has no profile")
         if self.policy.kind == "static" and self.policy.static_model not in model_ids:
             raise ConfigError(
                 f"static model {self.policy.static_model!r} has no profile"
@@ -219,7 +233,10 @@ class _Engine:
         self.arrival_times: list[float] = []
         self.completions: list[CompletionRecord] = []
         self._queue: deque[tuple[int, float]] = deque()
-        self._free_workers = config.worker_count
+        self._free_workers = config.simulation.worker_count
+        # Read on every dispatch and every tick.
+        self._network_delay = config.simulation.network_delay
+        self._tick_interval = config.simulation.tick_interval
         self._in_flight = 0
         self._intake_paused_until = 0.0
         self._rng = random.Random(config.service_seed)
@@ -250,7 +267,7 @@ class _Engine:
         # Each tick schedules the next; a policy that ignores ticks gets none.
         # Events of equal (time, class) still pop in push order.
         if self._policy.needs_ticks:
-            self._push(self.config.tick_interval, _EV_TICK, None)
+            self._push(self._tick_interval, _EV_TICK, None)
         while self._heap:
             self.now, klass, _, payload = heapq.heappop(self._heap)
             if klass == _EV_COMPLETION:
@@ -284,7 +301,7 @@ class _Engine:
     def _on_tick(self) -> None:
         self._policy.on_event(self)
         if self._pending_arrivals or self._queue or self._in_flight:
-            self._push(self.now + self.config.tick_interval, _EV_TICK, None)
+            self._push(self.now + self._tick_interval, _EV_TICK, None)
 
     def _dispatch(self) -> None:
         if self.now < self._intake_paused_until:
@@ -309,7 +326,7 @@ class _Engine:
                 tau_system,
                 s_cpu,
                 int(b),
-                finish - arrival_t + self.config.network_delay,
+                finish - arrival_t + self._network_delay,
             )
             self._free_workers -= 1
             self._in_flight += 1
@@ -321,14 +338,15 @@ def _resolve_initial_model(config: SimConfig) -> str:
         return config.policy.static_model
     if config.policy.kind == "naive":
         return ctrl.naive_policy(0.0, config.policy.naive)
-    return config.initial_model
+    return config.simulation.initial_model
 
 
 def _build_policy(config: SimConfig, knowledge: ctrl.Knowledge):
+    sim = config.simulation
     if config.policy.kind == "static":
         return ctrl.StaticPolicy(config.policy.static_model)
     if config.policy.kind == "naive":
-        return ctrl.NaiveSwitcher(knowledge, config.policy.naive, config.switch_latency)
+        return ctrl.NaiveSwitcher(knowledge, config.policy.naive, sim.switch_latency)
     model_ids = sorted(p.model_id for p in config.profiles)
     for model_id in model_ids:
         matrix = knowledge.adaptation_rule_repository.get(model_id)
@@ -342,18 +360,12 @@ def _build_policy(config: SimConfig, knowledge: ctrl.Knowledge):
                 f"rules of anchor model {matrix.anchor_model_id!r} cover models "
                 f"{matrix.model_ids()}, but the profiled models are {model_ids}"
             )
-    tracker = ctrl.DegradedModelTracker(
-        margin=config.blacklist_margin,
-        consecutive=config.blacklist_consecutive,
-        enabled=config.blacklist_enabled,
-    )
     return ctrl.AdamlsController(
         knowledge,
-        window_size=config.window_size,
-        t_wait=config.t_wait,
-        switch_latency=config.switch_latency,
+        window_size=sim.window_size,
+        t_wait=sim.t_wait,
+        switch_latency=sim.switch_latency,
         ci_level=config.ci_level,
-        degraded_tracker=tracker,
     )
 
 

@@ -67,7 +67,7 @@ def reference_ci(samples, level=0.90):
     return normal_ci(mean, statistics.stdev(data), n, level)
 
 
-def brute_force_plan(cluster_entries, m_prime, v_adj, live=None, blacklist=frozenset()):
+def brute_force_plan(cluster_entries, m_prime, v_adj, live=None):
     """Reference planner: filter by rate capacity, argmax low(c), fixed ties.
 
     cluster_entries: model -> {"tau": (low, high), "c": (low, high)} from the
@@ -77,8 +77,6 @@ def brute_force_plan(cluster_entries, m_prime, v_adj, live=None, blacklist=froze
     """
     candidates = []
     for model, entry in cluster_entries.items():
-        if model in blacklist:
-            continue
         if model == m_prime and live is not None:
             tau_low, tau_high = live["tau"]
             c_low, _ = live["c"]

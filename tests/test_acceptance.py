@@ -135,7 +135,7 @@ def test_criterion_4_planner_matches_enumeration_oracle():
 
 def test_criterion_5_des_invariant_suite(tmp_path, tiny_profiles):
     with criterion(5, "DES invariants on 2000-request bursty workload"):
-        from adamls.simulator import PolicySpec, SimConfig, WorkloadSpec
+        from adamls.simulator import PolicySpec, SimConfig, SimulationConfig, WorkloadSpec
 
         # Offered load (~2240) clearly exceeds the cap, so the run always
         # serves exactly 2000 requests.
@@ -148,7 +148,7 @@ def test_criterion_5_des_invariant_suite(tmp_path, tiny_profiles):
             workload=workload,
             profiles=tuple(tiny_profiles),
             policy=PolicySpec(kind="static", static_model="fast"),
-            initial_model="fast",
+            simulation=SimulationConfig(initial_model="fast"),
             service_seed=5,
         )
         digests = []

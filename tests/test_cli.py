@@ -56,6 +56,17 @@ class TestConfig:
     def test_default_yaml_matches_builtins(self):
         repo_default = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
         assert cfgmod.load_experiment_config(repo_default) == cfgmod.ExperimentConfig()
+        # It is the full schema: no field of any section is left to its default.
+        raw = yaml.safe_load(repo_default.read_text(encoding="utf-8"))
+        defaults = cfgmod.ExperimentConfig()
+        assert set(raw) == {f.name for f in dataclasses.fields(defaults)}
+        for name in set(raw) - {"naive_thresholds"}:
+            section = getattr(defaults, name)
+            if dataclasses.is_dataclass(section):
+                assert set(raw[name]) == {f.name for f in dataclasses.fields(section)}, name
+        model_fields = {f.name for f in dataclasses.fields(cfgmod.ModelKpiSpec)}
+        for model in raw["profiles"]["models"]:
+            assert set(model) == model_fields, model["model_id"]
 
     def test_roundtrip_through_yaml(self, tmp_path, tiny_config):
         path = write_config(tmp_path, tiny_config)
@@ -158,7 +169,6 @@ class TestLearnCommand:
             ("compare", "workload: {max_requests: 2.5}", "workload.max_requests"),
             ("compare", "simulation: {worker_count: 1.5}", "simulation.worker_count"),
             ("compare", "simulation: {window_size: 2.5}", "simulation.window_size"),
-            ("compare", "simulation: {blacklist_consecutive: 2.5}", "simulation.blacklist_consecutive"),
             ("learn", "master_seed: 2.5", "master_seed"),
         ],
     )
@@ -181,7 +191,6 @@ class TestLearnCommand:
             ("compare", "simulation: {t_wait: abc}", "simulation.t_wait"),
             ("compare", "simulation: {switch_latency: .nan}", "simulation.switch_latency"),
             ("compare", "simulation: {tick_interval: .inf}", "simulation.tick_interval"),
-            ("compare", "simulation: {blacklist_margin: true}", "simulation.blacklist_margin"),
             ("compare", "simulation: {network_delay: null}", "simulation.network_delay"),
         ],
     )
@@ -204,12 +213,40 @@ class TestLearnCommand:
             ("weight_grid: [[1.0e+400, 0]]", "weight_grid must be a finite number, got inf"),
             ("weight_grid: [[0.5, 0.5, 0.5]]", "weight_grid must be a list of [w_e, w_d] pairs"),
             ("weight_grid: [0.5, 0.5]", "weight_grid must be a list of [w_e, w_d] pairs"),
+            ("weight_grid: [[-1, 2], [0.5, 0.5]]", "weight_grid weights must be >= 0, got -1"),
         ],
     )
     def test_bad_weight_grid_fails_naming_the_key(self, tmp_path, yaml_text, message, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text(f"output_dir: {tmp_path / 'out'}\n{yaml_text}\n")
         assert cli.main(["compare", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["learn", "compare"])
+    @pytest.mark.parametrize(
+        "yaml_text, message",
+        [
+            ("simulation: {worker_count: 0}", "simulation.worker_count must be >= 1, got 0"),
+            ("simulation: {tick_interval: 0}", "simulation.tick_interval must be > 0, got 0"),
+            ("simulation: {window_size: 0}", "simulation.window_size must be >= 1, got 0"),
+            ("simulation: {t_wait: -1}", "simulation.t_wait must be >= 0, got -1"),
+            ("learning: {k_max: 0}", "learning.k_max must be >= 1, got 0"),
+            ("learning: {ci_level: 1.0}", "learning.ci_level must be in (0, 1), got 1.0"),
+            ("learning: {ci_level: 0}", "learning.ci_level must be in (0, 1), got 0"),
+            ("profiles: {source: sql}", "profiles.source must be generate or csv, got 'sql'"),
+            (
+                "simulation: {blacklist_enabled: false}",
+                "unknown key(s) ['blacklist_enabled'] in section 'simulation'",
+            ),
+        ],
+    )
+    def test_bad_setting_fails_at_load(self, tmp_path, command, yaml_text, message, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"output_dir: {tmp_path / 'out'}\n{yaml_text}\n")
+        assert cli.main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"{path}: {message}" in err
         assert "Traceback" not in err
@@ -450,6 +487,36 @@ class TestReportCommand:
         before = files_under(out)
         assert cli.main(["report", "--out", str(out)]) == 0
         assert files_under(out) == before
+
+    @pytest.mark.parametrize(
+        "name, column", [("summary.csv", "avg_c"), ("utility_sweep.csv", "total_utility")]
+    )
+    def test_bad_number_fails_naming_file_column_and_line(self, compared, name, column, capsys):
+        out, path = compared
+        rows = read_rows(out / name)
+        rows[0][column] = "abc" + rows[0][column]
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        before = files_under(out)
+        assert cli.main(["report", "--config", str(path), "--timeseries"]) == 1
+        err = capsys.readouterr().err
+        assert f"{out / name}, line 2: {column} must be a number, got 'abc" in err
+        assert "Traceback" not in err
+        assert files_under(out) == before
+
+    @pytest.mark.parametrize("edit", [lambda cells: cells[:6], lambda cells: cells + ["1"]])
+    def test_row_of_another_length_fails_naming_file_and_line(self, compared, edit, capsys):
+        out, _ = compared
+        summary = out / "summary.csv"
+        lines = summary.read_text(encoding="utf-8").splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["report", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{summary}, line 3: the row's field count is not the header's" in err
+        assert "Traceback" not in err
 
     def test_timeseries_written(self, compared, capsys):
         out, path = compared

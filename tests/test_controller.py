@@ -11,7 +11,6 @@ from adamls.controller import (
     AdamlsController,
     AdaptationPlan,
     Analyzer,
-    DegradedModelTracker,
     Knowledge,
     NaivePolicyConfig,
     PlannerInput,
@@ -369,16 +368,6 @@ class TestPlan:
         assert not result.is_switch
         assert "no suitable" in result.reason
 
-    def test_blacklist_removes_candidates(self):
-        knowledge = plan_fixture()
-        result = plan(
-            PlannerInput(8.0, "A", 0),
-            knowledge,
-            live_window=_KpiWindow.of(()),
-            blacklist=frozenset({"B"}),
-        )
-        assert not result.is_switch  # A stays: B was the only better candidate
-
     def test_live_window_overrides_matrix_for_current_model(self):
         knowledge = plan_fixture()
         # Live window of B shows tau ~0.02: its live capacity is ~50, so B
@@ -397,15 +386,6 @@ class TestPlan:
         knowledge = Knowledge(adaptation_rule_repository={"A": matrix_of("A", clusters)})
         with pytest.raises(RuleError, match="model 'B' cluster 0"):
             AdamlsController(knowledge)
-        # The rule rows are built for the whole matrix, so a blacklisted
-        # model's bad row fails too.
-        with pytest.raises(RuleError, match="model 'B' cluster 0"):
-            plan(
-                PlannerInput(8.0, "A", 0),
-                knowledge,
-                live_window=_KpiWindow.of(()),
-                blacklist=frozenset({"B"}),
-            )
 
     def test_missing_cluster_is_rule_corruption(self):
         knowledge = plan_fixture()
@@ -536,40 +516,3 @@ class TestNaivePolicy:
             NaivePolicyConfig(thresholds=((5.0, "a"), (10.0, "b")))
         with pytest.raises(ValidationError):
             NaivePolicyConfig(thresholds=())
-
-
-class TestDegradedTracker:
-    def test_three_consecutive_violations_blacklist(self):
-        tracker = DegradedModelTracker(margin=0.05, consecutive=3, enabled=True)
-        for _ in range(3):
-            tracker.observe("m", window_mean_c=0.40, rule_low_c=0.50)
-        assert tracker.blacklist == frozenset({"m"})
-
-    def test_recovery_resets_streak(self):
-        tracker = DegradedModelTracker(margin=0.05, consecutive=3, enabled=True)
-        tracker.observe("m", 0.40, 0.50)
-        tracker.observe("m", 0.40, 0.50)
-        tracker.observe("m", 0.50, 0.50)  # recovered
-        tracker.observe("m", 0.40, 0.50)
-        tracker.observe("m", 0.40, 0.50)
-        assert tracker.blacklist == frozenset()
-
-    def test_margin_is_respected(self):
-        tracker = DegradedModelTracker(margin=0.05, consecutive=1, enabled=True)
-        tracker.observe("m", 0.46, 0.50)  # within margin: 0.46 >= 0.45
-        assert tracker.blacklist == frozenset()
-        tracker.observe("m", 0.44, 0.50)
-        assert tracker.blacklist == frozenset({"m"})
-
-    def test_disabled_tracker_stays_empty(self):
-        tracker = DegradedModelTracker(enabled=False)
-        for _ in range(5):
-            tracker.observe("m", 0.0, 1.0)
-        assert tracker.blacklist == frozenset()
-
-    def test_reset_clears_on_learning_batch(self):
-        tracker = DegradedModelTracker(consecutive=1, enabled=True)
-        tracker.observe("m", 0.1, 0.9)
-        assert tracker.blacklist
-        tracker.reset()
-        assert tracker.blacklist == frozenset()

@@ -9,7 +9,7 @@ from adamls import cli
 from adamls import config as cfgmod
 from adamls.errors import ConfigError, ProfileLoadError, ValidationError
 from adamls.learning import run_learning_engine
-from adamls.simulator import PolicySpec, SimConfig, WorkloadSpec, run_simulation
+from adamls.simulator import PolicySpec, SimConfig, SimulationConfig, WorkloadSpec, run_simulation
 from adamls.profiles import (
     KPI_NAMES,
     KpiRecord,
@@ -358,7 +358,7 @@ def test_huge_counts_stay_exact_python_ints(tmp_path):
         workload=workload,
         profiles=(profile,),
         policy=PolicySpec(kind="static", static_model="m"),
-        initial_model="m",
+        simulation=SimulationConfig(initial_model="m"),
     )
     completions, _ = run_simulation(config)
     assert [type(rec.b) for rec in completions] == [int] * 5

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from adamls import config as cfgmod
-from adamls.simulator import PolicySpec, SimConfig, WorkloadSpec, run_simulation
+from adamls.simulator import PolicySpec, SimConfig, SimulationConfig, WorkloadSpec, run_simulation
 
 # Student t quantile t(0.995; 19): a two-sided 99% band over 20 batch means.
 T_99_19 = 2.861
@@ -38,8 +38,7 @@ def static_run(profiles, model, rate, requests, workers=1, seed=1):
         workload=workload,
         profiles=profiles,
         policy=PolicySpec("static", static_model=model),
-        initial_model=model,
-        worker_count=workers,
+        simulation=SimulationConfig(initial_model=model, worker_count=workers),
         service_seed=seed + 1,
     )
     completions, events = run_simulation(config)
@@ -66,6 +65,32 @@ def test_mg1_mean_wait_matches_pollaczek_khinchine(default_profiles):
     half_width = T_99_19 * batches.std(ddof=1) / math.sqrt(batches.size)
     assert half_width < 0.1 * expected  # the band is narrow enough to mean something
     assert abs(batches.mean() - expected) <= half_width
+
+
+def erlang_c(workers, offered):
+    """Probability that an arrival waits in an M/M/W queue (offered = lambda E[S])."""
+    terms = [offered**k / math.factorial(k) for k in range(workers)]
+    tail = offered**workers / math.factorial(workers) * workers / (workers - offered)
+    return tail / (sum(terms) + tail)
+
+
+def test_mgc_mean_wait_within_allen_cunneen_band(default_profiles):
+    mean_s, second_s = service_moments(default_profiles, "small")
+    workers, rho = 4, 0.8
+    rate = rho * workers / mean_s
+    # Allen-Cunneen: the M/M/W wait scaled by (1 + C_s^2) / 2. It is an
+    # approximation, so the engine must land in a band around it, +-20%,
+    # fixed before any run, not an exact value.
+    scv = second_s / mean_s**2 - 1.0
+    expected = erlang_c(workers, rate * mean_s) / (workers / mean_s - rate) * (1 + scv) / 2
+    assert round(expected, 4) == 0.0453
+    records = static_run(default_profiles, "small", rate, requests=80_000, workers=workers)
+    waits = np.array([rec.start_t - rec.arrival_t for rec in records])
+    batches = waits[8_000:].reshape(20, -1).mean(axis=1)  # first 10% is warm-up
+    half_width = T_99_19 * batches.std(ddof=1) / math.sqrt(batches.size)
+    assert half_width < 0.1 * expected  # well inside the band's 20% half-width
+    assert 0.8 * expected <= batches.mean() - half_width
+    assert batches.mean() + half_width <= 1.2 * expected
 
 
 def sample_path(records):

@@ -15,6 +15,7 @@ from adamls.simulator import (
     CompletionRecord,
     PolicySpec,
     SimConfig,
+    SimulationConfig,
     WorkloadSpec,
     generate_workload,
     run_simulation,
@@ -35,13 +36,13 @@ def constant_profile(model_id, tau_system, c=0.6, overhead=0.005):
     return generate_profiles(spec)[0]
 
 
-def static_config(profile, workload, **kwargs):
+def static_config(profile, workload, service_seed=0, **settings):
     return SimConfig(
         workload=workload,
         profiles=(profile,),
         policy=PolicySpec(kind="static", static_model=profile.model_id),
-        initial_model=profile.model_id,
-        **kwargs,
+        simulation=SimulationConfig(initial_model=profile.model_id, **settings),
+        service_seed=service_seed,
     )
 
 
@@ -232,7 +233,7 @@ class TestRunSimulation:
             workload=workload,
             profiles=tuple(tiny_profiles),
             policy=PolicySpec(kind="static", static_model="slow"),
-            initial_model="fast",
+            simulation=SimulationConfig(initial_model="fast"),
         )
         completions, events = run_simulation(config)
         assert {rec.model_id for rec in completions} == {"slow"}
@@ -251,7 +252,7 @@ class TestRunSimulation:
                 kind="naive",
                 naive=NaivePolicyConfig(thresholds=((6.0, "slow"), (math.inf, "fast"))),
             ),
-            initial_model="slow",
+            simulation=SimulationConfig(initial_model="slow"),
         )
         completions, events = run_simulation(config)
         switches = [ev for ev in events if ev.event == "SWITCH"]
@@ -274,8 +275,7 @@ class TestRunSimulation:
                 kind="naive",
                 naive=NaivePolicyConfig(thresholds=((6.0, "slow"), (math.inf, "fast"))),
             ),
-            initial_model="slow",
-            switch_latency=0.05,
+            simulation=SimulationConfig(initial_model="slow", switch_latency=0.05),
         )
         completions, events = run_simulation(config)
         switch_times = [ev.sim_time for ev in events if ev.event == "SWITCH"]
@@ -335,7 +335,7 @@ class TestRunSimulation:
             workload=workload,
             profiles=tuple(tiny_profiles),
             policy=PolicySpec(kind="adamls"),
-            initial_model="fast",
+            simulation=SimulationConfig(initial_model="fast"),
         )
         with pytest.raises(ConfigError, match="learning engine"):
             run_simulation(config, Knowledge())
@@ -354,7 +354,7 @@ class TestRunSimulation:
             workload=workload,
             profiles=tuple(tiny_profiles),
             policy=PolicySpec(kind="adamls"),
-            initial_model="slow",
+            simulation=SimulationConfig(initial_model="slow"),
         )
         completions, events = run_simulation(config, knowledge)
         assert len(completions) == len(generate_workload(workload))
@@ -371,21 +371,21 @@ class TestRunSimulation:
                 workload=workload,
                 profiles=tuple(tiny_profiles),
                 policy=PolicySpec(kind="static", static_model="ghost"),
-                initial_model="fast",
+                simulation=SimulationConfig(initial_model="fast"),
             )
         with pytest.raises(ConfigError):
             SimConfig(
                 workload=workload,
                 profiles=tuple(tiny_profiles),
                 policy=PolicySpec(kind="adamls"),
-                initial_model="ghost",
+                simulation=SimulationConfig(initial_model="ghost"),
             )
         with pytest.raises(ConfigError):
             SimConfig(
                 workload=workload,
                 profiles=(),
                 policy=PolicySpec(kind="adamls"),
-                initial_model="fast",
+                simulation=SimulationConfig(initial_model="fast"),
             )
         with pytest.raises(ConfigError):
             PolicySpec(kind="static")
