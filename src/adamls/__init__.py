@@ -10,8 +10,10 @@ from .controller import (
 )
 from .learning import CiEntry, CiMatrix, run_learning_engine
 from .metrics import UtilityParams, total_utility, utility_per_request
-from .profiles import KpiRecord, ModelKpiSpec, ModelProfile, ProfileFamilySpec, generate_profiles
-from .simulator import CompletionRecord, SimConfig, SimulationConfig, WorkloadSpec, run_simulation
+from .profiles import KpiRecord, ModelKpiSpec, ModelProfile, ProfilesConfig, generate_profiles
+from .simulator import (
+    CompletionRecord, SimConfig, SimulationConfig, WorkloadConfig, WorkloadSpec, run_simulation,
+)
 
 __version__ = "0.1.0"
 
@@ -26,11 +28,12 @@ __all__ = [
     "ModelProfile",
     "NaivePolicyConfig",
     "PlannerInput",
-    "ProfileFamilySpec",
+    "ProfilesConfig",
     "SimConfig",
     "SimulationConfig",
     "SystemState",
     "UtilityParams",
+    "WorkloadConfig",
     "WorkloadSpec",
     "generate_profiles",
     "run_learning_engine",

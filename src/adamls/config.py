@@ -1,9 +1,11 @@
 """Experiment configuration: dataclass tree, YAML loading, seed fan-out.
 
 One YAML file describes a whole experiment (profile family, learning
-parameters, workload, simulation, policy, utility). Omitted keys fall back to
-the built-in defaults below; unknown keys are rejected. The master seed fans
-out to per-purpose sub-seeds through a fixed hash, so adding one policy to an
+parameters, workload, simulation, policy, utility). Each section is one
+record, defined beside the code that reads it and checked when it is built;
+the loader checks each key's type first. Omitted keys fall back to the
+records' defaults; unknown keys are rejected. The master seed fans out to
+per-purpose sub-seeds through a fixed hash, so adding one policy to an
 experiment never perturbs another policy's randomness.
 """
 
@@ -13,51 +15,24 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 import yaml
 
 from .controller import NaivePolicyConfig
 from .errors import ConfigError
-from .learning import LearnedModelRules, run_learning_engine
+from .learning import DEFAULT_CI_LEVEL, DEFAULT_K_MAX, LearnedModelRules, run_learning_engine
 from .metrics import DEFAULT_WEIGHT_GRID, UtilityParams
 from .profiles import (
     ModelKpiSpec,
     ModelProfile,
-    ProfileFamilySpec,
+    ProfilesConfig,
     generate_profiles,
+    is_finite_number,
     load_profiles,
 )
-from .simulator import PolicySpec, SimConfig, SimulationConfig, WorkloadSpec
-
-# Five-model synthetic family: system times span 45 ms to 766 ms and
-# confidence means 0.50 to 0.75, rising monotonically with model size.
-DEFAULT_MODEL_FAMILY = (
-    ModelKpiSpec("nano", 0.045, 0.006, 0.50, 0.08, 25.0, 4.0, s_cpu_std=5.0, b_std=1.2, label="nano tier"),
-    ModelKpiSpec("small", 0.120, 0.015, 0.57, 0.08, 40.0, 5.0, s_cpu_std=6.0, b_std=1.2, label="small tier"),
-    ModelKpiSpec("medium", 0.250, 0.030, 0.63, 0.08, 55.0, 5.0, s_cpu_std=7.0, b_std=1.2, label="medium tier"),
-    ModelKpiSpec("large", 0.450, 0.050, 0.69, 0.08, 70.0, 7.0, s_cpu_std=7.0, b_std=1.2, label="large tier"),
-    ModelKpiSpec("xlarge", 0.766, 0.080, 0.75, 0.08, 85.0, 8.0, s_cpu_std=8.0, b_std=1.2, label="xlarge tier"),
-)
-
-# Bursty base cycle (duration s, rate rps): a low-rate floor with one spike
-# per cycle that ramps up to the 28 rps peak and back down, the way flash
-# crowds build over seconds rather than stepping instantaneously.
-_BURST_CYCLE = (
-    (30.0, 2.0),
-    (14.0, 4.0),
-    (20.0, 3.0),
-    (2.0, 10.0),
-    (2.0, 18.0),
-    (4.0, 28.0),
-    (2.0, 12.0),
-    (22.0, 4.0),
-    (16.0, 2.0),
-    (18.0, 3.0),
-    (10.0, 4.0),
-    (10.0, 1.0),
-)
-DEFAULT_SEGMENTS = _BURST_CYCLE * 9
+from .simulator import PolicySpec, SimConfig, SimulationConfig, WorkloadConfig, WorkloadSpec
 
 DEFAULT_NAIVE_THRESHOLDS = NaivePolicyConfig(
     thresholds=(
@@ -71,36 +46,17 @@ DEFAULT_NAIVE_THRESHOLDS = NaivePolicyConfig(
 
 
 @dataclass(frozen=True)
-class ProfilesConfig:
-    source: str = "generate"  # "generate" | "csv"
-    csv_path: str | None = None
-    image_count: int = 1000
-    models: tuple[ModelKpiSpec, ...] = DEFAULT_MODEL_FAMILY
-
-    def __post_init__(self) -> None:
-        if self.source not in ("generate", "csv"):
-            raise ConfigError(f"profiles.source must be generate or csv, got {self.source!r}")
-        if self.source == "csv" and not self.csv_path:
-            raise ConfigError("profiles.source=csv requires profiles.csv_path")
-
-
-@dataclass(frozen=True)
 class LearningConfig:
-    k_max: int = 6
-    ci_level: float = 0.90
+    """The experiment's `learning` section, range-checked when it is built."""
+
+    k_max: int = DEFAULT_K_MAX
+    ci_level: float = DEFAULT_CI_LEVEL
 
     def __post_init__(self) -> None:
         if self.k_max < 1:
             raise ConfigError(f"learning.k_max must be >= 1, got {self.k_max}")
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigError(f"learning.ci_level must be in (0, 1), got {self.ci_level}")
-
-
-@dataclass(frozen=True)
-class WorkloadConfig:
-    segments: tuple[tuple[float, float], ...] = DEFAULT_SEGMENTS
-    max_requests: int = 5000
-    arrival_process: str = "poisson"
 
 
 @dataclass(frozen=True)
@@ -139,12 +95,7 @@ def parse_policy_label(label: str, config: ExperimentConfig) -> PolicySpec:
 def resolve_profiles(config: ExperimentConfig) -> list[ModelProfile]:
     if config.profiles.source == "csv":
         return load_profiles(config.profiles.csv_path)
-    family = ProfileFamilySpec(
-        models=config.profiles.models,
-        image_count=config.profiles.image_count,
-        seed=derive_seed(config.master_seed, "profiles"),
-    )
-    return generate_profiles(family)
+    return generate_profiles(config.profiles, derive_seed(config.master_seed, "profiles"))
 
 
 def learn_rules(config: ExperimentConfig, profiles) -> dict[str, LearnedModelRules]:
@@ -154,12 +105,7 @@ def learn_rules(config: ExperimentConfig, profiles) -> dict[str, LearnedModelRul
 
 
 def build_workload_spec(config: ExperimentConfig) -> WorkloadSpec:
-    return WorkloadSpec(
-        segments=config.workload.segments,
-        max_requests=config.workload.max_requests,
-        arrival_process=config.workload.arrival_process,
-        seed=derive_seed(config.master_seed, "workload"),
-    )
+    return WorkloadSpec(config.workload, seed=derive_seed(config.master_seed, "workload"))
 
 
 def build_sim_config(
@@ -196,13 +142,14 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 def experiment_config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     defaults = ExperimentConfig()
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    unknown = set(raw) - set(types)
     if unknown:
         raise ConfigError(f"{source}: unknown key(s) {sorted(unknown)}")
     try:
-        if "master_seed" in raw:
-            _check_int(raw["master_seed"], "master_seed")
+        for key in ("master_seed", "output_dir", "policy"):
+            if key in raw:
+                _check_scalar(raw[key], types[key], key)
         profiles = _merge_section(
             ProfilesConfig, raw.get("profiles"), defaults.profiles, "profiles",
             converters={"models": _parse_model_family},
@@ -210,7 +157,9 @@ def experiment_config_from_dict(raw: dict, source: str = "<dict>") -> Experiment
         learning = _merge_section(LearningConfig, raw.get("learning"), defaults.learning, "learning")
         workload = _merge_section(
             WorkloadConfig, raw.get("workload"), defaults.workload, "workload",
-            converters={"segments": _parse_segments},
+            converters={"segments": partial(
+                _parse_pairs, key="workload.segments", names="[duration, rate]"
+            )},
         )
         simulation = _merge_section(
             SimulationConfig, raw.get("simulation"), defaults.simulation, "simulation"
@@ -224,12 +173,12 @@ def experiment_config_from_dict(raw: dict, source: str = "<dict>") -> Experiment
         weight_grid = defaults.weight_grid if grid is None else _parse_weight_grid(grid)
         return ExperimentConfig(
             master_seed=raw.get("master_seed", defaults.master_seed),
-            output_dir=str(raw.get("output_dir", defaults.output_dir)),
+            output_dir=raw.get("output_dir", defaults.output_dir),
             profiles=profiles,
             learning=learning,
             workload=workload,
             simulation=simulation,
-            policy=str(raw.get("policy", defaults.policy)),
+            policy=raw.get("policy", defaults.policy),
             naive_thresholds=naive_thresholds,
             utility=utility,
             weight_grid=weight_grid,
@@ -239,6 +188,8 @@ def experiment_config_from_dict(raw: dict, source: str = "<dict>") -> Experiment
 
 
 def _merge_section(cls, raw, default, name: str, converters=None):
+    """The default section record with raw's keys replaced, each scalar
+    checked against its declared type first; the record checks ranges."""
     if raw is None:
         return default
     if not isinstance(raw, dict):
@@ -250,56 +201,60 @@ def _merge_section(cls, raw, default, name: str, converters=None):
     kwargs = {}
     converters = converters or {}
     for key, value in raw.items():
-        if types[key] in (int, "int"):
-            _check_int(value, f"{name}.{key}")
-        elif types[key] in (float, "float"):
-            _check_float(value, f"{name}.{key}")
-        kwargs[key] = converters[key](value) if key in converters else value
+        if key in converters:
+            kwargs[key] = converters[key](value)
+        else:
+            _check_scalar(value, types[key], f"{name}.{key}")
+            kwargs[key] = value
     return dataclasses.replace(default, **kwargs)
 
 
-def _check_int(value, key: str) -> None:
-    # bool is an int subclass, and YAML reads true/false as bools.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+# Declared field type (a string, under `from __future__ import annotations`)
+# -> (test of a loaded value, what it must be). YAML true/false are bools,
+# which isinstance counts as ints.
+_SCALAR_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (is_finite_number, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
 
 
-def _check_float(value, key: str) -> None:
-    # An int is valid if it converts to a finite float; a bool is not,
-    # though bool is an int subclass.
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+def _check_scalar(value, declared: str, key: str) -> None:
+    test, what = _SCALAR_TYPES[declared]
+    if not test(value):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
-def _parse_weight_grid(raw) -> tuple[tuple[float, float], ...]:
+def _parse_pairs(raw, key: str, names: str) -> tuple[tuple[float, float], ...]:
+    """A list of two-number lists; every number finite, none a bool."""
     if not isinstance(raw, (list, tuple)) or any(
         not isinstance(pair, (list, tuple)) or len(pair) != 2 for pair in raw
     ):
-        raise ConfigError(f"weight_grid must be a list of [w_e, w_d] pairs, got {raw!r}")
+        raise ConfigError(f"{key} must be a list of {names} pairs, got {raw!r}")
     for value in chain.from_iterable(raw):
-        _check_float(value, "weight_grid")
+        _check_scalar(value, "float", key)
+    return tuple((float(a), float(b)) for a, b in raw)
+
+
+def _parse_weight_grid(raw) -> tuple[tuple[float, float], ...]:
+    grid = _parse_pairs(raw, "weight_grid", "[w_e, w_d]")
+    for value in chain.from_iterable(grid):
         if value < 0:
             raise ConfigError(f"weight_grid weights must be >= 0, got {value!r}")
-    return tuple((float(w_e), float(w_d)) for w_e, w_d in raw)
+    return grid
 
 
 def _parse_model_family(raw) -> tuple[ModelKpiSpec, ...]:
-    specs = []
+    if not isinstance(raw, list) or not all(isinstance(entry, dict) for entry in raw):
+        raise ConfigError(f"profiles.models must be a list of model mappings, got {raw!r}")
+    fields = {f.name for f in dataclasses.fields(ModelKpiSpec)}
     for entry in raw:
-        fields = {f.name for f in dataclasses.fields(ModelKpiSpec)}
         unknown = set(entry) - fields
         if unknown:
             raise ConfigError(f"unknown model spec key(s) {sorted(unknown)}")
-        specs.append(ModelKpiSpec(**entry))
-    return tuple(specs)
-
-
-def _parse_segments(raw) -> tuple[tuple[float, float], ...]:
-    return tuple((float(d), float(r)) for d, r in raw)
+    return tuple(ModelKpiSpec(**entry) for entry in raw)
 
 
 def _parse_thresholds(raw) -> NaivePolicyConfig:

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from .errors import ExecutionError, RuleError, ValidationError
 from .learning import (
+    DEFAULT_CI_LEVEL,
     MIN_NORMAL_SAMPLES,
     CiEntry,
     CiMatrix,
@@ -80,7 +81,6 @@ class SystemState:
     window_means: dict[str, float]
     v: float
     i_w: int
-    sim_time: float
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,7 @@ def plan(
     planner_input: PlannerInput,
     knowledge: Knowledge,
     live_window: _KpiWindow,
-    level: float = 0.90,
+    level: float = DEFAULT_CI_LEVEL,
 ) -> AdaptationPlan:
     """Pick the most accurate model whose rate capacity covers v_adj.
 
@@ -418,7 +418,7 @@ class _KpiWindow:
             return {}
         return {kpi: total / n for kpi, total in self._sums.items()}
 
-    def ci(self, kpi: str, level: float = 0.90) -> CiEntry:
+    def ci(self, kpi: str, level: float = DEFAULT_CI_LEVEL) -> CiEntry:
         """compute_ci of one CI KPI over the window's records."""
         n = len(self.records)
         if n < MIN_NORMAL_SAMPLES:
@@ -456,7 +456,7 @@ class AdamlsController:
         window_size: int = DEFAULT_WINDOW_SIZE,
         t_wait: float = DEFAULT_T_WAIT,
         switch_latency: float = DEFAULT_SWITCH_LATENCY,
-        ci_level: float = 0.90,
+        ci_level: float = DEFAULT_CI_LEVEL,
     ):
         self.knowledge = knowledge
         self.window_size = window_size
@@ -483,7 +483,6 @@ class AdamlsController:
             window_means=window.means(),
             v=observed_rate(system.arrival_times, system.now),
             i_w=system.queue_depth,
-            sim_time=system.now,
         )
         self.knowledge.log_event(
             system.now, EVENT_MONITOR, f"m'={active} v={state.v:g} i_w={state.i_w}"

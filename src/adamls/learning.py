@@ -22,9 +22,12 @@ from .csvtext import write_rows
 from .errors import JoinError, RuleError, ValidationError
 from .profiles import KPI_NAMES, ModelProfile
 
-# Two-sided z quantile pinned for the default level; other levels fall back
-# to the exact normal quantile.
-_Z_BY_LEVEL = {0.90: 1.6449}
+# Defaults of the experiment's `learning` section. The two-sided z quantile
+# is pinned for the default level; other levels fall back to the exact
+# normal quantile.
+DEFAULT_K_MAX = 6
+DEFAULT_CI_LEVEL = 0.90
+_Z_BY_LEVEL = {DEFAULT_CI_LEVEL: 1.6449}
 
 # Below this many samples a CI is the (min, max) envelope, not a normal CI.
 MIN_NORMAL_SAMPLES = 5
@@ -315,7 +318,7 @@ def select_k_elbow(values, k_max: int) -> int:
     return elbow_from_wcss(wcss_series(x, k_max))
 
 
-def compute_ci(samples, level: float = 0.90) -> CiEntry:
+def compute_ci(samples, level: float = DEFAULT_CI_LEVEL) -> CiEntry:
     """Confidence interval of the sample mean.
 
     The normal approximation mean +/- z * sd / sqrt(n) with the sample
@@ -335,7 +338,7 @@ def compute_ci(samples, level: float = 0.90) -> CiEntry:
     return normal_ci(mean, _exact_column(data).moments().stdev(n), n, level)
 
 
-def normal_ci(mean: float, sd: float, n: int, level: float = 0.90) -> CiEntry:
+def normal_ci(mean: float, sd: float, n: int, level: float = DEFAULT_CI_LEVEL) -> CiEntry:
     """Normal-approximation CI mean +/- z * sd / sqrt(n) from summary stats."""
     half = _z_quantile(level) * sd / math.sqrt(n)
     return CiEntry(mean - half, mean + half, n, mean)
@@ -385,7 +388,7 @@ def _columns_by_image(profile: ModelProfile, image_ids: tuple[str, ...]) -> np.n
 
 
 def build_ci_matrix(
-    perf: PerfMatrix, clustered: ClusteredProfile, level: float = 0.90
+    perf: PerfMatrix, clustered: ClusteredProfile, level: float = DEFAULT_CI_LEVEL
 ) -> CiMatrix:
     """Compute per-cluster CIs of every KPI of every model.
 
@@ -581,7 +584,7 @@ def attach_anchor_stats(matrix: CiMatrix, profile: ModelProfile) -> CiMatrix:
 
 
 def run_learning_engine(
-    profiles, k_max: int = 6, level: float = 0.90
+    profiles, k_max: int = DEFAULT_K_MAX, level: float = DEFAULT_CI_LEVEL
 ) -> dict[str, LearnedModelRules]:
     """Run the full pipeline for every model as anchor.
 

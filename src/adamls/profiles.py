@@ -22,7 +22,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .csvtext import write_rows
-from .errors import ProfileLoadError, ValidationError
+from .errors import ConfigError, ProfileLoadError, ValidationError
 
 # KPI columns that exist per record, in canonical order.
 KPI_NAMES = ("c", "tau_model", "tau_system", "s_cpu", "b")
@@ -232,7 +232,7 @@ class ModelKpiSpec:
         for f in fields(self):
             value = getattr(self, f.name)
             # Annotations are strings here (from __future__ import annotations).
-            if f.type == "float" and not _is_finite(value):
+            if f.type == "float" and not is_finite_number(value):
                 raise ValidationError(
                     f"{f.name} must be finite for model {self.model_id!r}, got {value}"
                 )
@@ -253,46 +253,66 @@ class ModelKpiSpec:
             raise ValidationError(f"b_mean must be >= 0 for model {self.model_id!r}")
 
 
-def _is_finite(value) -> bool:
+def is_finite_number(value) -> bool:
+    """An int or float that converts to a finite float; a bool is not one,
+    though bool is an int subclass."""
     try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int too large for a float
         return False
 
 
-@dataclass(frozen=True)
-class ProfileFamilySpec:
-    """A family of model KPI specs sharing one image set and RNG seed."""
+# Five-model synthetic family: system times span 45 ms to 766 ms and
+# confidence means 0.50 to 0.75, rising monotonically with model size.
+DEFAULT_MODEL_FAMILY = (
+    ModelKpiSpec("nano", 0.045, 0.006, 0.50, 0.08, 25.0, 4.0, s_cpu_std=5.0, b_std=1.2, label="nano tier"),
+    ModelKpiSpec("small", 0.120, 0.015, 0.57, 0.08, 40.0, 5.0, s_cpu_std=6.0, b_std=1.2, label="small tier"),
+    ModelKpiSpec("medium", 0.250, 0.030, 0.63, 0.08, 55.0, 5.0, s_cpu_std=7.0, b_std=1.2, label="medium tier"),
+    ModelKpiSpec("large", 0.450, 0.050, 0.69, 0.08, 70.0, 7.0, s_cpu_std=7.0, b_std=1.2, label="large tier"),
+    ModelKpiSpec("xlarge", 0.766, 0.080, 0.75, 0.08, 85.0, 8.0, s_cpu_std=8.0, b_std=1.2, label="xlarge tier"),
+)
 
-    models: tuple[ModelKpiSpec, ...]
-    image_count: int
-    seed: int = 0
+
+@dataclass(frozen=True)
+class ProfilesConfig:
+    """The experiment's `profiles` section, checked when it is built: source
+    "generate" synthesizes image_count images per model, "csv" loads csv_path."""
+
+    source: str = "generate"  # "generate" | "csv"
+    csv_path: str | None = None
+    image_count: int = 1000
+    models: tuple[ModelKpiSpec, ...] = DEFAULT_MODEL_FAMILY
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "models", tuple(self.models))
-        if not self.models:
-            raise ValidationError("profile family needs at least one model")
+        if self.source not in ("generate", "csv"):
+            raise ConfigError(f"profiles.source must be generate or csv, got {self.source!r}")
+        if self.source == "csv" and not self.csv_path:
+            raise ConfigError("profiles.source=csv requires profiles.csv_path")
         # bool is an int subclass, but not a count.
         if isinstance(self.image_count, bool) or not isinstance(self.image_count, int):
-            raise ValidationError(f"image_count must be an integer, got {self.image_count!r}")
+            raise ConfigError(f"profiles.image_count must be an integer, got {self.image_count!r}")
         if self.image_count < 1:
-            raise ValidationError(f"image_count must be >= 1, got {self.image_count}")
+            raise ConfigError(f"profiles.image_count must be >= 1, got {self.image_count}")
+        if not self.models:
+            raise ConfigError("profiles.models needs at least one model")
         ids = [m.model_id for m in self.models]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate model ids in profile family")
+        duplicates = sorted({i for i in ids if ids.count(i) > 1})
+        if duplicates:
+            raise ConfigError(f"profiles.models repeats model id(s) {duplicates}")
 
 
-def generate_profiles(spec: ProfileFamilySpec) -> list[ModelProfile]:
-    """Synthesize one profile per model from truncated-normal draws.
+def generate_profiles(spec: ProfilesConfig, seed: int) -> list[ModelProfile]:
+    """Synthesize one profile per model of spec from truncated-normal draws.
 
     All profiles cover the same image ids. Draws are clamped rather than
     rejected (c to [0, 1], times to > 0, s_cpu to [0, 100], b to >= 0), so the
-    output is a pure function of the spec including its seed. Each profile's
+    output is a pure function of the spec and the seed. Each profile's
     columns are the draws themselves; b is each draw rounded to a whole
     number, kept as a float so that no integer cast can wrap.
     """
     image_id = tuple(f"img-{i:05d}" for i in range(spec.image_count))
-    children = np.random.SeedSequence(spec.seed).spawn(len(spec.models))
+    children = np.random.SeedSequence(seed).spawn(len(spec.models))
     profiles = []
     for model_spec, child in zip(spec.models, children):
         rng = np.random.default_rng(child)

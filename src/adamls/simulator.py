@@ -22,6 +22,7 @@ from typing import NamedTuple
 from . import controller as ctrl
 from .csvtext import write_rows
 from .errors import ConfigError, ValidationError
+from .learning import DEFAULT_CI_LEVEL
 from .profiles import ModelProfile
 
 RESULTS_CSV_HEADER = (
@@ -64,38 +65,51 @@ class CompletionRecord(NamedTuple):
     r: float
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Piecewise-constant arrival rate segments with a total request cap."""
+# Bursty base cycle (duration s, rate rps): a low-rate floor with one spike
+# per cycle that ramps up to the 28 rps peak and back down, the way flash
+# crowds build over seconds rather than stepping instantaneously.
+_BURST_CYCLE = (
+    (30.0, 2.0), (14.0, 4.0), (20.0, 3.0), (2.0, 10.0), (2.0, 18.0), (4.0, 28.0),
+    (2.0, 12.0), (22.0, 4.0), (16.0, 2.0), (18.0, 3.0), (10.0, 4.0), (10.0, 1.0),
+)
+DEFAULT_SEGMENTS = _BURST_CYCLE * 9
 
-    segments: tuple[tuple[float, float], ...]
-    max_requests: int
+
+@dataclass(frozen=True)
+class WorkloadConfig:
+    """The experiment's `workload` section, range-checked when it is built:
+    (duration s, rate rps) segments, played in order, and a cap on arrivals."""
+
+    segments: tuple[tuple[float, float], ...] = DEFAULT_SEGMENTS
+    max_requests: int = 5000
     arrival_process: str = "poisson"
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "segments", tuple((float(d), float(r)) for d, r in self.segments)
-        )
+        object.__setattr__(self, "segments", tuple((float(d), float(r)) for d, r in self.segments))
         if not self.segments:
-            raise ValidationError("workload needs at least one segment")
+            raise ConfigError("workload.segments needs at least one segment")
         for index, (duration, rate) in enumerate(self.segments):
-            if not (math.isfinite(duration) and math.isfinite(rate)):
-                raise ValidationError(
-                    f"segment {index} (duration {duration}, rate {rate}): "
-                    "duration and rate must be finite"
+            # Written so that a NaN fails it too.
+            if not (0.0 < duration < math.inf and 0.0 <= rate < math.inf):
+                raise ConfigError(
+                    f"workload.segments[{index}] needs a finite duration > 0 and a finite "
+                    f"rate >= 0, got ({duration}, {rate})"
                 )
-            if duration <= 0.0:
-                raise ValidationError(f"segment duration must be > 0, got {duration}")
-            if rate < 0.0:
-                raise ValidationError(f"segment rate must be >= 0, got {rate}")
         if self.max_requests < 1:
-            raise ValidationError(f"max_requests must be >= 1, got {self.max_requests}")
+            raise ConfigError(f"workload.max_requests must be >= 1, got {self.max_requests}")
         if self.arrival_process not in ARRIVAL_PROCESSES:
-            raise ValidationError(
-                f"arrival_process must be one of {ARRIVAL_PROCESSES}, "
+            raise ConfigError(
+                f"workload.arrival_process must be one of {ARRIVAL_PROCESSES}, "
                 f"got {self.arrival_process!r}"
             )
+
+
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """The `workload` section and the seed of its arrival draws."""
+
+    workload: WorkloadConfig
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -158,7 +172,7 @@ class SimConfig:
     policy: PolicySpec
     simulation: SimulationConfig
     service_seed: int = 0
-    ci_level: float = 0.90
+    ci_level: float = DEFAULT_CI_LEVEL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "profiles", tuple(self.profiles))
@@ -186,14 +200,15 @@ def generate_workload(spec: WorkloadSpec) -> list[float]:
     Generation stops once max_requests arrivals exist; the generator draws
     in order, so they are the first max_requests of the whole workload.
     """
+    workload = spec.workload
     rng = random.Random(spec.seed)
-    cap = spec.max_requests
+    cap = workload.max_requests
     arrivals: list[float] = []
     t0 = 0.0
-    for duration, rate in spec.segments:
+    for duration, rate in workload.segments:
         end = t0 + duration
         if rate > 0.0:
-            if spec.arrival_process == "deterministic":
+            if workload.arrival_process == "deterministic":
                 gap = 1.0 / rate
                 count = min(int(math.floor(duration * rate + 1e-9)), cap - len(arrivals))
                 arrivals.extend(t0 + gap * (i + 1) for i in range(count))
@@ -252,8 +267,7 @@ class _Engine:
     def switch_model(self, target: str, pause: float) -> None:
         # Intake stays paused through the switch, so no request can start on
         # the new model before now + pause; the model flips immediately.
-        if target not in self.model_ids:
-            raise ConfigError(f"no profile for model {target!r}")
+        # controller.execute has already rejected a target without a profile.
         self.active_model = target
         if pause > 0.0:
             self._intake_paused_until = max(self._intake_paused_until, self.now + pause)

@@ -5,7 +5,7 @@ import pytest
 
 from adamls import config as cfgmod
 from adamls.controller import NaivePolicyConfig
-from adamls.profiles import ModelKpiSpec, ProfileFamilySpec, generate_profiles
+from adamls.profiles import ModelKpiSpec, ProfilesConfig, generate_profiles
 
 hypothesis.settings.register_profile(
     "suite", deadline=None, max_examples=60, derandomize=True
@@ -20,7 +20,7 @@ TINY_MODELS = (
 
 @pytest.fixture
 def tiny_profiles():
-    return generate_profiles(ProfileFamilySpec(models=TINY_MODELS, image_count=120, seed=7))
+    return generate_profiles(ProfilesConfig(image_count=120, models=TINY_MODELS), seed=7)
 
 
 @pytest.fixture(scope="session")

@@ -119,7 +119,6 @@ def monitor_snapshot(
         window_means=means,
         v=float(sum(sim_time - 1.0 < t <= sim_time for t in arrival_times)),
         i_w=queue_depth,
-        sim_time=sim_time,
     )
 
 
@@ -148,7 +147,7 @@ def scalar_utility_series(records, params):
     return utilities, totals
 
 
-def records_one_by_one(spec):
+def records_one_by_one(spec, seed):
     """Each model's KpiRecords, drawn as generate_profiles draws them.
 
     Every record is built and checked on its own, in image order and model
@@ -156,7 +155,7 @@ def records_one_by_one(spec):
     what int() of its b raises).
     """
     image_ids = [f"img-{i:05d}" for i in range(spec.image_count)]
-    children = np.random.SeedSequence(spec.seed).spawn(len(spec.models))
+    children = np.random.SeedSequence(seed).spawn(len(spec.models))
     out = {}
     for model_spec, child in zip(spec.models, children):
         rng = np.random.default_rng(child)

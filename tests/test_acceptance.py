@@ -135,13 +135,21 @@ def test_criterion_4_planner_matches_enumeration_oracle():
 
 def test_criterion_5_des_invariant_suite(tmp_path, tiny_profiles):
     with criterion(5, "DES invariants on 2000-request bursty workload"):
-        from adamls.simulator import PolicySpec, SimConfig, SimulationConfig, WorkloadSpec
+        from adamls.simulator import (
+            PolicySpec,
+            SimConfig,
+            SimulationConfig,
+            WorkloadConfig,
+            WorkloadSpec,
+        )
 
         # Offered load (~2240) clearly exceeds the cap, so the run always
         # serves exactly 2000 requests.
         workload = WorkloadSpec(
-            segments=((60.0, 4.0), (10.0, 25.0), (60.0, 4.0), (10.0, 25.0), (120.0, 10.5)),
-            max_requests=2000,
+            WorkloadConfig(
+                segments=((60.0, 4.0), (10.0, 25.0), (60.0, 4.0), (10.0, 25.0), (120.0, 10.5)),
+                max_requests=2000,
+            ),
             seed=77,
         )
         config = SimConfig(
@@ -243,7 +251,7 @@ def test_criterion_7_analyzer_debounce():
                 "c": 0.6, "tau_model": 0.095, "tau_system": 0.1,
                 "s_cpu": 50.0, "b": 3.0, "r": 0.1,
             }
-            return SystemState("m", window, means, v=v, i_w=0, sim_time=0.0)
+            return SystemState("m", window, means, v=v, i_w=0)
 
         # A violation that clears within t_wait produces no plan, hence no
         # SWITCH event, even with the planner and executor wired up.

@@ -52,6 +52,31 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+# One model of the profiles family, as a YAML flow mapping.
+_MODEL_M = (
+    "{model_id: m, tau_system_mean: 0.1, tau_system_std: 0.01, c_mean: 0.6, c_std: 0.05, "
+    "s_cpu_mean: 50.0, b_mean: 4.0}"
+)
+
+# Every mapping section of the YAML file, by the record that holds it.
+_SECTION_RECORDS = {
+    name: type(value)
+    for name, value in vars(cfgmod.ExperimentConfig()).items()
+    if dataclasses.is_dataclass(value) and name != "naive_thresholds"
+}
+
+# A YAML value of the wrong type for each declared field type (annotations
+# are strings in the section modules); "tuple" stands for every tuple type.
+_WRONG_TYPE_YAML = {
+    "int": "2.5",
+    "float": "abc",
+    "bool": "'false'",
+    "str": "5",
+    "str | None": "5",
+    "tuple": "5",
+}
+
+
 class TestConfig:
     def test_default_yaml_matches_builtins(self):
         repo_default = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
@@ -241,6 +266,44 @@ class TestLearnCommand:
                 "simulation: {blacklist_enabled: false}",
                 "unknown key(s) ['blacklist_enabled'] in section 'simulation'",
             ),
+            ("workload: {max_requests: 0}", "workload.max_requests must be >= 1, got 0"),
+            (
+                "workload: {segments: [[10, 1], [5, -2]]}",
+                "workload.segments[1] needs a finite duration > 0 and a finite rate >= 0, "
+                "got (5.0, -2.0)",
+            ),
+            (
+                "workload: {arrival_process: bursty}",
+                "workload.arrival_process must be one of ('deterministic', 'poisson'), "
+                "got 'bursty'",
+            ),
+            (
+                "workload: {segments: [['10', true]]}",
+                "workload.segments must be a finite number, got '10'",
+            ),
+            (
+                "workload: {segments: [[10, true]]}",
+                "workload.segments must be a finite number, got True",
+            ),
+            (
+                "workload: {segments: [[10, 1, 2]]}",
+                "workload.segments must be a list of [duration, rate] pairs, got [[10, 1, 2]]",
+            ),
+            ("workload: {segments: []}", "workload.segments needs at least one segment"),
+            ("profiles: {image_count: 0}", "profiles.image_count must be >= 1, got 0"),
+            ("profiles: {models: []}", "profiles.models needs at least one model"),
+            (
+                f"profiles: {{models: [{_MODEL_M}, {_MODEL_M}]}}",
+                "profiles.models repeats model id(s) ['m']",
+            ),
+            (
+                "utility: {raw_violation_signs: 'false'}",
+                "utility.raw_violation_signs must be true or false, got 'false'",
+            ),
+            ("simulation: {initial_model: 5}", "simulation.initial_model must be a string, got 5"),
+            # Every seed derives from master_seed.
+            ("workload: {seed: 1}", "unknown key(s) ['seed'] in section 'workload'"),
+            ("profiles: {seed: 1}", "unknown key(s) ['seed'] in section 'profiles'"),
         ],
     )
     def test_bad_setting_fails_at_load(self, tmp_path, command, yaml_text, message, capsys):
@@ -249,6 +312,26 @@ class TestLearnCommand:
         assert cli.main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"{path}: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, declared",
+        [
+            pytest.param(name, f.name, f.type, id=f"{name}.{f.name}")
+            for name, record in _SECTION_RECORDS.items()
+            for f in dataclasses.fields(record)
+        ],
+    )
+    def test_every_section_field_is_type_checked_at_load(
+        self, tmp_path, section, key, declared, capsys
+    ):
+        path = tmp_path / "bad.yaml"
+        wrong = _WRONG_TYPE_YAML["tuple" if declared.startswith("tuple") else declared]
+        path.write_text(f"output_dir: {tmp_path / 'out'}\n{section}: {{{key}: {wrong}}}\n")
+        assert cli.main(["learn", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: {section}.{key} must be" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

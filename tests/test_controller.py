@@ -190,7 +190,7 @@ class TestClusterMatching:
         )
 
     def state_with_means(self, means):
-        return SystemState("a", _KpiWindow.of(()), means, v=1.0, i_w=0, sim_time=0.0)
+        return SystemState("a", _KpiWindow.of(()), means, v=1.0, i_w=0)
 
     def test_single_cluster_is_forced(self):
         matrix = matrix_of("a", {0: {"a": {"tau": (0.1, 0.2)}}})
@@ -286,7 +286,7 @@ def analyzer_fixture():
 def state_at(v, i_w=0):
     window = _KpiWindow.of(completion(i, model="m", tau=0.1) for i in range(5))
     means = {"c": 0.6, "tau_model": 0.095, "tau_system": 0.1, "s_cpu": 50.0, "b": 3.0, "r": 0.1}
-    return SystemState("m", window, means, v=v, i_w=i_w, sim_time=0.0)
+    return SystemState("m", window, means, v=v, i_w=i_w)
 
 
 class TestAnalyzer:
@@ -323,7 +323,7 @@ class TestAnalyzer:
 
     def test_empty_window_suppresses_analysis(self):
         analyzer, knowledge = analyzer_fixture()
-        state = SystemState("m", _KpiWindow.of(()), {}, v=50.0, i_w=0, sim_time=0.0)
+        state = SystemState("m", _KpiWindow.of(()), {}, v=50.0, i_w=0)
         assert analyzer.analyze(state, knowledge, 1.0) is None
 
     def test_below_range_is_also_a_violation(self):

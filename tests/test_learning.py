@@ -410,7 +410,7 @@ class TestLearningEngine:
         from .test_profiles import five_tier_spec
         from adamls.profiles import generate_profiles
 
-        profiles = generate_profiles(five_tier_spec(seed=4, image_count=300))
+        profiles = generate_profiles(five_tier_spec(image_count=300), seed=4)
         rules = run_learning_engine(profiles, k_max=6)
         assert sorted(rules) == sorted(p.model_id for p in profiles)
         for learned in rules.values():

@@ -9,13 +9,20 @@ from adamls import cli
 from adamls import config as cfgmod
 from adamls.errors import ConfigError, ProfileLoadError, ValidationError
 from adamls.learning import run_learning_engine
-from adamls.simulator import PolicySpec, SimConfig, SimulationConfig, WorkloadSpec, run_simulation
+from adamls.simulator import (
+    PolicySpec,
+    SimConfig,
+    SimulationConfig,
+    WorkloadConfig,
+    WorkloadSpec,
+    run_simulation,
+)
 from adamls.profiles import (
     KPI_NAMES,
     KpiRecord,
     ModelKpiSpec,
     ModelProfile,
-    ProfileFamilySpec,
+    ProfilesConfig,
     generate_profiles,
     load_profiles,
     write_profiles,
@@ -26,7 +33,7 @@ from .oracles import records_one_by_one
 FIVE_TIER_TAUS = (0.045, 0.12, 0.25, 0.45, 0.766)
 
 
-def five_tier_spec(seed=0, image_count=1000):
+def five_tier_spec(image_count=1000):
     models = tuple(
         ModelKpiSpec(
             model_id=f"m{i}",
@@ -39,12 +46,12 @@ def five_tier_spec(seed=0, image_count=1000):
         )
         for i, tau in enumerate(FIVE_TIER_TAUS)
     )
-    return ProfileFamilySpec(models=models, image_count=image_count, seed=seed)
+    return ProfilesConfig(models=models, image_count=image_count)
 
 
 def test_five_tier_family_sample_means_match_spec():
-    spec = five_tier_spec(seed=11)
-    profiles = generate_profiles(spec)
+    spec = five_tier_spec()
+    profiles = generate_profiles(spec, seed=11)
     assert len(profiles) == 5
     ids = profiles[0].image_ids()
     for profile, model_spec in zip(profiles, spec.models):
@@ -57,8 +64,8 @@ def test_five_tier_family_sample_means_match_spec():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_sample_mean_within_four_sigma_bound(seed):
-    spec = five_tier_spec(seed=seed, image_count=400)
-    for profile, model_spec in zip(generate_profiles(spec), spec.models):
+    spec = five_tier_spec(image_count=400)
+    for profile, model_spec in zip(generate_profiles(spec, seed), spec.models):
         values = profile.kpi_values("tau_system")
         mean = sum(values) / len(values)
         bound = 4 * model_spec.tau_system_std / math.sqrt(len(values))
@@ -66,12 +73,9 @@ def test_sample_mean_within_four_sigma_bound(seed):
 
 
 def test_zero_stddev_yields_identical_records():
-    spec = ProfileFamilySpec(
-        models=(ModelKpiSpec("m", 0.1, 0.0, 0.6, 0.0, 50.0, 5.0),),
-        image_count=20,
-        seed=1,
-    )
-    (profile,) = generate_profiles(spec)
+    model = ModelKpiSpec("m", 0.1, 0.0, 0.6, 0.0, 50.0, 5.0)
+    spec = ProfilesConfig(models=(model,), image_count=20)
+    (profile,) = generate_profiles(spec, seed=1)
     first = profile.records[0]
     for rec in profile.records:
         assert (rec.c, rec.tau_model, rec.tau_system, rec.s_cpu, rec.b) == (
@@ -87,14 +91,13 @@ def test_zero_stddev_yields_identical_records():
 
 
 def test_generation_deterministic_given_seed():
-    spec = five_tier_spec(seed=42, image_count=50)
-    assert generate_profiles(spec) == generate_profiles(spec)
+    spec = five_tier_spec(image_count=50)
+    assert generate_profiles(spec, seed=42) == generate_profiles(spec, seed=42)
 
 
 def test_different_seed_changes_draws():
-    a = generate_profiles(five_tier_spec(seed=1, image_count=50))
-    b = generate_profiles(five_tier_spec(seed=2, image_count=50))
-    assert a != b
+    spec = five_tier_spec(image_count=50)
+    assert generate_profiles(spec, seed=1) != generate_profiles(spec, seed=2)
 
 
 def test_roundtrip_write_load_exact(tmp_path, tiny_profiles):
@@ -147,21 +150,23 @@ def test_load_rejects_unparsable_number(tmp_path):
 
 def test_invalid_family_specs_rejected():
     model = ModelKpiSpec("m", 0.1, 0.01, 0.6, 0.05, 50.0, 5.0)
-    with pytest.raises(ValidationError):
-        ProfileFamilySpec(models=(model,), image_count=0, seed=1)
+    with pytest.raises(ConfigError, match=r"^profiles.image_count must be >= 1, got 0$"):
+        ProfilesConfig(models=(model,), image_count=0)
     with pytest.raises(ValidationError):
         ModelKpiSpec("m", 0.1, -0.01, 0.6, 0.05, 50.0, 5.0)
     with pytest.raises(ValidationError):
         ModelKpiSpec("m", 0.004, 0.01, 0.6, 0.05, 50.0, 5.0, overhead=0.005)
-    with pytest.raises(ValidationError):
-        ProfileFamilySpec(models=(model, model), image_count=5, seed=1)
+    with pytest.raises(ConfigError, match=r"^profiles.models repeats model id\(s\) \['m'\]$"):
+        ProfilesConfig(models=(model, model), image_count=5)
+    with pytest.raises(ConfigError, match=r"^profiles.models needs at least one model$"):
+        ProfilesConfig(models=())
 
 
 @pytest.mark.parametrize("image_count", [2.5, float("inf"), True, "10"])
 def test_non_integer_image_count_rejected(image_count):
     model = ModelKpiSpec("m", 0.1, 0.01, 0.6, 0.05, 50.0, 5.0)
-    with pytest.raises(ValidationError, match="image_count must be an integer"):
-        ProfileFamilySpec(models=(model,), image_count=image_count, seed=1)
+    with pytest.raises(ConfigError, match="profiles.image_count must be an integer"):
+        ProfilesConfig(models=(model,), image_count=image_count)
 
 
 def test_record_invariants_enforced():
@@ -205,12 +210,11 @@ def test_profile_invariants_enforced():
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_generate_then_roundtrip_property(tmp_path_factory, tau_mean, c_mean, n, seed):
-    spec = ProfileFamilySpec(
+    spec = ProfilesConfig(
         models=(ModelKpiSpec("m", tau_mean, 0.2 * tau_mean, c_mean, 0.1, 50.0, 4.0, b_std=2.0),),
         image_count=n,
-        seed=seed,
     )
-    profiles = generate_profiles(spec)
+    profiles = generate_profiles(spec, seed)
     for rec in profiles[0].records:
         assert 0.0 <= rec.c <= 1.0
         assert rec.tau_model > 0.0
@@ -312,47 +316,46 @@ def _spec(**fields):
         model_id="m", tau_system_mean=0.1, tau_system_std=0.01, c_mean=0.6, c_std=0.05,
         s_cpu_mean=50.0, b_mean=4.0, b_std=1.0,
     )
-    return ProfileFamilySpec(models=(ModelKpiSpec(**{**base, **fields}),), image_count=40, seed=5)
+    return ProfilesConfig(models=(ModelKpiSpec(**{**base, **fields}),), image_count=40)
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, seed",
     [
-        five_tier_spec(seed=3, image_count=60),
+        (five_tier_spec(image_count=60), 3),
         # Draws past the float range: tau_model and tau_system become inf.
-        _spec(tau_system_mean=1e308, tau_system_std=1e308),
+        (_spec(tau_system_mean=1e308, tau_system_std=1e308), 5),
         # b becomes inf, which int() cannot convert.
-        _spec(b_mean=1e308, b_std=1e308),
+        (_spec(b_mean=1e308, b_std=1e308), 5),
         # The overhead absorbs the 1e-6 floor, so some tau_model is 0.
-        _spec(tau_system_mean=1.5e20, tau_system_std=1e20, overhead=1e20),
+        (_spec(tau_system_mean=1.5e20, tau_system_std=1e20, overhead=1e20), 5),
     ],
     ids=["valid", "tau-overflow", "b-overflow", "tau-model-zero"],
 )
-def test_generation_matches_record_by_record_construction(spec):
+def test_generation_matches_record_by_record_construction(spec, seed):
     try:
-        expected = records_one_by_one(spec)
+        expected = records_one_by_one(spec, seed)
     except (ValueError, OverflowError) as exc:
         with pytest.raises(type(exc)) as raised:
-            generate_profiles(spec)
+            generate_profiles(spec, seed)
         assert str(raised.value) == str(exc)
         assert "img-00000" not in str(exc)
     else:
-        profiles = generate_profiles(spec)
+        profiles = generate_profiles(spec, seed)
         assert {p.model_id: tuple(p.records) for p in profiles} == expected
 
 
 def test_huge_counts_stay_exact_python_ints(tmp_path):
     # Above 2**63 a cast through int64 would wrap.
-    spec = ProfileFamilySpec(
-        models=(ModelKpiSpec("m", 0.1, 0.0, 0.6, 0.0, 50.0, 2.0**70),), image_count=3, seed=1
-    )
-    (profile,) = generate_profiles(spec)
+    model = ModelKpiSpec("m", 0.1, 0.0, 0.6, 0.0, 50.0, 2.0**70)
+    spec = ProfilesConfig(models=(model,), image_count=3)
+    (profile,) = generate_profiles(spec, seed=1)
     assert type(profile.records[0].b) is int and profile.records[0].b == 2**70
     write_profiles([profile], tmp_path / "p.csv")
     assert (tmp_path / "p.csv").read_text().splitlines()[1].endswith(f",{2**70}")
     assert load_profiles(tmp_path / "p.csv")[0].records == profile.records
     workload = WorkloadSpec(
-        segments=((10.0, 1.0),), max_requests=5, arrival_process="deterministic"
+        WorkloadConfig(segments=((10.0, 1.0),), max_requests=5, arrival_process="deterministic"),
     )
     config = SimConfig(
         workload=workload,

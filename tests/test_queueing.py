@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from adamls import config as cfgmod
-from adamls.simulator import PolicySpec, SimConfig, SimulationConfig, WorkloadSpec, run_simulation
+from adamls.simulator import (
+    PolicySpec,
+    SimConfig,
+    SimulationConfig,
+    WorkloadConfig,
+    WorkloadSpec,
+    run_simulation,
+)
 
 # Student t quantile t(0.995; 19): a two-sided 99% band over 20 batch means.
 T_99_19 = 2.861
@@ -29,9 +36,11 @@ def default_profiles():
 def static_run(profiles, model, rate, requests, workers=1, seed=1):
     """Static model on Poisson arrivals at rate; records in arrival order."""
     workload = WorkloadSpec(
-        segments=((10.0 * requests / rate, rate),),
-        max_requests=requests,
-        arrival_process="poisson",
+        WorkloadConfig(
+            segments=((10.0 * requests / rate, rate),),
+            max_requests=requests,
+            arrival_process="poisson",
+        ),
         seed=seed,
     )
     config = SimConfig(

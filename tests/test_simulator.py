@@ -9,13 +9,14 @@ from adamls import config as cfgmod
 from adamls import simulator
 from adamls.controller import Knowledge, LogEvent, NaivePolicyConfig
 from adamls.errors import ConfigError, ValidationError
-from adamls.profiles import ModelKpiSpec, ModelProfile, ProfileFamilySpec, generate_profiles
+from adamls.profiles import ModelKpiSpec, ModelProfile, ProfilesConfig, generate_profiles
 from adamls.simulator import (
     RESULTS_CSV_HEADER,
     CompletionRecord,
     PolicySpec,
     SimConfig,
     SimulationConfig,
+    WorkloadConfig,
     WorkloadSpec,
     generate_workload,
     run_simulation,
@@ -28,12 +29,11 @@ from .oracles import repr_per_field_csv
 
 
 def constant_profile(model_id, tau_system, c=0.6, overhead=0.005):
-    spec = ProfileFamilySpec(
+    spec = ProfilesConfig(
         models=(ModelKpiSpec(model_id, tau_system, 0.0, c, 0.0, 50.0, 3.0, overhead=overhead),),
         image_count=5,
-        seed=0,
     )
-    return generate_profiles(spec)[0]
+    return generate_profiles(spec, seed=0)[0]
 
 
 def static_config(profile, workload, service_seed=0, **settings):
@@ -48,7 +48,13 @@ def static_config(profile, workload, service_seed=0, **settings):
 
 class TestWorkload:
     def test_deterministic_even_spacing(self):
-        spec = WorkloadSpec(segments=((10.0, 5.0),), max_requests=100, arrival_process="deterministic")
+        spec = WorkloadSpec(
+            WorkloadConfig(
+                segments=((10.0, 5.0),),
+                max_requests=100,
+                arrival_process="deterministic",
+            ),
+        )
         arrivals = generate_workload(spec)
         assert len(arrivals) == 50
         gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
@@ -58,16 +64,21 @@ class TestWorkload:
 
     def test_zero_rate_segment_contributes_nothing(self):
         spec = WorkloadSpec(
-            segments=((5.0, 0.0), (2.0, 1.0)),
-            max_requests=100,
-            arrival_process="deterministic",
+            WorkloadConfig(
+                segments=((5.0, 0.0), (2.0, 1.0)),
+                max_requests=100,
+                arrival_process="deterministic",
+            ),
         )
         arrivals = generate_workload(spec)
         assert len(arrivals) == 2
         assert all(t > 5.0 for t in arrivals)
 
     def test_poisson_statistics(self):
-        spec = WorkloadSpec(segments=((100.0, 10.0),), max_requests=10_000, seed=123)
+        spec = WorkloadSpec(
+            WorkloadConfig(segments=((100.0, 10.0),), max_requests=10_000),
+            seed=123,
+        )
         arrivals = generate_workload(spec)
         # Poisson(1000): 4 sigma is about 126.
         assert 800 <= len(arrivals) <= 1200
@@ -75,7 +86,7 @@ class TestWorkload:
         assert statistics.fmean(gaps) == pytest.approx(0.1, rel=0.15)
 
     def test_cap_truncates(self):
-        spec = WorkloadSpec(segments=((100.0, 10.0),), max_requests=50, seed=1)
+        spec = WorkloadSpec(WorkloadConfig(segments=((100.0, 10.0),), max_requests=50), seed=1)
         assert len(generate_workload(spec)) == 50
 
     @pytest.mark.parametrize("process", ["poisson", "deterministic"])
@@ -85,53 +96,60 @@ class TestWorkload:
         # segment, on a segment end, on the total and above it.
         segments = ((10.0, 3.0), (5.0, 0.0), (3.0, 5.0), (4.0, 1.5))
         spec = WorkloadSpec(
-            segments=segments, max_requests=max_requests, seed=11, arrival_process=process
+            WorkloadConfig(segments=segments, max_requests=max_requests, arrival_process=process),
+            seed=11,
         )
         assert generate_workload(spec) == _all_arrivals_then_truncate(spec)
 
     def test_all_zero_rates_rejected(self):
-        spec = WorkloadSpec(segments=((5.0, 0.0),), max_requests=10)
+        spec = WorkloadSpec(WorkloadConfig(segments=((5.0, 0.0),), max_requests=10))
         with pytest.raises(ValidationError, match="no arrivals"):
             generate_workload(spec)
 
     def test_deterministic_given_seed_and_strictly_increasing(self):
         spec = WorkloadSpec(
-            segments=((10.0, 3.0), (5.0, 20.0), (10.0, 1.0)), max_requests=500, seed=42
+            WorkloadConfig(segments=((10.0, 3.0), (5.0, 20.0), (10.0, 1.0)), max_requests=500),
+            seed=42,
         )
         a = generate_workload(spec)
         b = generate_workload(spec)
         assert a == b
         assert all(t1 < t2 for t1, t2 in zip(a, a[1:]))
 
-    def test_spec_validation(self):
-        with pytest.raises(ValidationError):
-            WorkloadSpec(segments=(), max_requests=10)
-        with pytest.raises(ValidationError):
-            WorkloadSpec(segments=((0.0, 1.0),), max_requests=10)
-        with pytest.raises(ValidationError):
-            WorkloadSpec(segments=((1.0, -2.0),), max_requests=10)
-        with pytest.raises(ValidationError):
-            WorkloadSpec(segments=((1.0, 1.0),), max_requests=0)
-        with pytest.raises(ValidationError):
-            WorkloadSpec(segments=((1.0, 1.0),), max_requests=10, arrival_process="uniform")
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"segments": ()}, "workload.segments needs at least one segment"),
+            ({"segments": ((0.0, 1.0),)}, r"workload.segments\[0\] needs .*, got \(0.0, 1.0\)"),
+            ({"segments": ((1.0, -2.0),)}, r"workload.segments\[0\] needs .*, got \(1.0, -2.0\)"),
+            ({"max_requests": 0}, "workload.max_requests must be >= 1, got 0"),
+            ({"arrival_process": "uniform"}, "workload.arrival_process must be one of"),
+        ],
+    )
+    def test_workload_section_validation(self, settings, message):
+        with pytest.raises(ConfigError, match=message):
+            WorkloadConfig(**{"segments": ((1.0, 1.0),), "max_requests": 10, **settings})
 
     @pytest.mark.parametrize(
         "segment", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)]
     )
     def test_non_finite_segment_rejected(self, segment):
-        # Only the spec is built: generating arrivals from such a segment
+        # Only the section is built: generating arrivals from such a segment
         # would never return.
-        with pytest.raises(ValidationError, match=r"segment 1 \(.*\): duration and rate must be finite"):
-            WorkloadSpec(segments=((1.0, 1.0), segment), max_requests=10)
+        with pytest.raises(
+            ConfigError, match=r"workload.segments\[1\] needs a finite duration > 0 and a finite"
+        ):
+            WorkloadConfig(segments=((1.0, 1.0), segment), max_requests=10)
 
 
 def _all_arrivals_then_truncate(spec):
     """Reference generator: every segment in full, then the first max_requests."""
+    workload = spec.workload
     rng = random.Random(spec.seed)
     arrivals, t0 = [], 0.0
-    for duration, rate in spec.segments:
+    for duration, rate in workload.segments:
         end = t0 + duration
-        if rate > 0.0 and spec.arrival_process == "deterministic":
+        if rate > 0.0 and workload.arrival_process == "deterministic":
             gap = 1.0 / rate
             count = int(math.floor(duration * rate + 1e-9))
             arrivals.extend(t0 + gap * (i + 1) for i in range(count))
@@ -141,7 +159,7 @@ def _all_arrivals_then_truncate(spec):
                 arrivals.append(t)
                 t += rng.expovariate(rate)
         t0 = end
-    return arrivals[: spec.max_requests]
+    return arrivals[: workload.max_requests]
 
 
 class TestSampling:
@@ -177,7 +195,11 @@ class TestRunSimulation:
     def test_underload_every_response_equals_service_time(self):
         profile = constant_profile("m", 0.1)
         workload = WorkloadSpec(
-            segments=((10.0, 1.0),), max_requests=10, arrival_process="deterministic"
+            WorkloadConfig(
+                segments=((10.0, 1.0),),
+                max_requests=10,
+                arrival_process="deterministic",
+            ),
         )
         completions, _ = run_simulation(static_config(profile, workload))
         assert len(completions) == 10
@@ -188,7 +210,11 @@ class TestRunSimulation:
         # Two arrivals 0.5 s apart, each needing 1.0 s on one worker: the
         # second waits half a second in the queue.
         workload = WorkloadSpec(
-            segments=((1.0, 2.0),), max_requests=2, arrival_process="deterministic"
+            WorkloadConfig(
+                segments=((1.0, 2.0),),
+                max_requests=2,
+                arrival_process="deterministic",
+            ),
         )
         completions, _ = run_simulation(static_config(profile, workload))
         assert [rec.r for rec in completions] == pytest.approx([1.0, 1.5])
@@ -197,7 +223,11 @@ class TestRunSimulation:
     def test_sustained_overload_grows_response_time_by_quarter(self):
         profile = constant_profile("m", 0.5)
         workload = WorkloadSpec(
-            segments=((40.0, 4.0),), max_requests=160, arrival_process="deterministic"
+            WorkloadConfig(
+                segments=((40.0, 4.0),),
+                max_requests=160,
+                arrival_process="deterministic",
+            ),
         )
         completions, _ = run_simulation(static_config(profile, workload))
         quarters = [completions[i : i + 40] for i in range(0, 160, 40)]
@@ -206,7 +236,8 @@ class TestRunSimulation:
 
     def test_conservation_and_order_invariants(self, tiny_profiles):
         workload = WorkloadSpec(
-            segments=((10.0, 4.0), (5.0, 20.0), (10.0, 2.0)), max_requests=2000, seed=5
+            WorkloadConfig(segments=((10.0, 4.0), (5.0, 20.0), (10.0, 2.0)), max_requests=2000),
+            seed=5,
         )
         profile = next(p for p in tiny_profiles if p.model_id == "fast")
         completions, _ = run_simulation(static_config(profile, workload))
@@ -227,7 +258,7 @@ class TestRunSimulation:
         )
 
     def test_static_policy_uses_one_model(self, tiny_profiles):
-        workload = WorkloadSpec(segments=((20.0, 3.0),), max_requests=50, seed=2)
+        workload = WorkloadSpec(WorkloadConfig(segments=((20.0, 3.0),), max_requests=50), seed=2)
         profile = next(p for p in tiny_profiles if p.model_id == "slow")
         config = SimConfig(
             workload=workload,
@@ -241,8 +272,7 @@ class TestRunSimulation:
 
     def test_naive_switches_at_threshold_crossings(self, tiny_profiles):
         workload = WorkloadSpec(
-            segments=((8.0, 2.0), (8.0, 12.0), (8.0, 2.0)),
-            max_requests=400,
+            WorkloadConfig(segments=((8.0, 2.0), (8.0, 12.0), (8.0, 2.0)), max_requests=400),
             seed=3,
         )
         config = SimConfig(
@@ -266,7 +296,8 @@ class TestRunSimulation:
 
     def test_switch_pauses_intake(self, tiny_profiles):
         workload = WorkloadSpec(
-            segments=((8.0, 2.0), (8.0, 12.0), (8.0, 2.0)), max_requests=400, seed=3
+            WorkloadConfig(segments=((8.0, 2.0), (8.0, 12.0), (8.0, 2.0)), max_requests=400),
+            seed=3,
         )
         config = SimConfig(
             workload=workload,
@@ -286,7 +317,8 @@ class TestRunSimulation:
 
     def test_determinism_identical_csv_hashes(self, tmp_path, tiny_profiles):
         workload = WorkloadSpec(
-            segments=((10.0, 5.0), (4.0, 25.0), (10.0, 2.0)), max_requests=2000, seed=11
+            WorkloadConfig(segments=((10.0, 5.0), (4.0, 25.0), (10.0, 2.0)), max_requests=2000),
+            seed=11,
         )
         profile = next(p for p in tiny_profiles if p.model_id == "fast")
         digests = []
@@ -300,7 +332,7 @@ class TestRunSimulation:
         assert digests[0] == digests[1]
 
     def test_multi_worker_conservation(self, tiny_profiles):
-        workload = WorkloadSpec(segments=((10.0, 8.0),), max_requests=200, seed=6)
+        workload = WorkloadSpec(WorkloadConfig(segments=((10.0, 8.0),), max_requests=200), seed=6)
         profile = next(p for p in tiny_profiles if p.model_id == "slow")
         completions, _ = run_simulation(
             static_config(profile, workload, worker_count=3)
@@ -319,7 +351,11 @@ class TestRunSimulation:
 
     def test_network_delay_adds_to_response_only(self, tiny_profiles):
         workload = WorkloadSpec(
-            segments=((10.0, 1.0),), max_requests=5, arrival_process="deterministic"
+            WorkloadConfig(
+                segments=((10.0, 1.0),),
+                max_requests=5,
+                arrival_process="deterministic",
+            ),
         )
         profile = next(p for p in tiny_profiles if p.model_id == "fast")
         completions, _ = run_simulation(
@@ -330,7 +366,7 @@ class TestRunSimulation:
             assert rec.finish_t - rec.start_t == pytest.approx(rec.tau_system)
 
     def test_adamls_requires_rules(self, tiny_profiles):
-        workload = WorkloadSpec(segments=((5.0, 2.0),), max_requests=10, seed=1)
+        workload = WorkloadSpec(WorkloadConfig(segments=((5.0, 2.0),), max_requests=10), seed=1)
         config = SimConfig(
             workload=workload,
             profiles=tuple(tiny_profiles),
@@ -348,7 +384,8 @@ class TestRunSimulation:
             adaptation_rule_repository={m: r.ci_matrix for m, r in rules.items()}
         )
         workload = WorkloadSpec(
-            segments=((10.0, 2.0), (4.0, 15.0), (10.0, 2.0)), max_requests=300, seed=8
+            WorkloadConfig(segments=((10.0, 2.0), (4.0, 15.0), (10.0, 2.0)), max_requests=300),
+            seed=8,
         )
         config = SimConfig(
             workload=workload,
@@ -365,7 +402,7 @@ class TestRunSimulation:
         assert finish_times == sorted(finish_times)
 
     def test_config_validation(self, tiny_profiles):
-        workload = WorkloadSpec(segments=((5.0, 2.0),), max_requests=10)
+        workload = WorkloadSpec(WorkloadConfig(segments=((5.0, 2.0),), max_requests=10))
         with pytest.raises(ConfigError):
             SimConfig(
                 workload=workload,
@@ -411,7 +448,8 @@ class TickingNoop:
 class TestTicks:
     def bursty_static(self, tiny_profiles, worker_count):
         workload = WorkloadSpec(
-            segments=((5.0, 3.0), (3.0, 40.0), (6.0, 2.0)), max_requests=300, seed=9
+            WorkloadConfig(segments=((5.0, 3.0), (3.0, 40.0), (6.0, 2.0)), max_requests=300),
+            seed=9,
         )
         profile = next(p for p in tiny_profiles if p.model_id == "slow")
         return static_config(profile, workload, worker_count=worker_count, service_seed=4)
