@@ -209,12 +209,14 @@ def _merge_section(cls, raw, default, name: str, converters=None):
     return dataclasses.replace(default, **kwargs)
 
 
-# Declared field type (a string, under `from __future__ import annotations`)
+# Declared field type (a string, under `from __future__ import annotations`),
+# or "bound" for a naive_thresholds rate bound (the last one is .inf),
 # -> (test of a loaded value, what it must be). YAML true/false are bools,
 # which isinstance counts as ints.
 _SCALAR_TYPES = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "float": (is_finite_number, "a finite number"),
+    "bound": (lambda v: is_finite_number(v) or v == math.inf, "a finite number or .inf"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
@@ -227,15 +229,22 @@ def _check_scalar(value, declared: str, key: str) -> None:
         raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
-def _parse_pairs(raw, key: str, names: str) -> tuple[tuple[float, float], ...]:
-    """A list of two-number lists; every number finite, none a bool."""
+def _parse_pairs(
+    raw, key: str, names: str, declared=("float", "float")
+) -> tuple[tuple, ...]:
+    """A list of two-entry lists, each entry checked against its declared
+    type (see _SCALAR_TYPES); numbers come back as floats."""
     if not isinstance(raw, (list, tuple)) or any(
         not isinstance(pair, (list, tuple)) or len(pair) != 2 for pair in raw
     ):
         raise ConfigError(f"{key} must be a list of {names} pairs, got {raw!r}")
-    for value in chain.from_iterable(raw):
-        _check_scalar(value, "float", key)
-    return tuple((float(a), float(b)) for a, b in raw)
+    for pair in raw:
+        for value, kind in zip(pair, declared):
+            _check_scalar(value, kind, key)
+    return tuple(
+        tuple(value if kind == "str" else float(value) for value, kind in zip(pair, declared))
+        for pair in raw
+    )
 
 
 def _parse_weight_grid(raw) -> tuple[tuple[float, float], ...]:
@@ -258,4 +267,8 @@ def _parse_model_family(raw) -> tuple[ModelKpiSpec, ...]:
 
 
 def _parse_thresholds(raw) -> NaivePolicyConfig:
-    return NaivePolicyConfig(thresholds=tuple((float(b), str(m)) for b, m in raw))
+    return NaivePolicyConfig(
+        thresholds=_parse_pairs(
+            raw, "naive_thresholds", "[rate bound, model]", declared=("bound", "str")
+        )
+    )

@@ -113,12 +113,16 @@ class NaivePolicyConfig:
             self, "thresholds", tuple((float(b), m) for b, m in self.thresholds)
         )
         if not self.thresholds:
-            raise ValidationError("naive policy needs at least one threshold")
+            raise ValidationError("naive_thresholds needs at least one [rate bound, model] pair")
         bounds = [b for b, _ in self.thresholds]
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValidationError("naive thresholds must be strictly increasing")
+            raise ValidationError(
+                f"naive_thresholds bounds must be strictly increasing, got {bounds}"
+            )
         if bounds[-1] != math.inf:
-            raise ValidationError("last naive threshold bound must be +inf")
+            raise ValidationError(
+                f"the last naive_thresholds bound must be .inf, got {bounds[-1]}"
+            )
 
     def model_ids(self) -> list[str]:
         return [m for _, m in self.thresholds]

@@ -46,14 +46,15 @@ class UtilityParams:
     raw_violation_signs: bool = False
 
     def __post_init__(self) -> None:
-        if self.c_min > self.c_max:
-            raise ValidationError("c_min must be <= c_max")
-        if self.r_min > self.r_max:
-            raise ValidationError("r_min must be <= r_max")
-        if self.p_ev < 0.0 or self.p_dv < 0.0:
-            raise ValidationError("penalty multipliers must be >= 0")
-        if self.w_e < 0.0 or self.w_d < 0.0:
-            raise ValidationError("weights must be >= 0")
+        for low, high in (("c_min", "c_max"), ("r_min", "r_max")):
+            if getattr(self, low) > getattr(self, high):
+                raise ValidationError(
+                    f"utility.{low} must be <= utility.{high}, "
+                    f"got {getattr(self, low)!r} > {getattr(self, high)!r}"
+                )
+        for key in ("w_e", "w_d", "p_ev", "p_dv"):
+            if getattr(self, key) < 0.0:
+                raise ValidationError(f"utility.{key} must be >= 0, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,16 @@
 Requests arrive per a segmented bursty workload, wait in an unbounded FIFO
 queue, and are served by interchangeable workers. Service duration and KPIs
 of each request come from one row of the active model's profile, its index
-drawn uniformly (with replacement). The switching policy runs at every
-completion and, if it asks for them (needs_ticks), at a periodic tick; a
-model switch pauses service intake for the switch latency.
-Everything is driven by seeded RNGs, so runs are exactly reproducible.
+drawn uniformly (with replacement); a row is read from the profile the first
+time a run draws it and cached for the rest of the run. The switching policy
+runs at every completion and, if it asks for them (needs_ticks), at a
+periodic tick; a model switch pauses service intake for the switch latency.
+
+The arrival times are generated up front, already in time order, so they
+stream past the event heap instead of going through it: the heap holds only
+the completions in flight (at most one per worker), the next tick and the
+pending resumes. Everything is driven by seeded RNGs, so runs are exactly
+reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import heapq
 import math
 import random
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,8 +44,10 @@ RESULTS_CSV_HEADER = (
     "r",
 )
 
-# Heap tie-break classes: completions before arrivals before ticks; resume
-# events (end of a switch pause) run last at their timestamp.
+# Event classes, the tie-break at one timestamp: completions before arrivals
+# before ticks; resume events (end of a switch pause) run last. Arrivals never
+# enter the heap; the next one is ranked against the heap's top by the key
+# (time, _EV_ARRIVAL), which sorts exactly where the heap would have put it.
 _EV_COMPLETION = 0
 _EV_ARRIVAL = 1
 _EV_TICK = 2
@@ -225,16 +232,6 @@ def generate_workload(spec: WorkloadSpec) -> list[float]:
     return arrivals
 
 
-def sample_kpis(
-    model_id: str, profiles: Mapping[str, ModelProfile], rng: random.Random
-) -> int:
-    """Uniform-with-replacement draw of one row index of a model profile."""
-    profile = profiles.get(model_id)
-    if profile is None:
-        raise ConfigError(f"no profile for model {model_id!r}")
-    return rng.randrange(len(profile.image_id))
-
-
 class _Engine:
     """Event loop and serving state; doubles as the controller's system view."""
 
@@ -242,6 +239,8 @@ class _Engine:
         self.config = config
         self.knowledge = knowledge
         self.profiles = {p.model_id: p for p in config.profiles}
+        # Per model, row i as (c, tau_model, tau_system, s_cpu, b) once drawn.
+        self._rows = {p.model_id: [None] * len(p.image_id) for p in config.profiles}
         self.model_ids = frozenset(self.profiles)
         self.now = 0.0
         self.active_model = _resolve_initial_model(config)
@@ -276,33 +275,38 @@ class _Engine:
     def run(self) -> list[CompletionRecord]:
         arrivals = generate_workload(self.config.workload)
         self._pending_arrivals = len(arrivals)
-        for req_id, t in enumerate(arrivals):
-            self._push(t, _EV_ARRIVAL, (req_id, t))
         # Each tick schedules the next; a policy that ignores ticks gets none.
         # Events of equal (time, class) still pop in push order.
         if self._policy.needs_ticks:
             self._push(self._tick_interval, _EV_TICK, None)
-        while self._heap:
-            self.now, klass, _, payload = heapq.heappop(self._heap)
-            if klass == _EV_COMPLETION:
-                self._on_completion(payload)
-            elif klass == _EV_ARRIVAL:
-                self._on_arrival(payload)
-            elif klass == _EV_TICK:
-                self._on_tick()
-            else:
-                self._dispatch()
+        heap = self._heap
+        for req_id, t in enumerate(arrivals):
+            # Heap events that sort before this arrival run first: the
+            # earlier ones and a completion at its instant.
+            key = (t, _EV_ARRIVAL)
+            while heap and heap[0] < key:
+                self._run_heap_event()
+            self.now = t
+            self.arrival_times.append(t)
+            self._pending_arrivals -= 1
+            self._queue.append((req_id, t))
+            self._dispatch()
+        while heap:
+            self._run_heap_event()
         return self.completions
+
+    def _run_heap_event(self) -> None:
+        self.now, klass, _, payload = heapq.heappop(self._heap)
+        if klass == _EV_COMPLETION:
+            self._on_completion(payload)
+        elif klass == _EV_TICK:
+            self._on_tick()
+        else:
+            self._dispatch()
 
     def _push(self, time: float, klass: int, payload) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (time, klass, self._seq, payload))
-
-    def _on_arrival(self, payload: tuple[int, float]) -> None:
-        self.arrival_times.append(payload[1])
-        self._pending_arrivals -= 1
-        self._queue.append(payload)
-        self._dispatch()
 
     def _on_completion(self, rec: CompletionRecord) -> None:
         self.completions.append(rec)
@@ -323,8 +327,13 @@ class _Engine:
         while self._free_workers and self._queue:
             req_id, arrival_t = self._queue.popleft()
             model = self.active_model
-            row = sample_kpis(model, self.profiles, self._rng)
-            c, tau_model, tau_system, s_cpu, b = self.profiles[model].kpi_table[row].tolist()
+            rows = self._rows[model]
+            i = self._rng.randrange(len(rows))
+            row = rows[i]
+            if row is None:
+                c, tau_model, tau_system, s_cpu, b = self.profiles[model].kpi_table[i].tolist()
+                row = rows[i] = (c, tau_model, tau_system, s_cpu, int(b))
+            c, tau_model, tau_system, s_cpu, b = row
             start = self.now
             finish = start + tau_system
             # Positional fields, in CompletionRecord's order: building the
@@ -339,7 +348,7 @@ class _Engine:
                 tau_model,
                 tau_system,
                 s_cpu,
-                int(b),
+                b,
                 finish - arrival_t + self._network_delay,
             )
             self._free_workers -= 1

@@ -301,6 +301,36 @@ class TestLearnCommand:
                 "utility.raw_violation_signs must be true or false, got 'false'",
             ),
             ("simulation: {initial_model: 5}", "simulation.initial_model must be a string, got 5"),
+            (
+                "naive_thresholds: [[true, xlarge], [.inf, nano]]",
+                "naive_thresholds must be a finite number or .inf, got True",
+            ),
+            (
+                "naive_thresholds: [[.nan, xlarge], [.inf, nano]]",
+                "naive_thresholds must be a finite number or .inf, got nan",
+            ),
+            (
+                "naive_thresholds: [['5', xlarge], [.inf, nano]]",
+                "naive_thresholds must be a finite number or .inf, got '5'",
+            ),
+            ("naive_thresholds: [[.inf, 5]]", "naive_thresholds must be a string, got 5"),
+            (
+                "naive_thresholds: [[5, xlarge, 1], [.inf, nano]]",
+                "naive_thresholds must be a list of [rate bound, model] pairs, "
+                "got [[5, 'xlarge', 1], [inf, 'nano']]",
+            ),
+            (
+                "naive_thresholds: [[5, xlarge], [10, nano]]",
+                "the last naive_thresholds bound must be .inf, got 10.0",
+            ),
+            (
+                "naive_thresholds: [[5, xlarge], [5, large], [.inf, nano]]",
+                "naive_thresholds bounds must be strictly increasing, got [5.0, 5.0, inf]",
+            ),
+            ("utility: {c_min: 2}", "utility.c_min must be <= utility.c_max, got 2 > 1.0"),
+            ("utility: {r_min: 2}", "utility.r_min must be <= utility.r_max, got 2 > 1.0"),
+            ("utility: {p_ev: -1}", "utility.p_ev must be >= 0, got -1"),
+            ("utility: {w_d: -0.5}", "utility.w_d must be >= 0, got -0.5"),
             # Every seed derives from master_seed.
             ("workload: {seed: 1}", "unknown key(s) ['seed'] in section 'workload'"),
             ("profiles: {seed: 1}", "unknown key(s) ['seed'] in section 'profiles'"),

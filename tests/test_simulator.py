@@ -7,7 +7,7 @@ import pytest
 
 from adamls import config as cfgmod
 from adamls import simulator
-from adamls.controller import Knowledge, LogEvent, NaivePolicyConfig
+from adamls.controller import Knowledge, LogEvent, NaivePolicyConfig, observed_rate
 from adamls.errors import ConfigError, ValidationError
 from adamls.profiles import ModelKpiSpec, ModelProfile, ProfilesConfig, generate_profiles
 from adamls.simulator import (
@@ -20,7 +20,6 @@ from adamls.simulator import (
     WorkloadSpec,
     generate_workload,
     run_simulation,
-    sample_kpis,
     write_event_log_csv,
     write_results_csv,
 )
@@ -162,33 +161,139 @@ def _all_arrivals_then_truncate(spec):
     return arrivals[: workload.max_requests]
 
 
+def profile_of_rows(model_id, *rows):
+    """A profile whose rows are the given (c, tau_system) pairs, tau_model = tau_system."""
+    return ModelProfile(
+        model_id=model_id,
+        image_id=tuple(f"img{i}" for i in range(len(rows))),
+        c=[c for c, _ in rows],
+        tau_model=[tau for _, tau in rows],
+        tau_system=[tau for _, tau in rows],
+        s_cpu=[50.0] * len(rows),
+        b=[3.0] * len(rows),
+    )
+
+
+def deterministic_workload(duration, rate, max_requests=100_000):
+    return WorkloadSpec(
+        WorkloadConfig(
+            segments=((duration, rate),),
+            max_requests=max_requests,
+            arrival_process="deterministic",
+        ),
+    )
+
+
+def served_kpis(rec):
+    return (rec.c, rec.tau_model, rec.tau_system, rec.s_cpu, rec.b)
+
+
 class TestSampling:
+    """Each dispatch draws the row it serves uniformly from the active profile."""
+
     def test_single_record_profile_is_forced(self):
         profile = constant_profile("m", 0.1)
         single = ModelProfile.of_records("m", profile.records[:1])
-        rng = random.Random(0)
-        for _ in range(10):
-            assert sample_kpis("m", {"m": single}, rng) == 0
+        completions, _ = run_simulation(static_config(single, deterministic_workload(10.0, 1.0)))
+        assert len(completions) == 10
+        assert {served_kpis(rec) for rec in completions} == {served_kpis(single.records[0])}
 
     def test_seeded_reproducibility(self, tiny_profiles):
-        profiles = {p.model_id: p for p in tiny_profiles}
-        draws_a = [sample_kpis("fast", profiles, random.Random(9)) for _ in range(1)]
-        rng1, rng2 = random.Random(9), random.Random(9)
-        seq1 = [sample_kpis("fast", profiles, rng1) for _ in range(50)]
-        seq2 = [sample_kpis("fast", profiles, rng2) for _ in range(50)]
-        assert seq1 == seq2
+        profile = next(p for p in tiny_profiles if p.model_id == "fast")
+        workload = deterministic_workload(25.0, 2.0)
+
+        def rows(service_seed):
+            completions, _ = run_simulation(static_config(profile, workload, service_seed))
+            return [served_kpis(rec) for rec in completions]
+
+        assert rows(9) == rows(9)
+        assert rows(9) != rows(10)
 
     def test_two_record_frequency(self):
-        profile = constant_profile("m", 0.1)
-        two = ModelProfile.of_records("m", profile.records[:2])
-        rng = random.Random(31)
-        draws = [sample_kpis("m", {"m": two}, rng) for _ in range(10_000)]
-        share = sum(1 for d in draws if d == 0) / 10_000
+        two = profile_of_rows("m", (0.6, 0.05), (0.7, 0.05))
+        completions, _ = run_simulation(
+            static_config(two, deterministic_workload(1000.0, 10.0), service_seed=31)
+        )
+        assert len(completions) == 10_000
+        share = sum(1 for rec in completions if rec.c == 0.6) / 10_000
         assert abs(share - 0.5) <= 0.02
 
-    def test_unknown_model_rejected(self, tiny_profiles):
-        with pytest.raises(ConfigError):
-            sample_kpis("ghost", {p.model_id: p for p in tiny_profiles}, random.Random(0))
+
+class Recorder:
+    """A policy that records, at each call, which event it ran at and what
+    the system had seen by then; it can ask for one switch at a given time."""
+
+    def __init__(self, needs_ticks=True, switch_at=None, pause=0.0):
+        self.needs_ticks = needs_ticks
+        self.switch_at = switch_at
+        self.pause = pause
+        self.calls = []
+        self._completed = False
+
+    def note_completion(self, rec) -> None:
+        self._completed = True
+
+    def on_event(self, system) -> None:
+        kind = "completion" if self._completed else "tick"
+        self._completed = False
+        seen = len(system.arrival_times)
+        self.calls.append((system.now, kind, seen, observed_rate(system.arrival_times, system.now)))
+        if system.now == self.switch_at:
+            system.switch_model(system.active_model, self.pause)
+
+
+class TestEventOrder:
+    """At one instant a completion runs before an arrival, and an arrival
+    before a tick or the end of a switch pause. Deterministic arrivals come
+    at 1, 2 and 3 s; every request takes exactly 1 s, so each completion
+    lands on the next arrival's instant; ticks every 0.5 s land on them too."""
+
+    def run(self, monkeypatch, recorder):
+        profile = profile_of_rows("m", (0.6, 1.0))
+        config = static_config(profile, deterministic_workload(3.0, 1.0), tick_interval=0.5)
+        monkeypatch.setattr(simulator, "_build_policy", lambda config, knowledge: recorder)
+        completions, _ = run_simulation(config)
+        return completions
+
+    def test_completion_runs_before_an_arrival_at_its_instant(self, monkeypatch):
+        recorder = Recorder(needs_ticks=False)
+        completions = self.run(monkeypatch, recorder)
+        assert [rec.finish_t for rec in completions] == [2.0, 3.0, 4.0]
+        # The arrival at 2 s is not seen yet, so the trailing rate is 0.
+        assert recorder.calls == [
+            (2.0, "completion", 1, 0.0),
+            (3.0, "completion", 2, 0.0),
+            (4.0, "completion", 3, 0.0),
+        ]
+
+    def test_arrival_runs_before_a_tick_at_its_instant(self, monkeypatch):
+        recorder = Recorder()
+        self.run(monkeypatch, recorder)
+        at_whole_seconds = [call for call in recorder.calls if call[0] in (1.0, 2.0, 3.0)]
+        assert at_whole_seconds == [
+            (1.0, "tick", 1, 1.0),
+            (2.0, "completion", 1, 0.0),
+            (2.0, "tick", 2, 1.0),
+            (3.0, "completion", 2, 0.0),
+            (3.0, "tick", 3, 1.0),
+        ]
+
+    def test_arrival_runs_before_a_resume_at_its_instant(self, monkeypatch):
+        # The tick at 0.5 s switches with a 0.5 s pause, so intake resumes
+        # at 1 s, the first arrival's instant.
+        dispatches = []
+        dispatch = simulator._Engine._dispatch
+
+        def recording_dispatch(self):
+            dispatches.append((self.now, len(self.arrival_times)))
+            dispatch(self)
+
+        monkeypatch.setattr(simulator._Engine, "_dispatch", recording_dispatch)
+        recorder = Recorder(switch_at=0.5, pause=0.5)
+        completions = self.run(monkeypatch, recorder)
+        # The arrival's dispatch, then the resume's; both see the arrival.
+        assert [d for d in dispatches if d[0] == 1.0] == [(1.0, 1), (1.0, 1)]
+        assert completions[0].start_t == 1.0
 
 
 class TestRunSimulation:
@@ -454,19 +559,60 @@ class TestTicks:
         profile = next(p for p in tiny_profiles if p.model_id == "slow")
         return static_config(profile, workload, worker_count=worker_count, service_seed=4)
 
-    def test_static_run_pushes_no_tick(self, tiny_profiles, monkeypatch):
-        pushed = []
+    def record_pushes(self, monkeypatch):
+        """Spy on the engine's heap: each push's class and the classes the
+        heap holds right after it."""
+        pushes = []
         push = simulator._Engine._push
 
         def recording_push(self, time, klass, payload):
-            pushed.append(klass)
             push(self, time, klass, payload)
+            pushes.append((klass, [event[1] for event in self._heap]))
 
         monkeypatch.setattr(simulator._Engine, "_push", recording_push)
-        completions, _ = run_simulation(self.bursty_static(tiny_profiles, 1))
+        return pushes
+
+    @pytest.mark.parametrize("worker_count", [1, 3])
+    def test_static_run_pushes_only_completions(self, tiny_profiles, monkeypatch, worker_count):
+        pushes = self.record_pushes(monkeypatch)
+        completions, _ = run_simulation(self.bursty_static(tiny_profiles, worker_count))
         assert completions
-        assert simulator._EV_TICK not in pushed
-        assert pushed.count(simulator._EV_ARRIVAL) == len(completions)
+        assert len(pushes) == len(completions)
+        assert {klass for klass, _ in pushes} == {simulator._EV_COMPLETION}
+        assert max(len(heap) for _, heap in pushes) == worker_count
+
+    @pytest.mark.parametrize("worker_count", [1, 3])
+    def test_switching_run_heap_holds_no_arrival(self, tiny_profiles, monkeypatch, worker_count):
+        pushes = self.record_pushes(monkeypatch)
+        workload = WorkloadSpec(
+            WorkloadConfig(segments=((8.0, 2.0), (8.0, 30.0), (8.0, 2.0)), max_requests=400),
+            seed=3,
+        )
+        config = SimConfig(
+            workload=workload,
+            profiles=tuple(tiny_profiles),
+            policy=PolicySpec(
+                kind="naive",
+                naive=NaivePolicyConfig(thresholds=((6.0, "slow"), (math.inf, "fast"))),
+            ),
+            simulation=SimulationConfig(
+                initial_model="slow", worker_count=worker_count, switch_latency=0.05
+            ),
+        )
+        completions, events = run_simulation(config)
+        assert any(ev.event == "SWITCH" for ev in events)
+        pushed = [klass for klass, _ in pushes]
+        assert simulator._EV_ARRIVAL not in pushed
+        assert pushed.count(simulator._EV_COMPLETION) == len(completions)
+        assert simulator._EV_TICK in pushed and simulator._EV_RESUME in pushed
+        for _, heap in pushes:
+            assert heap.count(simulator._EV_COMPLETION) <= worker_count
+            assert heap.count(simulator._EV_TICK) <= 1
+            assert len(heap) == (
+                heap.count(simulator._EV_COMPLETION)
+                + heap.count(simulator._EV_TICK)
+                + heap.count(simulator._EV_RESUME)
+            )
 
     @pytest.mark.parametrize("worker_count", [1, 3])
     def test_static_completions_match_a_ticking_noop_run(
