@@ -89,8 +89,8 @@ def _policy_dir_name(label: str) -> str:
 def run_learn(config: cfgmod.ExperimentConfig) -> int:
     out_dir = Path(config.output_dir)
     rules_dir = out_dir / "rules"
-    rules_dir.mkdir(parents=True, exist_ok=True)
     profiles = cfgmod.resolve_profiles(config)
+    rules_dir.mkdir(parents=True, exist_ok=True)
     rules = cfgmod.learn_rules(config, profiles)
     if config.profiles.source == "generate":
         write_profiles(profiles, out_dir / "profiles.csv")
@@ -141,8 +141,8 @@ def _run_policy(config: cfgmod.ExperimentConfig, label: str, profiles, matrices)
 
 def run_simulate(config: cfgmod.ExperimentConfig) -> int:
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     profiles = cfgmod.resolve_profiles(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     label = config.policy
     needs_rules = cfgmod.parse_policy_label(label, config).kind == "adamls"
     matrices = _load_rule_matrices(config, profiles) if needs_rules else {}

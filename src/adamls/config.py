@@ -61,6 +61,9 @@ class LearningConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The whole experiment. source names where it was loaded from (no YAML
+    key sets it), so checks that run after loading can cite it too."""
+
     master_seed: int = 1
     output_dir: str = "out"
     profiles: ProfilesConfig = field(default_factory=ProfilesConfig)
@@ -71,6 +74,7 @@ class ExperimentConfig:
     naive_thresholds: NaivePolicyConfig = DEFAULT_NAIVE_THRESHOLDS
     utility: UtilityParams = field(default_factory=UtilityParams)
     weight_grid: tuple[tuple[float, float], ...] = DEFAULT_WEIGHT_GRID
+    source: str = field(default="<config>", compare=False)
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -93,9 +97,30 @@ def parse_policy_label(label: str, config: ExperimentConfig) -> PolicySpec:
 
 
 def resolve_profiles(config: ExperimentConfig) -> list[ModelProfile]:
+    """The experiment's profiles, loaded or generated.
+
+    The models the config names (naive_thresholds, simulation.initial_model)
+    must be profiled. A csv source knows its models only once it is read, so
+    they are checked here, and every command resolves the profiles before it
+    writes anything.
+    """
     if config.profiles.source == "csv":
-        return load_profiles(config.profiles.csv_path)
-    return generate_profiles(config.profiles, derive_seed(config.master_seed, "profiles"))
+        profiles = load_profiles(config.profiles.csv_path)
+    else:
+        profiles = generate_profiles(config.profiles, derive_seed(config.master_seed, "profiles"))
+    profiled = sorted(p.model_id for p in profiles)
+    unknown = sorted(set(config.naive_thresholds.model_ids()) - set(profiled))
+    if unknown:
+        raise ConfigError(
+            f"{config.source}: naive_thresholds names unprofiled model(s) {unknown}; "
+            f"the profiled models are {profiled}"
+        )
+    if config.simulation.initial_model not in profiled:
+        raise ConfigError(
+            f"{config.source}: simulation.initial_model {config.simulation.initial_model!r} "
+            f"has no profile; the profiled models are {profiled}"
+        )
+    return profiles
 
 
 def learn_rules(config: ExperimentConfig, profiles) -> dict[str, LearnedModelRules]:
@@ -142,7 +167,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 def experiment_config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     defaults = ExperimentConfig()
-    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig) if f.name != "source"}
     unknown = set(raw) - set(types)
     if unknown:
         raise ConfigError(f"{source}: unknown key(s) {sorted(unknown)}")
@@ -182,6 +207,7 @@ def experiment_config_from_dict(raw: dict, source: str = "<dict>") -> Experiment
             naive_thresholds=naive_thresholds,
             utility=utility,
             weight_grid=weight_grid,
+            source=source,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc

@@ -74,6 +74,11 @@ class SystemState:
     a copy, so monitoring stays O(1) in the window size; the state is read
     within the event that made it, before the window changes. A model with
     no completions yet has an empty window.
+
+    window_version is the window's version (see _KpiWindow) when monitor
+    read window_means from it. The analyzer reuses its last cluster match
+    while (m_prime, window_version) is unchanged; a state built with its
+    own window_means leaves it None and is matched afresh every time.
     """
 
     m_prime: str
@@ -81,6 +86,7 @@ class SystemState:
     window_means: dict[str, float]
     v: float
     i_w: int
+    window_version: int | None = None
 
 
 @dataclass(frozen=True)
@@ -256,18 +262,30 @@ class Analyzer:
     later check still sees a violation at least t_wait after arming does the
     analyzer emit a PlannerInput, built from the current state. An in-range
     check disarms the timer, and each armed window emits at most once.
+
+    The matched cluster and feasible range depend only on the active model
+    and its window's contents, so they are recomputed only when the state's
+    (m_prime, window_version) differs from the last match's; last_match
+    holds (cluster, v_min, v_max) of the last analyzed state. v_adj, the
+    range check and the debounce run on every call.
     """
 
     def __init__(self, t_wait: float = DEFAULT_T_WAIT):
         self.t_wait = t_wait
         self._armed_at: float | None = None
+        self.last_match: tuple[int, float, float] | None = None
+        self._match_key: tuple[str, int] | None = None
 
     def analyze(self, state: SystemState, knowledge: Knowledge, now: float) -> PlannerInput | None:
         if not state.window_means:
             return None
-        matrix = knowledge.rules_for(state.m_prime)
-        cluster = find_closest_cluster(state, matrix)
-        v_min, v_max = feasible_rate_range(matrix, state.m_prime, cluster)
+        key = None if state.window_version is None else (state.m_prime, state.window_version)
+        if key is None or key != self._match_key:
+            matrix = knowledge.rules_for(state.m_prime)
+            cluster = find_closest_cluster(state, matrix)
+            self.last_match = (cluster, *feasible_rate_range(matrix, state.m_prime, cluster))
+            self._match_key = key
+        cluster, v_min, v_max = self.last_match
         v_adj = compute_adjusted_rate(state.v, state.i_w)
         if v_min <= v_adj <= v_max:
             self._armed_at = None
@@ -378,15 +396,28 @@ class _KpiWindow:
     ci() equals compute_ci over the same records, bit for bit, at O(1) per
     read. Windows of fewer than MIN_NORMAL_SAMPLES records keep compute_ci's
     (min, max) envelope.
+
+    version counts the adds, so it names the window's contents. means() and
+    each ci(kpi, level) are computed once per version and returned from a
+    memo until the next add; the means dict is shared, so callers must not
+    change it.
     """
 
-    __slots__ = ("records", "_sums", "_moments", "_maxlen")
+    __slots__ = (
+        "records", "version", "_maxlen", "_sum_c", "_sum_tau_model", "_sum_tau_system",
+        "_sum_s_cpu", "_sum_b", "_moments", "_means", "_cis",
+    )
 
     def __init__(self, maxlen: int):
         self.records: deque = deque()
-        self._sums = {kpi: 0.0 for kpi in KPI_NAMES}
-        self._moments = {kpi: _ExactMoments() for kpi in CI_KPIS}
+        self.version = 0
         self._maxlen = maxlen
+        # One float running sum per KPI_NAMES field.
+        self._sum_c = self._sum_tau_model = self._sum_tau_system = 0.0
+        self._sum_s_cpu = self._sum_b = 0.0
+        self._moments = {kpi: _ExactMoments() for kpi in CI_KPIS}
+        self._means: dict[str, float] | None = None
+        self._cis: dict[tuple[str, float], CiEntry] = {}
 
     @classmethod
     def of(cls, records) -> _KpiWindow:
@@ -404,31 +435,53 @@ class _KpiWindow:
         return iter(self.records)
 
     def add(self, rec) -> None:
-        if len(self.records) == self._maxlen:
-            old = self.records.popleft()
-            for kpi in KPI_NAMES:
-                self._sums[kpi] -= getattr(old, kpi)
-            for kpi, moments in self._moments.items():
-                moments.remove(getattr(old, kpi))
-        self.records.append(rec)
-        for kpi in KPI_NAMES:
-            self._sums[kpi] += getattr(rec, kpi)
-        for kpi, moments in self._moments.items():
-            moments.add(getattr(rec, kpi))
+        records = self.records
+        tau_moments, c_moments = self._moments["tau_model"], self._moments["c"]
+        if len(records) == self._maxlen:
+            old = records.popleft()
+            self._sum_c -= old.c
+            self._sum_tau_model -= old.tau_model
+            self._sum_tau_system -= old.tau_system
+            self._sum_s_cpu -= old.s_cpu
+            self._sum_b -= old.b
+            tau_moments.remove(old.tau_model)
+            c_moments.remove(old.c)
+        records.append(rec)
+        self._sum_c += rec.c
+        self._sum_tau_model += rec.tau_model
+        self._sum_tau_system += rec.tau_system
+        self._sum_s_cpu += rec.s_cpu
+        self._sum_b += rec.b
+        tau_moments.add(rec.tau_model)
+        c_moments.add(rec.c)
+        self.version += 1
+        self._means = None
+        self._cis.clear()
 
     def means(self) -> dict[str, float]:
-        n = len(self.records)
-        if n == 0:
-            return {}
-        return {kpi: total / n for kpi, total in self._sums.items()}
+        if self._means is None:
+            n = len(self.records)
+            self._means = {} if n == 0 else {
+                "c": self._sum_c / n,
+                "tau_model": self._sum_tau_model / n,
+                "tau_system": self._sum_tau_system / n,
+                "s_cpu": self._sum_s_cpu / n,
+                "b": self._sum_b / n,
+            }
+        return self._means
 
     def ci(self, kpi: str, level: float = DEFAULT_CI_LEVEL) -> CiEntry:
         """compute_ci of one CI KPI over the window's records."""
-        n = len(self.records)
-        if n < MIN_NORMAL_SAMPLES:
-            return compute_ci([getattr(rec, kpi) for rec in self.records], level)
-        moments = self._moments[kpi]
-        return normal_ci(moments.mean(n), moments.stdev(n), n, level)
+        entry = self._cis.get((kpi, level))
+        if entry is None:
+            n = len(self.records)
+            if n < MIN_NORMAL_SAMPLES:
+                entry = compute_ci([getattr(rec, kpi) for rec in self.records], level)
+            else:
+                moments = self._moments[kpi]
+                entry = normal_ci(moments.mean(n), moments.stdev(n), n, level)
+            self._cis[kpi, level] = entry
+        return entry
 
 
 class AdamlsController:
@@ -446,6 +499,13 @@ class AdamlsController:
     capacity), from which the feasible rate range is read too. So a rule
     the planner cannot use (a tau CI lower bound <= 0) or a matrix without
     anchor KPI stats raises its RuleError before the first event.
+
+    Every event writes its MONITOR row, reads v and i_w, and runs v_adj,
+    the range check and the debounce. The rest runs only when its inputs
+    change: a window's means and live CIs once per version of its contents
+    (see _KpiWindow), and the cluster match and feasible range when a
+    completion enters the active model's window or the active model
+    changes (see Analyzer).
 
     window_size, t_wait and switch_latency are the experiment's `simulation`
     settings; ci_level is the level the rules were learned at.
@@ -481,12 +541,14 @@ class AdamlsController:
     def monitor(self, system) -> SystemState:
         active = system.active_model
         window = self._windows[active]
+        # Positional: a dataclass built by keyword costs more per event.
         state = SystemState(
-            m_prime=active,
-            window=window,
-            window_means=window.means(),
-            v=observed_rate(system.arrival_times, system.now),
-            i_w=system.queue_depth,
+            active,
+            window,
+            window.means(),
+            observed_rate(system.arrival_times, system.now),
+            system.queue_depth,
+            window.version,
         )
         self.knowledge.log_event(
             system.now, EVENT_MONITOR, f"m'={active} v={state.v:g} i_w={state.i_w}"

@@ -12,6 +12,7 @@ from adamls import cli, simulator
 from adamls import config as cfgmod
 from adamls.errors import ConfigError
 from adamls.learning import CI_CSV_HEADER
+from adamls.profiles import write_profiles
 
 
 def experiment_config_to_dict(config: cfgmod.ExperimentConfig) -> dict:
@@ -84,7 +85,8 @@ class TestConfig:
         # It is the full schema: no field of any section is left to its default.
         raw = yaml.safe_load(repo_default.read_text(encoding="utf-8"))
         defaults = cfgmod.ExperimentConfig()
-        assert set(raw) == {f.name for f in dataclasses.fields(defaults)}
+        # source records where a config was loaded from; no key sets it.
+        assert set(raw) == {f.name for f in dataclasses.fields(defaults)} - {"source"}
         for name in set(raw) - {"naive_thresholds"}:
             section = getattr(defaults, name)
             if dataclasses.is_dataclass(section):
@@ -302,6 +304,15 @@ class TestLearnCommand:
             ),
             ("simulation: {initial_model: 5}", "simulation.initial_model must be a string, got 5"),
             (
+                "simulation: {initial_model: ghost}",
+                "simulation.initial_model 'ghost' has no profile; the profiled models are "
+                "['large', 'medium', 'nano', 'small', 'xlarge']",
+            ),
+            (
+                "naive_thresholds: [[.inf, ghost]]",
+                "naive_thresholds names unprofiled model(s) ['ghost']; the profiled models are",
+            ),
+            (
                 "naive_thresholds: [[true, xlarge], [.inf, nano]]",
                 "naive_thresholds must be a finite number or .inf, got True",
             ),
@@ -331,6 +342,7 @@ class TestLearnCommand:
             ("utility: {r_min: 2}", "utility.r_min must be <= utility.r_max, got 2 > 1.0"),
             ("utility: {p_ev: -1}", "utility.p_ev must be >= 0, got -1"),
             ("utility: {w_d: -0.5}", "utility.w_d must be >= 0, got -0.5"),
+            ("source: x.yaml", "unknown key(s) ['source']"),
             # Every seed derives from master_seed.
             ("workload: {seed: 1}", "unknown key(s) ['seed'] in section 'workload'"),
             ("profiles: {seed: 1}", "unknown key(s) ['seed'] in section 'profiles'"),
@@ -343,6 +355,26 @@ class TestLearnCommand:
         err = capsys.readouterr().err
         assert f"{path}: {message}" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["learn", "compare"])
+    def test_csv_profiles_must_cover_the_named_models(
+        self, tmp_path, tiny_config, tiny_profiles, command, capsys
+    ):
+        csv_path = tmp_path / "profiles.csv"
+        write_profiles(tiny_profiles, csv_path)
+        # The default naive_thresholds name the five-model family.
+        path = write_config(
+            tmp_path,
+            tiny_config,
+            profiles=dataclasses.replace(tiny_config.profiles, source="csv", csv_path=str(csv_path)),
+            naive_thresholds=cfgmod.DEFAULT_NAIVE_THRESHOLDS,
+            output_dir=str(tmp_path / "out"),
+        )
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: naive_thresholds names unprofiled model(s) ['large', 'medium', " in err
+        assert "the profiled models are ['fast', 'slow']" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

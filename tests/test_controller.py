@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from adamls import config as cfgmod
+from adamls import controller as ctrl
 from adamls.controller import (
     CI_KPIS,
     AdamlsController,
@@ -27,7 +29,7 @@ from adamls.controller import (
 )
 from adamls.errors import ExecutionError, RuleError, ValidationError
 from adamls.learning import CiEntry, CiMatrix
-from adamls.simulator import CompletionRecord
+from adamls.simulator import CompletionRecord, run_simulation
 
 from .oracles import brute_force_plan, monitor_snapshot, reference_ci
 
@@ -114,33 +116,104 @@ class TestMonitor:
         assert state.v == 7.0
 
     def test_controller_window_tracker_matches_reference(self):
+        """Every event's window, means, live CIs, cluster and range equal a
+        from-scratch match on the reference monitor's state."""
         rng = random.Random(4)
-        controller = AdamlsController(Knowledge(), window_size=7)
+        models = ("a", "b", "c")
+        knowledge = Knowledge(
+            adaptation_rule_repository={m: tracker_rules(m, models) for m in models}
+        )
+        controller = AdamlsController(knowledge, window_size=7)
         completions = []
         arrivals = []
+        active = "a"
         t = 0.0
         for i in range(200):
             t += rng.uniform(0.01, 0.4)
             arrivals.append(t)
-            model = rng.choice(["a", "b", "c"])
+            model = rng.choice(models)
             rec = completion(i, model=model, c=rng.uniform(0, 1), tau=rng.uniform(0.01, 0.3), arrival=t)
             completions.append(rec)
             controller.note_completion(rec)
-            active = rng.choice(["a", "b", "c"])
-            system = FakeSystem(model_ids=("a", "b", "c"), active=active, now=t)
-            system.arrival_times = arrivals
-            system.queue_depth = rng.randint(0, 5)
-            state = controller.monitor(system)
-            reference = monitor_snapshot(
-                t, completions, arrivals, system.queue_depth, active, window_size=7
-            )
-            assert list(state.window) == list(reference.window)
-            assert state.window_means == pytest.approx(reference.window_means)
-            assert (state.v, state.i_w) == (reference.v, reference.i_w)
-            for kpi in CI_KPIS:
-                if reference.window:
-                    expected = reference_ci([getattr(rec, kpi) for rec in reference.window])
-                    assert state.window.ci(kpi, controller.ci_level) == expected
+            # A completion's event, then ticks without one; the active model
+            # changes between events.
+            for tick in range(rng.randint(1, 4)):
+                if tick:
+                    t += 0.1
+                if rng.random() < 0.3:
+                    active = rng.choice(models)
+                system = FakeSystem(model_ids=models, active=active, now=t)
+                system.arrival_times = arrivals
+                system.queue_depth = rng.randint(0, 5)
+                state = controller.monitor(system)
+                reference = monitor_snapshot(
+                    t, completions, arrivals, system.queue_depth, active, window_size=7
+                )
+                assert list(state.window) == list(reference.window)
+                assert state.window_means == pytest.approx(reference.window_means)
+                assert (state.v, state.i_w) == (reference.v, reference.i_w)
+                controller.analyzer.analyze(state, knowledge, t)
+                if not reference.window:
+                    continue
+                for level in (controller.ci_level, 0.95, controller.ci_level):
+                    for kpi in CI_KPIS:
+                        expected = reference_ci([getattr(r, kpi) for r in reference.window], level)
+                        assert state.window.ci(kpi, level) == expected
+                matrix = knowledge.rules_for(active)
+                cluster = find_closest_cluster(reference, matrix)
+                expected_match = (cluster, *feasible_rate_range(matrix, active, cluster))
+                assert controller.analyzer.last_match == expected_match
+
+    def test_caller_built_states_are_matched_afresh(self):
+        """States built with their own means over one reused window."""
+        matrix = tracker_rules("a", ("a",))
+        knowledge = Knowledge(adaptation_rule_repository={"a": matrix})
+        analyzer = Analyzer()
+        window = _KpiWindow.of(())
+        clusters = []
+        for tau in (0.08, 0.22, 0.08):
+            means = {"c": 0.5, "tau_model": tau, "tau_system": tau, "s_cpu": 50.0, "b": 3.0}
+            state = SystemState("a", window, means, v=1.0, i_w=0)
+            analyzer.analyze(state, knowledge, 1.0)
+            cluster = find_closest_cluster(state, matrix)
+            assert analyzer.last_match == (cluster, *feasible_rate_range(matrix, "a", cluster))
+            clusters.append(cluster)
+        assert clusters == [0, 1, 0]
+
+
+def tracker_rules(anchor, models):
+    """Two clusters split on tau and c; each anchor's rows are offset, so
+    models differ in their match and their feasible range."""
+    shift = 0.01 * (ord(anchor) - ord("a"))
+    clusters = {
+        0: {m: {"tau": (0.05 + shift, 0.10 + shift), "tau_sys": (0.055 + shift, 0.105 + shift),
+                "c": (0.3, 0.5)} for m in models},
+        1: {m: {"tau": (0.15 + shift, 0.25 + shift), "tau_sys": (0.155 + shift, 0.255 + shift),
+                "c": (0.6, 0.8)} for m in models},
+    }
+    return matrix_of(anchor, clusters)
+
+
+def test_adamls_run_matches_only_when_window_or_model_changes(tiny_config, monkeypatch):
+    """A work count, not a timing: the cluster match reruns only after a
+    completion enters the active window or a switch changes the model."""
+    profiles = cfgmod.resolve_profiles(tiny_config)
+    rules = cfgmod.learn_rules(tiny_config, profiles)
+    knowledge = Knowledge(adaptation_rule_repository={m: r.ci_matrix for m, r in rules.items()})
+    calls = []
+
+    def counting(state, matrix):
+        calls.append(state.m_prime)
+        return find_closest_cluster(state, matrix)
+
+    monkeypatch.setattr(ctrl, "find_closest_cluster", counting)
+    sim_config = cfgmod.build_sim_config(
+        tiny_config, cfgmod.parse_policy_label("adamls", tiny_config), profiles
+    )
+    completions, events = run_simulation(sim_config, knowledge)
+    switches = sum(ev.event == "SWITCH" for ev in events)
+    assert switches > 0
+    assert 0 < len(calls) <= len(completions) + switches + 1
 
 
 class KpiRow(NamedTuple):
