@@ -6,6 +6,8 @@ Subcommands:
   compare   run adamls, naive, and every static model on the same arrivals
   report    rank policies per weight pair from a comparison directory;
             --timeseries re-derives utility_timeseries.csv from its results
+  study     learn and compare per master seed, then count the seeds on
+            which each of the paper's four policy orderings holds
 
 All outputs are plain CSV; rerunning any command with the same configuration
 reproduces them byte for byte.
@@ -38,39 +40,61 @@ SUMMARY_CSV_HEADER = (
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(_load_config(args))
+        config = _load_config(args)
+        if args.command == "study":
+            return run_study(config, args.seeds)
+        return args.run(config)
     except (AdamlsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each command takes --config and --out, plus only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="adamls", description="QoS-aware model-switching experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, run, doc in (
-        ("learn", run_learn, "learn adaptation rules from model profiles"),
-        ("simulate", run_simulate, "simulate one policy on the workload"),
-        ("compare", run_compare, "run all policies on the identical workload"),
-        ("report", run_report, "rank policies; --timeseries derives utility_timeseries.csv"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--config", type=Path, default=None, help="experiment YAML file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument(
-            "--policy", default=None, help="policy for simulate: adamls, naive, or static:<model>"
-        )
-        p.set_defaults(run=run)
-        if name == "report":
-            # The flag swaps report's run for one that also derives the series.
-            p.add_argument(
-                "--timeseries", dest="run", action="store_const",
-                const=partial(run_report, timeseries=True),
-                help="also derive utility_timeseries.csv from compare's results.csv files; "
-                "--config must be compare's (a w_e, w_d that differs goes undetected)",
-            )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, default=None, help="experiment YAML file")
+    common.add_argument("--out", default=None, help="output directory")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="override master seed")
+
+    learn = sub.add_parser(
+        "learn", parents=[seeded], help="learn adaptation rules from model profiles"
+    )
+    learn.set_defaults(run=run_learn)
+    simulate = sub.add_parser(
+        "simulate", parents=[seeded], help="simulate one policy on the workload"
+    )
+    simulate.add_argument("--policy", default=None, help="adamls, naive, or static:<model>")
+    simulate.set_defaults(run=run_simulate)
+    compare = sub.add_parser(
+        "compare", parents=[seeded], help="run all policies on the identical workload"
+    )
+    compare.set_defaults(run=run_compare)
+    report = sub.add_parser(
+        "report", parents=[common],
+        help="rank policies; --timeseries derives utility_timeseries.csv",
+    )
+    report.set_defaults(run=run_report)
+    # The flag swaps report's run for one that also derives the series.
+    report.add_argument(
+        "--timeseries", dest="run", action="store_const",
+        const=partial(run_report, timeseries=True),
+        help="also derive utility_timeseries.csv from compare's results.csv files; "
+        "--config must be compare's (a w_e, w_d that differs goes undetected)",
+    )
+    # No abbreviations here, or --seed would be read as --seeds.
+    study = sub.add_parser(
+        "study", parents=[common], allow_abbrev=False,
+        help="learn and compare per seed, then the ordering verdicts",
+    )
+    study.add_argument(
+        "--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5], metavar="N",
+        help="master seeds, each run into <out>/seed<N>/ (default: 1 2 3 4 5)",
+    )
     return parser
 
 
@@ -78,7 +102,10 @@ def _load_config(args) -> cfgmod.ExperimentConfig:
     config = cfgmod.ExperimentConfig()
     if args.config is not None:
         config = cfgmod.load_experiment_config(args.config)
-    overrides = {"master_seed": args.seed, "output_dir": args.out, "policy": args.policy}
+    flags = vars(args)
+    overrides = {
+        "master_seed": flags.get("seed"), "output_dir": args.out, "policy": flags.get("policy")
+    }
     return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -142,9 +169,9 @@ def _run_policy(config: cfgmod.ExperimentConfig, label: str, profiles, matrices)
 def run_simulate(config: cfgmod.ExperimentConfig) -> int:
     out_dir = Path(config.output_dir)
     profiles = cfgmod.resolve_profiles(config)
+    needs_rules = cfgmod.checked_policy(config, profiles).kind == "adamls"
     out_dir.mkdir(parents=True, exist_ok=True)
     label = config.policy
-    needs_rules = cfgmod.parse_policy_label(label, config).kind == "adamls"
     matrices = _load_rule_matrices(config, profiles) if needs_rules else {}
     completions, events, summary = _run_policy(config, label, profiles, matrices)
     stem = _policy_dir_name(label)
@@ -156,6 +183,12 @@ def run_simulate(config: cfgmod.ExperimentConfig) -> int:
 
 
 def run_compare(config: cfgmod.ExperimentConfig) -> int:
+    _compare(config)
+    return 0
+
+
+def _compare(config: cfgmod.ExperimentConfig) -> tuple[list, list[RunSummary]]:
+    """compare's runs and files; returns the profiles and each policy's summary."""
     out_dir = Path(config.output_dir)
     profiles = cfgmod.resolve_profiles(config)
     matrices = _load_rule_matrices(config, profiles)
@@ -184,6 +217,62 @@ def run_compare(config: cfgmod.ExperimentConfig) -> int:
         write_rows(fh, ("w_e", "w_d", "policy", "total_utility"), sweep_rows)
     _print_summaries(summaries)
     print(f"comparison written to {out_dir}")
+    return profiles, summaries
+
+
+def run_study(config: cfgmod.ExperimentConfig, seeds) -> int:
+    """learn and compare per master seed into <output_dir>/seed<k>/, then
+    count the seeds on which each of criterion 6's four orderings holds.
+
+    The fastest model has the lowest mean tau_system and the most accurate
+    the highest mean c over the resolved profiles; ties go to the smaller id.
+    """
+    for weights in ((0.5, 0.5), (1.0, 0.0)):
+        if weights not in config.weight_grid:
+            raise AdamlsError(
+                f"{config.source}: weight_grid lacks {weights}, which the study's verdicts need"
+            )
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise AdamlsError(f"--seeds repeats {repeated}; each seed runs into its own directory")
+    verdicts = {
+        "adamls beats naive and the fastest static at (0.5, 0.5)": 0,
+        "the most accurate static leads at (1.0, 0.0)": 0,
+        "adamls r-penalties <= 25% of naive": 0,
+        "adamls switches more than naive": 0,
+    }
+    for seed in seeds:
+        seed_config = dataclasses.replace(
+            config, master_seed=seed, output_dir=str(Path(config.output_dir) / f"seed{seed}")
+        )
+        run_learn(seed_config)
+        profiles, summaries = _compare(seed_config)
+        fastest = min(profiles, key=lambda p: (p.tau_system.mean(), p.model_id)).model_id
+        most_accurate = min(profiles, key=lambda p: (-p.c.mean(), p.model_id)).model_id
+        at = {(s.policy, w_e, w_d): total for s in summaries for w_e, w_d, total in s.utilities}
+        adamls, naive = summaries[:2]  # compare runs adamls, then naive, then the statics
+        u_adamls, u_naive, u_fastest = (
+            at[label, 0.5, 0.5] for label in ("adamls", "naive", f"static:{fastest}")
+        )
+        top = max((s.policy for s in summaries), key=lambda label: at[label, 1.0, 0.0])
+        holds = (
+            u_adamls > u_naive and u_adamls > u_fastest,
+            top == f"static:{most_accurate}",
+            adamls.r_penalties <= 0.25 * naive.r_penalties,
+            adamls.switch_count > naive.switch_count,
+        )
+        for name, hit in zip(verdicts, holds):
+            verdicts[name] += hit
+        pen_ratio = adamls.r_penalties / max(naive.r_penalties, 1)
+        print(
+            f"seed {seed}: adamls U(0.5,0.5)={u_adamls:.0f} "
+            f"(naive {u_naive:.0f}, static:{fastest} {u_fastest:.0f}) | "
+            f"top at (1,0): {top} | pen ratio {pen_ratio:.2f} | "
+            f"switches adamls={adamls.switch_count} naive={naive.switch_count}"
+        )
+    print()
+    for name, hits in verdicts.items():
+        print(f"{name}: {hits}/{len(seeds)} seeds")
     return 0
 
 

@@ -92,8 +92,21 @@ def parse_policy_label(label: str, config: ExperimentConfig) -> PolicySpec:
     if label.startswith("static:"):
         return PolicySpec(kind="static", static_model=label.split(":", 1)[1])
     raise ConfigError(
-        f"unknown policy {label!r}; expected adamls, naive, or static:<model>"
+        f"{config.source}: policy {label!r} is unknown; expected adamls, naive, or static:<model>"
     )
+
+
+def checked_policy(config: ExperimentConfig, profiles) -> PolicySpec:
+    """config.policy (the key --policy overrides) as a PolicySpec whose
+    static model, if any, is profiled; simulate checks it before it writes."""
+    spec = parse_policy_label(config.policy, config)
+    profiled = sorted(p.model_id for p in profiles)
+    if spec.kind == "static" and spec.static_model not in profiled:
+        raise ConfigError(
+            f"{config.source}: policy {config.policy!r} names model {spec.static_model!r}, "
+            f"which has no profile; the profiled models are {profiled}"
+        )
+    return spec
 
 
 def resolve_profiles(config: ExperimentConfig) -> list[ModelProfile]:

@@ -306,18 +306,6 @@ def elbow_from_wcss(series) -> int:
     return best_k
 
 
-def select_k_elbow(values, k_max: int) -> int:
-    """Choose the cluster count for 1-D values by the elbow rule."""
-    x = list(values)
-    if k_max < 2:
-        raise ValidationError(f"select_k_elbow: k_max must be >= 2, got {k_max}")
-    if len(x) < k_max:
-        raise ValidationError(
-            f"select_k_elbow: need at least k_max={k_max} values, got {len(x)}"
-        )
-    return elbow_from_wcss(wcss_series(x, k_max))
-
-
 def compute_ci(samples, level: float = DEFAULT_CI_LEVEL) -> CiEntry:
     """Confidence interval of the sample mean.
 

@@ -157,12 +157,6 @@ def total_utility(records, params: UtilityParams) -> float:
     return float(running_total(utilities)[-1])
 
 
-def count_penalties(records, params: UtilityParams) -> tuple[int, int]:
-    """Counts of completions with r resp. c outside their closed QoS ranges."""
-    c, r = _columns(records, "c", "r")
-    return _penalties(np.asarray(c, dtype=float), np.asarray(r, dtype=float), params)
-
-
 def _penalties(c: np.ndarray, r: np.ndarray, params: UtilityParams) -> tuple[int, int]:
     n = c.size
     return (

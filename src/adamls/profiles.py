@@ -95,7 +95,6 @@ class ModelProfile:
     tau_system: np.ndarray
     s_cpu: np.ndarray
     b: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "image_id", tuple(self.image_id))
@@ -118,7 +117,7 @@ class ModelProfile:
             raise ValidationError(f"profile {self.model_id!r} has duplicate image ids")
 
     @classmethod
-    def of_records(cls, model_id: str, records, label: str = "") -> ModelProfile:
+    def of_records(cls, model_id: str, records) -> ModelProfile:
         """The profile holding the given KpiRecords, in order."""
         records = tuple(records)
         for rec in records:
@@ -131,16 +130,14 @@ class ModelProfile:
             name: [getattr(rec, name) for rec in records]
             for name in ("image_id",) + KPI_NAMES
         }
-        return cls(model_id=model_id, label=label, **columns)
+        return cls(model_id=model_id, **columns)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModelProfile):
             return NotImplemented
-        return (self.model_id, self.label, self.image_id) == (
-            other.model_id,
-            other.label,
-            other.image_id,
-        ) and all(np.array_equal(self.column(k), other.column(k)) for k in KPI_NAMES)
+        return (self.model_id, self.image_id) == (other.model_id, other.image_id) and all(
+            np.array_equal(self.column(k), other.column(k)) for k in KPI_NAMES
+        )
 
     def column(self, name: str) -> np.ndarray:
         """One KPI column by its canonical name."""
@@ -226,7 +223,6 @@ class ModelKpiSpec:
     overhead: float = 0.005
     s_cpu_std: float = 0.0
     b_std: float = 0.0
-    label: str = ""
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -265,11 +261,11 @@ def is_finite_number(value) -> bool:
 # Five-model synthetic family: system times span 45 ms to 766 ms and
 # confidence means 0.50 to 0.75, rising monotonically with model size.
 DEFAULT_MODEL_FAMILY = (
-    ModelKpiSpec("nano", 0.045, 0.006, 0.50, 0.08, 25.0, 4.0, s_cpu_std=5.0, b_std=1.2, label="nano tier"),
-    ModelKpiSpec("small", 0.120, 0.015, 0.57, 0.08, 40.0, 5.0, s_cpu_std=6.0, b_std=1.2, label="small tier"),
-    ModelKpiSpec("medium", 0.250, 0.030, 0.63, 0.08, 55.0, 5.0, s_cpu_std=7.0, b_std=1.2, label="medium tier"),
-    ModelKpiSpec("large", 0.450, 0.050, 0.69, 0.08, 70.0, 7.0, s_cpu_std=7.0, b_std=1.2, label="large tier"),
-    ModelKpiSpec("xlarge", 0.766, 0.080, 0.75, 0.08, 85.0, 8.0, s_cpu_std=8.0, b_std=1.2, label="xlarge tier"),
+    ModelKpiSpec("nano", 0.045, 0.006, 0.50, 0.08, 25.0, 4.0, s_cpu_std=5.0, b_std=1.2),
+    ModelKpiSpec("small", 0.120, 0.015, 0.57, 0.08, 40.0, 5.0, s_cpu_std=6.0, b_std=1.2),
+    ModelKpiSpec("medium", 0.250, 0.030, 0.63, 0.08, 55.0, 5.0, s_cpu_std=7.0, b_std=1.2),
+    ModelKpiSpec("large", 0.450, 0.050, 0.69, 0.08, 70.0, 7.0, s_cpu_std=7.0, b_std=1.2),
+    ModelKpiSpec("xlarge", 0.766, 0.080, 0.75, 0.08, 85.0, 8.0, s_cpu_std=8.0, b_std=1.2),
 )
 
 
@@ -331,7 +327,6 @@ def generate_profiles(spec: ProfilesConfig, seed: int) -> list[ModelProfile]:
                 tau_system=tau_system,
                 s_cpu=s_cpu,
                 b=b,
-                label=model_spec.label,
             )
         )
     return profiles

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import re
 import shutil
 from pathlib import Path
@@ -115,6 +117,10 @@ class TestConfig:
         path.write_text("workload:\n  max_request: 5\n")
         with pytest.raises(ConfigError, match="max_request"):
             cfgmod.load_experiment_config(path)
+        # A model has no display label: no file or command reads one.
+        model = {**yaml.safe_load(_MODEL_M), "label": "m tier"}
+        with pytest.raises(ConfigError, match=r"unknown model spec key\(s\) \['label'\]"):
+            cfgmod.experiment_config_from_dict({"profiles": {"models": [model]}})
         # Clustering is exact: there is no restart count to set.
         with pytest.raises(ConfigError, match="restarts"):
             cfgmod.experiment_config_from_dict({"learning": {"restarts": 10}})
@@ -135,6 +141,33 @@ class TestConfig:
         assert (static.kind, static.static_model) == ("static", "fast")
         with pytest.raises(ConfigError):
             cfgmod.parse_policy_label("greedy", tiny_config)
+
+
+# The flags each command reads, besides --config and --out.
+_COMMAND_FLAGS = {
+    "learn": {"--seed"},
+    "simulate": {"--seed", "--policy"},
+    "compare": {"--seed"},
+    "report": {"--timeseries"},
+    "study": {"--seeds"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (command, flag)
+        for command, flags in _COMMAND_FLAGS.items()
+        for flag in sorted(set().union(*_COMMAND_FLAGS.values()) - flags)
+    ],
+)
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, command, flag, capsys):
+    value = [] if flag == "--timeseries" else ["1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--out", str(tmp_path / "out"), flag, *value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestLearnCommand:
@@ -441,6 +474,28 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", str(path), "--policy", "static:slow"]) == 0
         assert (out / "results_static_slow.csv").exists()
 
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            (
+                "static:ghost",
+                "policy 'static:ghost' names model 'ghost', which has no profile; "
+                "the profiled models are ['fast', 'slow']",
+            ),
+            ("greedy", "policy 'greedy' is unknown; expected adamls, naive, or static:<model>"),
+        ],
+    )
+    def test_bad_policy_fails_naming_the_key(
+        self, tmp_path, tiny_config, policy, message, capsys
+    ):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, tiny_config, output_dir=str(out))
+        assert cli.main(["simulate", "--config", str(path), "--policy", policy]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def compared_once(tmp_path_factory, tiny_config):
@@ -733,3 +788,83 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert f"{results} has 159 rows" in err and "'naive'" in err
         assert not (out / "utility_timeseries.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def studied(tmp_path_factory, tiny_config):
+    """study --seeds 1 2 on the tiny config, run once for the module: its
+    output directory, its config file and what it printed."""
+    root = tmp_path_factory.mktemp("studied")
+    path = write_config(root, tiny_config, output_dir=str(root / "study"))
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert cli.main(["study", "--config", str(path), "--seeds", "1", "2"]) == 0
+    return root / "study", path, printed.getvalue()
+
+
+def _sweep_at(out_dir, weights):
+    return {
+        row["policy"]: float(row["total_utility"])
+        for row in read_rows(out_dir / "utility_sweep.csv")
+        if (float(row["w_e"]), float(row["w_d"])) == weights
+    }
+
+
+class TestStudyCommand:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seed_dir_is_learn_plus_compare(self, studied, tmp_path, seed):
+        out, path, _ = studied
+        ref = tmp_path / "ref"
+        for command in ("learn", "compare"):
+            argv = [command, "--config", str(path), "--out", str(ref), "--seed", str(seed)]
+            assert cli.main(argv) == 0
+        seed_dir = out / f"seed{seed}"
+        assert files_under(seed_dir) == files_under(ref)
+        for name in files_under(ref):
+            assert (seed_dir / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_verdict_counts_follow_criterion_6(self, studied, tiny_config):
+        """The printed counts, recomputed from each seed's CSVs with the
+        definitions of test_acceptance.py's criterion 6."""
+        out, _, printed = studied
+        models = tiny_config.profiles.models
+        fastest = min(models, key=lambda m: m.tau_system_mean).model_id
+        most_accurate = max(models, key=lambda m: m.c_mean).model_id
+        expected = [0, 0, 0, 0]
+        for seed in (1, 2):
+            seed_dir = out / f"seed{seed}"
+            equal = _sweep_at(seed_dir, (0.5, 0.5))
+            pure_c = _sweep_at(seed_dir, (1.0, 0.0))
+            counts = {row["policy"]: row for row in read_rows(seed_dir / "summary.csv")}
+            adamls, naive = counts["adamls"], counts["naive"]
+            holds = (
+                equal["adamls"] > equal["naive"] and equal["adamls"] > equal[f"static:{fastest}"],
+                max(pure_c, key=pure_c.get) == f"static:{most_accurate}",
+                int(adamls["r_penalties"]) <= 0.25 * int(naive["r_penalties"]),
+                int(adamls["switches"]) > int(naive["switches"]),
+            )
+            expected = [n + hit for n, hit in zip(expected, holds)]
+        printed_counts = re.findall(r"^.+: (\d)/2 seeds$", printed, flags=re.MULTILINE)
+        assert [int(n) for n in printed_counts] == expected
+
+    def test_fastest_model_comes_from_the_profiles(self, studied):
+        _, _, printed = studied
+        seed_lines = [line for line in printed.splitlines() if line.startswith("seed ")]
+        assert len(seed_lines) == 2
+        assert all("(naive " in line and ", static:fast " in line for line in seed_lines)
+
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (1.0, 0.0)])
+    def test_grid_without_a_verdict_pair_fails(self, tmp_path, tiny_config, weights, capsys):
+        grid = tuple(pair for pair in tiny_config.weight_grid if pair != weights)
+        out = tmp_path / "study"
+        path = write_config(tmp_path, tiny_config, output_dir=str(out), weight_grid=grid)
+        assert cli.main(["study", "--config", str(path), "--seeds", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: weight_grid lacks {weights}" in err
+        assert not out.exists()
+
+    def test_repeated_seed_fails(self, tmp_path, capsys):
+        out = tmp_path / "study"
+        assert cli.main(["study", "--out", str(out), "--seeds", "1", "2", "1"]) == 1
+        assert "--seeds repeats [1]" in capsys.readouterr().err
+        assert not out.exists()

@@ -25,7 +25,6 @@ from adamls.learning import (
     kmeans_1d,
     read_ci_matrix,
     run_learning_engine,
-    select_k_elbow,
     wcss_series,
     write_ci_matrix,
 )
@@ -149,21 +148,19 @@ class TestElbow:
     def test_constant_series_ties_to_k2(self):
         assert elbow_from_wcss([5, 5, 5, 5]) == 2
 
+    def test_needs_wcss_for_k_1_and_2(self):
+        with pytest.raises(ValidationError, match="at least k=1..2"):
+            elbow_from_wcss(wcss_series([1.0, 2.0, 3.0], 1))
+
     def test_select_k_on_two_blobs(self):
         rng = random.Random(1)
         values = [rng.gauss(0.05, 0.003) for _ in range(30)] + [
             rng.gauss(0.5, 0.01) for _ in range(30)
         ]
-        assert select_k_elbow(values, 6) == 2
-
-    def test_select_k_validation(self):
-        with pytest.raises(ValidationError):
-            select_k_elbow([1.0, 2.0, 3.0], 1)
-        with pytest.raises(ValidationError):
-            select_k_elbow([1.0, 2.0], 3)
+        assert elbow_from_wcss(wcss_series(values, 6)) == 2
 
     def test_identical_values_pick_k2_by_tie_break(self):
-        assert select_k_elbow([0.3] * 10, 4) == 2
+        assert elbow_from_wcss(wcss_series([0.3] * 10, 4)) == 2
 
 
 class TestComputeCi:

@@ -12,7 +12,6 @@ from adamls.metrics import (
     DEFAULT_WEIGHT_GRID,
     UtilityParams,
     UtilityTerms,
-    count_penalties,
     running_total,
     summarize,
     total_utility,
@@ -118,21 +117,26 @@ class TestTotalUtility:
         assert total_utility(records, PARAMS) == pytest.approx(expected, abs=1e-9)
 
 
+def penalties(records):
+    summary = summarize(records, [], params=PARAMS)
+    return summary.r_penalties, summary.c_penalties
+
+
 class TestPenalties:
     def test_all_in_range(self):
         records = [fake_record(0.7, 0.5), fake_record(0.9, 0.9)]
-        assert count_penalties(records, PARAMS) == (0, 0)
+        assert penalties(records) == (0, 0)
 
     def test_one_each(self):
         records = [fake_record(0.7, 2.0), fake_record(0.3, 0.5), fake_record(0.8, 0.2)]
-        assert count_penalties(records, PARAMS) == (1, 1)
+        assert penalties(records) == (1, 1)
 
     def test_matches_brute_filter(self):
         rng = random.Random(77)
         records = [fake_record(rng.uniform(0, 1.1), rng.uniform(0, 3)) for _ in range(500)]
         n_r = len([r for r in records if r.r < 0.1 or r.r > 1.0])
         n_c = len([r for r in records if r.c < 0.5 or r.c > 1.0])
-        assert count_penalties(records, PARAMS) == (n_r, n_c)
+        assert penalties(records) == (n_r, n_c)
 
 
 class TestSummarize:
@@ -159,7 +163,7 @@ class TestSummarize:
         assert summary == summarize(records, [])
         assert summary.avg_s_cpu == 50.0
         assert total_utility(iter(records), PARAMS) == total_utility(records, PARAMS)
-        assert count_penalties(iter(records), PARAMS) == (1, 1)
+        assert penalties(iter(records)) == (1, 1)
 
     def test_default_grid_has_five_pairs(self):
         summary = summarize([fake_record(0.7, 0.5, s_cpu=42.0)], [])

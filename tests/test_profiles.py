@@ -109,6 +109,13 @@ def test_roundtrip_write_load_exact(tmp_path, tiny_profiles):
     }
 
 
+def test_default_family_roundtrip_compares_equal(tmp_path):
+    profiles = generate_profiles(ProfilesConfig(image_count=20), seed=1)
+    path = tmp_path / "profiles.csv"
+    write_profiles(profiles, path)
+    assert load_profiles(path) == profiles
+
+
 def test_two_row_csv_two_models(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text(
@@ -239,7 +246,7 @@ SPEC_FLOAT_FIELDS = (
 
 
 def test_spec_float_fields_are_all_covered():
-    floats = {f.name for f in dataclasses.fields(ModelKpiSpec)} - {"model_id", "label"}
+    floats = {f.name for f in dataclasses.fields(ModelKpiSpec)} - {"model_id"}
     assert floats == set(SPEC_FLOAT_FIELDS)
 
 
