@@ -30,7 +30,7 @@ from .errors import AdamlsError
 from .learning import attach_anchor_stats, read_ci_matrix, write_ci_matrix
 from .metrics import RunSummary, UtilityParams, UtilityTerms, running_total, summarize
 from .profiles import write_profiles
-from .simulator import run_simulation, write_event_log_csv, write_results_csv
+from .simulator import ResultTexts, run_simulation, write_event_log_csv, write_results_csv
 
 SUMMARY_CSV_HEADER = (
     "policy", "requests", "switches", "avg_c", "avg_r", "avg_s_cpu", "r_penalties", "c_penalties"
@@ -109,14 +109,15 @@ def _load_config(args) -> cfgmod.ExperimentConfig:
     return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _policy_dir_name(label: str) -> str:
-    return label.replace(":", "_")
-
-
 def run_learn(config: cfgmod.ExperimentConfig) -> int:
+    _learn(config, cfgmod.resolve_profiles(config))
+    return 0
+
+
+def _learn(config: cfgmod.ExperimentConfig, profiles) -> None:
+    """learn's rules and files, from the resolved profiles."""
     out_dir = Path(config.output_dir)
     rules_dir = out_dir / "rules"
-    profiles = cfgmod.resolve_profiles(config)
     rules_dir.mkdir(parents=True, exist_ok=True)
     rules = cfgmod.learn_rules(config, profiles)
     if config.profiles.source == "generate":
@@ -128,14 +129,14 @@ def run_learn(config: cfgmod.ExperimentConfig) -> int:
         for model_id in sorted(rules)
         for k, wcss in enumerate(rules[model_id].wcss_series, start=1)
     )
-    with open(rules_dir / "clustering_report.csv", "w", encoding="utf-8", newline="") as fh:
+    report_path = rules_dir / f"{cfgmod.CLUSTERING_REPORT}.csv"
+    with open(report_path, "w", encoding="utf-8", newline="") as fh:
         write_rows(fh, ("model", "k_selected", "k", "wcss"), report_rows)
     for model_id in sorted(rules):
         learned = rules[model_id]
         clusters = len(learned.ci_matrix.entries)
         print(f"learned {model_id}: k={learned.k} ({clusters} cluster(s))")
     print(f"rules written to {rules_dir}")
-    return 0
 
 
 def _load_rule_matrices(config: cfgmod.ExperimentConfig, profiles) -> dict:
@@ -174,7 +175,7 @@ def run_simulate(config: cfgmod.ExperimentConfig) -> int:
     label = config.policy
     matrices = _load_rule_matrices(config, profiles) if needs_rules else {}
     completions, events, summary = _run_policy(config, label, profiles, matrices)
-    stem = _policy_dir_name(label)
+    stem = cfgmod.policy_dir_name(label)
     write_results_csv(completions, out_dir / f"results_{stem}.csv")
     write_event_log_csv(events, out_dir / f"events_{stem}.csv")
     _print_summaries([summary])
@@ -183,24 +184,25 @@ def run_simulate(config: cfgmod.ExperimentConfig) -> int:
 
 
 def run_compare(config: cfgmod.ExperimentConfig) -> int:
-    _compare(config)
+    _compare(config, cfgmod.resolve_profiles(config))
     return 0
 
 
-def _compare(config: cfgmod.ExperimentConfig) -> tuple[list, list[RunSummary]]:
-    """compare's runs and files; returns the profiles and each policy's summary."""
+def _compare(config: cfgmod.ExperimentConfig, profiles) -> list[RunSummary]:
+    """compare's runs and files, from the resolved profiles and the rule
+    files learn wrote; returns each policy's summary."""
     out_dir = Path(config.output_dir)
-    profiles = cfgmod.resolve_profiles(config)
     matrices = _load_rule_matrices(config, profiles)
     labels = cfgmod.compare_policy_labels(config, profiles)
     summaries: list[RunSummary] = []
+    texts = ResultTexts()
     # report --timeseries derives this file from the results rewritten below.
     (out_dir / "utility_timeseries.csv").unlink(missing_ok=True)
     for label in labels:
         completions, events, summary = _run_policy(config, label, profiles, matrices)
-        policy_dir = out_dir / "compare" / _policy_dir_name(label)
+        policy_dir = out_dir / "compare" / cfgmod.policy_dir_name(label)
         policy_dir.mkdir(parents=True, exist_ok=True)
-        write_results_csv(completions, policy_dir / "results.csv")
+        write_results_csv(completions, policy_dir / "results.csv", texts)
         write_event_log_csv(events, policy_dir / "events.csv")
         summaries.append(summary)
         # Free this run's records before the next run makes its own.
@@ -217,7 +219,7 @@ def _compare(config: cfgmod.ExperimentConfig) -> tuple[list, list[RunSummary]]:
         write_rows(fh, ("w_e", "w_d", "policy", "total_utility"), sweep_rows)
     _print_summaries(summaries)
     print(f"comparison written to {out_dir}")
-    return profiles, summaries
+    return summaries
 
 
 def run_study(config: cfgmod.ExperimentConfig, seeds) -> int:
@@ -245,8 +247,11 @@ def run_study(config: cfgmod.ExperimentConfig, seeds) -> int:
         seed_config = dataclasses.replace(
             config, master_seed=seed, output_dir=str(Path(config.output_dir) / f"seed{seed}")
         )
-        run_learn(seed_config)
-        profiles, summaries = _compare(seed_config)
+        # One resolution serves both steps; compare still reads the rules
+        # back from learn's files, as the compare command does.
+        profiles = cfgmod.resolve_profiles(seed_config)
+        _learn(seed_config, profiles)
+        summaries = _compare(seed_config, profiles)
         fastest = min(profiles, key=lambda p: (p.tau_system.mean(), p.model_id)).model_id
         most_accurate = min(profiles, key=lambda p: (-p.c.mean(), p.model_id)).model_id
         at = {(s.policy, w_e, w_d): total for s in summaries for w_e, w_d, total in s.utilities}
@@ -340,7 +345,7 @@ def _utility_series(out_dir: Path, summary_rows, by_weights: dict, params: Utili
     columns = ("finish_t", "c", "r")
     for row in summary_rows:
         label = row["policy"]
-        path = out_dir / "compare" / _policy_dir_name(label) / "results.csv"
+        path = out_dir / "compare" / cfgmod.policy_dir_name(label) / "results.csv"
         results = _read_rows(path, columns)
         if not results or str(len(results)) != row["requests"]:
             raise AdamlsError(

@@ -34,6 +34,9 @@ from .profiles import (
 )
 from .simulator import PolicySpec, SimConfig, SimulationConfig, WorkloadConfig, WorkloadSpec
 
+# learn writes rules/<model id>.csv per model and this report beside them.
+CLUSTERING_REPORT = "clustering_report"
+
 DEFAULT_NAIVE_THRESHOLDS = NaivePolicyConfig(
     thresholds=(
         (5.6, "xlarge"),
@@ -112,15 +115,18 @@ def checked_policy(config: ExperimentConfig, profiles) -> PolicySpec:
 def resolve_profiles(config: ExperimentConfig) -> list[ModelProfile]:
     """The experiment's profiles, loaded or generated.
 
-    The models the config names (naive_thresholds, simulation.initial_model)
+    Each model id must name its own files (see _check_model_ids), and the
+    models the config names (naive_thresholds, simulation.initial_model)
     must be profiled. A csv source knows its models only once it is read, so
     they are checked here, and every command resolves the profiles before it
     writes anything.
     """
     if config.profiles.source == "csv":
         profiles = load_profiles(config.profiles.csv_path)
+        _check_model_ids(profiles, f"{config.profiles.csv_path}: model_id")
     else:
         profiles = generate_profiles(config.profiles, derive_seed(config.master_seed, "profiles"))
+        _check_model_ids(profiles, f"{config.source}: profiles.models model_id")
     profiled = sorted(p.model_id for p in profiles)
     unknown = sorted(set(config.naive_thresholds.model_ids()) - set(profiled))
     if unknown:
@@ -134,6 +140,30 @@ def resolve_profiles(config: ExperimentConfig) -> list[ModelProfile]:
             f"has no profile; the profiled models are {profiled}"
         )
     return profiles
+
+
+def _check_model_ids(profiles, where: str) -> None:
+    """Each model id names files of its own: learn's rules/<id>.csv, which
+    must not be the clustering report, and compare's and simulate's
+    policy_dir_name of static:<id>. where names the source and its key."""
+    dirs: dict[str, str] = {}
+    for model_id in sorted(p.model_id for p in profiles):
+        if model_id == CLUSTERING_REPORT:
+            raise ConfigError(
+                f"{where} {model_id!r} is reserved: learn writes its clustering report "
+                f"to rules/{CLUSTERING_REPORT}.csv"
+            )
+        if model_id in ("", ".", "..") or any(ch in model_id for ch in "/\\\0"):
+            raise ConfigError(
+                f"{where} {model_id!r} cannot name a file: an id must not be empty, "
+                f"'.' or '..', or hold '/', '\\' or NUL"
+            )
+        name = policy_dir_name(f"static:{model_id}")
+        if name in dirs:
+            raise ConfigError(
+                f"{where}s {dirs[name]!r} and {model_id!r} would both write compare/{name}/"
+            )
+        dirs[name] = model_id
 
 
 def learn_rules(config: ExperimentConfig, profiles) -> dict[str, LearnedModelRules]:
@@ -157,6 +187,12 @@ def build_sim_config(
         service_seed=derive_seed(config.master_seed, "service"),
         ci_level=config.learning.ci_level,
     )
+
+
+def policy_dir_name(label: str) -> str:
+    """The name of a policy's directory under compare/, and of simulate's
+    results_<name>.csv."""
+    return label.replace(":", "_")
 
 
 def compare_policy_labels(config: ExperimentConfig, profiles) -> list[str]:

@@ -13,6 +13,11 @@ column of strings that need no quoting is used as it is, and each row is
 joined by ``str.join``, so no Python code runs per field of such columns.
 Only one block's text is held at a time.
 
+Formatting a float is most of the cost, so a writer whose files repeat
+values can keep their texts in a TextMemo and look them up instead. A hit
+costs a fraction of a format, but a miss costs a format and more, so only
+columns whose values repeat gain.
+
 The module opens no file. Each writer opens its own file in its own module,
 one of the modules in which the benchmark's tracer (``FILE_WRITER_MODULES``
 in ``perfbench/tracing.py``) times file writes.
@@ -28,30 +33,37 @@ _NUMBER_TYPES = frozenset((int, float, bool))
 _SPECIAL = (",", '"', "\r", "\n")
 
 
-def write_rows(fh, header, rows) -> None:
+def write_rows(fh, header, rows, texts=None) -> None:
     """Write the header and then the rows to the text file fh.
 
-    Every row must have the header's width.
+    Every row must have the header's width. texts, if given, turns the
+    columns of one block (an iterator of tuples) into its text columns:
+    the texts of one column, or of adjacent columns already joined by ",",
+    each field's text the one column_texts gives.
     """
     width = len(header)
-    _write_block(fh, [header])
+    _write_block(fh, [header], width, _column_texts)
+    texts = texts or _column_texts
     rows = iter(rows)
     while block := list(islice(rows, BLOCK_ROWS)):
         if set(map(len, block)) != {width}:
             raise ValueError(f"every CSV row must have {width} fields")
-        _write_block(fh, block)
+        _write_block(fh, block, width, texts)
 
 
-def _write_block(fh, block) -> None:
-    columns = list(map(_texts, zip(*block)))
-    lines = list(map(",".join, zip(*columns)))
-    if len(columns) == 1:
+def _write_block(fh, block, width, texts) -> None:
+    lines = list(map(",".join, zip(*texts(zip(*block)))))
+    if width == 1:
         lines = [line or '""' for line in lines]
     lines.append("")
     fh.write("\r\n".join(lines))
 
 
-def _texts(values: tuple):
+def _column_texts(columns):
+    return map(column_texts, columns)
+
+
+def column_texts(values: tuple):
     """The field text of each value of one column of a block."""
     kinds = set(map(type, values))
     if kinds <= _NUMBER_TYPES:
@@ -68,3 +80,60 @@ def _field(value) -> str:
     if any(ch in text for ch in _SPECIAL):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+class TextMemo(dict):
+    """Field texts of numbers, keyed by value, for columns whose values repeat.
+
+    texts gives the texts of one column, and joined the texts of adjacent
+    columns joined by ",", keyed by each row's tuple of values. A value is
+    formatted on its first lookup and then kept, unless it is or holds a
+    float zero: 0.0 == -0.0, but their texts differ. Equal numbers of
+    other types differ too (1 == 1.0 == True), so a memo serves only the
+    column types it first served, one type per column; columns of other
+    types, or of mixed types, get column_texts and leave the memo as it was.
+    """
+
+    _kinds = None  # the column types served, once set
+
+    def copy(self) -> TextMemo:
+        memo = TextMemo(self)
+        memo._kinds = self._kinds
+        return memo
+
+    def texts(self, values: tuple):
+        if not self._serves((values,)):
+            return column_texts(values)
+        return map(self.__getitem__, values)
+
+    def joined(self, columns):
+        if not self._serves(columns):
+            return map(",".join, zip(*map(column_texts, columns)))
+        return map(self.__getitem__, zip(*columns))
+
+    def keep(self, values: tuple, texts: list) -> None:
+        """Keep texts, the column_texts of values, for later lookups."""
+        if self._serves((values,)):
+            self.update(zip(values, texts))
+            self.pop(0.0, None)  # a float zero of either sign
+
+    def _serves(self, columns) -> bool:
+        kinds = tuple(map(_one_type, columns))
+        if self._kinds is None and _NUMBER_TYPES.issuperset(kinds):
+            self._kinds = kinds
+        return kinds == self._kinds
+
+    def __missing__(self, key) -> str:
+        values = key if type(key) is tuple else (key,)
+        text = ",".join(map(str, values))
+        # `in` finds any zero at C speed; an int 0 or False may still be kept.
+        if 0.0 in values and any(type(v) is float and v == 0.0 for v in values):
+            return text
+        self[key] = text
+        return text
+
+
+def _one_type(values):
+    """The type of every value of a column, or None if they differ."""
+    kinds = set(map(type, values))
+    return kinds.pop() if len(kinds) == 1 else None

@@ -13,6 +13,11 @@ stream past the event heap instead of going through it: the heap holds only
 the completions in flight (at most one per worker), the next tick and the
 pending resumes. Everything is driven by seeded RNGs, so runs are exactly
 reproducible.
+
+write_results_csv writes a run's completions with the bytes csv.writer
+gives. The files of one compare share a ResultTexts, so a value that
+repeats across them (an arrival time, the KPIs of one profile row) is
+formatted once per compare rather than once per row.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import controller as ctrl
-from .csvtext import write_rows
+from .csvtext import TextMemo, column_texts, write_rows
 from .errors import ConfigError, ValidationError
 from .learning import DEFAULT_CI_LEVEL
 from .profiles import ModelProfile
@@ -403,10 +408,53 @@ def run_simulation(
     return completions, knowledge.event_log
 
 
-def write_results_csv(records, path) -> None:
-    # A CompletionRecord's fields are in header order.
+class ResultTexts:
+    """The results.csv field texts that the files of one compare share.
+
+    The runs of one compare serve the same arrivals, so arrival_t repeats
+    in every file, and draw c, tau_model, tau_system, s_cpu and b from the
+    same profile rows, so each row's joined text is kept by that 5-tuple.
+    A request starts when it arrives, when an earlier one finishes or when
+    a switch pause ends, so each file looks its start_t up among the
+    arrival texts and its own finish texts. finish_t and r are new in
+    every row and are formatted as they come. Any records may go through
+    it, in any order: a kept text is the one csv.writer gives (see
+    csvtext.TextMemo), and sharing only saves work where values repeat.
+    """
+
+    def __init__(self):
+        self._arrivals = TextMemo()
+        self._kpis = TextMemo()
+
+    def file_texts(self):
+        """The csvtext.write_rows texts function of one results file."""
+        times = self._arrivals.copy()
+
+        def texts(columns):
+            request_id, arrival_t, start_t, finish_t, model, *kpis, r = columns
+            finish_texts = list(column_texts(finish_t))
+            times.keep(finish_t, finish_texts)
+            return (
+                column_texts(request_id),
+                self._arrivals.texts(arrival_t),
+                times.texts(start_t),
+                finish_texts,
+                column_texts(model),
+                self._kpis.joined(kpis),
+                column_texts(r),
+            )
+
+        return texts
+
+
+def write_results_csv(records, path, texts: ResultTexts | None = None) -> None:
+    """Write records (CompletionRecord fields, in header order) to path.
+
+    The files of one compare share texts; without it the file gets its own.
+    """
+    texts = ResultTexts() if texts is None else texts
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_rows(fh, RESULTS_CSV_HEADER, records)
+        write_rows(fh, RESULTS_CSV_HEADER, records, texts.file_texts())
 
 
 def write_event_log_csv(events, path) -> None:

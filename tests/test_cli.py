@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import json
 import re
 import shutil
 from pathlib import Path
@@ -12,6 +13,7 @@ import yaml
 
 from adamls import cli, simulator
 from adamls import config as cfgmod
+from adamls.csvtext import TextMemo
 from adamls.errors import ConfigError
 from adamls.learning import CI_CSV_HEADER
 from adamls.profiles import write_profiles
@@ -60,6 +62,12 @@ _MODEL_M = (
     "{model_id: m, tau_system_mean: 0.1, tau_system_std: 0.01, c_mean: 0.6, c_std: 0.05, "
     "s_cpu_mean: 50.0, b_mean: 4.0}"
 )
+
+
+def _model(model_id: str) -> str:
+    """_MODEL_M with another model id, as a YAML double-quoted string."""
+    return _MODEL_M.replace("model_id: m", f"model_id: {json.dumps(model_id)}")
+
 
 # Every mapping section of the YAML file, by the record that holds it.
 _SECTION_RECORDS = {
@@ -328,6 +336,22 @@ class TestLearnCommand:
             ("profiles: {image_count: 0}", "profiles.image_count must be >= 1, got 0"),
             ("profiles: {models: []}", "profiles.models needs at least one model"),
             (
+                f"profiles: {{models: [{_model('clustering_report')}]}}",
+                "profiles.models model_id 'clustering_report' is reserved: learn writes its "
+                "clustering report to rules/clustering_report.csv",
+            ),
+            *(
+                (
+                    f"profiles: {{models: [{_model(model_id)}]}}",
+                    f"profiles.models model_id {model_id!r} cannot name a file",
+                )
+                for model_id in ("", ".", "..", "a/b", "a\\b", "a\0b")
+            ),
+            (
+                f"profiles: {{models: [{_model('a:b')}, {_model('a_b')}]}}",
+                "profiles.models model_ids 'a:b' and 'a_b' would both write compare/static_a_b/",
+            ),
+            (
                 f"profiles: {{models: [{_MODEL_M}, {_MODEL_M}]}}",
                 "profiles.models repeats model id(s) ['m']",
             ),
@@ -408,6 +432,33 @@ class TestLearnCommand:
         err = capsys.readouterr().err
         assert f"{path}: naive_thresholds names unprofiled model(s) ['large', 'medium', " in err
         assert "the profiled models are ['fast', 'slow']" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["learn", "compare"])
+    @pytest.mark.parametrize(
+        "model_ids, message",
+        [
+            (("clustering_report", "slow"), "model_id 'clustering_report' is reserved"),
+            (("fast", "../slow"), "model_id '../slow' cannot name a file"),
+            (("a:b", "a_b"), "model_ids 'a:b' and 'a_b' would both write compare/static_a_b/"),
+        ],
+    )
+    def test_csv_model_ids_must_name_files_of_their_own(
+        self, tmp_path, tiny_config, tiny_profiles, command, model_ids, message, capsys
+    ):
+        csv_path = tmp_path / "profiles.csv"
+        renamed = [dataclasses.replace(p, model_id=m) for p, m in zip(tiny_profiles, model_ids)]
+        write_profiles(renamed, csv_path)
+        path = write_config(
+            tmp_path,
+            tiny_config,
+            profiles=dataclasses.replace(tiny_config.profiles, source="csv", csv_path=str(csv_path)),
+            output_dir=str(tmp_path / "out"),
+        )
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{csv_path}: {message}" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -568,6 +619,44 @@ class TestCompareCommand:
         digest = hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest()
         assert cli.main(["compare", "--config", str(path)]) == 0
         assert hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest() == digest
+
+    def test_results_equal_what_simulate_writes(self, compared):
+        """compare writes its results files through texts its runs share;
+        simulate writes one with texts of its own. The bytes are the same."""
+        out, path = compared
+        labels = [row["policy"] for row in read_rows(out / "summary.csv")]
+        for label in labels:
+            assert cli.main(["simulate", "--config", str(path), "--policy", label]) == 0
+            stem = cfgmod.policy_dir_name(label)
+            simulated = (out / f"results_{stem}.csv").read_bytes()
+            assert simulated == (out / "compare" / stem / "results.csv").read_bytes(), label
+
+    def test_kpi_texts_are_built_once_per_drawn_row(self, compared, monkeypatch):
+        """A work count, not a timing: one compare formats the c..b text of
+        each profile row its runs draw once (no drawn row holds a float
+        zero, which is never kept), however many requests draw it."""
+        _, path = compared
+        built, drawn, requests = [], set(), []
+        missing = TextMemo.__missing__
+
+        def counting(memo, key):
+            if type(key) is tuple:
+                built.append(key)
+            return missing(memo, key)
+
+        run = cli.run_simulation
+
+        def recording(*args, **kwargs):
+            completions, events = run(*args, **kwargs)
+            drawn.update(rec[5:10] for rec in completions)
+            requests.append(len(completions))
+            return completions, events
+
+        monkeypatch.setattr(TextMemo, "__missing__", counting)
+        monkeypatch.setattr(cli, "run_simulation", recording)
+        assert cli.main(["compare", "--config", str(path)]) == 0
+        assert len(built) == len(set(built)) == len(drawn)
+        assert len(drawn) < sum(requests)
 
     def test_different_seed_changes_results(self, compared, tmp_path, tiny_config):
         out, path = compared
@@ -862,6 +951,20 @@ class TestStudyCommand:
         err = capsys.readouterr().err
         assert f"{path}: weight_grid lacks {weights}" in err
         assert not out.exists()
+
+    def test_profiles_are_resolved_once_per_seed(self, tmp_path, tiny_config, monkeypatch):
+        calls = []
+        generate = cfgmod.generate_profiles
+
+        def counting(*args):
+            calls.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(cfgmod, "generate_profiles", counting)
+        path = write_config(tmp_path, tiny_config, output_dir=str(tmp_path / "study"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["study", "--config", str(path), "--seeds", "1", "2"]) == 0
+        assert len(calls) == 2
 
     def test_repeated_seed_fails(self, tmp_path, capsys):
         out = tmp_path / "study"

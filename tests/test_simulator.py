@@ -3,17 +3,21 @@ import math
 import random
 import statistics
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from adamls import config as cfgmod
 from adamls import simulator
 from adamls.controller import Knowledge, LogEvent, NaivePolicyConfig, observed_rate
+from adamls.csvtext import BLOCK_ROWS
 from adamls.errors import ConfigError, ValidationError
 from adamls.profiles import ModelKpiSpec, ModelProfile, ProfilesConfig, generate_profiles
 from adamls.simulator import (
     RESULTS_CSV_HEADER,
     CompletionRecord,
     PolicySpec,
+    ResultTexts,
     SimConfig,
     SimulationConfig,
     WorkloadConfig,
@@ -651,3 +655,61 @@ class TestCsvWriters:
         write_event_log_csv(self.EVENTS, tmp_path / "fast.csv")
         repr_per_field_csv(tmp_path / "oracle.csv", ("sim_time", "event", "detail"), self.EVENTS)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+# Numbers a value-keyed text memo could mix up: zeros of both signs, equal
+# numbers of other types (0 == 0.0 == False, 1 == 1.0 == True), and NaN.
+_TRICKY_NUMBERS = (0.0, -0.0, 0, False, 1, 1.0, True, math.nan, math.inf, -math.inf, 0.5, 5e-324)
+NUMBERS = st.one_of(st.sampled_from(_TRICKY_NUMBERS), st.floats())
+
+
+@st.composite
+def results_files(draw):
+    """Two or three files whose arrivals, KPI tuples and model ids come from
+    pools shared by all files, so values repeat within and across files;
+    a drawn start_t may be the finish_t of the row before."""
+    arrivals = draw(st.lists(NUMBERS, min_size=1, max_size=6))
+    kpis = draw(st.lists(st.tuples(*[NUMBERS] * 5), min_size=1, max_size=6))
+    models = draw(st.lists(st.sampled_from(["nano", "x,l", 'q"m', ""]), min_size=1, max_size=3))
+    files = []
+    for _ in range(draw(st.integers(2, 3))):
+        rows = draw(st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS, st.booleans()), min_size=1,
+                             max_size=8))
+        records = []
+        for i in range(draw(st.sampled_from((1, 2, 9, BLOCK_ROWS + 1)))):
+            start, finish, r, after_previous = rows[i % len(rows)]
+            if after_previous and records:
+                start = records[-1].finish_t
+            arrival, kpi = arrivals[i % len(arrivals)], kpis[i % len(kpis)]
+            model = models[i % len(models)]
+            records.append(CompletionRecord(i, arrival, start, finish, model, *kpi, r))
+        files.append(records)
+    return files
+
+
+def _records(times, kpis, model="a,b"):
+    """One row per (arrival_t, start_t, finish_t) and KPI tuple."""
+    return [
+        CompletionRecord(i, *t, model, *kpi, 1.5) for i, (t, kpi) in enumerate(zip(times, kpis))
+    ]
+
+
+class TestSharedResultTexts:
+    """Files written through one ResultTexts are what csv.writer writes."""
+
+    @hypothesis.given(files=results_files())
+    @hypothesis.example(files=[
+        # Equal values of other types and other zero signs, file by file;
+        # the second row starts when the first finishes.
+        _records([(1.0, 1.0, 3.0), (2.0, 3.0, 4.0)], [(0.5, 0.25, 0.0, 50.0, 1)] * 2),
+        _records([(1, 1, 3), (2, 3, 4)], [(0.5, 0.25, -0.0, 50.0, 1.0)] * 2, model='q"m'),
+        _records([(-0.0, 0.0, 3.0), (0.0, 3.0, -0.0)], [(0.5, 0.25, 0.25, 50.0, True)] * 2),
+    ])
+    def test_each_file_is_what_csv_writer_writes(self, files, tmp_path_factory):
+        root = tmp_path_factory.mktemp("shared")
+        for order in (files, files[::-1]):
+            texts = ResultTexts()
+            for records in order:
+                write_results_csv(records, root / "shared.csv", texts)
+                repr_per_field_csv(root / "oracle.csv", RESULTS_CSV_HEADER, records)
+                assert (root / "shared.csv").read_bytes() == (root / "oracle.csv").read_bytes()
