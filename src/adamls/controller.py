@@ -8,6 +8,15 @@ load. Baseline policies (fixed-threshold naive switching and static models)
 live behind the same drive-on-event interface so the simulator treats every
 policy uniformly; a policy's needs_ticks says whether the simulator should
 also drive it at periodic ticks.
+
+An event does only its decision work: monitor builds one slotted
+SystemState and appends its MONITOR row, whose text is built once per
+distinct (model, v, i_w) of a run; the analyzer compares its last match's
+model and window version and runs the debounce; and only a trigger builds a
+PlannerInput, plans in one pass over the rule rows and executes. The
+records passed between the phases are named tuples, and the planner's no-op
+plans are constants. Every writer appends LogEvent rows to
+Knowledge.event_log directly.
 """
 
 from __future__ import annotations
@@ -51,13 +60,13 @@ class LogEvent(NamedTuple):
 
 @dataclass
 class Knowledge:
-    """Shared knowledge base: adaptation rules and the controller's event log."""
+    """Shared knowledge base: adaptation rules and the controller's event log.
+
+    Every writer appends its LogEvent rows to event_log directly.
+    """
 
     adaptation_rule_repository: dict[str, CiMatrix] = field(default_factory=dict)
     event_log: list[LogEvent] = field(default_factory=list)
-
-    def log_event(self, sim_time: float, event: str, detail: str) -> None:
-        self.event_log.append(LogEvent(sim_time, event, detail))
 
     def rules_for(self, model_id: str) -> CiMatrix:
         matrix = self.adaptation_rule_repository.get(model_id)
@@ -66,7 +75,7 @@ class Knowledge:
         return matrix
 
 
-@dataclass
+@dataclass(slots=True)
 class SystemState:
     """Monitor snapshot: live window of the active model plus load figures.
 
@@ -77,7 +86,7 @@ class SystemState:
 
     window_version is the window's version (see _KpiWindow) when monitor
     read window_means from it. The analyzer reuses its last cluster match
-    while (m_prime, window_version) is unchanged; a state built with its
+    while m_prime and window_version are unchanged; a state built with its
     own window_means leaves it None and is matched afresh every time.
     """
 
@@ -89,15 +98,13 @@ class SystemState:
     window_version: int | None = None
 
 
-@dataclass(frozen=True)
-class PlannerInput:
+class PlannerInput(NamedTuple):
     v_adj: float
     m_prime: str
     cluster: int
 
 
-@dataclass(frozen=True)
-class AdaptationPlan:
+class AdaptationPlan(NamedTuple):
     """Either a switch to `target` or, with target None, no operation."""
 
     target: str | None
@@ -106,6 +113,11 @@ class AdaptationPlan:
     @property
     def is_switch(self) -> bool:
         return self.target is not None
+
+
+# The planner's two no-op outcomes; they carry no per-call data.
+_PERSIST = AdaptationPlan(None, "no suitable model; persisting")
+_INCUMBENT_BEST = AdaptationPlan(None, "current model already best")
 
 
 @dataclass(frozen=True)
@@ -265,7 +277,7 @@ class Analyzer:
 
     The matched cluster and feasible range depend only on the active model
     and its window's contents, so they are recomputed only when the state's
-    (m_prime, window_version) differs from the last match's; last_match
+    m_prime or window_version differs from the last match's; last_match
     holds (cluster, v_min, v_max) of the last analyzed state. v_adj, the
     range check and the debounce run on every call.
     """
@@ -274,17 +286,18 @@ class Analyzer:
         self.t_wait = t_wait
         self._armed_at: float | None = None
         self.last_match: tuple[int, float, float] | None = None
-        self._match_key: tuple[str, int] | None = None
+        self._match_model: str | None = None
+        self._match_version: int | None = None
 
     def analyze(self, state: SystemState, knowledge: Knowledge, now: float) -> PlannerInput | None:
         if not state.window_means:
             return None
-        key = None if state.window_version is None else (state.m_prime, state.window_version)
-        if key is None or key != self._match_key:
-            matrix = knowledge.rules_for(state.m_prime)
+        m_prime, version = state.m_prime, state.window_version
+        if version is None or version != self._match_version or m_prime != self._match_model:
+            matrix = knowledge.rules_for(m_prime)
             cluster = find_closest_cluster(state, matrix)
-            self.last_match = (cluster, *feasible_rate_range(matrix, state.m_prime, cluster))
-            self._match_key = key
+            self.last_match = (cluster, *feasible_rate_range(matrix, m_prime, cluster))
+            self._match_model, self._match_version = m_prime, version
         cluster, v_min, v_max = self.last_match
         v_adj = compute_adjusted_rate(state.v, state.i_w)
         if v_min <= v_adj <= v_max:
@@ -295,7 +308,7 @@ class Analyzer:
             return None
         if now - self._armed_at >= self.t_wait:
             self._armed_at = None
-            return PlannerInput(v_adj=v_adj, m_prime=state.m_prime, cluster=cluster)
+            return PlannerInput(v_adj, m_prime, cluster)
         return None
 
 
@@ -313,37 +326,42 @@ def plan(
     matrix when the window is empty), every other model's from the current
     model's CI matrix. Among compatible models the winner maximizes low(c),
     ties broken by incumbent first, then smaller high(tau), then model id.
+
+    One pass over the rows, which come in model-id order, keeps the winner
+    so far; the live c CI is read only when the live capacity covers v_adj.
     """
-    matrix = knowledge.rules_for(planner_input.m_prime)
-    m_prime = planner_input.m_prime
-    cluster = planner_input.cluster
-    v_adj = planner_input.v_adj
+    v_adj, m_prime, cluster = planner_input
+    matrix = knowledge.rules_for(m_prime)
     rows = matrix.derived(_rule_rows).get(cluster)
     if rows is None:
         raise RuleError(f"rule matrix of {m_prime!r} has no cluster {cluster}")
-    candidates: list[tuple[str, float, float]] = []  # (model, low_c, high_tau)
-    for model_id, row in rows.items():
-        if model_id == m_prime and live_window:
+    live_model = m_prime if live_window else None
+    best = best_c = best_tau = None
+    # `not v_adj <= capacity` is written so that a NaN capacity is not
+    # compatible.
+    for model_id, (low_c, high_tau, capacity) in rows.items():
+        if model_id == live_model:
             tau_ci = live_window.ci("tau_model", level)
-            c_ci = live_window.ci("c", level)
             # A live CI can dip to a non-positive lower bound under extreme
             # variance; that reads as an unbounded nominal capacity.
             capacity = math.inf if tau_ci.low <= 0.0 else 1.0 / tau_ci.low
-            row = (c_ci.low, tau_ci.high, capacity)
-        low_c, high_tau, capacity = row
-        if v_adj <= capacity:
-            candidates.append((model_id, low_c, high_tau))
-    if not candidates:
-        return AdaptationPlan(target=None, reason="no suitable model; persisting")
-    best = min(
-        candidates,
-        key=lambda t: (-t[1], 0 if t[0] == m_prime else 1, t[2], t[0]),
-    )
-    if best[0] == m_prime:
-        return AdaptationPlan(target=None, reason="current model already best")
+            if not v_adj <= capacity:
+                continue
+            low_c, high_tau = live_window.ci("c", level).low, tau_ci.high
+        elif not v_adj <= capacity:
+            continue
+        # An equal key keeps the earlier model: the model-id tie-break.
+        if best is None or low_c > best_c or (
+            low_c == best_c
+            and (model_id == m_prime or (best != m_prime and high_tau < best_tau))
+        ):
+            best, best_c, best_tau = model_id, low_c, high_tau
+    if best is None:
+        return _PERSIST
+    if best == m_prime:
+        return _INCUMBENT_BEST
     return AdaptationPlan(
-        target=best[0],
-        reason=f"switch {m_prime}->{best[0]} (low_c={best[1]:.4f}, v_adj={v_adj:.3f})",
+        best, f"switch {m_prime}->{best} (low_c={best_c:.4f}, v_adj={v_adj:.3f})"
     )
 
 
@@ -360,17 +378,16 @@ def execute(
     expose now, active_model, model_ids, and switch_model(target, pause).
     """
     if not adaptation.is_switch:
-        knowledge.log_event(system.now, EVENT_NOOP, adaptation.reason)
+        knowledge.event_log.append(LogEvent(system.now, EVENT_NOOP, adaptation.reason))
         return
     target = adaptation.target
     if target not in system.model_ids:
         raise ExecutionError(f"cannot switch to unknown model {target!r}")
     previous = system.active_model
     system.switch_model(target, switch_latency)
-    knowledge.log_event(
-        system.now,
-        EVENT_SWITCH,
-        f"{previous}->{target} effective {system.now + switch_latency:.6f}",
+    now = system.now
+    knowledge.event_log.append(
+        LogEvent(now, EVENT_SWITCH, f"{previous}->{target} effective {now + switch_latency:.6f}")
     )
 
 
@@ -436,27 +453,31 @@ class _KpiWindow:
 
     def add(self, rec) -> None:
         records = self.records
-        tau_moments, c_moments = self._moments["tau_model"], self._moments["c"]
+        moments = self._moments
+        c, tau_model = rec.c, rec.tau_model
         if len(records) == self._maxlen:
             old = records.popleft()
-            self._sum_c -= old.c
-            self._sum_tau_model -= old.tau_model
-            self._sum_tau_system -= old.tau_system
-            self._sum_s_cpu -= old.s_cpu
-            self._sum_b -= old.b
-            tau_moments.remove(old.tau_model)
-            c_moments.remove(old.c)
+            # Each sum drops the old value, then takes the new one.
+            self._sum_c = self._sum_c - old.c + c
+            self._sum_tau_model = self._sum_tau_model - old.tau_model + tau_model
+            self._sum_tau_system = self._sum_tau_system - old.tau_system + rec.tau_system
+            self._sum_s_cpu = self._sum_s_cpu - old.s_cpu + rec.s_cpu
+            self._sum_b = self._sum_b - old.b + rec.b
+            moments["tau_model"].slide(tau_model, old.tau_model)
+            moments["c"].slide(c, old.c)
+        else:
+            self._sum_c += c
+            self._sum_tau_model += tau_model
+            self._sum_tau_system += rec.tau_system
+            self._sum_s_cpu += rec.s_cpu
+            self._sum_b += rec.b
+            moments["tau_model"].add(tau_model)
+            moments["c"].add(c)
         records.append(rec)
-        self._sum_c += rec.c
-        self._sum_tau_model += rec.tau_model
-        self._sum_tau_system += rec.tau_system
-        self._sum_s_cpu += rec.s_cpu
-        self._sum_b += rec.b
-        tau_moments.add(rec.tau_model)
-        c_moments.add(rec.c)
         self.version += 1
         self._means = None
-        self._cis.clear()
+        if self._cis:
+            self._cis.clear()
 
     def means(self) -> dict[str, float]:
         if self._means is None:
@@ -502,10 +523,12 @@ class AdamlsController:
 
     Every event writes its MONITOR row, reads v and i_w, and runs v_adj,
     the range check and the debounce. The rest runs only when its inputs
-    change: a window's means and live CIs once per version of its contents
-    (see _KpiWindow), and the cluster match and feasible range when a
-    completion enters the active model's window or the active model
-    changes (see Analyzer).
+    change: a MONITOR text once per distinct (model, v, i_w) of the run, a
+    window's means and live CIs once per version of its contents (see
+    _KpiWindow), the cluster match and feasible range when a completion
+    enters the active model's window or the active model changes (see
+    Analyzer), and the incumbent's live c CI only in a plan where its live
+    capacity covers v_adj (see plan).
 
     window_size, t_wait and switch_latency are the experiment's `simulation`
     settings; ci_level is the level the rules were learned at.
@@ -534,6 +557,9 @@ class AdamlsController:
         self._windows: defaultdict[str, _KpiWindow] = defaultdict(
             lambda: _KpiWindow(window_size)
         )
+        # MONITOR row text per (model, v, i_w), i_w an int: a run repeats
+        # most of them many times over.
+        self._monitor_texts: dict[tuple[str, float, int], str] = {}
 
     def note_completion(self, rec) -> None:
         self._windows[rec.model_id].add(rec)
@@ -541,37 +567,30 @@ class AdamlsController:
     def monitor(self, system) -> SystemState:
         active = system.active_model
         window = self._windows[active]
-        # Positional: a dataclass built by keyword costs more per event.
-        state = SystemState(
-            active,
-            window,
-            window.means(),
-            observed_rate(system.arrival_times, system.now),
-            system.queue_depth,
-            window.version,
-        )
-        self.knowledge.log_event(
-            system.now, EVENT_MONITOR, f"m'={active} v={state.v:g} i_w={state.i_w}"
-        )
-        return state
+        now = system.now
+        v = observed_rate(system.arrival_times, now)
+        i_w = system.queue_depth
+        key = (active, v, i_w)
+        text = self._monitor_texts.get(key)
+        if text is None:
+            text = self._monitor_texts[key] = f"m'={active} v={v:g} i_w={i_w}"
+        self.knowledge.event_log.append(LogEvent(now, EVENT_MONITOR, text))
+        return SystemState(active, window, window.means(), v, i_w, window.version)
 
     def on_event(self, system) -> None:
         state = self.monitor(system)
         planner_input = self.analyzer.analyze(state, self.knowledge, system.now)
         if planner_input is None:
             return
-        self.knowledge.log_event(
-            system.now,
-            EVENT_ANALYZE_TRIGGER,
-            f"v_adj={planner_input.v_adj:g} cluster={planner_input.cluster} "
-            f"m'={planner_input.m_prime}",
+        v_adj, m_prime, cluster = planner_input
+        now = system.now
+        log = self.knowledge.event_log
+        log.append(
+            LogEvent(now, EVENT_ANALYZE_TRIGGER, f"v_adj={v_adj:g} cluster={cluster} m'={m_prime}")
         )
         adaptation = plan(planner_input, self.knowledge, state.window, level=self.ci_level)
-        self.knowledge.log_event(
-            system.now,
-            EVENT_PLAN,
-            adaptation.reason if not adaptation.is_switch else f"-> {adaptation.target}",
-        )
+        detail = adaptation.reason if not adaptation.is_switch else f"-> {adaptation.target}"
+        log.append(LogEvent(now, EVENT_PLAN, detail))
         execute(adaptation, system, self.knowledge, self.switch_latency)
 
 

@@ -451,7 +451,7 @@ class _ExactMoments:
     """Exact sums of x and x*x over a multiset of finite floats.
 
     Every finite float is num / 2**k for integers num and k <= 1074, so the
-    sums are exact integers in units of 2**-shift. add and remove keep shift
+    sums are exact integers in units of 2**-shift. add and slide keep shift
     at the largest k seen so far; a larger k rescales the sums first.
     """
 
@@ -477,10 +477,17 @@ class _ExactMoments:
         self.total += u
         self.total_sq += u * u
 
-    def remove(self, x: float) -> None:
+    def slide(self, x: float, old: float) -> None:
+        """add(x) and take out old, an earlier added value, in one call.
+
+        old's k is at most shift, so only x can rescale the sums, and old's
+        units are taken at the shift x leaves.
+        """
         u = self._units(x)
-        self.total -= u
-        self.total_sq -= u * u
+        num, den = old.as_integer_ratio()
+        o = num << (self.shift - den.bit_length() + 1)
+        self.total += u - o
+        self.total_sq += u * u - o * o
 
     def mean(self, n: int) -> float:
         """The correctly rounded sum divided by n, as statistics.fmean gives."""

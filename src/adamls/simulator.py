@@ -8,11 +8,12 @@ time a run draws it and cached for the rest of the run. The switching policy
 runs at every completion and, if it asks for them (needs_ticks), at a
 periodic tick; a model switch pauses service intake for the switch latency.
 
-The arrival times are generated up front, already in time order, so they
-stream past the event heap instead of going through it: the heap holds only
-the completions in flight (at most one per worker), the next tick and the
-pending resumes. Everything is driven by seeded RNGs, so runs are exactly
-reproducible.
+The arrival times are generated up front, already in time order, and a
+tick falls due a fixed interval after the one before, so both stream past
+the event heap instead of going through it: the engine ranks the next
+arrival and the next tick against the heap's top, and the heap holds only
+the completions in flight (at most one per worker) and the pending resumes.
+Everything is driven by seeded RNGs, so runs are exactly reproducible.
 
 write_results_csv writes a run's completions with the bytes csv.writer
 gives. The files of one compare share a ResultTexts, so a value that
@@ -50,13 +51,20 @@ RESULTS_CSV_HEADER = (
 )
 
 # Event classes, the tie-break at one timestamp: completions before arrivals
-# before ticks; resume events (end of a switch pause) run last. Arrivals never
-# enter the heap; the next one is ranked against the heap's top by the key
-# (time, _EV_ARRIVAL), which sorts exactly where the heap would have put it.
+# before ticks; resume events (end of a switch pause) run last. Arrivals and
+# ticks never enter the heap; the next of each is ranked against the heap's
+# top by the key (time, class), which sorts exactly where the heap would have
+# put it, since the heap's events of equal (time, class) run in push order
+# and neither stream has two events pending at once.
 _EV_COMPLETION = 0
 _EV_ARRIVAL = 1
 _EV_TICK = 2
 _EV_RESUME = 3
+
+# The tick key while no tick is pending: it sorts after every finite event.
+_NO_TICK = (math.inf, _EV_TICK)
+# The last arrival key: once the arrivals are in, everything else runs.
+_END = (math.inf, _EV_ARRIVAL)
 
 ARRIVAL_PROCESSES = ("deterministic", "poisson")
 
@@ -259,8 +267,10 @@ class _Engine:
         self._in_flight = 0
         self._intake_paused_until = 0.0
         self._rng = random.Random(config.service_seed)
+        # Completions in flight and pending resumes; see _run_until.
         self._heap: list[tuple[float, int, int, object]] = []
         self._seq = 0
+        self._next_tick = _NO_TICK
         self._pending_arrivals = 0
         self._policy = _build_policy(config, knowledge)
 
@@ -281,33 +291,33 @@ class _Engine:
         arrivals = generate_workload(self.config.workload)
         self._pending_arrivals = len(arrivals)
         # Each tick schedules the next; a policy that ignores ticks gets none.
-        # Events of equal (time, class) still pop in push order.
         if self._policy.needs_ticks:
-            self._push(self._tick_interval, _EV_TICK, None)
-        heap = self._heap
+            self._next_tick = (self._tick_interval, _EV_TICK)
         for req_id, t in enumerate(arrivals):
-            # Heap events that sort before this arrival run first: the
-            # earlier ones and a completion at its instant.
-            key = (t, _EV_ARRIVAL)
-            while heap and heap[0] < key:
-                self._run_heap_event()
+            self._run_until((t, _EV_ARRIVAL))
             self.now = t
             self.arrival_times.append(t)
             self._pending_arrivals -= 1
             self._queue.append((req_id, t))
             self._dispatch()
-        while heap:
-            self._run_heap_event()
+        self._run_until(_END)
         return self.completions
 
-    def _run_heap_event(self) -> None:
-        self.now, klass, _, payload = heapq.heappop(self._heap)
-        if klass == _EV_COMPLETION:
-            self._on_completion(payload)
-        elif klass == _EV_TICK:
-            self._on_tick()
-        else:
-            self._dispatch()
+    def _run_until(self, key: tuple[float, int]) -> None:
+        """Run the heap events and ticks that sort before key, in order."""
+        heap = self._heap
+        while True:
+            tick = self._next_tick
+            if heap and heap[0] < key and heap[0] < tick:
+                self.now, klass, _, payload = heapq.heappop(heap)
+                if klass == _EV_COMPLETION:
+                    self._on_completion(payload)
+                else:
+                    self._dispatch()
+            elif tick < key:
+                self._on_tick()
+            else:
+                return
 
     def _push(self, time: float, klass: int, payload) -> None:
         self._seq += 1
@@ -322,9 +332,12 @@ class _Engine:
         self._policy.on_event(self)
 
     def _on_tick(self) -> None:
+        self.now = self._next_tick[0]
         self._policy.on_event(self)
         if self._pending_arrivals or self._queue or self._in_flight:
-            self._push(self.now + self._tick_interval, _EV_TICK, None)
+            self._next_tick = (self.now + self._tick_interval, _EV_TICK)
+        else:
+            self._next_tick = _NO_TICK
 
     def _dispatch(self) -> None:
         if self.now < self._intake_paused_until:

@@ -216,6 +216,58 @@ def test_adamls_run_matches_only_when_window_or_model_changes(tiny_config, monke
     assert 0 < len(calls) <= len(completions) + switches + 1
 
 
+def test_adamls_run_formats_each_monitor_text_once_and_plans_like_the_oracle(
+    tiny_config, monkeypatch
+):
+    """A work count, not a timing: MONITOR rows of equal text share one
+    string, and a plan reads the incumbent's live c CI only when the live
+    capacity 1 / low(tau) covers v_adj. Every plan picks what the brute-force
+    oracle picks from the same rule rows and live CIs."""
+    profiles = cfgmod.resolve_profiles(tiny_config)
+    rules = cfgmod.learn_rules(tiny_config, profiles)
+    knowledge = Knowledge(adaptation_rule_repository={m: r.ci_matrix for m, r in rules.items()})
+    reads = []
+    window_ci = _KpiWindow.ci
+
+    def counting_ci(self, kpi, level):
+        reads.append(kpi)
+        return window_ci(self, kpi, level)
+
+    covered = []
+
+    def checked_plan(planner_input, knowledge, live_window, level):
+        reads.clear()
+        result = plan(planner_input, knowledge, live_window, level=level)
+        v_adj, m_prime = planner_input.v_adj, planner_input.m_prime
+        models = knowledge.rules_for(m_prime).entries[planner_input.cluster]
+        entries = {
+            model: {"tau": (kpis["tau_model"].low, kpis["tau_model"].high),
+                    "c": (kpis["c"].low, kpis["c"].high)}
+            for model, kpis in models.items()
+        }
+        live = None
+        if live_window:
+            live = {}
+            for key, kpi in (("tau", "tau_model"), ("c", "c")):
+                entry = reference_ci([getattr(rec, kpi) for rec in live_window], level)
+                live[key] = (entry.low, entry.high)
+            tau_low = live["tau"][0]
+            covered.append(v_adj <= (math.inf if tau_low <= 0 else 1.0 / tau_low))
+            assert reads.count("c") == covered[-1]
+        assert result.target == brute_force_plan(entries, m_prime, v_adj, live)
+        return result
+
+    monkeypatch.setattr(_KpiWindow, "ci", counting_ci)
+    monkeypatch.setattr(ctrl, "plan", checked_plan)
+    sim_config = cfgmod.build_sim_config(
+        tiny_config, cfgmod.parse_policy_label("adamls", tiny_config), profiles
+    )
+    _, events = run_simulation(sim_config, knowledge)
+    assert True in covered and False in covered
+    texts = [ev.detail for ev in events if ev.event == "MONITOR"]
+    assert len({id(text) for text in texts}) == len(set(texts)) < len(texts)
+
+
 class KpiRow(NamedTuple):
     c: float
     tau_model: float

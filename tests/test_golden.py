@@ -114,6 +114,37 @@ def test_compare_with_three_workers_matches_golden_digests(tiny_config, tmp_path
     assert compare_digests(tmp_path) == TINY_3_WORKERS_COMPARE_SHA256
 
 
+# compare on the tiny config with four workers under a constant 100 rps for
+# 4 s, above every model's capacity: the backlog grows through the run, ticks
+# fire over a deep queue, and most adamls plans are the "no suitable model;
+# persisting" no-op.
+TINY_OVERLOAD_COMPARE_SHA256 = {
+    "compare/adamls/events.csv": "5b03d60db6894cd6789a14914532b9fd79ffd14f01e0d4a8118887635bb27a51",
+    "compare/adamls/results.csv": "3939516e504e50b1959cd1f4f10b5b881a7b2fdfba2bc8a3a6c536e4a12bbe1f",
+    "compare/naive/events.csv": "907a88112841a7bec8a87f66e0f4a1e1fa326f9ffb4a6d38c7eb29cb34d00c6c",
+    "compare/naive/results.csv": "4532eeb5c436c499521baa63dc863c4d0b80b5d753d954e5575167756f508e2f",
+    "compare/static_fast/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
+    "compare/static_fast/results.csv": "96bef74c106333925b8d4c470b4f00512dd6bfe23cd703f97d7da792431dd9af",
+    "compare/static_slow/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
+    "compare/static_slow/results.csv": "7a44b8b05874c25370fec40ed523df78bcd621d2cbeeafa694ad9c9f7898dde1",
+    "summary.csv": "5307024e2d301a597b96b2aa053fdc708abe65c880b2dc855e40ed2d6013184f",
+    "utility_sweep.csv": "25f7a8faac9664357122cf4f1494bcdf10ec39c0b55e8d2422baa125ff11f15c",
+    "utility_timeseries.csv": "9c57b00a271a460a1ffda63bea6b451b84c7fd06739a0c25fbec3c5fb12265d9",
+}
+
+
+def test_compare_under_overload_matches_golden_digests(tiny_config, tmp_path, capsys):
+    config = dataclasses.replace(
+        tiny_config,
+        workload=cfgmod.WorkloadConfig(segments=((4.0, 100.0),), max_requests=1000),
+        simulation=dataclasses.replace(tiny_config.simulation, worker_count=4),
+    )
+    learn_and_compare(config, tmp_path, capsys)
+    events = (tmp_path / "compare" / "adamls" / "events.csv").read_text(encoding="utf-8")
+    assert "no suitable model; persisting" in events
+    assert compare_digests(tmp_path) == TINY_OVERLOAD_COMPARE_SHA256
+
+
 # learn on the default five-model family (1000 images, seed 1): the rule and
 # clustering-report CSVs at realistic scale.
 DEFAULT_RULES_SHA256 = {

@@ -227,11 +227,11 @@ class Recorder:
     """A policy that records, at each call, which event it ran at and what
     the system had seen by then; it can ask for one switch at a given time."""
 
-    def __init__(self, needs_ticks=True, switch_at=None, pause=0.0):
+    def __init__(self, needs_ticks=True, switch_at=None, pause=0.0, calls=None):
         self.needs_ticks = needs_ticks
         self.switch_at = switch_at
         self.pause = pause
-        self.calls = []
+        self.calls = [] if calls is None else calls
         self._completed = False
 
     def note_completion(self, rec) -> None:
@@ -298,6 +298,30 @@ class TestEventOrder:
         # The arrival's dispatch, then the resume's; both see the arrival.
         assert [d for d in dispatches if d[0] == 1.0] == [(1.0, 1), (1.0, 1)]
         assert completions[0].start_t == 1.0
+
+    def test_completion_arrival_tick_then_resume_at_one_instant(self, monkeypatch):
+        # The tick at 1.5 s switches with a 0.5 s pause, so intake resumes at
+        # 2 s, when the first request completes, the second arrives and a
+        # tick falls due.
+        trace = []
+        dispatch = simulator._Engine._dispatch
+
+        def recording_dispatch(self):
+            trace.append((self.now, "dispatch", len(self.arrival_times)))
+            dispatch(self)
+
+        monkeypatch.setattr(simulator._Engine, "_dispatch", recording_dispatch)
+        recorder = Recorder(switch_at=1.5, pause=0.5, calls=trace)
+        self.run(monkeypatch, recorder)
+        # The completion's dispatch and policy call see one arrival; the
+        # arrival's dispatch, the tick and the resume's dispatch see two.
+        assert [call[:3] for call in trace if call[0] == 2.0] == [
+            (2.0, "dispatch", 1),
+            (2.0, "completion", 1),
+            (2.0, "dispatch", 2),
+            (2.0, "tick", 2),
+            (2.0, "dispatch", 2),
+        ]
 
 
 class TestRunSimulation:
@@ -587,6 +611,8 @@ class TestTicks:
 
     @pytest.mark.parametrize("worker_count", [1, 3])
     def test_switching_run_heap_holds_no_arrival(self, tiny_profiles, monkeypatch, worker_count):
+        """Arrivals and ticks stream past the heap: it holds only the
+        completions in flight and the pending resumes."""
         pushes = self.record_pushes(monkeypatch)
         workload = WorkloadSpec(
             WorkloadConfig(segments=((8.0, 2.0), (8.0, 30.0), (8.0, 2.0)), max_requests=400),
@@ -607,16 +633,40 @@ class TestTicks:
         assert any(ev.event == "SWITCH" for ev in events)
         pushed = [klass for klass, _ in pushes]
         assert simulator._EV_ARRIVAL not in pushed
+        assert simulator._EV_TICK not in pushed
         assert pushed.count(simulator._EV_COMPLETION) == len(completions)
-        assert simulator._EV_TICK in pushed and simulator._EV_RESUME in pushed
+        assert simulator._EV_RESUME in pushed
         for _, heap in pushes:
             assert heap.count(simulator._EV_COMPLETION) <= worker_count
-            assert heap.count(simulator._EV_TICK) <= 1
             assert len(heap) == (
-                heap.count(simulator._EV_COMPLETION)
-                + heap.count(simulator._EV_TICK)
-                + heap.count(simulator._EV_RESUME)
+                heap.count(simulator._EV_COMPLETION) + heap.count(simulator._EV_RESUME)
             )
+
+    @pytest.mark.parametrize("worker_count", [1, 3])
+    def test_ticks_step_by_the_interval_until_nothing_remains(
+        self, tiny_profiles, monkeypatch, worker_count
+    ):
+        """Tick k is at tick k-1 plus tick_interval, the first at
+        tick_interval. A request remains after a tick exactly when it
+        finishes later (a completion at the tick's instant runs first), so
+        the last tick is the first one at or after the last finish."""
+        config = self.bursty_static(tiny_profiles, worker_count)
+        recorder = Recorder()
+        monkeypatch.setattr(simulator, "_build_policy", lambda config, knowledge: recorder)
+        completions, _ = run_simulation(config)
+        interval = config.simulation.tick_interval
+        last_finish = max(rec.finish_t for rec in completions)
+        expected = [interval]
+        while expected[-1] < last_finish:
+            expected.append(expected[-1] + interval)
+        assert [call[0] for call in recorder.calls if call[1] == "tick"] == expected
+        # The system empties for longer than a tick before some arrival, and
+        # the ticks go on through it while arrivals are due.
+        drained, idle = 0.0, 0.0
+        for rec in sorted(completions, key=lambda rec: rec.arrival_t):
+            idle = max(idle, rec.arrival_t - drained)
+            drained = max(drained, rec.finish_t)
+        assert idle > interval
 
     @pytest.mark.parametrize("worker_count", [1, 3])
     def test_static_completions_match_a_ticking_noop_run(
