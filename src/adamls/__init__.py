@@ -9,10 +9,10 @@ from .controller import (
     SystemState,
 )
 from .learning import CiEntry, CiMatrix, run_learning_engine
-from .metrics import UtilityParams, total_utility, utility_per_request
+from .metrics import UtilityParams, utility_per_request
 from .profiles import KpiRecord, ModelKpiSpec, ModelProfile, ProfilesConfig, generate_profiles
 from .simulator import (
-    CompletionRecord, SimConfig, SimulationConfig, WorkloadConfig, WorkloadSpec, run_simulation,
+    Completions, SimConfig, SimulationConfig, WorkloadConfig, WorkloadSpec, run_simulation,
 )
 
 __version__ = "0.1.0"
@@ -21,7 +21,7 @@ __all__ = [
     "AdaptationPlan",
     "CiEntry",
     "CiMatrix",
-    "CompletionRecord",
+    "Completions",
     "Knowledge",
     "KpiRecord",
     "ModelKpiSpec",
@@ -38,6 +38,5 @@ __all__ = [
     "generate_profiles",
     "run_learning_engine",
     "run_simulation",
-    "total_utility",
     "utility_per_request",
 ]

@@ -406,13 +406,13 @@ CI_KPIS = ("tau_model", "c")
 class _KpiWindow:
     """Rolling window of one model's completions with running KPI sums.
 
-    means() reads float running sums of the profile KPIs (KPI_NAMES), whose
-    rounding cluster matching has always used. ci() reads exact ones: for
-    each CI KPI the window keeps the sums of x and x*x as integers (see
-    _ExactMoments), so the sample mean and variance are exact rationals and
-    ci() equals compute_ci over the same records, bit for bit, at O(1) per
-    read. Windows of fewer than MIN_NORMAL_SAMPLES records keep compute_ci's
-    (min, max) envelope.
+    It holds each completion's KPI row, in KPI_NAMES order. means() reads
+    float running sums of the KPIs, whose rounding cluster matching has
+    always used. ci() reads exact ones: for each CI KPI the window keeps the
+    sums of x and x*x as integers (see _ExactMoments), so the sample mean
+    and variance are exact rationals and ci() equals compute_ci over the
+    same rows, bit for bit, at O(1) per read. Windows of fewer than
+    MIN_NORMAL_SAMPLES rows keep compute_ci's (min, max) envelope.
 
     version counts the adds, so it names the window's contents. means() and
     each ci(kpi, level) are computed once per version and returned from a
@@ -421,12 +421,12 @@ class _KpiWindow:
     """
 
     __slots__ = (
-        "records", "version", "_maxlen", "_sum_c", "_sum_tau_model", "_sum_tau_system",
+        "rows", "version", "_maxlen", "_sum_c", "_sum_tau_model", "_sum_tau_system",
         "_sum_s_cpu", "_sum_b", "_moments", "_means", "_cis",
     )
 
     def __init__(self, maxlen: int):
-        self.records: deque = deque()
+        self.rows: deque = deque()
         self.version = 0
         self._maxlen = maxlen
         # One float running sum per KPI_NAMES field.
@@ -437,43 +437,43 @@ class _KpiWindow:
         self._cis: dict[tuple[str, float], CiEntry] = {}
 
     @classmethod
-    def of(cls, records) -> _KpiWindow:
-        """A window holding exactly the given records."""
-        records = tuple(records)
-        window = cls(max(len(records), 1))
-        for rec in records:
-            window.add(rec)
+    def of(cls, rows) -> _KpiWindow:
+        """A window holding exactly the given KPI rows."""
+        rows = tuple(rows)
+        window = cls(max(len(rows), 1))
+        for kpis in rows:
+            window.add(kpis)
         return window
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.rows)
 
     def __iter__(self):
-        return iter(self.records)
+        return iter(self.rows)
 
-    def add(self, rec) -> None:
-        records = self.records
+    def add(self, kpis: tuple) -> None:
+        rows = self.rows
         moments = self._moments
-        c, tau_model = rec.c, rec.tau_model
-        if len(records) == self._maxlen:
-            old = records.popleft()
+        c, tau_model, tau_system, s_cpu, b = kpis
+        if len(rows) == self._maxlen:
+            old_c, old_tau_model, old_tau_system, old_s_cpu, old_b = rows.popleft()
             # Each sum drops the old value, then takes the new one.
-            self._sum_c = self._sum_c - old.c + c
-            self._sum_tau_model = self._sum_tau_model - old.tau_model + tau_model
-            self._sum_tau_system = self._sum_tau_system - old.tau_system + rec.tau_system
-            self._sum_s_cpu = self._sum_s_cpu - old.s_cpu + rec.s_cpu
-            self._sum_b = self._sum_b - old.b + rec.b
-            moments["tau_model"].slide(tau_model, old.tau_model)
-            moments["c"].slide(c, old.c)
+            self._sum_c = self._sum_c - old_c + c
+            self._sum_tau_model = self._sum_tau_model - old_tau_model + tau_model
+            self._sum_tau_system = self._sum_tau_system - old_tau_system + tau_system
+            self._sum_s_cpu = self._sum_s_cpu - old_s_cpu + s_cpu
+            self._sum_b = self._sum_b - old_b + b
+            moments["tau_model"].slide(tau_model, old_tau_model)
+            moments["c"].slide(c, old_c)
         else:
             self._sum_c += c
             self._sum_tau_model += tau_model
-            self._sum_tau_system += rec.tau_system
-            self._sum_s_cpu += rec.s_cpu
-            self._sum_b += rec.b
+            self._sum_tau_system += tau_system
+            self._sum_s_cpu += s_cpu
+            self._sum_b += b
             moments["tau_model"].add(tau_model)
             moments["c"].add(c)
-        records.append(rec)
+        rows.append(kpis)
         self.version += 1
         self._means = None
         if self._cis:
@@ -481,7 +481,7 @@ class _KpiWindow:
 
     def means(self) -> dict[str, float]:
         if self._means is None:
-            n = len(self.records)
+            n = len(self.rows)
             self._means = {} if n == 0 else {
                 "c": self._sum_c / n,
                 "tau_model": self._sum_tau_model / n,
@@ -492,12 +492,13 @@ class _KpiWindow:
         return self._means
 
     def ci(self, kpi: str, level: float = DEFAULT_CI_LEVEL) -> CiEntry:
-        """compute_ci of one CI KPI over the window's records."""
+        """compute_ci of one CI KPI over the window's rows."""
         entry = self._cis.get((kpi, level))
         if entry is None:
-            n = len(self.records)
+            n = len(self.rows)
             if n < MIN_NORMAL_SAMPLES:
-                entry = compute_ci([getattr(rec, kpi) for rec in self.records], level)
+                index = KPI_NAMES.index(kpi)
+                entry = compute_ci([kpis[index] for kpis in self.rows], level)
             else:
                 moments = self._moments[kpi]
                 entry = normal_ci(moments.mean(n), moments.stdev(n), n, level)
@@ -561,8 +562,8 @@ class AdamlsController:
         # most of them many times over.
         self._monitor_texts: dict[tuple[str, float, int], str] = {}
 
-    def note_completion(self, rec) -> None:
-        self._windows[rec.model_id].add(rec)
+    def note_completion(self, model_id: str, kpis: tuple) -> None:
+        self._windows[model_id].add(kpis)
 
     def monitor(self, system) -> SystemState:
         active = system.active_model
@@ -619,7 +620,7 @@ class NaiveSwitcher:
         self.check_interval = check_interval
         self._next_check = 0.0
 
-    def note_completion(self, rec) -> None:
+    def note_completion(self, model_id: str, kpis: tuple) -> None:
         pass
 
     def on_event(self, system) -> None:
@@ -642,7 +643,7 @@ class StaticPolicy:
         self.model_id = model_id
         self.name = f"static:{model_id}"
 
-    def note_completion(self, rec) -> None:
+    def note_completion(self, model_id: str, kpis: tuple) -> None:
         pass
 
     def on_event(self, system) -> None:

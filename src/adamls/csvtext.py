@@ -7,16 +7,16 @@ the default dialect: fields joined by ``,``, each row ended by ``\\r\\n``,
 ``,``, ``"``, ``\\r`` or ``\\n``, with inner quotes doubled, and a row of one
 empty field is written ``""`` so that it is not an empty line.
 
-Rows are taken in blocks of BLOCK_ROWS and each block is turned into
-columns. A column of numbers is then formatted by one ``map(str, ...)``, a
-column of strings that need no quoting is used as it is, and each row is
-joined by ``str.join``, so no Python code runs per field of such columns.
-Only one block's text is held at a time.
+Rows go in blocks of BLOCK_ROWS, turned into columns (write_rows) or sliced
+out of them (write_columns). A column of numbers is then formatted by one
+``map(str, ...)``, a column of strings that need no quoting is used as it
+is, and each row is joined by ``str.join``, so no Python code runs per field
+of such columns. Only one block's text is held at a time.
 
 Formatting a float is most of the cost, so a writer whose files repeat
-values can keep their texts in a TextMemo and look them up instead. A hit
-costs a fraction of a format, but a miss costs a format and more, so only
-columns whose values repeat gain.
+values can keep their texts (in a TextMemo, or by a key of its own) and
+look them up instead. A hit costs a fraction of a format, but a miss costs
+a format and more, so only columns whose values repeat gain.
 
 The module opens no file. Each writer opens its own file in its own module,
 one of the modules in which the benchmark's tracer (``FILE_WRITER_MODULES``
@@ -42,17 +42,29 @@ def write_rows(fh, header, rows, texts=None) -> None:
     each field's text the one column_texts gives.
     """
     width = len(header)
-    _write_block(fh, [header], width, _column_texts)
+    _write_block(fh, zip(header), width, _column_texts)
     texts = texts or _column_texts
     rows = iter(rows)
     while block := list(islice(rows, BLOCK_ROWS)):
         if set(map(len, block)) != {width}:
             raise ValueError(f"every CSV row must have {width} fields")
-        _write_block(fh, block, width, texts)
+        _write_block(fh, zip(*block), width, texts)
 
 
-def _write_block(fh, block, width, texts) -> None:
-    lines = list(map(",".join, zip(*texts(zip(*block)))))
+def write_columns(fh, header, columns, texts) -> None:
+    """Write the header and then the rows of columns, sequences of one length.
+
+    texts is as for write_rows, given each block as slices of the columns."""
+    width = len(header)
+    _write_block(fh, zip(header), width, _column_texts)
+    if len(set(map(len, columns))) != 1:
+        raise ValueError("every CSV column must have one length")
+    for start in range(0, len(columns[0]), BLOCK_ROWS):
+        _write_block(fh, [col[start : start + BLOCK_ROWS] for col in columns], width, texts)
+
+
+def _write_block(fh, columns, width, texts) -> None:
+    lines = list(map(",".join, zip(*texts(columns))))
     if width == 1:
         lines = [line or '""' for line in lines]
     lines.append("")
@@ -75,6 +87,11 @@ def column_texts(values: tuple):
     return map(_field, values)
 
 
+def joined_texts(rows):
+    """The text of each row of one width, its fields' texts joined by ","."""
+    return map(",".join, zip(*map(column_texts, zip(*rows))))
+
+
 def _field(value) -> str:
     text = "" if value is None else str(value)
     if any(ch in text for ch in _SPECIAL):
@@ -83,57 +100,42 @@ def _field(value) -> str:
 
 
 class TextMemo(dict):
-    """Field texts of numbers, keyed by value, for columns whose values repeat.
+    """Field texts of numbers, keyed by value, for a column whose values repeat.
 
-    texts gives the texts of one column, and joined the texts of adjacent
-    columns joined by ",", keyed by each row's tuple of values. A value is
-    formatted on its first lookup and then kept, unless it is or holds a
-    float zero: 0.0 == -0.0, but their texts differ. Equal numbers of
-    other types differ too (1 == 1.0 == True), so a memo serves only the
-    column types it first served, one type per column; columns of other
-    types, or of mixed types, get column_texts and leave the memo as it was.
+    A value is formatted on its first lookup and then kept, unless it is a
+    zero: 0.0 == -0.0, but their texts differ. Equal numbers of other types
+    differ too (1 == 1.0 == True), so a memo serves only the type of the
+    first column it served; columns of another type, or of mixed types, get
+    column_texts and leave the memo as it was.
     """
 
-    _kinds = None  # the column types served, once set
+    _kind = None  # the column type served, once set
 
     def copy(self) -> TextMemo:
         memo = TextMemo(self)
-        memo._kinds = self._kinds
+        memo._kind = self._kind
         return memo
 
     def texts(self, values: tuple):
-        if not self._serves((values,)):
+        if not self._serves(values):
             return column_texts(values)
         return map(self.__getitem__, values)
 
-    def joined(self, columns):
-        if not self._serves(columns):
-            return map(",".join, zip(*map(column_texts, columns)))
-        return map(self.__getitem__, zip(*columns))
-
     def keep(self, values: tuple, texts: list) -> None:
         """Keep texts, the column_texts of values, for later lookups."""
-        if self._serves((values,)):
+        if self._serves(values):
             self.update(zip(values, texts))
-            self.pop(0.0, None)  # a float zero of either sign
+            self.pop(0, None)  # a zero of either sign
 
-    def _serves(self, columns) -> bool:
-        kinds = tuple(map(_one_type, columns))
-        if self._kinds is None and _NUMBER_TYPES.issuperset(kinds):
-            self._kinds = kinds
-        return kinds == self._kinds
+    def _serves(self, values) -> bool:
+        kinds = set(map(type, values))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if self._kind is None and kind in _NUMBER_TYPES:
+            self._kind = kind
+        return kind is not None and kind is self._kind
 
     def __missing__(self, key) -> str:
-        values = key if type(key) is tuple else (key,)
-        text = ",".join(map(str, values))
-        # `in` finds any zero at C speed; an int 0 or False may still be kept.
-        if 0.0 in values and any(type(v) is float and v == 0.0 for v in values):
-            return text
-        self[key] = text
+        text = str(key)
+        if key != 0:
+            self[key] = text
         return text
-
-
-def _one_type(values):
-    """The type of every value of a column, or None if they differ."""
-    kinds = set(map(type, values))
-    return kinds.pop() if len(kinds) == 1 else None

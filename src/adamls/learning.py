@@ -37,8 +37,7 @@ _T = TypeVar("_T")
 CI_CSV_HEADER = ("anchor_model", "cluster", "model", "kpi", "low", "high", "n", "mean")
 
 
-@dataclass(frozen=True)
-class CiEntry:
+class CiEntry(NamedTuple):
     """Confidence interval of one KPI: bounds, sample count, and mean."""
 
     low: float

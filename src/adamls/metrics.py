@@ -15,7 +15,6 @@ and a sequential `total += u` loop from 0.0 round them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -143,20 +142,6 @@ def _inside(x: np.ndarray, low: float, high: float) -> np.ndarray:
     return (low <= x) & (x <= high)
 
 
-def _columns(records, *names: str) -> tuple[list, ...]:
-    records = list(records)  # one pass over an iterator
-    return tuple(list(map(attrgetter(name), records)) for name in names)
-
-
-def total_utility(records, params: UtilityParams) -> float:
-    """Sum of per-request utilities, each completion counted once."""
-    c, r = _columns(records, "c", "r")
-    if not c:
-        raise ValidationError("total_utility: no records")
-    utilities = UtilityTerms.of(c, r, params).utilities(params.w_e, params.w_d)
-    return float(running_total(utilities)[-1])
-
-
 def _penalties(c: np.ndarray, r: np.ndarray, params: UtilityParams) -> tuple[int, int]:
     n = c.size
     return (
@@ -166,23 +151,23 @@ def _penalties(c: np.ndarray, r: np.ndarray, params: UtilityParams) -> tuple[int
 
 
 def summarize(
-    records,
+    completions,
     event_log,
     weight_grid=DEFAULT_WEIGHT_GRID,
     params: UtilityParams = UtilityParams(),
     policy: str = "",
 ) -> RunSummary:
-    """Aggregate one run: KPI averages, penalty and switch counts, utilities.
+    """Aggregate a run's Completions: KPI averages, penalty and switch counts, utilities.
 
     The utility terms are built once; each weight pair's total is the last
     running sum of its utilities. The averages keep Python's float sum.
     """
-    c, r, s_cpu = _columns(records, "c", "r", "s_cpu")
-    if not c:
-        raise ValidationError("summarize: no records")
-    n = len(c)
+    n = len(completions)
+    if not n:
+        raise ValidationError("summarize: no completions")
+    c, _, _, s_cpu, _ = zip(*completions.kpis)
     switch_count = sum(1 for ev in event_log if ev.event == "SWITCH")
-    c_arr, r_arr = np.array(c, dtype=float), np.array(r, dtype=float)
+    c_arr, r_arr = np.array(c, dtype=float), np.array(completions.r, dtype=float)
     terms = UtilityTerms.of(c_arr, r_arr, params)
     n_r, n_c = _penalties(c_arr, r_arr, params)
     utilities = tuple(
@@ -194,7 +179,7 @@ def summarize(
         request_count=n,
         switch_count=switch_count,
         avg_c=sum(c) / n,
-        avg_r=sum(r) / n,
+        avg_r=sum(completions.r) / n,
         avg_s_cpu=sum(s_cpu) / n,
         r_penalties=n_r,
         c_penalties=n_c,

@@ -15,10 +15,11 @@ arrival and the next tick against the heap's top, and the heap holds only
 the completions in flight (at most one per worker) and the pending resumes.
 Everything is driven by seeded RNGs, so runs are exactly reproducible.
 
-write_results_csv writes a run's completions with the bytes csv.writer
-gives. The files of one compare share a ResultTexts, so a value that
-repeats across them (an arrival time, the KPIs of one profile row) is
-formatted once per compare rather than once per row.
+A run appends each completion to one Completions, a list per column, each
+request's drawn row index and shared KPI row among them. write_results_csv
+writes it with the bytes csv.writer gives. The files of one compare share a
+ResultTexts, so a value that repeats across them (an arrival time, the KPIs
+of one profile row) is formatted once per compare rather than once per row.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 from . import controller as ctrl
-from .csvtext import TextMemo, column_texts, write_rows
+from .csvtext import TextMemo, column_texts, joined_texts, write_columns, write_rows
 from .errors import ConfigError, ValidationError
 from .learning import DEFAULT_CI_LEVEL
 from .profiles import ModelProfile
@@ -69,20 +69,25 @@ _END = (math.inf, _EV_ARRIVAL)
 ARRIVAL_PROCESSES = ("deterministic", "poisson")
 
 
-class CompletionRecord(NamedTuple):
-    """One served request: timing, the model used, and its sampled KPIs."""
+@dataclass(frozen=True, slots=True)
+class Completions:
+    """A run's served requests, by finish time, one list per column.
 
-    request_id: int
-    arrival_t: float
-    start_t: float
-    finish_t: float
-    model_id: str
-    c: float
-    tau_model: float
-    tau_system: float
-    s_cpu: float
-    b: int
-    r: float
+    Item i of each column belongs to the i-th request served. row is the
+    profile row it drew; kpis is that row's (c, tau_model, tau_system, s_cpu,
+    b), a tuple shared by every request that drew it. len() counts requests."""
+
+    request_id: list = field(default_factory=list)
+    arrival_t: list = field(default_factory=list)
+    start_t: list = field(default_factory=list)
+    finish_t: list = field(default_factory=list)
+    model_id: list = field(default_factory=list)
+    row: list = field(default_factory=list)
+    kpis: list = field(default_factory=list)
+    r: list = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.request_id)
 
 
 # Bursty base cycle (duration s, rate rps): a low-rate floor with one spike
@@ -258,7 +263,7 @@ class _Engine:
         self.now = 0.0
         self.active_model = _resolve_initial_model(config)
         self.arrival_times: list[float] = []
-        self.completions: list[CompletionRecord] = []
+        self.completions = Completions()
         self._queue: deque[tuple[int, float]] = deque()
         self._free_workers = config.simulation.worker_count
         # Read on every dispatch and every tick.
@@ -287,7 +292,7 @@ class _Engine:
             self._intake_paused_until = max(self._intake_paused_until, self.now + pause)
             self._push(self._intake_paused_until, _EV_RESUME, None)
 
-    def run(self) -> list[CompletionRecord]:
+    def run(self) -> Completions:
         arrivals = generate_workload(self.config.workload)
         self._pending_arrivals = len(arrivals)
         # Each tick schedules the next; a policy that ignores ticks gets none.
@@ -323,9 +328,18 @@ class _Engine:
         self._seq += 1
         heapq.heappush(self._heap, (time, klass, self._seq, payload))
 
-    def _on_completion(self, rec: CompletionRecord) -> None:
-        self.completions.append(rec)
-        self._policy.note_completion(rec)
+    def _on_completion(self, served: tuple) -> None:
+        request_id, arrival_t, start_t, finish_t, model_id, row, kpis, r = served
+        log = self.completions
+        log.request_id.append(request_id)
+        log.arrival_t.append(arrival_t)
+        log.start_t.append(start_t)
+        log.finish_t.append(finish_t)
+        log.model_id.append(model_id)
+        log.row.append(row)
+        log.kpis.append(kpis)
+        log.r.append(r)
+        self._policy.note_completion(model_id, kpis)
         self._in_flight -= 1
         self._free_workers += 1
         self._dispatch()
@@ -347,31 +361,19 @@ class _Engine:
             model = self.active_model
             rows = self._rows[model]
             i = self._rng.randrange(len(rows))
-            row = rows[i]
-            if row is None:
+            kpis = rows[i]
+            if kpis is None:
                 c, tau_model, tau_system, s_cpu, b = self.profiles[model].kpi_table[i].tolist()
-                row = rows[i] = (c, tau_model, tau_system, s_cpu, int(b))
-            c, tau_model, tau_system, s_cpu, b = row
+                kpis = rows[i] = (c, tau_model, tau_system, s_cpu, int(b))
             start = self.now
-            finish = start + tau_system
-            # Positional fields, in CompletionRecord's order: building the
-            # record by keyword costs twice as much per request.
-            rec = CompletionRecord(
-                req_id,
-                arrival_t,
-                start,
-                finish,
-                model,
-                c,
-                tau_model,
-                tau_system,
-                s_cpu,
-                b,
+            finish = start + kpis[2]  # tau_system
+            served = (
+                req_id, arrival_t, start, finish, model, i, kpis,
                 finish - arrival_t + self._network_delay,
             )
             self._free_workers -= 1
             self._in_flight += 1
-            self._push(finish, _EV_COMPLETION, rec)
+            self._push(finish, _EV_COMPLETION, served)
 
 
 def _resolve_initial_model(config: SimConfig) -> str:
@@ -412,7 +414,7 @@ def _build_policy(config: SimConfig, knowledge: ctrl.Knowledge):
 
 def run_simulation(
     config: SimConfig, knowledge: ctrl.Knowledge | None = None
-) -> tuple[list[CompletionRecord], list[ctrl.LogEvent]]:
+) -> tuple[Completions, list[ctrl.LogEvent]]:
     """Run one full simulation; returns completions (by finish time) and events."""
     if knowledge is None:
         knowledge = ctrl.Knowledge()
@@ -425,26 +427,26 @@ class ResultTexts:
     """The results.csv field texts that the files of one compare share.
 
     The runs of one compare serve the same arrivals, so arrival_t repeats
-    in every file, and draw c, tau_model, tau_system, s_cpu and b from the
-    same profile rows, so each row's joined text is kept by that 5-tuple.
-    A request starts when it arrives, when an earlier one finishes or when
-    a switch pause ends, so each file looks its start_t up among the
-    arrival texts and its own finish texts. finish_t and r are new in
-    every row and are formatted as they come. Any records may go through
-    it, in any order: a kept text is the one csv.writer gives (see
-    csvtext.TextMemo), and sharing only saves work where values repeat.
+    in every file, and draw from the same profiles, so the joined c..b text
+    of each drawn row is kept by its (model, row). A request starts when it
+    arrives, when an earlier one finishes or when a switch pause ends, so
+    each file looks its start_t up among the arrival texts and its own
+    finish texts. finish_t and r are new in every row and are formatted as
+    they come. Any Completions may go through it, in any order, if a
+    (model, row) names one KPI tuple in all of them: a kept text is the one
+    csv.writer gives, and sharing only saves work where values repeat.
     """
 
     def __init__(self):
         self._arrivals = TextMemo()
-        self._kpis = TextMemo()
+        self._kpis: dict[tuple[str, int], str] = {}
 
     def file_texts(self):
-        """The csvtext.write_rows texts function of one results file."""
+        """The csvtext.write_columns texts function of one results file."""
         times = self._arrivals.copy()
 
         def texts(columns):
-            request_id, arrival_t, start_t, finish_t, model, *kpis, r = columns
+            request_id, arrival_t, start_t, finish_t, model, row, kpis, r = columns
             finish_texts = list(column_texts(finish_t))
             times.keep(finish_t, finish_texts)
             return (
@@ -453,21 +455,32 @@ class ResultTexts:
                 times.texts(start_t),
                 finish_texts,
                 column_texts(model),
-                self._kpis.joined(kpis),
+                self._kpi_texts(model, row, kpis),
                 column_texts(r),
             )
 
         return texts
 
+    def _kpi_texts(self, model, row, kpis) -> list[str]:
+        """The kept texts; a block's new rows are formatted together."""
+        kept = self._kpis
+        texts = list(map(kept.get, zip(model, row)))
+        if None in texts:
+            new = {(model[j], row[j]): kpis[j] for j, text in enumerate(texts) if text is None}
+            kept.update(zip(new, joined_texts(new.values())))
+            texts = list(map(kept.__getitem__, zip(model, row)))
+        return texts
 
-def write_results_csv(records, path, texts: ResultTexts | None = None) -> None:
-    """Write records (CompletionRecord fields, in header order) to path.
+
+def write_results_csv(completions: Completions, path, texts: ResultTexts | None = None) -> None:
+    """Write completions to path, a row per request in RESULTS_CSV_HEADER's order.
 
     The files of one compare share texts; without it the file gets its own.
     """
     texts = ResultTexts() if texts is None else texts
+    columns = [getattr(completions, name) for name in Completions.__slots__]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_rows(fh, RESULTS_CSV_HEADER, records, texts.file_texts())
+        write_columns(fh, RESULTS_CSV_HEADER, columns, texts.file_texts())
 
 
 def write_event_log_csv(events, path) -> None:

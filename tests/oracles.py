@@ -8,6 +8,7 @@ import csv
 import math
 import statistics
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from adamls.controller import DEFAULT_WINDOW_SIZE, SystemState, _KpiWindow
 from adamls.learning import MIN_NORMAL_SAMPLES, CiEntry, normal_ci
 from adamls.metrics import utility_per_request
 from adamls.profiles import KPI_NAMES, KpiRecord
+from adamls.simulator import Completions
 
 
 def optimal_1d_wcss(values, k):
@@ -96,15 +98,55 @@ def brute_force_plan(cluster_entries, m_prime, v_adj, live=None):
     return None if winner == m_prime else winner
 
 
+class Served(NamedTuple):
+    """One served request, field by field: its results.csv row, then the
+    index of the profile row it drew."""
+
+    request_id: int
+    arrival_t: float
+    start_t: float
+    finish_t: float
+    model_id: str
+    c: float
+    tau_model: float
+    tau_system: float
+    s_cpu: float
+    b: int
+    r: float
+    row: int = 0
+
+    @property
+    def kpis(self) -> tuple:
+        return (self.c, self.tau_model, self.tau_system, self.s_cpu, self.b)
+
+
+def served_rows(completions):
+    """Each request of a Completions as a Served row, in the log's order."""
+    columns = zip(
+        completions.request_id, completions.arrival_t, completions.start_t,
+        completions.finish_t, completions.model_id, completions.kpis, completions.r,
+        completions.row,
+    )
+    return [Served(i, a, s, f, m, *kpis, r, row) for i, a, s, f, m, kpis, r, row in columns]
+
+
+def completions_of(rows):
+    """The Completions holding the given Served rows, in their order."""
+    return Completions(*map(list, zip(*(
+        (s.request_id, s.arrival_t, s.start_t, s.finish_t, s.model_id, s.row, s.kpis, s.r)
+        for s in rows
+    ))))
+
+
 def monitor_snapshot(
     sim_time, completions, arrival_times, queue_depth, active_model,
     window_size=DEFAULT_WINDOW_SIZE,
 ):
     """Reference monitor: rescan the completion log for the active model's window.
 
-    completions must be ordered by finish time. The window is the active
-    model's last window_size completions, v counts the arrivals in the
-    trailing second (sim_time - 1, sim_time], and an empty window yields
+    completions are Served rows ordered by finish time. The window is the
+    active model's last window_size completions, v counts the arrivals in
+    the trailing second (sim_time - 1, sim_time], and an empty window yields
     empty means.
     """
     window = [rec for rec in completions if rec.model_id == active_model][-window_size:]
@@ -115,7 +157,7 @@ def monitor_snapshot(
         }
     return SystemState(
         m_prime=active_model,
-        window=_KpiWindow.of(window),
+        window=_KpiWindow.of(rec.kpis for rec in window),
         window_means=means,
         v=float(sum(sim_time - 1.0 < t <= sim_time for t in arrival_times)),
         i_w=queue_depth,

@@ -26,7 +26,7 @@ from adamls.learning import compute_ci, kmeans_1d
 from adamls.metrics import UtilityParams, summarize, utility_per_request
 from adamls.simulator import generate_workload, run_simulation, write_results_csv
 
-from .oracles import brute_force_plan, normal_mean_ci, optimal_1d_wcss
+from .oracles import brute_force_plan, normal_mean_ci, optimal_1d_wcss, served_rows
 from .test_controller import FakeSystem, completion, matrix_of
 
 
@@ -115,7 +115,7 @@ def test_criterion_4_planner_matches_enumeration_oracle():
                 taus = [round(rng.uniform(0.03, 0.5), 3) for _ in range(12)]
                 cs = [round(rng.uniform(0.3, 0.95), 3) for _ in range(12)]
                 live_window = _KpiWindow.of(
-                    completion(i, model=m_prime, c=c, tau=tau + 0.005)
+                    completion(i, model=m_prime, c=c, tau=tau + 0.005).kpis
                     for i, (c, tau) in enumerate(zip(cs, taus))
                 )
                 live = {"tau": normal_mean_ci(taus), "c": normal_mean_ci(cs)}
@@ -165,11 +165,12 @@ def test_criterion_5_des_invariant_suite(tmp_path, tiny_profiles):
             arrivals = generate_workload(workload)
             # Conservation: every arrival completes exactly once.
             assert len(completions) == len(arrivals) == 2000
-            assert sorted(r.request_id for r in completions) == list(range(2000))
+            rows = served_rows(completions)
+            assert sorted(r.request_id for r in rows) == list(range(2000))
             # FIFO on a single worker.
-            by_start = sorted(completions, key=lambda r: r.start_t)
+            by_start = sorted(rows, key=lambda r: r.start_t)
             assert [r.request_id for r in by_start] == list(range(2000))
-            for rec in completions:
+            for rec in rows:
                 assert rec.r >= rec.tau_system - 1e-12
                 assert rec.arrival_t <= rec.start_t <= rec.finish_t
             path = tmp_path / f"run{attempt}.csv"
@@ -246,7 +247,7 @@ def test_criterion_7_analyzer_debounce():
         knowledge = Knowledge(adaptation_rule_repository={"m": matrix})
 
         def state(v):
-            window = _KpiWindow.of(completion(i, model="m", tau=0.1) for i in range(8))
+            window = _KpiWindow.of(completion(i, model="m", tau=0.1).kpis for i in range(8))
             means = {
                 "c": 0.6, "tau_model": 0.095, "tau_system": 0.1,
                 "s_cpu": 50.0, "b": 3.0, "r": 0.1,

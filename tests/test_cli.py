@@ -13,7 +13,6 @@ import yaml
 
 from adamls import cli, simulator
 from adamls import config as cfgmod
-from adamls.csvtext import TextMemo
 from adamls.errors import ConfigError
 from adamls.learning import CI_CSV_HEADER
 from adamls.profiles import write_profiles
@@ -633,29 +632,27 @@ class TestCompareCommand:
 
     def test_kpi_texts_are_built_once_per_drawn_row(self, compared, monkeypatch):
         """A work count, not a timing: one compare formats the c..b text of
-        each profile row its runs draw once (no drawn row holds a float
-        zero, which is never kept), however many requests draw it."""
+        each (model, row) its runs draw once, however many requests draw it."""
         _, path = compared
         built, drawn, requests = [], set(), []
-        missing = TextMemo.__missing__
+        joined_texts = simulator.joined_texts
 
-        def counting(memo, key):
-            if type(key) is tuple:
-                built.append(key)
-            return missing(memo, key)
+        def counting(rows):
+            built.extend(rows)
+            return joined_texts(rows)
 
         run = cli.run_simulation
 
         def recording(*args, **kwargs):
             completions, events = run(*args, **kwargs)
-            drawn.update(rec[5:10] for rec in completions)
+            drawn.update(zip(completions.model_id, completions.row))
             requests.append(len(completions))
             return completions, events
 
-        monkeypatch.setattr(TextMemo, "__missing__", counting)
+        monkeypatch.setattr(simulator, "joined_texts", counting)
         monkeypatch.setattr(cli, "run_simulation", recording)
         assert cli.main(["compare", "--config", str(path)]) == 0
-        assert len(built) == len(set(built)) == len(drawn)
+        assert len(built) == len(drawn)
         assert len(drawn) < sum(requests)
 
     def test_different_seed_changes_results(self, compared, tmp_path, tiny_config):

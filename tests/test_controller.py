@@ -29,15 +29,16 @@ from adamls.controller import (
 )
 from adamls.errors import ExecutionError, RuleError, ValidationError
 from adamls.learning import CiEntry, CiMatrix
-from adamls.simulator import CompletionRecord, run_simulation
+from adamls.profiles import KPI_NAMES
+from adamls.simulator import run_simulation
 
-from .oracles import brute_force_plan, monitor_snapshot, reference_ci
+from .oracles import Served, brute_force_plan, monitor_snapshot, reference_ci
 
 
 def completion(i, model="m", c=0.6, tau=0.05, finish=None, arrival=None, r=None):
     arrival = i * 1.0 if arrival is None else arrival
     finish = arrival + tau if finish is None else finish
-    return CompletionRecord(
+    return Served(
         request_id=i,
         arrival_t=arrival,
         start_t=arrival,
@@ -89,17 +90,16 @@ class FakeSystem:
 
 class TestMonitor:
     def test_window_keeps_last_fifty_of_active_model(self):
-        completions = [completion(i, model="m") for i in range(60)]
+        completions = [completion(i, model="m", c=i / 100) for i in range(60)]
         state = monitor_snapshot(100.0, completions, [], 0, "m")
-        window = list(state.window)
-        assert len(window) == 50
-        assert window[0].request_id == 10
-        assert window[-1].request_id == 59
+        assert list(state.window) == [rec.kpis for rec in completions[10:]]
 
     def test_window_filters_by_model(self):
-        completions = [completion(i, model=("m" if i % 2 else "other")) for i in range(20)]
+        completions = [
+            completion(i, model=("m" if i % 2 else "other"), c=i / 100) for i in range(20)
+        ]
         state = monitor_snapshot(100.0, completions, [], 0, "m", window_size=5)
-        assert [rec.model_id for rec in state.window] == ["m"] * 5
+        assert list(state.window) == [completions[i].kpis for i in (11, 13, 15, 17, 19)]
 
     def test_empty_window_suppresses_means(self):
         state = monitor_snapshot(1.0, [], [], 3, "m")
@@ -134,7 +134,7 @@ class TestMonitor:
             model = rng.choice(models)
             rec = completion(i, model=model, c=rng.uniform(0, 1), tau=rng.uniform(0.01, 0.3), arrival=t)
             completions.append(rec)
-            controller.note_completion(rec)
+            controller.note_completion(rec.model_id, rec.kpis)
             # A completion's event, then ticks without one; the active model
             # changes between events.
             for tick in range(rng.randint(1, 4)):
@@ -157,7 +157,8 @@ class TestMonitor:
                     continue
                 for level in (controller.ci_level, 0.95, controller.ci_level):
                     for kpi in CI_KPIS:
-                        expected = reference_ci([getattr(r, kpi) for r in reference.window], level)
+                        index = KPI_NAMES.index(kpi)
+                        expected = reference_ci([kpis[index] for kpis in reference.window], level)
                         assert state.window.ci(kpi, level) == expected
                 matrix = knowledge.rules_for(active)
                 cluster = find_closest_cluster(reference, matrix)
@@ -249,7 +250,8 @@ def test_adamls_run_formats_each_monitor_text_once_and_plans_like_the_oracle(
         if live_window:
             live = {}
             for key, kpi in (("tau", "tau_model"), ("c", "c")):
-                entry = reference_ci([getattr(rec, kpi) for rec in live_window], level)
+                index = KPI_NAMES.index(kpi)
+                entry = reference_ci([kpis[index] for kpis in live_window], level)
                 live[key] = (entry.low, entry.high)
             tau_low = live["tau"][0]
             covered.append(v_adj <= (math.inf if tau_low <= 0 else 1.0 / tau_low))
@@ -274,7 +276,6 @@ class KpiRow(NamedTuple):
     tau_system: float = 0.0
     s_cpu: float = 0.0
     b: int = 0
-    r: float = 0.0
 
 
 @given(
@@ -409,7 +410,7 @@ def analyzer_fixture():
 
 
 def state_at(v, i_w=0):
-    window = _KpiWindow.of(completion(i, model="m", tau=0.1) for i in range(5))
+    window = _KpiWindow.of(completion(i, model="m", tau=0.1).kpis for i in range(5))
     means = {"c": 0.6, "tau_model": 0.095, "tau_system": 0.1, "s_cpu": 50.0, "b": 3.0, "r": 0.1}
     return SystemState("m", window, means, v=v, i_w=i_w)
 
@@ -497,7 +498,7 @@ class TestPlan:
         knowledge = plan_fixture()
         # Live window of B shows tau ~0.02: its live capacity is ~50, so B
         # stays compatible at v_adj=30 and wins on confidence.
-        window = _KpiWindow.of(completion(i, model="B", c=0.85, tau=0.025) for i in range(30))
+        window = _KpiWindow.of(completion(i, model="B", c=0.85, tau=0.025).kpis for i in range(30))
         result = plan(PlannerInput(30.0, "B", 0), knowledge, live_window=window)
         assert not result.is_switch
 

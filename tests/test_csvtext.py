@@ -1,4 +1,5 @@
-"""csvtext.write_rows against csv.writer itself: the same text for any rows."""
+"""csvtext.write_rows and write_columns against csv.writer itself: the same
+text for any rows."""
 
 import csv
 import io
@@ -9,7 +10,7 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from adamls.csvtext import BLOCK_ROWS, write_rows
+from adamls.csvtext import BLOCK_ROWS, column_texts, write_columns, write_rows
 
 FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-07, 0.1, 1.0, math.nan, math.inf, -math.inf]),
@@ -88,3 +89,28 @@ def test_block_edges_keep_every_row(count):
 def test_rows_of_another_width_are_rejected():
     with pytest.raises(ValueError, match="2 fields"):
         write_rows_text(("a", "b"), [(1, 2), (3,)])
+
+
+def write_columns_text(header, rows) -> str:
+    buf = io.StringIO(newline="")
+    columns = list(zip(*rows)) if rows else [()] * len(header)
+    write_columns(buf, header, columns, lambda block: map(column_texts, block))
+    return buf.getvalue()
+
+
+@hypothesis.given(table=tables())
+@hypothesis.example(table=(("x",), [("",), (None,), ("a",)]))
+def test_write_columns_equals_csv_writer(table):
+    assert write_columns_text(*table) == csv_writer_text(*table)
+
+
+@pytest.mark.parametrize("count", ROW_COUNTS)
+def test_write_columns_block_edges_keep_every_row(count):
+    rows = [(i, i / 7, -0.0 if i % 3 else 0.0, f"r,{i}") for i in range(count)]
+    header = ("i", "f", "z", "s")
+    assert write_columns_text(header, rows) == csv_writer_text(header, rows)
+
+
+def test_columns_of_another_length_are_rejected():
+    with pytest.raises(ValueError, match="one length"):
+        write_columns(io.StringIO(), ("a", "b"), [(1, 2), (3,)], None)

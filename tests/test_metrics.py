@@ -1,6 +1,5 @@
 import random
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -14,19 +13,26 @@ from adamls.metrics import (
     UtilityTerms,
     running_total,
     summarize,
-    total_utility,
     utility_confidence_term,
     utility_per_request,
     utility_response_term,
 )
 
-from .oracles import scalar_utility_series
+from .oracles import Served, completions_of, scalar_utility_series
 
 PARAMS = UtilityParams()  # the experiment defaults: bounds (0.5, 1) and (0.1, 1) s
 
 
 def fake_record(c, r, s_cpu=50.0):
-    return SimpleNamespace(c=c, r=r, s_cpu=s_cpu)
+    return Served(0, 0.0, 0.0, 0.0, "m", c, 0.05, 0.05, s_cpu, 3, r)
+
+
+def run_total(records, params):
+    """The run total at the params' weights, as summarize gives it."""
+    summary = summarize(
+        completions_of(records), [], weight_grid=((params.w_e, params.w_d),), params=params
+    )
+    return summary.utilities[0][2]
 
 
 def series_utilities(records, params):
@@ -80,17 +86,17 @@ class TestPerRequest:
 
 class TestTotalUtility:
     def test_singleton(self):
-        assert total_utility([fake_record(0.7, 0.5)], PARAMS) == pytest.approx(0.6)
+        assert run_total([fake_record(0.7, 0.5)], PARAMS) == pytest.approx(0.6)
 
     def test_duplication_doubles(self):
         records = [fake_record(0.62, 0.3), fake_record(0.4, 2.0)]
-        assert total_utility(records * 2, PARAMS) == pytest.approx(
-            2 * total_utility(records, PARAMS)
+        assert run_total(records * 2, PARAMS) == pytest.approx(
+            2 * run_total(records, PARAMS)
         )
 
     def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            total_utility([], PARAMS)
+        with pytest.raises(ValidationError, match="no completions"):
+            run_total([], PARAMS)
 
     def test_hundred_record_independent_recomputation(self):
         rng = random.Random(12)
@@ -114,11 +120,11 @@ class TestTotalUtility:
             else:
                 t = rec.r
             expected += 0.5 * e + 0.5 * t
-        assert total_utility(records, PARAMS) == pytest.approx(expected, abs=1e-9)
+        assert run_total(records, PARAMS) == pytest.approx(expected, abs=1e-9)
 
 
 def penalties(records):
-    summary = summarize(records, [], params=PARAMS)
+    summary = summarize(completions_of(records), [], params=PARAMS)
     return summary.r_penalties, summary.c_penalties
 
 
@@ -149,24 +155,23 @@ class TestSummarize:
             LogEvent(4.0, "MONITOR", ""),
             LogEvent(5.0, "SWITCH", "a->c"),
         ]
-        summary = summarize(records, events, policy="p")
+        summary = summarize(completions_of(records), events, policy="p")
         assert summary.switch_count == 3
         assert summary.policy == "p"
 
     def test_single_pair_grid(self):
-        summary = summarize([fake_record(0.7, 0.5)], [], weight_grid=((0.5, 0.5),))
+        summary = summarize(completions_of([fake_record(0.7, 0.5)]), [], weight_grid=((0.5, 0.5),))
         assert summary.utilities == ((0.5, 0.5, pytest.approx(0.6)),)
 
-    def test_records_may_be_an_iterator(self):
+    def test_averages_read_the_kpi_rows_and_r(self):
         records = [fake_record(0.7, 0.5, s_cpu=40.0), fake_record(0.4, 1.5, s_cpu=60.0)]
-        summary = summarize(iter(records), [])
-        assert summary == summarize(records, [])
-        assert summary.avg_s_cpu == 50.0
-        assert total_utility(iter(records), PARAMS) == total_utility(records, PARAMS)
-        assert penalties(iter(records)) == (1, 1)
+        summary = summarize(completions_of(records), [])
+        assert (summary.avg_c, summary.avg_r, summary.avg_s_cpu) == (0.55, 1.0, 50.0)
+        assert summary.request_count == 2
+        assert penalties(records) == (1, 1)
 
     def test_default_grid_has_five_pairs(self):
-        summary = summarize([fake_record(0.7, 0.5, s_cpu=42.0)], [])
+        summary = summarize(completions_of([fake_record(0.7, 0.5, s_cpu=42.0)]), [])
         assert len(summary.utilities) == 5
         assert [(w_e, w_d) for w_e, w_d, _ in summary.utilities] == list(DEFAULT_WEIGHT_GRID)
         assert summary.avg_s_cpu == 42.0
@@ -204,8 +209,8 @@ class TestProperties:
     @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 3)), min_size=1, max_size=20))
     def test_linear_over_concatenation(self, pairs):
         records = [fake_record(c, r) for c, r in pairs]
-        total = total_utility(records + records, PARAMS)
-        assert total == pytest.approx(2 * total_utility(records, PARAMS), abs=1e-9)
+        total = run_total(records + records, PARAMS)
+        assert total == pytest.approx(2 * run_total(records, PARAMS), abs=1e-9)
 
     @given(c=st.floats(min_value=0.0, max_value=0.499), r=st.floats(min_value=1.001, max_value=9.0))
     def test_zero_penalty_multipliers_neutralize_violations(self, c, r):
@@ -264,14 +269,14 @@ class TestArrayPathIsBitExact:
     @example(run=BITWISE_EXAMPLES[3])
     def test_grid_totals(self, run):
         params, records = run
-        summary = summarize(records, [], weight_grid=GRID, params=params)
+        summary = summarize(completions_of(records), [], weight_grid=GRID, params=params)
         expected = [
             scalar_utility_series(records, replace(params, w_e=w_e, w_d=w_d))[1][-1]
             for w_e, w_d in GRID
         ]
         assert bits(total for _, _, total in summary.utilities) == bits(expected)
         assert all(type(total) is float for _, _, total in summary.utilities)
-        assert bits([total_utility(records, params)]) == bits(
+        assert bits([run_total(records, params)]) == bits(
             scalar_utility_series(records, params)[1][-1:]
         )
 

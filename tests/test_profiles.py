@@ -371,8 +371,8 @@ def test_huge_counts_stay_exact_python_ints(tmp_path):
         simulation=SimulationConfig(initial_model="m"),
     )
     completions, _ = run_simulation(config)
-    assert [type(rec.b) for rec in completions] == [int] * 5
-    assert {rec.b for rec in completions} == {2**70}
+    assert [type(kpis[4]) for kpis in completions.kpis] == [int] * 5
+    assert {kpis[4] for kpis in completions.kpis} == {2**70}
 
 
 def test_records_view_builds_rows_on_access(tiny_profiles):

@@ -24,6 +24,8 @@ from adamls.simulator import (
     run_simulation,
 )
 
+from .oracles import served_rows
+
 # Student t quantile t(0.995; 19): a two-sided 99% band over 20 batch means.
 T_99_19 = 2.861
 
@@ -53,7 +55,7 @@ def static_run(profiles, model, rate, requests, workers=1, seed=1):
     completions, events = run_simulation(config)
     assert events == []  # no switch, so intake never pauses
     assert len(completions) == requests
-    return sorted(completions, key=attrgetter("request_id"))
+    return sorted(served_rows(completions), key=attrgetter("request_id"))
 
 
 def service_moments(profiles, model):

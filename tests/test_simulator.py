@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -15,7 +16,7 @@ from adamls.errors import ConfigError, ValidationError
 from adamls.profiles import ModelKpiSpec, ModelProfile, ProfilesConfig, generate_profiles
 from adamls.simulator import (
     RESULTS_CSV_HEADER,
-    CompletionRecord,
+    Completions,
     PolicySpec,
     ResultTexts,
     SimConfig,
@@ -28,7 +29,7 @@ from adamls.simulator import (
     write_results_csv,
 )
 
-from .oracles import repr_per_field_csv
+from .oracles import Served, completions_of, repr_per_field_csv, served_rows
 
 
 def constant_profile(model_id, tau_system, c=0.6, overhead=0.005):
@@ -188,7 +189,7 @@ def deterministic_workload(duration, rate, max_requests=100_000):
     )
 
 
-def served_kpis(rec):
+def profile_kpis(rec):
     return (rec.c, rec.tau_model, rec.tau_system, rec.s_cpu, rec.b)
 
 
@@ -200,7 +201,8 @@ class TestSampling:
         single = ModelProfile.of_records("m", profile.records[:1])
         completions, _ = run_simulation(static_config(single, deterministic_workload(10.0, 1.0)))
         assert len(completions) == 10
-        assert {served_kpis(rec) for rec in completions} == {served_kpis(single.records[0])}
+        assert set(completions.kpis) == {profile_kpis(single.records[0])}
+        assert set(completions.row) == {0}
 
     def test_seeded_reproducibility(self, tiny_profiles):
         profile = next(p for p in tiny_profiles if p.model_id == "fast")
@@ -208,7 +210,7 @@ class TestSampling:
 
         def rows(service_seed):
             completions, _ = run_simulation(static_config(profile, workload, service_seed))
-            return [served_kpis(rec) for rec in completions]
+            return completions.kpis
 
         assert rows(9) == rows(9)
         assert rows(9) != rows(10)
@@ -219,8 +221,18 @@ class TestSampling:
             static_config(two, deterministic_workload(1000.0, 10.0), service_seed=31)
         )
         assert len(completions) == 10_000
-        share = sum(1 for rec in completions if rec.c == 0.6) / 10_000
+        share = sum(1 for kpis in completions.kpis if kpis[0] == 0.6) / 10_000
         assert abs(share - 0.5) <= 0.02
+
+    def test_each_request_holds_the_row_it_drew(self, tiny_profiles):
+        """row is the drawn profile index, and kpis that row's shared tuple."""
+        profile = next(p for p in tiny_profiles if p.model_id == "fast")
+        completions, _ = run_simulation(static_config(profile, deterministic_workload(50.0, 2.0)))
+        assert len(set(completions.row)) > 1
+        shared = {}
+        for row, kpis in zip(completions.row, completions.kpis):
+            assert kpis == profile_kpis(profile.records[row])
+            assert shared.setdefault(row, kpis) is kpis
 
 
 class Recorder:
@@ -234,7 +246,7 @@ class Recorder:
         self.calls = [] if calls is None else calls
         self._completed = False
 
-    def note_completion(self, rec) -> None:
+    def note_completion(self, model_id, kpis) -> None:
         self._completed = True
 
     def on_event(self, system) -> None:
@@ -262,7 +274,7 @@ class TestEventOrder:
     def test_completion_runs_before_an_arrival_at_its_instant(self, monkeypatch):
         recorder = Recorder(needs_ticks=False)
         completions = self.run(monkeypatch, recorder)
-        assert [rec.finish_t for rec in completions] == [2.0, 3.0, 4.0]
+        assert completions.finish_t == [2.0, 3.0, 4.0]
         # The arrival at 2 s is not seen yet, so the trailing rate is 0.
         assert recorder.calls == [
             (2.0, "completion", 1, 0.0),
@@ -297,7 +309,7 @@ class TestEventOrder:
         completions = self.run(monkeypatch, recorder)
         # The arrival's dispatch, then the resume's; both see the arrival.
         assert [d for d in dispatches if d[0] == 1.0] == [(1.0, 1), (1.0, 1)]
-        assert completions[0].start_t == 1.0
+        assert completions.start_t[0] == 1.0
 
     def test_completion_arrival_tick_then_resume_at_one_instant(self, monkeypatch):
         # The tick at 1.5 s switches with a 0.5 s pause, so intake resumes at
@@ -336,7 +348,7 @@ class TestRunSimulation:
         )
         completions, _ = run_simulation(static_config(profile, workload))
         assert len(completions) == 10
-        assert all(rec.r == pytest.approx(0.1) for rec in completions)
+        assert completions.r == pytest.approx([0.1] * 10)
 
     def test_fifo_arithmetic_under_contention(self):
         profile = constant_profile("m", 1.0, overhead=0.1)
@@ -350,8 +362,8 @@ class TestRunSimulation:
             ),
         )
         completions, _ = run_simulation(static_config(profile, workload))
-        assert [rec.r for rec in completions] == pytest.approx([1.0, 1.5])
-        assert completions[1].start_t == pytest.approx(completions[0].finish_t)
+        assert completions.r == pytest.approx([1.0, 1.5])
+        assert completions.start_t[1] == pytest.approx(completions.finish_t[0])
 
     def test_sustained_overload_grows_response_time_by_quarter(self):
         profile = constant_profile("m", 0.5)
@@ -363,8 +375,8 @@ class TestRunSimulation:
             ),
         )
         completions, _ = run_simulation(static_config(profile, workload))
-        quarters = [completions[i : i + 40] for i in range(0, 160, 40)]
-        means = [statistics.fmean(rec.r for rec in q) for q in quarters]
+        quarters = [completions.r[i : i + 40] for i in range(0, 160, 40)]
+        means = [statistics.fmean(q) for q in quarters]
         assert all(m1 < m2 for m1, m2 in zip(means, means[1:]))
 
     def test_conservation_and_order_invariants(self, tiny_profiles):
@@ -376,19 +388,16 @@ class TestRunSimulation:
         completions, _ = run_simulation(static_config(profile, workload))
         arrivals = generate_workload(workload)
         assert len(completions) == len(arrivals)
-        assert sorted(rec.request_id for rec in completions) == list(range(len(arrivals)))
+        assert sorted(completions.request_id) == list(range(len(arrivals)))
+        rows = served_rows(completions)
         # Single worker: service order equals arrival order.
-        by_start = sorted(completions, key=lambda rec: rec.start_t)
-        assert [rec.request_id for rec in by_start] == sorted(
-            rec.request_id for rec in completions
-        )
-        for rec in completions:
+        by_start = sorted(rows, key=lambda rec: rec.start_t)
+        assert [rec.request_id for rec in by_start] == sorted(completions.request_id)
+        for rec in rows:
             assert rec.arrival_t <= rec.start_t <= rec.finish_t
             assert rec.r >= rec.tau_system - 1e-12
             assert rec.finish_t - rec.start_t == pytest.approx(rec.tau_system)
-        assert [rec.finish_t for rec in completions] == sorted(
-            rec.finish_t for rec in completions
-        )
+        assert completions.finish_t == sorted(completions.finish_t)
 
     def test_static_policy_uses_one_model(self, tiny_profiles):
         workload = WorkloadSpec(WorkloadConfig(segments=((20.0, 3.0),), max_requests=50), seed=2)
@@ -400,7 +409,7 @@ class TestRunSimulation:
             simulation=SimulationConfig(initial_model="fast"),
         )
         completions, events = run_simulation(config)
-        assert {rec.model_id for rec in completions} == {"slow"}
+        assert set(completions.model_id) == {"slow"}
         assert not any(ev.event == "SWITCH" for ev in events)
 
     def test_naive_switches_at_threshold_crossings(self, tiny_profiles):
@@ -420,11 +429,10 @@ class TestRunSimulation:
         completions, events = run_simulation(config)
         switches = [ev for ev in events if ev.event == "SWITCH"]
         assert len(switches) >= 2  # up at the ramp, back down after it
-        assert {rec.model_id for rec in completions} <= {"slow", "fast"}
+        models = completions.model_id
+        assert set(models) <= {"slow", "fast"}
         # The model in use changes only across a switch boundary.
-        changes = sum(
-            1 for a, b in zip(completions, completions[1:]) if a.model_id != b.model_id
-        )
+        changes = sum(1 for a, b in zip(models, models[1:]) if a != b)
         assert changes <= 2 * len(switches)
 
     def test_switch_pauses_intake(self, tiny_profiles):
@@ -445,8 +453,8 @@ class TestRunSimulation:
         switch_times = [ev.sim_time for ev in events if ev.event == "SWITCH"]
         assert switch_times
         for t in switch_times:
-            for rec in completions:
-                assert not (t < rec.start_t < t + 0.05),rec
+            for start in completions.start_t:
+                assert not (t < start < t + 0.05), start
 
     def test_determinism_identical_csv_hashes(self, tmp_path, tiny_profiles):
         workload = WorkloadSpec(
@@ -474,7 +482,8 @@ class TestRunSimulation:
         # Three workers at most in flight at any completion boundary.
         in_flight_peak = 0
         events = sorted(
-            [(rec.start_t, 1) for rec in completions] + [(rec.finish_t, -1) for rec in completions]
+            [(start, 1) for start in completions.start_t]
+            + [(finish, -1) for finish in completions.finish_t]
         )
         depth = 0
         for _, delta in events:
@@ -494,7 +503,7 @@ class TestRunSimulation:
         completions, _ = run_simulation(
             static_config(profile, workload, network_delay=0.2)
         )
-        for rec in completions:
+        for rec in served_rows(completions):
             assert rec.r == pytest.approx(rec.finish_t - rec.arrival_t + 0.2)
             assert rec.finish_t - rec.start_t == pytest.approx(rec.tau_system)
 
@@ -531,8 +540,7 @@ class TestRunSimulation:
         kinds = {ev.event for ev in events}
         assert "MONITOR" in kinds
         assert "SWITCH" in kinds  # the 15 rps ramp forces a downgrade
-        finish_times = [rec.finish_t for rec in completions]
-        assert finish_times == sorted(finish_times)
+        assert completions.finish_t == sorted(completions.finish_t)
 
     def test_config_validation(self, tiny_profiles):
         workload = WorkloadSpec(WorkloadConfig(segments=((5.0, 2.0),), max_requests=10))
@@ -563,6 +571,27 @@ class TestRunSimulation:
             PolicySpec(kind="warp")
 
 
+class TestCompletionsLog:
+    def test_held_run_keeps_no_object_per_request(self, tiny_profiles):
+        """A run's completions are a few columns: holding a run of 2,000
+        requests leaves about as many new GC-tracked objects as holding one
+        of 1,000, where an object per request would leave 1,000 more."""
+        profile = next(p for p in tiny_profiles if p.model_id == "fast")
+
+        def tracked_growth(requests):
+            config = static_config(profile, deterministic_workload(requests / 10.0, 10.0))
+            gc.collect()
+            before = len(gc.get_objects())
+            completions, events = run_simulation(config)
+            gc.collect()
+            grown = len(gc.get_objects()) - before
+            assert isinstance(completions, Completions) and len(completions) == requests
+            return grown
+
+        tracked_growth(100)  # one-time allocations of a first run
+        assert abs(tracked_growth(2000) - tracked_growth(1000)) < 100
+
+
 class TickingNoop:
     """A policy that does nothing but asks for every tick."""
 
@@ -571,7 +600,7 @@ class TickingNoop:
     def __init__(self):
         self.calls = 0
 
-    def note_completion(self, rec) -> None:
+    def note_completion(self, model_id, kpis) -> None:
         pass
 
     def on_event(self, system) -> None:
@@ -655,7 +684,7 @@ class TestTicks:
         monkeypatch.setattr(simulator, "_build_policy", lambda config, knowledge: recorder)
         completions, _ = run_simulation(config)
         interval = config.simulation.tick_interval
-        last_finish = max(rec.finish_t for rec in completions)
+        last_finish = max(completions.finish_t)
         expected = [interval]
         while expected[-1] < last_finish:
             expected.append(expected[-1] + interval)
@@ -663,7 +692,7 @@ class TestTicks:
         # The system empties for longer than a tick before some arrival, and
         # the ticks go on through it while arrivals are due.
         drained, idle = 0.0, 0.0
-        for rec in sorted(completions, key=lambda rec: rec.arrival_t):
+        for rec in sorted(served_rows(completions), key=lambda rec: rec.arrival_t):
             idle = max(idle, rec.arrival_t - drained)
             drained = max(drained, rec.finish_t)
         assert idle > interval
@@ -686,9 +715,9 @@ class TestCsvWriters:
     """Each writer's bytes against a repr-per-field oracle."""
 
     RECORDS = [
-        CompletionRecord(0, 5e-324, 0.1, 1e16, "nano", -0.0, 0.015, 0.02, 33.25, 3, 1e16),
-        CompletionRecord(1, 0.30000000000000004, 2.5, 2.75, "x,l", 1.0, 1e-07, 0.25, 0.0, 0, -0.0),
-        CompletionRecord(12, 1.0, 1.0, 1.5, 'q"m', 0.5, 123456789.125, 0.5, 100.0, 17, 0.5),
+        Served(0, 5e-324, 0.1, 1e16, "nano", -0.0, 0.015, 0.02, 33.25, 3, 1e16, 4),
+        Served(1, 0.30000000000000004, 2.5, 2.75, "x,l", 1.0, 1e-07, 0.25, 0.0, 0, -0.0, 0),
+        Served(12, 1.0, 1.0, 1.5, 'q"m', 0.5, 123456789.125, 0.5, 100.0, 17, 0.5, 2**40),
     ]
     EVENTS = [
         LogEvent(5e-324, "SWITCH", "nano->small effective 0.105000"),
@@ -697,8 +726,8 @@ class TestCsvWriters:
     ]
 
     def test_results_csv_matches_oracle(self, tmp_path):
-        write_results_csv(self.RECORDS, tmp_path / "fast.csv")
-        repr_per_field_csv(tmp_path / "oracle.csv", RESULTS_CSV_HEADER, self.RECORDS)
+        write_results_csv(completions_of(self.RECORDS), tmp_path / "fast.csv")
+        repr_per_field_csv(tmp_path / "oracle.csv", RESULTS_CSV_HEADER, results_rows(self.RECORDS))
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_event_log_csv_matches_oracle(self, tmp_path):
@@ -713,11 +742,17 @@ _TRICKY_NUMBERS = (0.0, -0.0, 0, False, 1, 1.0, True, math.nan, math.inf, -math.
 NUMBERS = st.one_of(st.sampled_from(_TRICKY_NUMBERS), st.floats())
 
 
+def results_rows(records):
+    """The results.csv rows of Served records: every field but the drawn row."""
+    return [rec[:-1] for rec in records]
+
+
 @st.composite
 def results_files(draw):
     """Two or three files whose arrivals, KPI tuples and model ids come from
     pools shared by all files, so values repeat within and across files;
-    a drawn start_t may be the finish_t of the row before."""
+    a drawn start_t may be the finish_t of the row before. The KPI tuple is
+    picked by the drawn row alone, so a (model, row) names one tuple."""
     arrivals = draw(st.lists(NUMBERS, min_size=1, max_size=6))
     kpis = draw(st.lists(st.tuples(*[NUMBERS] * 5), min_size=1, max_size=6))
     models = draw(st.lists(st.sampled_from(["nano", "x,l", 'q"m', ""]), min_size=1, max_size=3))
@@ -730,17 +765,18 @@ def results_files(draw):
             start, finish, r, after_previous = rows[i % len(rows)]
             if after_previous and records:
                 start = records[-1].finish_t
-            arrival, kpi = arrivals[i % len(arrivals)], kpis[i % len(kpis)]
+            arrival, row = arrivals[i % len(arrivals)], i % len(kpis)
             model = models[i % len(models)]
-            records.append(CompletionRecord(i, arrival, start, finish, model, *kpi, r))
+            records.append(Served(i, arrival, start, finish, model, *kpis[row], r, row))
         files.append(records)
     return files
 
 
-def _records(times, kpis, model="a,b"):
-    """One row per (arrival_t, start_t, finish_t) and KPI tuple."""
+def _records(times, kpis, model="a,b", row=0):
+    """One request per (arrival_t, start_t, finish_t) and KPI tuple, each
+    drawn from profile row `row` of model."""
     return [
-        CompletionRecord(i, *t, model, *kpi, 1.5) for i, (t, kpi) in enumerate(zip(times, kpis))
+        Served(i, *t, model, *kpi, 1.5, row) for i, (t, kpi) in enumerate(zip(times, kpis))
     ]
 
 
@@ -753,13 +789,13 @@ class TestSharedResultTexts:
         # the second row starts when the first finishes.
         _records([(1.0, 1.0, 3.0), (2.0, 3.0, 4.0)], [(0.5, 0.25, 0.0, 50.0, 1)] * 2),
         _records([(1, 1, 3), (2, 3, 4)], [(0.5, 0.25, -0.0, 50.0, 1.0)] * 2, model='q"m'),
-        _records([(-0.0, 0.0, 3.0), (0.0, 3.0, -0.0)], [(0.5, 0.25, 0.25, 50.0, True)] * 2),
+        _records([(-0.0, 0.0, 3.0), (0.0, 3.0, -0.0)], [(0.5, 0.25, 0.25, 50.0, True)] * 2, row=1),
     ])
     def test_each_file_is_what_csv_writer_writes(self, files, tmp_path_factory):
         root = tmp_path_factory.mktemp("shared")
         for order in (files, files[::-1]):
             texts = ResultTexts()
             for records in order:
-                write_results_csv(records, root / "shared.csv", texts)
-                repr_per_field_csv(root / "oracle.csv", RESULTS_CSV_HEADER, records)
+                write_results_csv(completions_of(records), root / "shared.csv", texts)
+                repr_per_field_csv(root / "oracle.csv", RESULTS_CSV_HEADER, results_rows(records))
                 assert (root / "shared.csv").read_bytes() == (root / "oracle.csv").read_bytes()
