@@ -50,6 +50,7 @@ DEFAULT_WINDOW_SIZE = 50
 DEFAULT_T_WAIT = 0.25
 DEFAULT_SWITCH_LATENCY = 0.005
 RATE_HORIZON = 1.0  # seconds of trailing arrivals that define v
+NAIVE_CHECK_INTERVAL = 1.0  # seconds between the naive policy's threshold checks
 
 
 class LogEvent(NamedTuple):
@@ -146,10 +147,10 @@ class NaivePolicyConfig:
         return [m for _, m in self.thresholds]
 
 
-def observed_rate(arrival_times, now: float, horizon: float = RATE_HORIZON) -> float:
-    """Arrivals per second over the trailing (now - horizon, now] window."""
+def observed_rate(arrival_times, now: float) -> float:
+    """Arrivals per second over the trailing (now - RATE_HORIZON, now] window."""
     hi = bisect_right(arrival_times, now)
-    lo = bisect_right(arrival_times, now - horizon, 0, hi)
+    lo = bisect_right(arrival_times, now - RATE_HORIZON, 0, hi)
     return float(hi - lo)
 
 
@@ -535,7 +536,6 @@ class AdamlsController:
     settings; ci_level is the level the rules were learned at.
     """
 
-    name = "adamls"
     needs_ticks = True
 
     def __init__(
@@ -599,11 +599,9 @@ class NaiveSwitcher:
     """Threshold baseline: switch whenever the rate crosses a preset bound.
 
     v is a per-second rate, so the thresholds are re-evaluated once per
-    second (check_interval); sub-second checks would only chase arrival noise
-    inside one measurement window.
+    NAIVE_CHECK_INTERVAL; sub-second checks would only chase arrival noise.
     """
 
-    name = "naive"
     # The tick times decide when a check falls due.
     needs_ticks = True
 
@@ -612,12 +610,10 @@ class NaiveSwitcher:
         knowledge: Knowledge,
         config: NaivePolicyConfig,
         switch_latency: float = DEFAULT_SWITCH_LATENCY,
-        check_interval: float = 1.0,
     ):
         self.knowledge = knowledge
         self.config = config
         self.switch_latency = switch_latency
-        self.check_interval = check_interval
         self._next_check = 0.0
 
     def note_completion(self, model_id: str, kpis: tuple) -> None:
@@ -626,7 +622,7 @@ class NaiveSwitcher:
     def on_event(self, system) -> None:
         if system.now < self._next_check:
             return
-        self._next_check = system.now + self.check_interval
+        self._next_check = system.now + NAIVE_CHECK_INTERVAL
         v = observed_rate(system.arrival_times, system.now)
         target = naive_policy(v, self.config)
         if target != system.active_model:
@@ -638,10 +634,6 @@ class StaticPolicy:
     """Baseline that never switches, so it needs no ticks."""
 
     needs_ticks = False
-
-    def __init__(self, model_id: str):
-        self.model_id = model_id
-        self.name = f"static:{model_id}"
 
     def note_completion(self, model_id: str, kpis: tuple) -> None:
         pass

@@ -14,7 +14,7 @@ class ProfileLoadError(AdamlsError, ValueError):
 
 
 class JoinError(AdamlsError, ValueError):
-    """Profiles do not cover a common image set; the message names the image."""
+    """Profiles lack one shared image order, or labels do not fit the join."""
 
 
 class RuleError(AdamlsError, ValueError):

@@ -1,11 +1,11 @@
 """Offline learning engine: clustered KPI profiles and CI adaptation rules.
 
-The profiles' KPI columns are first joined per image into one performance
-matrix, once per learn. Then, for each anchor model: pick a cluster count by
-the elbow rule on the within-cluster sum of squares, run exact 1-D k-means on
-the anchor's per-image system time, and compute per-cluster 90% confidence
-intervals of every KPI of every model from the matrix. The resulting CI
-matrices are the controller's adaptation rules.
+The profiles' KPI columns are first stacked in their shared image order into
+one performance matrix, once per learn. Then, for each anchor model: pick a
+cluster count by the elbow rule on the within-cluster sum of squares, run
+exact 1-D k-means on the anchor's per-image system time, and compute
+per-cluster 90% confidence intervals of every KPI of every model from the
+matrix. The resulting CI matrices are the controller's adaptation rules.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .csvtext import write_rows
 from .errors import JoinError, RuleError, ValidationError
-from .profiles import KPI_NAMES, ModelProfile
+from .profiles import KPI_NAMES, ModelProfile, image_order_mismatch
 
 # Defaults of the experiment's `learning` section. The two-sided z quantile
 # is pinned for the default level; other levels fall back to the exact
@@ -46,22 +46,27 @@ class CiEntry(NamedTuple):
     mean: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusteredProfile:
-    """Cluster assignment of one anchor model's images on tau_system."""
+    """One anchor's clusters on tau_system; labels[i] is image i's, in the join's order."""
 
     anchor_model_id: str
-    labels: dict[str, int]
+    labels: np.ndarray
     centroids: tuple[float, ...]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ClusteredProfile) and (
+            (self.anchor_model_id, self.centroids) == (other.anchor_model_id, other.centroids)
+        ) and np.array_equal(self.labels, other.labels)
 
 
 @dataclass(frozen=True, eq=False)
 class PerfMatrix:
     """Every model's KPIs per image, joined once: values[model, kpi, image].
 
-    The axes follow model_ids (sorted), KPI_NAMES and image_ids (sorted), so
-    the matrix does not depend on profile or record order. Each column's
-    exact form (see _ExactColumn) is built once and serves every anchor.
+    The axes follow model_ids (sorted), KPI_NAMES and image_ids, the
+    profiles' shared order, so image i is every model's drawn row i. Each
+    column's exact form (see _ExactColumn) is built once for every anchor.
     """
 
     model_ids: tuple[str, ...]
@@ -341,37 +346,20 @@ def _z_quantile(level: float) -> float:
 
 
 def build_performance_matrix(profiles) -> PerfMatrix:
-    """Stack every model's KPI columns, rows ordered by image id.
+    """Stack every model's KPI columns in the profiles' shared image order.
 
-    All profiles must cover the identical image set; the first model id in
-    sorted order is the reference an image is reported missing from.
+    Every profile must list the same images in the same order, as
+    load_profiles and generate_profiles ensure; otherwise JoinError names
+    where a profile first departs from the one with the smallest model id.
     """
-    by_model = {p.model_id: p for p in profiles}
-    if not by_model:
+    profiles = sorted(profiles, key=lambda p: p.model_id)
+    if not profiles:
         raise JoinError("no profiles to join")
-    model_ids = tuple(sorted(by_model))
-    reference = model_ids[0]
-    common = by_model[reference].image_ids()
-    for model_id in model_ids[1:]:
-        images = by_model[model_id].image_ids()
-        missing = common - images
-        if missing:
-            raise JoinError(f"image {min(missing)!r} missing from profile {model_id!r}")
-        extra = images - common
-        if extra:
-            raise JoinError(f"image {min(extra)!r} missing from profile {reference!r}")
-    image_ids = tuple(sorted(common))
-    values = np.stack([_columns_by_image(by_model[m], image_ids) for m in model_ids])
-    return PerfMatrix(model_ids=model_ids, image_ids=image_ids, values=values)
-
-
-def _columns_by_image(profile: ModelProfile, image_ids: tuple[str, ...]) -> np.ndarray:
-    """The profile's KPI columns, kpi by row, reordered to follow image_ids."""
-    columns = np.stack([profile.column(kpi) for kpi in KPI_NAMES])
-    if profile.image_id == image_ids:
-        return columns
-    position = {image_id: i for i, image_id in enumerate(profile.image_id)}
-    return columns[:, [position[image_id] for image_id in image_ids]]
+    if mismatch := image_order_mismatch(profiles):
+        raise JoinError(mismatch)
+    model_ids = tuple(p.model_id for p in profiles)
+    values = np.stack([[p.column(kpi) for kpi in KPI_NAMES] for p in profiles])
+    return PerfMatrix(model_ids=model_ids, image_ids=profiles[0].image_id, values=values)
 
 
 def build_ci_matrix(
@@ -380,7 +368,8 @@ def build_ci_matrix(
     """Compute per-cluster CIs of every KPI of every model.
 
     Entry (l, q, kpi) is compute_ci over exactly the images the anchor's
-    clustering labels l; its n is therefore the anchor-cluster population.
+    clustering labels l, one label per image of the join; its n is
+    therefore the anchor-cluster population.
     The images are grouped by label once, and each (model, KPI) column's
     cluster sums come from one pass over its exact integer form, which the
     matrix keeps for every anchor (PerfMatrix.exact).
@@ -388,10 +377,9 @@ def build_ci_matrix(
     anchor = clustered.anchor_model_id
     if anchor not in perf.model_ids:
         raise JoinError(f"anchor model {anchor!r} not among the profiles")
-    try:
-        labels = np.array([clustered.labels[image_id] for image_id in perf.image_ids])
-    except KeyError as exc:
-        raise JoinError(f"image {exc.args[0]!r} has no cluster label") from None
+    labels, n = np.asarray(clustered.labels), len(perf.image_ids)
+    if labels.shape != (n,):
+        raise JoinError(f"{labels.size} cluster label(s) of {anchor!r} for the join's {n} images")
     order = np.argsort(labels, kind="stable")
     clusters, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
     runs = list(zip(starts.tolist(), counts.tolist()))
@@ -402,7 +390,6 @@ def build_ci_matrix(
             cis = _cluster_cis(column, perf.exact(m, q), order, starts, runs, level)
             for cluster, entry in zip(entries, cis):
                 entries[cluster][model_id][kpi] = entry
-    n = len(perf.image_ids)
     a = perf.model_ids.index(anchor)
     anchor_kpi_std = {kpi: _global_std(perf.exact(a, q), n) for q, kpi in enumerate(KPI_NAMES)}
     return CiMatrix(anchor_model_id=anchor, entries=entries, anchor_kpi_std=anchor_kpi_std)
@@ -583,21 +570,20 @@ def run_learning_engine(
     """Run the full pipeline for every model as anchor.
 
     The profiles are joined into one performance matrix first. Per anchor:
-    one pass of the exact DP over its tau_system column serves both the WCSS
-    series and the clustering: elbow-select k, take that k's partition, and
-    compute the CI matrix from the join. Layer k of the DP does not depend
-    on how many layers run, so the partition is the one kmeans_1d finds for
-    k alone. Every step is deterministic, so the output is
-    independent of profile order.
+    one pass of the exact DP over the anchor's tau_system row of the join
+    serves both the WCSS series and the clustering: elbow-select k, take
+    that k's partition, and compute the CI matrix from the join. Layer k of
+    the DP does not depend on how many layers run, so the partition is the
+    one kmeans_1d finds for k alone. Every step is deterministic, so the
+    output is independent of profile order.
     """
     profiles = list(profiles)
     if not profiles:
         raise ValidationError("run_learning_engine: no profiles")
     perf = build_performance_matrix(profiles)
     rules: dict[str, LearnedModelRules] = {}
-    for profile in profiles:
-        anchor = profile.model_id
-        values = profile.kpi_values("tau_system")
+    for a, anchor in enumerate(perf.model_ids):
+        values = perf.values[a, KPI_NAMES.index("tau_system")].tolist()
         k_cap = max(min(k_max, len(values)), 1)
         dp = _optimal_1d(values, k_cap)
         series = tuple(wcss_series(dp, k_cap))
@@ -607,7 +593,7 @@ def run_learning_engine(
         labels, centroids = kmeans_1d(dp, min(k, len(dp.partitions)))
         clustered = ClusteredProfile(
             anchor_model_id=anchor,
-            labels=dict(zip(profile.image_id, labels.tolist())),
+            labels=labels,
             centroids=tuple(float(c) for c in centroids),
         )
         ci_matrix = build_ci_matrix(perf, clustered, level=level)

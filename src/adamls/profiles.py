@@ -5,9 +5,10 @@ model over an evaluation image set. Here profiles are either synthesized from
 a configurable family (truncated-normal draws around per-model means) or
 loaded from CSV. A profile keeps each KPI as one array over its images;
 KpiRecord, one image's KPIs, is built only where a CSV row is read and when
-a profile's records are read. Downstream, the learning engine clusters the
-profiles into adaptation rules and the simulator samples their rows as
-service behaviour.
+a profile's records are read. The profiles of one experiment list the same
+images in one order, so row i names the same image in each. Downstream, the
+learning engine clusters the profiles into adaptation rules and the
+simulator samples their rows as service behaviour.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
+from itertools import chain, repeat, zip_longest
 
 import numpy as np
 
@@ -72,10 +73,6 @@ class KpiRecord:
             raise ValidationError(f"s_cpu must be in [0, 100], got {self.s_cpu}")
         if self.b < 0:
             raise ValidationError(f"b must be >= 0, got {self.b}")
-
-    def kpi(self, name: str) -> float:
-        """Return one KPI value by its canonical name."""
-        return float(getattr(self, name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +139,6 @@ class ModelProfile:
     def column(self, name: str) -> np.ndarray:
         """One KPI column by its canonical name."""
         return getattr(self, name)
-
-    def image_ids(self) -> frozenset[str]:
-        return frozenset(self.image_id)
-
-    def kpi_values(self, name: str) -> list[float]:
-        return self.column(name).tolist()
 
     def record(self, i: int) -> KpiRecord:
         """Row i as a KpiRecord; b becomes the Python int of its float."""
@@ -301,11 +292,11 @@ class ProfilesConfig:
 def generate_profiles(spec: ProfilesConfig, seed: int) -> list[ModelProfile]:
     """Synthesize one profile per model of spec from truncated-normal draws.
 
-    All profiles cover the same image ids. Draws are clamped rather than
-    rejected (c to [0, 1], times to > 0, s_cpu to [0, 100], b to >= 0), so the
-    output is a pure function of the spec and the seed. Each profile's
-    columns are the draws themselves; b is each draw rounded to a whole
-    number, kept as a float so that no integer cast can wrap.
+    All profiles list the same image ids in one order. Draws are clamped
+    rather than rejected (c to [0, 1], times to > 0, s_cpu to [0, 100], b to
+    >= 0), so the output is a pure function of the spec and the seed. Each
+    profile's columns are the draws themselves; b is each draw rounded to a
+    whole number, kept as a float so that no integer cast can wrap.
     """
     image_id = tuple(f"img-{i:05d}" for i in range(spec.image_count))
     children = np.random.SeedSequence(seed).spawn(len(spec.models))
@@ -347,11 +338,13 @@ def write_profiles(profiles: list[ModelProfile], path) -> None:
 def load_profiles(path) -> list[ModelProfile]:
     """Load profiles from CSV, one ModelProfile per distinct model_id.
 
-    Row order within a model is preserved. Any missing column, unparsable
-    number, or violated record invariant raises ProfileLoadError naming the
-    data row (1-based, excluding the header).
+    ProfileLoadError names the data row (1-based, excluding the header) of
+    an unparsable number, a violated record invariant or a repeated (image,
+    model), and both models and the first position where they differ if a
+    model does not list the images of the first model in the file, in order.
     """
     by_model: dict[str, list[KpiRecord]] = {}
+    first_row: dict[tuple[str, str], int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -371,10 +364,37 @@ def load_profiles(path) -> list[ModelProfile]:
                 )
             except (TypeError, ValueError) as exc:
                 raise ProfileLoadError(f"{path}: row {row_no}: {exc}") from exc
+            first = first_row.setdefault((rec.image_id, rec.model_id), row_no)
+            if first != row_no:
+                raise ProfileLoadError(
+                    f"{path}: row {row_no}: image {rec.image_id!r} of model "
+                    f"{rec.model_id!r} repeats row {first}"
+                )
             by_model.setdefault(rec.model_id, []).append(rec)
     if not by_model:
         raise ProfileLoadError(f"{path}: no data rows")
-    return [ModelProfile.of_records(model_id, records) for model_id, records in by_model.items()]
+    profiles = [ModelProfile.of_records(model_id, recs) for model_id, recs in by_model.items()]
+    if mismatch := image_order_mismatch(profiles):
+        raise ProfileLoadError(f"{path}: {mismatch}")
+    return profiles
+
+
+def image_order_mismatch(profiles: Sequence[ModelProfile]) -> str | None:
+    """Where the first profile whose images differ from the first one's
+    departs from them, or None if all share one image order, in which index
+    i names the same image in every profile, the join and the drawn row."""
+    first = profiles[0]
+    for other in profiles[1:]:
+        if other.image_id != first.image_id:
+            a, b = first.model_id, other.model_id
+            listed = zip_longest(map(repr, first.image_id), map(repr, other.image_id))
+            i, (x, y) = next((i, pair) for i, pair in enumerate(listed, 1) if pair[0] != pair[1])
+            return (
+                f"models {a!r} and {b!r} differ at image {i}: {a!r} lists {x or 'no image'}, "
+                f"{b!r} lists {y or 'no image'}; every model must list the images of {a!r} "
+                "in its order"
+            )
+    return None
 
 
 def _parse_count(text: str) -> int:

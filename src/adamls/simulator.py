@@ -74,8 +74,9 @@ class Completions:
     """A run's served requests, by finish time, one list per column.
 
     Item i of each column belongs to the i-th request served. row is the
-    profile row it drew; kpis is that row's (c, tau_model, tau_system, s_cpu,
-    b), a tuple shared by every request that drew it. len() counts requests."""
+    image index it drew, the same in every profile and in learning's join;
+    kpis is that row's (c, tau_model, tau_system, s_cpu, b), a tuple shared
+    by every request that drew it. len() counts requests."""
 
     request_id: list = field(default_factory=list)
     arrival_t: list = field(default_factory=list)
@@ -387,7 +388,7 @@ def _resolve_initial_model(config: SimConfig) -> str:
 def _build_policy(config: SimConfig, knowledge: ctrl.Knowledge):
     sim = config.simulation
     if config.policy.kind == "static":
-        return ctrl.StaticPolicy(config.policy.static_model)
+        return ctrl.StaticPolicy()
     if config.policy.kind == "naive":
         return ctrl.NaiveSwitcher(knowledge, config.policy.naive, sim.switch_latency)
     model_ids = sorted(p.model_id for p in config.profiles)

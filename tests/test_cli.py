@@ -15,7 +15,7 @@ from adamls import cli, simulator
 from adamls import config as cfgmod
 from adamls.errors import ConfigError
 from adamls.learning import CI_CSV_HEADER
-from adamls.profiles import write_profiles
+from adamls.profiles import ModelProfile, write_profiles
 
 
 def experiment_config_to_dict(config: cfgmod.ExperimentConfig) -> dict:
@@ -461,6 +461,42 @@ class TestLearnCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "command", [["learn"], ["compare"], ["simulate", "--policy", "static:slow"]],
+        ids=["learn", "compare", "simulate"],
+    )
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (
+                lambda records: records[::-1],
+                "differ at image 1: 'fast' lists 'img-00000', 'slow' lists 'img-00119'",
+            ),
+            (
+                lambda records: records[:-1],
+                "differ at image 120: 'fast' lists 'img-00119', 'slow' lists no image",
+            ),
+        ],
+        ids=["reversed", "missing"],
+    )
+    def test_csv_models_must_share_one_image_order(
+        self, tmp_path, tiny_config, tiny_profiles, command, edit, where, capsys
+    ):
+        fast, slow = tiny_profiles
+        csv_path = tmp_path / "profiles.csv"
+        write_profiles([fast, ModelProfile.of_records("slow", edit(slow.records))], csv_path)
+        path = write_config(
+            tmp_path,
+            tiny_config,
+            profiles=dataclasses.replace(tiny_config.profiles, source="csv", csv_path=str(csv_path)),
+            output_dir=str(tmp_path / "out"),
+        )
+        assert cli.main([*command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{csv_path}: models 'fast' and 'slow' {where}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "section, key, declared",
         [
             pytest.param(name, f.name, f.type, id=f"{name}.{f.name}")
@@ -654,6 +690,41 @@ class TestCompareCommand:
         assert cli.main(["compare", "--config", str(path)]) == 0
         assert len(built) == len(drawn)
         assert len(drawn) < sum(requests)
+
+    def test_every_policy_draws_one_image_per_request(self, compared, tiny_config):
+        """Common random numbers: request j draws the same row under every
+        policy of a compare, and that row names one image in every profile."""
+        out, _ = compared
+        config = dataclasses.replace(tiny_config, output_dir=str(out))
+        profiles = cfgmod.resolve_profiles(config)
+        matrices = cli._load_rule_matrices(config, profiles)
+        drawn = {}
+        for label in cfgmod.compare_policy_labels(config, profiles):
+            completions, _, _ = cli._run_policy(config, label, profiles, matrices)
+            drawn[label] = dict(zip(completions.request_id, completions.row))
+        assert list(drawn) == ["adamls", "naive", "static:fast", "static:slow"]
+        rows = drawn["adamls"]
+        assert all(other == rows for other in drawn.values())
+        assert len(set(rows.values())) > 1
+        for row in rows.values():
+            assert len({p.image_id[row] for p in profiles}) == 1
+
+    def test_csv_of_learns_profiles_reproduces_the_run(self, compared, tiny_config, tmp_path):
+        """learn and compare on source csv of learn's own profiles.csv write
+        the generated run's files, byte for byte."""
+        out, _ = compared
+        root = tmp_path / "from_csv"
+        root.mkdir()
+        profiles = dataclasses.replace(
+            tiny_config.profiles, source="csv", csv_path=str(out / "profiles.csv")
+        )
+        path = write_config(root, tiny_config, profiles=profiles, output_dir=str(root / "out"))
+        assert cli.main(["learn", "--config", str(path)]) == 0
+        assert cli.main(["compare", "--config", str(path)]) == 0
+        written = files_under(root / "out")
+        assert written == files_under(out) - {"profiles.csv"}
+        for name in written:
+            assert (root / "out" / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_different_seed_changes_results(self, compared, tmp_path, tiny_config):
         out, path = compared

@@ -28,7 +28,7 @@ from adamls.learning import (
     wcss_series,
     write_ci_matrix,
 )
-from adamls.profiles import KPI_NAMES, KpiRecord, ModelProfile
+from adamls.profiles import KPI_NAMES, KpiRecord, ModelProfile, ProfilesConfig, generate_profiles
 
 from .oracles import normal_mean_ci, optimal_1d_wcss, reference_ci
 
@@ -225,7 +225,7 @@ def test_grouped_ci_equals_reference_bit_for_bit(column):
     values, labels = zip(*column)
     image_ids = tuple(f"i{j:02d}" for j in range(len(values)))
     perf = PerfMatrix(("m",), image_ids, np.array([[values] * len(KPI_NAMES)]))
-    clustered = ClusteredProfile("m", dict(zip(image_ids, labels)), ())
+    clustered = ClusteredProfile("m", np.array(labels), ())
     matrix = build_ci_matrix(perf, clustered)
     assert sorted(matrix.entries) == sorted(set(labels))
     for cluster in matrix.entries:
@@ -286,7 +286,7 @@ def _mini_profiles():
 def _mini_clustering():
     return ClusteredProfile(
         anchor_model_id="a",
-        labels={"i1": 0, "i2": 0, "i3": 1, "i4": 1},
+        labels=np.array([0, 0, 1, 1]),
         centroids=(0.05, 0.215),
     )
 
@@ -300,28 +300,37 @@ class TestPerformanceMatrix:
         assert perf.values.shape == (2, len(KPI_NAMES), 4)
         for m, profile in enumerate((a, b)):
             for q, kpi in enumerate(KPI_NAMES):
-                assert perf.values[m, q].tolist() == profile.kpi_values(kpi)
+                assert perf.values[m, q].tolist() == profile.column(kpi).tolist()
 
-    def test_row_order_independent_of_profile_order(self):
+    def test_stacks_the_shared_order_whatever_the_profile_order(self):
         a, b = _mini_profiles()
-        shuffled_a = ModelProfile.of_records("a", tuple(reversed(a.records)))
-        direct = build_performance_matrix([a, b])
-        shuffled = build_performance_matrix([b, shuffled_a])
-        assert (direct.model_ids, direct.image_ids) == (shuffled.model_ids, shuffled.image_ids)
-        assert np.array_equal(direct.values, shuffled.values)
+        swapped = build_performance_matrix([b, a])
+        assert (swapped.model_ids, swapped.image_ids) == (("a", "b"), a.image_id)
+        assert np.array_equal(swapped.values, build_performance_matrix([a, b]).values)
 
-    def test_missing_image_names_the_image(self):
+    def test_differing_image_order_names_the_row(self):
+        a, b = _mini_profiles()
+        reversed_a = ModelProfile.of_records("a", tuple(reversed(a.records)))
+        with pytest.raises(JoinError) as raised:
+            build_performance_matrix([b, reversed_a])
+        assert str(raised.value) == (
+            "models 'a' and 'b' differ at image 1: 'a' lists 'i4', 'b' lists 'i1'; "
+            "every model must list the images of 'a' in its order"
+        )
+
+    def test_missing_image_names_the_row(self):
         a, b = _mini_profiles()
         short_b = ModelProfile.of_records("b", b.records[:3])
-        with pytest.raises(JoinError, match="i4.*missing from profile 'b'"):
+        with pytest.raises(JoinError, match="image 4: 'a' lists 'i4', 'b' lists no image"):
             build_performance_matrix([a, short_b])
-        with pytest.raises(JoinError, match="i4.*missing from profile 'a'"):
+        with pytest.raises(JoinError, match="image 4: 'a' lists no image, 'b' lists 'i4'"):
             build_performance_matrix([ModelProfile.of_records("a", a.records[:3]), b])
 
-    def test_unlabeled_image_rejected(self):
+    def test_label_count_must_match_the_join(self):
         a, b = _mini_profiles()
-        clustered = ClusteredProfile("a", {"i1": 0, "i2": 0, "i3": 1}, (0.05, 0.2))
-        with pytest.raises(JoinError, match="i4"):
+        clustered = ClusteredProfile("a", np.array([0, 0, 1]), (0.05, 0.2))
+        message = r"^3 cluster label\(s\) of 'a' for the join's 4 images$"
+        with pytest.raises(JoinError, match=message):
             build_ci_matrix(build_performance_matrix([a, b]), clustered)
 
     def test_anchor_outside_the_join_rejected(self):
@@ -350,20 +359,18 @@ class TestCiMatrix:
         anchor = tiny_profiles[0]
         clustered = ClusteredProfile(
             anchor.model_id,
-            {rec.image_id: 0 for rec in anchor.records},
-            (statistics.fmean(anchor.kpi_values("tau_system")),),
+            np.zeros(len(anchor.image_id), dtype=int),
+            (statistics.fmean(anchor.tau_system.tolist()),),
         )
         matrix = build_ci_matrix(build_performance_matrix(tiny_profiles), clustered)
         for profile in tiny_profiles:
             for kpi in KPI_NAMES:
-                expected = compute_ci(profile.kpi_values(kpi))
+                expected = compute_ci(profile.column(kpi).tolist())
                 assert matrix.entry(0, profile.model_id, kpi) == expected
 
     def test_entry_population_counts(self, tiny_profiles):
         anchor = tiny_profiles[0]
-        labels = {
-            rec.image_id: (0 if i < 30 else 1) for i, rec in enumerate(anchor.records)
-        }
+        labels = np.array([0 if i < 30 else 1 for i in range(len(anchor.image_id))])
         clustered = ClusteredProfile(anchor.model_id, labels, (0.04, 0.06))
         matrix = build_ci_matrix(build_performance_matrix(tiny_profiles), clustered)
         assert matrix.entry(0, "slow", "c").n == 30
@@ -375,15 +382,19 @@ class TestCiMatrix:
             labels = learned.clustered.labels
             for cluster, per_model in learned.ci_matrix.entries.items():
                 for profile in tiny_profiles:
-                    rows = [rec for rec in profile.records if labels[rec.image_id] == cluster]
+                    rows = [
+                        rec for rec, label in zip(profile.records, labels) if label == cluster
+                    ]
                     for kpi, entry in per_model[profile.model_id].items():
-                        assert entry == reference_ci([rec.kpi(kpi) for rec in rows])
+                        assert entry == reference_ci([getattr(rec, kpi) for rec in rows])
 
     def test_anchor_kpi_std_is_the_sample_stdev(self, tiny_profiles):
         rules = run_learning_engine(tiny_profiles, k_max=4)
         for profile in tiny_profiles:
             std = rules[profile.model_id].ci_matrix.anchor_kpi_std
-            assert std == {kpi: statistics.stdev(profile.kpi_values(kpi)) for kpi in KPI_NAMES}
+            assert std == {
+                kpi: statistics.stdev(profile.column(kpi).tolist()) for kpi in KPI_NAMES
+            }
 
     def test_derived_facts_are_built_once_per_matrix(self, tiny_profiles):
         matrix = run_learning_engine(tiny_profiles, k_max=4)["fast"].ci_matrix
@@ -405,7 +416,6 @@ class TestCiMatrix:
 class TestLearningEngine:
     def test_five_model_family_pipeline(self):
         from .test_profiles import five_tier_spec
-        from adamls.profiles import generate_profiles
 
         profiles = generate_profiles(five_tier_spec(image_count=300), seed=4)
         rules = run_learning_engine(profiles, k_max=6)
@@ -430,6 +440,25 @@ class TestLearningEngine:
         forward = run_learning_engine(tiny_profiles, k_max=4)
         backward = run_learning_engine(list(reversed(tiny_profiles)), k_max=4)
         assert forward == backward
+
+    def test_rules_do_not_depend_on_the_shared_image_order(self, tmp_path):
+        """Permuting every profile's images the same way, the ids renamed so
+        that image i keeps its name, moves the labels with the images and
+        leaves every rule file as it was. (The WCSS may move in its last bits,
+        since numpy sums pairwise, so the clustering report is left out.)"""
+        profiles = generate_profiles(ProfilesConfig(image_count=1000), seed=1)
+        order = np.random.default_rng(0).permutation(1000)
+        permuted = [
+            ModelProfile(p.model_id, p.image_id, **{k: p.column(k)[order] for k in KPI_NAMES})
+            for p in profiles
+        ]
+        before, after = run_learning_engine(profiles), run_learning_engine(permuted)
+        for model_id, learned in before.items():
+            assert after[model_id].k == learned.k
+            assert np.array_equal(after[model_id].clustered.labels, learned.clustered.labels[order])
+            write_ci_matrix(learned.ci_matrix, tmp_path / "before.csv")
+            write_ci_matrix(after[model_id].ci_matrix, tmp_path / "after.csv")
+            assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
 
     def test_profiles_are_joined_once(self, tiny_profiles, monkeypatch):
         joins = []
@@ -456,13 +485,11 @@ class TestLearningEngine:
         assert passes == [4, 4]
         for profile in tiny_profiles:
             learned = rules[profile.model_id]
-            values = profile.kpi_values("tau_system")
+            values = profile.tau_system.tolist()
             labels, centroids = kmeans_1d(values, learned.k)
             assert learned.wcss_series == tuple(wcss_series(values, 4))
             assert learned.clustered.centroids == tuple(centroids.tolist())
-            assert [learned.clustered.labels[rec.image_id] for rec in profile.records] == (
-                labels.tolist()
-            )
+            assert learned.clustered.labels.tolist() == labels.tolist()
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):

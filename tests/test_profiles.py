@@ -53,10 +53,9 @@ def test_five_tier_family_sample_means_match_spec():
     spec = five_tier_spec()
     profiles = generate_profiles(spec, seed=11)
     assert len(profiles) == 5
-    ids = profiles[0].image_ids()
     for profile, model_spec in zip(profiles, spec.models):
-        assert profile.image_ids() == ids
-        values = profile.kpi_values("tau_system")
+        assert profile.image_id == profiles[0].image_id
+        values = profile.tau_system.tolist()
         mean = sum(values) / len(values)
         bound = 3 * model_spec.tau_system_std / math.sqrt(len(values))
         assert abs(mean - model_spec.tau_system_mean) < bound
@@ -66,7 +65,7 @@ def test_five_tier_family_sample_means_match_spec():
 def test_sample_mean_within_four_sigma_bound(seed):
     spec = five_tier_spec(image_count=400)
     for profile, model_spec in zip(generate_profiles(spec, seed), spec.models):
-        values = profile.kpi_values("tau_system")
+        values = profile.tau_system.tolist()
         mean = sum(values) / len(values)
         bound = 4 * model_spec.tau_system_std / math.sqrt(len(values))
         assert abs(mean - model_spec.tau_system_mean) < bound
@@ -153,6 +152,52 @@ def test_load_rejects_unparsable_number(tmp_path):
     )
     with pytest.raises(ProfileLoadError, match="row 1"):
         load_profiles(path)
+
+
+_HEADER = "image_id,model_id,c,tau_model,tau_system,s_cpu,b\n"
+
+
+def _rows(model, images):
+    return "".join(f"{image},{model},0.5,0.04,0.045,20,3\n" for image in images)
+
+
+def test_load_rejects_a_repeated_image_naming_file_and_row(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text(_HEADER + _rows("a", ["i1", "i2"]) + _rows("b", ["i1"]) + _rows("a", ["i1"]))
+    with pytest.raises(ProfileLoadError) as raised:
+        load_profiles(path)
+    assert str(raised.value) == f"{path}: row 4: image 'i1' of model 'a' repeats row 1"
+
+
+@pytest.mark.parametrize(
+    "b_images, where",
+    [
+        (["i2", "i1", "i3"], "differ at image 1: 'a' lists 'i1', 'b' lists 'i2'"),
+        (["i1", "i2"], "differ at image 3: 'a' lists 'i3', 'b' lists no image"),
+        (["i1", "i2", "i3", "i4"], "differ at image 4: 'a' lists no image, 'b' lists 'i4'"),
+        (["i1", "i2", "i9"], "differ at image 3: 'a' lists 'i3', 'b' lists 'i9'"),
+    ],
+    ids=["order", "missing", "extra", "other-image"],
+)
+def test_load_requires_the_first_models_image_order(tmp_path, b_images, where):
+    path = tmp_path / "p.csv"
+    path.write_text(_HEADER + _rows("a", ["i1", "i2", "i3"]) + _rows("b", b_images))
+    with pytest.raises(ProfileLoadError) as raised:
+        load_profiles(path)
+    assert str(raised.value) == (
+        f"{path}: models 'a' and 'b' {where}; every model must list the images of 'a' "
+        "in its order"
+    )
+
+
+def test_load_keeps_one_order_across_interleaved_rows(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text(
+        _HEADER + "".join(_rows(m, [i]) for i in ("i2", "i1") for m in ("b", "a"))
+    )
+    profiles = load_profiles(path)
+    assert [p.model_id for p in profiles] == ["b", "a"]
+    assert [p.image_id for p in profiles] == [("i2", "i1")] * 2
 
 
 def test_invalid_family_specs_rejected():
@@ -388,7 +433,7 @@ def test_records_view_builds_rows_on_access(tiny_profiles):
     assert [profile.column(kpi)[7] for kpi in KPI_NAMES] == profile.kpi_table[7].tolist()
     with pytest.raises(IndexError):
         records[120]
-    assert profile.kpi_values("b") == [float(rec.b) for rec in records]
+    assert profile.b.tolist() == [float(rec.b) for rec in records]
 
 
 def test_hot_path_builds_no_kpi_record(tiny_config, tmp_path, monkeypatch, capsys):
