@@ -3,6 +3,7 @@ controller over a simulated request-serving system."""
 
 from .controller import (
     AdaptationPlan,
+    EventLog,
     Knowledge,
     NaivePolicyConfig,
     PlannerInput,
@@ -22,6 +23,7 @@ __all__ = [
     "CiEntry",
     "CiMatrix",
     "Completions",
+    "EventLog",
     "Knowledge",
     "KpiRecord",
     "ModelKpiSpec",

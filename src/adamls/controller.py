@@ -15,8 +15,9 @@ distinct (model, v, i_w) of a run; the analyzer compares its last match's
 model and window version and runs the debounce; and only a trigger builds a
 PlannerInput, plans in one pass over the rule rows and executes. The
 records passed between the phases are named tuples, and the planner's no-op
-plans are constants. Every writer appends LogEvent rows to
-Knowledge.event_log directly.
+plans are constants. The event log is one EventLog, a list per column, and
+every writer appends its row's time, event and detail straight to the
+columns of Knowledge.event_log, so a row is no object of its own.
 """
 
 from __future__ import annotations
@@ -53,21 +54,31 @@ RATE_HORIZON = 1.0  # seconds of trailing arrivals that define v
 NAIVE_CHECK_INTERVAL = 1.0  # seconds between the naive policy's threshold checks
 
 
-class LogEvent(NamedTuple):
-    sim_time: float
-    event: str
-    detail: str
+@dataclass(frozen=True, slots=True)
+class EventLog:
+    """A run's MAPE-K steps, in the order they ran, one list per column.
+
+    Item i of each column belongs to the i-th row: its simulated time, its
+    event type (one of the EVENT_ constants) and its free-text detail, the
+    columns of events.csv. len() counts rows."""
+
+    sim_time: list = field(default_factory=list)
+    event: list = field(default_factory=list)
+    detail: list = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.sim_time)
 
 
 @dataclass
 class Knowledge:
     """Shared knowledge base: adaptation rules and the controller's event log.
 
-    Every writer appends its LogEvent rows to event_log directly.
+    Every writer appends its rows to the columns of event_log directly.
     """
 
     adaptation_rule_repository: dict[str, CiMatrix] = field(default_factory=dict)
-    event_log: list[LogEvent] = field(default_factory=list)
+    event_log: EventLog = field(default_factory=EventLog)
 
     def rules_for(self, model_id: str) -> CiMatrix:
         matrix = self.adaptation_rule_repository.get(model_id)
@@ -378,8 +389,11 @@ def execute(
     model (preloaded, so no load cost) is active. The system object must
     expose now, active_model, model_ids, and switch_model(target, pause).
     """
+    log = knowledge.event_log
     if not adaptation.is_switch:
-        knowledge.event_log.append(LogEvent(system.now, EVENT_NOOP, adaptation.reason))
+        log.sim_time.append(system.now)
+        log.event.append(EVENT_NOOP)
+        log.detail.append(adaptation.reason)
         return
     target = adaptation.target
     if target not in system.model_ids:
@@ -387,9 +401,9 @@ def execute(
     previous = system.active_model
     system.switch_model(target, switch_latency)
     now = system.now
-    knowledge.event_log.append(
-        LogEvent(now, EVENT_SWITCH, f"{previous}->{target} effective {now + switch_latency:.6f}")
-    )
+    log.sim_time.append(now)
+    log.event.append(EVENT_SWITCH)
+    log.detail.append(f"{previous}->{target} effective {now + switch_latency:.6f}")
 
 
 def naive_policy(v: float, config: NaivePolicyConfig) -> str:
@@ -575,7 +589,10 @@ class AdamlsController:
         text = self._monitor_texts.get(key)
         if text is None:
             text = self._monitor_texts[key] = f"m'={active} v={v:g} i_w={i_w}"
-        self.knowledge.event_log.append(LogEvent(now, EVENT_MONITOR, text))
+        log = self.knowledge.event_log
+        log.sim_time.append(now)
+        log.event.append(EVENT_MONITOR)
+        log.detail.append(text)
         return SystemState(active, window, window.means(), v, i_w, window.version)
 
     def on_event(self, system) -> None:
@@ -586,12 +603,14 @@ class AdamlsController:
         v_adj, m_prime, cluster = planner_input
         now = system.now
         log = self.knowledge.event_log
-        log.append(
-            LogEvent(now, EVENT_ANALYZE_TRIGGER, f"v_adj={v_adj:g} cluster={cluster} m'={m_prime}")
-        )
+        log.sim_time.append(now)
+        log.event.append(EVENT_ANALYZE_TRIGGER)
+        log.detail.append(f"v_adj={v_adj:g} cluster={cluster} m'={m_prime}")
         adaptation = plan(planner_input, self.knowledge, state.window, level=self.ci_level)
         detail = adaptation.reason if not adaptation.is_switch else f"-> {adaptation.target}"
-        log.append(LogEvent(now, EVENT_PLAN, detail))
+        log.sim_time.append(now)
+        log.event.append(EVENT_PLAN)
+        log.detail.append(detail)
         execute(adaptation, system, self.knowledge, self.switch_latency)
 
 

@@ -51,14 +51,17 @@ def write_rows(fh, header, rows, texts=None) -> None:
         _write_block(fh, zip(*block), width, texts)
 
 
-def write_columns(fh, header, columns, texts) -> None:
+def write_columns(fh, header, columns, texts=None) -> None:
     """Write the header and then the rows of columns, sequences of one length.
 
-    texts is as for write_rows, given each block as slices of the columns."""
+    texts, if given, is as for write_rows, given each block as slices of the
+    columns; without it each column's fields get column_texts. Columns of no
+    rows write the header alone."""
     width = len(header)
     _write_block(fh, zip(header), width, _column_texts)
     if len(set(map(len, columns))) != 1:
         raise ValueError("every CSV column must have one length")
+    texts = texts or _column_texts
     for start in range(0, len(columns[0]), BLOCK_ROWS):
         _write_block(fh, [col[start : start + BLOCK_ROWS] for col in columns], width, texts)
 

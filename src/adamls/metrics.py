@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .controller import EVENT_SWITCH
 from .errors import ValidationError
 
 # (w_e, w_d) pairs used by default for utility sweeps.
@@ -157,7 +158,8 @@ def summarize(
     params: UtilityParams = UtilityParams(),
     policy: str = "",
 ) -> RunSummary:
-    """Aggregate a run's Completions: KPI averages, penalty and switch counts, utilities.
+    """Aggregate a run's Completions and EventLog: KPI averages, penalty
+    counts, the switch count (the log's SWITCH rows) and utilities.
 
     The utility terms are built once; each weight pair's total is the last
     running sum of its utilities. The averages keep Python's float sum.
@@ -166,7 +168,7 @@ def summarize(
     if not n:
         raise ValidationError("summarize: no completions")
     c, _, _, s_cpu, _ = zip(*completions.kpis)
-    switch_count = sum(1 for ev in event_log if ev.event == "SWITCH")
+    switch_count = event_log.event.count(EVENT_SWITCH)
     c_arr, r_arr = np.array(c, dtype=float), np.array(completions.r, dtype=float)
     terms = UtilityTerms.of(c_arr, r_arr, params)
     n_r, n_c = _penalties(c_arr, r_arr, params)

@@ -16,10 +16,12 @@ the completions in flight (at most one per worker) and the pending resumes.
 Everything is driven by seeded RNGs, so runs are exactly reproducible.
 
 A run appends each completion to one Completions, a list per column, each
-request's drawn row index and shared KPI row among them. write_results_csv
-writes it with the bytes csv.writer gives. The files of one compare share a
-ResultTexts, so a value that repeats across them (an arrival time, the KPIs
-of one profile row) is formatted once per compare rather than once per row.
+request's drawn row index and shared KPI row among them, and its policy
+writes its steps to one EventLog, a list per column too (see controller).
+write_results_csv and write_event_log_csv write them with the bytes
+csv.writer gives. The files of one compare share a ResultTexts, so a value
+that repeats across them (an arrival time, the KPIs of one profile row) is
+formatted once per compare rather than once per row.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import controller as ctrl
-from .csvtext import TextMemo, column_texts, joined_texts, write_columns, write_rows
+from .csvtext import TextMemo, column_texts, joined_texts, write_columns
 from .errors import ConfigError, ValidationError
 from .learning import DEFAULT_CI_LEVEL
-from .profiles import ModelProfile
+from .profiles import ModelProfile, image_order_mismatch
 
 RESULTS_CSV_HEADER = (
     "request_id",
@@ -190,7 +192,10 @@ class SimulationConfig:
 class SimConfig:
     """Everything one simulation run depends on, seeds included.
 
-    ci_level is the level the rules were learned at; the live CIs use it too.
+    The profiles must share one image order (see
+    profiles.image_order_mismatch), so that a drawn row index names one image
+    whichever model serves it. ci_level is the level the rules were learned
+    at; the live CIs use it too.
     """
 
     workload: WorkloadSpec
@@ -204,6 +209,8 @@ class SimConfig:
         object.__setattr__(self, "profiles", tuple(self.profiles))
         if not self.profiles:
             raise ConfigError("simulation needs at least one model profile")
+        if mismatch := image_order_mismatch(self.profiles):
+            raise ConfigError(mismatch)
         model_ids = {p.model_id for p in self.profiles}
         initial_model = self.simulation.initial_model
         if initial_model not in model_ids:
@@ -415,8 +422,9 @@ def _build_policy(config: SimConfig, knowledge: ctrl.Knowledge):
 
 def run_simulation(
     config: SimConfig, knowledge: ctrl.Knowledge | None = None
-) -> tuple[Completions, list[ctrl.LogEvent]]:
-    """Run one full simulation; returns completions (by finish time) and events."""
+) -> tuple[Completions, ctrl.EventLog]:
+    """Run one full simulation; returns its Completions (by finish time) and
+    the EventLog its policy wrote to the knowledge's event_log."""
     if knowledge is None:
         knowledge = ctrl.Knowledge()
     engine = _Engine(config, knowledge)
@@ -484,6 +492,8 @@ def write_results_csv(completions: Completions, path, texts: ResultTexts | None 
         write_columns(fh, RESULTS_CSV_HEADER, columns, texts.file_texts())
 
 
-def write_event_log_csv(events, path) -> None:
+def write_event_log_csv(events: ctrl.EventLog, path) -> None:
+    """Write an EventLog to path, a row per event: sim_time, event, detail."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_rows(fh, ("sim_time", "event", "detail"), events)
+        columns = (events.sim_time, events.event, events.detail)
+        write_columns(fh, ("sim_time", "event", "detail"), columns)

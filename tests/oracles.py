@@ -130,6 +130,19 @@ def served_rows(completions):
     return [Served(i, a, s, f, m, *kpis, r, row) for i, a, s, f, m, kpis, r, row in columns]
 
 
+class EventRow(NamedTuple):
+    """One row of an EventLog, field by field: its events.csv row."""
+
+    sim_time: float
+    event: str
+    detail: str
+
+
+def event_rows(log):
+    """Each row of an EventLog as an EventRow, in the log's order."""
+    return [EventRow(*row) for row in zip(log.sim_time, log.event, log.detail)]
+
+
 def completions_of(rows):
     """The Completions holding the given Served rows, in their order."""
     return Completions(*map(list, zip(*(

@@ -263,7 +263,7 @@ def test_criterion_7_analyzer_debounce():
             planner_input = analyzer.analyze(state(v), knowledge, now)
             if planner_input is not None:
                 execute(plan(planner_input, knowledge, ()), system, knowledge)
-        assert not [e for e in knowledge.event_log if e.event == "SWITCH"]
+        assert "SWITCH" not in knowledge.event_log.event
 
         # A persistent violation emits exactly once per armed window.
         analyzer = Analyzer(t_wait=0.25)

@@ -212,7 +212,7 @@ def test_adamls_run_matches_only_when_window_or_model_changes(tiny_config, monke
         tiny_config, cfgmod.parse_policy_label("adamls", tiny_config), profiles
     )
     completions, events = run_simulation(sim_config, knowledge)
-    switches = sum(ev.event == "SWITCH" for ev in events)
+    switches = events.event.count("SWITCH")
     assert switches > 0
     assert 0 < len(calls) <= len(completions) + switches + 1
 
@@ -266,7 +266,7 @@ def test_adamls_run_formats_each_monitor_text_once_and_plans_like_the_oracle(
     )
     _, events = run_simulation(sim_config, knowledge)
     assert True in covered and False in covered
-    texts = [ev.detail for ev in events if ev.event == "MONITOR"]
+    texts = [detail for event, detail in zip(events.event, events.detail) if event == "MONITOR"]
     assert len({id(text) for text in texts}) == len(set(texts)) < len(texts)
 
 
@@ -602,16 +602,16 @@ class TestExecute:
         knowledge = Knowledge()
         execute(AdaptationPlan("b", "upgrade"), system, knowledge, switch_latency=0.005)
         assert system.switches == [(5.0, "b", 0.005)]
-        assert knowledge.event_log[-1].event == "SWITCH"
-        assert "a->b" in knowledge.event_log[-1].detail
-        assert "5.005" in knowledge.event_log[-1].detail
+        assert knowledge.event_log.event[-1] == "SWITCH"
+        assert "a->b" in knowledge.event_log.detail[-1]
+        assert "5.005" in knowledge.event_log.detail[-1]
 
     def test_noop_logs_without_touching_system(self):
         system = FakeSystem(active="a", now=5.0)
         knowledge = Knowledge()
         execute(AdaptationPlan(None, "stay"), system, knowledge)
         assert system.switches == []
-        assert knowledge.event_log[-1].event == "NOOP"
+        assert knowledge.event_log.event[-1] == "NOOP"
 
     def test_unknown_model_rejected(self):
         system = FakeSystem(model_ids=("a",), active="a")

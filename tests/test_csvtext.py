@@ -91,10 +91,14 @@ def test_rows_of_another_width_are_rejected():
         write_rows_text(("a", "b"), [(1, 2), (3,)])
 
 
-def write_columns_text(header, rows) -> str:
+def block_column_texts(block):
+    return map(column_texts, block)
+
+
+def write_columns_text(header, rows, texts=block_column_texts) -> str:
     buf = io.StringIO(newline="")
     columns = list(zip(*rows)) if rows else [()] * len(header)
-    write_columns(buf, header, columns, lambda block: map(column_texts, block))
+    write_columns(buf, header, columns, texts)
     return buf.getvalue()
 
 
@@ -104,11 +108,19 @@ def test_write_columns_equals_csv_writer(table):
     assert write_columns_text(*table) == csv_writer_text(*table)
 
 
+@hypothesis.given(table=tables())
+@hypothesis.example(table=(("z",), [(0.0,), (-0.0,), (0.0,)]))
+@hypothesis.example(table=(("x",), [("",), (None,), ("a",)]))
+def test_write_columns_without_texts_equals_csv_writer(table):
+    assert write_columns_text(*table, texts=None) == csv_writer_text(*table)
+
+
 @pytest.mark.parametrize("count", ROW_COUNTS)
 def test_write_columns_block_edges_keep_every_row(count):
     rows = [(i, i / 7, -0.0 if i % 3 else 0.0, f"r,{i}") for i in range(count)]
     header = ("i", "f", "z", "s")
     assert write_columns_text(header, rows) == csv_writer_text(header, rows)
+    assert write_columns_text(header, rows, texts=None) == csv_writer_text(header, rows)
 
 
 def test_columns_of_another_length_are_rejected():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from adamls.controller import LogEvent
+from adamls.controller import EventLog
 from adamls.errors import ValidationError
 from adamls.metrics import (
     DEFAULT_WEIGHT_GRID,
@@ -30,7 +30,7 @@ def fake_record(c, r, s_cpu=50.0):
 def run_total(records, params):
     """The run total at the params' weights, as summarize gives it."""
     summary = summarize(
-        completions_of(records), [], weight_grid=((params.w_e, params.w_d),), params=params
+        completions_of(records), EventLog(), weight_grid=((params.w_e, params.w_d),), params=params
     )
     return summary.utilities[0][2]
 
@@ -124,7 +124,7 @@ class TestTotalUtility:
 
 
 def penalties(records):
-    summary = summarize(completions_of(records), [], params=PARAMS)
+    summary = summarize(completions_of(records), EventLog(), params=PARAMS)
     return summary.r_penalties, summary.c_penalties
 
 
@@ -148,30 +148,30 @@ class TestPenalties:
 class TestSummarize:
     def test_switch_count_from_events(self):
         records = [fake_record(0.7, 0.5)]
-        events = [
-            LogEvent(1.0, "SWITCH", "a->b"),
-            LogEvent(2.0, "NOOP", ""),
-            LogEvent(3.0, "SWITCH", "b->a"),
-            LogEvent(4.0, "MONITOR", ""),
-            LogEvent(5.0, "SWITCH", "a->c"),
-        ]
+        events = EventLog(
+            [1.0, 2.0, 3.0, 4.0, 5.0],
+            ["SWITCH", "NOOP", "SWITCH", "MONITOR", "SWITCH"],
+            ["a->b", "", "b->a", "", "a->c"],
+        )
         summary = summarize(completions_of(records), events, policy="p")
         assert summary.switch_count == 3
         assert summary.policy == "p"
 
     def test_single_pair_grid(self):
-        summary = summarize(completions_of([fake_record(0.7, 0.5)]), [], weight_grid=((0.5, 0.5),))
+        summary = summarize(
+            completions_of([fake_record(0.7, 0.5)]), EventLog(), weight_grid=((0.5, 0.5),)
+        )
         assert summary.utilities == ((0.5, 0.5, pytest.approx(0.6)),)
 
     def test_averages_read_the_kpi_rows_and_r(self):
         records = [fake_record(0.7, 0.5, s_cpu=40.0), fake_record(0.4, 1.5, s_cpu=60.0)]
-        summary = summarize(completions_of(records), [])
+        summary = summarize(completions_of(records), EventLog())
         assert (summary.avg_c, summary.avg_r, summary.avg_s_cpu) == (0.55, 1.0, 50.0)
         assert summary.request_count == 2
         assert penalties(records) == (1, 1)
 
     def test_default_grid_has_five_pairs(self):
-        summary = summarize(completions_of([fake_record(0.7, 0.5, s_cpu=42.0)]), [])
+        summary = summarize(completions_of([fake_record(0.7, 0.5, s_cpu=42.0)]), EventLog())
         assert len(summary.utilities) == 5
         assert [(w_e, w_d) for w_e, w_d, _ in summary.utilities] == list(DEFAULT_WEIGHT_GRID)
         assert summary.avg_s_cpu == 42.0
@@ -269,7 +269,7 @@ class TestArrayPathIsBitExact:
     @example(run=BITWISE_EXAMPLES[3])
     def test_grid_totals(self, run):
         params, records = run
-        summary = summarize(completions_of(records), [], weight_grid=GRID, params=params)
+        summary = summarize(completions_of(records), EventLog(), weight_grid=GRID, params=params)
         expected = [
             scalar_utility_series(records, replace(params, w_e=w_e, w_d=w_d))[1][-1]
             for w_e, w_d in GRID

@@ -53,7 +53,7 @@ def static_run(profiles, model, rate, requests, workers=1, seed=1):
         service_seed=seed + 1,
     )
     completions, events = run_simulation(config)
-    assert events == []  # no switch, so intake never pauses
+    assert len(events) == 0  # no switch, so intake never pauses
     assert len(completions) == requests
     return sorted(served_rows(completions), key=attrgetter("request_id"))
 

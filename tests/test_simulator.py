@@ -1,3 +1,4 @@
+import csv
 import gc
 import hashlib
 import math
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from adamls import config as cfgmod
 from adamls import simulator
-from adamls.controller import Knowledge, LogEvent, NaivePolicyConfig, observed_rate
+from adamls.controller import EventLog, Knowledge, NaivePolicyConfig, observed_rate
 from adamls.csvtext import BLOCK_ROWS
 from adamls.errors import ConfigError, ValidationError
 from adamls.profiles import ModelKpiSpec, ModelProfile, ProfilesConfig, generate_profiles
@@ -29,7 +30,7 @@ from adamls.simulator import (
     write_results_csv,
 )
 
-from .oracles import Served, completions_of, repr_per_field_csv, served_rows
+from .oracles import Served, completions_of, event_rows, repr_per_field_csv, served_rows
 
 
 def constant_profile(model_id, tau_system, c=0.6, overhead=0.005):
@@ -410,7 +411,7 @@ class TestRunSimulation:
         )
         completions, events = run_simulation(config)
         assert set(completions.model_id) == {"slow"}
-        assert not any(ev.event == "SWITCH" for ev in events)
+        assert "SWITCH" not in events.event
 
     def test_naive_switches_at_threshold_crossings(self, tiny_profiles):
         workload = WorkloadSpec(
@@ -427,13 +428,13 @@ class TestRunSimulation:
             simulation=SimulationConfig(initial_model="slow"),
         )
         completions, events = run_simulation(config)
-        switches = [ev for ev in events if ev.event == "SWITCH"]
-        assert len(switches) >= 2  # up at the ramp, back down after it
+        switches = events.event.count("SWITCH")
+        assert switches >= 2  # up at the ramp, back down after it
         models = completions.model_id
         assert set(models) <= {"slow", "fast"}
         # The model in use changes only across a switch boundary.
         changes = sum(1 for a, b in zip(models, models[1:]) if a != b)
-        assert changes <= 2 * len(switches)
+        assert changes <= 2 * switches
 
     def test_switch_pauses_intake(self, tiny_profiles):
         workload = WorkloadSpec(
@@ -450,7 +451,7 @@ class TestRunSimulation:
             simulation=SimulationConfig(initial_model="slow", switch_latency=0.05),
         )
         completions, events = run_simulation(config)
-        switch_times = [ev.sim_time for ev in events if ev.event == "SWITCH"]
+        switch_times = [ev.sim_time for ev in event_rows(events) if ev.event == "SWITCH"]
         assert switch_times
         for t in switch_times:
             for start in completions.start_t:
@@ -537,7 +538,7 @@ class TestRunSimulation:
         )
         completions, events = run_simulation(config, knowledge)
         assert len(completions) == len(generate_workload(workload))
-        kinds = {ev.event for ev in events}
+        kinds = set(events.event)
         assert "MONITOR" in kinds
         assert "SWITCH" in kinds  # the 15 rps ramp forces a downgrade
         assert completions.finish_t == sorted(completions.finish_t)
@@ -570,6 +571,25 @@ class TestRunSimulation:
         with pytest.raises(ConfigError):
             PolicySpec(kind="warp")
 
+    def test_profiles_must_share_one_image_order(self):
+        """A drawn row must name one image whichever model serves it, so a
+        10-image nano next to 50-image models is rejected when the config
+        is built, naming both models."""
+        specs = ProfilesConfig(image_count=50).models
+        profiles = generate_profiles(ProfilesConfig(image_count=50, models=specs), seed=1)
+        nano = generate_profiles(
+            ProfilesConfig(image_count=10, models=[s for s in specs if s.model_id == "nano"]),
+            seed=1,
+        )[0]
+        mixed = tuple(nano if p.model_id == "nano" else p for p in profiles)
+        with pytest.raises(ConfigError, match="models 'nano' and 'small' differ at image 11"):
+            SimConfig(
+                workload=deterministic_workload(20.0, 10.0),
+                profiles=mixed,
+                policy=PolicySpec(kind="static", static_model="nano"),
+                simulation=SimulationConfig(initial_model="nano"),
+            )
+
 
 class TestCompletionsLog:
     def test_held_run_keeps_no_object_per_request(self, tiny_profiles):
@@ -590,6 +610,55 @@ class TestCompletionsLog:
 
         tracked_growth(100)  # one-time allocations of a first run
         assert abs(tracked_growth(2000) - tracked_growth(1000)) < 100
+
+
+class TestEventLog:
+    @pytest.fixture
+    def adamls_run(self, tiny_profiles):
+        """run(requests) runs adamls on deterministic arrivals at 3 rps; it
+        returns the knowledge it used, its Completions and its EventLog."""
+        rules = cfgmod.learn_rules(cfgmod.ExperimentConfig(), tiny_profiles)
+        matrices = {m: r.ci_matrix for m, r in rules.items()}
+
+        def run(requests):
+            config = SimConfig(
+                workload=deterministic_workload(requests / 3.0, 3.0),
+                profiles=tuple(tiny_profiles),
+                policy=PolicySpec(kind="adamls"),
+                simulation=SimulationConfig(initial_model="slow"),
+            )
+            knowledge = Knowledge(adaptation_rule_repository=dict(matrices))
+            return knowledge, *run_simulation(config, knowledge)
+
+        return run
+
+    def test_held_adamls_run_keeps_no_object_per_event_row(self, adamls_run):
+        """An event log is three columns: holding an adamls run of 2,000
+        requests leaves about as many new GC-tracked objects as holding one
+        of 1,000, where an object per row would leave thousands more."""
+
+        def tracked_growth(requests):
+            gc.collect()
+            before = len(gc.get_objects())
+            knowledge, completions, events = adamls_run(requests)
+            gc.collect()
+            grown = len(gc.get_objects()) - before
+            assert len(completions) == requests and events is knowledge.event_log
+            return grown, len(events)
+
+        tracked_growth(100)  # one-time allocations of a first run
+        grown_short, rows_short = tracked_growth(1000)
+        grown_long, rows_long = tracked_growth(2000)
+        assert rows_long - rows_short > 3000
+        assert abs(grown_long - grown_short) < 100
+
+    def test_len_counts_the_rows_written(self, adamls_run, tmp_path):
+        _, _, events = adamls_run(300)
+        assert len(events) == len(events.sim_time) == len(events.event) == len(events.detail)
+        write_event_log_csv(events, tmp_path / "events.csv")
+        with open(tmp_path / "events.csv", encoding="utf-8", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + len(events)
+        assert len(EventLog()) == 0
 
 
 class TickingNoop:
@@ -659,7 +728,7 @@ class TestTicks:
             ),
         )
         completions, events = run_simulation(config)
-        assert any(ev.event == "SWITCH" for ev in events)
+        assert "SWITCH" in events.event
         pushed = [klass for klass, _ in pushes]
         assert simulator._EV_ARRIVAL not in pushed
         assert simulator._EV_TICK not in pushed
@@ -708,7 +777,7 @@ class TestTicks:
         ticking_completions, events = run_simulation(config)
         assert noop.calls > len(ticking_completions)  # the ticks did run
         assert ticking_completions == static_completions
-        assert events == []
+        assert len(events) == 0
 
 
 class TestCsvWriters:
@@ -719,20 +788,25 @@ class TestCsvWriters:
         Served(1, 0.30000000000000004, 2.5, 2.75, "x,l", 1.0, 1e-07, 0.25, 0.0, 0, -0.0, 0),
         Served(12, 1.0, 1.0, 1.5, 'q"m', 0.5, 123456789.125, 0.5, 100.0, 17, 0.5, 2**40),
     ]
-    EVENTS = [
-        LogEvent(5e-324, "SWITCH", "nano->small effective 0.105000"),
-        LogEvent(-0.0, "PLAN", 'current model, "already" best'),
-        LogEvent(1e16, "NOOP", ""),
-    ]
+    EVENTS = EventLog(
+        [5e-324, -0.0, 1e16],
+        ["SWITCH", "PLAN", "NOOP"],
+        ["nano->small effective 0.105000", 'current model, "already" best', ""],
+    )
 
     def test_results_csv_matches_oracle(self, tmp_path):
         write_results_csv(completions_of(self.RECORDS), tmp_path / "fast.csv")
         repr_per_field_csv(tmp_path / "oracle.csv", RESULTS_CSV_HEADER, results_rows(self.RECORDS))
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
+    def test_empty_event_log_csv_is_the_header_alone(self, tmp_path):
+        write_event_log_csv(EventLog(), tmp_path / "events.csv")
+        assert (tmp_path / "events.csv").read_bytes() == b"sim_time,event,detail\r\n"
+
     def test_event_log_csv_matches_oracle(self, tmp_path):
         write_event_log_csv(self.EVENTS, tmp_path / "fast.csv")
-        repr_per_field_csv(tmp_path / "oracle.csv", ("sim_time", "event", "detail"), self.EVENTS)
+        rows = event_rows(self.EVENTS)
+        repr_per_field_csv(tmp_path / "oracle.csv", ("sim_time", "event", "detail"), rows)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
