@@ -2,11 +2,13 @@
 
 One YAML file describes a whole experiment (profile family, learning
 parameters, workload, simulation, policy, utility). Each section is one
-record, defined beside the code that reads it and checked when it is built;
-the loader checks each key's type first. Omitted keys fall back to the
-records' defaults; unknown keys are rejected. The master seed fans out to
-per-purpose sub-seeds through a fixed hash, so adding one policy to an
-experiment never perturbs another policy's randomness.
+record, defined beside the code that reads it and checked when it is built
+(its integer and float fields with the loader's messages, so the Python API
+turns away what the loader does); the loader checks each key's type first.
+Omitted keys fall back to the records' defaults; unknown keys are rejected.
+The master seed fans out to per-purpose sub-seeds through a fixed hash, so
+adding one policy to an experiment never perturbs another policy's
+randomness.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from .profiles import (
     ModelKpiSpec,
     ModelProfile,
     ProfilesConfig,
+    check_numbers,
     generate_profiles,
     is_finite_number,
+    is_integer,
     load_profiles,
 )
 from .simulator import PolicySpec, SimConfig, SimulationConfig, WorkloadConfig, WorkloadSpec
@@ -56,6 +60,7 @@ class LearningConfig:
     ci_level: float = DEFAULT_CI_LEVEL
 
     def __post_init__(self) -> None:
+        check_numbers(self, "learning")
         if self.k_max < 1:
             raise ConfigError(f"learning.k_max must be >= 1, got {self.k_max}")
         if not 0.0 < self.ci_level < 1.0:
@@ -289,7 +294,7 @@ def _merge_section(cls, raw, default, name: str, converters=None):
 # -> (test of a loaded value, what it must be). YAML true/false are bools,
 # which isinstance counts as ints.
 _SCALAR_TYPES = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "int": (is_integer, "an integer"),
     "float": (is_finite_number, "a finite number"),
     "bound": (lambda v: is_finite_number(v) or v == math.inf, "a finite number or .inf"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),

@@ -10,14 +10,18 @@ policy uniformly; a policy's needs_ticks says whether the simulator should
 also drive it at periodic ticks.
 
 An event does only its decision work: monitor builds one slotted
-SystemState and appends its MONITOR row, whose text is built once per
-distinct (model, v, i_w) of a run; the analyzer compares its last match's
-model and window version and runs the debounce; and only a trigger builds a
-PlannerInput, plans in one pass over the rule rows and executes. The
-records passed between the phases are named tuples, and the planner's no-op
-plans are constants. The event log is one EventLog, a list per column, and
-every writer appends its row's time, event and detail straight to the
-columns of Knowledge.event_log, so a row is no object of its own.
+SystemState; the analyzer compares its last match's model and window version
+and runs the debounce; and only a trigger builds a PlannerInput, plans in one
+pass over the rule rows and executes. The records passed between the phases
+are named tuples, and the planner's no-op plans are constants.
+
+The event log records decisions, not events: each trigger writes an
+ANALYZE_TRIGGER row (v, i_w, v_adj, the feasible range [v_min, v_max] that
+v_adj left, the cluster and m'), a PLAN row (the plan's reason) and a SWITCH
+or NOOP row, each detail enough to explain its step by itself. The log is
+one EventLog, a list per column, and every writer appends its row's time,
+event and detail straight to the columns of Knowledge.event_log, so a row is
+no object of its own.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .learning import (
 from .profiles import KPI_NAMES
 
 # Event types written to the event log.
-EVENT_MONITOR = "MONITOR"
 EVENT_ANALYZE_TRIGGER = "ANALYZE_TRIGGER"
 EVENT_PLAN = "PLAN"
 EVENT_SWITCH = "SWITCH"
@@ -537,14 +540,16 @@ class AdamlsController:
     the planner cannot use (a tau CI lower bound <= 0) or a matrix without
     anchor KPI stats raises its RuleError before the first event.
 
-    Every event writes its MONITOR row, reads v and i_w, and runs v_adj,
-    the range check and the debounce. The rest runs only when its inputs
-    change: a MONITOR text once per distinct (model, v, i_w) of the run, a
-    window's means and live CIs once per version of its contents (see
+    Every event reads v and i_w and runs v_adj, the range check and the
+    debounce, and writes no row. The rest runs only when its inputs change:
+    a window's means and live CIs once per version of its contents (see
     _KpiWindow), the cluster match and feasible range when a completion
     enters the active model's window or the active model changes (see
     Analyzer), and the incumbent's live c CI only in a plan where its live
-    capacity covers v_adj (see plan).
+    capacity covers v_adj (see plan). Only a trigger writes to the event
+    log: its ANALYZE_TRIGGER row, formatted from the state and the
+    analyzer's last_match, its PLAN row (the plan's reason, which for a
+    switch names low_c and v_adj) and execute's SWITCH or NOOP row.
 
     window_size, t_wait and switch_latency are the experiment's `simulation`
     settings; ci_level is the level the rules were learned at.
@@ -572,9 +577,6 @@ class AdamlsController:
         self._windows: defaultdict[str, _KpiWindow] = defaultdict(
             lambda: _KpiWindow(window_size)
         )
-        # MONITOR row text per (model, v, i_w), i_w an int: a run repeats
-        # most of them many times over.
-        self._monitor_texts: dict[tuple[str, float, int], str] = {}
 
     def note_completion(self, model_id: str, kpis: tuple) -> None:
         self._windows[model_id].add(kpis)
@@ -582,18 +584,8 @@ class AdamlsController:
     def monitor(self, system) -> SystemState:
         active = system.active_model
         window = self._windows[active]
-        now = system.now
-        v = observed_rate(system.arrival_times, now)
-        i_w = system.queue_depth
-        key = (active, v, i_w)
-        text = self._monitor_texts.get(key)
-        if text is None:
-            text = self._monitor_texts[key] = f"m'={active} v={v:g} i_w={i_w}"
-        log = self.knowledge.event_log
-        log.sim_time.append(now)
-        log.event.append(EVENT_MONITOR)
-        log.detail.append(text)
-        return SystemState(active, window, window.means(), v, i_w, window.version)
+        v = observed_rate(system.arrival_times, system.now)
+        return SystemState(active, window, window.means(), v, system.queue_depth, window.version)
 
     def on_event(self, system) -> None:
         state = self.monitor(system)
@@ -601,16 +593,20 @@ class AdamlsController:
         if planner_input is None:
             return
         v_adj, m_prime, cluster = planner_input
+        _, v_min, v_max = self.analyzer.last_match
         now = system.now
         log = self.knowledge.event_log
         log.sim_time.append(now)
         log.event.append(EVENT_ANALYZE_TRIGGER)
-        log.detail.append(f"v_adj={v_adj:g} cluster={cluster} m'={m_prime}")
+        # repr round-trips, so the range check replays from the row alone.
+        log.detail.append(
+            f"v={state.v!r} i_w={state.i_w} v_adj={v_adj!r} v_min={v_min!r} "
+            f"v_max={v_max!r} cluster={cluster} m'={m_prime}"
+        )
         adaptation = plan(planner_input, self.knowledge, state.window, level=self.ci_level)
-        detail = adaptation.reason if not adaptation.is_switch else f"-> {adaptation.target}"
         log.sim_time.append(now)
         log.event.append(EVENT_PLAN)
-        log.detail.append(detail)
+        log.detail.append(adaptation.reason)
         execute(adaptation, system, self.knowledge, self.switch_latency)
 
 

@@ -249,6 +249,25 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def is_integer(value) -> bool:
+    """An int that is not a bool, though bool is an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_numbers(record, section: str, error=ConfigError) -> None:
+    """Reject a config section record whose float field is not a finite
+    number, or whose int field is not an integer, naming the key
+    section.field as the YAML loader does. Records call it when built, so
+    the Python API turns away what the loader turns away."""
+    for f in fields(record):
+        # Annotations are strings here (from __future__ import annotations).
+        value = getattr(record, f.name)
+        if f.type == "float" and not is_finite_number(value):
+            raise error(f"{section}.{f.name} must be a finite number, got {value!r}")
+        if f.type == "int" and not is_integer(value):
+            raise error(f"{section}.{f.name} must be an integer, got {value!r}")
+
+
 # Five-model synthetic family: system times span 45 ms to 766 ms and
 # confidence means 0.50 to 0.75, rising monotonically with model size.
 DEFAULT_MODEL_FAMILY = (
@@ -276,9 +295,7 @@ class ProfilesConfig:
             raise ConfigError(f"profiles.source must be generate or csv, got {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise ConfigError("profiles.source=csv requires profiles.csv_path")
-        # bool is an int subclass, but not a count.
-        if isinstance(self.image_count, bool) or not isinstance(self.image_count, int):
-            raise ConfigError(f"profiles.image_count must be an integer, got {self.image_count!r}")
+        check_numbers(self, "profiles")
         if self.image_count < 1:
             raise ConfigError(f"profiles.image_count must be >= 1, got {self.image_count}")
         if not self.models:

@@ -36,7 +36,7 @@ from . import controller as ctrl
 from .csvtext import TextMemo, column_texts, joined_texts, write_columns
 from .errors import ConfigError, ValidationError
 from .learning import DEFAULT_CI_LEVEL
-from .profiles import ModelProfile, image_order_mismatch
+from .profiles import ModelProfile, check_numbers, image_order_mismatch
 
 RESULTS_CSV_HEADER = (
     "request_id",
@@ -113,6 +113,7 @@ class WorkloadConfig:
     arrival_process: str = "poisson"
 
     def __post_init__(self) -> None:
+        check_numbers(self, "workload")
         object.__setattr__(self, "segments", tuple((float(d), float(r)) for d, r in self.segments))
         if not self.segments:
             raise ConfigError("workload.segments needs at least one segment")
@@ -163,7 +164,7 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """The experiment's `simulation` section, range-checked when it is loaded.
+    """The experiment's `simulation` section, checked when it is built.
 
     Whether initial_model has a profile is checked by SimConfig.
     """
@@ -177,6 +178,7 @@ class SimulationConfig:
     initial_model: str = "xlarge"
 
     def __post_init__(self) -> None:
+        check_numbers(self, "simulation")
         if self.worker_count < 1:
             raise ConfigError(f"simulation.worker_count must be >= 1, got {self.worker_count}")
         if self.tick_interval <= 0.0:

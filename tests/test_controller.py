@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from typing import NamedTuple
@@ -217,13 +218,12 @@ def test_adamls_run_matches_only_when_window_or_model_changes(tiny_config, monke
     assert 0 < len(calls) <= len(completions) + switches + 1
 
 
-def test_adamls_run_formats_each_monitor_text_once_and_plans_like_the_oracle(
+def test_adamls_run_reads_live_c_only_when_covered_and_plans_like_the_oracle(
     tiny_config, monkeypatch
 ):
-    """A work count, not a timing: MONITOR rows of equal text share one
-    string, and a plan reads the incumbent's live c CI only when the live
-    capacity 1 / low(tau) covers v_adj. Every plan picks what the brute-force
-    oracle picks from the same rule rows and live CIs."""
+    """A work count, not a timing: a plan reads the incumbent's live c CI
+    only when the live capacity 1 / low(tau) covers v_adj. Every plan picks
+    what the brute-force oracle picks from the same rule rows and live CIs."""
     profiles = cfgmod.resolve_profiles(tiny_config)
     rules = cfgmod.learn_rules(tiny_config, profiles)
     knowledge = Knowledge(adaptation_rule_repository={m: r.ci_matrix for m, r in rules.items()})
@@ -264,10 +264,57 @@ def test_adamls_run_formats_each_monitor_text_once_and_plans_like_the_oracle(
     sim_config = cfgmod.build_sim_config(
         tiny_config, cfgmod.parse_policy_label("adamls", tiny_config), profiles
     )
-    _, events = run_simulation(sim_config, knowledge)
+    run_simulation(sim_config, knowledge)
     assert True in covered and False in covered
-    texts = [detail for event, detail in zip(events.event, events.detail) if event == "MONITOR"]
-    assert len({id(text) for text in texts}) == len(set(texts)) < len(texts)
+
+
+# The tiny config and the three-worker and overload variants that
+# tests/test_golden.py pins.
+DECISION_LOG_CONFIGS = {
+    "tiny": lambda config: config,
+    "three-workers": lambda config: dataclasses.replace(
+        config, simulation=dataclasses.replace(config.simulation, worker_count=3)
+    ),
+    "overload": lambda config: dataclasses.replace(
+        config,
+        workload=cfgmod.WorkloadConfig(segments=((4.0, 100.0),), max_requests=1000),
+        simulation=dataclasses.replace(config.simulation, worker_count=4),
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", DECISION_LOG_CONFIGS)
+def test_decision_rows_replay_from_the_log_alone(tiny_config, variant):
+    """The event log holds one (trigger, plan, switch-or-noop) triple per
+    plan and no per-tick row. Each trigger row alone replays v_adj = v + i_w
+    and its range check, and each switch plan names the switch that follows."""
+    config = DECISION_LOG_CONFIGS[variant](tiny_config)
+    profiles = cfgmod.resolve_profiles(config)
+    rules = cfgmod.learn_rules(config, profiles)
+    knowledge = Knowledge(adaptation_rule_repository={m: r.ci_matrix for m, r in rules.items()})
+    sim_config = cfgmod.build_sim_config(
+        config, cfgmod.parse_policy_label("adamls", config), profiles
+    )
+    _, events = run_simulation(sim_config, knowledge)
+    kinds = events.event
+    assert "MONITOR" not in kinds
+    plans = kinds.count("PLAN")
+    assert plans > 0 and len(events) == 3 * plans
+    assert kinds.count("ANALYZE_TRIGGER") == plans == kinds.count("SWITCH") + kinds.count("NOOP")
+    rows = list(zip(events.sim_time, kinds, events.detail))
+    for trigger, planned, outcome in zip(rows[0::3], rows[1::3], rows[2::3]):
+        assert trigger[0] == planned[0] == outcome[0]
+        assert (trigger[1], planned[1]) == ("ANALYZE_TRIGGER", "PLAN")
+        fields = dict(token.split("=", 1) for token in trigger[2].split(" "))
+        v_adj = float(fields["v_adj"])
+        assert float(fields["v"]) + int(fields["i_w"]) == v_adj
+        assert not float(fields["v_min"]) <= v_adj <= float(fields["v_max"])
+        if outcome[1] == "SWITCH":
+            switch = planned[2].split(" ")
+            assert switch[0] == "switch" and switch[1].split("->")[0] == fields["m'"]
+            assert outcome[2].split(" ")[0] == switch[1]
+        else:
+            assert outcome[1] == "NOOP" and outcome[2] == planned[2]
 
 
 class KpiRow(NamedTuple):

@@ -16,7 +16,7 @@ from adamls import cli
 from adamls import config as cfgmod
 
 GOLDEN_SHA256 = {
-    "compare/adamls/events.csv": "39913099dc89a2c199716f838e8bee65ff64a83d8f10eac48442cc84bb71d0e3",
+    "compare/adamls/events.csv": "008eb946f1ac287d727b9e3e3fbbcf4c7af821dfe7941fcfe38715692e4e2439",
     "compare/adamls/results.csv": "dc8f8750dd87b3dce3cfb76dd5c5c85dcdfd8c296af0a0dea89f7399946d029b",
     "compare/naive/events.csv": "b370f3efefbcd8ef7971aaa6c8ea125b00e6f994051847d5dea0276dbf6ce66d",
     "compare/naive/results.csv": "b73163cf95ed8266207baff8b90fd94e7c86e309abfffd89e5c2a1781f1d4b12",
@@ -66,7 +66,7 @@ def test_learn_and_compare_outputs_match_golden_digests(tiny_config, tmp_path, c
 # compare on the default config (bursty workload, seed 1): every compare CSV
 # of the paper's experiment at full scale.
 DEFAULT_COMPARE_SHA256 = {
-    "compare/adamls/events.csv": "dce7e672af51484d02826bc0eb7afd0f46a1ba4ab2d1b8b84695832d5a12025d",
+    "compare/adamls/events.csv": "3877c5e5b37f266797732bf3c0bccbd5a3ca3a9a4f9afc541ca4d736d110d035",
     "compare/adamls/results.csv": "2774f4c067af57c2f9b939059014ce9a21ec86ecce4d2e9011245ab8ad3be5f4",
     "compare/naive/events.csv": "3dbe7921d8730eae93b10d857dc5edcafbf8d186c91ab0cf0d913f69c7e7fc61",
     "compare/naive/results.csv": "ac8825d3a1464d3dfe968d172937f11d277bf0040e6fc62c01b29df99ee139d3",
@@ -94,7 +94,7 @@ def test_compare_on_default_config_matches_golden_digests(tmp_path, capsys):
 # compare on the tiny config with three workers, where completions overtake
 # one another and equal event times are more frequent.
 TINY_3_WORKERS_COMPARE_SHA256 = {
-    "compare/adamls/events.csv": "cda53920c1f1b066cf22fd5c537daf212bcbc204799d0f96ba54e3637adf2b4b",
+    "compare/adamls/events.csv": "b20afcb47d032002f35311e452368e5a0c46acb88dba5765a8261d6e9f19506d",
     "compare/adamls/results.csv": "eb3b6d0cc8493246d571467897a5029474b5f47699d3cec73fdd4c43728b0c30",
     "compare/naive/events.csv": "76f2f868ea7fe3c37b8f3bf8578041f249756bd3f938058db2ec4273fb09eb4f",
     "compare/naive/results.csv": "765f716652fabce59f23b8849ebb7f13d1fb6904ab17a068f8f82c549041106b",
@@ -119,7 +119,7 @@ def test_compare_with_three_workers_matches_golden_digests(tiny_config, tmp_path
 # fire over a deep queue, and most adamls plans are the "no suitable model;
 # persisting" no-op.
 TINY_OVERLOAD_COMPARE_SHA256 = {
-    "compare/adamls/events.csv": "5b03d60db6894cd6789a14914532b9fd79ffd14f01e0d4a8118887635bb27a51",
+    "compare/adamls/events.csv": "04ddd65259b2ba6a5add0641f303f6b0242117c85044fa639b72bef36569ca12",
     "compare/adamls/results.csv": "3939516e504e50b1959cd1f4f10b5b881a7b2fdfba2bc8a3a6c536e4a12bbe1f",
     "compare/naive/events.csv": "907a88112841a7bec8a87f66e0f4a1e1fa326f9ffb4a6d38c7eb29cb34d00c6c",
     "compare/naive/results.csv": "4532eeb5c436c499521baa63dc863c4d0b80b5d753d954e5575167756f508e2f",
@@ -193,7 +193,7 @@ def test_learn_from_written_profiles_matches_generated_rules(tmp_path, capsys):
 # results and event-log writers. Its files equal compare's adamls files, since
 # both runs draw from the same seeds.
 SIMULATE_SHA256 = {
-    "events_adamls.csv": "39913099dc89a2c199716f838e8bee65ff64a83d8f10eac48442cc84bb71d0e3",
+    "events_adamls.csv": "008eb946f1ac287d727b9e3e3fbbcf4c7af821dfe7941fcfe38715692e4e2439",
     "results_adamls.csv": "dc8f8750dd87b3dce3cfb76dd5c5c85dcdfd8c296af0a0dea89f7399946d029b",
 }
 
