@@ -3,7 +3,7 @@
 Subcommands:
   learn     build adaptation rules (per-model CI matrix CSVs) from profiles
   simulate  run one policy on the configured workload, write result CSVs
-  compare   run adamls, naive, and every static model on the same arrivals
+  compare   run adamls, naive, and every static model on one request stream
   report    rank policies per weight pair from a comparison directory;
             --timeseries re-derives utility_timeseries.csv from its results
   study     learn and compare per master seed, then count the seeds on
@@ -30,7 +30,9 @@ from .errors import AdamlsError
 from .learning import attach_anchor_stats, read_ci_matrix, write_ci_matrix
 from .metrics import RunSummary, UtilityParams, UtilityTerms, running_total, summarize
 from .profiles import write_profiles
-from .simulator import ResultTexts, run_simulation, write_event_log_csv, write_results_csv
+from .simulator import (
+    ResultTexts, build_requests, run_simulation, write_event_log_csv, write_results_csv,
+)
 
 SUMMARY_CSV_HEADER = (
     "policy", "requests", "switches", "avg_c", "avg_r", "avg_s_cpu", "r_penalties", "c_penalties"
@@ -152,11 +154,11 @@ def _load_rule_matrices(config: cfgmod.ExperimentConfig, profiles) -> dict:
     return matrices
 
 
-def _run_policy(config: cfgmod.ExperimentConfig, label: str, profiles, matrices):
+def _run_policy(config: cfgmod.ExperimentConfig, label: str, profiles, matrices, requests=None):
     policy_spec = cfgmod.parse_policy_label(label, config)
     knowledge = Knowledge(adaptation_rule_repository=dict(matrices))
     sim_config = cfgmod.build_sim_config(config, policy_spec, profiles)
-    completions, events = run_simulation(sim_config, knowledge)
+    completions, events = run_simulation(sim_config, knowledge, requests)
     summary = summarize(
         completions,
         events,
@@ -196,10 +198,16 @@ def _compare(config: cfgmod.ExperimentConfig, profiles) -> list[RunSummary]:
     labels = cfgmod.compare_policy_labels(config, profiles)
     summaries: list[RunSummary] = []
     texts = ResultTexts()
+    # Common random numbers: every policy serves this one request stream.
+    requests = build_requests(
+        cfgmod.build_workload_spec(config),
+        cfgmod.derive_seed(config.master_seed, "service"),
+        len(profiles[0].image_id),
+    )
     # report --timeseries derives this file from the results rewritten below.
     (out_dir / "utility_timeseries.csv").unlink(missing_ok=True)
     for label in labels:
-        completions, events, summary = _run_policy(config, label, profiles, matrices)
+        completions, events, summary = _run_policy(config, label, profiles, matrices, requests)
         policy_dir = out_dir / "compare" / cfgmod.policy_dir_name(label)
         policy_dir.mkdir(parents=True, exist_ok=True)
         write_results_csv(completions, policy_dir / "results.csv", texts)

@@ -1,19 +1,23 @@
 """Deterministic discrete-event simulation of the request-serving system.
 
-Requests arrive per a segmented bursty workload, wait in an unbounded FIFO
-queue, and are served by interchangeable workers. Service duration and KPIs
-of each request come from one row of the active model's profile, its index
-drawn uniformly (with replacement); a row is read from the profile the first
-time a run draws it and cached for the rest of the run. The switching policy
-runs at every completion and, if it asks for them (needs_ticks), at a
-periodic tick; a model switch pauses service intake for the switch latency.
+A run serves one request stream, Requests: request j arrives at
+arrival_t[j], per a segmented bursty workload, and is served from image
+row[j], an index drawn uniformly (with replacement) from the images that
+every profile lists in one order. build_requests decides both from seeded
+RNGs, once per stream, so a run is exactly reproducible and the runs of one
+compare, which share a stream, differ only in their policy (common random
+numbers). Requests wait in an unbounded FIFO queue and are served by
+interchangeable workers; the active model's profile row gives a request's
+service duration and KPIs, read the first time a run serves that row and
+cached for the rest of the run. The switching policy runs at every
+completion and, if it asks for them (needs_ticks), at a periodic tick; a
+model switch pauses service intake for the switch latency.
 
-The arrival times are generated up front, already in time order, and a
-tick falls due a fixed interval after the one before, so both stream past
-the event heap instead of going through it: the engine ranks the next
-arrival and the next tick against the heap's top, and the heap holds only
-the completions in flight (at most one per worker) and the pending resumes.
-Everything is driven by seeded RNGs, so runs are exactly reproducible.
+The stream is in time order, and a tick falls due a fixed interval after the
+one before, so both stream past the event heap instead of going through it:
+the engine ranks the next arrival and the next tick against the heap's top,
+and the heap holds only the completions in flight (at most one per worker)
+and the pending resumes.
 
 A run appends each completion to one Completions, a list per column, each
 request's drawn row index and shared KPI row among them, and its policy
@@ -260,6 +264,28 @@ def generate_workload(spec: WorkloadSpec) -> list[float]:
     return arrivals
 
 
+@dataclass(frozen=True, slots=True)
+class Requests:
+    """A request stream, one list per column: request j arrives at
+    arrival_t[j] and is served from image row[j] under whichever model
+    serves it. len() counts requests."""
+
+    arrival_t: list
+    row: list
+
+    def __len__(self) -> int:
+        return len(self.arrival_t)
+
+
+def build_requests(spec: WorkloadSpec, service_seed: int, image_count: int) -> Requests:
+    """The workload's arrivals, each paired with an image index drawn
+    uniformly from image_count by random.Random(service_seed), in request
+    order. This is the only place a request's image is decided."""
+    arrival_t = generate_workload(spec)
+    rng = random.Random(service_seed)
+    return Requests(arrival_t, [rng.randrange(image_count) for _ in arrival_t])
+
+
 class _Engine:
     """Event loop and serving state; doubles as the controller's system view."""
 
@@ -274,14 +300,14 @@ class _Engine:
         self.active_model = _resolve_initial_model(config)
         self.arrival_times: list[float] = []
         self.completions = Completions()
-        self._queue: deque[tuple[int, float]] = deque()
+        # (request id, arrival time, image row) of each waiting request.
+        self._queue: deque[tuple[int, float, int]] = deque()
         self._free_workers = config.simulation.worker_count
         # Read on every dispatch and every tick.
         self._network_delay = config.simulation.network_delay
         self._tick_interval = config.simulation.tick_interval
         self._in_flight = 0
         self._intake_paused_until = 0.0
-        self._rng = random.Random(config.service_seed)
         # Completions in flight and pending resumes; see _run_until.
         self._heap: list[tuple[float, int, int, object]] = []
         self._seq = 0
@@ -302,18 +328,17 @@ class _Engine:
             self._intake_paused_until = max(self._intake_paused_until, self.now + pause)
             self._push(self._intake_paused_until, _EV_RESUME, None)
 
-    def run(self) -> Completions:
-        arrivals = generate_workload(self.config.workload)
-        self._pending_arrivals = len(arrivals)
+    def run(self, requests: Requests) -> Completions:
+        self._pending_arrivals = len(requests)
         # Each tick schedules the next; a policy that ignores ticks gets none.
         if self._policy.needs_ticks:
             self._next_tick = (self._tick_interval, _EV_TICK)
-        for req_id, t in enumerate(arrivals):
+        for req_id, (t, row) in enumerate(zip(requests.arrival_t, requests.row)):
             self._run_until((t, _EV_ARRIVAL))
             self.now = t
             self.arrival_times.append(t)
             self._pending_arrivals -= 1
-            self._queue.append((req_id, t))
+            self._queue.append((req_id, t, row))
             self._dispatch()
         self._run_until(_END)
         return self.completions
@@ -367,10 +392,9 @@ class _Engine:
         if self.now < self._intake_paused_until:
             return
         while self._free_workers and self._queue:
-            req_id, arrival_t = self._queue.popleft()
+            req_id, arrival_t, i = self._queue.popleft()
             model = self.active_model
             rows = self._rows[model]
-            i = self._rng.randrange(len(rows))
             kpis = rows[i]
             if kpis is None:
                 c, tau_model, tau_system, s_cpu, b = self.profiles[model].kpi_table[i].tolist()
@@ -423,21 +447,37 @@ def _build_policy(config: SimConfig, knowledge: ctrl.Knowledge):
 
 
 def run_simulation(
-    config: SimConfig, knowledge: ctrl.Knowledge | None = None
+    config: SimConfig, knowledge: ctrl.Knowledge | None = None, requests: Requests | None = None
 ) -> tuple[Completions, ctrl.EventLog]:
     """Run one full simulation; returns its Completions (by finish time) and
-    the EventLog its policy wrote to the knowledge's event_log."""
+    the EventLog its policy wrote to the knowledge's event_log.
+
+    The run serves requests, or without it the stream of config's own
+    workload and service_seed; a passed stream must draw only rows that the
+    profiles hold."""
+    image_count = len(config.profiles[0].image_id)
+    if requests is None:
+        requests = build_requests(config.workload, config.service_seed, image_count)
+    elif len(requests.row) != len(requests):
+        raise ConfigError(
+            f"the request stream has {len(requests)} arrivals but {len(requests.row)} image rows"
+        )
+    elif requests.row and not 0 <= min(requests.row) <= max(requests.row) < image_count:
+        raise ConfigError(
+            f"the request stream draws from {max(requests.row) + 1} images (rows "
+            f"{min(requests.row)} to {max(requests.row)}), but the profiles hold {image_count}"
+        )
     if knowledge is None:
         knowledge = ctrl.Knowledge()
     engine = _Engine(config, knowledge)
-    completions = engine.run()
+    completions = engine.run(requests)
     return completions, knowledge.event_log
 
 
 class ResultTexts:
     """The results.csv field texts that the files of one compare share.
 
-    The runs of one compare serve the same arrivals, so arrival_t repeats
+    The runs of one compare serve one request stream, so arrival_t repeats
     in every file, and draw from the same profiles, so the joined c..b text
     of each drawn row is kept by its (model, row). A request starts when it
     arrives, when an earlier one finishes or when a switch pause ends, so

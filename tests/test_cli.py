@@ -719,23 +719,49 @@ class TestCompareCommand:
         assert len(built) == len(drawn)
         assert len(drawn) < sum(requests)
 
-    def test_every_policy_draws_one_image_per_request(self, compared, tiny_config):
-        """Common random numbers: request j draws the same row under every
-        policy of a compare, and that row names one image in every profile."""
-        out, _ = compared
-        config = dataclasses.replace(tiny_config, output_dir=str(out))
-        profiles = cfgmod.resolve_profiles(config)
-        matrices = cli._load_rule_matrices(config, profiles)
-        drawn = {}
-        for label in cfgmod.compare_policy_labels(config, profiles):
-            completions, _, _ = cli._run_policy(config, label, profiles, matrices)
-            drawn[label] = dict(zip(completions.request_id, completions.row))
+    def test_every_policy_draws_one_image_per_request(self, compared, tiny_config, monkeypatch):
+        """Common random numbers: every policy of a compare serves its one
+        request stream, so request j arrives at the stream's arrival_t[j] and
+        is served from its row[j] under every policy, and that row names one
+        image in every profile."""
+        out, path = compared
+        streams, drawn = [], {}
+        run = cli.run_simulation
+
+        def recording(sim_config, knowledge, requests):
+            completions, events = run(sim_config, knowledge, requests)
+            streams.append(requests)
+            drawn[sim_config.policy.label] = completions
+            return completions, events
+
+        monkeypatch.setattr(cli, "run_simulation", recording)
+        assert cli.main(["compare", "--config", str(path)]) == 0
         assert list(drawn) == ["adamls", "naive", "static:fast", "static:slow"]
-        rows = drawn["adamls"]
-        assert all(other == rows for other in drawn.values())
-        assert len(set(rows.values())) > 1
-        for row in rows.values():
+        stream = streams[0]
+        assert all(other is stream for other in streams)
+        for completions in drawn.values():
+            assert sorted(completions.request_id) == list(range(len(stream)))
+            ids = completions.request_id
+            assert completions.row == [stream.row[j] for j in ids]
+            assert completions.arrival_t == [stream.arrival_t[j] for j in ids]
+        assert len(set(stream.row)) > 1
+        profiles = cfgmod.resolve_profiles(dataclasses.replace(tiny_config, output_dir=str(out)))
+        for row in stream.row:
             assert len({p.image_id[row] for p in profiles}) == 1
+
+    def test_one_request_stream_per_compare(self, compared, monkeypatch):
+        """compare generates its workload once, however many policies it runs."""
+        _, path = compared
+        calls = []
+        generate = simulator.generate_workload
+
+        def counting(spec):
+            calls.append(spec)
+            return generate(spec)
+
+        monkeypatch.setattr(simulator, "generate_workload", counting)
+        assert cli.main(["compare", "--config", str(path)]) == 0
+        assert len(calls) == 1
 
     def test_csv_of_learns_profiles_reproduces_the_run(self, compared, tiny_config, tmp_path):
         """learn and compare on source csv of learn's own profiles.csv write
@@ -841,7 +867,7 @@ class TestBadRuleFiles:
             writer.writeheader()
             writer.writerows(rows)
 
-        def no_run(engine):
+        def no_run(engine, requests):
             pytest.fail("a bad rule file reached the event loop")
 
         monkeypatch.setattr(simulator._Engine, "run", no_run)
@@ -1049,18 +1075,26 @@ class TestStudyCommand:
         assert not out.exists()
 
     def test_profiles_are_resolved_once_per_seed(self, tmp_path, tiny_config, monkeypatch):
-        calls = []
-        generate = cfgmod.generate_profiles
+        """Each seed resolves its profiles and generates its workload once."""
+        calls = {"profiles": 0, "workload": 0}
 
-        def counting(*args):
-            calls.append(args)
-            return generate(*args)
+        def counting(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
 
-        monkeypatch.setattr(cfgmod, "generate_profiles", counting)
+            return call
+
+        monkeypatch.setattr(
+            cfgmod, "generate_profiles", counting("profiles", cfgmod.generate_profiles)
+        )
+        monkeypatch.setattr(
+            simulator, "generate_workload", counting("workload", simulator.generate_workload)
+        )
         path = write_config(tmp_path, tiny_config, output_dir=str(tmp_path / "study"))
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["study", "--config", str(path), "--seeds", "1", "2"]) == 0
-        assert len(calls) == 2
+        assert calls == {"profiles": 2, "workload": 2}
 
     def test_repeated_seed_fails(self, tmp_path, capsys):
         out = tmp_path / "study"

@@ -225,6 +225,28 @@ class TestSampling:
         share = sum(1 for kpis in completions.kpis if kpis[0] == 0.6) / 10_000
         assert abs(share - 0.5) <= 0.02
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([0, 5, 1], r"draws from 6 images \(rows 0 to 5\), but the profiles hold 5"),
+            ([0, -1, 1], r"draws from 2 images \(rows -1 to 1\), but the profiles hold 5"),
+            ([0, 1], r"has 3 arrivals but 2 image rows"),
+        ],
+        ids=["row-past-the-end", "negative-row", "short-rows"],
+    )
+    def test_a_passed_stream_must_fit_the_profiles(self, monkeypatch, rows, message):
+        """A stream is checked against the profiles' image count before the
+        first event, not found out by an IndexError inside a dispatch."""
+        profile = constant_profile("m", 0.1)
+        config = static_config(profile, deterministic_workload(3.0, 1.0))
+
+        def no_run(engine, requests):
+            pytest.fail("a stream that does not fit reached the event loop")
+
+        monkeypatch.setattr(simulator._Engine, "run", no_run)
+        with pytest.raises(ConfigError, match=message):
+            run_simulation(config, requests=simulator.Requests([1.0, 2.0, 3.0], rows))
+
     def test_each_request_holds_the_row_it_drew(self, tiny_profiles):
         """row is the drawn profile index, and kpis that row's shared tuple."""
         profile = next(p for p in tiny_profiles if p.model_id == "fast")
