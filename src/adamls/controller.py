@@ -18,10 +18,11 @@ are named tuples, and the planner's no-op plans are constants.
 The event log records decisions, not events: each trigger writes an
 ANALYZE_TRIGGER row (v, i_w, v_adj, the feasible range [v_min, v_max] that
 v_adj left, the cluster and m'), a PLAN row (the plan's reason) and a SWITCH
-or NOOP row, each detail enough to explain its step by itself. The log is
-one EventLog, a list per column, and every writer appends its row's time,
-event and detail straight to the columns of Knowledge.event_log, so a row is
-no object of its own.
+or NOOP row, and each naive switch a PLAN row (the threshold crossing and
+its v) and a SWITCH row, each detail enough to explain its step by itself.
+The log is one EventLog, a list per column, and every writer appends its
+row's time, event and detail straight to the columns of Knowledge.event_log,
+so a row is no object of its own.
 """
 
 from __future__ import annotations
@@ -615,6 +616,8 @@ class NaiveSwitcher:
 
     v is a per-second rate, so the thresholds are re-evaluated once per
     NAIVE_CHECK_INTERVAL; sub-second checks would only chase arrival noise.
+    Each switch writes a PLAN row (the threshold crossing and its v) and
+    execute's SWITCH row; a check that keeps the model writes nothing.
     """
 
     # The tick times decide when a check falls due.
@@ -641,7 +644,12 @@ class NaiveSwitcher:
         v = observed_rate(system.arrival_times, system.now)
         target = naive_policy(v, self.config)
         if target != system.active_model:
-            adaptation = AdaptationPlan(target=target, reason=f"threshold crossing at v={v:g}")
+            # repr round-trips, so the switch replays from the PLAN row alone.
+            adaptation = AdaptationPlan(target=target, reason=f"threshold crossing at v={v!r}")
+            log = self.knowledge.event_log
+            log.sim_time.append(system.now)
+            log.event.append(EVENT_PLAN)
+            log.detail.append(adaptation.reason)
             execute(adaptation, system, self.knowledge, self.switch_latency)
 
 

@@ -317,6 +317,31 @@ def test_decision_rows_replay_from_the_log_alone(tiny_config, variant):
             assert outcome[1] == "NOOP" and outcome[2] == planned[2]
 
 
+@pytest.mark.parametrize("variant", DECISION_LOG_CONFIGS)
+def test_naive_switches_replay_from_their_plan_rows(tiny_config, variant):
+    """The naive log holds one (plan, switch) pair per switch, at one time.
+    Each PLAN row alone replays its switch: naive_policy of its v is the
+    SWITCH's target."""
+    config = DECISION_LOG_CONFIGS[variant](tiny_config)
+    profiles = cfgmod.resolve_profiles(config)
+    sim_config = cfgmod.build_sim_config(
+        config, cfgmod.parse_policy_label("naive", config), profiles
+    )
+    _, events = run_simulation(sim_config)
+    kinds = events.event
+    switches = kinds.count("SWITCH")
+    assert switches > 0 and kinds.count("PLAN") == switches and len(events) == 2 * switches
+    rows = list(zip(events.sim_time, kinds, events.detail))
+    for planned, switched in zip(rows[0::2], rows[1::2]):
+        assert (planned[1], switched[1]) == ("PLAN", "SWITCH")
+        assert planned[0] == switched[0]
+        prefix = "threshold crossing at v="
+        assert planned[2].startswith(prefix)
+        v = float(planned[2].removeprefix(prefix))
+        target = switched[2].split(" ")[0].split("->")[1]
+        assert naive_policy(v, config.naive_thresholds) == target
+
+
 class KpiRow(NamedTuple):
     c: float
     tau_model: float

@@ -18,7 +18,7 @@ from adamls import config as cfgmod
 GOLDEN_SHA256 = {
     "compare/adamls/events.csv": "008eb946f1ac287d727b9e3e3fbbcf4c7af821dfe7941fcfe38715692e4e2439",
     "compare/adamls/results.csv": "dc8f8750dd87b3dce3cfb76dd5c5c85dcdfd8c296af0a0dea89f7399946d029b",
-    "compare/naive/events.csv": "b370f3efefbcd8ef7971aaa6c8ea125b00e6f994051847d5dea0276dbf6ce66d",
+    "compare/naive/events.csv": "26b133b97f066b25fe86433f9dc55607c1b4d4aa4b2156a9a4563edf7587a3d1",
     "compare/naive/results.csv": "b73163cf95ed8266207baff8b90fd94e7c86e309abfffd89e5c2a1781f1d4b12",
     "compare/static_fast/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
     "compare/static_fast/results.csv": "168a5d5d8df164022d7c406f2ffefb65a5312fce04b285436bcfe0f9c5fbf812",
@@ -68,7 +68,7 @@ def test_learn_and_compare_outputs_match_golden_digests(tiny_config, tmp_path, c
 DEFAULT_COMPARE_SHA256 = {
     "compare/adamls/events.csv": "3877c5e5b37f266797732bf3c0bccbd5a3ca3a9a4f9afc541ca4d736d110d035",
     "compare/adamls/results.csv": "2774f4c067af57c2f9b939059014ce9a21ec86ecce4d2e9011245ab8ad3be5f4",
-    "compare/naive/events.csv": "3dbe7921d8730eae93b10d857dc5edcafbf8d186c91ab0cf0d913f69c7e7fc61",
+    "compare/naive/events.csv": "0d445e6aa14b8284d35d66508fecb17de334606d0006499a6a057dd58b6aca98",
     "compare/naive/results.csv": "ac8825d3a1464d3dfe968d172937f11d277bf0040e6fc62c01b29df99ee139d3",
     "compare/static_large/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
     "compare/static_large/results.csv": "0a8f0431ef924a494a72931124abfebdd874b7536a0b0a14936dc84960b5a100",
@@ -96,7 +96,7 @@ def test_compare_on_default_config_matches_golden_digests(tmp_path, capsys):
 TINY_3_WORKERS_COMPARE_SHA256 = {
     "compare/adamls/events.csv": "b20afcb47d032002f35311e452368e5a0c46acb88dba5765a8261d6e9f19506d",
     "compare/adamls/results.csv": "eb3b6d0cc8493246d571467897a5029474b5f47699d3cec73fdd4c43728b0c30",
-    "compare/naive/events.csv": "76f2f868ea7fe3c37b8f3bf8578041f249756bd3f938058db2ec4273fb09eb4f",
+    "compare/naive/events.csv": "84707f3850610571c15ebb8b11fd9004fd3e522bd92bec4ff499915fa10357d4",
     "compare/naive/results.csv": "765f716652fabce59f23b8849ebb7f13d1fb6904ab17a068f8f82c549041106b",
     "compare/static_fast/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
     "compare/static_fast/results.csv": "bbda1a221916042820c0aa6c52a49f6d045ca9881a9d83fa940da87fa9196495",
@@ -121,7 +121,7 @@ def test_compare_with_three_workers_matches_golden_digests(tiny_config, tmp_path
 TINY_OVERLOAD_COMPARE_SHA256 = {
     "compare/adamls/events.csv": "04ddd65259b2ba6a5add0641f303f6b0242117c85044fa639b72bef36569ca12",
     "compare/adamls/results.csv": "3939516e504e50b1959cd1f4f10b5b881a7b2fdfba2bc8a3a6c536e4a12bbe1f",
-    "compare/naive/events.csv": "907a88112841a7bec8a87f66e0f4a1e1fa326f9ffb4a6d38c7eb29cb34d00c6c",
+    "compare/naive/events.csv": "9afb43ab9fa174251eaaa82892fd48eee8c893c0f3e57a99e1cfcff3600781df",
     "compare/naive/results.csv": "4532eeb5c436c499521baa63dc863c4d0b80b5d753d954e5575167756f508e2f",
     "compare/static_fast/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
     "compare/static_fast/results.csv": "96bef74c106333925b8d4c470b4f00512dd6bfe23cd703f97d7da792431dd9af",
