@@ -1,17 +1,15 @@
 """Deterministic discrete-event simulation of the request-serving system.
 
-A run serves one request stream, Requests: request j arrives at
-arrival_t[j], per a segmented bursty workload, and is served from image
-row[j], an index drawn uniformly (with replacement) from the images that
-every profile lists in one order. build_requests decides both from seeded
-RNGs, once per stream, so a run is exactly reproducible and the runs of one
-compare, which share a stream, differ only in their policy (common random
+A run serves one request stream (Requests): request j arrives at
+arrival_t[j] and is served from image row[j], whichever model serves it.
+build_requests draws both from seeded RNGs, so runs are exactly
+reproducible, and the runs of one compare share one stream (common random
 numbers). Requests wait in an unbounded FIFO queue and are served by
-interchangeable workers; the active model's profile row gives a request's
-service duration and KPIs, read the first time a run serves that row and
-cached for the rest of the run. The switching policy runs at every
-completion and, if it asks for them (needs_ticks), at a periodic tick; a
-model switch pauses service intake for the switch latency.
+interchangeable workers; a request's service duration and KPIs come from
+its row of the active model's profile, read the first time a run serves
+that row and cached for the rest of the run. The switching policy runs at
+every completion and, if it asks for them (needs_ticks), at a periodic
+tick; a model switch pauses service intake for the switch latency.
 
 The stream is in time order, and a tick falls due a fixed interval after the
 one before, so both stream past the event heap instead of going through it:
@@ -290,7 +288,6 @@ class _Engine:
     """Event loop and serving state; doubles as the controller's system view."""
 
     def __init__(self, config: SimConfig, knowledge: ctrl.Knowledge):
-        self.config = config
         self.knowledge = knowledge
         self.profiles = {p.model_id: p for p in config.profiles}
         # Per model, row i as (c, tau_model, tau_system, s_cpu, b) once drawn.
