@@ -2,10 +2,10 @@
 
 One YAML file describes a whole experiment (profile family, learning
 parameters, workload, simulation, policy, utility). Each section is one
-record, defined beside the code that reads it and checked when it is built
-(its integer and float fields with the loader's messages, so the Python API
-turns away what the loader does); the loader checks each key's type first.
-Omitted keys fall back to the records' defaults; unknown keys are rejected.
+record, defined beside the code that reads it, and each record checks every
+value it holds when it is built, so YAML and the Python API get one check
+and one message per value. The loader only maps keys onto records: omitted
+keys fall back to the records' defaults; unknown keys are rejected.
 The master seed fans out to per-purpose sub-seeds through a fixed hash, so
 adding one policy to an experiment never perturbs another policy's
 randomness.
@@ -17,7 +17,6 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 
 import yaml
@@ -30,10 +29,9 @@ from .profiles import (
     ModelKpiSpec,
     ModelProfile,
     ProfilesConfig,
-    check_numbers,
+    check_fields,
+    check_pairs,
     generate_profiles,
-    is_finite_number,
-    is_integer,
     load_profiles,
 )
 from .simulator import PolicySpec, SimConfig, SimulationConfig, WorkloadConfig, WorkloadSpec
@@ -54,13 +52,13 @@ DEFAULT_NAIVE_THRESHOLDS = NaivePolicyConfig(
 
 @dataclass(frozen=True)
 class LearningConfig:
-    """The experiment's `learning` section, range-checked when it is built."""
+    """The experiment's `learning` section, checked when it is built."""
 
     k_max: int = DEFAULT_K_MAX
     ci_level: float = DEFAULT_CI_LEVEL
 
     def __post_init__(self) -> None:
-        check_numbers(self, "learning")
+        check_fields(self, "learning")
         if self.k_max < 1:
             raise ConfigError(f"learning.k_max must be >= 1, got {self.k_max}")
         if not 0.0 < self.ci_level < 1.0:
@@ -69,8 +67,9 @@ class LearningConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The whole experiment. source names where it was loaded from (no YAML
-    key sets it), so checks that run after loading can cite it too."""
+    """The whole experiment, checked when it is built. source names where it
+    was loaded from (no YAML key sets it), so checks that run after loading
+    can cite it too."""
 
     master_seed: int = 1
     output_dir: str = "out"
@@ -83,6 +82,15 @@ class ExperimentConfig:
     utility: UtilityParams = field(default_factory=UtilityParams)
     weight_grid: tuple[tuple[float, float], ...] = DEFAULT_WEIGHT_GRID
     source: str = field(default="<config>", compare=False)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        check_pairs(self.weight_grid, ("float", "float"), "weight_grid", "[w_e, w_d]")
+        grid = tuple((float(w_e), float(w_d)) for w_e, w_d in self.weight_grid)
+        for value in chain.from_iterable(grid):
+            if value < 0:
+                raise ConfigError(f"weight_grid weights must be >= 0, got {value!r}")
+        object.__setattr__(self, "weight_grid", grid)
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -220,119 +228,46 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def experiment_config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
+    """raw's keys on the default records; each record checks its values."""
     defaults = ExperimentConfig()
-    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig) if f.name != "source"}
-    unknown = set(raw) - set(types)
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"source"}
+    unknown = set(raw) - keys
     if unknown:
         raise ConfigError(f"{source}: unknown key(s) {sorted(unknown)}")
     try:
-        for key in ("master_seed", "output_dir", "policy"):
-            if key in raw:
-                _check_scalar(raw[key], types[key], key)
-        profiles = _merge_section(
-            ProfilesConfig, raw.get("profiles"), defaults.profiles, "profiles",
+        kwargs = dict(raw)
+        kwargs["profiles"] = _merge_section(
+            raw.get("profiles"), defaults.profiles, "profiles",
             converters={"models": _parse_model_family},
         )
-        learning = _merge_section(LearningConfig, raw.get("learning"), defaults.learning, "learning")
-        workload = _merge_section(
-            WorkloadConfig, raw.get("workload"), defaults.workload, "workload",
-            converters={"segments": partial(
-                _parse_pairs, key="workload.segments", names="[duration, rate]"
-            )},
-        )
-        simulation = _merge_section(
-            SimulationConfig, raw.get("simulation"), defaults.simulation, "simulation"
-        )
-        utility = _merge_section(UtilityParams, raw.get("utility"), defaults.utility, "utility")
-        naive = raw.get("naive_thresholds")
-        naive_thresholds = (
-            _parse_thresholds(naive) if naive is not None else defaults.naive_thresholds
-        )
-        grid = raw.get("weight_grid")
-        weight_grid = defaults.weight_grid if grid is None else _parse_weight_grid(grid)
-        return ExperimentConfig(
-            master_seed=raw.get("master_seed", defaults.master_seed),
-            output_dir=raw.get("output_dir", defaults.output_dir),
-            profiles=profiles,
-            learning=learning,
-            workload=workload,
-            simulation=simulation,
-            policy=raw.get("policy", defaults.policy),
-            naive_thresholds=naive_thresholds,
-            utility=utility,
-            weight_grid=weight_grid,
-            source=source,
-        )
+        for name in ("learning", "workload", "simulation", "utility"):
+            kwargs[name] = _merge_section(raw.get(name), getattr(defaults, name), name)
+        # A null list, like an omitted one, keeps the default.
+        for name in ("naive_thresholds", "weight_grid"):
+            if kwargs.get(name) is None:
+                kwargs.pop(name, None)
+        if "naive_thresholds" in kwargs:
+            kwargs["naive_thresholds"] = NaivePolicyConfig(kwargs["naive_thresholds"])
+        return dataclasses.replace(defaults, source=source, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
-def _merge_section(cls, raw, default, name: str, converters=None):
-    """The default section record with raw's keys replaced, each scalar
-    checked against its declared type first; the record checks ranges."""
+def _merge_section(raw, default, name: str, converters=None):
+    """The default section record with raw's keys replaced; the record
+    checks the values when it is built."""
     if raw is None:
         return default
     if not isinstance(raw, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(raw) - set(types)
+    unknown = set(raw) - {f.name for f in dataclasses.fields(default)}
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in section {name!r}")
-    kwargs = {}
     converters = converters or {}
-    for key, value in raw.items():
-        if key in converters:
-            kwargs[key] = converters[key](value)
-        else:
-            _check_scalar(value, types[key], f"{name}.{key}")
-            kwargs[key] = value
+    kwargs = {
+        key: converters[key](value) if key in converters else value for key, value in raw.items()
+    }
     return dataclasses.replace(default, **kwargs)
-
-
-# Declared field type (a string, under `from __future__ import annotations`),
-# or "bound" for a naive_thresholds rate bound (the last one is .inf),
-# -> (test of a loaded value, what it must be). YAML true/false are bools,
-# which isinstance counts as ints.
-_SCALAR_TYPES = {
-    "int": (is_integer, "an integer"),
-    "float": (is_finite_number, "a finite number"),
-    "bound": (lambda v: is_finite_number(v) or v == math.inf, "a finite number or .inf"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
-}
-
-
-def _check_scalar(value, declared: str, key: str) -> None:
-    test, what = _SCALAR_TYPES[declared]
-    if not test(value):
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-
-
-def _parse_pairs(
-    raw, key: str, names: str, declared=("float", "float")
-) -> tuple[tuple, ...]:
-    """A list of two-entry lists, each entry checked against its declared
-    type (see _SCALAR_TYPES); numbers come back as floats."""
-    if not isinstance(raw, (list, tuple)) or any(
-        not isinstance(pair, (list, tuple)) or len(pair) != 2 for pair in raw
-    ):
-        raise ConfigError(f"{key} must be a list of {names} pairs, got {raw!r}")
-    for pair in raw:
-        for value, kind in zip(pair, declared):
-            _check_scalar(value, kind, key)
-    return tuple(
-        tuple(value if kind == "str" else float(value) for value, kind in zip(pair, declared))
-        for pair in raw
-    )
-
-
-def _parse_weight_grid(raw) -> tuple[tuple[float, float], ...]:
-    grid = _parse_pairs(raw, "weight_grid", "[w_e, w_d]")
-    for value in chain.from_iterable(grid):
-        if value < 0:
-            raise ConfigError(f"weight_grid weights must be >= 0, got {value!r}")
-    return grid
 
 
 def _parse_model_family(raw) -> tuple[ModelKpiSpec, ...]:
@@ -344,11 +279,3 @@ def _parse_model_family(raw) -> tuple[ModelKpiSpec, ...]:
         if unknown:
             raise ConfigError(f"unknown model spec key(s) {sorted(unknown)}")
     return tuple(ModelKpiSpec(**entry) for entry in raw)
-
-
-def _parse_thresholds(raw) -> NaivePolicyConfig:
-    return NaivePolicyConfig(
-        thresholds=_parse_pairs(
-            raw, "naive_thresholds", "[rate bound, model]", declared=("bound", "str")
-        )
-    )

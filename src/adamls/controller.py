@@ -43,7 +43,7 @@ from .learning import (
     compute_ci,
     normal_ci,
 )
-from .profiles import KPI_NAMES
+from .profiles import KPI_NAMES, check_pairs
 
 # Event types written to the event log.
 EVENT_ANALYZE_TRIGGER = "ANALYZE_TRIGGER"
@@ -143,6 +143,10 @@ class NaivePolicyConfig:
     thresholds: tuple[tuple[float, str], ...]
 
     def __post_init__(self) -> None:
+        check_pairs(
+            self.thresholds, ("bound", "str"), "naive_thresholds", "[rate bound, model]",
+            ValidationError,
+        )
         object.__setattr__(
             self, "thresholds", tuple((float(b), m) for b, m in self.thresholds)
         )

@@ -33,30 +33,28 @@ _NUMBER_TYPES = frozenset((int, float, bool))
 _SPECIAL = (",", '"', "\r", "\n")
 
 
-def write_rows(fh, header, rows, texts=None) -> None:
+def write_rows(fh, header, rows) -> None:
     """Write the header and then the rows to the text file fh.
 
-    Every row must have the header's width. texts, if given, turns the
-    columns of one block (an iterator of tuples) into its text columns:
-    the texts of one column, or of adjacent columns already joined by ",",
-    each field's text the one column_texts gives.
+    Every row must have the header's width.
     """
     width = len(header)
     _write_block(fh, zip(header), width, _column_texts)
-    texts = texts or _column_texts
     rows = iter(rows)
     while block := list(islice(rows, BLOCK_ROWS)):
         if set(map(len, block)) != {width}:
             raise ValueError(f"every CSV row must have {width} fields")
-        _write_block(fh, zip(*block), width, texts)
+        _write_block(fh, zip(*block), width, _column_texts)
 
 
 def write_columns(fh, header, columns, texts=None) -> None:
     """Write the header and then the rows of columns, sequences of one length.
 
-    texts, if given, is as for write_rows, given each block as slices of the
-    columns; without it each column's fields get column_texts. Columns of no
-    rows write the header alone."""
+    texts, if given, turns the columns of one block (slices of the columns)
+    into its text columns: the texts of one column, or of adjacent columns
+    already joined by ",", each field's text the one column_texts gives.
+    Without it each column's fields get column_texts. Columns of no rows
+    write the header alone."""
     width = len(header)
     _write_block(fh, zip(header), width, _column_texts)
     if len(set(map(len, columns))) != 1:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .controller import EVENT_SWITCH
 from .errors import ValidationError
-from .profiles import check_numbers
+from .profiles import check_fields
 
 # (w_e, w_d) pairs used by default for utility sweeps.
 DEFAULT_WEIGHT_GRID = ((0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.75, 0.25), (1.0, 0.0))
@@ -47,7 +47,7 @@ class UtilityParams:
     raw_violation_signs: bool = False
 
     def __post_init__(self) -> None:
-        check_numbers(self, "utility", ValidationError)
+        check_fields(self, "utility", ValidationError)
         for low, high in (("c_min", "c_max"), ("r_min", "r_max")):
             if getattr(self, low) > getattr(self, high):
                 raise ValidationError(

@@ -240,13 +240,19 @@ class ModelKpiSpec:
             raise ValidationError(f"b_mean must be >= 0 for model {self.model_id!r}")
 
 
-def is_finite_number(value) -> bool:
-    """An int or float that converts to a finite float; a bool is not one,
-    though bool is an int subclass."""
+def is_number(value) -> bool:
+    """An int or float, or any value that converts to a float; a bool is not
+    one, though bool is an int subclass."""
     try:
-        return not isinstance(value, bool) and math.isfinite(value)
+        math.isnan(value)
     except (TypeError, OverflowError):  # not a number, or an int too large for a float
         return False
+    return not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A number (see is_number) that is neither infinite nor NaN."""
+    return is_number(value) and math.isfinite(value)
 
 
 def is_integer(value) -> bool:
@@ -254,18 +260,49 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_numbers(record, section: str, error=ConfigError) -> None:
-    """Reject a config section record whose float field is not a finite
-    number, or whose int field is not an integer, naming the key
-    section.field as the YAML loader does. Records call it when built, so
-    the Python API turns away what the loader turns away."""
+# Declared field type (a string, under `from __future__ import annotations`),
+# or the kind of a pair entry, -> (test of a value, what it must be). A
+# "segment" entry may be non-finite: WorkloadConfig names it by its index.
+# A "bound" is a naive_thresholds rate bound, the last of which is .inf.
+SCALAR_TYPES = {
+    "int": (is_integer, "an integer"),
+    "float": (is_finite_number, "a finite number"),
+    "segment": (is_number, "a finite number"),
+    "bound": (lambda v: is_finite_number(v) or v == math.inf, "a finite number or .inf"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
+
+
+def _check_scalar(value, declared: str, key: str, error=ConfigError) -> None:
+    test, what = SCALAR_TYPES[declared]
+    if not test(value):
+        raise error(f"{key} must be {what}, got {value!r}")
+
+
+def check_fields(record, section: str = "", error=ConfigError) -> None:
+    """Check each field of a config record whose declared type SCALAR_TYPES
+    knows, naming the key section.field (or field, at the top level) as the
+    YAML file does. A config record calls it first when it is built, so a
+    value gets one check and one message, through YAML or the Python API.
+    Tuple fields are left to check_pairs, and record fields to their own
+    records."""
+    prefix = f"{section}." if section else ""
     for f in fields(record):
-        # Annotations are strings here (from __future__ import annotations).
-        value = getattr(record, f.name)
-        if f.type == "float" and not is_finite_number(value):
-            raise error(f"{section}.{f.name} must be a finite number, got {value!r}")
-        if f.type == "int" and not is_integer(value):
-            raise error(f"{section}.{f.name} must be an integer, got {value!r}")
+        if f.type in SCALAR_TYPES:
+            _check_scalar(getattr(record, f.name), f.type, prefix + f.name, error)
+
+
+def check_pairs(pairs, declared, key: str, names: str, error=ConfigError) -> None:
+    """Check a list of two-entry lists, each entry against its declared kind."""
+    if not isinstance(pairs, (list, tuple)) or any(
+        not isinstance(pair, (list, tuple)) or len(pair) != 2 for pair in pairs
+    ):
+        raise error(f"{key} must be a list of {names} pairs, got {pairs!r}")
+    for pair in pairs:
+        for value, kind in zip(pair, declared):
+            _check_scalar(value, kind, key, error)
 
 
 # Five-model synthetic family: system times span 45 ms to 766 ms and
@@ -290,12 +327,12 @@ class ProfilesConfig:
     models: tuple[ModelKpiSpec, ...] = DEFAULT_MODEL_FAMILY
 
     def __post_init__(self) -> None:
+        check_fields(self, "profiles")
         object.__setattr__(self, "models", tuple(self.models))
         if self.source not in ("generate", "csv"):
             raise ConfigError(f"profiles.source must be generate or csv, got {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise ConfigError("profiles.source=csv requires profiles.csv_path")
-        check_numbers(self, "profiles")
         if self.image_count < 1:
             raise ConfigError(f"profiles.image_count must be >= 1, got {self.image_count}")
         if not self.models:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -38,7 +39,7 @@ from . import controller as ctrl
 from .csvtext import TextMemo, column_texts, joined_texts, write_columns
 from .errors import ConfigError, ValidationError
 from .learning import DEFAULT_CI_LEVEL
-from .profiles import ModelProfile, check_numbers, image_order_mismatch
+from .profiles import ModelProfile, check_fields, check_pairs, image_order_mismatch
 
 RESULTS_CSV_HEADER = (
     "request_id",
@@ -107,7 +108,7 @@ DEFAULT_SEGMENTS = _BURST_CYCLE * 9
 
 @dataclass(frozen=True)
 class WorkloadConfig:
-    """The experiment's `workload` section, range-checked when it is built:
+    """The experiment's `workload` section, checked when it is built:
     (duration s, rate rps) segments, played in order, and a cap on arrivals."""
 
     segments: tuple[tuple[float, float], ...] = DEFAULT_SEGMENTS
@@ -115,7 +116,8 @@ class WorkloadConfig:
     arrival_process: str = "poisson"
 
     def __post_init__(self) -> None:
-        check_numbers(self, "workload")
+        check_fields(self, "workload")
+        check_pairs(self.segments, ("segment", "segment"), "workload.segments", "[duration, rate]")
         object.__setattr__(self, "segments", tuple((float(d), float(r)) for d, r in self.segments))
         if not self.segments:
             raise ConfigError("workload.segments needs at least one segment")
@@ -180,7 +182,7 @@ class SimulationConfig:
     initial_model: str = "xlarge"
 
     def __post_init__(self) -> None:
-        check_numbers(self, "simulation")
+        check_fields(self, "simulation")
         if self.worker_count < 1:
             raise ConfigError(f"simulation.worker_count must be >= 1, got {self.worker_count}")
         if self.tick_interval <= 0.0:
@@ -266,10 +268,36 @@ def generate_workload(spec: WorkloadSpec) -> list[float]:
 class Requests:
     """A request stream, one list per column: request j arrives at
     arrival_t[j] and is served from image row[j] under whichever model
-    serves it. len() counts requests."""
+    serves it. The stream runs forward in time: its arrival times are
+    finite, >= 0 and in non-decreasing order, checked once when it is
+    built. len() counts requests."""
 
     arrival_t: list
     row: list
+
+    def __post_init__(self) -> None:
+        times = self.arrival_t
+        if len(self.row) != len(times):
+            raise ConfigError(
+                f"the request stream has {len(times)} arrivals but {len(self.row)} image rows"
+            )
+        # One pass in C; a NaN anywhere fails the order test or a bound.
+        if times and 0.0 <= times[0] and times[-1] < math.inf and all(
+            map(operator.le, times, times[1:])
+        ):
+            return
+        previous = 0.0
+        for j, t in enumerate(times):
+            if not 0.0 <= t < math.inf:
+                raise ConfigError(
+                    f"the request stream's arrival_t[{j}] is {t}; it must be finite and >= 0"
+                )
+            if t < previous:
+                raise ConfigError(
+                    f"the request stream's arrival_t[{j}] is {t}, before arrival_t[{j - 1}] = "
+                    f"{previous}; arrivals must be in time order"
+                )
+            previous = t
 
     def __len__(self) -> int:
         return len(self.arrival_t)
@@ -288,7 +316,6 @@ class _Engine:
     """Event loop and serving state; doubles as the controller's system view."""
 
     def __init__(self, config: SimConfig, knowledge: ctrl.Knowledge):
-        self.knowledge = knowledge
         self.profiles = {p.model_id: p for p in config.profiles}
         # Per model, row i as (c, tau_model, tau_system, s_cpu, b) once drawn.
         self._rows = {p.model_id: [None] * len(p.image_id) for p in config.profiles}
@@ -451,14 +478,10 @@ def run_simulation(
 
     The run serves requests, or without it the stream of config's own
     workload and service_seed; a passed stream must draw only rows that the
-    profiles hold."""
+    profiles hold (Requests checks its own times when it is built)."""
     image_count = len(config.profiles[0].image_id)
     if requests is None:
         requests = build_requests(config.workload, config.service_seed, image_count)
-    elif len(requests.row) != len(requests):
-        raise ConfigError(
-            f"the request stream has {len(requests)} arrivals but {len(requests.row)} image rows"
-        )
     elif requests.row and not 0 <= min(requests.row) <= max(requests.row) < image_count:
         raise ConfigError(
             f"the request stream draws from {max(requests.row) + 1} images (rows "

@@ -16,7 +16,7 @@ from adamls import cli, simulator
 from adamls import config as cfgmod
 from adamls.errors import ConfigError
 from adamls.learning import CI_CSV_HEADER
-from adamls.profiles import ModelProfile, write_profiles
+from adamls.profiles import SCALAR_TYPES, ModelProfile, write_profiles
 
 
 def experiment_config_to_dict(config: cfgmod.ExperimentConfig) -> dict:
@@ -75,6 +75,9 @@ _SECTION_RECORDS = {
     for name, value in vars(cfgmod.ExperimentConfig()).items()
     if dataclasses.is_dataclass(value) and name != "naive_thresholds"
 }
+
+# Every config record: the experiment, its sections and the naive thresholds.
+_CONFIG_RECORDS = (cfgmod.ExperimentConfig, *_SECTION_RECORDS.values(), cfgmod.NaivePolicyConfig)
 
 # A YAML value of the wrong type for each declared field type (annotations
 # are strings in the section modules); "tuple" stands for every tuple type.
@@ -541,6 +544,82 @@ class TestLearnCommand:
         stall the engine, and a fractional window would never evict."""
         with pytest.raises(ValueError, match=rf"^{section}\.{key} must be {what}, got "):
             _SECTION_RECORDS[section](**{key: value})
+
+    @pytest.mark.parametrize(
+        "record, settings, raw, message",
+        [
+            (
+                cfgmod.UtilityParams, {"raw_violation_signs": "no"},
+                {"utility": {"raw_violation_signs": "no"}},
+                "utility.raw_violation_signs must be true or false, got 'no'",
+            ),
+            (
+                cfgmod.SimulationConfig, {"initial_model": 5},
+                {"simulation": {"initial_model": 5}},
+                "simulation.initial_model must be a string, got 5",
+            ),
+            (
+                cfgmod.ProfilesConfig, {"source": "csv", "csv_path": 5},
+                {"profiles": {"source": "csv", "csv_path": 5}},
+                "profiles.csv_path must be a string or null, got 5",
+            ),
+            (
+                cfgmod.WorkloadConfig, {"segments": (("10", 1.0),)},
+                {"workload": {"segments": [["10", 1.0]]}},
+                "workload.segments must be a finite number, got '10'",
+            ),
+            (
+                cfgmod.WorkloadConfig, {"segments": ((10.0, True),)},
+                {"workload": {"segments": [[10.0, True]]}},
+                "workload.segments must be a finite number, got True",
+            ),
+            (
+                cfgmod.NaivePolicyConfig, {"thresholds": ((True, "a"), (math.inf, "b"))},
+                {"naive_thresholds": [[True, "a"], [math.inf, "b"]]},
+                "naive_thresholds must be a finite number or .inf, got True",
+            ),
+            (
+                cfgmod.ExperimentConfig, {"weight_grid": ((math.nan, 1.0),)},
+                {"weight_grid": [[math.nan, 1.0]]},
+                "weight_grid must be a finite number, got nan",
+            ),
+            (
+                cfgmod.ExperimentConfig, {"master_seed": 2.5}, {"master_seed": 2.5},
+                "master_seed must be an integer, got 2.5",
+            ),
+            (
+                cfgmod.ExperimentConfig, {"policy": 3}, {"policy": 3},
+                "policy must be a string, got 3",
+            ),
+        ],
+        ids=[
+            "raw_violation_signs", "initial_model", "csv_path", "segment-string",
+            "segment-bool", "threshold-bool", "weight_grid-nan", "master_seed", "policy",
+        ],
+    )
+    def test_the_python_api_rejects_what_the_loader_rejects(self, record, settings, raw, message):
+        """A record checks every value it holds, with the loader's message: a
+        string raw_violation_signs would otherwise flip the penalty sign."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            record(**settings)
+        with pytest.raises(ConfigError, match=f"^<dict>: {re.escape(message)}$"):
+            cfgmod.experiment_config_from_dict(raw)
+
+    def test_every_scalar_field_has_a_type_the_checker_knows(self):
+        """check_fields checks the fields whose declared type SCALAR_TYPES
+        knows; a tuple field is checked by its record and a record field by
+        its own record. A field of any other type (say int | None) would go
+        unchecked."""
+        records = {record.__name__: record for record in _CONFIG_RECORDS}
+        unchecked = [
+            f"{name}.{f.name}: {f.type}"
+            for name, record in records.items()
+            for f in dataclasses.fields(record)
+            if f.type not in SCALAR_TYPES
+            and f.type not in records
+            and not f.type.startswith("tuple[")
+        ]
+        assert unchecked == []
 
     def test_integer_float_field_accepted(self):
         config = cfgmod.experiment_config_from_dict({"simulation": {"t_wait": 1}})

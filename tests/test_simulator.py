@@ -226,17 +226,37 @@ class TestSampling:
         assert abs(share - 0.5) <= 0.02
 
     @pytest.mark.parametrize(
-        "rows, message",
+        "arrival_t, rows, message",
         [
-            ([0, 5, 1], r"draws from 6 images \(rows 0 to 5\), but the profiles hold 5"),
-            ([0, -1, 1], r"draws from 2 images \(rows -1 to 1\), but the profiles hold 5"),
-            ([0, 1], r"has 3 arrivals but 2 image rows"),
+            (
+                [1.0, 2.0, 3.0], [0, 5, 1],
+                r"draws from 6 images \(rows 0 to 5\), but the profiles hold 5",
+            ),
+            (
+                [1.0, 2.0, 3.0], [0, -1, 1],
+                r"draws from 2 images \(rows -1 to 1\), but the profiles hold 5",
+            ),
+            ([1.0, 2.0, 3.0], [0, 1], r"has 3 arrivals but 2 image rows"),
+            (
+                [3.0, 1.0, 2.0], [0, 1, 2],
+                r"arrival_t\[1\] is 1.0, before arrival_t\[0\] = 3.0; arrivals must be in "
+                "time order",
+            ),
+            ([-5.0, 1.0], [0, 1], r"arrival_t\[0\] is -5.0; it must be finite and >= 0"),
+            ([1.0, math.nan, 2.0], [0, 1, 2], r"arrival_t\[1\] is nan; it must be finite"),
+            ([1.0, math.inf], [0, 1], r"arrival_t\[1\] is inf; it must be finite"),
+            ([math.nan], [0], r"arrival_t\[0\] is nan; it must be finite"),
         ],
-        ids=["row-past-the-end", "negative-row", "short-rows"],
+        ids=[
+            "row-past-the-end", "negative-row", "short-rows",
+            "unsorted", "negative-time", "nan-time", "inf-time", "lone-nan-time",
+        ],
     )
-    def test_a_passed_stream_must_fit_the_profiles(self, monkeypatch, rows, message):
-        """A stream is checked against the profiles' image count before the
-        first event, not found out by an IndexError inside a dispatch."""
+    def test_a_passed_stream_must_fit_the_profiles(self, monkeypatch, arrival_t, rows, message):
+        """A stream is checked before the first event: its rows against the
+        profiles' image count, not found out by an IndexError inside a
+        dispatch, and its times when it is built, so the clock never runs
+        backwards and no request arrives at a NaN or infinite time."""
         profile = constant_profile("m", 0.1)
         config = static_config(profile, deterministic_workload(3.0, 1.0))
 
@@ -245,7 +265,17 @@ class TestSampling:
 
         monkeypatch.setattr(simulator._Engine, "run", no_run)
         with pytest.raises(ConfigError, match=message):
-            run_simulation(config, requests=simulator.Requests([1.0, 2.0, 3.0], rows))
+            run_simulation(config, requests=simulator.Requests(arrival_t, rows))
+
+    def test_simultaneous_arrivals_are_a_stream(self):
+        """Arrival times need only not decrease: equal times are served in
+        request order."""
+        profile = constant_profile("m", 0.1)
+        config = static_config(profile, deterministic_workload(3.0, 1.0))
+        requests = simulator.Requests([0.0, 1.0, 1.0], [0, 1, 2])
+        completions, _ = run_simulation(config, requests=requests)
+        assert completions.request_id == [0, 1, 2]
+        assert completions.start_t == pytest.approx([0.0, 1.0, 1.1])
 
     def test_each_request_holds_the_row_it_drew(self, tiny_profiles):
         """row is the drawn profile index, and kpis that row's shared tuple."""
