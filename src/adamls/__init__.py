@@ -13,7 +13,8 @@ from .learning import CiEntry, CiMatrix, run_learning_engine
 from .metrics import UtilityParams, utility_per_request
 from .profiles import KpiRecord, ModelKpiSpec, ModelProfile, ProfilesConfig, generate_profiles
 from .simulator import (
-    Completions, SimConfig, SimulationConfig, WorkloadConfig, WorkloadSpec, run_simulation,
+    Completions, Requests, SimConfig, SimulationConfig, WorkloadConfig, WorkloadSpec,
+    build_requests, run_simulation,
 )
 
 __version__ = "0.1.0"
@@ -31,12 +32,14 @@ __all__ = [
     "NaivePolicyConfig",
     "PlannerInput",
     "ProfilesConfig",
+    "Requests",
     "SimConfig",
     "SimulationConfig",
     "SystemState",
     "UtilityParams",
     "WorkloadConfig",
     "WorkloadSpec",
+    "build_requests",
     "generate_profiles",
     "run_learning_engine",
     "run_simulation",

@@ -26,13 +26,11 @@ from pathlib import Path
 from . import config as cfgmod
 from .controller import Knowledge
 from .csvtext import write_rows
-from .errors import AdamlsError
+from .errors import AdamlsError, RuleError
 from .learning import attach_anchor_stats, read_ci_matrix, write_ci_matrix
 from .metrics import RunSummary, UtilityParams, UtilityTerms, running_total, summarize
 from .profiles import write_profiles
-from .simulator import (
-    ResultTexts, build_requests, run_simulation, write_event_log_csv, write_results_csv,
-)
+from .simulator import ResultTexts, run_simulation, write_event_log_csv, write_results_csv
 
 SUMMARY_CSV_HEADER = (
     "policy", "requests", "switches", "avg_c", "avg_r", "avg_s_cpu", "r_penalties", "c_penalties"
@@ -101,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> cfgmod.ExperimentConfig:
-    config = cfgmod.ExperimentConfig()
+    config = cfgmod.DEFAULT_CONFIG
     if args.config is not None:
         config = cfgmod.load_experiment_config(args.config)
     flags = vars(args)
@@ -150,15 +148,19 @@ def _load_rule_matrices(config: cfgmod.ExperimentConfig, profiles) -> dict:
             raise AdamlsError(
                 f"missing rule file {path}; run the learn command first"
             )
-        matrices[profile.model_id] = attach_anchor_stats(read_ci_matrix(path), profile)
+        matrix = read_ci_matrix(path)
+        try:
+            matrices[profile.model_id] = attach_anchor_stats(matrix, profile)
+        except RuleError as exc:
+            raise RuleError(f"{path}: {exc}") from exc
     return matrices
 
 
-def _run_policy(config: cfgmod.ExperimentConfig, label: str, profiles, matrices, requests=None):
+def _run_policy(config: cfgmod.ExperimentConfig, label: str, profiles, matrices, requests):
     policy_spec = cfgmod.parse_policy_label(label, config)
     knowledge = Knowledge(adaptation_rule_repository=dict(matrices))
     sim_config = cfgmod.build_sim_config(config, policy_spec, profiles)
-    completions, events = run_simulation(sim_config, knowledge, requests)
+    completions, events = run_simulation(sim_config, requests, knowledge)
     summary = summarize(
         completions,
         events,
@@ -173,10 +175,11 @@ def run_simulate(config: cfgmod.ExperimentConfig) -> int:
     out_dir = Path(config.output_dir)
     profiles = cfgmod.resolve_profiles(config)
     needs_rules = cfgmod.checked_policy(config, profiles).kind == "adamls"
+    requests = cfgmod.build_request_stream(config, profiles)
+    matrices = _load_rule_matrices(config, profiles) if needs_rules else {}
     out_dir.mkdir(parents=True, exist_ok=True)
     label = config.policy
-    matrices = _load_rule_matrices(config, profiles) if needs_rules else {}
-    completions, events, summary = _run_policy(config, label, profiles, matrices)
+    completions, events, summary = _run_policy(config, label, profiles, matrices, requests)
     stem = cfgmod.policy_dir_name(label)
     write_results_csv(completions, out_dir / f"results_{stem}.csv")
     write_event_log_csv(events, out_dir / f"events_{stem}.csv")
@@ -199,11 +202,7 @@ def _compare(config: cfgmod.ExperimentConfig, profiles) -> list[RunSummary]:
     summaries: list[RunSummary] = []
     texts = ResultTexts()
     # Common random numbers: every policy serves this one request stream.
-    requests = build_requests(
-        cfgmod.build_workload_spec(config),
-        cfgmod.derive_seed(config.master_seed, "service"),
-        len(profiles[0].image_id),
-    )
+    requests = cfgmod.build_request_stream(config, profiles)
     # report --timeseries derives this file from the results rewritten below.
     (out_dir / "utility_timeseries.csv").unlink(missing_ok=True)
     for label in labels:

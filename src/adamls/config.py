@@ -34,7 +34,9 @@ from .profiles import (
     generate_profiles,
     load_profiles,
 )
-from .simulator import PolicySpec, SimConfig, SimulationConfig, WorkloadConfig, WorkloadSpec
+from .simulator import (
+    PolicySpec, Requests, SimConfig, SimulationConfig, WorkloadConfig, WorkloadSpec, build_requests,
+)
 
 # learn writes rules/<model id>.csv per model and this report beside them.
 CLUSTERING_REPORT = "clustering_report"
@@ -91,6 +93,11 @@ class ExperimentConfig:
             if value < 0:
                 raise ConfigError(f"weight_grid weights must be >= 0, got {value!r}")
         object.__setattr__(self, "weight_grid", grid)
+
+
+# Built and checked once: every load starts from it, as does a command run
+# without --config.
+DEFAULT_CONFIG = ExperimentConfig()
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -189,15 +196,24 @@ def build_workload_spec(config: ExperimentConfig) -> WorkloadSpec:
     return WorkloadSpec(config.workload, seed=derive_seed(config.master_seed, "workload"))
 
 
+def build_request_stream(config: ExperimentConfig, profiles) -> Requests:
+    """The experiment's one request stream: the workload's arrivals, each
+    with an image row of profiles drawn from the service sub-seed. Every run
+    of a compare serves it (common random numbers)."""
+    return build_requests(
+        build_workload_spec(config),
+        derive_seed(config.master_seed, "service"),
+        len(profiles[0].image_id),
+    )
+
+
 def build_sim_config(
     config: ExperimentConfig, policy: PolicySpec, profiles
 ) -> SimConfig:
     return SimConfig(
-        workload=build_workload_spec(config),
         profiles=tuple(profiles),
         policy=policy,
         simulation=config.simulation,
-        service_seed=derive_seed(config.master_seed, "service"),
         ci_level=config.learning.ci_level,
     )
 
@@ -229,7 +245,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 def experiment_config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     """raw's keys on the default records; each record checks its values."""
-    defaults = ExperimentConfig()
+    defaults = DEFAULT_CONFIG
     keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"source"}
     unknown = set(raw) - keys
     if unknown:

@@ -216,6 +216,7 @@ class ModelKpiSpec:
     b_std: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_scalar(self.model_id, "str", "model_id", ValidationError)
         for f in fields(self):
             value = getattr(self, f.name)
             # Annotations are strings here (from __future__ import annotations).

@@ -4,7 +4,9 @@ A run serves one request stream (Requests): request j arrives at
 arrival_t[j] and is served from image row[j], whichever model serves it.
 build_requests draws both from seeded RNGs, so runs are exactly
 reproducible, and the runs of one compare share one stream (common random
-numbers). Requests wait in an unbounded FIFO queue and are served by
+numbers). run_simulation takes its stream as given and builds none of its
+own; config.build_request_stream derives an experiment's one stream from its
+master seed. Requests wait in an unbounded FIFO queue and are served by
 interchangeable workers; a request's service duration and KPIs come from
 its row of the active model's profile, read the first time a run serves
 that row and cached for the rest of the run. The switching policy runs at
@@ -39,7 +41,7 @@ from . import controller as ctrl
 from .csvtext import TextMemo, column_texts, joined_texts, write_columns
 from .errors import ConfigError, ValidationError
 from .learning import DEFAULT_CI_LEVEL
-from .profiles import ModelProfile, check_fields, check_pairs, image_order_mismatch
+from .profiles import ModelProfile, check_fields, check_pairs, image_order_mismatch, is_integer
 
 RESULTS_CSV_HEADER = (
     "request_id",
@@ -196,7 +198,8 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one simulation run depends on, seeds included.
+    """Everything one simulation run depends on but its request stream,
+    which run_simulation takes as given.
 
     The profiles must share one image order (see
     profiles.image_order_mismatch), so that a drawn row index names one image
@@ -204,11 +207,9 @@ class SimConfig:
     at; the live CIs use it too.
     """
 
-    workload: WorkloadSpec
     profiles: tuple[ModelProfile, ...]
     policy: PolicySpec
     simulation: SimulationConfig
-    service_seed: int = 0
     ci_level: float = DEFAULT_CI_LEVEL
 
     def __post_init__(self) -> None:
@@ -269,8 +270,8 @@ class Requests:
     """A request stream, one list per column: request j arrives at
     arrival_t[j] and is served from image row[j] under whichever model
     serves it. The stream runs forward in time: its arrival times are
-    finite, >= 0 and in non-decreasing order, checked once when it is
-    built. len() counts requests."""
+    finite, >= 0 and in non-decreasing order, and its rows are ints, checked
+    once when it is built. len() counts requests."""
 
     arrival_t: list
     row: list
@@ -281,6 +282,9 @@ class Requests:
             raise ConfigError(
                 f"the request stream has {len(times)} arrivals but {len(self.row)} image rows"
             )
+        if not all(map(is_integer, self.row)):
+            j, row = next((j, row) for j, row in enumerate(self.row) if not is_integer(row))
+            raise ConfigError(f"the request stream's row[{j}] is {row!r}; it must be an integer")
         # One pass in C; a NaN anywhere fails the order test or a bound.
         if times and 0.0 <= times[0] and times[-1] < math.inf and all(
             map(operator.le, times, times[1:])
@@ -471,18 +475,17 @@ def _build_policy(config: SimConfig, knowledge: ctrl.Knowledge):
 
 
 def run_simulation(
-    config: SimConfig, knowledge: ctrl.Knowledge | None = None, requests: Requests | None = None
+    config: SimConfig, requests: Requests, knowledge: ctrl.Knowledge | None = None
 ) -> tuple[Completions, ctrl.EventLog]:
-    """Run one full simulation; returns its Completions (by finish time) and
-    the EventLog its policy wrote to the knowledge's event_log.
+    """Serve requests under config; returns the run's Completions (by
+    finish time) and the EventLog its policy wrote to the knowledge's
+    event_log.
 
-    The run serves requests, or without it the stream of config's own
-    workload and service_seed; a passed stream must draw only rows that the
-    profiles hold (Requests checks its own times when it is built)."""
+    The stream must draw only rows that the profiles hold, checked before
+    the first event (Requests checks its own times and row types when it
+    is built)."""
     image_count = len(config.profiles[0].image_id)
-    if requests is None:
-        requests = build_requests(config.workload, config.service_seed, image_count)
-    elif requests.row and not 0 <= min(requests.row) <= max(requests.row) < image_count:
+    if requests.row and not 0 <= min(requests.row) <= max(requests.row) < image_count:
         raise ConfigError(
             f"the request stream draws from {max(requests.row) + 1} images (rows "
             f"{min(requests.row)} to {max(requests.row)}), but the profiles hold {image_count}"

@@ -141,6 +141,7 @@ def test_criterion_5_des_invariant_suite(tmp_path, tiny_profiles):
             SimulationConfig,
             WorkloadConfig,
             WorkloadSpec,
+            build_requests,
         )
 
         # Offered load (~2240) clearly exceeds the cap, so the run always
@@ -153,15 +154,14 @@ def test_criterion_5_des_invariant_suite(tmp_path, tiny_profiles):
             seed=77,
         )
         config = SimConfig(
-            workload=workload,
             profiles=tuple(tiny_profiles),
             policy=PolicySpec(kind="static", static_model="fast"),
             simulation=SimulationConfig(initial_model="fast"),
-            service_seed=5,
         )
         digests = []
         for attempt in range(2):
-            completions, _ = run_simulation(config)
+            requests = build_requests(workload, 5, len(tiny_profiles[0].image_id))
+            completions, _ = run_simulation(config, requests)
             arrivals = generate_workload(workload)
             # Conservation: every arrival completes exactly once.
             assert len(completions) == len(arrivals) == 2000
@@ -190,12 +190,13 @@ def _run_seed(master_seed):
     profiles = cfgmod.resolve_profiles(config)
     rules = cfgmod.learn_rules(config, profiles)
     matrices = {m: r.ci_matrix for m, r in rules.items()}
+    requests = cfgmod.build_request_stream(config, profiles)
     summaries = {}
     for label in cfgmod.compare_policy_labels(config, profiles):
         spec = cfgmod.parse_policy_label(label, config)
         knowledge = Knowledge(adaptation_rule_repository=dict(matrices))
         completions, events = run_simulation(
-            cfgmod.build_sim_config(config, spec, profiles), knowledge
+            cfgmod.build_sim_config(config, spec, profiles), requests, knowledge
         )
         summaries[label] = summarize(
             completions, events, weight_grid=config.weight_grid, params=config.utility,

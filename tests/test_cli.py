@@ -63,6 +63,12 @@ _MODEL_M = (
     "s_cpu_mean: 50.0, b_mean: 4.0}"
 )
 
+# One model's profiles.models entry, as keyword arguments.
+_MODEL_SPEC = dict(
+    model_id="m", tau_system_mean=0.1, tau_system_std=0.01, c_mean=0.6, c_std=0.05,
+    s_cpu_mean=50.0, b_mean=4.0,
+)
+
 
 def _model(model_id: str) -> str:
     """_MODEL_M with another model id, as a YAML double-quoted string."""
@@ -591,10 +597,16 @@ class TestLearnCommand:
                 cfgmod.ExperimentConfig, {"policy": 3}, {"policy": 3},
                 "policy must be a string, got 3",
             ),
+            (
+                cfgmod.ModelKpiSpec, {**_MODEL_SPEC, "model_id": 5},
+                {"profiles": {"models": [{**_MODEL_SPEC, "model_id": 5}]}},
+                "model_id must be a string, got 5",
+            ),
         ],
         ids=[
             "raw_violation_signs", "initial_model", "csv_path", "segment-string",
             "segment-bool", "threshold-bool", "weight_grid-nan", "master_seed", "policy",
+            "model_id",
         ],
     )
     def test_the_python_api_rejects_what_the_loader_rejects(self, record, settings, raw, message):
@@ -641,6 +653,7 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert "learn" in err
+        assert not out.exists()
 
     def test_adamls_after_learn(self, tmp_path, tiny_config):
         out = tmp_path / "out"
@@ -686,6 +699,21 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", str(path), "--policy", policy]) == 1
         err = capsys.readouterr().err
         assert f"{path}: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_a_workload_without_arrivals_fails_before_writing(
+        self, tmp_path, tiny_config, capsys
+    ):
+        """simulate builds its request stream before it creates --out."""
+        out = tmp_path / "out"
+        workload = dataclasses.replace(tiny_config.workload, segments=((5.0, 0.0),))
+        path = write_config(
+            tmp_path, tiny_config, output_dir=str(out), policy="static:fast", workload=workload
+        )
+        assert cli.main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "workload produces no arrivals" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -802,13 +830,13 @@ class TestCompareCommand:
         """Common random numbers: every policy of a compare serves its one
         request stream, so request j arrives at the stream's arrival_t[j] and
         is served from its row[j] under every policy, and that row names one
-        image in every profile."""
+        image in every profile. The stream is build_request_stream's."""
         out, path = compared
         streams, drawn = [], {}
         run = cli.run_simulation
 
-        def recording(sim_config, knowledge, requests):
-            completions, events = run(sim_config, knowledge, requests)
+        def recording(sim_config, requests, knowledge):
+            completions, events = run(sim_config, requests, knowledge)
             streams.append(requests)
             drawn[sim_config.policy.label] = completions
             return completions, events
@@ -824,9 +852,13 @@ class TestCompareCommand:
             assert completions.row == [stream.row[j] for j in ids]
             assert completions.arrival_t == [stream.arrival_t[j] for j in ids]
         assert len(set(stream.row)) > 1
-        profiles = cfgmod.resolve_profiles(dataclasses.replace(tiny_config, output_dir=str(out)))
+        config = dataclasses.replace(tiny_config, output_dir=str(out))
+        profiles = cfgmod.resolve_profiles(config)
         for row in stream.row:
             assert len({p.image_id[row] for p in profiles}) == 1
+        built = cfgmod.build_request_stream(config, profiles)
+        assert stream.arrival_t == built.arrival_t
+        assert stream.row == built.row
 
     def test_one_request_stream_per_compare(self, compared, monkeypatch):
         """compare generates its workload once, however many policies it runs."""
@@ -927,10 +959,14 @@ class TestBadRuleFiles:
                 r"rules of anchor model 'fast' cover models \['fast'\], "
                 r"but the profiled models are \['fast', 'slow'\]",
             ),
+            (
+                lambda rows: [{**r, "anchor_model": "slow"} for r in rows],
+                r"rules[/\\]fast\.csv: profile 'fast' does not match anchor 'slow'",
+            ),
         ],
         ids=[
             "tau-low-zero", "tau-low-negative", "non-finite", "low-above-high", "n-zero",
-            "missing-entry", "renamed-model", "dropped-model",
+            "missing-entry", "renamed-model", "dropped-model", "anchor-of-another-model",
         ],
     )
     def test_compare_rejects_before_any_run(

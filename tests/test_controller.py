@@ -212,7 +212,8 @@ def test_adamls_run_matches_only_when_window_or_model_changes(tiny_config, monke
     sim_config = cfgmod.build_sim_config(
         tiny_config, cfgmod.parse_policy_label("adamls", tiny_config), profiles
     )
-    completions, events = run_simulation(sim_config, knowledge)
+    requests = cfgmod.build_request_stream(tiny_config, profiles)
+    completions, events = run_simulation(sim_config, requests, knowledge)
     switches = events.event.count("SWITCH")
     assert switches > 0
     assert 0 < len(calls) <= len(completions) + switches + 1
@@ -264,7 +265,7 @@ def test_adamls_run_reads_live_c_only_when_covered_and_plans_like_the_oracle(
     sim_config = cfgmod.build_sim_config(
         tiny_config, cfgmod.parse_policy_label("adamls", tiny_config), profiles
     )
-    run_simulation(sim_config, knowledge)
+    run_simulation(sim_config, cfgmod.build_request_stream(tiny_config, profiles), knowledge)
     assert True in covered and False in covered
 
 
@@ -295,7 +296,9 @@ def test_decision_rows_replay_from_the_log_alone(tiny_config, variant):
     sim_config = cfgmod.build_sim_config(
         config, cfgmod.parse_policy_label("adamls", config), profiles
     )
-    _, events = run_simulation(sim_config, knowledge)
+    _, events = run_simulation(
+        sim_config, cfgmod.build_request_stream(config, profiles), knowledge
+    )
     kinds = events.event
     assert "MONITOR" not in kinds
     plans = kinds.count("PLAN")
@@ -327,7 +330,7 @@ def test_naive_switches_replay_from_their_plan_rows(tiny_config, variant):
     sim_config = cfgmod.build_sim_config(
         config, cfgmod.parse_policy_label("naive", config), profiles
     )
-    _, events = run_simulation(sim_config)
+    _, events = run_simulation(sim_config, cfgmod.build_request_stream(config, profiles))
     kinds = events.event
     switches = kinds.count("SWITCH")
     assert switches > 0 and kinds.count("PLAN") == switches and len(events) == 2 * switches

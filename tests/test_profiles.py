@@ -15,6 +15,7 @@ from adamls.simulator import (
     SimulationConfig,
     WorkloadConfig,
     WorkloadSpec,
+    build_requests,
     run_simulation,
 )
 from adamls.profiles import (
@@ -410,12 +411,11 @@ def test_huge_counts_stay_exact_python_ints(tmp_path):
         WorkloadConfig(segments=((10.0, 1.0),), max_requests=5, arrival_process="deterministic"),
     )
     config = SimConfig(
-        workload=workload,
         profiles=(profile,),
         policy=PolicySpec(kind="static", static_model="m"),
         simulation=SimulationConfig(initial_model="m"),
     )
-    completions, _ = run_simulation(config)
+    completions, _ = run_simulation(config, build_requests(workload, 0, len(profile.image_id)))
     assert [type(kpis[4]) for kpis in completions.kpis] == [int] * 5
     assert {kpis[4] for kpis in completions.kpis} == {2**70}
 

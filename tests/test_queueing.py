@@ -21,6 +21,7 @@ from adamls.simulator import (
     SimulationConfig,
     WorkloadConfig,
     WorkloadSpec,
+    build_requests,
     run_simulation,
 )
 
@@ -46,13 +47,12 @@ def static_run(profiles, model, rate, requests, workers=1, seed=1):
         seed=seed,
     )
     config = SimConfig(
-        workload=workload,
         profiles=profiles,
         policy=PolicySpec("static", static_model=model),
         simulation=SimulationConfig(initial_model=model, worker_count=workers),
-        service_seed=seed + 1,
     )
-    completions, events = run_simulation(config)
+    stream = build_requests(workload, seed + 1, len(profiles[0].image_id))
+    completions, events = run_simulation(config, stream)
     assert len(events) == 0  # no switch, so intake never pauses
     assert len(completions) == requests
     return sorted(served_rows(completions), key=attrgetter("request_id"))

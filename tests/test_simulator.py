@@ -24,6 +24,7 @@ from adamls.simulator import (
     SimulationConfig,
     WorkloadConfig,
     WorkloadSpec,
+    build_requests,
     generate_workload,
     run_simulation,
     write_event_log_csv,
@@ -41,14 +42,18 @@ def constant_profile(model_id, tau_system, c=0.6, overhead=0.005):
     return generate_profiles(spec, seed=0)[0]
 
 
-def static_config(profile, workload, service_seed=0, **settings):
+def static_config(profile, **settings):
     return SimConfig(
-        workload=workload,
         profiles=(profile,),
         policy=PolicySpec(kind="static", static_model=profile.model_id),
         simulation=SimulationConfig(initial_model=profile.model_id, **settings),
-        service_seed=service_seed,
     )
+
+
+def stream(workload, profile, service_seed=0):
+    """workload's request stream, its rows drawn from profile's images (the
+    profiles of one run share them)."""
+    return build_requests(workload, service_seed, len(profile.image_id))
 
 
 class TestWorkload:
@@ -200,7 +205,9 @@ class TestSampling:
     def test_single_record_profile_is_forced(self):
         profile = constant_profile("m", 0.1)
         single = ModelProfile.of_records("m", profile.records[:1])
-        completions, _ = run_simulation(static_config(single, deterministic_workload(10.0, 1.0)))
+        completions, _ = run_simulation(
+            static_config(single), stream(deterministic_workload(10.0, 1.0), single)
+        )
         assert len(completions) == 10
         assert set(completions.kpis) == {profile_kpis(single.records[0])}
         assert set(completions.row) == {0}
@@ -210,7 +217,9 @@ class TestSampling:
         workload = deterministic_workload(25.0, 2.0)
 
         def rows(service_seed):
-            completions, _ = run_simulation(static_config(profile, workload, service_seed))
+            completions, _ = run_simulation(
+                static_config(profile), stream(workload, profile, service_seed)
+            )
             return completions.kpis
 
         assert rows(9) == rows(9)
@@ -219,7 +228,7 @@ class TestSampling:
     def test_two_record_frequency(self):
         two = profile_of_rows("m", (0.6, 0.05), (0.7, 0.05))
         completions, _ = run_simulation(
-            static_config(two, deterministic_workload(1000.0, 10.0), service_seed=31)
+            static_config(two), stream(deterministic_workload(1000.0, 10.0), two, service_seed=31)
         )
         assert len(completions) == 10_000
         share = sum(1 for kpis in completions.kpis if kpis[0] == 0.6) / 10_000
@@ -246,19 +255,24 @@ class TestSampling:
             ([1.0, math.nan, 2.0], [0, 1, 2], r"arrival_t\[1\] is nan; it must be finite"),
             ([1.0, math.inf], [0, 1], r"arrival_t\[1\] is inf; it must be finite"),
             ([math.nan], [0], r"arrival_t\[0\] is nan; it must be finite"),
+            ([1.0, 2.0], [1.0, 2.0], r"row\[0\] is 1\.0; it must be an integer"),
+            ([1.0, 2.0], [True, 2], r"row\[0\] is True; it must be an integer"),
+            ([1.0, 2.0], [0, "1"], r"row\[1\] is '1'; it must be an integer"),
         ],
         ids=[
             "row-past-the-end", "negative-row", "short-rows",
             "unsorted", "negative-time", "nan-time", "inf-time", "lone-nan-time",
+            "float-row", "bool-row", "str-row",
         ],
     )
     def test_a_passed_stream_must_fit_the_profiles(self, monkeypatch, arrival_t, rows, message):
         """A stream is checked before the first event: its rows against the
         profiles' image count, not found out by an IndexError inside a
-        dispatch, and its times when it is built, so the clock never runs
-        backwards and no request arrives at a NaN or infinite time."""
+        dispatch, and its times and row types when it is built, so the clock
+        never runs backwards, no request arrives at a NaN or infinite time,
+        and no row is read as a float index or a numpy boolean mask."""
         profile = constant_profile("m", 0.1)
-        config = static_config(profile, deterministic_workload(3.0, 1.0))
+        config = static_config(profile)
 
         def no_run(engine, requests):
             pytest.fail("a stream that does not fit reached the event loop")
@@ -271,7 +285,7 @@ class TestSampling:
         """Arrival times need only not decrease: equal times are served in
         request order."""
         profile = constant_profile("m", 0.1)
-        config = static_config(profile, deterministic_workload(3.0, 1.0))
+        config = static_config(profile)
         requests = simulator.Requests([0.0, 1.0, 1.0], [0, 1, 2])
         completions, _ = run_simulation(config, requests=requests)
         assert completions.request_id == [0, 1, 2]
@@ -280,7 +294,9 @@ class TestSampling:
     def test_each_request_holds_the_row_it_drew(self, tiny_profiles):
         """row is the drawn profile index, and kpis that row's shared tuple."""
         profile = next(p for p in tiny_profiles if p.model_id == "fast")
-        completions, _ = run_simulation(static_config(profile, deterministic_workload(50.0, 2.0)))
+        completions, _ = run_simulation(
+            static_config(profile), stream(deterministic_workload(50.0, 2.0), profile)
+        )
         assert len(set(completions.row)) > 1
         shared = {}
         for row, kpis in zip(completions.row, completions.kpis):
@@ -319,9 +335,9 @@ class TestEventOrder:
 
     def run(self, monkeypatch, recorder):
         profile = profile_of_rows("m", (0.6, 1.0))
-        config = static_config(profile, deterministic_workload(3.0, 1.0), tick_interval=0.5)
+        config = static_config(profile, tick_interval=0.5)
         monkeypatch.setattr(simulator, "_build_policy", lambda config, knowledge: recorder)
-        completions, _ = run_simulation(config)
+        completions, _ = run_simulation(config, stream(deterministic_workload(3.0, 1.0), profile))
         return completions
 
     def test_completion_runs_before_an_arrival_at_its_instant(self, monkeypatch):
@@ -399,7 +415,7 @@ class TestRunSimulation:
                 arrival_process="deterministic",
             ),
         )
-        completions, _ = run_simulation(static_config(profile, workload))
+        completions, _ = run_simulation(static_config(profile), stream(workload, profile))
         assert len(completions) == 10
         assert completions.r == pytest.approx([0.1] * 10)
 
@@ -414,7 +430,7 @@ class TestRunSimulation:
                 arrival_process="deterministic",
             ),
         )
-        completions, _ = run_simulation(static_config(profile, workload))
+        completions, _ = run_simulation(static_config(profile), stream(workload, profile))
         assert completions.r == pytest.approx([1.0, 1.5])
         assert completions.start_t[1] == pytest.approx(completions.finish_t[0])
 
@@ -427,7 +443,7 @@ class TestRunSimulation:
                 arrival_process="deterministic",
             ),
         )
-        completions, _ = run_simulation(static_config(profile, workload))
+        completions, _ = run_simulation(static_config(profile), stream(workload, profile))
         quarters = [completions.r[i : i + 40] for i in range(0, 160, 40)]
         means = [statistics.fmean(q) for q in quarters]
         assert all(m1 < m2 for m1, m2 in zip(means, means[1:]))
@@ -438,7 +454,7 @@ class TestRunSimulation:
             seed=5,
         )
         profile = next(p for p in tiny_profiles if p.model_id == "fast")
-        completions, _ = run_simulation(static_config(profile, workload))
+        completions, _ = run_simulation(static_config(profile), stream(workload, profile))
         arrivals = generate_workload(workload)
         assert len(completions) == len(arrivals)
         assert sorted(completions.request_id) == list(range(len(arrivals)))
@@ -456,12 +472,11 @@ class TestRunSimulation:
         workload = WorkloadSpec(WorkloadConfig(segments=((20.0, 3.0),), max_requests=50), seed=2)
         profile = next(p for p in tiny_profiles if p.model_id == "slow")
         config = SimConfig(
-            workload=workload,
             profiles=tuple(tiny_profiles),
             policy=PolicySpec(kind="static", static_model="slow"),
             simulation=SimulationConfig(initial_model="fast"),
         )
-        completions, events = run_simulation(config)
+        completions, events = run_simulation(config, stream(workload, profile))
         assert set(completions.model_id) == {"slow"}
         assert "SWITCH" not in events.event
 
@@ -471,7 +486,6 @@ class TestRunSimulation:
             seed=3,
         )
         config = SimConfig(
-            workload=workload,
             profiles=tuple(tiny_profiles),
             policy=PolicySpec(
                 kind="naive",
@@ -479,7 +493,7 @@ class TestRunSimulation:
             ),
             simulation=SimulationConfig(initial_model="slow"),
         )
-        completions, events = run_simulation(config)
+        completions, events = run_simulation(config, stream(workload, tiny_profiles[0]))
         switches = events.event.count("SWITCH")
         assert switches >= 2  # up at the ramp, back down after it
         models = completions.model_id
@@ -494,7 +508,6 @@ class TestRunSimulation:
             seed=3,
         )
         config = SimConfig(
-            workload=workload,
             profiles=tuple(tiny_profiles),
             policy=PolicySpec(
                 kind="naive",
@@ -502,7 +515,7 @@ class TestRunSimulation:
             ),
             simulation=SimulationConfig(initial_model="slow", switch_latency=0.05),
         )
-        completions, events = run_simulation(config)
+        completions, events = run_simulation(config, stream(workload, tiny_profiles[0]))
         switch_times = [ev.sim_time for ev in event_rows(events) if ev.event == "SWITCH"]
         assert switch_times
         for t in switch_times:
@@ -518,7 +531,7 @@ class TestRunSimulation:
         digests = []
         for run in range(2):
             completions, _ = run_simulation(
-                static_config(profile, workload, service_seed=17)
+                static_config(profile), stream(workload, profile, service_seed=17)
             )
             path = tmp_path / f"run{run}.csv"
             write_results_csv(completions, path)
@@ -529,7 +542,7 @@ class TestRunSimulation:
         workload = WorkloadSpec(WorkloadConfig(segments=((10.0, 8.0),), max_requests=200), seed=6)
         profile = next(p for p in tiny_profiles if p.model_id == "slow")
         completions, _ = run_simulation(
-            static_config(profile, workload, worker_count=3)
+            static_config(profile, worker_count=3), stream(workload, profile)
         )
         assert len(completions) == len(generate_workload(workload))
         # Three workers at most in flight at any completion boundary.
@@ -554,7 +567,7 @@ class TestRunSimulation:
         )
         profile = next(p for p in tiny_profiles if p.model_id == "fast")
         completions, _ = run_simulation(
-            static_config(profile, workload, network_delay=0.2)
+            static_config(profile, network_delay=0.2), stream(workload, profile)
         )
         for rec in served_rows(completions):
             assert rec.r == pytest.approx(rec.finish_t - rec.arrival_t + 0.2)
@@ -563,13 +576,12 @@ class TestRunSimulation:
     def test_adamls_requires_rules(self, tiny_profiles):
         workload = WorkloadSpec(WorkloadConfig(segments=((5.0, 2.0),), max_requests=10), seed=1)
         config = SimConfig(
-            workload=workload,
             profiles=tuple(tiny_profiles),
             policy=PolicySpec(kind="adamls"),
             simulation=SimulationConfig(initial_model="fast"),
         )
         with pytest.raises(ConfigError, match="learning engine"):
-            run_simulation(config, Knowledge())
+            run_simulation(config, stream(workload, tiny_profiles[0]), Knowledge())
 
     def test_adamls_loop_runs_and_logs(self, tiny_profiles):
         rules = cfgmod.learn_rules(
@@ -583,12 +595,11 @@ class TestRunSimulation:
             seed=8,
         )
         config = SimConfig(
-            workload=workload,
             profiles=tuple(tiny_profiles),
             policy=PolicySpec(kind="adamls"),
             simulation=SimulationConfig(initial_model="slow"),
         )
-        completions, events = run_simulation(config, knowledge)
+        completions, events = run_simulation(config, stream(workload, tiny_profiles[0]), knowledge)
         assert len(completions) == len(generate_workload(workload))
         kinds = set(events.event)
         assert kinds >= {"ANALYZE_TRIGGER", "PLAN"}
@@ -597,24 +608,20 @@ class TestRunSimulation:
         assert completions.finish_t == sorted(completions.finish_t)
 
     def test_config_validation(self, tiny_profiles):
-        workload = WorkloadSpec(WorkloadConfig(segments=((5.0, 2.0),), max_requests=10))
         with pytest.raises(ConfigError):
             SimConfig(
-                workload=workload,
                 profiles=tuple(tiny_profiles),
                 policy=PolicySpec(kind="static", static_model="ghost"),
                 simulation=SimulationConfig(initial_model="fast"),
             )
         with pytest.raises(ConfigError):
             SimConfig(
-                workload=workload,
                 profiles=tuple(tiny_profiles),
                 policy=PolicySpec(kind="adamls"),
                 simulation=SimulationConfig(initial_model="ghost"),
             )
         with pytest.raises(ConfigError):
             SimConfig(
-                workload=workload,
                 profiles=(),
                 policy=PolicySpec(kind="adamls"),
                 simulation=SimulationConfig(initial_model="fast"),
@@ -637,7 +644,6 @@ class TestRunSimulation:
         mixed = tuple(nano if p.model_id == "nano" else p for p in profiles)
         with pytest.raises(ConfigError, match="models 'nano' and 'small' differ at image 11"):
             SimConfig(
-                workload=deterministic_workload(20.0, 10.0),
                 profiles=mixed,
                 policy=PolicySpec(kind="static", static_model="nano"),
                 simulation=SimulationConfig(initial_model="nano"),
@@ -652,10 +658,11 @@ class TestCompletionsLog:
         profile = next(p for p in tiny_profiles if p.model_id == "fast")
 
         def tracked_growth(requests):
-            config = static_config(profile, deterministic_workload(requests / 10.0, 10.0))
+            config = static_config(profile)
+            arrivals = stream(deterministic_workload(requests / 10.0, 10.0), profile)
             gc.collect()
             before = len(gc.get_objects())
-            completions, events = run_simulation(config)
+            completions, events = run_simulation(config, arrivals)
             gc.collect()
             grown = len(gc.get_objects()) - before
             assert isinstance(completions, Completions) and len(completions) == requests
@@ -675,13 +682,13 @@ class TestEventLog:
 
         def run(requests):
             config = SimConfig(
-                workload=deterministic_workload(requests / 3.0, 3.0),
                 profiles=tuple(tiny_profiles),
                 policy=PolicySpec(kind="adamls"),
                 simulation=SimulationConfig(initial_model="slow"),
             )
+            arrivals = stream(deterministic_workload(requests / 3.0, 3.0), tiny_profiles[0])
             knowledge = Knowledge(adaptation_rule_repository=dict(matrices))
-            return knowledge, *run_simulation(config, knowledge)
+            return knowledge, *run_simulation(config, arrivals, knowledge)
 
         return run
 
@@ -736,7 +743,7 @@ class TestTicks:
             seed=9,
         )
         profile = next(p for p in tiny_profiles if p.model_id == "slow")
-        return static_config(profile, workload, worker_count=worker_count, service_seed=4)
+        return static_config(profile, worker_count=worker_count), stream(workload, profile, 4)
 
     def record_pushes(self, monkeypatch):
         """Spy on the engine's heap: each push's class and the classes the
@@ -754,7 +761,7 @@ class TestTicks:
     @pytest.mark.parametrize("worker_count", [1, 3])
     def test_static_run_pushes_only_completions(self, tiny_profiles, monkeypatch, worker_count):
         pushes = self.record_pushes(monkeypatch)
-        completions, _ = run_simulation(self.bursty_static(tiny_profiles, worker_count))
+        completions, _ = run_simulation(*self.bursty_static(tiny_profiles, worker_count))
         assert completions
         assert len(pushes) == len(completions)
         assert {klass for klass, _ in pushes} == {simulator._EV_COMPLETION}
@@ -770,7 +777,6 @@ class TestTicks:
             seed=3,
         )
         config = SimConfig(
-            workload=workload,
             profiles=tuple(tiny_profiles),
             policy=PolicySpec(
                 kind="naive",
@@ -780,7 +786,7 @@ class TestTicks:
                 initial_model="slow", worker_count=worker_count, switch_latency=0.05
             ),
         )
-        completions, events = run_simulation(config)
+        completions, events = run_simulation(config, stream(workload, tiny_profiles[0]))
         assert "SWITCH" in events.event
         pushed = [klass for klass, _ in pushes]
         assert simulator._EV_ARRIVAL not in pushed
@@ -801,10 +807,10 @@ class TestTicks:
         tick_interval. A request remains after a tick exactly when it
         finishes later (a completion at the tick's instant runs first), so
         the last tick is the first one at or after the last finish."""
-        config = self.bursty_static(tiny_profiles, worker_count)
+        config, requests = self.bursty_static(tiny_profiles, worker_count)
         recorder = Recorder()
         monkeypatch.setattr(simulator, "_build_policy", lambda config, knowledge: recorder)
-        completions, _ = run_simulation(config)
+        completions, _ = run_simulation(config, requests)
         interval = config.simulation.tick_interval
         last_finish = max(completions.finish_t)
         expected = [interval]
@@ -823,11 +829,11 @@ class TestTicks:
     def test_static_completions_match_a_ticking_noop_run(
         self, tiny_profiles, monkeypatch, worker_count
     ):
-        config = self.bursty_static(tiny_profiles, worker_count)
-        static_completions, _ = run_simulation(config)
+        config, requests = self.bursty_static(tiny_profiles, worker_count)
+        static_completions, _ = run_simulation(config, requests)
         noop = TickingNoop()
         monkeypatch.setattr(simulator, "_build_policy", lambda config, knowledge: noop)
-        ticking_completions, events = run_simulation(config)
+        ticking_completions, events = run_simulation(config, requests)
         assert noop.calls > len(ticking_completions)  # the ticks did run
         assert ticking_completions == static_completions
         assert len(events) == 0
