@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from .controller import Knowledge
-from .csvtext import write_rows
+from .csvtext import field_count_mismatch, write_rows
 from .errors import AdamlsError, RuleError
 from .learning import attach_anchor_stats, read_ci_matrix, write_ci_matrix
 from .metrics import RunSummary, UtilityParams, UtilityTerms, running_total, summarize
@@ -328,9 +328,8 @@ def _read_rows(path: Path, numbers: tuple[str, ...]) -> list[dict]:
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     for line, row in enumerate(rows, start=2):  # the header is line 1
-        # DictReader keys extra fields by None and gives missing ones None.
-        if None in row or None in row.values():
-            raise AdamlsError(f"{path}, line {line}: the row's field count is not the header's")
+        if mismatch := field_count_mismatch(row):
+            raise AdamlsError(f"{path}, line {line}: {mismatch}")
         for column in numbers:
             try:
                 row[column] = float(row[column])

@@ -92,6 +92,9 @@ class ExperimentConfig:
         for value in chain.from_iterable(grid):
             if value < 0:
                 raise ConfigError(f"weight_grid weights must be >= 0, got {value!r}")
+        for i, pair in enumerate(grid):
+            if pair in grid[:i]:
+                raise ConfigError(f"weight_grid repeats {pair}")
         object.__setattr__(self, "weight_grid", grid)
 
 

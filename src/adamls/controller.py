@@ -10,10 +10,11 @@ policy uniformly; a policy's needs_ticks says whether the simulator should
 also drive it at periodic ticks.
 
 An event does only its decision work: monitor builds one slotted
-SystemState; the analyzer compares its last match's model and window version
-and runs the debounce; and only a trigger builds a PlannerInput, plans in one
-pass over the rule rows and executes. The records passed between the phases
-are named tuples, and the planner's no-op plans are constants.
+SystemState; the analyzer compares its last match's model, window and
+window version and runs the debounce; and only a trigger builds a
+PlannerInput, plans in one pass over the rule rows and executes. The
+records passed between the phases are named tuples, and the planner's
+no-op plans are constants.
 
 The event log records decisions, not events: each trigger writes an
 ANALYZE_TRIGGER row (v, i_w, v_adj, the feasible range [v_min, v_max] that
@@ -99,19 +100,12 @@ class SystemState:
     a copy, so monitoring stays O(1) in the window size; the state is read
     within the event that made it, before the window changes. A model with
     no completions yet has an empty window.
-
-    window_version is the window's version (see _KpiWindow) when monitor
-    read window_means from it. The analyzer reuses its last cluster match
-    while m_prime and window_version are unchanged; a state built with its
-    own window_means leaves it None and is matched afresh every time.
     """
 
     m_prime: str
     window: _KpiWindow
-    window_means: dict[str, float]
     v: float
     i_w: int
-    window_version: int | None = None
 
 
 class PlannerInput(NamedTuple):
@@ -232,9 +226,9 @@ def find_closest_cluster(state: SystemState, matrix: CiMatrix) -> int:
     """
     if len(matrix.entries) == 1:
         return next(iter(matrix.entries))
-    if not state.window_means:
+    means = state.window.means()
+    if not means:
         raise ValidationError("find_closest_cluster: empty monitoring window")
-    means = state.window_means
     anchors = matrix.derived(_cluster_anchors)
     best_cluster, best_dist = anchors[0][0], math.inf
     for cluster, anchor in anchors:
@@ -297,9 +291,9 @@ class Analyzer:
 
     The matched cluster and feasible range depend only on the active model
     and its window's contents, so they are recomputed only when the state's
-    m_prime or window_version differs from the last match's; last_match
-    holds (cluster, v_min, v_max) of the last analyzed state. v_adj, the
-    range check and the debounce run on every call.
+    m_prime, window or window version differs from the last match's;
+    last_match holds (cluster, v_min, v_max) of the last analyzed state.
+    v_adj, the range check and the debounce run on every call.
     """
 
     def __init__(self, t_wait: float = DEFAULT_T_WAIT):
@@ -307,17 +301,23 @@ class Analyzer:
         self._armed_at: float | None = None
         self.last_match: tuple[int, float, float] | None = None
         self._match_model: str | None = None
-        self._match_version: int | None = None
+        self._match_window: _KpiWindow | None = None
+        self._match_version = 0
 
     def analyze(self, state: SystemState, knowledge: Knowledge, now: float) -> PlannerInput | None:
-        if not state.window_means:
+        m_prime, window = state.m_prime, state.window
+        if not window.rows:
             return None
-        m_prime, version = state.m_prime, state.window_version
-        if version is None or version != self._match_version or m_prime != self._match_model:
+        if (
+            window is not self._match_window
+            or window.version != self._match_version
+            or m_prime != self._match_model
+        ):
             matrix = knowledge.rules_for(m_prime)
             cluster = find_closest_cluster(state, matrix)
             self.last_match = (cluster, *feasible_rate_range(matrix, m_prime, cluster))
-            self._match_model, self._match_version = m_prime, version
+            self._match_model, self._match_window = m_prime, window
+            self._match_version = window.version
         cluster, v_min, v_max = self.last_match
         v_adj = compute_adjusted_rate(state.v, state.i_w)
         if v_min <= v_adj <= v_max:
@@ -437,15 +437,15 @@ class _KpiWindow:
     same rows, bit for bit, at O(1) per read. Windows of fewer than
     MIN_NORMAL_SAMPLES rows keep compute_ci's (min, max) envelope.
 
-    version counts the adds, so it names the window's contents. means() and
-    each ci(kpi, level) are computed once per version and returned from a
-    memo until the next add; the means dict is shared, so callers must not
-    change it.
+    version counts the adds, so it names the window's contents. Each
+    ci(kpi, level) is computed once per version and returned from a memo
+    until the next add; means() builds a fresh dict at every call, which the
+    analyzer makes once per cluster match.
     """
 
     __slots__ = (
         "rows", "version", "_maxlen", "_sum_c", "_sum_tau_model", "_sum_tau_system",
-        "_sum_s_cpu", "_sum_b", "_moments", "_means", "_cis",
+        "_sum_s_cpu", "_sum_b", "_moments", "_cis",
     )
 
     def __init__(self, maxlen: int):
@@ -456,7 +456,6 @@ class _KpiWindow:
         self._sum_c = self._sum_tau_model = self._sum_tau_system = 0.0
         self._sum_s_cpu = self._sum_b = 0.0
         self._moments = {kpi: _ExactMoments() for kpi in CI_KPIS}
-        self._means: dict[str, float] | None = None
         self._cis: dict[tuple[str, float], CiEntry] = {}
 
     @classmethod
@@ -470,9 +469,6 @@ class _KpiWindow:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
 
     def add(self, kpis: tuple) -> None:
         rows = self.rows
@@ -498,21 +494,21 @@ class _KpiWindow:
             moments["c"].add(c)
         rows.append(kpis)
         self.version += 1
-        self._means = None
         if self._cis:
             self._cis.clear()
 
     def means(self) -> dict[str, float]:
-        if self._means is None:
-            n = len(self.rows)
-            self._means = {} if n == 0 else {
-                "c": self._sum_c / n,
-                "tau_model": self._sum_tau_model / n,
-                "tau_system": self._sum_tau_system / n,
-                "s_cpu": self._sum_s_cpu / n,
-                "b": self._sum_b / n,
-            }
-        return self._means
+        """Per-KPI means of the rows from the running sums; {} when empty."""
+        n = len(self.rows)
+        if n == 0:
+            return {}
+        return {
+            "c": self._sum_c / n,
+            "tau_model": self._sum_tau_model / n,
+            "tau_system": self._sum_tau_system / n,
+            "s_cpu": self._sum_s_cpu / n,
+            "b": self._sum_b / n,
+        }
 
     def ci(self, kpi: str, level: float = DEFAULT_CI_LEVEL) -> CiEntry:
         """compute_ci of one CI KPI over the window's rows."""
@@ -547,11 +543,11 @@ class AdamlsController:
 
     Every event reads v and i_w and runs v_adj, the range check and the
     debounce, and writes no row. The rest runs only when its inputs change:
-    a window's means and live CIs once per version of its contents (see
-    _KpiWindow), the cluster match and feasible range when a completion
-    enters the active model's window or the active model changes (see
-    Analyzer), and the incumbent's live c CI only in a plan where its live
-    capacity covers v_adj (see plan). Only a trigger writes to the event
+    the window's means, the cluster match and the feasible range when a
+    completion enters the active model's window or the active model changes
+    (see Analyzer), a window's live CIs once per version of its contents
+    (see _KpiWindow), and the incumbent's live c CI only in a plan where its
+    live capacity covers v_adj (see plan). Only a trigger writes to the event
     log: its ANALYZE_TRIGGER row, formatted from the state and the
     analyzer's last_match, its PLAN row (the plan's reason, which for a
     switch names low_c and v_adj) and execute's SWITCH or NOOP row.
@@ -571,7 +567,6 @@ class AdamlsController:
         ci_level: float = DEFAULT_CI_LEVEL,
     ):
         self.knowledge = knowledge
-        self.window_size = window_size
         self.switch_latency = switch_latency
         self.ci_level = ci_level
         self.analyzer = Analyzer(t_wait=t_wait)
@@ -588,9 +583,8 @@ class AdamlsController:
 
     def monitor(self, system) -> SystemState:
         active = system.active_model
-        window = self._windows[active]
         v = observed_rate(system.arrival_times, system.now)
-        return SystemState(active, window, window.means(), v, system.queue_depth, window.version)
+        return SystemState(active, self._windows[active], v, system.queue_depth)
 
     def on_event(self, system) -> None:
         state = self.monitor(system)

@@ -18,6 +18,9 @@ values can keep their texts (in a TextMemo, or by a key of its own) and
 look them up instead. A hit costs a fraction of a format, but a miss costs
 a format and more, so only columns whose values repeat gain.
 
+field_count_mismatch is the one check, shared by every reader, that a row
+csv.DictReader read has exactly its header's fields.
+
 The module opens no file. Each writer opens its own file in its own module,
 one of the modules in which the benchmark's tracer (``FILE_WRITER_MODULES``
 in ``perfbench/tracing.py``) times file writes.
@@ -31,6 +34,16 @@ BLOCK_ROWS = 1024
 
 _NUMBER_TYPES = frozenset((int, float, bool))
 _SPECIAL = (",", '"', "\r", "\n")
+
+
+def field_count_mismatch(row: dict) -> str | None:
+    """Why a csv.DictReader row does not fit its header, or None if it does.
+
+    DictReader keys extra fields by None and gives missing ones None.
+    """
+    if None in row or None in row.values():
+        return "the row's field count is not the header's"
+    return None
 
 
 def write_rows(fh, header, rows) -> None:

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
-from .csvtext import write_rows
+from .csvtext import field_count_mismatch, write_rows
 from .errors import JoinError, RuleError, ValidationError
 from .profiles import KPI_NAMES, ModelProfile, image_order_mismatch
 
@@ -44,20 +44,6 @@ class CiEntry(NamedTuple):
     high: float
     n: int
     mean: float
-
-
-@dataclass(frozen=True, eq=False)
-class ClusteredProfile:
-    """One anchor's clusters on tau_system; labels[i] is image i's, in the join's order."""
-
-    anchor_model_id: str
-    labels: np.ndarray
-    centroids: tuple[float, ...]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ClusteredProfile) and (
-            (self.anchor_model_id, self.centroids) == (other.anchor_model_id, other.centroids)
-        ) and np.array_equal(self.labels, other.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,9 +142,10 @@ class CiMatrix:
 
 @dataclass(frozen=True)
 class LearnedModelRules:
-    """Full learning output for one anchor model."""
+    """What learn writes for one anchor model: its CI matrix (the rule file),
+    the elbow's k and the WCSS series for k = 1..k_max (the clustering
+    report)."""
 
-    clustered: ClusteredProfile
     ci_matrix: CiMatrix
     k: int
     wcss_series: tuple[float, ...]
@@ -363,21 +350,20 @@ def build_performance_matrix(profiles) -> PerfMatrix:
 
 
 def build_ci_matrix(
-    perf: PerfMatrix, clustered: ClusteredProfile, level: float = DEFAULT_CI_LEVEL
+    perf: PerfMatrix, anchor: str, labels, level: float = DEFAULT_CI_LEVEL
 ) -> CiMatrix:
     """Compute per-cluster CIs of every KPI of every model.
 
-    Entry (l, q, kpi) is compute_ci over exactly the images the anchor's
-    clustering labels l, one label per image of the join; its n is
-    therefore the anchor-cluster population.
+    labels holds the anchor's cluster label of each image of the join, in
+    the join's order. Entry (l, q, kpi) is compute_ci over exactly the
+    images labelled l; its n is therefore the anchor-cluster population.
     The images are grouped by label once, and each (model, KPI) column's
     cluster sums come from one pass over its exact integer form, which the
     matrix keeps for every anchor (PerfMatrix.exact).
     """
-    anchor = clustered.anchor_model_id
     if anchor not in perf.model_ids:
         raise JoinError(f"anchor model {anchor!r} not among the profiles")
-    labels, n = np.asarray(clustered.labels), len(perf.image_ids)
+    labels, n = np.asarray(labels), len(perf.image_ids)
     if labels.shape != (n,):
         raise JoinError(f"{labels.size} cluster label(s) of {anchor!r} for the join's {n} images")
     order = np.argsort(labels, kind="stable")
@@ -590,15 +576,9 @@ def run_learning_engine(
         k = elbow_from_wcss(series) if k_cap >= 2 else 1
         # The elbow can nominate more clusters than there are distinct values
         # (degenerate data); the DP has a layer only for k <= distinct.
-        labels, centroids = kmeans_1d(dp, min(k, len(dp.partitions)))
-        clustered = ClusteredProfile(
-            anchor_model_id=anchor,
-            labels=labels,
-            centroids=tuple(float(c) for c in centroids),
-        )
-        ci_matrix = build_ci_matrix(perf, clustered, level=level)
+        labels, _ = kmeans_1d(dp, min(k, len(dp.partitions)))
         rules[anchor] = LearnedModelRules(
-            clustered=clustered, ci_matrix=ci_matrix, k=k, wcss_series=series
+            ci_matrix=build_ci_matrix(perf, anchor, labels, level=level), k=k, wcss_series=series
         )
     return rules
 
@@ -625,11 +605,12 @@ def read_ci_matrix(path) -> CiMatrix:
     """Load a CI matrix CSV written by write_ci_matrix.
 
     The file must have every column of CI_CSV_HEADER and at least one data
-    row, one anchor model throughout, and no repeated (cluster, model, kpi);
-    these errors name the row. The values and completeness are checked once,
-    by CiMatrix itself, and its error is given the path. The anchor's global
-    KPI stats are not part of the export; attach them via attach_anchor_stats
-    before online cluster matching.
+    row, every row the header's field count, one anchor model throughout,
+    and no repeated (cluster, model, kpi); these errors name the row. The
+    values and completeness are checked once, by CiMatrix itself, and its
+    error is given the path. The anchor's global KPI stats are not part of
+    the export; attach them via attach_anchor_stats before online cluster
+    matching.
     """
     entries: dict[int, dict[str, dict[str, CiEntry]]] = {}
     anchor = None
@@ -640,6 +621,8 @@ def read_ci_matrix(path) -> CiMatrix:
         if missing:
             raise RuleError(f"{path}: missing column(s) {', '.join(missing)}")
         for row_no, row in enumerate(reader, start=1):
+            if mismatch := field_count_mismatch(row):
+                raise RuleError(f"{path}: row {row_no}: {mismatch}")
             try:
                 cluster = int(row["cluster"])
                 entry = CiEntry(

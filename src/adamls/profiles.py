@@ -22,7 +22,7 @@ from itertools import chain, repeat, zip_longest
 
 import numpy as np
 
-from .csvtext import write_rows
+from .csvtext import field_count_mismatch, write_rows
 from .errors import ConfigError, ProfileLoadError, ValidationError
 
 # KPI columns that exist per record, in canonical order.
@@ -394,7 +394,8 @@ def load_profiles(path) -> list[ModelProfile]:
     """Load profiles from CSV, one ModelProfile per distinct model_id.
 
     ProfileLoadError names the data row (1-based, excluding the header) of
-    an unparsable number, a violated record invariant or a repeated (image,
+    a row whose field count is not the header's, an unparsable number, a
+    violated record invariant or a repeated (image,
     model), and both models and the first position where they differ if a
     model does not list the images of the first model in the file, in order.
     """
@@ -407,6 +408,8 @@ def load_profiles(path) -> list[ModelProfile]:
         if missing:
             raise ProfileLoadError(f"{path}: missing column(s) {', '.join(missing)}")
         for row_no, row in enumerate(reader, start=1):
+            if mismatch := field_count_mismatch(row):
+                raise ProfileLoadError(f"{path}: row {row_no}: {mismatch}")
             try:
                 rec = KpiRecord(
                     image_id=row["image_id"],
@@ -454,6 +457,6 @@ def image_order_mismatch(profiles: Sequence[ModelProfile]) -> str | None:
 
 def _parse_count(text: str) -> int:
     value = float(text)
-    if value != int(value):
+    if not value.is_integer():
         raise ValueError(f"b must be an integer, got {text!r}")
     return int(value)

@@ -160,7 +160,8 @@ def monitor_snapshot(
     completions are Served rows ordered by finish time. The window is the
     active model's last window_size completions, v counts the arrivals in
     the trailing second (sim_time - 1, sim_time], and an empty window yields
-    empty means.
+    empty means. Returns the state and the window's per-KPI means, summed
+    afresh from the rows rather than read from the window's running sums.
     """
     window = [rec for rec in completions if rec.model_id == active_model][-window_size:]
     means = {}
@@ -168,13 +169,13 @@ def monitor_snapshot(
         means = {
             kpi: sum(getattr(rec, kpi) for rec in window) / len(window) for kpi in KPI_NAMES
         }
-    return SystemState(
+    state = SystemState(
         m_prime=active_model,
         window=_KpiWindow.of(rec.kpis for rec in window),
-        window_means=means,
         v=float(sum(sim_time - 1.0 < t <= sim_time for t in arrival_times)),
         i_w=queue_depth,
     )
+    return state, means
 
 
 def repr_per_field_csv(path, header, rows):

@@ -249,11 +249,7 @@ def test_criterion_7_analyzer_debounce():
 
         def state(v):
             window = _KpiWindow.of(completion(i, model="m", tau=0.1).kpis for i in range(8))
-            means = {
-                "c": 0.6, "tau_model": 0.095, "tau_system": 0.1,
-                "s_cpu": 50.0, "b": 3.0, "r": 0.1,
-            }
-            return SystemState("m", window, means, v=v, i_w=0)
+            return SystemState("m", window, v=v, i_w=0)
 
         # A violation that clears within t_wait produces no plan, hence no
         # SWITCH event, even with the planner and executor wired up.

@@ -226,6 +226,28 @@ class TestLearnCommand:
         assert cli.main(["learn", "--config", str(path)]) == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("b", ["inf", "1e400"])
+    def test_a_non_finite_b_in_the_profile_csv_fails_naming_the_row(
+        self, tmp_path, tiny_config, b, capsys
+    ):
+        csv_path = tmp_path / "profiles.csv"
+        csv_path.write_text(
+            "image_id,model_id,c,tau_model,tau_system,s_cpu,b\n"
+            f"i1,fast,0.5,0.04,0.045,20,3\ni1,slow,0.7,0.2,0.21,40,{b}\n"
+        )
+        config = dataclasses.replace(
+            tiny_config,
+            profiles=dataclasses.replace(
+                tiny_config.profiles, source="csv", csv_path=str(csv_path)
+            ),
+            output_dir=str(tmp_path / "out"),
+        )
+        path = write_config(tmp_path, config)
+        assert cli.main(["learn", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {csv_path}: row 2: b must be an integer, got {b!r}\n"
+        )
+
     @pytest.mark.parametrize(
         "field, text", [("b_mean", ".inf"), ("b_std", ".nan"), ("overhead", ".nan")]
     )
@@ -590,6 +612,12 @@ class TestLearnCommand:
                 "weight_grid must be a finite number, got nan",
             ),
             (
+                cfgmod.ExperimentConfig,
+                {"weight_grid": ((0.5, 0.5), (0.5, 0.5), (1.0, 0.0))},
+                {"weight_grid": [[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]},
+                "weight_grid repeats (0.5, 0.5)",
+            ),
+            (
                 cfgmod.ExperimentConfig, {"master_seed": 2.5}, {"master_seed": 2.5},
                 "master_seed must be an integer, got 2.5",
             ),
@@ -605,8 +633,8 @@ class TestLearnCommand:
         ],
         ids=[
             "raw_violation_signs", "initial_model", "csv_path", "segment-string",
-            "segment-bool", "threshold-bool", "weight_grid-nan", "master_seed", "policy",
-            "model_id",
+            "segment-bool", "threshold-bool", "weight_grid-nan", "weight_grid-repeat",
+            "master_seed", "policy", "model_id",
         ],
     )
     def test_the_python_api_rejects_what_the_loader_rejects(self, record, settings, raw, message):

@@ -92,20 +92,20 @@ class FakeSystem:
 class TestMonitor:
     def test_window_keeps_last_fifty_of_active_model(self):
         completions = [completion(i, model="m", c=i / 100) for i in range(60)]
-        state = monitor_snapshot(100.0, completions, [], 0, "m")
-        assert list(state.window) == [rec.kpis for rec in completions[10:]]
+        state, _ = monitor_snapshot(100.0, completions, [], 0, "m")
+        assert list(state.window.rows) == [rec.kpis for rec in completions[10:]]
 
     def test_window_filters_by_model(self):
         completions = [
             completion(i, model=("m" if i % 2 else "other"), c=i / 100) for i in range(20)
         ]
-        state = monitor_snapshot(100.0, completions, [], 0, "m", window_size=5)
-        assert list(state.window) == [completions[i].kpis for i in (11, 13, 15, 17, 19)]
+        state, _ = monitor_snapshot(100.0, completions, [], 0, "m", window_size=5)
+        assert list(state.window.rows) == [completions[i].kpis for i in (11, 13, 15, 17, 19)]
 
     def test_empty_window_suppresses_means(self):
-        state = monitor_snapshot(1.0, [], [], 3, "m")
-        assert list(state.window) == []
-        assert state.window_means == {}
+        state, means = monitor_snapshot(1.0, [], [], 3, "m")
+        assert list(state.window.rows) == []
+        assert means == state.window.means() == {}
         assert state.i_w == 3
 
     def test_rate_counts_trailing_second(self):
@@ -113,7 +113,7 @@ class TestMonitor:
         assert observed_rate(arrivals, 5.0) == 7.0
         # Boundary: an arrival exactly at now - 1 is excluded.
         assert observed_rate([4.0, 4.5], 5.0) == 1.0
-        state = monitor_snapshot(5.0, [], arrivals, 0, "m")
+        state, _ = monitor_snapshot(5.0, [], arrivals, 0, "m")
         assert state.v == 7.0
 
     def test_controller_window_tracker_matches_reference(self):
@@ -147,11 +147,11 @@ class TestMonitor:
                 system.arrival_times = arrivals
                 system.queue_depth = rng.randint(0, 5)
                 state = controller.monitor(system)
-                reference = monitor_snapshot(
+                reference, reference_means = monitor_snapshot(
                     t, completions, arrivals, system.queue_depth, active, window_size=7
                 )
-                assert list(state.window) == list(reference.window)
-                assert state.window_means == pytest.approx(reference.window_means)
+                assert list(state.window.rows) == list(reference.window.rows)
+                assert state.window.means() == pytest.approx(reference_means)
                 assert (state.v, state.i_w) == (reference.v, reference.i_w)
                 controller.analyzer.analyze(state, knowledge, t)
                 if not reference.window:
@@ -159,7 +159,9 @@ class TestMonitor:
                 for level in (controller.ci_level, 0.95, controller.ci_level):
                     for kpi in CI_KPIS:
                         index = KPI_NAMES.index(kpi)
-                        expected = reference_ci([kpis[index] for kpis in reference.window], level)
+                        expected = reference_ci(
+                            [kpis[index] for kpis in reference.window.rows], level
+                        )
                         assert state.window.ci(kpi, level) == expected
                 matrix = knowledge.rules_for(active)
                 cluster = find_closest_cluster(reference, matrix)
@@ -167,20 +169,26 @@ class TestMonitor:
                 assert controller.analyzer.last_match == expected_match
 
     def test_caller_built_states_are_matched_afresh(self):
-        """States built with their own means over one reused window."""
+        """Different windows of one version are matched afresh, so the
+        analyzer's memo is not keyed on the version alone."""
         matrix = tracker_rules("a", ("a",))
         knowledge = Knowledge(adaptation_rule_repository={"a": matrix})
         analyzer = Analyzer()
-        window = _KpiWindow.of(())
         clusters = []
         for tau in (0.08, 0.22, 0.08):
-            means = {"c": 0.5, "tau_model": tau, "tau_system": tau, "s_cpu": 50.0, "b": 3.0}
-            state = SystemState("a", window, means, v=1.0, i_w=0)
+            window = one_row_window(c=0.5, tau_model=tau, tau_system=tau, s_cpu=50.0, b=3.0)
+            state = SystemState("a", window, v=1.0, i_w=0)
             analyzer.analyze(state, knowledge, 1.0)
             cluster = find_closest_cluster(state, matrix)
             assert analyzer.last_match == (cluster, *feasible_rate_range(matrix, "a", cluster))
             clusters.append(cluster)
         assert clusters == [0, 1, 0]
+
+
+def one_row_window(**means):
+    """A window of one KPI row, so its means are the given values (0 for a
+    KPI not given)."""
+    return _KpiWindow.of([tuple(means.get(kpi, 0.0) for kpi in KPI_NAMES)])
 
 
 def tracker_rules(anchor, models):
@@ -252,7 +260,7 @@ def test_adamls_run_reads_live_c_only_when_covered_and_plans_like_the_oracle(
             live = {}
             for key, kpi in (("tau", "tau_model"), ("c", "c")):
                 index = KPI_NAMES.index(kpi)
-                entry = reference_ci([kpis[index] for kpis in live_window], level)
+                entry = reference_ci([kpis[index] for kpis in live_window.rows], level)
                 live[key] = (entry.low, entry.high)
             tau_low = live["tau"][0]
             covered.append(v_adj <= (math.inf if tau_low <= 0 else 1.0 / tau_low))
@@ -373,7 +381,7 @@ def test_kpi_window_ci_equals_compute_ci(maxlen, values, level):
     for end, row in enumerate(rows, start=1):
         window.add(row)
         kept = rows[max(0, end - maxlen) : end]
-        assert list(window) == kept
+        assert list(window.rows) == kept
         for kpi in CI_KPIS:
             expected = reference_ci([getattr(rec, kpi) for rec in kept], level)
             assert window.ci(kpi, level) == expected
@@ -391,7 +399,7 @@ class TestClusterMatching:
         )
 
     def state_with_means(self, means):
-        return SystemState("a", _KpiWindow.of(()), means, v=1.0, i_w=0)
+        return SystemState("a", one_row_window(**means), v=1.0, i_w=0)
 
     def test_single_cluster_is_forced(self):
         matrix = matrix_of("a", {0: {"a": {"tau": (0.1, 0.2)}}})
@@ -485,9 +493,8 @@ def analyzer_fixture():
 
 
 def state_at(v, i_w=0):
-    window = _KpiWindow.of(completion(i, model="m", tau=0.1).kpis for i in range(5))
-    means = {"c": 0.6, "tau_model": 0.095, "tau_system": 0.1, "s_cpu": 50.0, "b": 3.0, "r": 0.1}
-    return SystemState("m", window, means, v=v, i_w=i_w)
+    window = one_row_window(c=0.6, tau_model=0.095, tau_system=0.1, s_cpu=50.0, b=3.0)
+    return SystemState("m", window, v=v, i_w=i_w)
 
 
 class TestAnalyzer:
@@ -524,7 +531,7 @@ class TestAnalyzer:
 
     def test_empty_window_suppresses_analysis(self):
         analyzer, knowledge = analyzer_fixture()
-        state = SystemState("m", _KpiWindow.of(()), {}, v=50.0, i_w=0)
+        state = SystemState("m", _KpiWindow.of(()), v=50.0, i_w=0)
         assert analyzer.analyze(state, knowledge, 1.0) is None
 
     def test_below_range_is_also_a_violation(self):

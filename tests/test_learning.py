@@ -15,7 +15,6 @@ from adamls.learning import (
     CI_CSV_HEADER,
     CiEntry,
     CiMatrix,
-    ClusteredProfile,
     PerfMatrix,
     attach_anchor_stats,
     build_ci_matrix,
@@ -225,8 +224,7 @@ def test_grouped_ci_equals_reference_bit_for_bit(column):
     values, labels = zip(*column)
     image_ids = tuple(f"i{j:02d}" for j in range(len(values)))
     perf = PerfMatrix(("m",), image_ids, np.array([[values] * len(KPI_NAMES)]))
-    clustered = ClusteredProfile("m", np.array(labels), ())
-    matrix = build_ci_matrix(perf, clustered)
+    matrix = build_ci_matrix(perf, "m", np.array(labels))
     assert sorted(matrix.entries) == sorted(set(labels))
     for cluster in matrix.entries:
         members = [x for x, label in column if label == cluster]
@@ -283,12 +281,9 @@ def _mini_profiles():
     return a, b
 
 
-def _mini_clustering():
-    return ClusteredProfile(
-        anchor_model_id="a",
-        labels=np.array([0, 0, 1, 1]),
-        centroids=(0.05, 0.215),
-    )
+def _mini_labels():
+    """Anchor a's clusters on tau_system, one label per image of the join."""
+    return np.array([0, 0, 1, 1])
 
 
 class TestPerformanceMatrix:
@@ -328,16 +323,14 @@ class TestPerformanceMatrix:
 
     def test_label_count_must_match_the_join(self):
         a, b = _mini_profiles()
-        clustered = ClusteredProfile("a", np.array([0, 0, 1]), (0.05, 0.2))
         message = r"^3 cluster label\(s\) of 'a' for the join's 4 images$"
         with pytest.raises(JoinError, match=message):
-            build_ci_matrix(build_performance_matrix([a, b]), clustered)
+            build_ci_matrix(build_performance_matrix([a, b]), "a", np.array([0, 0, 1]))
 
     def test_anchor_outside_the_join_rejected(self):
         a, b = _mini_profiles()
-        clustered = ClusteredProfile("z", _mini_clustering().labels, (0.05, 0.215))
         with pytest.raises(JoinError, match="anchor model 'z' not among the profiles"):
-            build_ci_matrix(build_performance_matrix([a, b]), clustered)
+            build_ci_matrix(build_performance_matrix([a, b]), "z", _mini_labels())
 
 
 class TestCiMatrix:
@@ -345,7 +338,7 @@ class TestCiMatrix:
         # Two images per cluster: the n < 5 fallback makes every entry the
         # (min, max) envelope, directly checkable by hand.
         a, b = _mini_profiles()
-        matrix = build_ci_matrix(build_performance_matrix([a, b]), _mini_clustering())
+        matrix = build_ci_matrix(build_performance_matrix([a, b]), "a", _mini_labels())
         e = matrix.entry(0, "a", "c")
         assert (e.low, e.high, e.n, e.mean) == (0.20, 0.40, 2, pytest.approx(0.30))
         e = matrix.entry(1, "a", "tau_model")
@@ -357,12 +350,8 @@ class TestCiMatrix:
 
     def test_single_cluster_equals_full_column(self, tiny_profiles):
         anchor = tiny_profiles[0]
-        clustered = ClusteredProfile(
-            anchor.model_id,
-            np.zeros(len(anchor.image_id), dtype=int),
-            (statistics.fmean(anchor.tau_system.tolist()),),
-        )
-        matrix = build_ci_matrix(build_performance_matrix(tiny_profiles), clustered)
+        labels = np.zeros(len(anchor.image_id), dtype=int)
+        matrix = build_ci_matrix(build_performance_matrix(tiny_profiles), anchor.model_id, labels)
         for profile in tiny_profiles:
             for kpi in KPI_NAMES:
                 expected = compute_ci(profile.column(kpi).tolist())
@@ -371,15 +360,15 @@ class TestCiMatrix:
     def test_entry_population_counts(self, tiny_profiles):
         anchor = tiny_profiles[0]
         labels = np.array([0 if i < 30 else 1 for i in range(len(anchor.image_id))])
-        clustered = ClusteredProfile(anchor.model_id, labels, (0.04, 0.06))
-        matrix = build_ci_matrix(build_performance_matrix(tiny_profiles), clustered)
+        matrix = build_ci_matrix(build_performance_matrix(tiny_profiles), anchor.model_id, labels)
         assert matrix.entry(0, "slow", "c").n == 30
         assert matrix.entry(1, "slow", "c").n == 90
 
     def test_entries_recomputable_from_labeled_rows(self, tiny_profiles):
         rules = run_learning_engine(tiny_profiles, k_max=4)
+        by_id = {profile.model_id: profile for profile in tiny_profiles}
         for anchor, learned in rules.items():
-            labels = learned.clustered.labels
+            labels, _ = kmeans_1d(by_id[anchor].tau_system.tolist(), learned.k)
             for cluster, per_model in learned.ci_matrix.entries.items():
                 for profile in tiny_profiles:
                     rows = [
@@ -453,11 +442,14 @@ class TestLearningEngine:
             for p in profiles
         ]
         before, after = run_learning_engine(profiles), run_learning_engine(permuted)
-        for model_id, learned in before.items():
-            assert after[model_id].k == learned.k
-            assert np.array_equal(after[model_id].clustered.labels, learned.clustered.labels[order])
+        for profile, moved in zip(profiles, permuted):
+            learned = before[profile.model_id]
+            assert after[profile.model_id].k == learned.k
+            labels, _ = kmeans_1d(profile.tau_system.tolist(), learned.k)
+            moved_labels, _ = kmeans_1d(moved.tau_system.tolist(), learned.k)
+            assert np.array_equal(moved_labels, labels[order])
             write_ci_matrix(learned.ci_matrix, tmp_path / "before.csv")
-            write_ci_matrix(after[model_id].ci_matrix, tmp_path / "after.csv")
+            write_ci_matrix(after[profile.model_id].ci_matrix, tmp_path / "after.csv")
             assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
 
     def test_profiles_are_joined_once(self, tiny_profiles, monkeypatch):
@@ -483,13 +475,13 @@ class TestLearningEngine:
         monkeypatch.setattr(learning, "_optimal_1d", counting_pass)
         rules = run_learning_engine(tiny_profiles, k_max=4)
         assert passes == [4, 4]
+        perf = build_performance_matrix(tiny_profiles)
         for profile in tiny_profiles:
             learned = rules[profile.model_id]
             values = profile.tau_system.tolist()
-            labels, centroids = kmeans_1d(values, learned.k)
+            labels, _ = kmeans_1d(values, learned.k)
             assert learned.wcss_series == tuple(wcss_series(values, 4))
-            assert learned.clustered.centroids == tuple(centroids.tolist())
-            assert learned.clustered.labels.tolist() == labels.tolist()
+            assert learned.ci_matrix == build_ci_matrix(perf, profile.model_id, labels)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):
@@ -607,6 +599,21 @@ class TestCiMatrixCsv:
             match=r"m\.csv: rule matrix of 'm': entry \(cluster=0, model='m', kpi='foo'\) names no",
         ):
             read_ci_matrix(path)
+
+    @pytest.mark.parametrize(
+        "row", ["a,0,a,tau_system,0.1,0.2,5,0.15,9", "a,0,a,tau_system,0.1,0.2,5"],
+        ids=["extra", "short"],
+    )
+    def test_read_rejects_a_row_of_another_field_count(self, tmp_path, row):
+        path = _write_rule_rows(tmp_path, _rule_rows())
+        lines = path.read_text().splitlines()
+        lines[3] = row  # data row 3, after the header
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RuleError) as raised:
+            read_ci_matrix(path)
+        assert str(raised.value) == (
+            f"{path}: row 3: the row's field count is not the header's"
+        )
 
     def test_read_rejects_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -162,6 +162,26 @@ def _rows(model, images):
     return "".join(f"{image},{model},0.5,0.04,0.045,20,3\n" for image in images)
 
 
+@pytest.mark.parametrize("b", ["2.5", "inf", "1e400", "nan"])
+def test_load_rejects_a_non_integer_b_naming_the_row(tmp_path, b):
+    path = tmp_path / "p.csv"
+    path.write_text(_HEADER + _rows("a", ["i1"]) + f"i2,a,0.5,0.04,0.045,20,{b}\n")
+    with pytest.raises(ProfileLoadError) as raised:
+        load_profiles(path)
+    assert str(raised.value) == f"{path}: row 2: b must be an integer, got {b!r}"
+
+
+@pytest.mark.parametrize(
+    "row", ["i2,a,0.5,0.04,0.045,20,3,9", "i2,a,0.5,0.04,0.045,20"], ids=["extra", "short"]
+)
+def test_load_rejects_a_row_of_another_field_count(tmp_path, row):
+    path = tmp_path / "p.csv"
+    path.write_text(_HEADER + _rows("a", ["i1"]) + row + "\n")
+    with pytest.raises(ProfileLoadError) as raised:
+        load_profiles(path)
+    assert str(raised.value) == f"{path}: row 2: the row's field count is not the header's"
+
+
 def test_load_rejects_a_repeated_image_naming_file_and_row(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text(_HEADER + _rows("a", ["i1", "i2"]) + _rows("b", ["i1"]) + _rows("a", ["i1"]))
