@@ -16,7 +16,6 @@ reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from functools import partial
@@ -25,16 +24,19 @@ from pathlib import Path
 
 from . import config as cfgmod
 from .controller import Knowledge
-from .csvtext import field_count_mismatch, write_rows
+from .csvtext import read_rows, write_rows
 from .errors import AdamlsError, RuleError
 from .learning import attach_anchor_stats, read_ci_matrix, write_ci_matrix
 from .metrics import RunSummary, UtilityParams, UtilityTerms, running_total, summarize
 from .profiles import write_profiles
-from .simulator import ResultTexts, run_simulation, write_event_log_csv, write_results_csv
+from .simulator import (
+    RESULTS_CSV_HEADER, ResultTexts, run_simulation, write_event_log_csv, write_results_csv
+)
 
 SUMMARY_CSV_HEADER = (
     "policy", "requests", "switches", "avg_c", "avg_r", "avg_s_cpu", "r_penalties", "c_penalties"
 )
+SWEEP_CSV_HEADER = ("w_e", "w_d", "policy", "total_utility")
 
 
 def main(argv=None) -> int:
@@ -223,7 +225,7 @@ def _compare(config: cfgmod.ExperimentConfig, profiles) -> list[RunSummary]:
         write_rows(fh, SUMMARY_CSV_HEADER, summary_rows)
     sweep_rows = ((w_e, w_d, s.policy, total) for s in summaries for w_e, w_d, total in s.utilities)
     with open(out_dir / "utility_sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        write_rows(fh, ("w_e", "w_d", "policy", "total_utility"), sweep_rows)
+        write_rows(fh, SWEEP_CSV_HEADER, sweep_rows)
     _print_summaries(summaries)
     print(f"comparison written to {out_dir}")
     return summaries
@@ -290,8 +292,10 @@ def run_study(config: cfgmod.ExperimentConfig, seeds) -> int:
 
 def run_report(config: cfgmod.ExperimentConfig, timeseries: bool = False) -> int:
     out_dir = Path(config.output_dir)
-    summary_rows = _read_rows(out_dir / "summary.csv", ("avg_c", "avg_r"))
-    sweep_rows = _read_rows(out_dir / "utility_sweep.csv", ("w_e", "w_d", "total_utility"))
+    summary_rows = _read_rows(out_dir / "summary.csv", SUMMARY_CSV_HEADER, ("avg_c", "avg_r"))
+    sweep_rows = _read_rows(
+        out_dir / "utility_sweep.csv", SWEEP_CSV_HEADER, ("w_e", "w_d", "total_utility")
+    )
     if not summary_rows:
         raise AdamlsError(f"{out_dir / 'summary.csv'} has no rows")
     by_weights: dict[tuple[float, float], list[tuple[str, float]]] = {}
@@ -321,23 +325,11 @@ def run_report(config: cfgmod.ExperimentConfig, timeseries: bool = False) -> int
     return 0
 
 
-def _read_rows(path: Path, numbers: tuple[str, ...]) -> list[dict]:
+def _read_rows(path: Path, header: tuple[str, ...], numbers: tuple[str, ...]) -> list[dict]:
     """The rows of one of compare's CSVs, with the numbers columns as floats."""
     if not path.exists():
         raise AdamlsError(f"missing {path}; run the compare command first")
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for line, row in enumerate(rows, start=2):  # the header is line 1
-        if mismatch := field_count_mismatch(row):
-            raise AdamlsError(f"{path}, line {line}: {mismatch}")
-        for column in numbers:
-            try:
-                row[column] = float(row[column])
-            except (KeyError, TypeError, ValueError):
-                raise AdamlsError(
-                    f"{path}, line {line}: {column} must be a number, got {row.get(column)!r}"
-                ) from None
-    return rows
+    return read_rows(path, header, AdamlsError, dict.fromkeys(numbers, float))
 
 
 def _utility_series(out_dir: Path, summary_rows, by_weights: dict, params: UtilityParams):
@@ -352,7 +344,7 @@ def _utility_series(out_dir: Path, summary_rows, by_weights: dict, params: Utili
     for row in summary_rows:
         label = row["policy"]
         path = out_dir / "compare" / cfgmod.policy_dir_name(label) / "results.csv"
-        results = _read_rows(path, columns)
+        results = _read_rows(path, RESULTS_CSV_HEADER, columns)
         if not results or str(len(results)) != row["requests"]:
             raise AdamlsError(
                 f"{path} has {len(results)} rows; summary.csv has "

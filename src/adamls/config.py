@@ -235,10 +235,35 @@ def compare_policy_labels(config: ExperimentConfig, profiles) -> list[str]:
 
 # -- YAML (de)serialization ---------------------------------------------------
 
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that rejects a key written twice in one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        lines: dict = {}
+        for key_node, _ in node.value:  # its own keys, before "<<" keys merge in
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE_TAG:
+                key, mark = self.construct_object(key_node, deep=deep), key_node.start_mark
+                if key in lines:
+                    problem = f"key {key!r} repeats line {lines[key] + 1}"
+                    raise yaml.constructor.ConstructorError(None, None, problem, mark)
+                lines[key] = mark.line
+        return super().construct_mapping(node, deep=deep)
+
 
 def load_experiment_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    """The experiment in a YAML file; errors name it, and a line if they can."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        raise ConfigError(f"{path}: {where}{getattr(exc, 'problem', None) or exc}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

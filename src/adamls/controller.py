@@ -458,15 +458,6 @@ class _KpiWindow:
         self._moments = {kpi: _ExactMoments() for kpi in CI_KPIS}
         self._cis: dict[tuple[str, float], CiEntry] = {}
 
-    @classmethod
-    def of(cls, rows) -> _KpiWindow:
-        """A window holding exactly the given KPI rows."""
-        rows = tuple(rows)
-        window = cls(max(len(rows), 1))
-        for kpis in rows:
-            window.add(kpis)
-        return window
-
     def __len__(self) -> int:
         return len(self.rows)
 

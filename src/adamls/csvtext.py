@@ -18,16 +18,17 @@ values can keep their texts (in a TextMemo, or by a key of its own) and
 look them up instead. A hit costs a fraction of a format, but a miss costs
 a format and more, so only columns whose values repeat gain.
 
-field_count_mismatch is the one check, shared by every reader, that a row
-csv.DictReader read has exactly its header's fields.
+read_rows is the one CSV reader. It owns the checks every file needs (text,
+header, field counts, numbers); each caller keeps only its own.
 
-The module opens no file. Each writer opens its own file in its own module,
-one of the modules in which the benchmark's tracer (``FILE_WRITER_MODULES``
-in ``perfbench/tracing.py``) times file writes.
+The module opens no file for writing. Each writer opens its own file in its
+own module, one of the modules in which the benchmark's tracer
+(``FILE_WRITER_MODULES`` in ``perfbench/tracing.py``) times file writes.
 """
 
 from __future__ import annotations
 
+import csv
 from itertools import islice
 
 BLOCK_ROWS = 1024
@@ -36,14 +37,56 @@ _NUMBER_TYPES = frozenset((int, float, bool))
 _SPECIAL = (",", '"', "\r", "\n")
 
 
-def field_count_mismatch(row: dict) -> str | None:
-    """Why a csv.DictReader row does not fit its header, or None if it does.
+def read_rows(path, header, error, types) -> list[dict]:
+    """The data rows of the UTF-8 CSV file at path, each a dict of header's
+    columns in its order, typed by types: column -> float, or int for a
+    whole number (also written 3.0). The file must name each column of
+    header once (others pass unread), and each row must have its field
+    count; blank lines are skipped. Else error is raised as "<path>: row N:
+    ..." for data row N (1 is the first) or "<path>: ..." for the file."""
+    rows: list[list[str]] = []
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows.extend(filter(None, csv.reader(fh)))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        where = f"row {len(rows)}" if rows else "header"  # rows[0] is the header
+        raise error(f"{path}: {where}: {exc}") from None
+    names = rows[0] if rows else []
+    if missing := [col for col in header if col not in names]:
+        raise error(f"{path}: missing column(s) {', '.join(missing)}")
+    if repeated := [col for col in header if names.count(col) > 1]:
+        raise error(f"{path}: the header repeats column(s) {', '.join(repeated)}")
+    picks = [(col, names.index(col)) for col in header]
+    typed = [(col, _NUMBER_PARSERS[kind]) for col, kind in types.items()]
+    records = []
+    for row_no, fields in enumerate(islice(rows, 1, None), start=1):
+        if len(fields) != len(names):
+            raise error(f"{path}: row {row_no}: the row's field count is not the header's")
+        record = {col: fields[i] for col, i in picks}
+        for col, (parse, what) in typed:
+            text = record[col]
+            try:
+                record[col] = parse(text)
+            except ValueError:
+                raise error(f"{path}: row {row_no}: {col} must be {what}, got {text!r}") from None
+        records.append(record)
+    return records
 
-    DictReader keys extra fields by None and gives missing ones None.
-    """
-    if None in row or None in row.values():
-        return "the row's field count is not the header's"
-    return None
+
+def _whole_number(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():  # nor inf or nan
+        raise ValueError(text)
+    return int(value)
+
+
+# Column type -> (parser of a field's text, what a field must be).
+_NUMBER_PARSERS = {float: (float, "a number"), int: (_whole_number, "an integer")}
 
 
 def write_rows(fh, header, rows) -> None:

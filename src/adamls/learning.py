@@ -10,7 +10,6 @@ matrix. The resulting CI matrices are the controller's adaptation rules.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from dataclasses import dataclass, field, replace
@@ -18,7 +17,7 @@ from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
-from .csvtext import field_count_mismatch, write_rows
+from .csvtext import read_rows, write_rows
 from .errors import JoinError, RuleError, ValidationError
 from .profiles import KPI_NAMES, ModelProfile, image_order_mismatch
 
@@ -35,6 +34,7 @@ MIN_NORMAL_SAMPLES = 5
 _T = TypeVar("_T")
 
 CI_CSV_HEADER = ("anchor_model", "cluster", "model", "kpi", "low", "high", "n", "mean")
+_CI_CSV_TYPES = {"cluster": int, "low": float, "high": float, "n": int, "mean": float}
 
 
 class CiEntry(NamedTuple):
@@ -604,48 +604,27 @@ def write_ci_matrix(matrix: CiMatrix, path) -> None:
 def read_ci_matrix(path) -> CiMatrix:
     """Load a CI matrix CSV written by write_ci_matrix.
 
-    The file must have every column of CI_CSV_HEADER and at least one data
-    row, every row the header's field count, one anchor model throughout,
-    and no repeated (cluster, model, kpi); these errors name the row. The
-    values and completeness are checked once, by CiMatrix itself, and its
-    error is given the path. The anchor's global KPI stats are not part of
-    the export; attach them via attach_anchor_stats before online cluster
-    matching.
-    """
-    entries: dict[int, dict[str, dict[str, CiEntry]]] = {}
-    anchor = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [col for col in CI_CSV_HEADER if col not in header]
-        if missing:
-            raise RuleError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row_no, row in enumerate(reader, start=1):
-            if mismatch := field_count_mismatch(row):
-                raise RuleError(f"{path}: row {row_no}: {mismatch}")
-            try:
-                cluster = int(row["cluster"])
-                entry = CiEntry(
-                    low=float(row["low"]),
-                    high=float(row["high"]),
-                    n=int(row["n"]),
-                    mean=float(row["mean"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise RuleError(f"{path}: row {row_no}: {exc}") from exc
-            if anchor is None:
-                anchor = row["anchor_model"]
-            elif row["anchor_model"] != anchor:
-                raise RuleError(f"{path}: row {row_no}: mixed anchor models")
-            per_kpi = entries.setdefault(cluster, {}).setdefault(row["model"], {})
-            if row["kpi"] in per_kpi:
-                raise RuleError(
-                    f"{path}: row {row_no}: duplicate entry (cluster={cluster}, "
-                    f"model={row['model']!r}, kpi={row['kpi']!r})"
-                )
-            per_kpi[row["kpi"]] = entry
-    if anchor is None:
+    csvtext.read_rows checks the text, header, field counts and numbers
+    (cluster and n whole). The file must then have a data row, one anchor
+    model throughout and no repeated (cluster, model, kpi), or the error
+    names the row. CiMatrix checks the values and completeness; its error is
+    given the path. Attach the anchor's global KPI stats, which the export
+    lacks, via attach_anchor_stats before online cluster matching."""
+    rows = read_rows(path, CI_CSV_HEADER, RuleError, _CI_CSV_TYPES)
+    if not rows:
         raise RuleError(f"{path}: no data rows")
+    anchor = rows[0]["anchor_model"]
+    entries: dict[int, dict[str, dict[str, CiEntry]]] = {}
+    for row_no, (anchor_model, cluster, model, kpi, *ci) in enumerate(map(dict.values, rows), 1):
+        if anchor_model != anchor:
+            raise RuleError(f"{path}: row {row_no}: mixed anchor models")
+        per_kpi = entries.setdefault(cluster, {}).setdefault(model, {})
+        if kpi in per_kpi:
+            raise RuleError(
+                f"{path}: row {row_no}: duplicate entry (cluster={cluster}, "
+                f"model={model!r}, kpi={kpi!r})"
+            )
+        per_kpi[kpi] = CiEntry(*ci)
     try:
         return CiMatrix(anchor_model_id=anchor, entries=entries)
     except RuleError as exc:

@@ -13,7 +13,6 @@ simulator samples their rows as service behaviour.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from collections.abc import Sequence
@@ -22,7 +21,7 @@ from itertools import chain, repeat, zip_longest
 
 import numpy as np
 
-from .csvtext import field_count_mismatch, write_rows
+from .csvtext import read_rows, write_rows
 from .errors import ConfigError, ProfileLoadError, ValidationError
 
 # KPI columns that exist per record, in canonical order.
@@ -128,13 +127,6 @@ class ModelProfile:
             for name in ("image_id",) + KPI_NAMES
         }
         return cls(model_id=model_id, **columns)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModelProfile):
-            return NotImplemented
-        return (self.model_id, self.image_id) == (other.model_id, other.image_id) and all(
-            np.array_equal(self.column(k), other.column(k)) for k in KPI_NAMES
-        )
 
     def column(self, name: str) -> np.ndarray:
         """One KPI column by its canonical name."""
@@ -393,42 +385,25 @@ def write_profiles(profiles: list[ModelProfile], path) -> None:
 def load_profiles(path) -> list[ModelProfile]:
     """Load profiles from CSV, one ModelProfile per distinct model_id.
 
-    ProfileLoadError names the data row (1-based, excluding the header) of
-    a row whose field count is not the header's, an unparsable number, a
-    violated record invariant or a repeated (image,
-    model), and both models and the first position where they differ if a
-    model does not list the images of the first model in the file, in order.
-    """
+    csvtext.read_rows checks the text, header, field counts and numbers (b
+    whole). ProfileLoadError then names the data row of a broken record
+    invariant or a repeated (image, model), or both models and the first
+    position where a model does not list the file's first model's images."""
+    types = {**dict.fromkeys(KPI_NAMES, float), "b": int}
     by_model: dict[str, list[KpiRecord]] = {}
     first_row: dict[tuple[str, str], int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [col for col in PROFILE_CSV_HEADER if col not in header]
-        if missing:
-            raise ProfileLoadError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row_no, row in enumerate(reader, start=1):
-            if mismatch := field_count_mismatch(row):
-                raise ProfileLoadError(f"{path}: row {row_no}: {mismatch}")
-            try:
-                rec = KpiRecord(
-                    image_id=row["image_id"],
-                    model_id=row["model_id"],
-                    c=float(row["c"]),
-                    tau_model=float(row["tau_model"]),
-                    tau_system=float(row["tau_system"]),
-                    s_cpu=float(row["s_cpu"]),
-                    b=_parse_count(row["b"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ProfileLoadError(f"{path}: row {row_no}: {exc}") from exc
-            first = first_row.setdefault((rec.image_id, rec.model_id), row_no)
-            if first != row_no:
-                raise ProfileLoadError(
-                    f"{path}: row {row_no}: image {rec.image_id!r} of model "
-                    f"{rec.model_id!r} repeats row {first}"
-                )
-            by_model.setdefault(rec.model_id, []).append(rec)
+    for row_no, row in enumerate(read_rows(path, PROFILE_CSV_HEADER, ProfileLoadError, types), 1):
+        try:
+            rec = KpiRecord(**row)
+        except ValidationError as exc:
+            raise ProfileLoadError(f"{path}: row {row_no}: {exc}") from exc
+        first = first_row.setdefault((rec.image_id, rec.model_id), row_no)
+        if first != row_no:
+            raise ProfileLoadError(
+                f"{path}: row {row_no}: image {rec.image_id!r} of model "
+                f"{rec.model_id!r} repeats row {first}"
+            )
+        by_model.setdefault(rec.model_id, []).append(rec)
     if not by_model:
         raise ProfileLoadError(f"{path}: no data rows")
     profiles = [ModelProfile.of_records(model_id, recs) for model_id, recs in by_model.items()]
@@ -453,10 +428,3 @@ def image_order_mismatch(profiles: Sequence[ModelProfile]) -> str | None:
                 "in its order"
             )
     return None
-
-
-def _parse_count(text: str) -> int:
-    value = float(text)
-    if not value.is_integer():
-        raise ValueError(f"b must be an integer, got {text!r}")
-    return int(value)

@@ -151,6 +151,25 @@ def completions_of(rows):
     ))))
 
 
+def window_of(rows) -> _KpiWindow:
+    """A controller window holding exactly the given KPI rows, in order."""
+    rows = tuple(rows)
+    window = _KpiWindow(max(len(rows), 1))
+    for kpis in rows:
+        window.add(kpis)
+    return window
+
+
+def same_profiles(a, b) -> bool:
+    """Whether two sequences of ModelProfiles match pair by pair: one model
+    id, one image order, and equal values in each KPI column."""
+    return len(a) == len(b) and all(
+        (p.model_id, p.image_id) == (q.model_id, q.image_id)
+        and all(np.array_equal(p.column(kpi), q.column(kpi)) for kpi in KPI_NAMES)
+        for p, q in zip(a, b)
+    )
+
+
 def monitor_snapshot(
     sim_time, completions, arrival_times, queue_depth, active_model,
     window_size=DEFAULT_WINDOW_SIZE,
@@ -171,7 +190,7 @@ def monitor_snapshot(
         }
     state = SystemState(
         m_prime=active_model,
-        window=_KpiWindow.of(rec.kpis for rec in window),
+        window=window_of(rec.kpis for rec in window),
         v=float(sum(sim_time - 1.0 < t <= sim_time for t in arrival_times)),
         i_w=queue_depth,
     )

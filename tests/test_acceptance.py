@@ -17,7 +17,6 @@ from adamls.controller import (
     Knowledge,
     PlannerInput,
     SystemState,
-    _KpiWindow,
     execute,
     feasible_rate_range,
     plan,
@@ -26,7 +25,9 @@ from adamls.learning import compute_ci, kmeans_1d
 from adamls.metrics import UtilityParams, summarize, utility_per_request
 from adamls.simulator import generate_workload, run_simulation, write_results_csv
 
-from .oracles import brute_force_plan, normal_mean_ci, optimal_1d_wcss, served_rows
+from .oracles import (
+    brute_force_plan, normal_mean_ci, optimal_1d_wcss, served_rows, window_of
+)
 from .test_controller import FakeSystem, completion, matrix_of
 
 
@@ -109,12 +110,12 @@ def test_criterion_4_planner_matches_enumeration_oracle():
             cluster_id = rng.randrange(len(clusters))
             v_adj = round(rng.uniform(0.5, 60.0), 1)
             use_live = case % 2 == 1
-            live_window = _KpiWindow.of(())
+            live_window = window_of(())
             live = None
             if use_live:
                 taus = [round(rng.uniform(0.03, 0.5), 3) for _ in range(12)]
                 cs = [round(rng.uniform(0.3, 0.95), 3) for _ in range(12)]
-                live_window = _KpiWindow.of(
+                live_window = window_of(
                     completion(i, model=m_prime, c=c, tau=tau + 0.005).kpis
                     for i, (c, tau) in enumerate(zip(cs, taus))
                 )
@@ -248,7 +249,7 @@ def test_criterion_7_analyzer_debounce():
         knowledge = Knowledge(adaptation_rule_repository={"m": matrix})
 
         def state(v):
-            window = _KpiWindow.of(completion(i, model="m", tau=0.1).kpis for i in range(8))
+            window = window_of(completion(i, model="m", tau=0.1).kpis for i in range(8))
             return SystemState("m", window, v=v, i_w=0)
 
         # A violation that clears within t_wait produces no plan, hence no

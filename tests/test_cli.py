@@ -167,6 +167,27 @@ class TestConfig:
             cfgmod.parse_policy_label("greedy", tiny_config)
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"master_seed: [1\n", "line 2, column 1: expected ',' or ']', but got '<stream end>'"),
+            (b"\xffmaster_seed: 1\n", "not UTF-8 text: invalid start byte"),
+            (b"master_seed: 3\nmaster_seed: 4\n", "line 2, column 1: key 'master_seed' repeats line 1"),
+            (
+                b"simulation: {worker_count: 1, worker_count: 4}\n",
+                "line 1, column 31: key 'worker_count' repeats line 1",
+            ),
+        ],
+        ids=["unclosed-list", "not-utf-8", "repeated-key", "repeated-section-key"],
+    )
+    def test_a_bad_yaml_file_fails_naming_the_file(self, tmp_path, text, message, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(text)
+        assert cli.main(["learn", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 # The flags each command reads, besides --config and --out.
 _COMMAND_FLAGS = {
     "learn": {"--seed"},
@@ -249,16 +270,52 @@ class TestLearnCommand:
         )
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text.replace(b"i1,slow", b"\xff1,slow"), "not UTF-8 text: invalid start byte"),
+            (
+                lambda text: text.replace(b",b\n", b",b,c\n").replace(b",3\n", b",3,0.9\n"),
+                "the header repeats column(s) c",
+            ),
+            (lambda text: text.replace(b",0.21,", b",0.21x,"), "row 2: tau_system must be a number"),
+        ],
+        ids=["not-utf-8", "repeated-column", "bad-number"],
+    )
+    def test_a_bad_profile_csv_fails_naming_the_file(
+        self, tmp_path, tiny_config, edit, message, capsys
+    ):
+        csv_path = tmp_path / "profiles.csv"
+        csv_path.write_bytes(edit(
+            b"image_id,model_id,c,tau_model,tau_system,s_cpu,b\n"
+            b"i1,fast,0.5,0.04,0.045,20,3\ni1,slow,0.7,0.2,0.21,40,3\n"
+        ))
+        config = dataclasses.replace(
+            tiny_config,
+            profiles=dataclasses.replace(
+                tiny_config.profiles, source="csv", csv_path=str(csv_path)
+            ),
+            output_dir=str(tmp_path / "out"),
+        )
+        path = write_config(tmp_path, config)
+        assert cli.main(["learn", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_path}: {message}"), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "field, text", [("b_mean", ".inf"), ("b_std", ".nan"), ("overhead", ".nan")]
     )
     def test_non_finite_model_spec_fails_naming_the_field(self, tmp_path, field, text, capsys):
         path = tmp_path / "bad.yaml"
+        # Each key once: the loader rejects a repeated key.
+        last = ", ".join(f"{key}: {value}" for key, value in {"b_mean": "4.0", field: text}.items())
         path.write_text(
             f"output_dir: {tmp_path / 'out'}\n"
             "profiles:\n"
             "  models:\n"
             "    - {model_id: m, tau_system_mean: 0.1, tau_system_std: 0.01, c_mean: 0.6,\n"
-            f"       c_std: 0.05, s_cpu_mean: 50.0, b_mean: 4.0, {field}: {text}}}\n"
+            f"       c_std: 0.05, s_cpu_mean: 50.0, {last}}}\n"
         )
         assert cli.main(["learn", "--config", str(path)]) == 1
         err = capsys.readouterr().err
@@ -1022,6 +1079,34 @@ class TestBadRuleFiles:
         assert not (out / "compare").exists()
         assert not (out / "summary.csv").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text.replace(b"fast", b"f\xffst", 2), "not UTF-8 text: invalid start byte"),
+            (
+                lambda text: text.replace(b"\r\n", b",-5.0\r\n").replace(b"mean,-5.0", b"mean,low", 1),
+                "the header repeats column(s) low",
+            ),
+            (
+                lambda text: text.replace(b"\r\nfast,0,", b"\r\nfast,x,", 3),
+                "row 1: cluster must be an integer, got 'x'",
+            ),
+        ],
+        ids=["not-utf-8", "repeated-column", "bad-number"],
+    )
+    def test_compare_rejects_a_bad_rule_file_naming_it(
+        self, tmp_path, tiny_config, edit, message, capsys
+    ):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, tiny_config, output_dir=str(out))
+        assert cli.main(["learn", "--config", str(path)]) == 0
+        rules_path = out / "rules" / "fast.csv"
+        rules_path.write_bytes(edit(rules_path.read_bytes()))
+        capsys.readouterr()
+        assert cli.main(["compare", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {rules_path}: {message}\n"
+        assert not (out / "summary.csv").exists()
+
 
 class TestReportCommand:
     def test_report_ranks_policies(self, compared, capsys):
@@ -1056,7 +1141,7 @@ class TestReportCommand:
         before = files_under(out)
         assert cli.main(["report", "--config", str(path), "--timeseries"]) == 1
         err = capsys.readouterr().err
-        assert f"{out / name}, line 2: {column} must be a number, got 'abc" in err
+        assert f"{out / name}: row 1: {column} must be a number, got 'abc" in err
         assert "Traceback" not in err
         assert files_under(out) == before
 
@@ -1069,8 +1154,31 @@ class TestReportCommand:
         summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert cli.main(["report", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"{summary}, line 3: the row's field count is not the header's" in err
+        assert f"{summary}: row 2: the row's field count is not the header's" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, column, message",
+        [
+            ("summary.csv", "switches", "missing column(s) switches"),
+            ("utility_sweep.csv", "policy", "missing column(s) policy"),
+            ("summary.csv", "avg_c", "the header repeats column(s) avg_c"),
+        ],
+        ids=["summary-missing", "sweep-missing", "summary-repeated"],
+    )
+    def test_a_bad_header_fails_naming_the_file(self, compared, name, column, message, capsys):
+        out, _ = compared
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        at = lines[0].split(",").index(column)
+        if message.startswith("missing"):
+            lines = [",".join(f for i, f in enumerate(line.split(",")) if i != at) for line in lines]
+        else:
+            lines = [line + "," + line.split(",")[at] for line in lines]
+        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        before = files_under(out)
+        assert cli.main(["report", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out / name}: {message}\n"
+        assert files_under(out) == before
 
     def test_timeseries_written(self, compared, capsys):
         out, path = compared

@@ -33,7 +33,7 @@ from adamls.learning import CiEntry, CiMatrix
 from adamls.profiles import KPI_NAMES
 from adamls.simulator import run_simulation
 
-from .oracles import Served, brute_force_plan, monitor_snapshot, reference_ci
+from .oracles import Served, brute_force_plan, monitor_snapshot, reference_ci, window_of
 
 
 def completion(i, model="m", c=0.6, tau=0.05, finish=None, arrival=None, r=None):
@@ -188,7 +188,7 @@ class TestMonitor:
 def one_row_window(**means):
     """A window of one KPI row, so its means are the given values (0 for a
     KPI not given)."""
-    return _KpiWindow.of([tuple(means.get(kpi, 0.0) for kpi in KPI_NAMES)])
+    return window_of([tuple(means.get(kpi, 0.0) for kpi in KPI_NAMES)])
 
 
 def tracker_rules(anchor, models):
@@ -531,7 +531,7 @@ class TestAnalyzer:
 
     def test_empty_window_suppresses_analysis(self):
         analyzer, knowledge = analyzer_fixture()
-        state = SystemState("m", _KpiWindow.of(()), v=50.0, i_w=0)
+        state = SystemState("m", window_of(()), v=50.0, i_w=0)
         assert analyzer.analyze(state, knowledge, 1.0) is None
 
     def test_below_range_is_also_a_violation(self):
@@ -557,22 +557,22 @@ def plan_fixture():
 class TestPlan:
     def test_only_fast_model_compatible_at_high_rate(self):
         knowledge = plan_fixture()
-        result = plan(PlannerInput(30.0, "B", 0), knowledge, live_window=_KpiWindow.of(()))
+        result = plan(PlannerInput(30.0, "B", 0), knowledge, live_window=window_of(()))
         assert result.target == "A"
 
     def test_most_accurate_wins_when_both_compatible(self):
         knowledge = plan_fixture()
-        result = plan(PlannerInput(8.0, "A", 0), knowledge, live_window=_KpiWindow.of(()))
+        result = plan(PlannerInput(8.0, "A", 0), knowledge, live_window=window_of(()))
         assert result.target == "B"
 
     def test_incumbent_best_is_noop(self):
         knowledge = plan_fixture()
-        result = plan(PlannerInput(8.0, "B", 0), knowledge, live_window=_KpiWindow.of(()))
+        result = plan(PlannerInput(8.0, "B", 0), knowledge, live_window=window_of(()))
         assert not result.is_switch
 
     def test_empty_candidate_set_persists(self):
         knowledge = plan_fixture()
-        result = plan(PlannerInput(500.0, "A", 0), knowledge, live_window=_KpiWindow.of(()))
+        result = plan(PlannerInput(500.0, "A", 0), knowledge, live_window=window_of(()))
         assert not result.is_switch
         assert "no suitable" in result.reason
 
@@ -580,7 +580,7 @@ class TestPlan:
         knowledge = plan_fixture()
         # Live window of B shows tau ~0.02: its live capacity is ~50, so B
         # stays compatible at v_adj=30 and wins on confidence.
-        window = _KpiWindow.of(completion(i, model="B", c=0.85, tau=0.025).kpis for i in range(30))
+        window = window_of(completion(i, model="B", c=0.85, tau=0.025).kpis for i in range(30))
         result = plan(PlannerInput(30.0, "B", 0), knowledge, live_window=window)
         assert not result.is_switch
 
@@ -598,7 +598,7 @@ class TestPlan:
     def test_missing_cluster_is_rule_corruption(self):
         knowledge = plan_fixture()
         with pytest.raises(RuleError):
-            plan(PlannerInput(8.0, "A", 5), knowledge, live_window=_KpiWindow.of(()))
+            plan(PlannerInput(8.0, "A", 5), knowledge, live_window=window_of(()))
 
     def test_matches_brute_force_oracle_on_random_fixtures(self):
         rng = random.Random(99)
@@ -619,7 +619,7 @@ class TestPlan:
             cluster = rng.randrange(len(clusters))
             v_adj = round(rng.uniform(0.5, 60.0), 1)
             result = plan(
-                PlannerInput(v_adj, m_prime, cluster), knowledge, live_window=_KpiWindow.of(())
+                PlannerInput(v_adj, m_prime, cluster), knowledge, live_window=window_of(())
             )
             oracle_entries = {
                 m: {
@@ -668,12 +668,12 @@ class TestPlan:
             base_plan = plan(
                 PlannerInput(v_adj, "A", 0),
                 Knowledge(adaptation_rule_repository={"A": base_matrix}),
-                live_window=_KpiWindow.of(()),
+                live_window=window_of(()),
             )
             scaled_plan = plan(
                 PlannerInput(v_adj / alpha, "A", 0),
                 Knowledge(adaptation_rule_repository={"A": scaled_matrix}),
-                live_window=_KpiWindow.of(()),
+                live_window=window_of(()),
             )
             assert base_plan.target == scaled_plan.target
 

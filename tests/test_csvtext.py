@@ -1,5 +1,6 @@
 """csvtext.write_rows and write_columns against csv.writer itself: the same
-text for any rows."""
+text for any rows; read_rows reads back what they write, and rejects what
+does not fit its caller's header and types."""
 
 import csv
 import io
@@ -10,7 +11,7 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from adamls.csvtext import BLOCK_ROWS, column_texts, write_columns, write_rows
+from adamls.csvtext import BLOCK_ROWS, column_texts, read_rows, write_columns, write_rows
 
 FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-07, 0.1, 1.0, math.nan, math.inf, -math.inf]),
@@ -126,3 +127,61 @@ def test_write_columns_block_edges_keep_every_row(count):
 def test_columns_of_another_length_are_rejected():
     with pytest.raises(ValueError, match="one length"):
         write_columns(io.StringIO(), ("a", "b"), [(1, 2), (3,)], None)
+
+
+class ReadError(ValueError):
+    """The error type a read_rows caller passes."""
+
+
+TYPES = {"n": int, "x": float}
+
+
+def read_text(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
+    return read_rows(path, ("s", "n", "x"), ReadError, TYPES)
+
+
+@hypothesis.given(
+    rows=st.lists(st.tuples(TEXTS, st.integers(), st.floats(allow_nan=False)), max_size=5)
+)
+def test_read_rows_reads_back_what_write_rows_writes(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_rows(fh, ("s", "n", "x"), rows)
+    assert [tuple(r.values()) for r in read_rows(path, ("s", "n", "x"), ReadError, TYPES)] == rows
+
+
+def test_read_rows_keeps_the_callers_columns_in_its_order(tmp_path):
+    text = f"x,extra,n,s\r\n1.5,?,3.0,a\r\n\r\n-2,,{2**70 + 1},b\r\n"
+    assert read_text(tmp_path, text) == [
+        {"s": "a", "n": 3, "x": 1.5},
+        {"s": "b", "n": 2**70 + 1, "x": -2.0},  # exact, not through a float
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("s,n\r\na,1\r\n", "missing column(s) x"),
+        ("", "missing column(s) s, n, x"),
+        ("s,n,x,n,x\r\na,1,2,3,4\r\n", "the header repeats column(s) n, x"),
+        ("s,n,x\r\na,1,2\r\nb,1\r\n", "row 2: the row's field count is not the header's"),
+        ("s,n,x\r\na,1,2,9\r\n", "row 1: the row's field count is not the header's"),
+        ("s,n,x\r\na,1,2\r\nb,1,abc\r\n", "row 2: x must be a number, got 'abc'"),
+        ("s,n,x\r\na,2.5,2\r\n", "row 1: n must be an integer, got '2.5'"),
+        ("s,n,x\r\na,inf,2\r\n", "row 1: n must be an integer, got 'inf'"),
+        ("s,n,x\r\na,,2\r\n", "row 1: n must be an integer, got ''"),
+        ('s,n,x\r\na,1,2\r\n"' + "b" * (csv.field_size_limit() + 1) + '",1,2\r\n',
+         "row 2: field larger than field limit"),
+        (b"s,n,x\r\n\xff,1,2\r\n", "not UTF-8 text: invalid start byte"),
+    ],
+    ids=[
+        "missing", "empty", "repeated", "short", "long", "float", "int-fraction", "int-inf",
+        "int-empty", "csv-error", "not-utf-8",
+    ],
+)
+def test_read_rows_names_the_file_and_row(tmp_path, text, message):
+    with pytest.raises(ReadError) as raised:
+        read_text(tmp_path, text)
+    assert str(raised.value).startswith(f"{tmp_path / 't.csv'}: {message}")

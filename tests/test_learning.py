@@ -615,6 +615,34 @@ class TestCiMatrixCsv:
             f"{path}: row 3: the row's field count is not the header's"
         )
 
+    def test_read_rejects_a_repeated_column(self, tmp_path):
+        path = _write_rule_rows(tmp_path, _rule_rows())
+        lines = path.read_text().splitlines()
+        lines = [lines[0] + ",low"] + [line + ",-5.0" for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RuleError) as raised:
+            read_ci_matrix(path)
+        assert str(raised.value) == f"{path}: the header repeats column(s) low"
+
+    @pytest.mark.parametrize(
+        "column, text, what",
+        [("cluster", "x", "an integer"), ("n", "2.5", "an integer"), ("low", "abc", "a number")],
+    )
+    def test_read_names_the_column_of_a_bad_number(self, tmp_path, column, text, what):
+        rows = _rule_rows()
+        rows[2][column] = text
+        path = _write_rule_rows(tmp_path, rows)
+        with pytest.raises(RuleError) as raised:
+            read_ci_matrix(path)
+        assert str(raised.value) == f"{path}: row 3: {column} must be {what}, got {text!r}"
+
+    def test_read_takes_whole_numbers_written_as_floats(self, tmp_path):
+        rows = _rule_rows()
+        for row in rows:
+            row.update(cluster=row["cluster"] + ".0", n="5.0")
+        as_floats = read_ci_matrix(_write_rule_rows(tmp_path, rows))
+        assert as_floats == read_ci_matrix(_write_rule_rows(tmp_path, _rule_rows()))
+
     def test_read_rejects_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("anchor_model,cluster,model,kpi,low,high,n\n")
