@@ -1,8 +1,7 @@
-"""Experiment driver CLI: learn rules, simulate policies, compare, report.
+"""Experiment CLI: learn rules, compare policies, report.
 
 Subcommands:
   learn     build adaptation rules (per-model CI matrix CSVs) from profiles
-  simulate  run one policy on the configured workload, write result CSVs
   compare   run adamls, naive, and every static model on one request stream
   report    rank policies per weight pair from a comparison directory;
             --timeseries re-derives utility_timeseries.csv from its results
@@ -67,11 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "learn", parents=[seeded], help="learn adaptation rules from model profiles"
     )
     learn.set_defaults(run=run_learn)
-    simulate = sub.add_parser(
-        "simulate", parents=[seeded], help="simulate one policy on the workload"
-    )
-    simulate.add_argument("--policy", default=None, help="adamls, naive, or static:<model>")
-    simulate.set_defaults(run=run_simulate)
     compare = sub.add_parser(
         "compare", parents=[seeded], help="run all policies on the identical workload"
     )
@@ -104,10 +98,7 @@ def _load_config(args) -> cfgmod.ExperimentConfig:
     config = cfgmod.DEFAULT_CONFIG
     if args.config is not None:
         config = cfgmod.load_experiment_config(args.config)
-    flags = vars(args)
-    overrides = {
-        "master_seed": flags.get("seed"), "output_dir": args.out, "policy": flags.get("policy")
-    }
+    overrides = {"master_seed": vars(args).get("seed"), "output_dir": args.out}
     return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -171,23 +162,6 @@ def _run_policy(config: cfgmod.ExperimentConfig, label: str, profiles, matrices,
         policy=label,
     )
     return completions, events, summary
-
-
-def run_simulate(config: cfgmod.ExperimentConfig) -> int:
-    out_dir = Path(config.output_dir)
-    profiles = cfgmod.resolve_profiles(config)
-    needs_rules = cfgmod.checked_policy(config, profiles).kind == "adamls"
-    requests = cfgmod.build_request_stream(config, profiles)
-    matrices = _load_rule_matrices(config, profiles) if needs_rules else {}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    label = config.policy
-    completions, events, summary = _run_policy(config, label, profiles, matrices, requests)
-    stem = cfgmod.policy_dir_name(label)
-    write_results_csv(completions, out_dir / f"results_{stem}.csv")
-    write_event_log_csv(events, out_dir / f"events_{stem}.csv")
-    _print_summaries([summary])
-    print(f"results written to {out_dir}")
-    return 0
 
 
 def run_compare(config: cfgmod.ExperimentConfig) -> int:

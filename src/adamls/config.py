@@ -1,13 +1,13 @@
 """Experiment configuration: dataclass tree, YAML loading, seed fan-out.
 
 One YAML file describes a whole experiment (profile family, learning
-parameters, workload, simulation, policy, utility). Each section is one
-record, defined beside the code that reads it, and each record checks every
-value it holds when it is built, so YAML and the Python API get one check
-and one message per value. The loader only maps keys onto records: omitted
-keys fall back to the records' defaults; unknown keys are rejected.
-The master seed fans out to per-purpose sub-seeds through a fixed hash, so
-adding one policy to an experiment never perturbs another policy's
+parameters, workload, simulation, naive thresholds, utility, weight grid).
+Each section is one record, defined beside the code that reads it, and each
+record checks every value it holds when it is built, so YAML and the Python
+API get one check and one message per value. The loader only maps keys onto
+records: omitted keys fall back to the records' defaults; unknown keys are
+rejected. The master seed fans out to per-purpose sub-seeds through a fixed
+hash, so adding one policy to an experiment never perturbs another policy's
 randomness.
 """
 
@@ -79,7 +79,6 @@ class ExperimentConfig:
     learning: LearningConfig = field(default_factory=LearningConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     simulation: SimulationConfig = field(default_factory=SimulationConfig)
-    policy: str = "adamls"
     naive_thresholds: NaivePolicyConfig = DEFAULT_NAIVE_THRESHOLDS
     utility: UtilityParams = field(default_factory=UtilityParams)
     weight_grid: tuple[tuple[float, float], ...] = DEFAULT_WEIGHT_GRID
@@ -110,29 +109,13 @@ def derive_seed(master_seed: int, label: str) -> int:
 
 
 def parse_policy_label(label: str, config: ExperimentConfig) -> PolicySpec:
-    """Turn a policy label (adamls, naive, static:<model>) into a PolicySpec."""
-    if label == "adamls":
-        return PolicySpec(kind="adamls")
+    """Turn a policy label (adamls, naive, static:<model>) into a PolicySpec;
+    PolicySpec rejects any other label."""
     if label == "naive":
         return PolicySpec(kind="naive", naive=config.naive_thresholds)
     if label.startswith("static:"):
         return PolicySpec(kind="static", static_model=label.split(":", 1)[1])
-    raise ConfigError(
-        f"{config.source}: policy {label!r} is unknown; expected adamls, naive, or static:<model>"
-    )
-
-
-def checked_policy(config: ExperimentConfig, profiles) -> PolicySpec:
-    """config.policy (the key --policy overrides) as a PolicySpec whose
-    static model, if any, is profiled; simulate checks it before it writes."""
-    spec = parse_policy_label(config.policy, config)
-    profiled = sorted(p.model_id for p in profiles)
-    if spec.kind == "static" and spec.static_model not in profiled:
-        raise ConfigError(
-            f"{config.source}: policy {config.policy!r} names model {spec.static_model!r}, "
-            f"which has no profile; the profiled models are {profiled}"
-        )
-    return spec
+    return PolicySpec(kind=label)
 
 
 def resolve_profiles(config: ExperimentConfig) -> list[ModelProfile]:
@@ -167,8 +150,8 @@ def resolve_profiles(config: ExperimentConfig) -> list[ModelProfile]:
 
 def _check_model_ids(profiles, where: str) -> None:
     """Each model id names files of its own: learn's rules/<id>.csv, which
-    must not be the clustering report, and compare's and simulate's
-    policy_dir_name of static:<id>. where names the source and its key."""
+    must not be the clustering report, and compare's policy_dir_name of
+    static:<id>. where names the source and its key."""
     dirs: dict[str, str] = {}
     for model_id in sorted(p.model_id for p in profiles):
         if model_id == CLUSTERING_REPORT:
@@ -222,8 +205,7 @@ def build_sim_config(
 
 
 def policy_dir_name(label: str) -> str:
-    """The name of a policy's directory under compare/, and of simulate's
-    results_<name>.csv."""
+    """The name of a policy's directory under compare/."""
     return label.replace(":", "_")
 
 
@@ -260,6 +242,10 @@ def load_experiment_config(path) -> ExperimentConfig:
             raw = yaml.load(fh, Loader=_UniqueKeyLoader)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except yaml.reader.ReaderError as exc:
+        # A control character: its text names the file again on a second line.
+        problem = str(exc).partition("\n")[0]
+        raise ConfigError(f"{path}: position {exc.position}: {problem}") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""

@@ -180,7 +180,6 @@ class SimulationConfig:
     window_size: int = ctrl.DEFAULT_WINDOW_SIZE
     t_wait: float = ctrl.DEFAULT_T_WAIT
     tick_interval: float = 0.1
-    network_delay: float = 0.0
     initial_model: str = "xlarge"
 
     def __post_init__(self) -> None:
@@ -189,7 +188,7 @@ class SimulationConfig:
             raise ConfigError(f"simulation.worker_count must be >= 1, got {self.worker_count}")
         if self.tick_interval <= 0.0:
             raise ConfigError(f"simulation.tick_interval must be > 0, got {self.tick_interval}")
-        for key in ("switch_latency", "t_wait", "network_delay"):
+        for key in ("switch_latency", "t_wait"):
             if getattr(self, key) < 0.0:
                 raise ConfigError(f"simulation.{key} must be >= 0, got {getattr(self, key)}")
         if self.window_size < 1:
@@ -331,8 +330,7 @@ class _Engine:
         # (request id, arrival time, image row) of each waiting request.
         self._queue: deque[tuple[int, float, int]] = deque()
         self._free_workers = config.simulation.worker_count
-        # Read on every dispatch and every tick.
-        self._network_delay = config.simulation.network_delay
+        # Read on every tick.
         self._tick_interval = config.simulation.tick_interval
         self._in_flight = 0
         self._intake_paused_until = 0.0
@@ -429,10 +427,7 @@ class _Engine:
                 kpis = rows[i] = (c, tau_model, tau_system, s_cpu, int(b))
             start = self.now
             finish = start + kpis[2]  # tau_system
-            served = (
-                req_id, arrival_t, start, finish, model, i, kpis,
-                finish - arrival_t + self._network_delay,
-            )
+            served = (req_id, arrival_t, start, finish, model, i, kpis, finish - arrival_t)
             self._free_workers -= 1
             self._in_flight += 1
             self._push(finish, _EV_COMPLETION, served)

@@ -37,7 +37,6 @@ def experiment_config_to_dict(config: cfgmod.ExperimentConfig) -> dict:
             "arrival_process": config.workload.arrival_process,
         },
         "simulation": dataclasses.asdict(config.simulation),
-        "policy": config.policy,
         "naive_thresholds": [[b, m] for b, m in config.naive_thresholds.thresholds],
         "utility": dataclasses.asdict(config.utility),
         "weight_grid": [list(pair) for pair in config.weight_grid],
@@ -163,7 +162,7 @@ class TestConfig:
         assert cfgmod.parse_policy_label("naive", tiny_config).naive is not None
         static = cfgmod.parse_policy_label("static:fast", tiny_config)
         assert (static.kind, static.static_model) == ("static", "fast")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^unknown policy kind 'greedy'$"):
             cfgmod.parse_policy_label("greedy", tiny_config)
 
 
@@ -177,8 +176,12 @@ class TestConfig:
                 b"simulation: {worker_count: 1, worker_count: 4}\n",
                 "line 1, column 31: key 'worker_count' repeats line 1",
             ),
+            (
+                b"master_seed: \x01\n",
+                "position 13: unacceptable character #x0001: special characters are not allowed",
+            ),
         ],
-        ids=["unclosed-list", "not-utf-8", "repeated-key", "repeated-section-key"],
+        ids=["unclosed-list", "not-utf-8", "repeated-key", "repeated-section-key", "control-char"],
     )
     def test_a_bad_yaml_file_fails_naming_the_file(self, tmp_path, text, message, capsys):
         path = tmp_path / "bad.yaml"
@@ -191,7 +194,6 @@ class TestConfig:
 # The flags each command reads, besides --config and --out.
 _COMMAND_FLAGS = {
     "learn": {"--seed"},
-    "simulate": {"--seed", "--policy"},
     "compare": {"--seed"},
     "report": {"--timeseries"},
     "study": {"--seeds"},
@@ -354,7 +356,6 @@ class TestLearnCommand:
             ("compare", "simulation: {t_wait: abc}", "simulation.t_wait"),
             ("compare", "simulation: {switch_latency: .nan}", "simulation.switch_latency"),
             ("compare", "simulation: {tick_interval: .inf}", "simulation.tick_interval"),
-            ("compare", "simulation: {network_delay: null}", "simulation.network_delay"),
         ],
     )
     def test_non_number_float_field_fails_naming_the_key(
@@ -498,6 +499,13 @@ class TestLearnCommand:
             # Every seed derives from master_seed.
             ("workload: {seed: 1}", "unknown key(s) ['seed'] in section 'workload'"),
             ("profiles: {seed: 1}", "unknown key(s) ['seed'] in section 'profiles'"),
+            # compare runs every policy: no key picks one.
+            ("policy: adamls", "unknown key(s) ['policy']"),
+            # The response time has no network term.
+            (
+                "simulation: {network_delay: 0.0}",
+                "unknown key(s) ['network_delay'] in section 'simulation'",
+            ),
         ],
     )
     def test_bad_setting_fails_at_load(self, tmp_path, command, yaml_text, message, capsys):
@@ -556,10 +564,7 @@ class TestLearnCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize(
-        "command", [["learn"], ["compare"], ["simulate", "--policy", "static:slow"]],
-        ids=["learn", "compare", "simulate"],
-    )
+    @pytest.mark.parametrize("command", [["learn"], ["compare"]], ids=["learn", "compare"])
     @pytest.mark.parametrize(
         "edit, where",
         [
@@ -679,10 +684,6 @@ class TestLearnCommand:
                 "master_seed must be an integer, got 2.5",
             ),
             (
-                cfgmod.ExperimentConfig, {"policy": 3}, {"policy": 3},
-                "policy must be a string, got 3",
-            ),
-            (
                 cfgmod.ModelKpiSpec, {**_MODEL_SPEC, "model_id": 5},
                 {"profiles": {"models": [{**_MODEL_SPEC, "model_id": 5}]}},
                 "model_id must be a string, got 5",
@@ -691,7 +692,7 @@ class TestLearnCommand:
         ids=[
             "raw_violation_signs", "initial_model", "csv_path", "segment-string",
             "segment-bool", "threshold-bool", "weight_grid-nan", "weight_grid-repeat",
-            "master_seed", "policy", "model_id",
+            "master_seed", "model_id",
         ],
     )
     def test_the_python_api_rejects_what_the_loader_rejects(self, record, settings, raw, message):
@@ -721,86 +722,6 @@ class TestLearnCommand:
     def test_integer_float_field_accepted(self):
         config = cfgmod.experiment_config_from_dict({"simulation": {"t_wait": 1}})
         assert config.simulation.t_wait == 1
-
-
-class TestSimulateCommand:
-    def test_static_row_count(self, tmp_path, tiny_config):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, tiny_config, output_dir=str(out), policy="static:fast")
-        assert cli.main(["simulate", "--config", str(path)]) == 0
-        rows = read_rows(out / "results_static_fast.csv")
-        assert len(rows) == 160
-        assert {row["model"] for row in rows} == {"fast"}
-
-    def test_adamls_without_rules_instructs_learn(self, tmp_path, tiny_config, capsys):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, tiny_config, output_dir=str(out), policy="adamls")
-        assert cli.main(["simulate", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "learn" in err
-        assert not out.exists()
-
-    def test_adamls_after_learn(self, tmp_path, tiny_config):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, tiny_config, output_dir=str(out), policy="adamls")
-        assert cli.main(["learn", "--config", str(path)]) == 0
-        assert cli.main(["simulate", "--config", str(path)]) == 0
-        assert (out / "results_adamls.csv").exists()
-        events = read_rows(out / "events_adamls.csv")
-        kinds = {row["event"] for row in events}
-        assert kinds >= {"ANALYZE_TRIGGER", "PLAN"}
-        assert "MONITOR" not in kinds
-
-    def test_naive_ramp_produces_switches(self, tmp_path, tiny_config):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, tiny_config, output_dir=str(out), policy="naive")
-        assert cli.main(["simulate", "--config", str(path)]) == 0
-        events = read_rows(out / "events_naive.csv")
-        switches = [row for row in events if row["event"] == "SWITCH"]
-        assert len(switches) >= 2
-
-    def test_policy_flag_overrides_config(self, tmp_path, tiny_config):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, tiny_config, output_dir=str(out), policy="adamls")
-        assert cli.main(["simulate", "--config", str(path), "--policy", "static:slow"]) == 0
-        assert (out / "results_static_slow.csv").exists()
-
-    @pytest.mark.parametrize(
-        "policy, message",
-        [
-            (
-                "static:ghost",
-                "policy 'static:ghost' names model 'ghost', which has no profile; "
-                "the profiled models are ['fast', 'slow']",
-            ),
-            ("greedy", "policy 'greedy' is unknown; expected adamls, naive, or static:<model>"),
-        ],
-    )
-    def test_bad_policy_fails_naming_the_key(
-        self, tmp_path, tiny_config, policy, message, capsys
-    ):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, tiny_config, output_dir=str(out))
-        assert cli.main(["simulate", "--config", str(path), "--policy", policy]) == 1
-        err = capsys.readouterr().err
-        assert f"{path}: {message}" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    def test_a_workload_without_arrivals_fails_before_writing(
-        self, tmp_path, tiny_config, capsys
-    ):
-        """simulate builds its request stream before it creates --out."""
-        out = tmp_path / "out"
-        workload = dataclasses.replace(tiny_config.workload, segments=((5.0, 0.0),))
-        path = write_config(
-            tmp_path, tiny_config, output_dir=str(out), policy="static:fast", workload=workload
-        )
-        assert cli.main(["simulate", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "workload produces no arrivals" in err
-        assert "Traceback" not in err
-        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -875,16 +796,27 @@ class TestCompareCommand:
         assert cli.main(["compare", "--config", str(path)]) == 0
         assert hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest() == digest
 
-    def test_results_equal_what_simulate_writes(self, compared):
-        """compare writes its results files through texts its runs share;
-        simulate writes one with texts of its own. The bytes are the same."""
-        out, path = compared
-        labels = [row["policy"] for row in read_rows(out / "summary.csv")]
-        for label in labels:
-            assert cli.main(["simulate", "--config", str(path), "--policy", label]) == 0
-            stem = cfgmod.policy_dir_name(label)
-            simulated = (out / f"results_{stem}.csv").read_bytes()
-            assert simulated == (out / "compare" / stem / "results.csv").read_bytes(), label
+    def test_without_rules_fails_before_writing(self, tmp_path, tiny_config, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, tiny_config, output_dir=str(out))
+        assert cli.main(["compare", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"missing rule file {out / 'rules' / 'fast.csv'}; run the learn command first" in err
+        assert not out.exists()
+
+    def test_a_workload_without_arrivals_fails_before_writing(
+        self, tmp_path, tiny_config, capsys
+    ):
+        """compare builds its request stream before it writes any file."""
+        out = tmp_path / "out"
+        workload = dataclasses.replace(tiny_config.workload, segments=((5.0, 0.0),))
+        path = write_config(tmp_path, tiny_config, output_dir=str(out), workload=workload)
+        assert cli.main(["learn", "--config", str(path)]) == 0
+        assert cli.main(["compare", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "workload produces no arrivals" in err
+        assert "Traceback" not in err
+        assert {p.name for p in out.iterdir()} == {"profiles.csv", "rules"}
 
     def test_kpi_texts_are_built_once_per_drawn_row(self, compared, monkeypatch):
         """A work count, not a timing: one compare formats the c..b text of

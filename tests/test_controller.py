@@ -426,6 +426,21 @@ class TestClusterMatching:
         }
         assert find_closest_cluster(self.state_with_means(means), matrix) == 1
 
+    def test_equal_distances_match_the_lower_cluster(self):
+        """A window halfway between two clusters is as near to each (every
+        value here is exact in binary), and goes to cluster 0."""
+        same = {"c": (0.5, 0.5), "s_cpu": (50.0, 50.0), "b": (3.0, 3.0)}
+        matrix = matrix_of(
+            "a",
+            {
+                0: {"a": {"tau": (0.25, 0.25), "tau_sys": (0.25, 0.25), **same}},
+                1: {"a": {"tau": (0.75, 0.75), "tau_sys": (0.75, 0.75), **same}},
+            },
+            stds={"c": 0.5, "tau_model": 0.5, "tau_system": 0.5, "s_cpu": 0.0, "b": 0.0},
+        )
+        means = {"tau_model": 0.5, "tau_system": 0.5, "c": 0.5, "s_cpu": 50.0, "b": 3.0}
+        assert find_closest_cluster(self.state_with_means(means), matrix) == 0
+
     def test_missing_anchor_stats_rejected(self):
         entries = matrix_of("a", {0: {"a": {"tau": (0.1, 0.2)}}}).entries
         matrix = CiMatrix("a", entries, anchor_kpi_std={})
@@ -569,6 +584,24 @@ class TestPlan:
         knowledge = plan_fixture()
         result = plan(PlannerInput(8.0, "B", 0), knowledge, live_window=window_of(()))
         assert not result.is_switch
+
+    @pytest.mark.parametrize(
+        "incumbent, high_tau_b", [("A", 0.03), ("B", 0.05)], ids=["other-faster", "other-first"]
+    )
+    def test_the_incumbent_wins_a_tie_on_low_c(self, incumbent, high_tau_b):
+        """A and B tie on low(c) and both cover v_adj. The incumbent stays,
+        though the other model has the smaller high(tau), or the same one
+        and the smaller id."""
+        clusters = {
+            0: {
+                "A": {"tau": (0.02, 0.05), "c": (0.7, 0.8)},
+                "B": {"tau": (0.02, high_tau_b), "c": (0.7, 0.8)},
+            }
+        }
+        matrix = matrix_of(incumbent, clusters)
+        knowledge = Knowledge(adaptation_rule_repository={incumbent: matrix})
+        result = plan(PlannerInput(8.0, incumbent, 0), knowledge, live_window=window_of(()))
+        assert result == ctrl._INCUMBENT_BEST
 
     def test_empty_candidate_set_persists(self):
         knowledge = plan_fixture()
@@ -716,6 +749,23 @@ class TestNaivePolicy:
         assert naive_policy(0.0, self.CONFIG) == "E"
         assert naive_policy(5.0, self.CONFIG) == "E"
         assert naive_policy(1e6, self.CONFIG) == "A"
+
+    def test_checks_fall_due_once_per_interval_on_a_tick_stream(self):
+        """Ticks come every 0.25 s for 3 s, and the trailing rate reads 10
+        from 0.25 s to 1 s and from 1.75 s to 2.5 s, else 0. Checks at 0, 1,
+        2 and 3 s switch at 1 s and 3 s; checks at every tick would switch at
+        0.25, 1.25, 1.75 and 2.75 s."""
+        assert ctrl.NAIVE_CHECK_INTERVAL == 1.0
+        knowledge = Knowledge()
+        config = NaivePolicyConfig(thresholds=((5.0, "a"), (math.inf, "b")))
+        switcher = ctrl.NaiveSwitcher(knowledge, config, switch_latency=0.0)
+        system = FakeSystem(active="a")
+        system.arrival_times = [0.1] * 10 + [1.6] * 10
+        for i in range(13):
+            system.now = i * 0.25
+            switcher.on_event(system)
+        assert system.switches == [(1.0, "b", 0.0), (3.0, "a", 0.0)]
+        assert knowledge.event_log.sim_time == [1.0, 1.0, 3.0, 3.0]
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

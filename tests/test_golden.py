@@ -189,23 +189,6 @@ def test_learn_from_written_profiles_matches_generated_rules(tmp_path, capsys):
     assert csv_digests(tmp_path / "csv", "rules/*.csv") == rules
 
 
-# simulate with the adamls policy on the tiny config: the other caller of the
-# results and event-log writers. Its files equal compare's adamls files, since
-# both runs draw from the same seeds.
-SIMULATE_SHA256 = {
-    "events_adamls.csv": "008eb946f1ac287d727b9e3e3fbbcf4c7af821dfe7941fcfe38715692e4e2439",
-    "results_adamls.csv": "dc8f8750dd87b3dce3cfb76dd5c5c85dcdfd8c296af0a0dea89f7399946d029b",
-}
-
-
-def test_simulate_outputs_match_golden_digests(tiny_config, tmp_path, capsys):
-    config = dataclasses.replace(tiny_config, output_dir=str(tmp_path))
-    assert cli.run_learn(config) == 0
-    assert cli.run_simulate(config) == 0
-    capsys.readouterr()
-    assert csv_digests(tmp_path, "*_adamls.csv") == SIMULATE_SHA256
-
-
 def test_learn_from_csv_leaves_its_input_as_it_is(tiny_config, tmp_path, capsys):
     """A csv-source learn reads profiles.csv and never writes it back."""
     config = dataclasses.replace(tiny_config, output_dir=str(tmp_path))

@@ -61,10 +61,10 @@ def _functions(member):
 
 
 def test_every_function_but_the_pinned_ones_is_called(tmp_path, tiny_config):
-    """learn, compare, report (with and without --timeseries), simulate for
-    adamls, naive and one static model, a csv-source learn and compare, and
-    study on two seeds. The config sets every section, utility included, so
-    each record's check runs here and not only at import."""
+    """learn, compare, report (with and without --timeseries), a csv-source
+    learn and compare, and study on two seeds. The config sets every
+    section, utility included, so each record's check runs here and not
+    only at import."""
     out, csv_out = tmp_path / "out", tmp_path / "csv_out"
     path = write_config(tmp_path, tiny_config, output_dir=str(out))
     csv_config = dataclasses.replace(
@@ -81,8 +81,6 @@ def test_every_function_but_the_pinned_ones_is_called(tmp_path, tiny_config):
         ["compare", "--config", str(path)],
         ["report", "--config", str(path)],
         ["report", "--config", str(path), "--timeseries"],
-        *(["simulate", "--config", str(path), "--policy", policy]
-          for policy in ("adamls", "naive", "static:fast")),
         ["learn", "--config", str(csv_path)],
         ["compare", "--config", str(csv_path)],
         ["study", "--config", str(path), "--out", str(tmp_path / "study"), "--seeds", "1", "2"],
