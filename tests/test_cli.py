@@ -165,6 +165,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^unknown policy kind 'greedy'$"):
             cfgmod.parse_policy_label("greedy", tiny_config)
 
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("", "^unknown policy kind ''$"),
+            ("ADAMLS", "^unknown policy kind 'ADAMLS'$"),
+            ("naive:fast", "^unknown policy kind 'naive:fast'$"),
+            ("static", "^static policy needs static_model$"),
+            ("static:", "^static policy needs static_model$"),
+        ],
+    )
+    def test_a_label_that_names_no_policy_is_rejected(self, tiny_config, label, message):
+        """parse_policy_label leaves every label it does not know to
+        PolicySpec, which raises: no label yields None or a spec."""
+        with pytest.raises(ConfigError, match=message):
+            cfgmod.parse_policy_label(label, tiny_config)
+
 
     @pytest.mark.parametrize(
         "text, message",
@@ -214,6 +230,24 @@ def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, command, flag
         cli.main([command, "--out", str(tmp_path / "out"), flag, *value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["simulate"], "invalid choice: 'simulate'")]
+    + [
+        ([command, "--policy", "adamls"], "unrecognized arguments: --policy")
+        for command in _COMMAND_FLAGS
+    ],
+    ids=["simulate", *(f"{command}---policy" for command in _COMMAND_FLAGS)],
+)
+def test_the_removed_command_and_flag_are_usage_errors(tmp_path, argv, message, capsys):
+    """compare runs every policy, so no command or flag runs one alone."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -795,6 +829,24 @@ class TestCompareCommand:
         digest = hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest()
         assert cli.main(["compare", "--config", str(path)]) == 0
         assert hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("model", ["fast", "slow"])
+    def test_a_static_run_serves_every_request_with_its_model(self, compared, model):
+        out, _ = compared
+        rows = read_rows(out / "compare" / f"static_{model}" / "results.csv")
+        assert len(rows) == 160
+        assert {row["model"] for row in rows} == {model}
+
+    def test_adamls_logs_its_analyze_and_plan_steps(self, compared):
+        out, _ = compared
+        kinds = {row["event"] for row in read_rows(out / "compare" / "adamls" / "events.csv")}
+        assert kinds >= {"ANALYZE_TRIGGER", "PLAN"}
+        assert "MONITOR" not in kinds
+
+    def test_naive_switches_on_the_ramp(self, compared):
+        out, _ = compared
+        events = read_rows(out / "compare" / "naive" / "events.csv")
+        assert sum(row["event"] == "SWITCH" for row in events) >= 2
 
     def test_without_rules_fails_before_writing(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "out"
