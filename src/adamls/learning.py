@@ -1,9 +1,10 @@
 """Offline learning engine: clustered KPI profiles and CI adaptation rules.
 
 The profiles' KPI columns are first stacked in their shared image order into
-one performance matrix, once per learn. Then, for each anchor model: pick a
-cluster count by the elbow rule on the within-cluster sum of squares, run
-exact 1-D k-means on the anchor's per-image system time, and compute
+one performance matrix, once per learn. One pass of exact 1-D k-means then
+clusters every anchor model's per-image system time, all anchors in
+lockstep. Then, for each anchor: pick a cluster count by the elbow rule on
+the within-cluster sum of squares, take that count's partition, and compute
 per-cluster 90% confidence intervals of every KPI of every model from the
 matrix. The resulting CI matrices are the controller's adaptation rules.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, TypeVar
 
@@ -152,11 +154,26 @@ class LearnedModelRules:
 
 
 class _Partitions(NamedTuple):
-    """One pass of the exact DP: the values as an array and, per k, each
-    value's cluster label (partitions[k - 1])."""
+    """One column's pass of the exact DP: the values as an array and, per
+    k, each value's cluster label (partitions[k - 1])."""
 
     x: np.ndarray
     partitions: list[np.ndarray]
+
+
+class _ColumnError(ValidationError):
+    """A column _optimal_1d cannot cluster; column is its index."""
+
+    def __init__(self, column: int, message: str):
+        super().__init__(message)
+        self.column = column
+
+
+# Values of magnitude at most _SQUARE_LIMIT / n keep every sum of the DP on
+# n values finite: centred, |u| <= 2 * limit, so the prefix sums of w*u and
+# w*u*u, and a segment's sum squared, stay within (2 * n * limit)**2, a
+# quarter of the largest float.
+_SQUARE_LIMIT = math.sqrt(sys.float_info.max) / 4
 
 
 def kmeans_1d(values, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -165,8 +182,9 @@ def kmeans_1d(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     The partition is the exact minimum of the within-cluster sum of squares
     (see _optimal_1d); every copy of a value gets the same label, and labels
     are numbered in ascending centroid order. Each centroid is the mean of
-    its members. values may also be an earlier _optimal_1d pass over the
-    values with at least k layers, which is then not run again.
+    its members. values may also be one column's _Partitions from an earlier
+    _optimal_1d call with at least k layers, which is then not run again;
+    raw values are one column of a call of their own.
     """
     if k < 1:
         raise ValidationError(f"kmeans_1d: k must be >= 1, got {k}")
@@ -183,9 +201,12 @@ def wcss_series(values, k_max: int) -> list[float]:
     """Optimal WCSS for k = 1..k_max, from one pass of the exact DP.
 
     For k beyond the distinct-value count the optimum is exactly 0 (one
-    centroid per distinct value). values may also be an earlier _optimal_1d
-    pass over the values with k_max layers, which is then not run again.
+    centroid per distinct value). values may also be one column's
+    _Partitions from an earlier _optimal_1d call with k_max layers, which is
+    then not run again; raw values are one column of a call of their own.
     """
+    if k_max < 1:
+        raise ValidationError(f"wcss_series: k_max must be >= 1, got {k_max}")
     x, partitions = _dp_pass(values, k_max)
     series = []
     for k, labels in enumerate(partitions, start=1):
@@ -199,54 +220,94 @@ def _member_means(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def _dp_pass(values, k_max: int) -> _Partitions:
-    return values if isinstance(values, _Partitions) else _optimal_1d(values, k_max)
+    return values if isinstance(values, _Partitions) else _optimal_1d([values], k_max)[0]
 
 
-def _optimal_1d(values, k_max: int) -> _Partitions:
-    """Exact 1-D k-means partitions for k = 1..min(k_max, distinct values).
+def _optimal_1d(columns, k_max: int) -> list[_Partitions]:
+    """Exact 1-D k-means partitions of each of an iterable of value columns,
+    for k = 1..min(k_max, the column's distinct values).
 
-    Returns the values as an array and, per k, each value's cluster label.
-    Optimal 1-D clusters are contiguous in sorted order, so the DP runs over
-    cut points of the sorted distinct values, each weighted by its count
-    (Wang & Song 2011, Ckmeans.1d.dp). Segment costs come in O(1) from
-    prefix sums of w, w*u and w*u^2 of the mean-centred values. The optimal
-    cut is monotone in the segment end, so each k is one divide-and-conquer
-    layer, with every midpoint of a recursion level evaluated at once: time
-    O(k n log n), memory O(k n). Ties go to the smallest cut.
+    Returns, per column, its values as an array and, per k, each value's
+    cluster label. Optimal 1-D clusters are contiguous in sorted order, so
+    the DP runs over cut points of the sorted distinct values, each weighted
+    by its count (Wang & Song 2011, Ckmeans.1d.dp). Segment costs come in
+    O(1) from prefix sums of w, w*u and w*u^2 of the mean-centred values.
+    The optimal cut is monotone in the segment end, so each k is one
+    divide-and-conquer layer, with every midpoint of a recursion level
+    evaluated at once. Ties go to the smallest cut.
+
+    Each column keeps its own distinct values, weights, centring and prefix
+    sums, laid end to end so that one index space serves all columns; a
+    range never spans two. Every level runs the pending ranges of all
+    columns in one set of array operations, and a column drops out of the
+    layers beyond its distinct-value count. A column's partitions are
+    exactly those of a call on that column alone. Over all columns' n
+    values: time O(k n log n), memory O(k n).
     """
-    x = np.asarray(list(values), dtype=float)
-    if x.size == 0:
-        raise ValidationError("1-D k-means: empty input")
-    if not np.isfinite(x).all():
-        raise ValidationError("1-D k-means: non-finite input")
-    u, inverse, w = np.unique(x, return_inverse=True, return_counts=True)
-    m = u.size
-    u = u - np.dot(w, u) / x.size
-    s0, s1, s2 = (np.concatenate(([0.0], np.cumsum(t))) for t in (w, w * u, w * u * u))
+    xs, inverses, sizes, sums = [], [], [], ([], [], [])
+    for c, values in enumerate(columns):
+        x = np.asarray(list(values), dtype=float)
+        if x.size == 0:
+            raise _ColumnError(c, "1-D k-means: empty input")
+        if not np.isfinite(x).all():
+            raise _ColumnError(c, "1-D k-means: non-finite input")
+        largest, limit = np.abs(x).max(), _SQUARE_LIMIT / x.size
+        if largest > limit:
+            raise _ColumnError(
+                c,
+                f"1-D k-means: a value of magnitude {largest:.6g} is too large; "
+                f"the sums of squares of {x.size} value(s) stay finite only up to {limit:.6g}",
+            )
+        u, inverse, w = np.unique(x, return_inverse=True, return_counts=True)
+        u = u - np.dot(w, u) / x.size
+        for prefix, t in zip(sums, (w, w * u, w * u * u)):
+            prefix += [[0.0], np.cumsum(t)]
+        xs.append(x)
+        inverses.append(inverse)
+        sizes.append(u.size)
+    s0, s1, s2 = map(np.concatenate, sums)
+    # Column c's prefix sums are [begin[c], end[c]]; m[c] distinct values.
+    m = np.array(sizes)
+    end = np.cumsum(m + 1) - 1
+    begin = end - m
 
-    def cost(i, j):
-        seg = s1[j] - s1[i]
-        return np.maximum(s2[j] - s2[i] - seg * seg / (s0[j] - s0[i]), 0.0)
+    def cost(i, j, count):
+        """s2[j] - s2[i] - seg * seg / (s0[j] - s0[i]), seg = s1[j] - s1[i],
+        computed in place, for each end j repeated count times."""
+        seg = np.repeat(s1[j], count)
+        seg -= s1.take(i)
+        seg *= seg
+        den = np.repeat(s0[j], count)
+        den -= s0.take(i)
+        seg /= den
+        out = np.repeat(s2[j], count)
+        out -= s2.take(i)
+        out -= seg
+        return np.maximum(out, 0.0, out=out)
 
-    best = np.full(m + 1, np.inf)
-    best[1:] = cost(0, np.arange(1, m + 1))
-    cuts = []  # cuts[k - 2][j]: start of the last of k segments over u[:j]
-    for k in range(2, min(k_max, m) + 1):
-        layer, cut = np.full(m + 1, np.inf), np.zeros(m + 1, dtype=np.intp)
+    best = np.full(s0.size, np.inf)
+    ends = np.delete(np.arange(s0.size), begin)
+    best[ends] = cost(np.repeat(begin, m), ends, 1)
+    cuts = []  # cuts[k - 2][j]: start of the last of k segments ending at j
+    for k in range(2, min(k_max, int(m.max())) + 1):
+        layer, cut = np.full(s0.size, np.inf), np.zeros(s0.size, dtype=np.intp)
         # Pending ranges of segment ends [lo, hi] whose optimal cut lies in
         # [c_lo, c_hi]; one pass of the loop is one level of the recursion.
-        lo, hi = np.array([k]), np.array([m])
-        c_lo, c_hi = np.array([k - 1]), np.array([m - 1])
+        active = m >= k
+        lo, hi = begin[active] + k, end[active]
+        c_lo, c_hi = lo - 1, hi - 1
         while lo.size:
             mid = (lo + hi) // 2
             count = np.minimum(c_hi, mid - 1) - c_lo + 1
             first = np.cumsum(count) - count
-            owner = np.repeat(np.arange(mid.size), count)
-            i = np.arange(count.sum()) - first[owner] + c_lo[owner]
-            total = best[i] + cost(i, mid[owner])
+            i = np.arange(first[-1] + count[-1]) + np.repeat(c_lo - first, count)
+            total = cost(i, mid, count)
+            total += best.take(i)
             minimum = np.minimum.reduceat(total, first)
-            hits = np.flatnonzero(total == minimum[owner])
-            arg = i[hits[np.unique(owner[hits], return_index=True)[1]]]
+            hits = np.flatnonzero(total == np.repeat(minimum, count))
+            # Every range has a hit, so its first is the first at or after
+            # the range's start.
+            arg = i[hits[np.searchsorted(hits, first)]]
             layer[mid], cut[mid] = minimum, arg
             left, right = lo < mid, mid < hi
             lo, hi, c_lo, c_hi = (
@@ -257,17 +318,20 @@ def _optimal_1d(values, k_max: int) -> _Partitions:
             )
         best = layer
         cuts.append(cut)
-    partitions = []
-    for k in range(1, min(k_max, m) + 1):
-        distinct_labels = np.empty(m, dtype=np.intp)
-        end = m
-        for label in range(k - 1, 0, -1):
-            start = cuts[label - 1][end]
-            distinct_labels[start:end] = label
-            end = start
-        distinct_labels[:end] = 0
-        partitions.append(distinct_labels[inverse])
-    return _Partitions(x, partitions)
+    passes = []
+    for x, inverse, b, e in zip(xs, inverses, begin.tolist(), end.tolist()):
+        partitions = []
+        for k in range(1, min(k_max, e - b) + 1):
+            distinct_labels = np.empty(e - b, dtype=np.intp)
+            stop = e
+            for label in range(k - 1, 0, -1):
+                start = int(cuts[label - 1][stop])
+                distinct_labels[start - b : stop - b] = label
+                stop = start
+            distinct_labels[: stop - b] = 0
+            partitions.append(distinct_labels[inverse])
+        passes.append(_Partitions(x, partitions))
+    return passes
 
 
 def elbow_from_wcss(series) -> int:
@@ -555,23 +619,30 @@ def run_learning_engine(
 ) -> dict[str, LearnedModelRules]:
     """Run the full pipeline for every model as anchor.
 
-    The profiles are joined into one performance matrix first. Per anchor:
-    one pass of the exact DP over the anchor's tau_system row of the join
-    serves both the WCSS series and the clustering: elbow-select k, take
-    that k's partition, and compute the CI matrix from the join. Layer k of
-    the DP does not depend on how many layers run, so the partition is the
-    one kmeans_1d finds for k alone. Every step is deterministic, so the
-    output is independent of profile order.
+    The profiles are joined into one performance matrix first. One call of
+    the exact DP then clusters every anchor's tau_system row of the join in
+    lockstep, and each anchor's pass serves both its WCSS series and its
+    clustering: elbow-select k, take that k's partition, and compute the CI
+    matrix from the join. Layer k of the DP does not depend on how many
+    layers run, nor on the other rows, so the partition is the one kmeans_1d
+    finds for the anchor's row and k alone. Every step is deterministic, so
+    the output is independent of profile order.
     """
+    if k_max < 1:
+        raise ValidationError(f"run_learning_engine: k_max must be >= 1, got {k_max}")
     profiles = list(profiles)
     if not profiles:
         raise ValidationError("run_learning_engine: no profiles")
     perf = build_performance_matrix(profiles)
+    tau = perf.values[:, KPI_NAMES.index("tau_system")]
+    k_cap = min(k_max, len(perf.image_ids))
+    try:
+        # One row's list at a time: the DP keeps each column as an array.
+        passes = _optimal_1d((row.tolist() for row in tau), k_cap)
+    except _ColumnError as exc:
+        raise ValidationError(f"anchor model {perf.model_ids[exc.column]!r}: {exc}") from None
     rules: dict[str, LearnedModelRules] = {}
-    for a, anchor in enumerate(perf.model_ids):
-        values = perf.values[a, KPI_NAMES.index("tau_system")].tolist()
-        k_cap = max(min(k_max, len(values)), 1)
-        dp = _optimal_1d(values, k_cap)
+    for anchor, dp in zip(perf.model_ids, passes):
         series = tuple(wcss_series(dp, k_cap))
         k = elbow_from_wcss(series) if k_cap >= 2 else 1
         # The elbow can nominate more clusters than there are distinct values

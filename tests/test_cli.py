@@ -16,7 +16,7 @@ from adamls import cli, simulator
 from adamls import config as cfgmod
 from adamls.errors import ConfigError
 from adamls.learning import CI_CSV_HEADER
-from adamls.profiles import SCALAR_TYPES, ModelProfile, write_profiles
+from adamls.profiles import SCALAR_TYPES, KpiRecord, ModelProfile, write_profiles
 
 
 def experiment_config_to_dict(config: cfgmod.ExperimentConfig) -> dict:
@@ -630,6 +630,38 @@ class TestLearnCommand:
         assert f"{csv_path}: models 'fast' and 'slow' {where}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_a_profile_too_large_to_cluster_fails_naming_the_anchor(
+        self, tmp_path, tiny_config, capsys
+    ):
+        """Finite values whose squares overflow a float: one error line, no
+        numpy warning (pytest turns one into an error), no traceback and no
+        rule file."""
+
+        def profile(model_id, tau):
+            records = (
+                KpiRecord(f"img-{i:05d}", model_id, 0.6, tau(i), tau(i), 50.0, 3)
+                for i in range(20)
+            )
+            return ModelProfile.of_records(model_id, tuple(records))
+
+        csv_path = tmp_path / "profiles.csv"
+        fast = profile("fast", lambda i: 0.06 + 0.001 * i)
+        write_profiles([fast, profile("slow", lambda i: 1e200 * (1 + i))], csv_path)
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            tiny_config,
+            profiles=dataclasses.replace(tiny_config.profiles, source="csv", csv_path=str(csv_path)),
+            output_dir=str(out),
+        )
+        assert cli.main(["learn", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: anchor model 'slow': 1-D k-means: a value of magnitude 2e+201 is too "
+            "large; the sums of squares of 20 value(s) stay finite only up to 1.67598e+152\n"
+        )
+        assert list(out.glob("**/*.csv")) == []
 
     @pytest.mark.parametrize(
         "section, key, declared",

@@ -3,7 +3,7 @@
 The tiny config pins every output; the default config (at full scale) and
 the tiny config with three workers pin the compare outputs and the
 utility_timeseries.csv that report --timeseries derives from them, and the
-default config also pins the rules.
+default config also pins the rules, at 1000 and at 5000 images.
 
 A change that alters any output byte fails here. If a change is meant to
 alter outputs, update the digests in the same change and explain the diff.
@@ -162,6 +162,28 @@ def test_learn_on_default_config_matches_golden_digests(tmp_path, capsys):
     assert cli.run_learn(config) == 0
     capsys.readouterr()
     assert csv_digests(tmp_path, "rules/*.csv") == DEFAULT_RULES_SHA256
+
+
+# learn on the default five-model family at 5000 images (seed 1), the size
+# of the benchmark's wide-profile workload: the rule and clustering-report
+# CSVs where the exact k-means DP runs its longest layers.
+WIDE_RULES_SHA256 = {
+    "rules/clustering_report.csv": "3762d1eb4f04c48eeb4bb53935fa31d1f16708231c71fec0a702e1c38e8317bb",
+    "rules/large.csv": "847e4bf3a5295a11b47d8dba8004d5b7f0743b3afa3ab75405b9ae666956a9dc",
+    "rules/medium.csv": "d1b8b3a8f95294c600f95b83712237c411ac7053669b967f928228bf75d96109",
+    "rules/nano.csv": "d03b0ab6435dcf72fdcd29286c53ed8aa512bb025ee522f23118ff2a2aef4dec",
+    "rules/small.csv": "514b181d85006499b23f19788825ecefb08c77c6639bdba7fe03e83f9e4b140c",
+    "rules/xlarge.csv": "7fc3474678554cfdecef61518930ea9bdc9c70b67c43a2cdc5bb8f63ba5111fe",
+}
+
+
+def test_learn_at_5000_images_matches_golden_digests(tmp_path, capsys):
+    config = cfgmod.ExperimentConfig()
+    profiles = dataclasses.replace(config.profiles, image_count=5000)
+    config = dataclasses.replace(config, output_dir=str(tmp_path), profiles=profiles)
+    assert cli.run_learn(config) == 0
+    capsys.readouterr()
+    assert csv_digests(tmp_path, "rules/*.csv") == WIDE_RULES_SHA256
 
 
 # profiles.csv of the default config: every generated KPI of the five-model

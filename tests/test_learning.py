@@ -1,4 +1,5 @@
 import csv
+import math
 import random
 from fractions import Fraction
 import statistics
@@ -63,13 +64,50 @@ class TestKmeans:
         labels, centroids = kmeans_1d(values, 1)
         assert _wcss(values, labels, centroids) == 0.0
 
-    def test_errors(self):
-        with pytest.raises(ValidationError):
-            kmeans_1d([], 1)
-        with pytest.raises(ValidationError):
-            kmeans_1d([1.0, 1.0], 2)
-        with pytest.raises(ValidationError):
-            kmeans_1d([1.0], 0)
+    @pytest.mark.parametrize(
+        "function, values, k, message",
+        [
+            (kmeans_1d, [], 1, "1-D k-means: empty input"),
+            (kmeans_1d, [1.0, 1.0], 2, r"kmeans_1d: k=2 exceeds the 1 distinct value\(s\)"),
+            (kmeans_1d, [1.0], 0, "kmeans_1d: k must be >= 1, got 0"),
+            (kmeans_1d, [1.0], -2, "kmeans_1d: k must be >= 1, got -2"),
+            (wcss_series, [1.0, 2.0, 3.0], 0, "wcss_series: k_max must be >= 1, got 0"),
+            (wcss_series, [1.0, 2.0, 3.0], -2, "wcss_series: k_max must be >= 1, got -2"),
+            (
+                kmeans_1d, [1e200, 2e200, 3e200, 4e200], 2,
+                r"1-D k-means: a value of magnitude 4e\+200 is too large; the sums of "
+                r"squares of 4 value\(s\) stay finite only up to 8\.37\d*e\+152",
+            ),
+            (
+                kmeans_1d, [1e155, 1.5e155, 2e155], 2,
+                r"1-D k-means: a value of magnitude 2e\+155 is too large",
+            ),
+            (wcss_series, [0.1, -1e155], 2, r"1-D k-means: a value of magnitude 1e\+155"),
+        ],
+        ids=[
+            "empty", "k-above-distinct", "k-0", "k-negative", "k_max-0", "k_max-negative",
+            "1e200", "1e155", "1e155-wcss",
+        ],
+    )
+    def test_errors(self, function, values, k, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            function(values, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    def test_values_at_the_magnitude_limit_cluster_without_overflow(self, n):
+        """n values of the largest allowed magnitude, half of them negated:
+        the spread is as wide as it gets, and no sum overflows (pytest turns
+        an overflow warning into an error)."""
+        limit = learning._SQUARE_LIMIT / n
+        values = [limit if j % 2 else -limit for j in range(n)]
+        series = wcss_series(values, 3)
+        assert all(map(np.isfinite, series))
+        labels, centroids = kmeans_1d(values, min(n, 2))
+        assert np.isfinite(centroids).all()
+        assert len(set(labels.tolist())) == min(n, 2)
+        beyond = np.nextafter(values[-1], math.copysign(math.inf, values[-1]))
+        with pytest.raises(ValidationError, match="too large"):
+            kmeans_1d([*values[:-1], beyond], 1)
 
     def test_deterministic(self):
         rng = random.Random(5)
@@ -254,6 +292,36 @@ def test_exact_column_sums_are_exact(column):
         assert moments.total_sq * unit * unit == sum(x * x for x in members)
     whole = exact.moments()
     assert whole.total * unit == sum(map(Fraction, values))
+
+
+# Columns of 1-40 values on grids of 1-13 points, so that they hold ties
+# and repeated values, and some have fewer distinct values than k_max.
+_GRID_COLUMNS = st.lists(
+    st.integers(0, 12).flatmap(
+        lambda top: st.lists(
+            st.integers(0, top).map(lambda v: 0.05 + 0.01 * v), min_size=1, max_size=40
+        )
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(columns=_GRID_COLUMNS, k_max=st.integers(1, 6))
+@example(columns=[[0.3] * 5, [0.1, 0.2, 0.1], [0.05 + 0.01 * v for v in range(40)]], k_max=6)
+@example(columns=[[0.3], [0.3, 0.3]], k_max=1)
+def test_one_pass_over_many_columns_equals_one_column_at_a_time(columns, k_max):
+    """Each column's partitions from one _optimal_1d call over all columns
+    are exactly those of a call over that column alone."""
+    together = learning._optimal_1d(columns, k_max)
+    assert len(together) == len(columns)
+    for column, batched in zip(columns, together):
+        (alone,) = learning._optimal_1d([column], k_max)
+        assert np.array_equal(batched.x, alone.x)
+        assert len(batched.partitions) == len(alone.partitions) == min(k_max, len(set(column)))
+        for labels, alone_labels in zip(batched.partitions, alone.partitions):
+            assert np.array_equal(labels, alone_labels)
+        assert wcss_series(batched, k_max) == wcss_series(alone, k_max)
 
 
 def _mini_profiles():
@@ -464,17 +532,18 @@ class TestLearningEngine:
         assert len(rules) == len(tiny_profiles) == 2
         assert len(joins) == 1
 
-    def test_one_clustering_pass_per_anchor(self, tiny_profiles, monkeypatch):
+    def test_one_clustering_pass_per_learn(self, tiny_profiles, monkeypatch):
         passes = []
         optimal_1d = learning._optimal_1d
 
-        def counting_pass(values, k_max):
-            passes.append(k_max)
-            return optimal_1d(values, k_max)
+        def counting_pass(columns, k_max):
+            columns = list(columns)
+            passes.append((len(columns), k_max))
+            return optimal_1d(columns, k_max)
 
         monkeypatch.setattr(learning, "_optimal_1d", counting_pass)
         rules = run_learning_engine(tiny_profiles, k_max=4)
-        assert passes == [4, 4]
+        assert passes == [(2, 4)]
         perf = build_performance_matrix(tiny_profiles)
         for profile in tiny_profiles:
             learned = rules[profile.model_id]
@@ -483,9 +552,29 @@ class TestLearningEngine:
             assert learned.wcss_series == tuple(wcss_series(values, 4))
             assert learned.ci_matrix == build_ci_matrix(perf, profile.model_id, labels)
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValidationError):
-            run_learning_engine([], k_max=3)
+    @pytest.mark.parametrize(
+        "models, k_max, message",
+        [
+            (0, 3, "run_learning_engine: no profiles"),
+            (2, 0, "run_learning_engine: k_max must be >= 1, got 0"),
+            (2, -3, "run_learning_engine: k_max must be >= 1, got -3"),
+        ],
+        ids=["no-profiles", "k_max-0", "k_max-negative"],
+    )
+    def test_bad_input_rejected(self, tiny_profiles, models, k_max, message):
+        with pytest.raises(ValidationError) as raised:
+            run_learning_engine(tiny_profiles[:models], k_max=k_max)
+        assert str(raised.value) == message
+
+    def test_a_row_too_large_to_cluster_names_its_anchor(self, tiny_profiles):
+        fast, slow = tiny_profiles
+        scale = {kpi: 1e200 if kpi.startswith("tau") else 1.0 for kpi in KPI_NAMES}
+        huge = ModelProfile(
+            "slow", slow.image_id, **{kpi: slow.column(kpi) * scale[kpi] for kpi in KPI_NAMES}
+        )
+        message = r"^anchor model 'slow': 1-D k-means: a value of magnitude"
+        with pytest.raises(ValidationError, match=message):
+            run_learning_engine([fast, huge], k_max=4)
 
 
 class TestCiMatrixCsv:

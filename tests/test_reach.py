@@ -23,6 +23,7 @@ UNREACHED = {
     "metrics.utility_response_term": _SPEC,
     "metrics.utility_per_request": _SPEC,
     "profiles.ModelProfile.record": "raises a bad row's KpiRecord error; valid rows never call it",
+    "learning._ColumnError.__init__": "raised only for a column the DP rejects; all here are valid",
     "profiles.ModelProfile.records": _RECORDS,
     "profiles.ProfileRecords.__init__": _RECORDS,
     "profiles.ProfileRecords.__len__": _RECORDS,
