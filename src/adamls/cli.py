@@ -111,8 +111,8 @@ def _learn(config: cfgmod.ExperimentConfig, profiles) -> None:
     """learn's rules and files, from the resolved profiles."""
     out_dir = Path(config.output_dir)
     rules_dir = out_dir / "rules"
-    rules_dir.mkdir(parents=True, exist_ok=True)
     rules = cfgmod.learn_rules(config, profiles)
+    rules_dir.mkdir(parents=True, exist_ok=True)
     if config.profiles.source == "generate":
         write_profiles(profiles, out_dir / "profiles.csv")
     for model_id in sorted(rules):
@@ -176,9 +176,9 @@ def _compare(config: cfgmod.ExperimentConfig, profiles) -> list[RunSummary]:
     matrices = _load_rule_matrices(config, profiles)
     labels = cfgmod.compare_policy_labels(config, profiles)
     summaries: list[RunSummary] = []
-    texts = ResultTexts()
     # Common random numbers: every policy serves this one request stream.
     requests = cfgmod.build_request_stream(config, profiles)
+    texts = ResultTexts(requests.arrival_t)
     # report --timeseries derives this file from the results rewritten below.
     (out_dir / "utility_timeseries.csv").unlink(missing_ok=True)
     for label in labels:

@@ -14,9 +14,13 @@ is, and each row is joined by ``str.join``, so no Python code runs per field
 of such columns. Only one block's text is held at a time.
 
 Formatting a float is most of the cost, so a writer whose files repeat
-values can keep their texts (in a TextMemo, or by a key of its own) and
-look them up instead. A hit costs a fraction of a format, but a miss costs
-a format and more, so only columns whose values repeat gain.
+values can keep their texts and look them up instead. A hit costs a
+fraction of a format, but a miss costs a format and more, so only columns
+whose values repeat gain. Where a text belongs to a position (a request of
+the stream, a profile row), the writer keeps it by that position. A
+TextMemo keeps texts by value, for the columns whose repeats have no
+position: a results file's start_t (an arrival or an earlier finish) and an
+event log's sim_time (the rows of one decision).
 
 read_rows is the one CSV reader. It owns the checks every file needs (text,
 header, field counts, numbers); each caller keeps only its own.
@@ -34,7 +38,6 @@ from itertools import islice
 BLOCK_ROWS = 1024
 
 _NUMBER_TYPES = frozenset((int, float, bool))
-_SPECIAL = (",", '"', "\r", "\n")
 
 
 def read_rows(path, header, error, types) -> list[dict]:
@@ -138,8 +141,7 @@ def column_texts(values: tuple):
     if kinds <= _NUMBER_TYPES:
         return map(str, values)
     if kinds == {str}:
-        joined = "".join(values)
-        if not any(ch in joined for ch in _SPECIAL):
+        if not _needs_quotes("".join(values)):
             return values
     return map(_field, values)
 
@@ -151,9 +153,13 @@ def joined_texts(rows):
 
 def _field(value) -> str:
     text = "" if value is None else str(value)
-    if any(ch in text for ch in _SPECIAL):
+    if _needs_quotes(text):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
 class TextMemo(dict):

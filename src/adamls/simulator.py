@@ -23,9 +23,11 @@ A run appends each completion to one Completions, a list per column, each
 request's drawn row index and shared KPI row among them, and its policy
 writes its steps to one EventLog, a list per column too (see controller).
 write_results_csv and write_event_log_csv write them with the bytes
-csv.writer gives. The files of one compare share a ResultTexts, so a value
-that repeats across them (an arrival time, the KPIs of one profile row) is
-formatted once per compare rather than once per row.
+csv.writer gives. The results files of one compare share a ResultTexts
+built from its request stream, so a text that repeats across them (a
+request's request_id,arrival_t, the KPIs of one profile row) is formatted
+once per compare and looked up by position; a file that is not of that
+stream is rejected before it is written.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import heapq
 import math
 import operator
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from . import controller as ctrl
@@ -492,68 +494,135 @@ def run_simulation(
     return completions, knowledge.event_log
 
 
-class ResultTexts:
-    """The results.csv field texts that the files of one compare share.
+def request_heads(arrival_texts: list[str]) -> list[str]:
+    """The request_id,arrival_t text of each request of a stream, from the
+    texts of its arrival_t column; request j's at index j."""
+    return list(map(",".join, zip(map(str, range(len(arrival_texts))), arrival_texts)))
 
-    The runs of one compare serve one request stream, so arrival_t repeats
-    in every file, and draw from the same profiles, so the joined c..b text
-    of each drawn row is kept by its (model, row). A request starts when it
-    arrives, when an earlier one finishes or when a switch pause ends, so
-    each file looks its start_t up among the arrival texts and its own
-    finish texts. finish_t and r are new in every row and are formatted as
-    they come. Any Completions may go through it, in any order, if a
-    (model, row) names one KPI tuple in all of them: a kept text is the one
-    csv.writer gives, and sharing only saves work where values repeat.
+
+class ResultTexts:
+    """The results.csv field texts that the files of one request stream share.
+
+    It is built from the stream's arrival column, and every file written
+    through it must be of that stream: each completion's request_id indexes
+    the stream, and its arrival_t is the stream's very object for that id
+    (the engine passes them through). write_results_csv checks that before
+    it opens the file. So a text that repeats in every file is looked up by
+    position, not by value:
+
+    - each request's head, its request_id,arrival_t text, is formatted once
+      per stream (request_heads);
+    - the joined model,c,tau_model,tau_system,s_cpu,b text of each drawn
+      (model, row) is formatted the first time a file draws it and then
+      looked up by model and row; a (model, row) must name one KPI tuple in
+      every file.
+
+    A request starts when it arrives, when an earlier one finishes or when a
+    switch pause ends, so each file looks its start_t up by value in a
+    TextMemo of the stream's arrival texts and its own finish texts.
+    finish_t and r are new in every row and are formatted as they come.
     """
 
-    def __init__(self):
-        self._arrivals = TextMemo()
-        self._kpis: dict[tuple[str, int], str] = {}
+    def __init__(self, arrival_t):
+        arrival_texts = list(column_texts(arrival_t))
+        self._arrival_t = arrival_t
+        self._heads = request_heads(arrival_texts)
+        self._times = TextMemo()
+        self._times.keep(arrival_t, arrival_texts)
+        # model -> {row: joined text}
+        self._kpis: defaultdict[str, dict[int, str]] = defaultdict(dict)
 
-    def file_texts(self):
-        """The csvtext.write_columns texts function of one results file."""
-        times = self._arrivals.copy()
+    def file_texts(self, completions: Completions):
+        """The csvtext.write_columns texts function of one results file,
+        whose columns are completions' but arrival_t. Raises ValueError,
+        naming the first request at fault, unless completions are of the
+        stream."""
+        self._check(completions.request_id, completions.arrival_t)
+        heads = self._heads
+        times = self._times.copy()
 
         def texts(columns):
-            request_id, arrival_t, start_t, finish_t, model, row, kpis, r = columns
+            request_id, start_t, finish_t, model, row, kpis, r = columns
             finish_texts = list(column_texts(finish_t))
             times.keep(finish_t, finish_texts)
             return (
-                column_texts(request_id),
-                self._arrivals.texts(arrival_t),
+                map(heads.__getitem__, request_id),
                 times.texts(start_t),
                 finish_texts,
-                column_texts(model),
                 self._kpi_texts(model, row, kpis),
                 column_texts(r),
             )
 
         return texts
 
+    def _check(self, request_id, arrival_t) -> None:
+        stream = self._arrival_t
+        # One pass in C when every request is of the stream.
+        if not request_id or (
+            set(map(type, request_id)) == {int}
+            and 0 <= min(request_id)
+            and max(request_id) < len(stream)
+            and all(map(operator.is_, map(stream.__getitem__, request_id), arrival_t))
+        ):
+            return
+        for j, t in zip(request_id, arrival_t):
+            if type(j) is not int or not 0 <= j < len(stream):
+                raise ValueError(
+                    f"request_id {j!r} does not index the request stream of {len(stream)} requests"
+                )
+            if stream[j] is not t:
+                raise ValueError(
+                    f"request {j}'s arrival_t {t!r} is not the request stream's arrival_t[{j}], "
+                    f"{stream[j]!r}"
+                )
+
     def _kpi_texts(self, model, row, kpis) -> list[str]:
         """The kept texts; a block's new rows are formatted together."""
-        kept = self._kpis
-        texts = list(map(kept.get, zip(model, row)))
+        by_model = list(map(self._kpis.__getitem__, model))
+        texts = list(map(dict.get, by_model, row))
         if None in texts:
-            new = {(model[j], row[j]): kpis[j] for j, text in enumerate(texts) if text is None}
-            kept.update(zip(new, joined_texts(new.values())))
-            texts = list(map(kept.__getitem__, zip(model, row)))
+            new = {
+                (model[j], row[j]): (model[j], *kpis[j]) for j, text in enumerate(texts) if text is None
+            }
+            for (m, i), text in zip(new, joined_texts(new.values())):
+                self._kpis[m][i] = text
+            texts = list(map(dict.__getitem__, by_model, row))
         return texts
 
 
 def write_results_csv(completions: Completions, path, texts: ResultTexts | None = None) -> None:
     """Write completions to path, a row per request in RESULTS_CSV_HEADER's order.
 
-    The files of one compare share texts; without it the file gets its own.
+    The files of one stream share texts, built from its arrival_t column;
+    without it the file's own (request_id, arrival_t) pairs are its stream.
+    Completions that are not of the stream are rejected with a ValueError
+    before the file is opened.
     """
-    texts = ResultTexts() if texts is None else texts
-    columns = [getattr(completions, name) for name in Completions.__slots__]
+    if texts is None:
+        # Request j's arrival_t at index j, None where no completion has id j.
+        ids = completions.request_id
+        stream = [None] * (max((j for j in ids if type(j) is int), default=-1) + 1)
+        for j, t in zip(ids, completions.arrival_t):
+            if type(j) is int and j >= 0:
+                stream[j] = t
+        texts = ResultTexts(stream)
+    file_texts = texts.file_texts(completions)
+    columns = [getattr(completions, name) for name in Completions.__slots__ if name != "arrival_t"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_columns(fh, RESULTS_CSV_HEADER, columns, texts.file_texts())
+        write_columns(fh, RESULTS_CSV_HEADER, columns, file_texts)
 
 
 def write_event_log_csv(events: ctrl.EventLog, path) -> None:
-    """Write an EventLog to path, a row per event: sim_time, event, detail."""
+    """Write an EventLog to path, a row per event: sim_time, event, detail.
+
+    A decision's rows share one time, so the times go through a TextMemo
+    and each is formatted once."""
+    times = TextMemo()
+
+    def texts(columns):
+        sim_time, event, detail = columns
+        return times.texts(sim_time), column_texts(event), column_texts(detail)
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         columns = (events.sim_time, events.event, events.detail)
-        write_columns(fh, ("sim_time", "event", "detail"), columns)
+        write_columns(fh, ("sim_time", "event", "detail"), columns, texts)

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import gc
 import hashlib
+import io
 import math
 import random
 import statistics
@@ -9,8 +11,8 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
+from adamls import cli, simulator
 from adamls import config as cfgmod
-from adamls import simulator
 from adamls.controller import EventLog, Knowledge, NaivePolicyConfig, observed_rate
 from adamls.csvtext import BLOCK_ROWS
 from adamls.errors import ConfigError, ValidationError
@@ -32,6 +34,7 @@ from adamls.simulator import (
 )
 
 from .oracles import Served, completions_of, event_rows, repr_per_field_csv, served_rows
+from .test_cli import write_config
 
 
 def constant_profile(model_id, tau_system, c=0.6, overhead=0.005):
@@ -888,53 +891,176 @@ def results_rows(records):
 
 @st.composite
 def results_files(draw):
-    """Two or three files whose arrivals, KPI tuples and model ids come from
-    pools shared by all files, so values repeat within and across files;
-    a drawn start_t may be the finish_t of the row before. The KPI tuple is
-    picked by the drawn row alone, so a (model, row) names one tuple."""
+    """A request stream and two or three files of it. Request i arrives at
+    arrivals[i % len(arrivals)], from a small pool, so arrival values repeat
+    at different ids; KPI tuples and model ids come from pools shared by all
+    files, so values repeat within and across files; a drawn start_t may be
+    the finish_t of the row before. The KPI tuple is picked by the drawn row
+    alone, so a (model, row) names one tuple."""
     arrivals = draw(st.lists(NUMBERS, min_size=1, max_size=6))
     kpis = draw(st.lists(st.tuples(*[NUMBERS] * 5), min_size=1, max_size=6))
     models = draw(st.lists(st.sampled_from(["nano", "x,l", 'q"m', ""]), min_size=1, max_size=3))
+    counts = [draw(st.sampled_from((1, 2, 9, BLOCK_ROWS + 1))) for _ in range(draw(st.integers(2, 3)))]
+    stream = [arrivals[i % len(arrivals)] for i in range(max(counts))]
     files = []
-    for _ in range(draw(st.integers(2, 3))):
+    for count in counts:
         rows = draw(st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS, st.booleans()), min_size=1,
                              max_size=8))
         records = []
-        for i in range(draw(st.sampled_from((1, 2, 9, BLOCK_ROWS + 1)))):
+        for i in range(count):
             start, finish, r, after_previous = rows[i % len(rows)]
             if after_previous and records:
                 start = records[-1].finish_t
-            arrival, row = arrivals[i % len(arrivals)], i % len(kpis)
+            row = i % len(kpis)
             model = models[i % len(models)]
-            records.append(Served(i, arrival, start, finish, model, *kpis[row], r, row))
+            records.append(Served(i, stream[i], start, finish, model, *kpis[row], r, row))
         files.append(records)
-    return files
+    return stream, files
 
 
-def _records(times, kpis, model="a,b", row=0):
-    """One request per (arrival_t, start_t, finish_t) and KPI tuple, each
-    drawn from profile row `row` of model."""
+def _records(stream, requests, kpis, model="a,b", row=0):
+    """One Served row per (request_id, start_t, finish_t) and KPI tuple,
+    arriving at the stream's arrival_t and drawn from profile row `row` of
+    model."""
     return [
-        Served(i, *t, model, *kpi, 1.5, row) for i, (t, kpi) in enumerate(zip(times, kpis))
+        Served(j, stream[j], start, finish, model, *kpi, 1.5, row)
+        for (j, start, finish), kpi in zip(requests, kpis)
     ]
 
 
-class TestSharedResultTexts:
-    """Files written through one ResultTexts are what csv.writer writes."""
+# Equal arrivals of other types and other zero signs at different ids.
+_MIXED_STREAM = [1.0, 1, -0.0, 0.0]
+_FLOAT_STREAM = [1.0, -0.0, 0.5]
 
-    @hypothesis.given(files=results_files())
-    @hypothesis.example(files=[
-        # Equal values of other types and other zero signs, file by file;
-        # the second row starts when the first finishes.
-        _records([(1.0, 1.0, 3.0), (2.0, 3.0, 4.0)], [(0.5, 0.25, 0.0, 50.0, 1)] * 2),
-        _records([(1, 1, 3), (2, 3, 4)], [(0.5, 0.25, -0.0, 50.0, 1.0)] * 2, model='q"m'),
-        _records([(-0.0, 0.0, 3.0), (0.0, 3.0, -0.0)], [(0.5, 0.25, 0.25, 50.0, True)] * 2, row=1),
-    ])
-    def test_each_file_is_what_csv_writer_writes(self, files, tmp_path_factory):
+
+class TestSharedResultTexts:
+    """Files written through one stream's ResultTexts are what csv.writer
+    writes, and a file of another stream is rejected before it is written."""
+
+    @hypothesis.given(drawn=results_files())
+    @hypothesis.example(drawn=(_MIXED_STREAM, [
+        # The zero starts equal a kept finish_t or arrival of the other
+        # sign; the last row starts when the one before finishes.
+        _records(_MIXED_STREAM, [(2, 0.0, -0.0), (3, -0.0, 3.0), (0, 3.0, 4.0)],
+                 [(0.5, 0.25, 0.0, 50.0, 1)] * 3),
+        # int starts equal to float finishes; the second starts when the
+        # first finishes.
+        _records(_MIXED_STREAM, [(1, 1, 3.0), (0, 3, 4.0)],
+                 [(0.5, 0.25, -0.0, 50.0, 1.0)] * 2, model='q"m'),
+        _records(_MIXED_STREAM, [(3, 0.0, 3), (2, 3, -0.0)],
+                 [(0.5, 0.25, 0.25, 50.0, True)] * 2, row=1),
+    ]))
+    @hypothesis.example(drawn=(_FLOAT_STREAM, [
+        # int starts equal to the stream's float arrivals, and zeros of the
+        # other sign.
+        _records(_FLOAT_STREAM, [(0, 1, 2), (1, 0, 3)], [(0.5, 0.25, 0.0, 50.0, 1)] * 2),
+        _records(_FLOAT_STREAM, [(1, 0.0, 1.0), (2, 1.0, -0.0), (0, -0.0, 2.0)],
+                 [(0.5, 0.25, 0.0, 50.0, 1)] * 3),
+    ]))
+    def test_each_file_is_what_csv_writer_writes(self, drawn, tmp_path_factory):
+        stream, files = drawn
         root = tmp_path_factory.mktemp("shared")
         for order in (files, files[::-1]):
-            texts = ResultTexts()
+            texts = ResultTexts(stream)
             for records in order:
                 write_results_csv(completions_of(records), root / "shared.csv", texts)
                 repr_per_field_csv(root / "oracle.csv", RESULTS_CSV_HEADER, results_rows(records))
                 assert (root / "shared.csv").read_bytes() == (root / "oracle.csv").read_bytes()
+
+    STREAM = [0.5, 1.0, 1.0, 2.5]
+
+    @pytest.mark.parametrize(
+        "request_id, arrival_t, message",
+        [
+            pytest.param(4, 1.0, r"request_id 4 does not index the request stream of 4 requests",
+                         id="id-past-the-end"),
+            pytest.param(-1, 2.5, r"request_id -1 does not index", id="id-negative"),
+            pytest.param(1.0, 1.0, r"request_id 1\.0 does not index", id="id-not-an-int"),
+            # Equal to the stream's arrival_t[2], but not that object.
+            pytest.param(2, float("1.0"), r"request 2's arrival_t 1\.0 is not the request "
+                         r"stream's arrival_t\[2\], 1\.0", id="arrival-an-equal-copy"),
+            pytest.param(2, 1, r"request 2's arrival_t 1 is not", id="arrival-an-equal-int"),
+        ],
+    )
+    def test_a_file_of_another_stream_is_rejected_before_writing(
+        self, tmp_path, request_id, arrival_t, message
+    ):
+        stream = self.STREAM
+        good = [Served(j, stream[j], 3.0, 4.0, "nano", 0.5, 0.1, 1.0, 50.0, 1, 3.0, 0)
+                for j in (1, 0)]
+        bad = good + [good[0]._replace(request_id=request_id, arrival_t=arrival_t)]
+        texts = ResultTexts(stream)
+        with pytest.raises(ValueError, match=message):
+            write_results_csv(completions_of(bad), tmp_path / "results.csv", texts)
+        assert not (tmp_path / "results.csv").exists()
+        # The texts still serve the stream's own files.
+        write_results_csv(completions_of(good), tmp_path / "results.csv", texts)
+        repr_per_field_csv(tmp_path / "oracle.csv", RESULTS_CSV_HEADER, results_rows(good))
+        assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_a_file_that_gives_one_request_two_arrivals_is_rejected(self, tmp_path):
+        """Without texts a file's own pairs are its stream, so they must
+        agree."""
+        records = [Served(0, 1.0, 1.0, 2.0, "nano", 0.5, 0.1, 1.0, 50.0, 1, 1.0, 0)] * 2
+        records[1] = records[1]._replace(arrival_t=2.0)
+        with pytest.raises(ValueError, match=r"request 0's arrival_t 1\.0 is not"):
+            write_results_csv(completions_of(records), tmp_path / "results.csv")
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_one_compare_builds_one_head_per_request(self, tmp_path, tiny_config, monkeypatch):
+        """A work count, not a timing: the request_id,arrival_t text of each
+        request is built once per compare, not once per policy's file."""
+        built, streams = [], []
+        request_heads = simulator.request_heads
+
+        def counting(arrival_texts):
+            built.extend(arrival_texts)
+            return request_heads(arrival_texts)
+
+        run = cli.run_simulation
+
+        def recording(sim_config, requests, knowledge):
+            streams.append(requests)
+            return run(sim_config, requests, knowledge)
+
+        path = write_config(tmp_path, tiny_config, output_dir=str(tmp_path / "out"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["learn", "--config", str(path)]) == 0
+            monkeypatch.setattr(simulator, "request_heads", counting)
+            monkeypatch.setattr(cli, "run_simulation", recording)
+            assert cli.main(["compare", "--config", str(path)]) == 0
+        assert len(streams) == 4  # adamls, naive and two statics
+        assert all(stream is streams[0] for stream in streams)
+        assert len(built) == len(streams[0]) > 0
+
+
+# Values equal to a time whose texts differ from its text.
+_EQUAL_TO = {0.0: st.sampled_from([0.0, -0.0, 0, False]), 1.0: st.sampled_from([1.0, 1, True])}
+DETAILS = st.one_of(
+    st.sampled_from(["", "a,b", 'say "no"', "x\r\ny", "\n", "\r", "v=1.5 m'=small"]),
+    st.text(),
+)
+
+
+@st.composite
+def event_logs(draw):
+    """An EventLog whose times repeat in runs of 1-3 rows, as the rows of
+    one decision do: a run is either one object or equal values of other
+    types and zero signs."""
+    log = EventLog()
+    for _ in range(draw(st.sampled_from((0, 1, 5, BLOCK_ROWS // 2 + 1)))):
+        t = draw(NUMBERS)
+        same_object = draw(st.booleans())
+        for _ in range(draw(st.integers(1, 3))):
+            log.sim_time.append(t if same_object else draw(_EQUAL_TO.get(t, st.just(t))))
+            log.event.append(draw(st.sampled_from(["ANALYZE_TRIGGER", "PLAN", "SWITCH", "NOOP"])))
+            log.detail.append(draw(DETAILS))
+    return log
+
+
+@hypothesis.given(events=event_logs())
+def test_event_log_csv_is_what_csv_writer_writes(events, tmp_path_factory):
+    root = tmp_path_factory.mktemp("events")
+    write_event_log_csv(events, root / "events.csv")
+    repr_per_field_csv(root / "oracle.csv", ("sim_time", "event", "detail"), event_rows(events))
+    assert (root / "events.csv").read_bytes() == (root / "oracle.csv").read_bytes()
