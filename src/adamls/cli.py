@@ -178,7 +178,7 @@ def _compare(config: cfgmod.ExperimentConfig, profiles) -> list[RunSummary]:
     summaries: list[RunSummary] = []
     # Common random numbers: every policy serves this one request stream.
     requests = cfgmod.build_request_stream(config, profiles)
-    texts = ResultTexts(requests.arrival_t)
+    texts = ResultTexts(requests)
     # report --timeseries derives this file from the results rewritten below.
     (out_dir / "utility_timeseries.csv").unlink(missing_ok=True)
     for label in labels:

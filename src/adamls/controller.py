@@ -160,9 +160,13 @@ class NaivePolicyConfig:
         return [m for _, m in self.thresholds]
 
 
-def observed_rate(arrival_times, now: float) -> float:
-    """Arrivals per second over the trailing (now - RATE_HORIZON, now] window."""
-    hi = bisect_right(arrival_times, now)
+def observed_rate(arrival_times, now: float, arrived: int) -> float:
+    """Arrivals per second over the trailing (now - RATE_HORIZON, now]
+    window, among the first `arrived` of arrival_times: a request stream's
+    times, of which the engine has taken in that many. An arrival at a
+    completion's instant is taken in after it, so the completion does not
+    count it; a tick at that instant does."""
+    hi = bisect_right(arrival_times, now, 0, arrived)
     lo = bisect_right(arrival_times, now - RATE_HORIZON, 0, hi)
     return float(hi - lo)
 
@@ -573,8 +577,11 @@ class AdamlsController:
         self._windows[model_id].add(kpis)
 
     def monitor(self, system) -> SystemState:
+        """The active model's window, v read from the system's request
+        stream up to the arrivals it has taken in (observed_rate), and i_w,
+        the requests waiting or in service."""
         active = system.active_model
-        v = observed_rate(system.arrival_times, system.now)
+        v = observed_rate(system.arrival_times, system.now, system.arrived)
         return SystemState(active, self._windows[active], v, system.queue_depth)
 
     def on_event(self, system) -> None:
@@ -630,7 +637,7 @@ class NaiveSwitcher:
         if system.now < self._next_check:
             return
         self._next_check = system.now + NAIVE_CHECK_INTERVAL
-        v = observed_rate(system.arrival_times, system.now)
+        v = observed_rate(system.arrival_times, system.now, system.arrived)
         target = naive_policy(v, self.config)
         if target != system.active_model:
             # repr round-trips, so the switch replays from the PLAN row alone.

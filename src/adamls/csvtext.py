@@ -114,10 +114,10 @@ def write_columns(fh, header, columns, texts=None) -> None:
     already joined by ",", each field's text the one column_texts gives.
     Without it each column's fields get column_texts. Columns of no rows
     write the header alone."""
-    width = len(header)
-    _write_block(fh, zip(header), width, _column_texts)
     if len(set(map(len, columns))) != 1:
         raise ValueError("every CSV column must have one length")
+    width = len(header)
+    _write_block(fh, zip(header), width, _column_texts)
     texts = texts or _column_texts
     for start in range(0, len(columns[0]), BLOCK_ROWS):
         _write_block(fh, [col[start : start + BLOCK_ROWS] for col in columns], width, texts)

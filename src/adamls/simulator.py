@@ -19,15 +19,16 @@ the engine ranks the next arrival and the next tick against the heap's top,
 and the heap holds only the completions in flight (at most one per worker)
 and the pending resumes.
 
-A run appends each completion to one Completions, a list per column, each
-request's drawn row index and shared KPI row among them, and its policy
-writes its steps to one EventLog, a list per column too (see controller).
-write_results_csv and write_event_log_csv write them with the bytes
-csv.writer gives. The results files of one compare share a ResultTexts
-built from its request stream, so a text that repeats across them (a
-request's request_id,arrival_t, the KPIs of one profile row) is formatted
-once per compare and looked up by position; a file that is not of that
-stream is rejected before it is written.
+The stream is the only record of a request: the engine counts the arrivals
+it has taken in (arrived), the policies read v from the stream's first
+arrived times, and a run's Completions, a list per column, names each
+served request by request_id. Its policy writes its steps to one EventLog,
+a list per column too (see controller). write_results_csv and
+write_event_log_csv write them with the bytes csv.writer gives. A results
+file goes through a ResultTexts of its stream, shared by the files of one
+compare, so a text that repeats across them (a request's
+request_id,arrival_t, the KPIs of one profile row) is formatted once per
+compare and looked up by request_id.
 """
 
 from __future__ import annotations
@@ -82,17 +83,16 @@ ARRIVAL_PROCESSES = ("deterministic", "poisson")
 class Completions:
     """A run's served requests, by finish time, one list per column.
 
-    Item i of each column belongs to the i-th request served. row is the
-    image index it drew, the same in every profile and in learning's join;
-    kpis is that row's (c, tau_model, tau_system, s_cpu, b), a tuple shared
-    by every request that drew it. len() counts requests."""
+    Item i of each column belongs to the i-th request served. request_id
+    names it in the run's request stream, which alone holds its arrival_t
+    and the image row it drew; kpis is that row's (c, tau_model,
+    tau_system, s_cpu, b) under model_id, a tuple shared by every request
+    that drew it. len() counts requests."""
 
     request_id: list = field(default_factory=list)
-    arrival_t: list = field(default_factory=list)
     start_t: list = field(default_factory=list)
     finish_t: list = field(default_factory=list)
     model_id: list = field(default_factory=list)
-    row: list = field(default_factory=list)
     kpis: list = field(default_factory=list)
     r: list = field(default_factory=list)
 
@@ -266,13 +266,17 @@ def generate_workload(spec: WorkloadSpec) -> list[float]:
     return arrivals
 
 
+_TIME_TYPES = frozenset((float, int))
+
+
 @dataclass(frozen=True, slots=True)
 class Requests:
     """A request stream, one list per column: request j arrives at
     arrival_t[j] and is served from image row[j] under whichever model
-    serves it. The stream runs forward in time: its arrival times are
-    finite, >= 0 and in non-decreasing order, and its rows are ints, checked
-    once when it is built. len() counts requests."""
+    serves it. It is the only record of a request's arrival time and row.
+    The stream runs forward in time: its arrival times are floats or ints
+    (a bool is neither), finite, >= 0 and in non-decreasing order, and its
+    rows are ints, checked once when it is built."""
 
     arrival_t: list
     row: list
@@ -286,13 +290,18 @@ class Requests:
         if not all(map(is_integer, self.row)):
             j, row = next((j, row) for j, row in enumerate(self.row) if not is_integer(row))
             raise ConfigError(f"the request stream's row[{j}] is {row!r}; it must be an integer")
-        # One pass in C; a NaN anywhere fails the order test or a bound.
-        if times and 0.0 <= times[0] and times[-1] < math.inf and all(
-            map(operator.le, times, times[1:])
+        # In C when every time is a float or an int (a bool is neither); a
+        # NaN anywhere fails the order test or a bound.
+        if set(map(type, times)) <= _TIME_TYPES and times and 0.0 <= times[0] and (
+            times[-1] < math.inf and all(map(operator.le, times, times[1:]))
         ):
             return
         previous = 0.0
         for j, t in enumerate(times):
+            if type(t) not in _TIME_TYPES:
+                raise ConfigError(
+                    f"the request stream's arrival_t[{j}] is {t!r}; it must be a number"
+                )
             if not 0.0 <= t < math.inf:
                 raise ConfigError(
                     f"the request stream's arrival_t[{j}] is {t}; it must be finite and >= 0"
@@ -303,9 +312,6 @@ class Requests:
                     f"{previous}; arrivals must be in time order"
                 )
             previous = t
-
-    def __len__(self) -> int:
-        return len(self.arrival_t)
 
 
 def build_requests(spec: WorkloadSpec, service_seed: int, image_count: int) -> Requests:
@@ -327,7 +333,9 @@ class _Engine:
         self.model_ids = frozenset(self.profiles)
         self.now = 0.0
         self.active_model = _resolve_initial_model(config)
-        self.arrival_times: list[float] = []
+        # The stream's arrival times, of which the first `arrived` are in.
+        self.arrival_times: list = []
+        self.arrived = 0
         self.completions = Completions()
         # (request id, arrival time, image row) of each waiting request.
         self._queue: deque[tuple[int, float, int]] = deque()
@@ -340,7 +348,6 @@ class _Engine:
         self._heap: list[tuple[float, int, int, object]] = []
         self._seq = 0
         self._next_tick = _NO_TICK
-        self._pending_arrivals = 0
         self._policy = _build_policy(config, knowledge)
 
     @property
@@ -357,15 +364,14 @@ class _Engine:
             self._push(self._intake_paused_until, _EV_RESUME, None)
 
     def run(self, requests: Requests) -> Completions:
-        self._pending_arrivals = len(requests)
+        self.arrival_times = requests.arrival_t
         # Each tick schedules the next; a policy that ignores ticks gets none.
         if self._policy.needs_ticks:
             self._next_tick = (self._tick_interval, _EV_TICK)
         for req_id, (t, row) in enumerate(zip(requests.arrival_t, requests.row)):
             self._run_until((t, _EV_ARRIVAL))
             self.now = t
-            self.arrival_times.append(t)
-            self._pending_arrivals -= 1
+            self.arrived += 1
             self._queue.append((req_id, t, row))
             self._dispatch()
         self._run_until(_END)
@@ -392,14 +398,12 @@ class _Engine:
         heapq.heappush(self._heap, (time, klass, self._seq, payload))
 
     def _on_completion(self, served: tuple) -> None:
-        request_id, arrival_t, start_t, finish_t, model_id, row, kpis, r = served
+        request_id, start_t, finish_t, model_id, kpis, r = served
         log = self.completions
         log.request_id.append(request_id)
-        log.arrival_t.append(arrival_t)
         log.start_t.append(start_t)
         log.finish_t.append(finish_t)
         log.model_id.append(model_id)
-        log.row.append(row)
         log.kpis.append(kpis)
         log.r.append(r)
         self._policy.note_completion(model_id, kpis)
@@ -411,7 +415,7 @@ class _Engine:
     def _on_tick(self) -> None:
         self.now = self._next_tick[0]
         self._policy.on_event(self)
-        if self._pending_arrivals or self._queue or self._in_flight:
+        if self.arrived < len(self.arrival_times) or self._queue or self._in_flight:
             self._next_tick = (self.now + self._tick_interval, _EV_TICK)
         else:
             self._next_tick = _NO_TICK
@@ -429,7 +433,7 @@ class _Engine:
                 kpis = rows[i] = (c, tau_model, tau_system, s_cpu, int(b))
             start = self.now
             finish = start + kpis[2]  # tau_system
-            served = (req_id, arrival_t, start, finish, model, i, kpis, finish - arrival_t)
+            served = (req_id, start, finish, model, kpis, finish - arrival_t)
             self._free_workers -= 1
             self._in_flight += 1
             self._push(finish, _EV_COMPLETION, served)
@@ -503,12 +507,11 @@ def request_heads(arrival_texts: list[str]) -> list[str]:
 class ResultTexts:
     """The results.csv field texts that the files of one request stream share.
 
-    It is built from the stream's arrival column, and every file written
-    through it must be of that stream: each completion's request_id indexes
-    the stream, and its arrival_t is the stream's very object for that id
-    (the engine passes them through). write_results_csv checks that before
-    it opens the file. So a text that repeats in every file is looked up by
-    position, not by value:
+    It is built from the stream, and every file written through it must be
+    of that stream: each completion's request_id is an int that indexes it.
+    write_results_csv checks that before it opens the file. A row's
+    arrival_t and drawn image row are the stream's for its request_id, so a
+    text that repeats in every file is looked up by position, not by value:
 
     - each request's head, its request_id,arrival_t text, is formatted once
       per stream (request_heads);
@@ -523,61 +526,55 @@ class ResultTexts:
     finish_t and r are new in every row and are formatted as they come.
     """
 
-    def __init__(self, arrival_t):
-        arrival_texts = list(column_texts(arrival_t))
-        self._arrival_t = arrival_t
+    def __init__(self, requests: Requests):
+        arrival_texts = list(column_texts(requests.arrival_t))
+        self._rows = requests.row
         self._heads = request_heads(arrival_texts)
         self._times = TextMemo()
-        self._times.keep(arrival_t, arrival_texts)
+        self._times.keep(requests.arrival_t, arrival_texts)
         # model -> {row: joined text}
         self._kpis: defaultdict[str, dict[int, str]] = defaultdict(dict)
 
     def file_texts(self, completions: Completions):
         """The csvtext.write_columns texts function of one results file,
-        whose columns are completions' but arrival_t. Raises ValueError,
-        naming the first request at fault, unless completions are of the
-        stream."""
-        self._check(completions.request_id, completions.arrival_t)
+        whose columns are completions'. Raises ValueError, naming the first
+        request_id at fault, unless every request_id indexes the stream."""
+        self._check(completions.request_id)
         heads = self._heads
         times = self._times.copy()
 
         def texts(columns):
-            request_id, start_t, finish_t, model, row, kpis, r = columns
+            request_id, start_t, finish_t, model, kpis, r = columns
             finish_texts = list(column_texts(finish_t))
             times.keep(finish_t, finish_texts)
             return (
                 map(heads.__getitem__, request_id),
                 times.texts(start_t),
                 finish_texts,
-                self._kpi_texts(model, row, kpis),
+                self._kpi_texts(model, request_id, kpis),
                 column_texts(r),
             )
 
         return texts
 
-    def _check(self, request_id, arrival_t) -> None:
-        stream = self._arrival_t
-        # One pass in C when every request is of the stream.
+    def _check(self, request_id) -> None:
+        count = len(self._heads)
+        # In C when every request_id indexes the stream.
         if not request_id or (
             set(map(type, request_id)) == {int}
             and 0 <= min(request_id)
-            and max(request_id) < len(stream)
-            and all(map(operator.is_, map(stream.__getitem__, request_id), arrival_t))
+            and max(request_id) < count
         ):
             return
-        for j, t in zip(request_id, arrival_t):
-            if type(j) is not int or not 0 <= j < len(stream):
-                raise ValueError(
-                    f"request_id {j!r} does not index the request stream of {len(stream)} requests"
-                )
-            if stream[j] is not t:
-                raise ValueError(
-                    f"request {j}'s arrival_t {t!r} is not the request stream's arrival_t[{j}], "
-                    f"{stream[j]!r}"
-                )
+        j = next(j for j in request_id if type(j) is not int or not 0 <= j < count)
+        raise ValueError(
+            f"request_id {j!r} does not index the request stream of {count} requests"
+        )
 
-    def _kpi_texts(self, model, row, kpis) -> list[str]:
-        """The kept texts; a block's new rows are formatted together."""
+    def _kpi_texts(self, model, request_id, kpis) -> list[str]:
+        """The kept texts of each request's drawn row under its model; a
+        block's new rows are formatted together."""
+        row = list(map(self._rows.__getitem__, request_id))
         by_model = list(map(self._kpis.__getitem__, model))
         texts = list(map(dict.get, by_model, row))
         if None in texts:
@@ -590,24 +587,16 @@ class ResultTexts:
         return texts
 
 
-def write_results_csv(completions: Completions, path, texts: ResultTexts | None = None) -> None:
+def write_results_csv(completions: Completions, path, texts: ResultTexts) -> None:
     """Write completions to path, a row per request in RESULTS_CSV_HEADER's order.
 
-    The files of one stream share texts, built from its arrival_t column;
-    without it the file's own (request_id, arrival_t) pairs are its stream.
-    Completions that are not of the stream are rejected with a ValueError
-    before the file is opened.
+    texts is built from the run's request stream, which gives each row its
+    arrival_t and drawn image row by request_id; the files of one stream
+    share it. Completions whose request_ids do not index the stream are
+    rejected with a ValueError before the file is opened.
     """
-    if texts is None:
-        # Request j's arrival_t at index j, None where no completion has id j.
-        ids = completions.request_id
-        stream = [None] * (max((j for j in ids if type(j) is int), default=-1) + 1)
-        for j, t in zip(ids, completions.arrival_t):
-            if type(j) is int and j >= 0:
-                stream[j] = t
-        texts = ResultTexts(stream)
     file_texts = texts.file_texts(completions)
-    columns = [getattr(completions, name) for name in Completions.__slots__ if name != "arrival_t"]
+    columns = [getattr(completions, name) for name in Completions.__slots__]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_columns(fh, RESULTS_CSV_HEADER, columns, file_texts)
 

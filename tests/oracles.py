@@ -16,7 +16,7 @@ from adamls.controller import DEFAULT_WINDOW_SIZE, SystemState, _KpiWindow
 from adamls.learning import MIN_NORMAL_SAMPLES, CiEntry, normal_ci
 from adamls.metrics import utility_per_request
 from adamls.profiles import KPI_NAMES, KpiRecord
-from adamls.simulator import Completions
+from adamls.simulator import Completions, Requests
 
 
 def optimal_1d_wcss(values, k):
@@ -120,14 +120,17 @@ class Served(NamedTuple):
         return (self.c, self.tau_model, self.tau_system, self.s_cpu, self.b)
 
 
-def served_rows(completions):
-    """Each request of a Completions as a Served row, in the log's order."""
+def served_rows(completions, requests):
+    """Each request of a Completions as a Served row, in the log's order,
+    its arrival_t and drawn row read from the run's request stream."""
     columns = zip(
-        completions.request_id, completions.arrival_t, completions.start_t,
-        completions.finish_t, completions.model_id, completions.kpis, completions.r,
-        completions.row,
+        completions.request_id, completions.start_t, completions.finish_t,
+        completions.model_id, completions.kpis, completions.r,
     )
-    return [Served(i, a, s, f, m, *kpis, r, row) for i, a, s, f, m, kpis, r, row in columns]
+    return [
+        Served(j, requests.arrival_t[j], s, f, m, *kpis, r, requests.row[j])
+        for j, s, f, m, kpis, r in columns
+    ]
 
 
 class EventRow(NamedTuple):
@@ -144,11 +147,25 @@ def event_rows(log):
 
 
 def completions_of(rows):
-    """The Completions holding the given Served rows, in their order."""
+    """The Completions holding the given Served rows, in their order; their
+    arrival_t and drawn row belong to the stream (stream_of)."""
     return Completions(*map(list, zip(*(
-        (s.request_id, s.arrival_t, s.start_t, s.finish_t, s.model_id, s.row, s.kpis, s.r)
-        for s in rows
+        (s.request_id, s.start_t, s.finish_t, s.model_id, s.kpis, s.r) for s in rows
     ))))
+
+
+def stream_of(rows):
+    """The request stream the Served rows are of: request j arrives at the
+    arrival_t of the row with id j and draws its row. An id that no row
+    names arrives with the id before it (at 0.0 if it is the first) and
+    draws row 0, so the rows' arrivals must not decrease with their ids."""
+    by_id = {s.request_id: s for s in rows}
+    arrival_t, drawn = [], []
+    for j in range(max(by_id, default=-1) + 1):
+        s = by_id.get(j)
+        arrival_t.append(s.arrival_t if s else arrival_t[-1] if arrival_t else 0.0)
+        drawn.append(s.row if s else 0)
+    return Requests(arrival_t, drawn)
 
 
 def window_of(rows) -> _KpiWindow:

@@ -23,7 +23,7 @@ from adamls.controller import (
 )
 from adamls.learning import compute_ci, kmeans_1d
 from adamls.metrics import UtilityParams, summarize, utility_per_request
-from adamls.simulator import generate_workload, run_simulation, write_results_csv
+from adamls.simulator import ResultTexts, generate_workload, run_simulation, write_results_csv
 
 from .oracles import (
     brute_force_plan, normal_mean_ci, optimal_1d_wcss, served_rows, window_of
@@ -166,7 +166,7 @@ def test_criterion_5_des_invariant_suite(tmp_path, tiny_profiles):
             arrivals = generate_workload(workload)
             # Conservation: every arrival completes exactly once.
             assert len(completions) == len(arrivals) == 2000
-            rows = served_rows(completions)
+            rows = served_rows(completions, requests)
             assert sorted(r.request_id for r in rows) == list(range(2000))
             # FIFO on a single worker.
             by_start = sorted(rows, key=lambda r: r.start_t)
@@ -175,7 +175,7 @@ def test_criterion_5_des_invariant_suite(tmp_path, tiny_profiles):
                 assert rec.r >= rec.tau_system - 1e-12
                 assert rec.arrival_t <= rec.start_t <= rec.finish_t
             path = tmp_path / f"run{attempt}.csv"
-            write_results_csv(completions, path)
+            write_results_csv(completions, path, ResultTexts(requests))
             digests.append(path.read_bytes())
         assert digests[0] == digests[1]
 

@@ -80,7 +80,9 @@ class FakeSystem:
         self.model_ids = frozenset(model_ids)
         self.active_model = active
         self.now = now
+        # A request stream's arrival times, of which the first `arrived` are in.
         self.arrival_times = []
+        self.arrived = 0
         self.queue_depth = 0
         self.switches = []
 
@@ -110,11 +112,24 @@ class TestMonitor:
 
     def test_rate_counts_trailing_second(self):
         arrivals = [0.5, 4.05, 4.2, 4.4, 4.6, 4.8, 4.9, 5.0]
-        assert observed_rate(arrivals, 5.0) == 7.0
+        assert observed_rate(arrivals, 5.0, len(arrivals)) == 7.0
         # Boundary: an arrival exactly at now - 1 is excluded.
-        assert observed_rate([4.0, 4.5], 5.0) == 1.0
+        assert observed_rate([4.0, 4.5], 5.0, 2) == 1.0
+        # Only the arrivals taken in count, though later ones are due by now.
+        assert observed_rate(arrivals, 5.0, 6) == 5.0
         state, _ = monitor_snapshot(5.0, [], arrivals, 0, "m")
         assert state.v == 7.0
+
+    def test_v_counts_only_the_arrivals_taken_in(self):
+        """At a completion on an arrival's instant that arrival is not taken
+        in yet, so v leaves it out; at a tick on that instant it counts."""
+        controller = AdamlsController(Knowledge())
+        system = FakeSystem(now=2.0)
+        system.arrival_times = [1.5, 2.0]
+        system.arrived = 1
+        assert controller.monitor(system).v == 1.0
+        system.arrived = 2
+        assert controller.monitor(system).v == 2.0
 
     def test_controller_window_tracker_matches_reference(self):
         """Every event's window, means, live CIs, cluster and range equal a
@@ -145,6 +160,7 @@ class TestMonitor:
                     active = rng.choice(models)
                 system = FakeSystem(model_ids=models, active=active, now=t)
                 system.arrival_times = arrivals
+                system.arrived = len(arrivals)
                 system.queue_depth = rng.randint(0, 5)
                 state = controller.monitor(system)
                 reference, reference_means = monitor_snapshot(
@@ -761,11 +777,25 @@ class TestNaivePolicy:
         switcher = ctrl.NaiveSwitcher(knowledge, config, switch_latency=0.0)
         system = FakeSystem(active="a")
         system.arrival_times = [0.1] * 10 + [1.6] * 10
+        system.arrived = 20
         for i in range(13):
             system.now = i * 0.25
             switcher.on_event(system)
         assert system.switches == [(1.0, "b", 0.0), (3.0, "a", 0.0)]
         assert knowledge.event_log.sim_time == [1.0, 1.0, 3.0, 3.0]
+
+    def test_a_check_counts_only_the_arrivals_taken_in(self):
+        """A check at a completion on an arrival's instant reads v without
+        that arrival (1 rps, at the bound, keeps "a"); a check at a tick on
+        that instant reads it with (2 rps switches to "b")."""
+        config = NaivePolicyConfig(thresholds=((1.0, "a"), (math.inf, "b")))
+        for arrived, switches in ((1, []), (2, [(2.0, "b", 0.0)])):
+            switcher = ctrl.NaiveSwitcher(Knowledge(), config, switch_latency=0.0)
+            system = FakeSystem(active="a", now=2.0)
+            system.arrival_times = [1.5, 2.0]
+            system.arrived = arrived
+            switcher.on_event(system)
+            assert system.switches == switches
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

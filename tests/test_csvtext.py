@@ -125,8 +125,11 @@ def test_write_columns_block_edges_keep_every_row(count):
 
 
 def test_columns_of_another_length_are_rejected():
+    """Before anything is written: no header is left behind."""
+    fh = io.StringIO()
     with pytest.raises(ValueError, match="one length"):
-        write_columns(io.StringIO(), ("a", "b"), [(1, 2), (3,)], None)
+        write_columns(fh, ("a", "b"), [(1, 2), (3,)], None)
+    assert fh.getvalue() == ""
 
 
 class ReadError(ValueError):

@@ -55,7 +55,7 @@ def static_run(profiles, model, rate, requests, workers=1, seed=1):
     completions, events = run_simulation(config, stream)
     assert len(events) == 0  # no switch, so intake never pauses
     assert len(completions) == requests
-    return sorted(served_rows(completions), key=attrgetter("request_id"))
+    return sorted(served_rows(completions, stream), key=attrgetter("request_id"))
 
 
 def service_moments(profiles, model):

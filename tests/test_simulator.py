@@ -33,7 +33,9 @@ from adamls.simulator import (
     write_results_csv,
 )
 
-from .oracles import Served, completions_of, event_rows, repr_per_field_csv, served_rows
+from .oracles import (
+    Served, completions_of, event_rows, repr_per_field_csv, served_rows, stream_of
+)
 from .test_cli import write_config
 
 
@@ -208,12 +210,11 @@ class TestSampling:
     def test_single_record_profile_is_forced(self):
         profile = constant_profile("m", 0.1)
         single = ModelProfile.of_records("m", profile.records[:1])
-        completions, _ = run_simulation(
-            static_config(single), stream(deterministic_workload(10.0, 1.0), single)
-        )
+        requests = stream(deterministic_workload(10.0, 1.0), single)
+        completions, _ = run_simulation(static_config(single), requests)
         assert len(completions) == 10
         assert set(completions.kpis) == {profile_kpis(single.records[0])}
-        assert set(completions.row) == {0}
+        assert set(requests.row) == {0}
 
     def test_seeded_reproducibility(self, tiny_profiles):
         profile = next(p for p in tiny_profiles if p.model_id == "fast")
@@ -261,19 +262,23 @@ class TestSampling:
             ([1.0, 2.0], [1.0, 2.0], r"row\[0\] is 1\.0; it must be an integer"),
             ([1.0, 2.0], [True, 2], r"row\[0\] is True; it must be an integer"),
             ([1.0, 2.0], [0, "1"], r"row\[1\] is '1'; it must be an integer"),
+            (["a"], [0], r"arrival_t\[0\] is 'a'; it must be a number"),
+            ([1.0, None], [0, 1], r"arrival_t\[1\] is None; it must be a number"),
+            ([True, 2.0], [0, 1], r"arrival_t\[0\] is True; it must be a number"),
         ],
         ids=[
             "row-past-the-end", "negative-row", "short-rows",
             "unsorted", "negative-time", "nan-time", "inf-time", "lone-nan-time",
-            "float-row", "bool-row", "str-row",
+            "float-row", "bool-row", "str-row", "str-time", "none-time", "bool-time",
         ],
     )
     def test_a_passed_stream_must_fit_the_profiles(self, monkeypatch, arrival_t, rows, message):
         """A stream is checked before the first event: its rows against the
         profiles' image count, not found out by an IndexError inside a
         dispatch, and its times and row types when it is built, so the clock
-        never runs backwards, no request arrives at a NaN or infinite time,
-        and no row is read as a float index or a numpy boolean mask."""
+        never runs backwards, no request arrives at a NaN or infinite time or
+        at a time that is no number (a bool is none), and no row is read as a
+        float index or a numpy boolean mask."""
         profile = constant_profile("m", 0.1)
         config = static_config(profile)
 
@@ -295,14 +300,15 @@ class TestSampling:
         assert completions.start_t == pytest.approx([0.0, 1.0, 1.1])
 
     def test_each_request_holds_the_row_it_drew(self, tiny_profiles):
-        """row is the drawn profile index, and kpis that row's shared tuple."""
+        """A request's kpis are the shared tuple of the profile row that the
+        stream drew for it."""
         profile = next(p for p in tiny_profiles if p.model_id == "fast")
-        completions, _ = run_simulation(
-            static_config(profile), stream(deterministic_workload(50.0, 2.0), profile)
-        )
-        assert len(set(completions.row)) > 1
+        requests = stream(deterministic_workload(50.0, 2.0), profile)
+        completions, _ = run_simulation(static_config(profile), requests)
+        rows = [requests.row[j] for j in completions.request_id]
+        assert len(set(rows)) > 1
         shared = {}
-        for row, kpis in zip(completions.row, completions.kpis):
+        for row, kpis in zip(rows, completions.kpis):
             assert kpis == profile_kpis(profile.records[row])
             assert shared.setdefault(row, kpis) is kpis
 
@@ -324,8 +330,9 @@ class Recorder:
     def on_event(self, system) -> None:
         kind = "completion" if self._completed else "tick"
         self._completed = False
-        seen = len(system.arrival_times)
-        self.calls.append((system.now, kind, seen, observed_rate(system.arrival_times, system.now)))
+        seen = system.arrived
+        v = observed_rate(system.arrival_times, system.now, seen)
+        self.calls.append((system.now, kind, seen, v))
         if system.now == self.switch_at:
             system.switch_model(system.active_model, self.pause)
 
@@ -373,7 +380,7 @@ class TestEventOrder:
         dispatch = simulator._Engine._dispatch
 
         def recording_dispatch(self):
-            dispatches.append((self.now, len(self.arrival_times)))
+            dispatches.append((self.now, self.arrived))
             dispatch(self)
 
         monkeypatch.setattr(simulator._Engine, "_dispatch", recording_dispatch)
@@ -391,7 +398,7 @@ class TestEventOrder:
         dispatch = simulator._Engine._dispatch
 
         def recording_dispatch(self):
-            trace.append((self.now, "dispatch", len(self.arrival_times)))
+            trace.append((self.now, "dispatch", self.arrived))
             dispatch(self)
 
         monkeypatch.setattr(simulator._Engine, "_dispatch", recording_dispatch)
@@ -479,11 +486,12 @@ class TestRunSimulation:
             seed=5,
         )
         profile = next(p for p in tiny_profiles if p.model_id == "fast")
-        completions, _ = run_simulation(static_config(profile), stream(workload, profile))
+        requests = stream(workload, profile)
+        completions, _ = run_simulation(static_config(profile), requests)
         arrivals = generate_workload(workload)
         assert len(completions) == len(arrivals)
         assert sorted(completions.request_id) == list(range(len(arrivals)))
-        rows = served_rows(completions)
+        rows = served_rows(completions, requests)
         # Single worker: service order equals arrival order.
         by_start = sorted(rows, key=lambda rec: rec.start_t)
         assert [rec.request_id for rec in by_start] == sorted(completions.request_id)
@@ -555,11 +563,10 @@ class TestRunSimulation:
         profile = next(p for p in tiny_profiles if p.model_id == "fast")
         digests = []
         for run in range(2):
-            completions, _ = run_simulation(
-                static_config(profile), stream(workload, profile, service_seed=17)
-            )
+            requests = stream(workload, profile, service_seed=17)
+            completions, _ = run_simulation(static_config(profile), requests)
             path = tmp_path / f"run{run}.csv"
-            write_results_csv(completions, path)
+            write_results_csv(completions, path, ResultTexts(requests))
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
@@ -829,7 +836,7 @@ class TestTicks:
         # The system empties for longer than a tick before some arrival, and
         # the ticks go on through it while arrivals are due.
         drained, idle = 0.0, 0.0
-        for rec in sorted(served_rows(completions), key=lambda rec: rec.arrival_t):
+        for rec in sorted(served_rows(completions, requests), key=lambda rec: rec.arrival_t):
             idle = max(idle, rec.arrival_t - drained)
             drained = max(drained, rec.finish_t)
         assert idle > interval
@@ -863,7 +870,8 @@ class TestCsvWriters:
     )
 
     def test_results_csv_matches_oracle(self, tmp_path):
-        write_results_csv(completions_of(self.RECORDS), tmp_path / "fast.csv")
+        texts = ResultTexts(stream_of(self.RECORDS))
+        write_results_csv(completions_of(self.RECORDS), tmp_path / "fast.csv", texts)
         repr_per_field_csv(tmp_path / "oracle.csv", RESULTS_CSV_HEADER, results_rows(self.RECORDS))
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
@@ -884,6 +892,12 @@ _TRICKY_NUMBERS = (0.0, -0.0, 0, False, 1, 1.0, True, math.nan, math.inf, -math.
 NUMBERS = st.one_of(st.sampled_from(_TRICKY_NUMBERS), st.floats())
 
 
+# Arrival times a stream may hold that a value-keyed memo could mix up:
+# zeros of both signs and equal numbers of both types.
+_TRICKY_TIMES = (0.0, -0.0, 0, 1, 1.0, 0.5, 5e-324)
+TIMES = st.one_of(st.sampled_from(_TRICKY_TIMES), st.floats(min_value=0.0, allow_infinity=False))
+
+
 def results_rows(records):
     """The results.csv rows of Served records: every field but the drawn row."""
     return [rec[:-1] for rec in records]
@@ -891,17 +905,21 @@ def results_rows(records):
 
 @st.composite
 def results_files(draw):
-    """A request stream and two or three files of it. Request i arrives at
-    arrivals[i % len(arrivals)], from a small pool, so arrival values repeat
-    at different ids; KPI tuples and model ids come from pools shared by all
-    files, so values repeat within and across files; a drawn start_t may be
-    the finish_t of the row before. The KPI tuple is picked by the drawn row
-    alone, so a (model, row) names one tuple."""
-    arrivals = draw(st.lists(NUMBERS, min_size=1, max_size=6))
+    """A request stream and two or three files of it. Its arrival times come
+    in runs from a small sorted pool, so arrival values repeat at different
+    ids; KPI tuples and model ids come from pools shared by all files, so
+    values repeat within and across files; a drawn start_t may be the
+    finish_t of the row before. Request i draws row i % len(kpis) and the
+    KPI tuple is picked by that row alone, so a (model, row) names one
+    tuple."""
+    arrivals = sorted(draw(st.lists(TIMES, min_size=1, max_size=6)))
     kpis = draw(st.lists(st.tuples(*[NUMBERS] * 5), min_size=1, max_size=6))
     models = draw(st.lists(st.sampled_from(["nano", "x,l", 'q"m', ""]), min_size=1, max_size=3))
     counts = [draw(st.sampled_from((1, 2, 9, BLOCK_ROWS + 1))) for _ in range(draw(st.integers(2, 3)))]
-    stream = [arrivals[i % len(arrivals)] for i in range(max(counts))]
+    n = max(counts)
+    stream = simulator.Requests(
+        [arrivals[i * len(arrivals) // n] for i in range(n)], [i % len(kpis) for i in range(n)]
+    )
     files = []
     for count in counts:
         rows = draw(st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS, st.booleans()), min_size=1,
@@ -911,26 +929,28 @@ def results_files(draw):
             start, finish, r, after_previous = rows[i % len(rows)]
             if after_previous and records:
                 start = records[-1].finish_t
-            row = i % len(kpis)
+            row = stream.row[i]
             model = models[i % len(models)]
-            records.append(Served(i, stream[i], start, finish, model, *kpis[row], r, row))
+            records.append(Served(i, stream.arrival_t[i], start, finish, model, *kpis[row], r, row))
         files.append(records)
     return stream, files
 
 
-def _records(stream, requests, kpis, model="a,b", row=0):
-    """One Served row per (request_id, start_t, finish_t) and KPI tuple,
-    arriving at the stream's arrival_t and drawn from profile row `row` of
-    model."""
+def _records(stream, requests, kpis, model="a,b"):
+    """One Served row per (request_id, start_t, finish_t), arriving at the
+    stream's arrival_t, drawn from the stream's row and holding kpis[row]."""
     return [
-        Served(j, stream[j], start, finish, model, *kpi, 1.5, row)
-        for (j, start, finish), kpi in zip(requests, kpis)
+        Served(j, stream.arrival_t[j], start, finish, model, *kpis[stream.row[j]], 1.5,
+               stream.row[j])
+        for j, start, finish in requests
     ]
 
 
-# Equal arrivals of other types and other zero signs at different ids.
-_MIXED_STREAM = [1.0, 1, -0.0, 0.0]
-_FLOAT_STREAM = [1.0, -0.0, 0.5]
+# Zeros of both signs and equal arrivals of both types, at different ids.
+_MIXED_STREAM = simulator.Requests([-0.0, 0, 0.0, 1.0, 1], [0, 1, 0, 1, 1])
+_FLOAT_STREAM = simulator.Requests([-0.0, 0.5, 1.0], [0, 0, 0])
+# By row: KPIs of other types and zero signs.
+_KPIS = [(0.5, 0.25, 0.0, 50.0, 1), (0.5, 0.25, 0.25, 50.0, True)]
 
 
 class TestSharedResultTexts:
@@ -941,21 +961,18 @@ class TestSharedResultTexts:
     @hypothesis.example(drawn=(_MIXED_STREAM, [
         # The zero starts equal a kept finish_t or arrival of the other
         # sign; the last row starts when the one before finishes.
-        _records(_MIXED_STREAM, [(2, 0.0, -0.0), (3, -0.0, 3.0), (0, 3.0, 4.0)],
-                 [(0.5, 0.25, 0.0, 50.0, 1)] * 3),
+        _records(_MIXED_STREAM, [(2, 0.0, -0.0), (4, -0.0, 3.0), (0, 3.0, 4.0)], _KPIS),
         # int starts equal to float finishes; the second starts when the
         # first finishes.
-        _records(_MIXED_STREAM, [(1, 1, 3.0), (0, 3, 4.0)],
-                 [(0.5, 0.25, -0.0, 50.0, 1.0)] * 2, model='q"m'),
-        _records(_MIXED_STREAM, [(3, 0.0, 3), (2, 3, -0.0)],
-                 [(0.5, 0.25, 0.25, 50.0, True)] * 2, row=1),
+        _records(_MIXED_STREAM, [(1, 1, 3.0), (3, 3, 4.0)], [(0.5, 0.25, -0.0, 50.0, 1.0)] * 2,
+                 model='q"m'),
+        _records(_MIXED_STREAM, [(4, 0.0, 3), (2, 3, -0.0)], _KPIS),
     ]))
     @hypothesis.example(drawn=(_FLOAT_STREAM, [
         # int starts equal to the stream's float arrivals, and zeros of the
         # other sign.
-        _records(_FLOAT_STREAM, [(0, 1, 2), (1, 0, 3)], [(0.5, 0.25, 0.0, 50.0, 1)] * 2),
-        _records(_FLOAT_STREAM, [(1, 0.0, 1.0), (2, 1.0, -0.0), (0, -0.0, 2.0)],
-                 [(0.5, 0.25, 0.0, 50.0, 1)] * 3),
+        _records(_FLOAT_STREAM, [(2, 1, 2), (0, 0, 3)], _KPIS),
+        _records(_FLOAT_STREAM, [(0, 0.0, 1.0), (1, 1.0, -0.0), (2, -0.0, 2.0)], _KPIS),
     ]))
     def test_each_file_is_what_csv_writer_writes(self, drawn, tmp_path_factory):
         stream, files = drawn
@@ -967,28 +984,24 @@ class TestSharedResultTexts:
                 repr_per_field_csv(root / "oracle.csv", RESULTS_CSV_HEADER, results_rows(records))
                 assert (root / "shared.csv").read_bytes() == (root / "oracle.csv").read_bytes()
 
-    STREAM = [0.5, 1.0, 1.0, 2.5]
+    STREAM = simulator.Requests([0.5, 1.0, 1.0, 2.5], [0, 0, 0, 0])
 
     @pytest.mark.parametrize(
-        "request_id, arrival_t, message",
+        "request_id, message",
         [
-            pytest.param(4, 1.0, r"request_id 4 does not index the request stream of 4 requests",
+            pytest.param(4, r"request_id 4 does not index the request stream of 4 requests",
                          id="id-past-the-end"),
-            pytest.param(-1, 2.5, r"request_id -1 does not index", id="id-negative"),
-            pytest.param(1.0, 1.0, r"request_id 1\.0 does not index", id="id-not-an-int"),
-            # Equal to the stream's arrival_t[2], but not that object.
-            pytest.param(2, float("1.0"), r"request 2's arrival_t 1\.0 is not the request "
-                         r"stream's arrival_t\[2\], 1\.0", id="arrival-an-equal-copy"),
-            pytest.param(2, 1, r"request 2's arrival_t 1 is not", id="arrival-an-equal-int"),
+            pytest.param(-1, r"request_id -1 does not index", id="id-negative"),
+            pytest.param(1.0, r"request_id 1\.0 does not index", id="id-not-an-int"),
         ],
     )
     def test_a_file_of_another_stream_is_rejected_before_writing(
-        self, tmp_path, request_id, arrival_t, message
+        self, tmp_path, request_id, message
     ):
         stream = self.STREAM
-        good = [Served(j, stream[j], 3.0, 4.0, "nano", 0.5, 0.1, 1.0, 50.0, 1, 3.0, 0)
+        good = [Served(j, stream.arrival_t[j], 3.0, 4.0, "nano", 0.5, 0.1, 1.0, 50.0, 1, 3.0, 0)
                 for j in (1, 0)]
-        bad = good + [good[0]._replace(request_id=request_id, arrival_t=arrival_t)]
+        bad = good + [good[0]._replace(request_id=request_id)]
         texts = ResultTexts(stream)
         with pytest.raises(ValueError, match=message):
             write_results_csv(completions_of(bad), tmp_path / "results.csv", texts)
@@ -997,15 +1010,6 @@ class TestSharedResultTexts:
         write_results_csv(completions_of(good), tmp_path / "results.csv", texts)
         repr_per_field_csv(tmp_path / "oracle.csv", RESULTS_CSV_HEADER, results_rows(good))
         assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-
-    def test_a_file_that_gives_one_request_two_arrivals_is_rejected(self, tmp_path):
-        """Without texts a file's own pairs are its stream, so they must
-        agree."""
-        records = [Served(0, 1.0, 1.0, 2.0, "nano", 0.5, 0.1, 1.0, 50.0, 1, 1.0, 0)] * 2
-        records[1] = records[1]._replace(arrival_t=2.0)
-        with pytest.raises(ValueError, match=r"request 0's arrival_t 1\.0 is not"):
-            write_results_csv(completions_of(records), tmp_path / "results.csv")
-        assert not (tmp_path / "results.csv").exists()
 
     def test_one_compare_builds_one_head_per_request(self, tmp_path, tiny_config, monkeypatch):
         """A work count, not a timing: the request_id,arrival_t text of each
@@ -1031,7 +1035,7 @@ class TestSharedResultTexts:
             assert cli.main(["compare", "--config", str(path)]) == 0
         assert len(streams) == 4  # adamls, naive and two statics
         assert all(stream is streams[0] for stream in streams)
-        assert len(built) == len(streams[0]) > 0
+        assert len(built) == len(streams[0].arrival_t) > 0
 
 
 # Values equal to a time whose texts differ from its text.
