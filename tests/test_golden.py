@@ -1,7 +1,8 @@
 """Golden digests: learn + compare + report --timeseries must reproduce every CSV.
 
-The tiny config pins every output; the default config (at full scale) and
-the tiny config with three workers pin the compare outputs and the
+The tiny config pins every output; the default config (at full scale, and
+under overload on four workers) and the tiny config with three workers (and
+under overload on four) pin the compare outputs and the
 utility_timeseries.csv that report --timeseries derives from them, and the
 default config also pins the rules, at 1000 and at 5000 images.
 
@@ -143,6 +144,42 @@ def test_compare_under_overload_matches_golden_digests(tiny_config, tmp_path, ca
     events = (tmp_path / "compare" / "adamls" / "events.csv").read_text(encoding="utf-8")
     assert "no suitable model; persisting" in events
     assert compare_digests(tmp_path) == TINY_OVERLOAD_COMPARE_SHA256
+
+
+# compare on the default config with four workers under a constant 20 rps for
+# 400 s (seed 1), the shape of the benchmark's overload workload: about 8000
+# requests and a backlog that grows through every static run, so completions
+# leave request order and often finish at one instant.
+DEFAULT_OVERLOAD_COMPARE_SHA256 = {
+    "compare/adamls/events.csv": "e20a74d862863e52d8ff8e9aca8b5c8d741739b6f594b0e2a52e2b582b37a9b7",
+    "compare/adamls/results.csv": "11124fef4c9a3072b866c2014eefe07d845d32395f1902a63a639b95099e5fbb",
+    "compare/naive/events.csv": "61e555b0b324e227ca7fab468af69ccbe5cb7b8a0f7a914c3f7d593ad35cc744",
+    "compare/naive/results.csv": "5ac0ee815b7895c3a5595ad7da6c2fa92d5d91ec76d23f4af38e643815058b0e",
+    "compare/static_large/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
+    "compare/static_large/results.csv": "51fcde8144319f851fb4ae255ccfc6944f9d539caad512ff80b3b0d23268140a",
+    "compare/static_medium/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
+    "compare/static_medium/results.csv": "453f8723094be380ae1897503f97d1934ef181d1dee31bc94cbe8b948e1d0951",
+    "compare/static_nano/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
+    "compare/static_nano/results.csv": "490de0cc96067e9feb52565b55190ab16334454cc76fbee849e569d66ba08f04",
+    "compare/static_small/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
+    "compare/static_small/results.csv": "d92375ed5484d8e30b535fa46ecb076416b01ab54b325fd38f8fa10a5a09901d",
+    "compare/static_xlarge/events.csv": "e04cd98d62481d37072cfe3def8aaeec6cb46aa94474b7b0c646669590ce5e20",
+    "compare/static_xlarge/results.csv": "cd193455733e0d8b303ad8705f562fb53ce8650c230531e28e9b4b4ada4be66e",
+    "summary.csv": "b438f7d62e92db6a004865301e2b958525d6217fbb248f12f61d2650750cb87b",
+    "utility_sweep.csv": "5320f70f7414f38007f55ca164542bdfe4d9e0578efe0f62064e012ebadd1197",
+    "utility_timeseries.csv": "401c3216f5e5661fab5cd076ca1bac0299c66812adf219fa429dca38948e3ba0",
+}
+
+
+def test_compare_on_default_config_under_overload_matches_golden_digests(tmp_path, capsys):
+    config = cfgmod.ExperimentConfig()
+    config = dataclasses.replace(
+        config,
+        workload=cfgmod.WorkloadConfig(segments=((400.0, 20.0),), max_requests=20000),
+        simulation=dataclasses.replace(config.simulation, worker_count=4),
+    )
+    learn_and_compare(config, tmp_path, capsys)
+    assert compare_digests(tmp_path) == DEFAULT_OVERLOAD_COMPARE_SHA256
 
 
 # learn on the default five-model family (1000 images, seed 1): the rule and
