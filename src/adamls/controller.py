@@ -4,10 +4,10 @@ The loop monitors a sliding window of recent completions, matches it to the
 closest offline cluster, derives the feasible request-rate range from the
 cluster's tau CI, and, when the adjusted rate leaves that range persistently,
 plans a switch to the most accurate model whose rate capacity covers the
-load. Baseline policies (fixed-threshold naive switching and static models)
-live behind the same drive-on-event interface so the simulator treats every
-policy uniformly; a policy's needs_ticks says whether the simulator should
-also drive it at periodic ticks.
+load. The fixed-threshold naive baseline lives behind the same
+drive-on-event interface, so the simulator drives both policies alike, at
+every completion and at periodic ticks. A static model is no policy here:
+nothing ever acts on its run, which the simulator serves without its engine.
 
 An event does only its decision work: monitor builds one slotted
 SystemState; the analyzer compares its last match's model, window and
@@ -551,8 +551,6 @@ class AdamlsController:
     settings; ci_level is the level the rules were learned at.
     """
 
-    needs_ticks = True
-
     def __init__(
         self,
         knowledge: Knowledge,
@@ -616,9 +614,6 @@ class NaiveSwitcher:
     execute's SWITCH row; a check that keeps the model writes nothing.
     """
 
-    # The tick times decide when a check falls due.
-    needs_ticks = True
-
     def __init__(
         self,
         knowledge: Knowledge,
@@ -647,15 +642,3 @@ class NaiveSwitcher:
             log.event.append(EVENT_PLAN)
             log.detail.append(adaptation.reason)
             execute(adaptation, system, self.knowledge, self.switch_latency)
-
-
-class StaticPolicy:
-    """Baseline that never switches, so it needs no ticks."""
-
-    needs_ticks = False
-
-    def note_completion(self, model_id: str, kpis: tuple) -> None:
-        pass
-
-    def on_event(self, system) -> None:
-        pass

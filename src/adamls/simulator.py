@@ -8,10 +8,15 @@ numbers). run_simulation takes its stream as given and builds none of its
 own; config.build_request_stream derives an experiment's one stream from its
 master seed. Requests wait in an unbounded FIFO queue and are served by
 interchangeable workers; a request's service duration and KPIs come from
-its row of the active model's profile, read the first time a run serves
-that row and cached for the rest of the run. The switching policy runs at
-every completion and, if it asks for them (needs_ticks), at a periodic
-tick; a model switch pauses service intake for the switch latency.
+its row of the active model's profile, one tuple per drawn row shared for
+the rest of the run.
+
+Only an adamls or naive run goes through the event engine: its policy runs
+at every completion and at a periodic tick, and a model switch pauses
+service intake for the switch latency. Nothing ever acts on a static run, so
+it is a plain FIFO queue whose completions follow from the stream alone, and
+run_simulation serves it by the queue recursion (_serve_static), with the
+very columns the engine would give.
 
 The stream is in time order, and a tick falls due a fixed interval after the
 one before, so both stream past the event heap instead of going through it:
@@ -267,6 +272,8 @@ def generate_workload(spec: WorkloadSpec) -> list[float]:
 
 
 _TIME_TYPES = frozenset((float, int))
+# The least int that float() overflows on; every finite float is below it.
+_FLOAT_LIMIT = 2**1024 - 2**970
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,9 +298,10 @@ class Requests:
             j, row = next((j, row) for j, row in enumerate(self.row) if not is_integer(row))
             raise ConfigError(f"the request stream's row[{j}] is {row!r}; it must be an integer")
         # In C when every time is a float or an int (a bool is neither); a
-        # NaN anywhere fails the order test or a bound.
+        # NaN anywhere fails the order test or a bound, and so does an int
+        # with no float value, since the last time is the largest.
         if set(map(type, times)) <= _TIME_TYPES and times and 0.0 <= times[0] and (
-            times[-1] < math.inf and all(map(operator.le, times, times[1:]))
+            times[-1] < _FLOAT_LIMIT and all(map(operator.le, times, times[1:]))
         ):
             return
         previous = 0.0
@@ -301,6 +309,12 @@ class Requests:
             if type(t) not in _TIME_TYPES:
                 raise ConfigError(
                     f"the request stream's arrival_t[{j}] is {t!r}; it must be a number"
+                )
+            # Its size, not its digits: str() refuses an int of over 4300.
+            if type(t) is int and not -_FLOAT_LIMIT < t < _FLOAT_LIMIT:
+                raise ConfigError(
+                    f"the request stream's arrival_t[{j}] is an int of {t.bit_length()} bits; "
+                    "it has no float value"
                 )
             if not 0.0 <= t < math.inf:
                 raise ConfigError(
@@ -347,7 +361,8 @@ class _Engine:
         # Completions in flight and pending resumes; see _run_until.
         self._heap: list[tuple[float, int, int, object]] = []
         self._seq = 0
-        self._next_tick = _NO_TICK
+        # Each tick schedules the next.
+        self._next_tick = (self._tick_interval, _EV_TICK)
         self._policy = _build_policy(config, knowledge)
 
     @property
@@ -365,9 +380,6 @@ class _Engine:
 
     def run(self, requests: Requests) -> Completions:
         self.arrival_times = requests.arrival_t
-        # Each tick schedules the next; a policy that ignores ticks gets none.
-        if self._policy.needs_ticks:
-            self._next_tick = (self._tick_interval, _EV_TICK)
         for req_id, (t, row) in enumerate(zip(requests.arrival_t, requests.row)):
             self._run_until((t, _EV_ARRIVAL))
             self.now = t
@@ -440,8 +452,6 @@ class _Engine:
 
 
 def _resolve_initial_model(config: SimConfig) -> str:
-    if config.policy.kind == "static":
-        return config.policy.static_model
     if config.policy.kind == "naive":
         return ctrl.naive_policy(0.0, config.policy.naive)
     return config.simulation.initial_model
@@ -449,8 +459,6 @@ def _resolve_initial_model(config: SimConfig) -> str:
 
 def _build_policy(config: SimConfig, knowledge: ctrl.Knowledge):
     sim = config.simulation
-    if config.policy.kind == "static":
-        return ctrl.StaticPolicy()
     if config.policy.kind == "naive":
         return ctrl.NaiveSwitcher(knowledge, config.policy.naive, sim.switch_latency)
     model_ids = sorted(p.model_id for p in config.profiles)
@@ -475,6 +483,54 @@ def _build_policy(config: SimConfig, knowledge: ctrl.Knowledge):
     )
 
 
+def _serve_static(profile: ModelProfile, requests: Requests, worker_count: int) -> Completions:
+    """A run under profile's model alone: a FIFO queue on worker_count
+    workers, whose completions follow from the stream with no event loop.
+
+    Request j starts at the later of arrival_t[j] and the earliest time a
+    worker is free (Lindley's recursion at one worker, Kiefer and
+    Wolfowitz's at more), at the very value the engine would dispatch it,
+    the arrival's on a tie, and holds the worker for its row's tau_system.
+    The engine pops completions by finish time with ties in push order,
+    which is request order, so they come out by a stable sort on finish_t;
+    at one worker they finish in request order already."""
+    arrival_t, rows = requests.arrival_t, requests.row
+    # One (c, tau_model, tau_system, s_cpu, b) tuple per drawn row, as
+    # _Engine._dispatch builds it, shared by every request that drew it.
+    drawn = list(set(rows))
+    by_row = {
+        i: (c, tau_model, tau_system, s_cpu, int(b))
+        for i, (c, tau_model, tau_system, s_cpu, b) in zip(drawn, profile.kpi_table[drawn].tolist())
+    }
+    kpis = list(map(by_row.__getitem__, rows))
+    start_t, finish_t = [], []
+    if worker_count == 1:
+        free = -math.inf
+        for t, tau in zip(arrival_t, map(operator.itemgetter(2), kpis)):
+            start = free if free > t else t
+            free = start + tau
+            start_t.append(start)
+            finish_t.append(free)
+    else:
+        # Each worker's free time, a heap.
+        free_at = [-math.inf] * worker_count
+        for t, tau in zip(arrival_t, map(operator.itemgetter(2), kpis)):
+            free = free_at[0]
+            start = free if free > t else t
+            finish = start + tau
+            heapq.heapreplace(free_at, finish)
+            start_t.append(start)
+            finish_t.append(finish)
+    columns = [start_t, finish_t, kpis, list(map(operator.sub, finish_t, arrival_t))]
+    if worker_count == 1:
+        request_id = list(range(len(kpis)))
+    else:
+        request_id = sorted(range(len(kpis)), key=finish_t.__getitem__)
+        columns = [list(map(column.__getitem__, request_id)) for column in columns]
+    start_t, finish_t, kpis, r = columns
+    return Completions(request_id, start_t, finish_t, [profile.model_id] * len(kpis), kpis, r)
+
+
 def run_simulation(
     config: SimConfig, requests: Requests, knowledge: ctrl.Knowledge | None = None
 ) -> tuple[Completions, ctrl.EventLog]:
@@ -482,9 +538,11 @@ def run_simulation(
     finish time) and the EventLog its policy wrote to the knowledge's
     event_log.
 
-    The stream must draw only rows that the profiles hold, checked before
-    the first event (Requests checks its own times and row types when it
-    is built)."""
+    A static policy never acts, so its run is a plain FIFO queue served
+    without the engine (_serve_static) and writes no event; adamls and
+    naive runs go through the engine. The stream must draw only rows that
+    the profiles hold, checked before either serves it (Requests checks its
+    own times and row types when it is built)."""
     image_count = len(config.profiles[0].image_id)
     if requests.row and not 0 <= min(requests.row) <= max(requests.row) < image_count:
         raise ConfigError(
@@ -493,8 +551,11 @@ def run_simulation(
         )
     if knowledge is None:
         knowledge = ctrl.Knowledge()
-    engine = _Engine(config, knowledge)
-    completions = engine.run(requests)
+    if config.policy.kind == "static":
+        profile = next(p for p in config.profiles if p.model_id == config.policy.static_model)
+        completions = _serve_static(profile, requests, config.simulation.worker_count)
+    else:
+        completions = _Engine(config, knowledge).run(requests)
     return completions, knowledge.event_log
 
 

@@ -3,6 +3,7 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import math
 import random
 import statistics
@@ -51,6 +52,18 @@ def static_config(profile, **settings):
     return SimConfig(
         profiles=(profile,),
         policy=PolicySpec(kind="static", static_model=profile.model_id),
+        simulation=SimulationConfig(initial_model=profile.model_id, **settings),
+    )
+
+
+def engine_config(profile, **settings):
+    """A config whose run goes through the engine while it serves profile's
+    model alone: naive with one threshold, whose policy never switches and
+    which a test may replace through simulator._build_policy."""
+    thresholds = NaivePolicyConfig(thresholds=((math.inf, profile.model_id),))
+    return SimConfig(
+        profiles=(profile,),
+        policy=PolicySpec(kind="naive", naive=thresholds),
         simulation=SimulationConfig(initial_model=profile.model_id, **settings),
     )
 
@@ -265,29 +278,38 @@ class TestSampling:
             (["a"], [0], r"arrival_t\[0\] is 'a'; it must be a number"),
             ([1.0, None], [0, 1], r"arrival_t\[1\] is None; it must be a number"),
             ([True, 2.0], [0, 1], r"arrival_t\[0\] is True; it must be a number"),
+            ([10**400], [0], r"arrival_t\[0\] is an int of 1329 bits; it has no float value"),
+            (
+                [1.0, 10**5000], [0, 1],
+                r"arrival_t\[1\] is an int of 16610 bits; it has no float value",
+            ),
         ],
         ids=[
             "row-past-the-end", "negative-row", "short-rows",
             "unsorted", "negative-time", "nan-time", "inf-time", "lone-nan-time",
             "float-row", "bool-row", "str-row", "str-time", "none-time", "bool-time",
+            "float-overflowing-int-time", "str-refusing-int-time",
         ],
     )
     def test_a_passed_stream_must_fit_the_profiles(self, monkeypatch, arrival_t, rows, message):
         """A stream is checked before the first event: its rows against the
         profiles' image count, not found out by an IndexError inside a
         dispatch, and its times and row types when it is built, so the clock
-        never runs backwards, no request arrives at a NaN or infinite time or
-        at a time that is no number (a bool is none), and no row is read as a
-        float index or a numpy boolean mask."""
+        never runs backwards, no request arrives at a NaN or infinite time,
+        at a time that is no number (a bool is none) or at an int with no
+        float value, and no row is read as a float index or a numpy boolean
+        mask. That holds for a static run, served without the engine, as for
+        one through it."""
         profile = constant_profile("m", 0.1)
-        config = static_config(profile)
 
-        def no_run(engine, requests):
-            pytest.fail("a stream that does not fit reached the event loop")
+        def no_run(*args):
+            pytest.fail("a stream that does not fit reached a run")
 
         monkeypatch.setattr(simulator._Engine, "run", no_run)
-        with pytest.raises(ConfigError, match=message):
-            run_simulation(config, requests=simulator.Requests(arrival_t, rows))
+        monkeypatch.setattr(simulator, "_serve_static", no_run)
+        for config in (static_config(profile), engine_config(profile)):
+            with pytest.raises(ConfigError, match=message):
+                run_simulation(config, requests=simulator.Requests(arrival_t, rows))
 
     def test_simultaneous_arrivals_are_a_stream(self):
         """Arrival times need only not decrease: equal times are served in
@@ -317,8 +339,7 @@ class Recorder:
     """A policy that records, at each call, which event it ran at and what
     the system had seen by then; it can ask for one switch at a given time."""
 
-    def __init__(self, needs_ticks=True, switch_at=None, pause=0.0, calls=None):
-        self.needs_ticks = needs_ticks
+    def __init__(self, switch_at=None, pause=0.0, calls=None):
         self.switch_at = switch_at
         self.pause = pause
         self.calls = [] if calls is None else calls
@@ -345,17 +366,17 @@ class TestEventOrder:
 
     def run(self, monkeypatch, recorder):
         profile = profile_of_rows("m", (0.6, 1.0))
-        config = static_config(profile, tick_interval=0.5)
+        config = engine_config(profile, tick_interval=0.5)
         monkeypatch.setattr(simulator, "_build_policy", lambda config, knowledge: recorder)
         completions, _ = run_simulation(config, stream(deterministic_workload(3.0, 1.0), profile))
         return completions
 
     def test_completion_runs_before_an_arrival_at_its_instant(self, monkeypatch):
-        recorder = Recorder(needs_ticks=False)
+        recorder = Recorder()
         completions = self.run(monkeypatch, recorder)
         assert completions.finish_t == [2.0, 3.0, 4.0]
         # The arrival at 2 s is not seen yet, so the trailing rate is 0.
-        assert recorder.calls == [
+        assert [call for call in recorder.calls if call[1] == "completion"] == [
             (2.0, "completion", 1, 0.0),
             (3.0, "completion", 2, 0.0),
             (4.0, "completion", 3, 0.0),
@@ -422,8 +443,6 @@ def test_queue_depth_counts_the_requests_in_service(monkeypatch):
     depths = []
 
     class DepthRecorder:
-        needs_ticks = True
-
         def note_completion(self, model_id, kpis):
             pass
 
@@ -431,7 +450,7 @@ def test_queue_depth_counts_the_requests_in_service(monkeypatch):
             depths.append((system.now, system.queue_depth))
 
     profile = profile_of_rows("m", (0.6, 1.0))
-    config = static_config(profile, worker_count=2, tick_interval=0.5)
+    config = engine_config(profile, worker_count=2, tick_interval=0.5)
     monkeypatch.setattr(simulator, "_build_policy", lambda config, knowledge: DepthRecorder())
     run_simulation(config, simulator.Requests([0.0, 0.0, 0.0], [0, 0, 0]))
     assert depths[0] == (0.5, 3)
@@ -738,9 +757,7 @@ class TestEventLog:
 
 
 class TickingNoop:
-    """A policy that does nothing but asks for every tick."""
-
-    needs_ticks = True
+    """A policy that does nothing at every completion and tick."""
 
     def __init__(self):
         self.calls = 0
@@ -753,13 +770,13 @@ class TickingNoop:
 
 
 class TestTicks:
-    def bursty_static(self, tiny_profiles, worker_count):
+    def bursty_stream(self, tiny_profiles):
         workload = WorkloadSpec(
             WorkloadConfig(segments=((5.0, 3.0), (3.0, 40.0), (6.0, 2.0)), max_requests=300),
             seed=9,
         )
         profile = next(p for p in tiny_profiles if p.model_id == "slow")
-        return static_config(profile, worker_count=worker_count), stream(workload, profile, 4)
+        return profile, stream(workload, profile, 4)
 
     def record_pushes(self, monkeypatch):
         """Spy on the engine's heap: each push's class and the classes the
@@ -775,13 +792,19 @@ class TestTicks:
         return pushes
 
     @pytest.mark.parametrize("worker_count", [1, 3])
-    def test_static_run_pushes_only_completions(self, tiny_profiles, monkeypatch, worker_count):
+    def test_static_run_pushes_nothing_onto_the_engine_heap(
+        self, tiny_profiles, monkeypatch, worker_count
+    ):
+        """No policy acts on a static run, so it is served without the
+        engine: no completion, tick or resume is ever pushed."""
         pushes = self.record_pushes(monkeypatch)
-        completions, _ = run_simulation(*self.bursty_static(tiny_profiles, worker_count))
-        assert completions
-        assert len(pushes) == len(completions)
-        assert {klass for klass, _ in pushes} == {simulator._EV_COMPLETION}
-        assert max(len(heap) for _, heap in pushes) == worker_count
+        profile, requests = self.bursty_stream(tiny_profiles)
+        completions, events = run_simulation(
+            static_config(profile, worker_count=worker_count), requests
+        )
+        assert len(completions) == len(requests.arrival_t)
+        assert pushes == []
+        assert len(events) == 0
 
     @pytest.mark.parametrize("worker_count", [1, 3])
     def test_switching_run_heap_holds_no_arrival(self, tiny_profiles, monkeypatch, worker_count):
@@ -823,7 +846,8 @@ class TestTicks:
         tick_interval. A request remains after a tick exactly when it
         finishes later (a completion at the tick's instant runs first), so
         the last tick is the first one at or after the last finish."""
-        config, requests = self.bursty_static(tiny_profiles, worker_count)
+        profile, requests = self.bursty_stream(tiny_profiles)
+        config = engine_config(profile, worker_count=worker_count)
         recorder = Recorder()
         monkeypatch.setattr(simulator, "_build_policy", lambda config, knowledge: recorder)
         completions, _ = run_simulation(config, requests)
@@ -841,18 +865,57 @@ class TestTicks:
             drained = max(drained, rec.finish_t)
         assert idle > interval
 
-    @pytest.mark.parametrize("worker_count", [1, 3])
-    def test_static_completions_match_a_ticking_noop_run(
-        self, tiny_profiles, monkeypatch, worker_count
-    ):
-        config, requests = self.bursty_static(tiny_profiles, worker_count)
-        static_completions, _ = run_simulation(config, requests)
+
+# Service times whose sums are exact in binary, and two that round, so that
+# arrivals land on finish instants exactly, and also next to them.
+_TIE_TAUS = (0.25, 0.5, 1.0, 0.1, 0.3)
+
+
+@st.composite
+def tie_heavy_runs(draw):
+    """(worker_count, profile, stream): arrivals that share instants or come
+    a service time apart, served from a profile of 1-3 rows whose
+    tau_systems may be equal; whole times are ints in some streams, so a
+    start at an arrival must keep its type."""
+    taus = draw(st.lists(st.sampled_from(_TIE_TAUS), min_size=1, max_size=3))
+    gaps = draw(st.lists(st.sampled_from((0.0, 0.0, 0.125, 2.0, *taus)), min_size=1, max_size=40))
+    arrival_t = list(itertools.accumulate(gaps))
+    if draw(st.booleans()):
+        arrival_t = [int(t) if t == int(t) else t for t in arrival_t]
+    rows = draw(
+        st.lists(
+            st.integers(0, len(taus) - 1), min_size=len(arrival_t), max_size=len(arrival_t)
+        )
+    )
+    profile = profile_of_rows("m", *((0.5 + 0.1 * i, tau) for i, tau in enumerate(taus)))
+    return draw(st.integers(1, 4)), profile, simulator.Requests(arrival_t, rows)
+
+
+class TestStaticRuns:
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(tie_heavy_runs())
+    def test_static_completions_match_an_engine_run(self, run):
+        """The queue recursion gives every Completions column of an engine
+        run of the same stream under a policy that never acts, types and
+        order of ties included, with one KPI tuple per drawn row."""
+        worker_count, profile, requests = run
+        static, events = run_simulation(static_config(profile, worker_count=worker_count), requests)
         noop = TickingNoop()
-        monkeypatch.setattr(simulator, "_build_policy", lambda config, knowledge: noop)
-        ticking_completions, events = run_simulation(config, requests)
-        assert noop.calls > len(ticking_completions)  # the ticks did run
-        assert ticking_completions == static_completions
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_build_policy", lambda config, knowledge: noop)
+            reference, _ = run_simulation(
+                engine_config(profile, worker_count=worker_count), requests
+            )
+        assert noop.calls > len(reference)  # the ticks did run
+        assert static == reference
+        for name in Completions.__slots__:
+            assert list(map(repr, getattr(static, name))) == list(
+                map(repr, getattr(reference, name))
+            ), name
         assert len(events) == 0
+        shared = {}
+        for j, kpis in zip(static.request_id, static.kpis):
+            assert shared.setdefault(requests.row[j], kpis) is kpis
 
 
 class TestCsvWriters:
