@@ -441,8 +441,7 @@ class _Engine:
             rows = self._rows[model]
             kpis = rows[i]
             if kpis is None:
-                c, tau_model, tau_system, s_cpu, b = self.profiles[model].kpi_table[i].tolist()
-                kpis = rows[i] = (c, tau_model, tau_system, s_cpu, int(b))
+                kpis = rows[i] = _kpi_tuple(self.profiles[model].kpi_table[i].tolist())
             start = self.now
             finish = start + kpis[2]  # tau_system
             served = (req_id, start, finish, model, kpis, finish - arrival_t)
@@ -483,6 +482,13 @@ def _build_policy(config: SimConfig, knowledge: ctrl.Knowledge):
     )
 
 
+def _kpi_tuple(row: list) -> tuple:
+    """A kpi_table row as the (c, tau_model, tau_system, s_cpu, b) tuple a
+    completion holds, b an int."""
+    c, tau_model, tau_system, s_cpu, b = row
+    return (c, tau_model, tau_system, s_cpu, int(b))
+
+
 def _serve_static(profile: ModelProfile, requests: Requests, worker_count: int) -> Completions:
     """A run under profile's model alone: a FIFO queue on worker_count
     workers, whose completions follow from the stream with no event loop.
@@ -492,42 +498,26 @@ def _serve_static(profile: ModelProfile, requests: Requests, worker_count: int) 
     Wolfowitz's at more), at the very value the engine would dispatch it,
     the arrival's on a tie, and holds the worker for its row's tau_system.
     The engine pops completions by finish time with ties in push order,
-    which is request order, so they come out by a stable sort on finish_t;
-    at one worker they finish in request order already."""
+    which is request order, so they come out by a stable sort on finish_t."""
     arrival_t, rows = requests.arrival_t, requests.row
-    # One (c, tau_model, tau_system, s_cpu, b) tuple per drawn row, as
-    # _Engine._dispatch builds it, shared by every request that drew it.
+    # One KPI tuple per drawn row, shared by every request that drew it,
+    # as the engine's cache shares it.
     drawn = list(set(rows))
-    by_row = {
-        i: (c, tau_model, tau_system, s_cpu, int(b))
-        for i, (c, tau_model, tau_system, s_cpu, b) in zip(drawn, profile.kpi_table[drawn].tolist())
-    }
+    by_row = dict(zip(drawn, map(_kpi_tuple, profile.kpi_table[drawn].tolist())))
     kpis = list(map(by_row.__getitem__, rows))
     start_t, finish_t = [], []
-    if worker_count == 1:
-        free = -math.inf
-        for t, tau in zip(arrival_t, map(operator.itemgetter(2), kpis)):
-            start = free if free > t else t
-            free = start + tau
-            start_t.append(start)
-            finish_t.append(free)
-    else:
-        # Each worker's free time, a heap.
-        free_at = [-math.inf] * worker_count
-        for t, tau in zip(arrival_t, map(operator.itemgetter(2), kpis)):
-            free = free_at[0]
-            start = free if free > t else t
-            finish = start + tau
-            heapq.heapreplace(free_at, finish)
-            start_t.append(start)
-            finish_t.append(finish)
+    # Each worker's free time, a heap.
+    free_at = [-math.inf] * worker_count
+    for t, tau in zip(arrival_t, map(operator.itemgetter(2), kpis)):
+        free = free_at[0]
+        start = free if free > t else t
+        finish = start + tau
+        heapq.heapreplace(free_at, finish)
+        start_t.append(start)
+        finish_t.append(finish)
+    request_id = sorted(range(len(kpis)), key=finish_t.__getitem__)
     columns = [start_t, finish_t, kpis, list(map(operator.sub, finish_t, arrival_t))]
-    if worker_count == 1:
-        request_id = list(range(len(kpis)))
-    else:
-        request_id = sorted(range(len(kpis)), key=finish_t.__getitem__)
-        columns = [list(map(column.__getitem__, request_id)) for column in columns]
-    start_t, finish_t, kpis, r = columns
+    start_t, finish_t, kpis, r = [list(map(column.__getitem__, request_id)) for column in columns]
     return Completions(request_id, start_t, finish_t, [profile.model_id] * len(kpis), kpis, r)
 
 

@@ -1,13 +1,17 @@
-"""The engine against queueing theory: static runs are M/G/W queues.
+"""Static runs against queueing theory: they are M/G/W queues.
 
 A static policy never switches, so intake is never paused, and its service
-times are i.i.d. draws of one model's tau_system. With Poisson arrivals the
-engine is then an M/G/1 queue (one worker) or an M/G/W queue (W workers).
+times are i.i.d. draws of one model's tau_system. With Poisson arrivals a
+static run is then an M/G/1 queue (one worker) or an M/G/W queue (W workers).
 The one-worker mean wait must match Pollaczek-Khinchine (Harchol-Balter
 2013, *Performance Modeling and Design of Computer Systems*, ch. 23); with W
 workers every sample path must be a FIFO, work-conserving W-server queue.
-"""
 
+run_simulation serves a static run by the queue recursion, never the event
+engine. The engine_ tests serve the same queue through the engine, under a
+naive policy with one threshold, which never switches, so the engine too is
+held to Pollaczek-Khinchine and to the W-server sample path.
+"""
 import math
 from operator import attrgetter
 
@@ -15,6 +19,7 @@ import numpy as np
 import pytest
 
 from adamls import config as cfgmod
+from adamls.controller import NaivePolicyConfig
 from adamls.simulator import (
     PolicySpec,
     SimConfig,
@@ -36,8 +41,10 @@ def default_profiles():
     return tuple(cfgmod.resolve_profiles(cfgmod.ExperimentConfig()))
 
 
-def static_run(profiles, model, rate, requests, workers=1, seed=1):
-    """Static model on Poisson arrivals at rate; records in arrival order."""
+def static_run(profiles, model, rate, requests, workers=1, seed=1, engine=False):
+    """Static model on Poisson arrivals at rate; records in arrival order.
+    With engine, the run goes through the event engine instead: naive with
+    the one threshold [.inf, model] serves model alone and never switches."""
     workload = WorkloadSpec(
         WorkloadConfig(
             segments=((10.0 * requests / rate, rate),),
@@ -46,9 +53,14 @@ def static_run(profiles, model, rate, requests, workers=1, seed=1):
         ),
         seed=seed,
     )
+    if engine:
+        naive = NaivePolicyConfig(thresholds=((math.inf, model),))
+        policy = PolicySpec("naive", naive=naive)
+    else:
+        policy = PolicySpec("static", static_model=model)
     config = SimConfig(
         profiles=profiles,
-        policy=PolicySpec("static", static_model=model),
+        policy=policy,
         simulation=SimulationConfig(initial_model=model, worker_count=workers),
     )
     stream = build_requests(workload, seed + 1, len(profiles[0].image_id))
@@ -63,19 +75,27 @@ def service_moments(profiles, model):
     return float(np.mean(tau)), float(np.mean(tau * tau))
 
 
-def test_mg1_mean_wait_matches_pollaczek_khinchine(default_profiles):
-    mean_s, second_s = service_moments(default_profiles, "small")
+def assert_pollaczek_khinchine(profiles, engine):
+    mean_s, second_s = service_moments(profiles, "small")
     assert round(mean_s, 4) == 0.1196
     rate = 0.5 / mean_s  # rho = 0.5
     # P-K: E[W_q] = lambda E[S^2] / (2 (1 - rho)).
     expected = rate * second_s / (2 * (1 - 0.5))
     assert round(expected, 4) == 0.0608
-    records = static_run(default_profiles, "small", rate, requests=20_000)
+    records = static_run(profiles, "small", rate, requests=20_000, engine=engine)
     waits = np.array([rec.start_t - rec.arrival_t for rec in records])
     batches = waits[2_000:].reshape(20, -1).mean(axis=1)  # first 10% is warm-up
     half_width = T_99_19 * batches.std(ddof=1) / math.sqrt(batches.size)
     assert half_width < 0.1 * expected  # the band is narrow enough to mean something
     assert abs(batches.mean() - expected) <= half_width
+
+
+def test_mg1_mean_wait_matches_pollaczek_khinchine(default_profiles):
+    assert_pollaczek_khinchine(default_profiles, engine=False)
+
+
+def test_engine_mg1_mean_wait_matches_pollaczek_khinchine(default_profiles):
+    assert_pollaczek_khinchine(default_profiles, engine=True)
 
 
 def erlang_c(workers, offered):
@@ -117,10 +137,9 @@ def sample_path(records):
     return start, started - finished, arrived - started
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_multi_worker_sample_path_invariants(default_profiles, workers):
-    mean_s, _ = service_moments(default_profiles, "small")
-    records = static_run(default_profiles, "small", 0.9 * workers / mean_s, 3_000, workers)
+def assert_w_server_sample_path(profiles, workers, engine):
+    mean_s, _ = service_moments(profiles, "small")
+    records = static_run(profiles, "small", 0.9 * workers / mean_s, 3_000, workers, engine=engine)
     start, busy, waiting = sample_path(records)
     assert busy.max() == workers  # at most W in service, and all W at some time
     # Work conservation: whenever a request waits, every worker is busy.
@@ -128,6 +147,16 @@ def test_multi_worker_sample_path_invariants(default_profiles, workers):
     assert np.all(busy[waiting > 0] == workers)
     # Requests start in arrival (request id) order.
     assert np.all(np.diff(start) >= 0.0)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_multi_worker_sample_path_invariants(default_profiles, workers):
+    assert_w_server_sample_path(default_profiles, workers, engine=False)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_engine_multi_worker_sample_path_invariants(default_profiles, workers):
+    assert_w_server_sample_path(default_profiles, workers, engine=True)
 
 
 @pytest.mark.parametrize("workers", [2, 4])
