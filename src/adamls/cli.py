@@ -22,7 +22,7 @@ from itertools import chain, count, repeat
 from pathlib import Path
 
 from . import config as cfgmod
-from .controller import Knowledge
+from .controller import Knowledge, rule_rows
 from .csvtext import read_rows, write_rows
 from .errors import AdamlsError, RuleError
 from .learning import attach_anchor_stats, read_ci_matrix, write_ci_matrix
@@ -143,7 +143,9 @@ def _load_rule_matrices(config: cfgmod.ExperimentConfig, profiles) -> dict:
             )
         matrix = read_ci_matrix(path)
         try:
-            matrices[profile.model_id] = attach_anchor_stats(matrix, profile)
+            matrix = matrices[profile.model_id] = attach_anchor_stats(matrix, profile)
+            # The planner's rows, kept on the matrix: a rule it cannot use is named with its file.
+            matrix.derived(rule_rows)
         except RuleError as exc:
             raise RuleError(f"{path}: {exc}") from exc
     return matrices

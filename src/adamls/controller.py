@@ -248,7 +248,7 @@ def find_closest_cluster(state: SystemState, matrix: CiMatrix) -> int:
 def feasible_rate_range(matrix: CiMatrix, m_prime: str, cluster: int) -> tuple[float, float]:
     """Feasible request-rate range: reciprocals of the tau CI bounds."""
     try:
-        _, high_tau, capacity = matrix.derived(_rule_rows)[cluster][m_prime]
+        _, high_tau, capacity = matrix.derived(rule_rows)[cluster][m_prime]
     except KeyError:
         raise RuleError(
             f"rule matrix of {matrix.anchor_model_id!r} has no rule for model "
@@ -257,7 +257,7 @@ def feasible_rate_range(matrix: CiMatrix, m_prime: str, cluster: int) -> tuple[f
     return 1.0 / high_tau, capacity
 
 
-def _rule_rows(matrix: CiMatrix) -> dict[int, dict[str, tuple[float, float, float]]]:
+def rule_rows(matrix: CiMatrix) -> dict[int, dict[str, tuple[float, float, float]]]:
     """Per cluster, in model-id order: model -> (low_c, high_tau, capacity).
 
     capacity is 1 / low(tau), so the planner needs every tau CI lower bound
@@ -356,7 +356,7 @@ def plan(
     """
     v_adj, m_prime, cluster = planner_input
     matrix = knowledge.rules_for(m_prime)
-    rows = matrix.derived(_rule_rows).get(cluster)
+    rows = matrix.derived(rule_rows).get(cluster)
     if rows is None:
         raise RuleError(f"rule matrix of {m_prime!r} has no cluster {cluster}")
     live_model = m_prime if live_window else None
@@ -564,7 +564,7 @@ class AdamlsController:
         self.ci_level = ci_level
         self.analyzer = Analyzer(t_wait=t_wait)
         for matrix in knowledge.adaptation_rule_repository.values():
-            matrix.derived(_rule_rows)
+            matrix.derived(rule_rows)
             matrix.derived(_cluster_anchors)
         # One rolling window per model, empty until its first completion.
         self._windows: defaultdict[str, _KpiWindow] = defaultdict(

@@ -163,39 +163,25 @@ def _needs_quotes(text: str) -> bool:
 
 
 class TextMemo(dict):
-    """Field texts of numbers, keyed by value, for a column whose values repeat.
+    """Field texts of floats, keyed by value, for a column whose values repeat.
 
     A value is formatted on its first lookup and then kept, unless it is a
     zero: 0.0 == -0.0, but their texts differ. Equal numbers of other types
-    differ too (1 == 1.0 == True), so a memo serves only the type of the
-    first column it served; columns of another type, or of mixed types, get
-    column_texts and leave the memo as it was.
+    differ too (1 == 1.0 == True), so a memo keeps and serves columns of
+    floats only; any other column gets column_texts and leaves the memo as
+    it was.
     """
 
-    _kind = None  # the column type served, once set
-
-    def copy(self) -> TextMemo:
-        memo = TextMemo(self)
-        memo._kind = self._kind
-        return memo
-
     def texts(self, values: tuple):
-        if not self._serves(values):
+        if set(map(type, values)) != {float}:
             return column_texts(values)
         return map(self.__getitem__, values)
 
     def keep(self, values: tuple, texts: list) -> None:
         """Keep texts, the column_texts of values, for later lookups."""
-        if self._serves(values):
+        if set(map(type, values)) == {float}:
             self.update(zip(values, texts))
-            self.pop(0, None)  # a zero of either sign
-
-    def _serves(self, values) -> bool:
-        kinds = set(map(type, values))
-        kind = kinds.pop() if len(kinds) == 1 else None
-        if self._kind is None and kind in _NUMBER_TYPES:
-            self._kind = kind
-        return kind is not None and kind is self._kind
+            self.pop(0.0, None)  # a zero of either sign
 
     def __missing__(self, key) -> str:
         text = str(key)

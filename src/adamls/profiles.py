@@ -81,7 +81,8 @@ class ModelProfile:
     Row i of every KPI column belongs to image image_id[i]. The columns are
     read-only float arrays; b holds whole counts (see record). Every row
     meets KpiRecord's invariants, checked on whole columns at once: the
-    first bad row raises exactly what building its KpiRecord raises.
+    first bad row raises exactly what building its KpiRecord raises, or a
+    ValidationError naming it if its b is not finite.
     """
 
     model_id: str
@@ -108,7 +109,13 @@ class ModelProfile:
             object.__setattr__(self, name, column)
         bad = _invalid_rows(self)
         if bad.any():
-            self.record(int(bad.argmax()))  # raises KpiRecord's error
+            i = int(bad.argmax())
+            if not math.isfinite(b := float(self.b[i])):  # record's int(b) would raise
+                raise ValidationError(
+                    f"b must be finite for image {self.image_id[i]!r} "
+                    f"model {self.model_id!r}, got {b}"
+                )
+            self.record(i)  # raises KpiRecord's error
         if len(set(self.image_id)) != n:
             raise ValidationError(f"profile {self.model_id!r} has duplicate image ids")
 

@@ -24,16 +24,17 @@ the engine ranks the next arrival and the next tick against the heap's top,
 and the heap holds only the completions in flight (at most one per worker)
 and the pending resumes.
 
-The stream is the only record of a request: the engine counts the arrivals
-it has taken in (arrived), the policies read v from the stream's first
-arrived times, and a run's Completions, a list per column, names each
-served request by request_id. Its policy writes its steps to one EventLog,
-a list per column too (see controller). write_results_csv and
-write_event_log_csv write them with the bytes csv.writer gives. A results
-file goes through a ResultTexts of its stream, shared by the files of one
-compare, so a text that repeats across them (a request's
-request_id,arrival_t, the KPIs of one profile row) is formatted once per
-compare and looked up by request_id.
+The stream is the only record of a request. Requests start in id order, so
+the engine holds no queue, only counts (arrived, started, completed), and
+the policies read v from the stream's first arrived times. Both run paths
+keep request j's start_t, finish_t, model and KPI tuple at index j, and
+_completions turns them into the run's Completions, a list per column by
+finish time with ties by request_id. Its policy writes its steps to one
+EventLog (see controller). write_results_csv and write_event_log_csv write
+them with the bytes csv.writer gives. A results file goes through a
+ResultTexts of its stream, shared by the files of one compare, so a text
+that repeats across them (a request's request_id,arrival_t, the KPIs of one
+profile row) is formatted once per compare and looked up by request_id.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import heapq
 import math
 import operator
 import random
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from . import controller as ctrl
@@ -69,8 +70,8 @@ RESULTS_CSV_HEADER = (
 # before ticks; resume events (end of a switch pause) run last. Arrivals and
 # ticks never enter the heap; the next of each is ranked against the heap's
 # top by the key (time, class), which sorts exactly where the heap would have
-# put it, since the heap's events of equal (time, class) run in push order
-# and neither stream has two events pending at once.
+# put it, since neither stream has two events pending at once. Completions
+# at one instant run by request id, the third item of a heap entry.
 _EV_COMPLETION = 0
 _EV_ARRIVAL = 1
 _EV_TICK = 2
@@ -256,7 +257,8 @@ def generate_workload(spec: WorkloadSpec) -> list[float]:
         if rate > 0.0:
             if workload.arrival_process == "deterministic":
                 gap = 1.0 / rate
-                count = min(int(math.floor(duration * rate + 1e-9)), cap - len(arrivals))
+                # Capped before the floor, which an overflow to inf would fail.
+                count = int(min(duration * rate + 1e-9, cap - len(arrivals)))
                 arrivals.extend(t0 + gap * (i + 1) for i in range(count))
             else:
                 t = t0
@@ -338,7 +340,11 @@ def build_requests(spec: WorkloadSpec, service_seed: int, image_count: int) -> R
 
 
 class _Engine:
-    """Event loop and serving state; doubles as the controller's system view."""
+    """Event loop and serving state; doubles as the controller's system view.
+
+    Requests arrive and start in id order, so counts stand for the queue:
+    it holds the ids _started to arrived - 1. Request j's start_t, finish_t,
+    model and KPI tuple go to index j of the columns when it starts."""
 
     def __init__(self, config: SimConfig, knowledge: ctrl.Knowledge):
         self.profiles = {p.model_id: p for p in config.profiles}
@@ -347,27 +353,25 @@ class _Engine:
         self.model_ids = frozenset(self.profiles)
         self.now = 0.0
         self.active_model = _resolve_initial_model(config)
-        # The stream's arrival times, of which the first `arrived` are in.
+        # The stream's arrival times and rows, of which the first `arrived` are in.
         self.arrival_times: list = []
-        self.arrived = 0
-        self.completions = Completions()
-        # (request id, arrival time, image row) of each waiting request.
-        self._queue: deque[tuple[int, float, int]] = deque()
-        self._free_workers = config.simulation.worker_count
+        self._image_rows: list = []
+        self.arrived = self._started = self._completed = 0
+        self._start_t, self._finish_t, self._model_id, self._kpis = [], [], [], []
+        self._worker_count = config.simulation.worker_count
         # Read on every tick.
         self._tick_interval = config.simulation.tick_interval
-        self._in_flight = 0
         self._intake_paused_until = 0.0
-        # Completions in flight and pending resumes; see _run_until.
-        self._heap: list[tuple[float, int, int, object]] = []
-        self._seq = 0
+        # Completions in flight (finish, class, request id) and pending resumes; see _run_until.
+        self._heap: list[tuple[float, int, int | None]] = []
         # Each tick schedules the next.
         self._next_tick = (self._tick_interval, _EV_TICK)
         self._policy = _build_policy(config, knowledge)
 
     @property
     def queue_depth(self) -> int:
-        return len(self._queue) + self._in_flight
+        """i_w: the requests taken in and not yet completed, waiting or in service."""
+        return self.arrived - self._completed
 
     def switch_model(self, target: str, pause: float) -> None:
         # Intake stays paused through the switch, so no request can start on
@@ -380,14 +384,16 @@ class _Engine:
 
     def run(self, requests: Requests) -> Completions:
         self.arrival_times = requests.arrival_t
-        for req_id, (t, row) in enumerate(zip(requests.arrival_t, requests.row)):
+        self._image_rows = requests.row
+        for t in requests.arrival_t:
             self._run_until((t, _EV_ARRIVAL))
             self.now = t
             self.arrived += 1
-            self._queue.append((req_id, t, row))
             self._dispatch()
         self._run_until(_END)
-        return self.completions
+        return _completions(
+            requests.arrival_t, self._start_t, self._finish_t, self._model_id, self._kpis
+        )
 
     def _run_until(self, key: tuple[float, int]) -> None:
         """Run the heap events and ticks that sort before key, in order."""
@@ -395,9 +401,9 @@ class _Engine:
         while True:
             tick = self._next_tick
             if heap and heap[0] < key and heap[0] < tick:
-                self.now, klass, _, payload = heapq.heappop(heap)
+                self.now, klass, request_id = heapq.heappop(heap)
                 if klass == _EV_COMPLETION:
-                    self._on_completion(payload)
+                    self._on_completion(request_id)
                 else:
                     self._dispatch()
             elif tick < key:
@@ -406,48 +412,39 @@ class _Engine:
                 return
 
     def _push(self, time: float, klass: int, payload) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (time, klass, self._seq, payload))
+        heapq.heappush(self._heap, (time, klass, payload))
 
-    def _on_completion(self, served: tuple) -> None:
-        request_id, start_t, finish_t, model_id, kpis, r = served
-        log = self.completions
-        log.request_id.append(request_id)
-        log.start_t.append(start_t)
-        log.finish_t.append(finish_t)
-        log.model_id.append(model_id)
-        log.kpis.append(kpis)
-        log.r.append(r)
-        self._policy.note_completion(model_id, kpis)
-        self._in_flight -= 1
-        self._free_workers += 1
+    def _on_completion(self, request_id: int) -> None:
+        self._completed += 1
+        self._policy.note_completion(self._model_id[request_id], self._kpis[request_id])
         self._dispatch()
         self._policy.on_event(self)
 
     def _on_tick(self) -> None:
         self.now = self._next_tick[0]
         self._policy.on_event(self)
-        if self.arrived < len(self.arrival_times) or self._queue or self._in_flight:
-            self._next_tick = (self.now + self._tick_interval, _EV_TICK)
-        else:
-            self._next_tick = _NO_TICK
+        done = self._completed == len(self.arrival_times)
+        self._next_tick = _NO_TICK if done else (self.now + self._tick_interval, _EV_TICK)
 
     def _dispatch(self) -> None:
+        """Start the waiting requests, in id order, while a worker is free."""
         if self.now < self._intake_paused_until:
             return
-        while self._free_workers and self._queue:
-            req_id, arrival_t, i = self._queue.popleft()
+        while self._started < self.arrived and self._started - self._completed < self._worker_count:
+            request_id = self._started
             model = self.active_model
             rows = self._rows[model]
+            i = self._image_rows[request_id]
             kpis = rows[i]
             if kpis is None:
                 kpis = rows[i] = _kpi_tuple(self.profiles[model].kpi_table[i].tolist())
-            start = self.now
-            finish = start + kpis[2]  # tau_system
-            served = (req_id, start, finish, model, kpis, finish - arrival_t)
-            self._free_workers -= 1
-            self._in_flight += 1
-            self._push(finish, _EV_COMPLETION, served)
+            finish = self.now + kpis[2]  # tau_system
+            self._start_t.append(self.now)
+            self._finish_t.append(finish)
+            self._model_id.append(model)
+            self._kpis.append(kpis)
+            self._started += 1
+            self._push(finish, _EV_COMPLETION, request_id)
 
 
 def _resolve_initial_model(config: SimConfig) -> str:
@@ -489,6 +486,15 @@ def _kpi_tuple(row: list) -> tuple:
     return (c, tau_model, tau_system, s_cpu, int(b))
 
 
+def _completions(arrival_t, start_t, finish_t, model_id, kpis) -> Completions:
+    """A run's Completions from its columns in request order, request j's
+    at index j: by finish_t, ties in request order (a stable sort), with
+    r = finish_t - arrival_t. Both run paths order their completions here."""
+    request_id = sorted(range(len(finish_t)), key=finish_t.__getitem__)
+    columns = (start_t, finish_t, model_id, kpis, list(map(operator.sub, finish_t, arrival_t)))
+    return Completions(request_id, *(list(map(col.__getitem__, request_id)) for col in columns))
+
+
 def _serve_static(profile: ModelProfile, requests: Requests, worker_count: int) -> Completions:
     """A run under profile's model alone: a FIFO queue on worker_count
     workers, whose completions follow from the stream with no event loop.
@@ -497,8 +503,7 @@ def _serve_static(profile: ModelProfile, requests: Requests, worker_count: int) 
     worker is free (Lindley's recursion at one worker, Kiefer and
     Wolfowitz's at more), at the very value the engine would dispatch it,
     the arrival's on a tie, and holds the worker for its row's tau_system.
-    The engine pops completions by finish time with ties in push order,
-    which is request order, so they come out by a stable sort on finish_t."""
+    _completions puts them in the engine's order."""
     arrival_t, rows = requests.arrival_t, requests.row
     # One KPI tuple per drawn row, shared by every request that drew it,
     # as the engine's cache shares it.
@@ -515,10 +520,7 @@ def _serve_static(profile: ModelProfile, requests: Requests, worker_count: int) 
         heapq.heapreplace(free_at, finish)
         start_t.append(start)
         finish_t.append(finish)
-    request_id = sorted(range(len(kpis)), key=finish_t.__getitem__)
-    columns = [start_t, finish_t, kpis, list(map(operator.sub, finish_t, arrival_t))]
-    start_t, finish_t, kpis, r = [list(map(column.__getitem__, request_id)) for column in columns]
-    return Completions(request_id, start_t, finish_t, [profile.model_id] * len(kpis), kpis, r)
+    return _completions(arrival_t, start_t, finish_t, [profile.model_id] * len(kpis), kpis)
 
 
 def run_simulation(
@@ -592,7 +594,7 @@ class ResultTexts:
         request_id at fault, unless every request_id indexes the stream."""
         self._check(completions.request_id)
         heads = self._heads
-        times = self._times.copy()
+        times = TextMemo(self._times)
 
         def texts(columns):
             request_id, start_t, finish_t, model, kpis, r = columns

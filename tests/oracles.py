@@ -13,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from adamls.controller import DEFAULT_WINDOW_SIZE, SystemState, _KpiWindow
+from adamls.errors import ValidationError
 from adamls.learning import MIN_NORMAL_SAMPLES, CiEntry, normal_ci
 from adamls.metrics import utility_per_request
 from adamls.profiles import KPI_NAMES, KpiRecord
@@ -243,8 +244,8 @@ def records_one_by_one(spec, seed):
     """Each model's KpiRecords, drawn as generate_profiles draws them.
 
     Every record is built and checked on its own, in image order and model
-    by model, so the first bad draw raises what its KpiRecord raises (or
-    what int() of its b raises).
+    by model, so the first bad draw raises what its KpiRecord raises, or a
+    ValidationError for a b that int() cannot hold.
     """
     image_ids = [f"img-{i:05d}" for i in range(spec.image_count)]
     children = np.random.SeedSequence(seed).spawn(len(spec.models))
@@ -257,16 +258,23 @@ def records_one_by_one(spec, seed):
         c = np.clip(rng.normal(model_spec.c_mean, model_spec.c_std, n), 0.0, 1.0)
         s_cpu = np.clip(rng.normal(model_spec.s_cpu_mean, model_spec.s_cpu_std, n), 0.0, 100.0)
         b = np.maximum(np.rint(rng.normal(model_spec.b_mean, model_spec.b_std, n)), 0.0)
-        out[model_spec.model_id] = tuple(
-            KpiRecord(
-                image_id=image_ids[i],
-                model_id=model_spec.model_id,
-                c=float(c[i]),
-                tau_model=float(tau_system[i] - model_spec.overhead),
-                tau_system=float(tau_system[i]),
-                s_cpu=float(s_cpu[i]),
-                b=int(b[i]),
+        records = []
+        for i in range(n):
+            if not math.isfinite(b[i]):
+                raise ValidationError(
+                    f"b must be finite for image {image_ids[i]!r} "
+                    f"model {model_spec.model_id!r}, got {float(b[i])}"
+                )
+            records.append(
+                KpiRecord(
+                    image_id=image_ids[i],
+                    model_id=model_spec.model_id,
+                    c=float(c[i]),
+                    tau_model=float(tau_system[i] - model_spec.overhead),
+                    tau_system=float(tau_system[i]),
+                    s_cpu=float(s_cpu[i]),
+                    b=int(b[i]),
+                )
             )
-            for i in range(n)
-        )
+        out[model_spec.model_id] = tuple(records)
     return out

@@ -359,6 +359,23 @@ class TestLearnCommand:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "spread, kpi", [("tau_system_std", "tau_model"), ("b_std", "b")]
+    )
+    def test_a_spread_whose_draws_overflow_fails_in_one_line(self, tmp_path, spread, kpi, capsys):
+        """A finite spread so wide that some drawn KPI is inf fails naming
+        the image, the model and the value, and nothing is written."""
+        fields = {**_MODEL_SPEC, spread: "1.0e+308"}
+        model = "{" + ", ".join(f"{key}: {value}" for key, value in fields.items()) + "}"
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"output_dir: {tmp_path / 'out'}\nprofiles:\n  models:\n    - {model}\n")
+        assert cli.main(["learn", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"error: {kpi} must be finite for image 'img-\d{{5}}' model 'm', got inf\n", err
+        ), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "command, yaml_text, key",
         [
             ("learn", "profiles: {image_count: 2.5}", "profiles.image_count"),
@@ -1024,13 +1041,13 @@ class TestBadRuleFiles:
         [
             (
                 _set_first("slow", "tau_model", low="0"),
-                r"rule matrix of 'fast': tau CI lower bound must be > 0 "
-                r"for model 'slow' cluster 0 \(got 0\.0\)",
+                r"^error: \S*rules[/\\]fast\.csv: rule matrix of 'fast': tau CI lower bound "
+                r"must be > 0 for model 'slow' cluster 0 \(got 0\.0\)",
             ),
             (
                 _set_first("slow", "tau_model", low="-0.5"),
-                r"rule matrix of 'fast': tau CI lower bound must be > 0 "
-                r"for model 'slow' cluster 0 \(got -0\.5\)",
+                r"^error: \S*rules[/\\]fast\.csv: rule matrix of 'fast': tau CI lower bound "
+                r"must be > 0 for model 'slow' cluster 0 \(got -0\.5\)",
             ),
             (
                 _set_first("slow", "c", high="inf"),

@@ -297,6 +297,15 @@ def test_profile_invariants_enforced():
         ModelProfile.of_records("m", (rec, rec))
 
 
+@pytest.mark.parametrize("b", [math.inf, math.nan])
+def test_profile_rejects_a_non_finite_b_naming_its_row(b):
+    columns = dict(c=[0.5, 0.5], tau_model=[0.04, 0.04], tau_system=[0.05, 0.05],
+                   s_cpu=[20.0, 20.0], b=[3.0, b])
+    with pytest.raises(ValidationError) as raised:
+        ModelProfile("m", ["i1", "i2"], **columns)
+    assert str(raised.value) == f"b must be finite for image 'i2' model 'm', got {b}"
+
+
 @given(
     tau_mean=st.floats(min_value=0.02, max_value=1.0),
     c_mean=st.floats(min_value=0.0, max_value=1.0),
@@ -419,8 +428,9 @@ def _spec(**fields):
         (five_tier_spec(image_count=60), 3),
         # Draws past the float range: tau_model and tau_system become inf.
         (_spec(tau_system_mean=1e308, tau_system_std=1e308), 5),
-        # b becomes inf, which int() cannot convert.
-        (_spec(b_mean=1e308, b_std=1e308), 5),
+        # b becomes inf, which int() cannot convert; the first inf is past
+        # row 0 at this seed.
+        (_spec(b_mean=1e308, b_std=1e308), 2),
         # The overhead absorbs the 1e-6 floor, so some tau_model is 0.
         (_spec(tau_system_mean=1.5e20, tau_system_std=1e20, overhead=1e20), 5),
     ],

@@ -113,6 +113,15 @@ class TestWorkload:
         gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
         assert statistics.fmean(gaps) == pytest.approx(0.1, rel=0.15)
 
+    def test_deterministic_segment_past_the_float_range_stops_at_the_cap(self):
+        """duration * rate overflows to inf; the cap still bounds the count."""
+        spec = WorkloadSpec(
+            WorkloadConfig(
+                segments=((1.0e200, 1.0e200),), max_requests=10, arrival_process="deterministic"
+            ),
+        )
+        assert generate_workload(spec) == [1.0e-200 * (i + 1) for i in range(10)]
+
     def test_cap_truncates(self):
         spec = WorkloadSpec(WorkloadConfig(segments=((100.0, 10.0),), max_requests=50), seed=1)
         assert len(generate_workload(spec)) == 50
@@ -916,6 +925,33 @@ class TestStaticRuns:
         shared = {}
         for j, kpis in zip(static.request_id, static.kpis):
             assert shared.setdefault(requests.row[j], kpis) is kpis
+
+
+class TestCompletionOrder:
+    """Both run paths log completions by finish_t, ties by request_id; the
+    expected order is computed here from each request's own finish time."""
+
+    @staticmethod
+    def expected_order(completions):
+        finish_of = dict(zip(completions.request_id, completions.finish_t))
+        return sorted(range(len(finish_of)), key=lambda j: (finish_of[j], j))
+
+    @pytest.mark.parametrize("build", [static_config, engine_config], ids=["static", "engine"])
+    def test_a_tie_in_finish_time_goes_to_the_lower_request_id(self, build):
+        # Two workers start both requests at 0 s on one row, so both finish at 1 s.
+        profile = profile_of_rows("m", (0.6, 1.0))
+        requests = simulator.Requests([0.0, 0.0], [0, 0])
+        completions, _ = run_simulation(build(profile, worker_count=2), requests)
+        assert completions.finish_t == [1.0, 1.0]
+        assert completions.request_id == [0, 1]
+
+    @hypothesis.settings(max_examples=150)
+    @hypothesis.given(tie_heavy_runs())
+    def test_completions_come_by_finish_time_then_request_id(self, run):
+        worker_count, profile, requests = run
+        for build in (static_config, engine_config):
+            completions, _ = run_simulation(build(profile, worker_count=worker_count), requests)
+            assert completions.request_id == self.expected_order(completions), build.__name__
 
 
 class TestCsvWriters:
