@@ -6,8 +6,11 @@ cluster's tau CI, and, when the adjusted rate leaves that range persistently,
 plans a switch to the most accurate model whose rate capacity covers the
 load. The fixed-threshold naive baseline lives behind the same
 drive-on-event interface, so the simulator drives both policies alike, at
-every completion and at periodic ticks. A static model is no policy here:
-nothing ever acts on its run, which the simulator serves without its engine.
+every completion and at the periodic ticks at or after each policy's
+wake_at, the earliest time at which it can act: adamls can act at every
+event, naive only at its checks, and at none once its load is gone. A
+static model is no policy here: nothing ever acts on its run, which the
+simulator serves without its engine.
 
 An event does only its decision work: monitor builds one slotted
 SystemState; the analyzer compares its last match's model, window and
@@ -551,6 +554,9 @@ class AdamlsController:
     settings; ci_level is the level the rules were learned at.
     """
 
+    # Any event may trigger a plan, so the engine wakes it at every tick.
+    wake_at = -math.inf
+
     def __init__(
         self,
         knowledge: Knowledge,
@@ -612,6 +618,12 @@ class NaiveSwitcher:
     NAIVE_CHECK_INTERVAL; sub-second checks would only chase arrival noise.
     Each switch writes a PLAN row (the threshold crossing and its v) and
     execute's SWITCH row; a check that keeps the model writes nothing.
+
+    It acts only at its checks, so wake_at, the earliest time the engine
+    need wake it at a tick, is the next check's time. Once every arrival is
+    in and a check reads v = 0, every later check reads 0 too and keeps the
+    model naive_policy(0.0) that this one made active, so wake_at is inf:
+    the engine serves what is left of the run without it.
     """
 
     def __init__(
@@ -624,6 +636,7 @@ class NaiveSwitcher:
         self.config = config
         self.switch_latency = switch_latency
         self._next_check = 0.0
+        self.wake_at = 0.0
 
     def note_completion(self, model_id: str, kpis: tuple) -> None:
         pass
@@ -633,6 +646,8 @@ class NaiveSwitcher:
             return
         self._next_check = system.now + NAIVE_CHECK_INTERVAL
         v = observed_rate(system.arrival_times, system.now, system.arrived)
+        idle = v == 0.0 and system.arrived == len(system.arrival_times)
+        self.wake_at = math.inf if idle else self._next_check
         target = naive_policy(v, self.config)
         if target != system.active_model:
             # repr round-trips, so the switch replays from the PLAN row alone.

@@ -18,6 +18,13 @@ it is a plain FIFO queue whose completions follow from the stream alone, and
 run_simulation serves it by the queue recursion (_serve_static), with the
 very columns the engine would give.
 
+A policy's wake_at is the earliest time at which it can act. adamls can act
+at every event; naive acts only at its once-a-second checks, so the engine
+runs only the ticks at or after its next check, on the same tick grid. Once
+every arrival is in and a naive check reads no load, no later check can
+act (wake_at is inf), so the engine hands the requests not yet started to
+the queue recursion, starting from its workers' state, and stops.
+
 The stream is in time order, and a tick falls due a fixed interval after the
 one before, so both stream past the event heap instead of going through it:
 the engine ranks the next arrival and the next tick against the heap's top,
@@ -344,7 +351,17 @@ class _Engine:
 
     Requests arrive and start in id order, so counts stand for the queue:
     it holds the ids _started to arrived - 1. Request j's start_t, finish_t,
-    model and KPI tuple go to index j of the columns when it starts."""
+    model and KPI tuple go to index j of the columns when it starts.
+
+    The policy runs at every completion, and at a tick only from its
+    wake_at on: each tick is the one before plus tick_interval, as floats,
+    but the engine runs the first tick of that grid at or after wake_at and
+    skips the ones before it, which would call a policy that cannot act.
+    The run ends at the first tick at or after the last completion; if that
+    tick was skipped, it ends there with no policy call. Once wake_at is
+    inf, the policy can never act again, so the engine serves the requests
+    not yet started by the queue recursion (_serve_static) from the
+    workers' state and empties its heap."""
 
     def __init__(self, config: SimConfig, knowledge: ctrl.Knowledge):
         self.profiles = {p.model_id: p for p in config.profiles}
@@ -356,7 +373,7 @@ class _Engine:
         # The stream's arrival times and rows, of which the first `arrived` are in.
         self.arrival_times: list = []
         self._image_rows: list = []
-        self.arrived = self._started = self._completed = 0
+        self.arrived = self._started = self._completed = self._request_count = 0
         self._start_t, self._finish_t, self._model_id, self._kpis = [], [], [], []
         self._worker_count = config.simulation.worker_count
         # Read on every tick.
@@ -364,8 +381,10 @@ class _Engine:
         self._intake_paused_until = 0.0
         # Completions in flight (finish, class, request id) and pending resumes; see _run_until.
         self._heap: list[tuple[float, int, int | None]] = []
-        # Each tick schedules the next.
+        # Each tick schedules the next, the first of the grid at or after
+        # the policy's wake_at; the last tick skipped on the way, if any.
         self._next_tick = (self._tick_interval, _EV_TICK)
+        self._last_skipped = -math.inf
         self._policy = _build_policy(config, knowledge)
 
     @property
@@ -385,6 +404,7 @@ class _Engine:
     def run(self, requests: Requests) -> Completions:
         self.arrival_times = requests.arrival_t
         self._image_rows = requests.row
+        self._request_count = len(requests.arrival_t)
         for t in requests.arrival_t:
             self._run_until((t, _EV_ARRIVAL))
             self.now = t
@@ -421,10 +441,56 @@ class _Engine:
         self._policy.on_event(self)
 
     def _on_tick(self) -> None:
-        self.now = self._next_tick[0]
-        self._policy.on_event(self)
-        done = self._completed == len(self.arrival_times)
-        self._next_tick = _NO_TICK if done else (self.now + self._tick_interval, _EV_TICK)
+        self.now = now = self._next_tick[0]
+        policy = self._policy
+        if self._completed == self._request_count:
+            # The first tick at or after the last completion ends the run,
+            # with no policy call if it was skipped.
+            self._next_tick = _NO_TICK
+            if not self._finish_t or self._last_skipped < max(self._finish_t):
+                policy.on_event(self)
+            return
+        policy.on_event(self)
+        tick = now + self._tick_interval
+        wake = policy.wake_at
+        if tick < wake:
+            if wake == math.inf:
+                self._serve_idle_tail()
+                return
+            interval = self._tick_interval
+            while tick < wake:
+                skipped = tick
+                tick += interval
+            self._last_skipped = skipped
+        self._next_tick = (tick, _EV_TICK)
+
+    def _serve_idle_tail(self) -> None:
+        """No policy call can act any more: serve the requests not yet
+        started by the queue recursion and end the event loop.
+
+        Each worker is free at its request's finish, or now if it is idle,
+        but no request starts before a pending switch pause ends."""
+        self._next_tick = _NO_TICK
+        heap = self._heap
+        busy = [finish for finish, klass, _ in heap if klass == _EV_COMPLETION]
+        resume = self._intake_paused_until
+        free_at = [max(finish, resume) for finish in busy]
+        free_at += [max(resume, self.now)] * (self._worker_count - len(busy))
+        heapq.heapify(free_at)
+        first, model = self._started, self.active_model
+        start_t, finish_t, kpis = _serve_static(
+            self.profiles[model],
+            self.arrival_times[first:],
+            self._image_rows[first:],
+            free_at,
+            self._rows[model],
+        )
+        self._start_t += start_t
+        self._finish_t += finish_t
+        self._model_id += [model] * len(kpis)
+        self._kpis += kpis
+        self._started = self._request_count
+        heap.clear()
 
     def _dispatch(self) -> None:
         """Start the waiting requests, in id order, while a worker is free."""
@@ -495,24 +561,30 @@ def _completions(arrival_t, start_t, finish_t, model_id, kpis) -> Completions:
     return Completions(request_id, *(list(map(col.__getitem__, request_id)) for col in columns))
 
 
-def _serve_static(profile: ModelProfile, requests: Requests, worker_count: int) -> Completions:
-    """A run under profile's model alone: a FIFO queue on worker_count
-    workers, whose completions follow from the stream with no event loop.
+def _serve_static(
+    profile: ModelProfile, arrival_t, rows, free_at: list, cache: list
+) -> tuple[list, list, list]:
+    """Requests served under profile's model alone, a FIFO queue whose
+    starts follow from the stream and the workers' state with no event
+    loop: the start_t, finish_t and KPI tuple of each, in request order.
 
-    Request j starts at the later of arrival_t[j] and the earliest time a
-    worker is free (Lindley's recursion at one worker, Kiefer and
-    Wolfowitz's at more), at the very value the engine would dispatch it,
-    the arrival's on a tie, and holds the worker for its row's tau_system.
-    _completions puts them in the engine's order."""
-    arrival_t, rows = requests.arrival_t, requests.row
-    # One KPI tuple per drawn row, shared by every request that drew it,
-    # as the engine's cache shares it.
-    drawn = list(set(rows))
-    by_row = dict(zip(drawn, map(_kpi_tuple, profile.kpi_table[drawn].tolist())))
-    kpis = list(map(by_row.__getitem__, rows))
+    Request j arrives at arrival_t[j] and draws image rows[j]. free_at is a
+    heap of the time each worker is free. Request j starts at the later of
+    arrival_t[j] and the earliest time a worker is free (Lindley's recursion
+    at one worker, Kiefer and Wolfowitz's at more), at the very value the
+    engine would dispatch it, the arrival's on a tie, and holds the worker
+    for its row's tau_system. cache holds the KPI tuple of each row drawn so
+    far (None for the others), so every request that draws a row shares one
+    tuple, as in the engine.
+
+    It has two callers: run_simulation serves a static run from idle
+    workers (every free time -inf), and the engine the idle tail of a run
+    from its workers' state."""
+    new = [i for i in set(rows) if cache[i] is None]
+    for i, row in zip(new, profile.kpi_table[new].tolist()):
+        cache[i] = _kpi_tuple(row)
+    kpis = list(map(cache.__getitem__, rows))
     start_t, finish_t = [], []
-    # Each worker's free time, a heap.
-    free_at = [-math.inf] * worker_count
     for t, tau in zip(arrival_t, map(operator.itemgetter(2), kpis)):
         free = free_at[0]
         start = free if free > t else t
@@ -520,7 +592,7 @@ def _serve_static(profile: ModelProfile, requests: Requests, worker_count: int) 
         heapq.heapreplace(free_at, finish)
         start_t.append(start)
         finish_t.append(finish)
-    return _completions(arrival_t, start_t, finish_t, [profile.model_id] * len(kpis), kpis)
+    return start_t, finish_t, kpis
 
 
 def run_simulation(
@@ -532,9 +604,13 @@ def run_simulation(
 
     A static policy never acts, so its run is a plain FIFO queue served
     without the engine (_serve_static) and writes no event; adamls and
-    naive runs go through the engine. The stream must draw only rows that
-    the profiles hold, checked before either serves it (Requests checks its
-    own times and row types when it is built)."""
+    naive runs go through the engine, which wakes naive only at its checks
+    and serves its idle tail (every arrival in, no load left to read) by the
+    same recursion. The stream must draw only rows that the profiles hold,
+    checked before either serves it (Requests checks its own times and row
+    types when it is built). An engine run's ticks must be able to pass the
+    last arrival, or the run could never end: a tick_interval that adds
+    nothing to it is a ConfigError."""
     image_count = len(config.profiles[0].image_id)
     if requests.row and not 0 <= min(requests.row) <= max(requests.row) < image_count:
         raise ConfigError(
@@ -543,10 +619,27 @@ def run_simulation(
         )
     if knowledge is None:
         knowledge = ctrl.Knowledge()
+    arrival_t = requests.arrival_t
     if config.policy.kind == "static":
         profile = next(p for p in config.profiles if p.model_id == config.policy.static_model)
-        completions = _serve_static(profile, requests, config.simulation.worker_count)
+        start_t, finish_t, kpis = _serve_static(
+            profile,
+            arrival_t,
+            requests.row,
+            [-math.inf] * config.simulation.worker_count,
+            [None] * image_count,
+        )
+        completions = _completions(
+            arrival_t, start_t, finish_t, [profile.model_id] * len(kpis), kpis
+        )
     else:
+        interval = config.simulation.tick_interval
+        if arrival_t and float(arrival_t[-1]) + interval == float(arrival_t[-1]):
+            raise ConfigError(
+                f"simulation.tick_interval {interval!r} adds nothing to the last arrival "
+                f"time {arrival_t[-1]!r}, so the ticks could never pass it and the run "
+                "could never end"
+            )
         completions = _Engine(config, knowledge).run(requests)
     return completions, knowledge.event_log
 

@@ -919,6 +919,26 @@ class TestCompareCommand:
         assert "Traceback" not in err
         assert {p.name for p in out.iterdir()} == {"profiles.csv", "rules"}
 
+    def test_a_tick_interval_that_cannot_pass_an_arrival_fails_in_one_line(
+        self, tmp_path, tiny_config, capsys
+    ):
+        """With simulation.tick_interval 1e-17 the tick clock stops moving
+        long before the last arrival, and compare used to spin forever. Now
+        the first engine run rejects it before its first event, in one line
+        naming the key, the value and that arrival, and writes no run."""
+        out = tmp_path / "out"
+        simulation = dataclasses.replace(tiny_config.simulation, tick_interval=1.0e-17)
+        config = dataclasses.replace(tiny_config, output_dir=str(out), simulation=simulation)
+        path = write_config(tmp_path, config)
+        assert cli.main(["learn", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["compare", "--config", str(path)]) == 1
+        last = cfgmod.build_request_stream(config, cfgmod.resolve_profiles(config)).arrival_t[-1]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"simulation.tick_interval 1e-17 adds nothing to the last arrival time {last!r}" in err
+        assert {p.name for p in out.iterdir()} == {"profiles.csv", "rules"}
+
     def test_kpi_texts_are_built_once_per_drawn_row(self, compared, monkeypatch):
         """A work count, not a timing: one compare formats the c..b text of
         each (model, row) its runs draw once, however many requests draw it."""

@@ -9,8 +9,10 @@ workers every sample path must be a FIFO, work-conserving W-server queue.
 
 run_simulation serves a static run by the queue recursion, never the event
 engine. The engine_ tests serve the same queue through the engine, under a
-naive policy with one threshold, which never switches, so the engine too is
-held to Pollaczek-Khinchine and to the W-server sample path.
+policy that never acts and wakes at every event (the suite's TickingNoop),
+so the engine itself, ticks and all, is held to Pollaczek-Khinchine and to
+the W-server sample path. (A naive run would not do: it skips the ticks
+between its checks and hands its idle tail to the recursion.)
 """
 import math
 from operator import attrgetter
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from adamls import config as cfgmod
+from adamls import simulator
 from adamls.controller import NaivePolicyConfig
 from adamls.simulator import (
     PolicySpec,
@@ -31,6 +34,7 @@ from adamls.simulator import (
 )
 
 from .oracles import served_rows
+from .test_simulator import TickingNoop
 
 # Student t quantile t(0.995; 19): a two-sided 99% band over 20 batch means.
 T_99_19 = 2.861
@@ -43,8 +47,9 @@ def default_profiles():
 
 def static_run(profiles, model, rate, requests, workers=1, seed=1, engine=False):
     """Static model on Poisson arrivals at rate; records in arrival order.
-    With engine, the run goes through the event engine instead: naive with
-    the one threshold [.inf, model] serves model alone and never switches."""
+    With engine, the run goes through the event engine instead, under
+    TickingNoop: the config names naive with the one threshold [.inf,
+    model], so the engine starts on model, and the policy never acts."""
     workload = WorkloadSpec(
         WorkloadConfig(
             segments=((10.0 * requests / rate, rate),),
@@ -64,7 +69,12 @@ def static_run(profiles, model, rate, requests, workers=1, seed=1, engine=False)
         simulation=SimulationConfig(initial_model=model, worker_count=workers),
     )
     stream = build_requests(workload, seed + 1, len(profiles[0].image_id))
-    completions, events = run_simulation(config, stream)
+    noop = TickingNoop()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_build_policy", lambda config, knowledge: noop)
+        completions, events = run_simulation(config, stream)
+    if engine:
+        assert noop.calls > len(completions)  # every completion and tick ran
     assert len(events) == 0  # no switch, so intake never pauses
     assert len(completions) == requests
     return sorted(served_rows(completions, stream), key=attrgetter("request_id"))

@@ -63,9 +63,11 @@ def _functions(member):
 
 def test_every_function_but_the_pinned_ones_is_called(tmp_path, tiny_config):
     """learn, compare, report (with and without --timeseries), a csv-source
-    learn and compare, and study on two seeds. The config sets every
-    section, utility included, so each record's check runs here and not
-    only at import."""
+    learn and compare, study on two seeds, and a compare whose workload ends
+    in a burst, so that the naive run has a backlog left when its load is
+    gone and the engine serves that idle tail by the queue recursion. The
+    config sets every section, utility included, so each record's check runs
+    here and not only at import."""
     out, csv_out = tmp_path / "out", tmp_path / "csv_out"
     path = write_config(tmp_path, tiny_config, output_dir=str(out))
     csv_config = dataclasses.replace(
@@ -77,6 +79,12 @@ def test_every_function_but_the_pinned_ones_is_called(tmp_path, tiny_config):
     )
     (tmp_path / "csv").mkdir()
     csv_path = write_config(tmp_path / "csv", csv_config)
+    workload = tiny_config.workload
+    burst = dataclasses.replace(
+        workload, segments=workload.segments[:3] + ((2.0, 40.0),), max_requests=250
+    )
+    (tmp_path / "burst").mkdir()
+    burst_path = write_config(tmp_path / "burst", tiny_config, workload=burst, output_dir=str(out))
     commands = [
         ["learn", "--config", str(path)],
         ["compare", "--config", str(path)],
@@ -85,6 +93,7 @@ def test_every_function_but_the_pinned_ones_is_called(tmp_path, tiny_config):
         ["learn", "--config", str(csv_path)],
         ["compare", "--config", str(csv_path)],
         ["study", "--config", str(path), "--out", str(tmp_path / "study"), "--seeds", "1", "2"],
+        ["compare", "--config", str(burst_path)],
     ]
     called = set()
 

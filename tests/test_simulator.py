@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from adamls import cli, simulator
 from adamls import config as cfgmod
-from adamls.controller import EventLog, Knowledge, NaivePolicyConfig, observed_rate
+from adamls.controller import (
+    EventLog, Knowledge, NaivePolicyConfig, NaiveSwitcher, observed_rate
+)
 from adamls.csvtext import BLOCK_ROWS
 from adamls.errors import ConfigError, ValidationError
 from adamls.profiles import ModelKpiSpec, ModelProfile, ProfilesConfig, generate_profiles
@@ -58,8 +60,10 @@ def static_config(profile, **settings):
 
 def engine_config(profile, **settings):
     """A config whose run goes through the engine while it serves profile's
-    model alone: naive with one threshold, whose policy never switches and
-    which a test may replace through simulator._build_policy."""
+    model alone: naive with one threshold, whose policy never switches. The
+    engine wakes naive only at its checks and may serve its idle tail by the
+    queue recursion, so a test that needs every event replaces the policy
+    through simulator._build_policy (TickingNoop, Recorder)."""
     thresholds = NaivePolicyConfig(thresholds=((math.inf, profile.model_id),))
     return SimConfig(
         profiles=(profile,),
@@ -346,7 +350,10 @@ class TestSampling:
 
 class Recorder:
     """A policy that records, at each call, which event it ran at and what
-    the system had seen by then; it can ask for one switch at a given time."""
+    the system had seen by then; it can ask for one switch at a given time.
+    It may act at any event, so the engine runs every tick."""
+
+    wake_at = -math.inf
 
     def __init__(self, switch_at=None, pause=0.0, calls=None):
         self.switch_at = switch_at
@@ -452,6 +459,8 @@ def test_queue_depth_counts_the_requests_in_service(monkeypatch):
     depths = []
 
     class DepthRecorder:
+        wake_at = -math.inf
+
         def note_completion(self, model_id, kpis):
             pass
 
@@ -766,7 +775,10 @@ class TestEventLog:
 
 
 class TickingNoop:
-    """A policy that does nothing at every completion and tick."""
+    """A policy that does nothing at every completion and tick: it wakes at
+    every event, so the engine serves its whole run, ticks included."""
+
+    wake_at = -math.inf
 
     def __init__(self):
         self.calls = 0
@@ -818,8 +830,18 @@ class TestTicks:
     @pytest.mark.parametrize("worker_count", [1, 3])
     def test_switching_run_heap_holds_no_arrival(self, tiny_profiles, monkeypatch, worker_count):
         """Arrivals and ticks stream past the heap: it holds only the
-        completions in flight and the pending resumes."""
+        completions in flight and the pending resumes. Each request's
+        completion is pushed once, unless naive's idle tail served it by the
+        queue recursion."""
         pushes = self.record_pushes(monkeypatch)
+        tail = []
+        serve = simulator._serve_static
+
+        def recording_serve(profile, arrival_t, *args):
+            tail.append(len(arrival_t))
+            return serve(profile, arrival_t, *args)
+
+        monkeypatch.setattr(simulator, "_serve_static", recording_serve)
         workload = WorkloadSpec(
             WorkloadConfig(segments=((8.0, 2.0), (8.0, 30.0), (8.0, 2.0)), max_requests=400),
             seed=3,
@@ -839,7 +861,7 @@ class TestTicks:
         pushed = [klass for klass, _ in pushes]
         assert simulator._EV_ARRIVAL not in pushed
         assert simulator._EV_TICK not in pushed
-        assert pushed.count(simulator._EV_COMPLETION) == len(completions)
+        assert pushed.count(simulator._EV_COMPLETION) + sum(tail) == len(completions)
         assert simulator._EV_RESUME in pushed
         for _, heap in pushes:
             assert heap.count(simulator._EV_COMPLETION) <= worker_count
@@ -873,6 +895,40 @@ class TestTicks:
             idle = max(idle, rec.arrival_t - drained)
             drained = max(drained, rec.finish_t)
         assert idle > interval
+
+    def test_an_interval_that_cannot_pass_the_last_arrival_is_rejected(self, monkeypatch):
+        """1.0 + 1e-17 == 1.0, so a tick clock stepping by 1e-17 could never
+        pass an arrival at 1 s and the run could never end: an engine run
+        rejects the interval before its first event, naming the key, the
+        value and the arrival. A static run has no ticks and serves it."""
+        profile = profile_of_rows("m", (0.6, 0.25))
+        requests = simulator.Requests([0.0, 1.0], [0, 0])
+
+        def no_run(*args):
+            pytest.fail("an interval that cannot pass the last arrival reached a run")
+
+        monkeypatch.setattr(simulator._Engine, "run", no_run)
+        with pytest.raises(ConfigError) as raised:
+            run_simulation(engine_config(profile, tick_interval=1e-17), requests)
+        assert str(raised.value) == (
+            "simulation.tick_interval 1e-17 adds nothing to the last arrival time 1.0, so "
+            "the ticks could never pass it and the run could never end"
+        )
+        completions, _ = run_simulation(static_config(profile, tick_interval=1e-17), requests)
+        assert completions.finish_t == [0.25, 1.25]
+
+    def test_a_tiny_interval_that_passes_the_last_arrival_stays_legal(self, monkeypatch):
+        """The check adds no bound: 0.0 + 1e-17 > 0.0, so ticks of 1e-17
+        after arrivals at 0 s run until the last finish."""
+        profile = profile_of_rows("m", (0.6, 1e-16))
+        recorder = Recorder()
+        monkeypatch.setattr(simulator, "_build_policy", lambda config, knowledge: recorder)
+        completions, _ = run_simulation(
+            engine_config(profile, tick_interval=1e-17), simulator.Requests([0.0, 0.0], [0, 0])
+        )
+        assert completions.finish_t == [1e-16, 2e-16]
+        ticks = [call[0] for call in recorder.calls if call[1] == "tick"]
+        assert ticks[0] == 1e-17 and ticks[-2] < 2e-16 <= ticks[-1]
 
 
 # Service times whose sums are exact in binary, and two that round, so that
@@ -925,6 +981,116 @@ class TestStaticRuns:
         shared = {}
         for j, kpis in zip(static.request_id, static.kpis):
             assert shared.setdefault(requests.row[j], kpis) is kpis
+
+
+class AwakeNaive(NaiveSwitcher):
+    """The naive policy with wake_at always -inf, so the engine runs every
+    tick and serves no idle tail: the reference run that naive's skipped
+    ticks and idle tail must match."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.wake_at = -math.inf
+
+    def on_event(self, system) -> None:
+        super().on_event(system)
+        self.wake_at = -math.inf
+
+
+# Service times that sum exactly in binary, and some that round;
+# deterministic segments at these rates put arrivals on quarter seconds, as
+# the 0.25 s ticks and the exact service times fall.
+_NAIVE_TAUS = {"slow": (0.5, 0.3, 0.25), "mid": (0.25, 0.125, 0.1), "fast": (0.125, 0.0625, 0.05)}
+_BURST_RATES = (2.0, 4.0, 8.0, 16.0, 32.0)
+
+
+@st.composite
+def naive_switching_runs(draw):
+    """(config, stream): a naive run over two or three models on 1-4
+    workers. Its segments hold zero-rate gaps and bursts above every
+    model's capacity, so backlogs build and drain, and the stream may end
+    in a burst (a tail left to serve) or after the system has emptied."""
+    image_count = draw(st.integers(1, 3))
+    profiles = tuple(
+        profile_of_rows(
+            model,
+            *(
+                (0.5 + 0.1 * i, draw(st.sampled_from(taus)))
+                for i in range(image_count)
+            ),
+        )
+        for model, taus in _NAIVE_TAUS.items()
+    )
+    low = draw(st.sampled_from((1.0, 2.0, 3.0, 5.0)))
+    if draw(st.booleans()):
+        thresholds = ((low, "slow"), (math.inf, "fast"))
+    else:
+        high = low + draw(st.sampled_from((2.0, 4.0, 8.0)))
+        thresholds = ((low, "slow"), (high, "mid"), (math.inf, "fast"))
+    durations = st.sampled_from((0.5, 1.0, 2.0, 3.0))
+    # One segment with arrivals, and up to four more, each maybe a gap.
+    segments = [(draw(durations), draw(st.sampled_from(_BURST_RATES)))]
+    segments += draw(
+        st.lists(st.tuples(durations, st.sampled_from((0.0, *_BURST_RATES))), max_size=4)
+    )
+    workload = WorkloadSpec(
+        WorkloadConfig(
+            segments=tuple(draw(st.permutations(segments))),
+            max_requests=150,
+            arrival_process=draw(st.sampled_from(("deterministic", "poisson"))),
+        ),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    try:
+        requests = build_requests(workload, draw(st.integers(0, 2**16)), image_count)
+    except ValidationError:  # a short Poisson stream may draw no arrival
+        hypothesis.reject()
+    if draw(st.booleans()):
+        # Whole times as ints, so a start at an arrival must keep its type.
+        arrival_t = [int(t) if t == int(t) else t for t in requests.arrival_t]
+        requests = simulator.Requests(arrival_t, requests.row)
+    config = SimConfig(
+        profiles=profiles,
+        policy=PolicySpec(kind="naive", naive=NaivePolicyConfig(thresholds=thresholds)),
+        simulation=SimulationConfig(
+            initial_model="slow",
+            worker_count=draw(st.integers(1, 4)),
+            switch_latency=draw(st.sampled_from((0.0, 0.005, 0.3))),
+            tick_interval=draw(st.sampled_from((0.1, 0.07, 0.25))),
+        ),
+    )
+    return config, requests
+
+
+class TestNaiveWake:
+    @hypothesis.settings(max_examples=250)
+    @hypothesis.given(naive_switching_runs())
+    def test_naive_run_matches_an_always_awake_reference(self, run):
+        """Skipping the ticks before naive's next check, ending the run at
+        a skipped tick, and serving its idle tail by the queue recursion
+        change no value and no repr of any Completions or EventLog column."""
+        config, requests = run
+        completions, events = run_simulation(config, requests)
+        sim = config.simulation
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                simulator,
+                "_build_policy",
+                lambda config, knowledge: AwakeNaive(
+                    knowledge, config.policy.naive, sim.switch_latency
+                ),
+            )
+            reference, reference_events = run_simulation(config, requests)
+        assert completions == reference
+        assert events == reference_events
+        for run_columns, reference_columns, names in (
+            (completions, reference, Completions.__slots__),
+            (events, reference_events, ("sim_time", "event", "detail")),
+        ):
+            for name in names:
+                assert list(map(repr, getattr(run_columns, name))) == list(
+                    map(repr, getattr(reference_columns, name))
+                ), name
 
 
 class TestCompletionOrder:
