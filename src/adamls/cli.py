@@ -113,7 +113,7 @@ def _learn(config: cfgmod.ExperimentConfig, profiles) -> None:
     rules_dir = out_dir / "rules"
     rules = cfgmod.learn_rules(config, profiles)
     rules_dir.mkdir(parents=True, exist_ok=True)
-    if config.profiles.source == "generate":
+    if config.profiles.csv_path is None:
         write_profiles(profiles, out_dir / "profiles.csv")
     for model_id in sorted(rules):
         write_ci_matrix(rules[model_id].ci_matrix, rules_dir / f"{model_id}.csv")

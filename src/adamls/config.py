@@ -123,11 +123,11 @@ def resolve_profiles(config: ExperimentConfig) -> list[ModelProfile]:
 
     Each model id must name its own files (see _check_model_ids), and the
     models the config names (naive_thresholds, simulation.initial_model)
-    must be profiled. A csv source knows its models only once it is read, so
-    they are checked here, and every command resolves the profiles before it
-    writes anything.
+    must be profiled. A profiles CSV (profiles.csv_path) names its models
+    only once it is read, so they are checked here, and every command
+    resolves the profiles before it writes anything.
     """
-    if config.profiles.source == "csv":
+    if config.profiles.csv_path is not None:
         profiles = load_profiles(config.profiles.csv_path)
         _check_model_ids(profiles, f"{config.profiles.csv_path}: model_id")
     else:

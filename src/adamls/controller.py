@@ -13,11 +13,10 @@ static model is no policy here: nothing ever acts on its run, which the
 simulator serves without its engine.
 
 An event does only its decision work: monitor builds one slotted
-SystemState; the analyzer compares its last match's model, window and
-window version and runs the debounce; and only a trigger builds a
-PlannerInput, plans in one pass over the rule rows and executes. The
-records passed between the phases are named tuples, and the planner's
-no-op plans are constants.
+SystemState; the analyzer reads the cluster match from the window's memo
+and runs the debounce; and only a trigger builds a PlannerInput, plans in
+one pass over the rule rows and executes. The records passed between the
+phases are named tuples, and the planner's no-op plans are constants.
 
 The event log records decisions, not events: each trigger writes an
 ANALYZE_TRIGGER row (v, i_w, v_adj, the feasible range [v_min, v_max] that
@@ -296,36 +295,30 @@ class Analyzer:
     analyzer emit a PlannerInput, built from the current state. An in-range
     check disarms the timer, and each armed window emits at most once.
 
-    The matched cluster and feasible range depend only on the active model
-    and its window's contents, so they are recomputed only when the state's
-    m_prime, window or window version differs from the last match's;
-    last_match holds (cluster, v_min, v_max) of the last analyzed state.
-    v_adj, the range check and the debounce run on every call.
+    The matched cluster and feasible range depend only on the window's rows
+    and the rules of the model it is read under, so the match (cluster,
+    v_min, v_max) is kept in the window's memo under that model until its
+    next add; last_match holds that of the last analyzed state. v_adj, the
+    range check and the debounce run on every call.
     """
 
     def __init__(self, t_wait: float = DEFAULT_T_WAIT):
         self.t_wait = t_wait
         self._armed_at: float | None = None
         self.last_match: tuple[int, float, float] | None = None
-        self._match_model: str | None = None
-        self._match_window: _KpiWindow | None = None
-        self._match_version = 0
 
     def analyze(self, state: SystemState, knowledge: Knowledge, now: float) -> PlannerInput | None:
         m_prime, window = state.m_prime, state.window
         if not window.rows:
             return None
-        if (
-            window is not self._match_window
-            or window.version != self._match_version
-            or m_prime != self._match_model
-        ):
+        match = window.memo.get(m_prime)
+        if match is None:
             matrix = knowledge.rules_for(m_prime)
             cluster = find_closest_cluster(state, matrix)
-            self.last_match = (cluster, *feasible_rate_range(matrix, m_prime, cluster))
-            self._match_model, self._match_window = m_prime, window
-            self._match_version = window.version
-        cluster, v_min, v_max = self.last_match
+            match = (cluster, *feasible_rate_range(matrix, m_prime, cluster))
+            window.memo[m_prime] = match
+        self.last_match = match
+        cluster, v_min, v_max = match
         v_adj = compute_adjusted_rate(state.v, state.i_w)
         if v_min <= v_adj <= v_max:
             self._armed_at = None
@@ -444,26 +437,26 @@ class _KpiWindow:
     same rows, bit for bit, at O(1) per read. Windows of fewer than
     MIN_NORMAL_SAMPLES rows keep compute_ci's (min, max) envelope.
 
-    version counts the adds, so it names the window's contents. Each
-    ci(kpi, level) is computed once per version and returned from a memo
-    until the next add; means() builds a fresh dict at every call, which the
-    analyzer makes once per cluster match.
+    memo holds what derives from the rows alone until add empties it: each
+    ci(kpi, level) under (kpi, level), and the analyzer's cluster match
+    under the id of the model it was read under (see Analyzer). means()
+    builds a fresh dict at every call, which the analyzer makes once per
+    cluster match.
     """
 
     __slots__ = (
-        "rows", "version", "_maxlen", "_sum_c", "_sum_tau_model", "_sum_tau_system",
-        "_sum_s_cpu", "_sum_b", "_moments", "_cis",
+        "rows", "memo", "_maxlen", "_sum_c", "_sum_tau_model", "_sum_tau_system",
+        "_sum_s_cpu", "_sum_b", "_moments",
     )
 
     def __init__(self, maxlen: int):
         self.rows: deque = deque()
-        self.version = 0
+        self.memo: dict = {}
         self._maxlen = maxlen
         # One float running sum per KPI_NAMES field.
         self._sum_c = self._sum_tau_model = self._sum_tau_system = 0.0
         self._sum_s_cpu = self._sum_b = 0.0
         self._moments = {kpi: _ExactMoments() for kpi in CI_KPIS}
-        self._cis: dict[tuple[str, float], CiEntry] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -491,9 +484,8 @@ class _KpiWindow:
             moments["tau_model"].add(tau_model)
             moments["c"].add(c)
         rows.append(kpis)
-        self.version += 1
-        if self._cis:
-            self._cis.clear()
+        if self.memo:
+            self.memo.clear()
 
     def means(self) -> dict[str, float]:
         """Per-KPI means of the rows from the running sums; {} when empty."""
@@ -510,7 +502,7 @@ class _KpiWindow:
 
     def ci(self, kpi: str, level: float = DEFAULT_CI_LEVEL) -> CiEntry:
         """compute_ci of one CI KPI over the window's rows."""
-        entry = self._cis.get((kpi, level))
+        entry = self.memo.get((kpi, level))
         if entry is None:
             n = len(self.rows)
             if n < MIN_NORMAL_SAMPLES:
@@ -519,7 +511,7 @@ class _KpiWindow:
             else:
                 moments = self._moments[kpi]
                 entry = normal_ci(moments.mean(n), moments.stdev(n), n, level)
-            self._cis[kpi, level] = entry
+            self.memo[kpi, level] = entry
         return entry
 
 
@@ -541,11 +533,11 @@ class AdamlsController:
 
     Every event reads v and i_w and runs v_adj, the range check and the
     debounce, and writes no row. The rest runs only when its inputs change:
-    the window's means, the cluster match and the feasible range when a
-    completion enters the active model's window or the active model changes
-    (see Analyzer), a window's live CIs once per version of its contents
-    (see _KpiWindow), and the incumbent's live c CI only in a plan where its
-    live capacity covers v_adj (see plan). Only a trigger writes to the event
+    the window's means, the cluster match, the feasible range and the live
+    CIs once per content of a model's window, which keeps them until its
+    next completion, even across switches (see Analyzer and _KpiWindow),
+    and the incumbent's live c CI only in a plan where its live capacity
+    covers v_adj (see plan). Only a trigger writes to the event
     log: its ANALYZE_TRIGGER row, formatted from the state and the
     analyzer's last_match, its PLAN row (the plan's reason, which for a
     switch names low_c and v_adj) and execute's SWITCH or NOOP row.

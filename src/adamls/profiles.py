@@ -141,8 +141,7 @@ class ModelProfile:
 
     def record(self, i: int) -> KpiRecord:
         """Row i as a KpiRecord; b becomes the Python int of its float."""
-        c, tau_model, tau_system, s_cpu, b = self.kpi_table[i].tolist()
-        return KpiRecord(self.image_id[i], self.model_id, c, tau_model, tau_system, s_cpu, int(b))
+        return KpiRecord(self.image_id[i], self.model_id, *_kpi_tuple(self.kpi_table[i].tolist()))
 
     @property
     def records(self) -> ProfileRecords:
@@ -156,6 +155,34 @@ class ModelProfile:
         table = np.column_stack([self.column(kpi) for kpi in KPI_NAMES])
         table.flags.writeable = False
         return table
+
+    @functools.cached_property
+    def kpi_tuples(self) -> list:
+        """Per row, once read, its KPI tuple (c, tau_model, tau_system, s_cpu,
+        b), b an int, which every run that draws the row shares; else None."""
+        return [None] * len(self.image_id)
+
+    def kpi_tuple(self, i: int) -> tuple:
+        """Row i's KPI tuple, built and kept in kpi_tuples on its first read."""
+        kpis = self.kpi_tuples[i]
+        if kpis is None:
+            kpis = self.kpi_tuples[i] = _kpi_tuple(self.kpi_table[i].tolist())
+        return kpis
+
+    def kpi_tuples_of(self, rows) -> list:
+        """The KPI tuple of each of rows, in order; the rows not read yet
+        are built in one pass."""
+        tuples = self.kpi_tuples
+        new = [i for i in set(rows) if tuples[i] is None]
+        for i, row in zip(new, self.kpi_table[new].tolist()):
+            tuples[i] = _kpi_tuple(row)
+        return list(map(tuples.__getitem__, rows))
+
+
+def _kpi_tuple(row: list) -> tuple:
+    """A kpi_table row as a KPI tuple: b becomes the Python int of its float."""
+    c, tau_model, tau_system, s_cpu, b = row
+    return (c, tau_model, tau_system, s_cpu, int(b))
 
 
 class ProfileRecords(Sequence):
@@ -318,10 +345,10 @@ DEFAULT_MODEL_FAMILY = (
 
 @dataclass(frozen=True)
 class ProfilesConfig:
-    """The experiment's `profiles` section, checked when it is built: source
-    "generate" synthesizes image_count images per model, "csv" loads csv_path."""
+    """The experiment's `profiles` section, checked when it is built: the
+    profiles are loaded from csv_path if it is set, else image_count images
+    per model of models are synthesized."""
 
-    source: str = "generate"  # "generate" | "csv"
     csv_path: str | None = None
     image_count: int = 1000
     models: tuple[ModelKpiSpec, ...] = DEFAULT_MODEL_FAMILY
@@ -329,10 +356,8 @@ class ProfilesConfig:
     def __post_init__(self) -> None:
         check_fields(self, "profiles")
         object.__setattr__(self, "models", tuple(self.models))
-        if self.source not in ("generate", "csv"):
-            raise ConfigError(f"profiles.source must be generate or csv, got {self.source!r}")
-        if self.source == "csv" and not self.csv_path:
-            raise ConfigError("profiles.source=csv requires profiles.csv_path")
+        if self.csv_path == "":
+            raise ConfigError("profiles.csv_path must name a file, or be null")
         if self.image_count < 1:
             raise ConfigError(f"profiles.image_count must be >= 1, got {self.image_count}")
         if not self.models:

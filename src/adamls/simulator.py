@@ -8,8 +8,8 @@ numbers). run_simulation takes its stream as given and builds none of its
 own; config.build_request_stream derives an experiment's one stream from its
 master seed. Requests wait in an unbounded FIFO queue and are served by
 interchangeable workers; a request's service duration and KPIs come from
-its row of the active model's profile, one tuple per drawn row shared for
-the rest of the run.
+its row of the active model's profile, the one tuple the profile keeps for
+that row (ModelProfile.kpi_tuples), which every run shares.
 
 Only an adamls or naive run goes through the event engine: its policy runs
 at every completion and at a periodic tick, and a model switch pauses
@@ -351,7 +351,8 @@ class _Engine:
 
     Requests arrive and start in id order, so counts stand for the queue:
     it holds the ids _started to arrived - 1. Request j's start_t, finish_t,
-    model and KPI tuple go to index j of the columns when it starts.
+    model and KPI tuple (its profile's, see ModelProfile.kpi_tuples) go to
+    index j of the columns when it starts.
 
     The policy runs at every completion, and at a tick only from its
     wake_at on: each tick is the one before plus tick_interval, as floats,
@@ -365,8 +366,6 @@ class _Engine:
 
     def __init__(self, config: SimConfig, knowledge: ctrl.Knowledge):
         self.profiles = {p.model_id: p for p in config.profiles}
-        # Per model, row i as (c, tau_model, tau_system, s_cpu, b) once drawn.
-        self._rows = {p.model_id: [None] * len(p.image_id) for p in config.profiles}
         self.model_ids = frozenset(self.profiles)
         self.now = 0.0
         self.active_model = _resolve_initial_model(config)
@@ -472,18 +471,16 @@ class _Engine:
         but no request starts before a pending switch pause ends."""
         self._next_tick = _NO_TICK
         heap = self._heap
-        busy = [finish for finish, klass, _ in heap if klass == _EV_COMPLETION]
         resume = self._intake_paused_until
-        free_at = [max(finish, resume) for finish in busy]
-        free_at += [max(resume, self.now)] * (self._worker_count - len(busy))
-        heapq.heapify(free_at)
+        busy = [max(finish, resume) for finish, klass, _ in heap if klass == _EV_COMPLETION]
         first, model = self._started, self.active_model
         start_t, finish_t, kpis = _serve_static(
             self.profiles[model],
             self.arrival_times[first:],
             self._image_rows[first:],
-            free_at,
-            self._rows[model],
+            self._worker_count,
+            busy,
+            max(resume, self.now),
         )
         self._start_t += start_t
         self._finish_t += finish_t
@@ -499,11 +496,7 @@ class _Engine:
         while self._started < self.arrived and self._started - self._completed < self._worker_count:
             request_id = self._started
             model = self.active_model
-            rows = self._rows[model]
-            i = self._image_rows[request_id]
-            kpis = rows[i]
-            if kpis is None:
-                kpis = rows[i] = _kpi_tuple(self.profiles[model].kpi_table[i].tolist())
+            kpis = self.profiles[model].kpi_tuple(self._image_rows[request_id])
             finish = self.now + kpis[2]  # tau_system
             self._start_t.append(self.now)
             self._finish_t.append(finish)
@@ -545,13 +538,6 @@ def _build_policy(config: SimConfig, knowledge: ctrl.Knowledge):
     )
 
 
-def _kpi_tuple(row: list) -> tuple:
-    """A kpi_table row as the (c, tau_model, tau_system, s_cpu, b) tuple a
-    completion holds, b an int."""
-    c, tau_model, tau_system, s_cpu, b = row
-    return (c, tau_model, tau_system, s_cpu, int(b))
-
-
 def _completions(arrival_t, start_t, finish_t, model_id, kpis) -> Completions:
     """A run's Completions from its columns in request order, request j's
     at index j: by finish_t, ties in request order (a stable sort), with
@@ -562,28 +548,27 @@ def _completions(arrival_t, start_t, finish_t, model_id, kpis) -> Completions:
 
 
 def _serve_static(
-    profile: ModelProfile, arrival_t, rows, free_at: list, cache: list
+    profile: ModelProfile, arrival_t, rows, worker_count: int, busy: list, idle_at: float
 ) -> tuple[list, list, list]:
     """Requests served under profile's model alone, a FIFO queue whose
     starts follow from the stream and the workers' state with no event
     loop: the start_t, finish_t and KPI tuple of each, in request order.
 
-    Request j arrives at arrival_t[j] and draws image rows[j]. free_at is a
-    heap of the time each worker is free. Request j starts at the later of
-    arrival_t[j] and the earliest time a worker is free (Lindley's recursion
-    at one worker, Kiefer and Wolfowitz's at more), at the very value the
-    engine would dispatch it, the arrival's on a tie, and holds the worker
-    for its row's tau_system. cache holds the KPI tuple of each row drawn so
-    far (None for the others), so every request that draws a row shares one
-    tuple, as in the engine.
+    Request j arrives at arrival_t[j] and draws image rows[j], whose KPI
+    tuple the profile keeps. Of the worker_count workers, those in busy are
+    free at the times it lists, the others at idle_at. Request j starts at
+    the later of arrival_t[j] and the earliest time a worker is free
+    (Lindley's recursion at one worker, Kiefer and Wolfowitz's at more), at
+    the very value the engine would dispatch it, the arrival's on a tie, and
+    holds the worker for its row's tau_system. n requests never occupy more
+    than n workers, so the heap of free times holds at most n idle ones.
 
     It has two callers: run_simulation serves a static run from idle
-    workers (every free time -inf), and the engine the idle tail of a run
+    workers (none busy, idle_at -inf), and the engine the idle tail of a run
     from its workers' state."""
-    new = [i for i in set(rows) if cache[i] is None]
-    for i, row in zip(new, profile.kpi_table[new].tolist()):
-        cache[i] = _kpi_tuple(row)
-    kpis = list(map(cache.__getitem__, rows))
+    kpis = profile.kpi_tuples_of(rows)
+    free_at = busy + [idle_at] * min(worker_count - len(busy), len(kpis))
+    heapq.heapify(free_at)
     start_t, finish_t = [], []
     for t, tau in zip(arrival_t, map(operator.itemgetter(2), kpis)):
         free = free_at[0]
@@ -623,11 +608,7 @@ def run_simulation(
     if config.policy.kind == "static":
         profile = next(p for p in config.profiles if p.model_id == config.policy.static_model)
         start_t, finish_t, kpis = _serve_static(
-            profile,
-            arrival_t,
-            requests.row,
-            [-math.inf] * config.simulation.worker_count,
-            [None] * image_count,
+            profile, arrival_t, requests.row, config.simulation.worker_count, [], -math.inf
         )
         completions = _completions(
             arrival_t, start_t, finish_t, [profile.model_id] * len(kpis), kpis

@@ -25,7 +25,6 @@ def experiment_config_to_dict(config: cfgmod.ExperimentConfig) -> dict:
         "master_seed": config.master_seed,
         "output_dir": config.output_dir,
         "profiles": {
-            "source": config.profiles.source,
             "csv_path": config.profiles.csv_path,
             "image_count": config.profiles.image_count,
             "models": [dataclasses.asdict(m) for m in config.profiles.models],
@@ -271,11 +270,33 @@ class TestLearnCommand:
         cli.main(["learn", "--config", str(path)])
         assert (out / "rules" / "fast.csv").read_bytes() == first
 
+    def test_a_csv_path_alone_is_the_profile_source(self, tmp_path, tiny_config, tiny_profiles):
+        """A set profiles.csv_path is the source of the profiles, with no
+        other key to say so: learn reads that file, even where it would
+        write generated ones, learns from it and leaves its bytes as they
+        are."""
+        out = tmp_path / "out"
+        out.mkdir()
+        csv_path = out / "profiles.csv"
+        # The fixture's seed is not the config's, so generated profiles differ.
+        write_profiles(tiny_profiles, csv_path)
+        text = csv_path.read_bytes()
+        profiles = dataclasses.replace(tiny_config.profiles, csv_path=str(csv_path))
+        path = write_config(tmp_path, tiny_config, profiles=profiles, output_dir=str(out))
+        assert "source" not in yaml.safe_load(path.read_text(encoding="utf-8"))["profiles"]
+        assert cli.main(["learn", "--config", str(path)]) == 0
+        assert csv_path.read_bytes() == text
+        reference = tmp_path / "reference"
+        cli._learn(dataclasses.replace(tiny_config, output_dir=str(reference)), tiny_profiles)
+        for model_id in ("fast", "slow"):
+            rules = f"rules/{model_id}.csv"
+            assert (out / rules).read_bytes() == (reference / rules).read_bytes()
+
     def test_missing_profile_csv_fails_with_path(self, tmp_path, tiny_config, capsys):
         config = dataclasses.replace(
             tiny_config,
             profiles=dataclasses.replace(
-                tiny_config.profiles, source="csv", csv_path=str(tmp_path / "nope.csv")
+                tiny_config.profiles, csv_path=str(tmp_path / "nope.csv")
             ),
             output_dir=str(tmp_path / "out"),
         )
@@ -295,7 +316,7 @@ class TestLearnCommand:
         config = dataclasses.replace(
             tiny_config,
             profiles=dataclasses.replace(
-                tiny_config.profiles, source="csv", csv_path=str(csv_path)
+                tiny_config.profiles, csv_path=str(csv_path)
             ),
             output_dir=str(tmp_path / "out"),
         )
@@ -328,7 +349,7 @@ class TestLearnCommand:
         config = dataclasses.replace(
             tiny_config,
             profiles=dataclasses.replace(
-                tiny_config.profiles, source="csv", csv_path=str(csv_path)
+                tiny_config.profiles, csv_path=str(csv_path)
             ),
             output_dir=str(tmp_path / "out"),
         )
@@ -451,7 +472,9 @@ class TestLearnCommand:
             ("learning: {k_max: 0}", "learning.k_max must be >= 1, got 0"),
             ("learning: {ci_level: 1.0}", "learning.ci_level must be in (0, 1), got 1.0"),
             ("learning: {ci_level: 0}", "learning.ci_level must be in (0, 1), got 0"),
-            ("profiles: {source: sql}", "profiles.source must be generate or csv, got 'sql'"),
+            # A set csv_path is the CSV source; no key picks the source.
+            ("profiles: {source: csv}", "unknown key(s) ['source'] in section 'profiles'"),
+            ("profiles: {csv_path: ''}", "profiles.csv_path must name a file, or be null"),
             (
                 "simulation: {blacklist_enabled: false}",
                 "unknown key(s) ['blacklist_enabled'] in section 'simulation'",
@@ -578,7 +601,7 @@ class TestLearnCommand:
         path = write_config(
             tmp_path,
             tiny_config,
-            profiles=dataclasses.replace(tiny_config.profiles, source="csv", csv_path=str(csv_path)),
+            profiles=dataclasses.replace(tiny_config.profiles, csv_path=str(csv_path)),
             naive_thresholds=cfgmod.DEFAULT_NAIVE_THRESHOLDS,
             output_dir=str(tmp_path / "out"),
         )
@@ -606,7 +629,7 @@ class TestLearnCommand:
         path = write_config(
             tmp_path,
             tiny_config,
-            profiles=dataclasses.replace(tiny_config.profiles, source="csv", csv_path=str(csv_path)),
+            profiles=dataclasses.replace(tiny_config.profiles, csv_path=str(csv_path)),
             output_dir=str(tmp_path / "out"),
         )
         assert cli.main([command, "--config", str(path)]) == 1
@@ -639,7 +662,7 @@ class TestLearnCommand:
         path = write_config(
             tmp_path,
             tiny_config,
-            profiles=dataclasses.replace(tiny_config.profiles, source="csv", csv_path=str(csv_path)),
+            profiles=dataclasses.replace(tiny_config.profiles, csv_path=str(csv_path)),
             output_dir=str(tmp_path / "out"),
         )
         assert cli.main([*command, "--config", str(path)]) == 1
@@ -669,7 +692,7 @@ class TestLearnCommand:
         path = write_config(
             tmp_path,
             tiny_config,
-            profiles=dataclasses.replace(tiny_config.profiles, source="csv", csv_path=str(csv_path)),
+            profiles=dataclasses.replace(tiny_config.profiles, csv_path=str(csv_path)),
             output_dir=str(out),
         )
         assert cli.main(["learn", "--config", str(path)]) == 1
@@ -732,8 +755,8 @@ class TestLearnCommand:
                 "simulation.initial_model must be a string, got 5",
             ),
             (
-                cfgmod.ProfilesConfig, {"source": "csv", "csv_path": 5},
-                {"profiles": {"source": "csv", "csv_path": 5}},
+                cfgmod.ProfilesConfig, {"csv_path": 5},
+                {"profiles": {"csv_path": 5}},
                 "profiles.csv_path must be a string or null, got 5",
             ),
             (
@@ -1011,6 +1034,24 @@ class TestCompareCommand:
         assert cli.main(["compare", "--config", str(path)]) == 0
         assert len(calls) == 1
 
+    def test_workers_beyond_the_request_count_change_nothing(self, tiny_config, tmp_path):
+        """A FIFO queue of n requests never uses more than n workers: a
+        compare at 10**12 workers runs, and writes the files of one at n."""
+        requests = cfgmod.build_request_stream(tiny_config, cfgmod.resolve_profiles(tiny_config))
+        outs = []
+        for worker_count in (len(requests.arrival_t), 10**12):
+            out = tmp_path / str(worker_count)
+            simulation = dataclasses.replace(tiny_config.simulation, worker_count=worker_count)
+            path = write_config(tmp_path, tiny_config, simulation=simulation, output_dir=str(out))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["learn", "--config", str(path)]) == 0
+                assert cli.main(["compare", "--config", str(path)]) == 0
+            outs.append(out)
+        written = files_under(outs[0])
+        assert written == files_under(outs[1])
+        for name in written:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_csv_of_learns_profiles_reproduces_the_run(self, compared, tiny_config, tmp_path):
         """learn and compare on source csv of learn's own profiles.csv write
         the generated run's files, byte for byte."""
@@ -1018,7 +1059,7 @@ class TestCompareCommand:
         root = tmp_path / "from_csv"
         root.mkdir()
         profiles = dataclasses.replace(
-            tiny_config.profiles, source="csv", csv_path=str(out / "profiles.csv")
+            tiny_config.profiles, csv_path=str(out / "profiles.csv")
         )
         path = write_config(root, tiny_config, profiles=profiles, output_dir=str(root / "out"))
         assert cli.main(["learn", "--config", str(path)]) == 0

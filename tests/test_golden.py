@@ -239,7 +239,7 @@ def test_learn_from_written_profiles_matches_generated_rules(tmp_path, capsys):
     """Loading profiles.csv back gives the rules of the generated profiles."""
     generated = dataclasses.replace(cfgmod.ExperimentConfig(), output_dir=str(tmp_path / "gen"))
     assert cli.run_learn(generated) == 0
-    profiles = cfgmod.ProfilesConfig(source="csv", csv_path=str(tmp_path / "gen" / "profiles.csv"))
+    profiles = cfgmod.ProfilesConfig(csv_path=str(tmp_path / "gen" / "profiles.csv"))
     loaded = dataclasses.replace(generated, output_dir=str(tmp_path / "csv"), profiles=profiles)
     assert cli.run_learn(loaded) == 0
     capsys.readouterr()
@@ -249,7 +249,8 @@ def test_learn_from_written_profiles_matches_generated_rules(tmp_path, capsys):
 
 
 def test_learn_from_csv_leaves_its_input_as_it_is(tiny_config, tmp_path, capsys):
-    """A csv-source learn reads profiles.csv and never writes it back."""
+    """A learn whose profiles.csv_path is its own profiles.csv reads it and
+    never writes it back."""
     config = dataclasses.replace(tiny_config, output_dir=str(tmp_path))
     assert cli.run_learn(config) == 0
     rules = csv_digests(tmp_path, "rules/*.csv")
@@ -259,7 +260,7 @@ def test_learn_from_csv_leaves_its_input_as_it_is(tiny_config, tmp_path, capsys)
     lines = path.read_text(encoding="utf-8").split("\r\n")
     path.write_bytes("\r\n".join(lines[:1] + [f"{line}.0" for line in lines[1:-1]] + [""]).encode())
     text = path.read_bytes()
-    profiles = dataclasses.replace(config.profiles, source="csv", csv_path=str(path))
+    profiles = dataclasses.replace(config.profiles, csv_path=str(path))
     assert cli.run_learn(dataclasses.replace(config, profiles=profiles)) == 0
     capsys.readouterr()
     assert path.read_bytes() == text

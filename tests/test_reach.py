@@ -62,8 +62,8 @@ def _functions(member):
 
 
 def test_every_function_but_the_pinned_ones_is_called(tmp_path, tiny_config):
-    """learn, compare, report (with and without --timeseries), a csv-source
-    learn and compare, study on two seeds, and a compare whose workload ends
+    """learn, compare, report (with and without --timeseries), learn and
+    compare from a profiles CSV, study on two seeds, and a compare whose workload ends
     in a burst, so that the naive run has a backlog left when its load is
     gone and the engine serves that idle tail by the queue recursion. The
     config sets every section, utility included, so each record's check runs
@@ -73,7 +73,7 @@ def test_every_function_but_the_pinned_ones_is_called(tmp_path, tiny_config):
     csv_config = dataclasses.replace(
         tiny_config,
         profiles=dataclasses.replace(
-            tiny_config.profiles, source="csv", csv_path=str(out / "profiles.csv")
+            tiny_config.profiles, csv_path=str(out / "profiles.csv")
         ),
         output_dir=str(csv_out),
     )

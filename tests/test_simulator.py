@@ -956,6 +956,52 @@ def tie_heavy_runs(draw):
     return draw(st.integers(1, 4)), profile, simulator.Requests(arrival_t, rows)
 
 
+class TestFreeTimes:
+    def record_heaps(self, monkeypatch):
+        """Spy on the queue recursion: per call, the workers it was given
+        busy, the requests it serves and the size of its heap of free times."""
+        calls = []
+        serve, heapify = simulator._serve_static, simulator.heapq.heapify
+
+        def recording_serve(profile, arrival_t, rows, worker_count, busy, idle_at):
+            calls.append([len(busy), len(arrival_t)])
+            return serve(profile, arrival_t, rows, worker_count, busy, idle_at)
+
+        def recording_heapify(heap):
+            calls[-1].append(len(heap))
+            heapify(heap)
+
+        monkeypatch.setattr(simulator, "_serve_static", recording_serve)
+        monkeypatch.setattr(simulator.heapq, "heapify", recording_heapify)
+        return calls
+
+    def test_a_static_run_holds_no_more_workers_than_requests(self, monkeypatch):
+        """n requests never occupy more than n workers, so a static run's
+        heap holds no more free times than requests, however many workers."""
+        calls = self.record_heaps(monkeypatch)
+        profile = constant_profile("m", 3.0)
+        requests = stream(deterministic_workload(4.0, 2.0), profile)
+        completions, _ = run_simulation(static_config(profile, worker_count=10**6), requests)
+        assert calls == [[0, 8, 8]]
+        assert completions.start_t == sorted(requests.arrival_t)
+
+    def test_an_idle_tail_holds_its_busy_workers_and_no_more_idle_ones_than_requests(
+        self, monkeypatch
+    ):
+        """naive's idle tail starts with requests still in flight (3 s of
+        service): its heap holds their free times and no more idle workers
+        than the requests left to serve."""
+        calls = self.record_heaps(monkeypatch)
+        profile = constant_profile("m", 3.0)
+        requests = stream(deterministic_workload(4.0, 2.0), profile)
+        completions, _ = run_simulation(engine_config(profile, worker_count=10**6), requests)
+        assert len(calls) == 1
+        busy, count, heap = calls[0]
+        assert busy > 0
+        assert heap <= busy + count
+        assert completions.start_t == sorted(requests.arrival_t)
+
+
 class TestStaticRuns:
     @hypothesis.settings(max_examples=300)
     @hypothesis.given(tie_heavy_runs())
@@ -1301,6 +1347,33 @@ class TestSharedResultTexts:
         assert len(streams) == 4  # adamls, naive and two statics
         assert all(stream is streams[0] for stream in streams)
         assert len(built) == len(streams[0].arrival_t) > 0
+
+
+def test_the_runs_of_a_compare_share_one_kpi_tuple_per_profile_row(
+    tmp_path, tiny_config, monkeypatch
+):
+    """Every completion of a compare, in every run, that names one (model,
+    row) holds one tuple object, kept by the profile, and its b is an int."""
+    runs = []
+    run = cli.run_simulation
+
+    def recording(sim_config, requests, knowledge):
+        completions, events = run(sim_config, requests, knowledge)
+        runs.append((completions, requests))
+        return completions, events
+
+    path = write_config(tmp_path, tiny_config, output_dir=str(tmp_path / "out"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["learn", "--config", str(path)]) == 0
+        monkeypatch.setattr(cli, "run_simulation", recording)
+        assert cli.main(["compare", "--config", str(path)]) == 0
+    assert len(runs) == 4  # adamls, naive and two statics
+    shared = {}
+    for completions, requests in runs:
+        for j, model, kpis in zip(completions.request_id, completions.model_id, completions.kpis):
+            assert shared.setdefault((model, requests.row[j]), kpis) is kpis
+            assert type(kpis[4]) is int
+    assert {model for model, _ in shared} == {"fast", "slow"}
 
 
 # Values equal to a time whose texts differ from its text.
