@@ -958,8 +958,9 @@ def tie_heavy_runs(draw):
 
 class TestFreeTimes:
     def record_heaps(self, monkeypatch):
-        """Spy on the queue recursion: per call, the workers it was given
-        busy, the requests it serves and the size of its heap of free times."""
+        """Spy on the queue recursion: per call, the number of busy workers
+        it is given, the requests it serves and the size of its heap of free
+        times."""
         calls = []
         serve, heapify = simulator._serve_static, simulator.heapq.heapify
 
@@ -1359,7 +1360,7 @@ def test_the_runs_of_a_compare_share_one_kpi_tuple_per_profile_row(
 
     def recording(sim_config, requests, knowledge):
         completions, events = run(sim_config, requests, knowledge)
-        runs.append((completions, requests))
+        runs.append((completions, requests, {p.model_id: p for p in sim_config.profiles}))
         return completions, events
 
     path = write_config(tmp_path, tiny_config, output_dir=str(tmp_path / "out"))
@@ -1369,9 +1370,11 @@ def test_the_runs_of_a_compare_share_one_kpi_tuple_per_profile_row(
         assert cli.main(["compare", "--config", str(path)]) == 0
     assert len(runs) == 4  # adamls, naive and two statics
     shared = {}
-    for completions, requests in runs:
+    for completions, requests, profiles in runs:
         for j, model, kpis in zip(completions.request_id, completions.model_id, completions.kpis):
-            assert shared.setdefault((model, requests.row[j]), kpis) is kpis
+            row = requests.row[j]
+            assert shared.setdefault((model, row), kpis) is kpis
+            assert profiles[model].kpi_tuples[row] is kpis
             assert type(kpis[4]) is int
     assert {model for model, _ in shared} == {"fast", "slow"}
 
